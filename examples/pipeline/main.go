@@ -80,8 +80,6 @@ func main() {
 	// The overlap benefit itself shows when both operations share the
 	// whole machine under the dataflow runtime: a pipelined edge lets
 	// the consumer start on partial data.
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	_ = factory
 	for _, pipelined := range []bool{false, true} {
 		g := delirium.NewGraph("pair")
 		if err := g.AddNode(&delirium.Node{Name: "produce", Kind: delirium.Par}); err != nil {

@@ -89,24 +89,11 @@ type seg struct {
 	op, lo, hi, seq int
 }
 
-// opDep is one dataflow dependency of an operator.
-type opDep struct {
-	op        int
-	pipelined bool
-}
-
-// opState is the coordinator's scheduling state for one operator.
+// opState is the coordinator's grant state for one operator; readiness
+// lives in the Frontier.
 type opState struct {
-	name      string
-	n         int
-	spec      rts.OpSpec
-	deps      []opDep
-	done      []bool
-	doneCount int
-	prefix    int // contiguous completed prefix (pipelined consumers gate on it)
-	next      int // lowest never-granted task index
-	block     int // static mode: fixed block size, set at first grant
-	complete  bool
+	next  int // lowest never-granted task index
+	block int // static mode: fixed block size, set at first grant
 }
 
 // wstate is the coordinator's view of one worker process.
@@ -135,7 +122,8 @@ type sched struct {
 	g        *delirium.Graph
 	opts     rts.RunOpts
 	mode     rts.Mode
-	ops      []*opState
+	f        *rts.Frontier
+	ops      []opState // parallel to the Frontier's operator table
 	workers  []*wstate
 	regrants []seg
 	msgCh    chan wmsg
@@ -143,9 +131,8 @@ type sched struct {
 	rec      *obs.Recorder
 	t0       time.Time
 
-	seq       int
-	live      int
-	completed int
+	seq  int
+	live int
 
 	// result accumulators
 	grants    int
@@ -178,10 +165,6 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (tra
 	if err := g.Validate(); err != nil {
 		return trace.Result{}, err
 	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return trace.Result{}, err
-	}
 	p := opts.Processors
 	if p <= 0 {
 		p = b.Workers
@@ -197,32 +180,21 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (tra
 
 	// Build the scheduling state from the coordinator's own Bound —
 	// the same specs the workers will reconstruct from the binding.
-	idx := make(map[string]int, len(order))
-	names := make([]string, len(order))
-	s := &sched{g: g, opts: opts, mode: opts.Mode, msgCh: make(chan wmsg, 4*p+16), stop: make(chan struct{})}
+	// Pipelined edges deliver every prefix advance (batch 1): a grant
+	// already costs a message, so there is nothing to amortise.
+	f, err := rts.NewFrontier(g, bound.Spec, opts.Mode == rts.ModeSplit, nil, rts.Limits{})
+	if err != nil {
+		return trace.Result{}, err
+	}
+	names := make([]string, f.Len())
+	s := &sched{g: g, opts: opts, mode: opts.Mode, f: f, ops: make([]opState, f.Len()), msgCh: make(chan wmsg, 4*p+16), stop: make(chan struct{})}
 	// Readers block on msgCh sends; the stop channel releases them when
 	// Run stops consuming. It must stay open through the sign-off
 	// collection below, or a reader racing to deliver its mBye would
 	// exit on stop and drop the frame.
 	defer close(s.stop)
-	for i, nd := range order {
-		idx[nd.Name] = i
-		names[i] = nd.Name
-	}
-	for i, nd := range order {
-		spec := bound.Spec(nd.Name)
-		st := &opState{name: nd.Name, n: spec.Op.N, spec: spec}
-		if st.n <= 0 {
-			st.complete = true
-			s.completed++
-		} else {
-			st.done = make([]bool, st.n)
-		}
-		for _, e := range g.InEdges(nd.Name) {
-			st.deps = append(st.deps, opDep{op: idx[e.From], pipelined: e.Pipelined})
-		}
-		s.ops = append(s.ops, st)
-		_ = i
+	for i := range names {
+		names[i] = f.Name(i)
 	}
 	if opts.Sink != nil {
 		s.rec = obs.NewRecorder("dist", "s", names, p+1)
@@ -279,12 +251,12 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (tra
 		timeout = 2.0
 	}
 	job := jobMsg{
-		Graph:   g.Encode(),
-		Binding: bound.Binding,
-		Mode:    int(opts.Mode),
-		Omega:   opts.Omega,
-		Workers: p,
-		Ops:     names,
+		Graph:     g.Encode(),
+		Binding:   bound.Binding,
+		Mode:      int(opts.Mode),
+		Omega:     opts.Omega,
+		Workers:   p,
+		Ops:       names,
 		Heartbeat: hb,
 	}
 	if opts.Fault != nil {
@@ -461,7 +433,7 @@ func (s *sched) execute(timeout float64) (trace.Result, error) {
 	if s.opts.Ctx != nil {
 		cancel = s.opts.Ctx.Done()
 	}
-	for s.completed < len(s.ops) {
+	for s.f.Outstanding() > 0 {
 		select {
 		case m := <-s.msgCh:
 			s.msgsRecv++
@@ -524,13 +496,12 @@ func (s *sched) handleDone(w *wstate, payload []byte) error {
 	op, lo, hi, seqNo := getSegHeader(payload)
 	exec := float64(getU64(payload[segHeaderLen:])) / 1e9
 	blob := payload[segHeaderLen+8:]
-	if w.busy == nil || w.busy.seq != seqNo {
-		// A frame from a segment this worker no longer owns; cannot
-		// happen with live workers (one outstanding grant each), but be
-		// safe against protocol confusion.
+	if w.busy == nil || *w.busy != (seg{op, lo, hi, seqNo}) {
+		// A frame for a segment this worker does not own; cannot happen
+		// with live workers (one outstanding grant each), but be safe
+		// against protocol confusion.
 		return fmt.Errorf("dist: worker %d completed segment seq %d it does not own", w.id, seqNo)
 	}
-	st := s.ops[op]
 	w.busy = nil
 	w.execSum += exec
 
@@ -548,8 +519,8 @@ func (s *sched) handleDone(w *wstate, payload []byte) error {
 	// relay them to every other live worker. FIFO per socket orders the
 	// block ahead of any later grant that depends on it.
 	if len(blob) > 0 {
-		if st.spec.Apply != nil {
-			st.spec.Apply(lo, hi, blob)
+		if apply := s.f.Spec(op).Apply; apply != nil {
+			apply(lo, hi, blob)
 		}
 		hdr := make([]byte, segHeaderLen+len(blob))
 		putSegHeader(hdr, op, lo, hi, 0)
@@ -567,23 +538,11 @@ func (s *sched) handleDone(w *wstate, payload []byte) error {
 		}
 	}
 
-	for i := lo; i < hi; i++ {
-		if !st.done[i] {
-			st.done[i] = true
-			st.doneCount++
-		}
-	}
-	if old := st.prefix; st.prefix < st.n {
-		for st.prefix < st.n && st.done[st.prefix] {
-			st.prefix++
-		}
-		if st.prefix > old {
-			s.rec.Gate(w.id, op, old, st.prefix, recvRel)
-		}
-	}
-	if !st.complete && st.doneCount == st.n {
-		st.complete = true
-		s.completed++
+	// The coordinator grants by polling Enabled: Complete only records.
+	old := s.f.Prefix(op)
+	s.f.Complete(op, lo, hi, nil)
+	if pfx := s.f.Prefix(op); pfx > old {
+		s.rec.Gate(w.id, op, old, pfx, recvRel)
 	}
 	s.grants++
 	s.dispatchAll()
@@ -658,19 +617,13 @@ func (s *sched) nextSegment() (seg, bool) {
 		sg.seq = s.nextSeq()
 		return sg, true
 	}
-	for op, st := range s.ops {
-		if st.complete || st.next >= st.n {
-			continue
-		}
-		hiLimit := s.allowedHi(st)
+	for op := range s.ops {
+		st := &s.ops[op]
+		hiLimit := s.f.Enabled(op)
 		if st.next >= hiLimit {
 			continue
 		}
-		chunk := s.chunkSize(st)
-		hi := st.next + chunk
-		if hi > hiLimit {
-			hi = hiLimit
-		}
+		hi := min(st.next+s.chunkSize(st, s.f.N(op)), hiLimit)
 		sg := seg{op: op, lo: st.next, hi: hi, seq: s.nextSeq()}
 		st.next = hi
 		return sg, true
@@ -683,57 +636,24 @@ func (s *sched) nextSeq() int {
 	return s.seq
 }
 
-// allowedHi is the dataflow gate: how far into an operator's task
-// space grants may reach right now. Non-pipelined predecessors (and
-// every predecessor outside ModeSplit) must be fully complete;
-// pipelined predecessors gate by contiguous prefix exactly as the
-// shared-memory backends do — task i of an n-task consumer may read a
-// pn-task producer only at j = i·pn/n, so i is grantable once the
-// producer's prefix covers that index.
-func (s *sched) allowedHi(st *opState) int {
-	hi := st.n
-	for _, d := range st.deps {
-		pred := s.ops[d.op]
-		if !d.pipelined || s.mode != rts.ModeSplit {
-			if !pred.complete {
-				return 0
-			}
-			continue
-		}
-		if pred.complete {
-			continue
-		}
-		if pred.n <= 0 {
-			continue
-		}
-		// Count of tasks i with i·pn/n < prefix (integer division):
-		// i < prefix·n/pn exactly, so ceil(prefix·n/pn).
-		allowed := (pred.prefix*st.n + pred.n - 1) / pred.n
-		if allowed < hi {
-			hi = allowed
-		}
-	}
-	return hi
-}
-
 // chunkSize picks the grant granularity. ModeStatic mirrors the other
 // backends' fixed block decomposition (one block per live worker,
 // sized when the operator first becomes grantable); the adaptive modes
 // use guided self-scheduling — half the fair share of what remains —
 // whose chunk count stays O(p·log n) while the final chunks shrink
 // enough to balance stragglers.
-func (s *sched) chunkSize(st *opState) int {
+func (s *sched) chunkSize(st *opState, n int) int {
 	live := s.live
 	if live < 1 {
 		live = 1
 	}
 	if s.mode == rts.ModeStatic {
 		if st.block == 0 {
-			st.block = (st.n + live - 1) / live
+			st.block = (n + live - 1) / live
 		}
 		return st.block
 	}
-	chunk := (st.n - st.next) / (2 * live)
+	chunk := (n - st.next) / (2 * live)
 	if chunk < 1 {
 		chunk = 1
 	}

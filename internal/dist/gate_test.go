@@ -9,15 +9,17 @@ import (
 	taskop "orchestra/internal/sched"
 )
 
-// The pipelined prefix gate (allowedHi) in closed form must agree with
-// the kernel contract it encodes: consumer task i of an n-task
-// operator reads its pn-task pipelined producer at j = i·pn/n (integer
-// division), so i is grantable exactly when the producer's contiguous
-// completed prefix covers j. The brute-force reference below counts
-// grantable tasks directly from that contract; the closed form
-// ceil(prefix·n/pn) must match it for every (n, pn, prefix) — the
-// coprime cases are where an off-by-one would hide, because i·pn/n
-// then lands on every residue.
+// The coordinator grants through the shared rts.Frontier with batch 1.
+// The gate must stay inside the kernel contract it encodes: consumer
+// task i of an n-task operator reads its pn-task pipelined producer at
+// j = i·pn/n (integer division), so i is grantable only when the
+// producer's contiguous completed prefix covers j. The brute-force
+// reference below counts grantable tasks directly from that contract —
+// the exact bound ceil(prefix·n/pn). The Frontier's floor rule may
+// grant fewer (it is the conservative form the shared-memory engines
+// use) but never more, and must grant everything once the producer is
+// full; the coprime cases are where an off-by-one would hide, because
+// i·pn/n then lands on every residue.
 
 // bruteAllowedHi counts the longest grantable prefix of the consumer:
 // the first i whose producer index is uncovered stops the scan.
@@ -30,70 +32,112 @@ func bruteAllowedHi(n, pn, prefix int) int {
 	return n
 }
 
-// gateState builds a two-op coordinator state: op 0 the producer with
-// a completed prefix, op 1 the consumer gated on it by one pipelined
-// edge.
-func gateState(n, pn, prefix int, mode rts.Mode) (*sched, *opState) {
-	producer := &opState{name: "p", n: pn, prefix: prefix, complete: pn > 0 && prefix >= pn}
-	consumer := &opState{name: "c", n: n, deps: []opDep{{op: 0, pipelined: true}}}
-	s := &sched{mode: mode, ops: []*opState{producer, consumer}}
-	return s, consumer
+// gateFrontier builds the coordinator's frontier for a pn-task
+// producer "p" feeding an n-task consumer "c" (index 1) over one edge.
+func gateFrontier(t *testing.T, n, pn int, pipelined bool, mode rts.Mode) *rts.Frontier {
+	t.Helper()
+	g := delirium.NewGraph("gate")
+	for _, name := range []string{"p", "c"} {
+		if err := g.AddNode(&delirium.Node{Name: name, Kind: delirium.Par}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.AddEdge(&delirium.Edge{From: "p", To: "c", Pipelined: pipelined})
+	bind := func(name string) rts.OpSpec {
+		tasks := n
+		if name == "p" {
+			tasks = pn
+		}
+		return rts.OpSpec{Op: taskop.Op{Name: name, N: tasks, Time: func(int) float64 { return 1 }}}
+	}
+	f, err := rts.NewFrontier(g, bind, mode == rts.ModeSplit, nil, rts.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pr rts.Progress
+	f.Start(&pr)
+	return f
 }
 
-func TestAllowedHiMatchesBruteForce(t *testing.T) {
+func TestGateWithinBruteForce(t *testing.T) {
 	// Every (n, pn) pair over a range that includes coprime pairs
 	// (7×13, 9×16, ...), equal counts, divisors, multiples, and the
 	// degenerate single-task shapes, swept over every legal prefix.
+	var pr rts.Progress
 	for n := 1; n <= 24; n++ {
 		for pn := 1; pn <= 24; pn++ {
+			f := gateFrontier(t, n, pn, true, rts.ModeSplit)
+			last := 0
 			for prefix := 0; prefix <= pn; prefix++ {
-				s, consumer := gateState(n, pn, prefix, rts.ModeSplit)
-				got := s.allowedHi(consumer)
-				want := bruteAllowedHi(n, pn, prefix)
-				if prefix >= pn {
-					// Complete producers stop gating entirely.
-					want = n
+				if prefix > 0 {
+					f.Complete(0, prefix-1, prefix, &pr)
 				}
-				if got != want {
-					t.Fatalf("allowedHi(n=%d, pn=%d, prefix=%d) = %d, brute force says %d",
-						n, pn, prefix, got, want)
+				got := f.Enabled(1)
+				if want := bruteAllowedHi(n, pn, prefix); got > want {
+					t.Fatalf("Enabled(n=%d, pn=%d, prefix=%d) = %d, past the exact bound %d", n, pn, prefix, got, want)
 				}
+				if got < last {
+					t.Fatalf("Enabled(n=%d, pn=%d) fell from %d to %d at prefix %d", n, pn, last, got, prefix)
+				}
+				last = got
+			}
+			if last != n {
+				t.Fatalf("Enabled(n=%d, pn=%d) = %d after full completion, want %d", n, pn, last, n)
 			}
 		}
 	}
 }
 
-// TestAllowedHiZeroTaskProducer pins the degenerate shapes: a
-// zero-task producer has nothing to read, so it must never gate its
-// consumer — neither incomplete (n=0 operators complete immediately,
-// but the gate must not divide by zero if consulted first) nor as a
-// zero-task consumer (nothing to grant either way).
-func TestAllowedHiZeroTaskProducer(t *testing.T) {
-	for _, complete := range []bool{false, true} {
-		s, consumer := gateState(9, 0, 0, rts.ModeSplit)
-		s.ops[0].complete = complete
-		if got := s.allowedHi(consumer); got != 9 {
-			t.Fatalf("zero-task producer (complete=%v) gates consumer to %d, want 9", complete, got)
-		}
+// TestGateOutOfOrderCompletionHolds pins prefix (not count) gating: a
+// completed tail must not enable a consumer whose head inputs are
+// still missing.
+func TestGateOutOfOrderCompletionHolds(t *testing.T) {
+	var pr rts.Progress
+	f := gateFrontier(t, 8, 8, true, rts.ModeSplit)
+	f.Complete(0, 1, 8, &pr)
+	if got := f.Enabled(1); got != 0 {
+		t.Fatalf("tail-only completion enables %d tasks, want 0", got)
 	}
-	s, consumer := gateState(0, 7, 3, rts.ModeSplit)
-	if got := s.allowedHi(consumer); got != 0 {
-		t.Fatalf("zero-task consumer allowedHi = %d, want 0", got)
+	f.Complete(0, 0, 1, &pr)
+	if got := f.Enabled(1); got != 8 {
+		t.Fatalf("full completion enables %d tasks, want 8", got)
 	}
 }
 
-// TestAllowedHiBarriersOutsideSplit pins the mode gate: outside
-// ModeSplit a pipelined annotation is inert and the producer must be
-// fully complete before any consumer task is grantable.
-func TestAllowedHiBarriersOutsideSplit(t *testing.T) {
-	for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper} {
-		s, consumer := gateState(8, 8, 7, mode)
-		if got := s.allowedHi(consumer); got != 0 {
-			t.Fatalf("mode %v: incomplete producer allows %d tasks, want 0", mode, got)
+// TestGateZeroTaskShapes pins the degenerate shapes: a zero-task
+// producer has nothing to read, so it must never gate its consumer,
+// and a zero-task consumer has nothing to grant either way.
+func TestGateZeroTaskShapes(t *testing.T) {
+	if got := gateFrontier(t, 9, 0, true, rts.ModeSplit).Enabled(1); got != 9 {
+		t.Fatalf("zero-task producer gates consumer to %d, want 9", got)
+	}
+	var pr rts.Progress
+	f := gateFrontier(t, 0, 7, true, rts.ModeSplit)
+	f.Complete(0, 0, 3, &pr)
+	if got := f.Enabled(1); got != 0 {
+		t.Fatalf("zero-task consumer Enabled = %d, want 0", got)
+	}
+}
+
+// TestGateBarriers pins the completion-gated shapes: outside ModeSplit
+// a pipelined annotation is inert, and inside it a plain dependence is
+// a barrier regardless of prefix — the producer must be fully complete
+// before any consumer task is grantable.
+func TestGateBarriers(t *testing.T) {
+	cases := []struct {
+		mode      rts.Mode
+		pipelined bool
+	}{{rts.ModeStatic, true}, {rts.ModeTaper, true}, {rts.ModeSplit, false}}
+	var pr rts.Progress
+	for _, c := range cases {
+		f := gateFrontier(t, 8, 8, c.pipelined, c.mode)
+		f.Complete(0, 0, 7, &pr)
+		if got := f.Enabled(1); got != 0 {
+			t.Fatalf("mode %v pipelined=%v: incomplete producer allows %d tasks, want 0", c.mode, c.pipelined, got)
 		}
-		s.ops[0].complete = true
-		if got := s.allowedHi(consumer); got != 8 {
-			t.Fatalf("mode %v: complete producer allows %d tasks, want 8", mode, got)
+		f.Complete(0, 7, 8, &pr)
+		if got := f.Enabled(1); got != 8 {
+			t.Fatalf("mode %v pipelined=%v: complete producer allows %d tasks, want 8", c.mode, c.pipelined, got)
 		}
 	}
 }
@@ -128,15 +172,5 @@ func TestRefusesExpandableGraphs(t *testing.T) {
 	}
 	if oe.Backend != "dist" || len(oe.Fields) != 1 || oe.Fields[0] != "Expand" {
 		t.Fatalf("OptionError = %+v, want Backend=dist Fields=[Expand]", oe)
-	}
-}
-
-// TestAllowedHiNonPipelinedDep pins the non-pipelined branch inside
-// ModeSplit: a plain dependence is a barrier regardless of prefix.
-func TestAllowedHiNonPipelinedDep(t *testing.T) {
-	s, consumer := gateState(8, 8, 7, rts.ModeSplit)
-	consumer.deps[0].pipelined = false
-	if got := s.allowedHi(consumer); got != 0 {
-		t.Fatalf("incomplete non-pipelined producer allows %d tasks, want 0", got)
 	}
 }

@@ -1,9 +1,9 @@
 package native
 
 import (
-	"sync/atomic"
 	"time"
 
+	"orchestra/internal/delirium"
 	"orchestra/internal/split"
 )
 
@@ -22,13 +22,13 @@ import (
 //     blocks (chainBlockSize: ~64 KB of producer output per block);
 //   - each producer out-edge tracks, per consumer block, how many
 //     producer tasks of the block's read span [b·S−halo, (b+1)·S+halo)
-//     are still incomplete (coverLeft, guarded by the producer's
-//     progressMu, which complete already holds);
+//     are still incomplete (coverLeft, guarded by the engine's mu,
+//     which complete already holds);
 //   - when a producer chunk completes the last covering task of a
 //     block, and every other in-edge of the consumer has delivered
-//     that block too (chainState.left, atomic — producers complete
-//     concurrently), the block is enabled exactly once — onto the
-//     completing worker's own chain queue;
+//     that block too (chainState.left, under the same lock), the block
+//     is enabled exactly once — onto the completing worker's own chain
+//     queue;
 //   - the worker drains its queue depth-first (LIFO) immediately
 //     after the enabling chunk, so A[b] → B[b] → C[b] run
 //     back-to-back on one core while block b is still in L2.
@@ -64,10 +64,23 @@ const (
 // [b·block, (b+1)·block) ∩ [0, n); left[b] counts in-edges (chained
 // and barrier alike) that have not yet delivered block b. The
 // decrement that takes left[b] to zero enables the block exactly once.
+// Guarded by the engine's mu.
 type chainState struct {
 	block   int
 	nblocks int
-	left    []atomic.Int32
+	left    []int32
+}
+
+// chainEdge is a producer's delivery obligation toward one
+// chain-managed consumer. halo widens each consumer block's read span
+// on both sides; coverLeft[b] counts the producer tasks of block b's
+// span still incomplete. barrier marks a non-chain in-edge: the
+// producer's full completion delivers every block at once.
+type chainEdge struct {
+	to        int
+	halo      int
+	coverLeft []int32
+	barrier   bool
 }
 
 // chainItem is one enabled consumer block on a worker's chain queue.
@@ -95,99 +108,84 @@ func chainBlockSize(n int, bytes int64) int {
 	return b
 }
 
-// edgePair records one graph edge's endpoints during engine setup, so
-// setupChains can revisit the in/out edge structs after all appends
-// (taking element pointers mid-append would dangle on reallocation).
-type edgePair struct {
-	from, to int
-	inIdx    int  // index into e.ops[to].in
-	outIdx   int  // index into e.ops[from].out
-	attr     bool // delirium.Edge.Chain: compiler-proved exact pointwise
-}
-
 // setupChains converts eligible edges to chain edges and installs the
 // consumers' issue ledgers. Runs single-threaded during newEngine,
-// before workers exist. Eligibility per edge: equal non-zero task
-// counts and either the compiler's Chain attribute or compatible
-// kernel annotations (split.Chainable). A consumer is chain-managed
-// only if at least one in-edge is eligible and no pipelined in-edge is
-// left behind on the gate (a consumer cannot be half gate-, half
-// chain-issued); its remaining non-eligible in-edges become barrier
-// edges that deliver every block at the producer's full completion.
-func (e *engine) setupChains(pairs []edgePair) {
-	eligible := make([]bool, len(pairs))
-	halo := make([]int, len(pairs))
-	perCons := map[int][]int{}
-	for i, pr := range pairs {
-		prod, cons := e.op(pr.from), e.op(pr.to)
-		perCons[pr.to] = append(perCons[pr.to], i)
-		if prod.expand != nil || cons.expand != nil {
-			// Never chain across an expandable endpoint: a chained edge
-			// would enqueue blocks against a sub-graph that does not
-			// exist yet (the consumer's real work only materializes at
-			// expansion time), and an expandable producer's join task is
-			// its only observable progress. Such edges stay on the
-			// completion-gated path — the same barrier conversion mixed
-			// consumers get below.
-			continue
-		}
-		if prod.n != cons.n || prod.n == 0 {
-			continue
-		}
-		if split.Chainable(prod.split, cons.split) {
-			eligible[i], halo[i] = true, split.ChainHalo(cons.split)
-		} else if pr.attr {
-			// The compiler's proof is exact-index (halo 0).
-			eligible[i], halo[i] = true, 0
-		}
+// before workers exist and before the Frontier starts. Eligibility per
+// edge: equal non-zero task counts and either the compiler's Chain
+// attribute or compatible kernel annotations (split.Chainable). A
+// consumer is chain-managed only if at least one in-edge is eligible
+// and no pipelined in-edge is left behind on the gate (a consumer
+// cannot be half gate-, half chain-issued); its remaining non-eligible
+// in-edges become barrier edges that deliver every block at the
+// producer's full completion.
+func (e *engine) setupChains(g *delirium.Graph) {
+	type edge struct {
+		from, to  int
+		halo      int
+		eligible  bool
+		pipelined bool // still on the Frontier's prefix gate
 	}
-	for ci, idxs := range perCons {
-		cons := e.op(ci)
-		chained := 0
-		ok := true
-		for _, i := range idxs {
-			if eligible[i] {
+	perCons := map[int][]edge{}
+	for _, ed := range g.Edges {
+		if ed.Carried {
+			continue
+		}
+		ce := edge{from: e.f.Index(ed.From), to: e.f.Index(ed.To), pipelined: e.f.Pipelines(ed)}
+		prod, cons := e.op(ce.from), e.op(ce.to)
+		// Never chain across an expandable endpoint: a chained edge would
+		// enqueue blocks against a sub-graph that does not exist yet (the
+		// consumer's real work only materializes at expansion time), and
+		// an expandable producer's join task is its only observable
+		// progress. Such edges stay completion-gated — the same barrier
+		// conversion mixed consumers get below.
+		expandable := e.f.Spec(ce.from).Expand != nil || e.f.Spec(ce.to).Expand != nil
+		if !expandable && prod.n == cons.n && prod.n > 0 {
+			if split.Chainable(prod.split, cons.split) {
+				ce.eligible, ce.halo = true, split.ChainHalo(cons.split)
+			} else if ed.Chain {
+				// The compiler's proof is exact-index (halo 0).
+				ce.eligible = true
+			}
+		}
+		perCons[ce.to] = append(perCons[ce.to], ce)
+	}
+	for ci, edges := range perCons {
+		chained, ok := 0, true
+		for _, ce := range edges {
+			if ce.eligible {
 				chained++
-			} else if cons.in[pairs[i].inIdx].pipelined {
+			} else if ce.pipelined {
 				ok = false // would lose the gate's delivery for this edge
 			}
 		}
 		if chained == 0 || !ok {
 			continue
 		}
+		cons := e.op(ci)
 		S := chainBlockSize(cons.n, cons.bytes)
 		nb := (cons.n + S - 1) / S
-		cs := &chainState{block: S, nblocks: nb, left: make([]atomic.Int32, nb)}
+		cs := &chainState{block: S, nblocks: nb, left: make([]int32, nb)}
 		for b := range cs.left {
-			cs.left[b].Store(int32(len(idxs)))
+			cs.left[b] = int32(len(edges))
 		}
 		cons.chain = cs
-		// Chain-managed consumers are never gate-released: park the
-		// release cursor at n so a stray tryRelease is a no-op.
-		cons.released.Store(int64(cons.n))
-		for _, i := range idxs {
-			pr := pairs[i]
-			prod := e.op(pr.from)
-			ie, oe := &cons.in[pr.inIdx], prod.out[pr.outIdx]
-			ie.pipelined, oe.pipelined = false, false
-			if !eligible[i] {
+		for _, ce := range edges {
+			prod := e.op(ce.from)
+			if !ce.eligible {
 				// Barrier in-edge: full producer completion delivers
 				// every block at once. A zero-task producer never runs
-				// complete, so it delivers here, at setup.
-				oe.barrier = true
+				// complete, so it delivers here, at setup (no chain edge
+				// has delivered yet, so this can never enable a block).
 				if prod.n == 0 {
-					oe.sentFull = true
 					for b := range cs.left {
-						// Setup is single-threaded and no chain edge has
-						// delivered yet, so this can never enable a block.
-						cs.left[b].Add(-1)
+						cs.left[b]--
 					}
+					continue
 				}
+				prod.chains = append(prod.chains, &chainEdge{to: ci, barrier: true})
 				continue
 			}
-			ie.chain, oe.chain = true, true
-			oe.halo = halo[i]
-			oe.coverLeft = make([]int32, nb)
+			oe := &chainEdge{to: ci, halo: ce.halo, coverLeft: make([]int32, nb)}
 			for b := 0; b < nb; b++ {
 				lo, hi := b*S-oe.halo, (b+1)*S+oe.halo
 				if lo < 0 {
@@ -198,6 +196,7 @@ func (e *engine) setupChains(pairs []edgePair) {
 				}
 				oe.coverLeft[b] = int32(hi - lo)
 			}
+			prod.chains = append(prod.chains, oe)
 			// Cache-aware producer chunking: cap the producer's TAPER
 			// grain near the consumer block, so one chunk enables about
 			// one block and its output is still resident when the block
@@ -212,9 +211,8 @@ func (e *engine) setupChains(pairs []edgePair) {
 // chainCover is complete's delivery hook for one chain out-edge: the
 // producer finished tasks [lo, hi); decrement every consumer block
 // whose read span those tasks intersect, and enable blocks this edge
-// (and every other in-edge) has fully delivered. Caller holds the
-// producer's progressMu, which guards coverLeft.
-func (e *engine) chainCover(w *worker, o *opState, oe *outEdge, lo, hi int, depth int32) {
+// (and every other in-edge) has fully delivered. Caller holds mu.
+func (e *engine) chainCover(w *worker, o *opState, oe *chainEdge, lo, hi int, depth int32) {
 	cons := e.op(oe.to)
 	cs := cons.chain
 	S, h := cs.block, oe.halo
@@ -253,8 +251,8 @@ func (e *engine) chainCover(w *worker, o *opState, oe *outEdge, lo, hi int, dept
 
 // chainBarrier is complete's delivery hook for a barrier edge into a
 // chain-managed consumer: the producer fully completed, so every block
-// receives this edge's delivery.
-func (e *engine) chainBarrier(w *worker, oe *outEdge, depth int32) {
+// receives this edge's delivery. Caller holds mu.
+func (e *engine) chainBarrier(w *worker, oe *chainEdge, depth int32) {
 	cons := e.op(oe.to)
 	for b := 0; b < cons.chain.nblocks; b++ {
 		e.chainEnable(w, cons, b, depth)
@@ -263,11 +261,11 @@ func (e *engine) chainBarrier(w *worker, oe *outEdge, depth int32) {
 
 // chainEnable counts one in-edge delivery of block b; the delivery
 // that completes the set enqueues the block on the enabling worker's
-// own chain queue. left is atomic because distinct producers complete
-// on different workers concurrently; exactly one of them observes
+// own chain queue. Caller holds mu, so exactly one delivery observes
 // zero.
 func (e *engine) chainEnable(w *worker, cons *opState, b int, depth int32) {
-	if cons.chain.left[b].Add(-1) != 0 {
+	cons.chain.left[b]--
+	if cons.chain.left[b] != 0 {
 		return
 	}
 	S := cons.chain.block

@@ -1,6 +1,8 @@
 package native
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,6 +75,58 @@ func TestExecuteRejectsOversizedOp(t *testing.T) {
 	}
 	if _, err := (Backend{}).Run(g, rts.BindClosure(bind), rts.RunOpts{Processors: 1, Mode: rts.ModeSplit}); err == nil {
 		t.Fatalf("Execute accepted an operator with %d tasks", maxTasks)
+	}
+}
+
+// TestExpansionRejectsOversized holds the packing limits for operators
+// that only exist once an expansion has run: a sub-graph with an
+// oversized operator, or one that grows the table past maxOps, must fail
+// the run with an error — both when the expandable operator is a source
+// (it expands during single-threaded set-up) and when it expands on a
+// worker mid-run, where an operator table that disagrees with the
+// Frontier would crash the process instead.
+func TestExpansionRejectsOversized(t *testing.T) {
+	unit := func(int) float64 { return 1 }
+	subs := map[string]func() *rts.Expansion{
+		"tasks": func() *rts.Expansion {
+			sg := delirium.NewGraph("x")
+			sg.AddNode(&delirium.Node{Name: "x/0", Kind: delirium.Par})
+			return &rts.Expansion{Graph: sg, Bind: func(name string) rts.OpSpec {
+				return rts.OpSpec{Op: sched.Op{Name: name, N: maxTasks, Time: unit}, Mu: 1}
+			}}
+		},
+		"ops": func() *rts.Expansion {
+			sg := delirium.NewGraph("x")
+			for i := 0; i < maxOps; i++ {
+				sg.AddNode(&delirium.Node{Name: fmt.Sprintf("x/%d", i), Kind: delirium.Par})
+			}
+			return &rts.Expansion{Graph: sg, Bind: func(name string) rts.OpSpec {
+				return rts.OpSpec{Op: sched.Op{Name: name, N: 1, Time: unit}, Mu: 1}
+			}}
+		},
+	}
+	for what, sub := range subs {
+		for _, midRun := range []bool{false, true} {
+			g := delirium.NewGraph("big")
+			g.AddNode(&delirium.Node{Name: "x", Kind: delirium.Exp, Rule: "r"})
+			if midRun {
+				g.AddNode(&delirium.Node{Name: "a", Kind: delirium.Par})
+				g.AddEdge(&delirium.Edge{From: "a", To: "x"})
+			}
+			bind := func(name string) rts.OpSpec {
+				spec := rts.OpSpec{Op: sched.Op{Name: name, N: 64, Time: unit}, Mu: 1}
+				if name == "x" {
+					spec.Expand = func(int) (*rts.Expansion, error) { return sub(), nil }
+				}
+				return spec
+			}
+			for _, mode := range []rts.Mode{rts.ModeSplit, rts.ModeTaper} {
+				_, err := (Backend{}).Run(g, rts.BindClosure(bind), rts.RunOpts{Processors: 4, Mode: mode})
+				if err == nil || !strings.Contains(err.Error(), "expanding x") || !strings.Contains(err.Error(), "limit") {
+					t.Fatalf("%s midRun=%v mode=%v: error = %v, want the expansion refused at the packing limit", what, midRun, mode, err)
+				}
+			}
+		}
 	}
 }
 

@@ -214,7 +214,7 @@ func (e *engine) emitRealloc(live int) {
 	var specs []rts.OpSpec
 	var names []string
 	for _, o := range e.opsSnap() {
-		remaining := o.n - int(o.done.Load())
+		remaining := int(o.unsched.Load())
 		if remaining <= 0 {
 			continue
 		}

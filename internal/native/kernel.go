@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"orchestra/internal/delirium"
@@ -266,16 +267,14 @@ func SpinBinder(g *delirium.Graph, count func(node *delirium.Node) int, cv float
 // SpinBinder uses.
 func Spin(iters int) { spin(iters) }
 
-// spinSink defeats dead-code elimination of the spin loop.
-var spinSink float64
-
 // spin burns approximately iters iterations of floating-point work.
 func spin(iters int) {
 	v := 1.0
 	for i := 0; i < iters; i++ {
 		v += math.Sqrt(v + float64(i&7))
 	}
-	spinSink = v
+	// Defeats dead-code elimination of the loop without a shared write.
+	runtime.KeepAlive(v)
 }
 
 // hashName is FNV-1a, keeping per-node workloads distinct.

@@ -9,10 +9,10 @@
 //   - TAPER chunk sizing (internal/sched) is driven by wall-clock task
 //     times sampled online into Welford (μ, σ²) accumulators, instead
 //     of the simulator's per-task cost hints;
-//   - barrier-free DAG execution mirrors rts.ExecuteDAG: operators
-//     enable as their dataflow predecessors complete, and pipelined
-//     edges deliver producer progress to consumers in granularity
-//     batches;
+//   - barrier-free DAG execution drives the same rts.Frontier the
+//     simulator does: operators enable as their dataflow predecessors
+//     complete, and pipelined edges deliver producer progress to
+//     consumers in granularity batches;
 //   - the trace is captured from real clocks: per-worker busy time,
 //     wall-clock makespan, chunk/steal/batch counts, reported through
 //     the same trace.Result the simulator fills.
@@ -121,24 +121,17 @@ func defaultProcs(req int) int {
 }
 
 // newEngine validates the graph and options and builds the per-job
-// scheduler state for p workers: operator states in topological order,
-// dataflow gates, fault-injection state, and the trace recorder. It
-// does not create workers or start execution — callers attach a worker
-// set (freshly allocated by Backend.Run, leased from an arena by
-// Pool.Run) and then call execute.
+// scheduler state for p workers: the dataflow Frontier, operator states
+// parallel to its table, chain ledgers, fault-injection state, and the
+// trace recorder. It does not create workers or start execution —
+// callers attach a worker set (freshly allocated by Backend.Run, leased
+// from an arena by Pool.Run) and then call execute.
 func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	if len(order) > maxOps {
-		return nil, fmt.Errorf("native: %d operators exceed the deque packing limit %d", len(order), maxOps)
 	}
 	if p < 1 {
 		p = 1
@@ -153,7 +146,7 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		// actions take effect here.
 		fx = fault.NewExec(opts.Fault, p)
 	}
-	e := &engine{p: p, pin: opts.Pin, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode}
+	e := &engine{p: p, pin: opts.Pin, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode, omega: opts.Omega}
 	e.live.Store(int32(p))
 	switch opts.Mode {
 	case rts.ModeStatic:
@@ -168,138 +161,57 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		e.needsDetector = true
 	}
 	if opts.Sink != nil {
-		names := make([]string, len(order))
-		for i, nd := range order {
-			names[i] = nd.Name
-		}
 		rings := p
 		if e.needsDetector {
 			// The detector emits fault/retry/realloc events from its own
 			// goroutine; rings are single-writer, so it gets ring p.
 			rings = p + 1
 		}
-		e.rec = obs.NewRecorder("native", "s", names, rings)
+		e.rec = obs.NewRecorder("native", "s", nil, rings)
 	}
 
-	// Operator states, in topological order.
-	e.omega = opts.Omega
-	e.opIndex = map[string]int{}
-	ops := make([]*opState, 0, len(order))
-	total := 0
-	for i, nd := range order {
-		o, err := e.buildOp(nd, bind(nd.Name), i, 0, -1)
-		if err != nil {
-			return nil, err
-		}
-		e.opIndex[nd.Name] = i
-		ops = append(ops, o)
-		total += o.n
+	// Pipelined edges get a delivery granularity; in the barriered modes
+	// the Frontier degrades every edge to completion-gated. The limits
+	// are the deque's segment packing (a segment's hi bound is exclusive,
+	// so the largest representable operator has maxTasks-1 tasks): the
+	// Frontier refuses a graph or a mid-run expansion beyond them whole,
+	// so the table addOps mirrors always fits.
+	f, err := rts.NewFrontier(g, bind, e.pipelined, func(prod rts.OpSpec) int { return batchSize(prod.Op.N, p) },
+		rts.Limits{Ops: maxOps, Tasks: maxTasks - 1})
+	if err != nil {
+		return nil, err
 	}
-	e.total = total
-	e.outstanding.Store(int64(total))
-	e.opsA.Store(&ops)
-
-	// Dataflow edges. Pipelined edges get a delivery granularity; in
-	// the barriered modes every edge degrades to completion-gated.
-	pairs := wireEdges(ops, g.Edges, e.pipelined, p, 0)
+	e.f = f
+	e.addOps(0)
 	if e.pipelined && opts.Chain == rts.ChainAuto {
-		// Cache chaining rides on split mode: convert annotation- or
-		// compiler-qualified edges before the doneMark pass below, so
-		// producers whose only consumers chain skip prefix tracking.
-		e.setupChains(pairs)
+		// Cache chaining rides on split mode.
+		e.setupChains(g)
 	}
-	markPrefixTracking(ops)
 	return e, nil
 }
 
-// buildOp constructs one operator's runtime state from its binding.
-// depth and parent place the operator in the expansion tree (0, -1 at
-// top level). Shared between newEngine and splice, so statically
-// declared and runtime-expanded operators are built identically.
-func (e *engine) buildOp(nd *delirium.Node, spec rts.OpSpec, idx, depth, parent int) (*opState, error) {
-	o := &opState{idx: idx, name: nd.Name, n: spec.Op.N, body: spec.Op.Time, bodyRange: spec.Op.TimeRange,
-		split: spec.Split, bytes: spec.Op.Bytes, depth: depth, parent: parent}
-	if o.body == nil {
-		o.n = 0
+// addOps builds the operator states of the Frontier's operators
+// [first, Len) and publishes the grown table; indices are append-only,
+// so any index a worker holds stays valid in every later snapshot.
+// Recorder indices track engine indices: both append in the same order.
+// Callers hold mu once workers run.
+func (e *engine) addOps(first int) {
+	n := e.f.Len()
+	grown := make([]*opState, first, n)
+	if first > 0 {
+		copy(grown, e.opsSnap())
 	}
-	if nd.Kind == delirium.Exp && spec.Expand == nil {
-		return nil, fmt.Errorf("native: operator %s is expandable (kind=exp) but its binding has no Expand rule", nd.Name)
+	for i := first; i < n; i++ {
+		spec := e.f.Spec(i)
+		o := &opState{idx: i, name: e.f.Name(i), n: spec.Op.N, body: spec.Op.Time, bodyRange: spec.Op.TimeRange,
+			split: spec.Split, bytes: spec.Op.Bytes}
+		o.taper = sched.Taper{UseCostFunction: true, Omega: e.omega}
+		o.stats = sched.NewTaskStats(maxInt(o.n, 1))
+		o.unsched.Store(int64(o.n))
+		grown = append(grown, o)
+		e.rec.AddOp(o.name)
 	}
-	if nd.Kind != delirium.Exp && spec.Expand != nil {
-		return nil, fmt.Errorf("native: binding provides an Expand rule for non-expandable operator %s (kind=%s)", nd.Name, nd.Kind)
-	}
-	if spec.Expand != nil {
-		// An expandable operator contributes exactly one join task of
-		// its own: it runs after the materialized sub-graph drains, and
-		// its completion is what releases the operator's successors.
-		o.expand = spec.Expand
-		o.n = 1
-		if o.body == nil {
-			o.body = func(int) float64 { return 0 }
-		}
-	}
-	// Strict: a segment's hi bound is exclusive, so an operator
-	// with exactly maxTasks tasks would pack hi = 1<<24 into a
-	// 24-bit field and alias the lo field's low bit.
-	if o.n >= maxTasks {
-		return nil, fmt.Errorf("native: operator %s has %d tasks, exceeding the deque packing limit %d", nd.Name, o.n, maxTasks)
-	}
-	o.taper = sched.Taper{UseCostFunction: true, Omega: e.omega}
-	o.stats = sched.NewTaskStats(maxInt(o.n, 1))
-	o.unsched.Store(int64(o.n))
-	return o, nil
-}
-
-// wireEdges installs the dataflow edges of g among ops, whose first
-// `base` entries are assumed to belong to enclosing scopes (zero for
-// the top-level graph; the already-published table length when wiring
-// an expansion sub-graph, where index maps name → table index). Edges
-// touching an expandable endpoint are always completion-gated: a
-// consumer must not start against a not-yet-materialized sub-graph,
-// and an expandable producer's join task is its only observable
-// progress.
-func wireEdges(ops []*opState, edges []*delirium.Edge, pipelined bool, p, base int) []edgePair {
-	index := map[string]int{}
-	for _, o := range ops[base:] {
-		index[o.name] = o.idx
-	}
-	var pairs []edgePair
-	for _, ed := range edges {
-		if ed.Carried {
-			continue
-		}
-		f, t := index[ed.From], index[ed.To]
-		prod, cons := ops[f], ops[t]
-		pip := ed.Pipelined && pipelined && prod.n > 0 &&
-			prod.expand == nil && cons.expand == nil
-		batch := 1
-		if pip {
-			batch = batchSize(prod.n, p)
-		}
-		cons.in = append(cons.in, inEdge{from: f, pipelined: pip, batch: batch})
-		prod.out = append(prod.out, &outEdge{to: t, pipelined: pip, batch: batch})
-		pairs = append(pairs, edgePair{from: f, to: t,
-			inIdx: len(cons.in) - 1, outIdx: len(prod.out) - 1, attr: ed.Chain})
-	}
-	return pairs
-}
-
-// markPrefixTracking allocates doneMark for producers with pipelined
-// consumers: pipelined consumers gate on the contiguous completed
-// prefix (tasks finish out of order under stealing), so such producers
-// track per-task completion marks.
-func markPrefixTracking(ops []*opState) {
-	for _, o := range ops {
-		if o.doneMark != nil {
-			continue
-		}
-		for _, oe := range o.out {
-			if oe.pipelined {
-				o.doneMark = make([]bool, o.n)
-				break
-			}
-		}
-	}
+	e.opsA.Store(&grown)
 }
 
 // newWorker builds a fresh worker in the ready state for job-local
@@ -331,7 +243,7 @@ func (w *worker) reset(i int) {
 	w.deadA.Store(false)
 	w.slowF = 0
 	w.slowSeen = false
-	w.wakeBuf = w.wakeBuf[:0]
+	w.pr.Reset()
 	w.labelOp = -1
 	w.chainQ = w.chainQ[:0]
 	w.crashed = false
@@ -367,29 +279,17 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 			w.hb.Store(now)
 		}
 	}
-	if e.total == 0 {
-		e.finishOnce.Do(func() { close(e.finished) })
-	}
 
 	// Initial releases, still single-threaded (the worker goroutines
-	// start below, so these plain deque pushes are safely published).
-	// Source operators release everything; gated operators take one
-	// gate evaluation, which releases ops whose producers are already
-	// trivially complete (zero-task operators).
-	for oi, o := range e.opsSnap() {
-		if o.expand != nil {
-			// Expandable sources (and those whose producers are all
-			// trivially complete) expand here, single-threaded.
-			e.tryRelease(oi, nil)
-			continue
-		}
-		if len(o.in) == 0 {
-			if o.n > 0 {
-				e.release(nil, oi, 0, o.n)
-			}
-			continue
-		}
-		e.tryRelease(oi, nil)
+	// start below, so these plain deque pushes are safely published):
+	// sources, operators whose producers are trivially complete
+	// (zero-task operators), and expandable operators with nothing to
+	// wait for, which expand here.
+	var pr rts.Progress
+	e.f.Start(&pr)
+	e.advance(nil, &pr)
+	if e.f.Outstanding() == 0 {
+		e.finishOnce.Do(func() { close(e.finished) })
 	}
 
 	for _, w := range e.workers {
@@ -413,11 +313,11 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 	if err := e.loadFail(); err != nil {
 		return trace.Result{}, err
 	}
-	if e.outstanding.Load() != 0 {
+	if left := e.f.Outstanding(); left != 0 {
 		if e.canceled.Load() {
 			return trace.Result{}, rts.CancelError("native", opts.Ctx)
 		}
-		return trace.Result{}, fmt.Errorf("native: execution stalled with %d tasks outstanding", e.outstanding.Load())
+		return trace.Result{}, fmt.Errorf("native: execution stalled with %d tasks outstanding", left)
 	}
 	res := trace.Result{
 		Name:       fmt.Sprintf("native-%s/%s", e.mode, e.graphName),
@@ -443,36 +343,6 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 	return res, nil
 }
 
-// inEdge is a dataflow input: the consumer's gate over one producer.
-type inEdge struct {
-	from      int
-	pipelined bool
-	batch     int
-	// chain marks an edge converted to cache-chain delivery (setupChains):
-	// the consumer's tasks are issued by block coverage, not by the gate.
-	chain bool
-}
-
-// outEdge is a producer's delivery obligation toward one consumer.
-// notified, sentFull and coverLeft are guarded by the producer's
-// progressMu.
-type outEdge struct {
-	to        int
-	pipelined bool
-	batch     int
-	notified  int // last batch count delivered
-	sentFull  bool
-	// chain marks a cache-chain edge; halo widens each consumer block's
-	// read span on both sides; coverLeft[b] counts the producer tasks of
-	// block b's span still incomplete.
-	chain     bool
-	halo      int
-	coverLeft []int32
-	// barrier marks a non-chain in-edge of a chain-managed consumer: the
-	// producer's full completion delivers every block at once.
-	barrier bool
-}
-
 // opState is one operator's runtime state.
 type opState struct {
 	idx  int
@@ -483,8 +353,6 @@ type opState struct {
 	// bodyRange, when non-nil, executes tasks [lo, hi) in one fused
 	// call, saving a closure invocation per task on chunk-timed chunks.
 	bodyRange func(lo, hi int) float64
-	in        []inEdge
-	out       []*outEdge
 	// split is the kernel's data-access annotation (nil = undeclared).
 	split *split.Annotation
 	// bytes is the kernel's per-task byte estimate, sizing chain blocks.
@@ -498,42 +366,16 @@ type opState struct {
 	// about one cache-resident block.
 	chainOut int
 
-	// expand, when non-nil, marks the operator expandable (a
-	// delirium.Exp node): once its predecessors complete, one worker
-	// claims the expansion (expStarted), materializes the returned
-	// sub-graph into the operator table, and the operator's own n=1
-	// join task releases only when subLeft — the count of not-yet-
-	// completed sub-graph tasks — reaches zero. depth is the nesting
-	// depth (0 at top level); parent is the index of the expandable
-	// operator that materialized this one, or -1.
-	expand     rts.ExpandFunc
-	depth      int
-	parent     int
-	expStarted atomic.Bool
-	subLeft    atomic.Int64
+	// chains are this producer's deliveries into chain-managed
+	// consumers; their ledgers are guarded by the engine's mu.
+	chains []*chainEdge
 
 	// unsched counts tasks not yet taken into any chunk.
 	unsched atomic.Int64
-	// done counts completed tasks (any order).
-	done atomic.Int64
-	// prefixA mirrors the contiguous completed prefix for lock-free
-	// reads by consumers' gate evaluations.
-	prefixA atomic.Int64
-	// released counts tasks handed to the worker deques; release
-	// ranges are claimed by CAS, so concurrent completing workers
-	// never double-release.
-	released atomic.Int64
-
 	// statsMu guards stats and taper.
 	statsMu sync.Mutex
 	stats   *sched.TaskStats
 	taper   sched.Taper
-
-	// progressMu guards doneMark, prefix and the out-edges' delivery
-	// cursors.
-	progressMu sync.Mutex
-	doneMark   []bool
-	prefix     int
 }
 
 // worker is one goroutine of the pool.
@@ -562,8 +404,8 @@ type worker struct {
 	// dedups the trace event. Owner-only.
 	slowF    float64
 	slowSeen bool
-	// wakeBuf is completion-path scratch for consumer operator indices.
-	wakeBuf []int
+	// pr is completion-path scratch for what the Frontier reports.
+	pr rts.Progress
 	// labelOp is the operator currently named in this goroutine's
 	// pprof labels, or -1.
 	labelOp int
@@ -605,21 +447,21 @@ type engine struct {
 	pin, labels                bool
 	graphName                  string
 	mode                       rts.Mode
-	total                      int
 	needsDetector              bool
 	workers                    []*worker
 
-	// opsA publishes the operator table. Runtime expansion appends
-	// sub-operators mid-run, so workers read a consistent snapshot
-	// through op/opsSnap while splice swaps in a grown copy under
-	// expandMu — indices are append-only, so any index a worker holds
-	// stays valid in every later snapshot.
+	// mu serialises the Frontier — every readiness decision of the run
+	// — and the chain ledgers that ride on the same completions. One
+	// uncontended lock per chunk completion is far below a chunk's cost
+	// and replaces per-operator locks, CAS claims and their ordering
+	// arguments.
+	mu sync.Mutex
+	f  *rts.Frontier
+	// opsA publishes the driver's operator table, parallel to the
+	// Frontier's. Runtime expansion appends sub-operators mid-run, so
+	// workers read a consistent snapshot through op/opsSnap while addOps
+	// swaps in a grown copy under mu.
 	opsA atomic.Pointer[[]*opState]
-	// expandMu serializes expansions; opIndex maps every scheduled
-	// operator name to its index (expansion sub-graphs must not
-	// redeclare names).
-	expandMu sync.Mutex
-	opIndex  map[string]int
 	// omega is the run's TAPER ω override, kept for sub-operator
 	// construction at expansion time.
 	omega float64
@@ -640,10 +482,9 @@ type engine struct {
 
 	// queued approximates the number of segments across all deques and
 	// inboxes; workers park when it reaches zero.
-	queued      atomic.Int64
-	outstanding atomic.Int64
-	finished    chan struct{}
-	finishOnce  sync.Once
+	queued     atomic.Int64
+	finished   chan struct{}
+	finishOnce sync.Once
 
 	rr      atomic.Int64
 	chunks  atomic.Int64
@@ -729,179 +570,43 @@ func (e *engine) isFinished() bool {
 	}
 }
 
-// gate computes how many of o's tasks are executable given its
-// producers' progress: the minimum over inputs of the enabled prefix,
-// exactly the shape of rts.ExecuteDAG's gate — except that pipelined
-// enabling reads the producer's *contiguous* completed prefix, making
-// it safe for consumers to read producer data up to the mapped index.
-func (e *engine) gate(o *opState) int {
-	en := o.n
-	for _, ie := range o.in {
-		prod := e.op(ie.from)
-		pn := prod.n
-		var v int
-		if int(prod.done.Load()) >= pn {
-			v = o.n
-		} else if ie.pipelined && pn > 0 {
-			prefix := int(prod.prefixA.Load())
-			delivered := prefix / ie.batch * ie.batch
-			v = int(int64(delivered) * int64(o.n) / int64(pn))
+// advance acts on what the Frontier reported: enabled ranges go to the
+// deques (stealing therefore crosses nesting levels), due expansions
+// run and splice, which reports more of both. Ranges of chain-managed
+// consumers are dropped — the chain ledger issues those tasks. w is the
+// acting worker, or nil during single-threaded setup.
+func (e *engine) advance(w *worker, pr *rts.Progress) {
+	for i, j := 0, 0; i < len(pr.Enabled) || j < len(pr.Expand); j++ {
+		for ; i < len(pr.Enabled); i++ {
+			if r := pr.Enabled[i]; e.op(r.Op).chain == nil {
+				e.batches.Add(1)
+				e.release(w, r.Op, r.Lo, r.Hi)
+			}
 		}
-		if v < en {
-			en = v
-		}
-	}
-	return en
-}
-
-// tryRelease advances operator oi's released range to its current
-// gate. The CAS on released claims [rel, en) for exactly one caller,
-// so completing workers release consumers directly — no gater
-// goroutine, no channel hop — yet never double-release a task.
-func (e *engine) tryRelease(oi int, w *worker) {
-	o := e.op(oi)
-	if o.expand != nil {
-		// Expandable operators are never gate-released: their join task
-		// is held until the materialized sub-graph drains (releaseJoin),
-		// and predecessor completion instead triggers the expansion.
-		e.tryExpand(o, w)
-		return
-	}
-	for {
-		rel := o.released.Load()
-		if rel >= int64(o.n) {
-			return
-		}
-		en := int64(e.gate(o))
-		if en <= rel {
-			return
-		}
-		if o.released.CompareAndSwap(rel, en) {
-			e.release(w, oi, int(rel), int(en))
-			return
-		}
-		// Another completing worker advanced the gate first; re-check
-		// whether anything is left for us.
-	}
-}
-
-// tryExpand materializes an expandable operator's sub-graph once
-// every predecessor has fully completed (edges into an expandable
-// operator are always completion-gated). Exactly one caller claims
-// the expansion; the sub-graph's tasks are spliced into the operator
-// table and released into the same deques every other task uses, so
-// work-stealing crosses nesting levels. w is the triggering worker,
-// or nil during single-threaded setup.
-func (e *engine) tryExpand(o *opState, w *worker) {
-	for _, ie := range o.in {
-		prod := e.op(ie.from)
-		if int(prod.done.Load()) < prod.n {
-			return
-		}
-	}
-	if !o.expStarted.CompareAndSwap(false, true) {
-		return
-	}
-	exp, err := o.expand(o.depth)
-	if err != nil {
-		e.fail(fmt.Errorf("native: expanding %s: %w", o.name, err))
-		return
-	}
-	if exp == nil {
-		// Base case: the operator degenerates to its join task.
-		e.releaseJoin(o, w)
-		return
-	}
-	subs, total, err := e.splice(o, exp)
-	if err != nil {
-		e.fail(fmt.Errorf("native: expanding %s: %w", o.name, err))
-		return
-	}
-	if total == 0 {
-		// Every sub-operator is empty; only the join remains.
-		e.releaseJoin(o, w)
-		return
-	}
-	// Release the sub-graph's sources (and operators whose producers
-	// are trivially complete). Nested expandable sources recurse here,
-	// outside splice's lock, bounded by rts.MaxExpandDepth.
-	for _, so := range subs {
-		if so.expand != nil || len(so.in) > 0 {
-			e.tryRelease(so.idx, w)
-		} else if so.n > 0 {
-			e.release(w, so.idx, 0, so.n)
+		if j < len(pr.Expand) {
+			e.expand(pr.Expand[j], pr)
 		}
 	}
 }
 
-// splice validates an expansion and appends its operators to the
-// published table, returning the new operator states and their total
-// task count. The parent's subLeft and the engine's outstanding count
-// are advanced before the new table is published, so no sub-task
-// completion can be observed with stale accounting. Releases are the
-// caller's job — they must happen outside expandMu, because a nested
-// source expansion re-enters splice.
-func (e *engine) splice(parent *opState, exp *rts.Expansion) ([]*opState, int, error) {
-	e.expandMu.Lock()
-	defer e.expandMu.Unlock()
-	err := rts.ValidateExpansion(parent.name, parent.depth, exp, func(name string) bool {
-		_, ok := e.opIndex[name]
-		return ok
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	order, err := exp.Graph.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	cur := e.opsSnap()
-	base := len(cur)
-	if base+len(order) > maxOps {
-		return nil, 0, fmt.Errorf("%d operators exceed the deque packing limit %d", base+len(order), maxOps)
-	}
-	grown := make([]*opState, base, base+len(order))
-	copy(grown, cur)
-	total := 0
-	for i, nd := range order {
-		o, err := e.buildOp(nd, exp.Bind(nd.Name), base+i, parent.depth+1, parent.idx)
-		if err != nil {
-			return nil, 0, err
+// expand materializes one expandable operator's sub-graph: the user's
+// rule runs outside the lock (it may read what the predecessors
+// produced, for as long as it likes), the splice and the grown operator
+// table are published together under it. A
+// failure — depth bound, packing limits, a bad sub-graph — fails the
+// run.
+func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
+	exp, err := x.Expand()
+	if err == nil {
+		e.mu.Lock()
+		var first int
+		if first, err = e.f.Splice(x.Op, exp, pr); err == nil {
+			e.addOps(first)
 		}
-		grown = append(grown, o)
-		total += o.n
+		e.mu.Unlock()
 	}
-	subs := grown[base:]
-	wireEdges(grown, exp.Graph.Edges, e.pipelined, e.p, base)
-	markPrefixTracking(subs)
-	if e.rec != nil {
-		// Recorder indices must track engine indices; both append in
-		// the same order under expandMu.
-		for _, o := range subs {
-			e.rec.AddOp(o.name)
-		}
-	}
-	for _, o := range subs {
-		e.opIndex[o.name] = o.idx
-	}
-	// Accounting before publication: once the table is visible, any
-	// worker may complete a sub-task, and both counters must already
-	// cover it. outstanding is strictly positive throughout (the
-	// parent's join task is counted and unreleased), so the grown count
-	// cannot race the finished gate.
-	parent.subLeft.Store(int64(total))
-	e.outstanding.Add(int64(total))
-	e.opsA.Store(&grown)
-	return subs, total, nil
-}
-
-// releaseJoin hands an expandable operator's own join task to the
-// workers: the expansion's sub-graph (if any) has fully drained. The
-// CAS releases exactly once — subLeft reaching zero and an empty
-// expansion cannot both win.
-func (e *engine) releaseJoin(o *opState, w *worker) {
-	if o.released.CompareAndSwap(0, int64(o.n)) {
-		e.release(w, o.idx, 0, o.n)
+	if err != nil {
+		e.fail(err)
 	}
 }
 
@@ -1214,78 +919,32 @@ func (e *engine) runSegment(w *worker, seg segment, stolen bool) {
 	}
 }
 
-// complete records the chunk [lo, hi) as done, advances the
-// contiguous prefix, and releases newly enabled consumer tasks
-// directly from this worker: pipelined edges whenever a new
-// granularity batch of the prefix completes, ordinary edges only on
-// full completion. Chain edges instead deliver block coverage, and
-// blocks the chunk fully enables land on this worker's chain queue at
-// depth+1 (drained by the caller).
+// complete records the chunk [lo, hi) as done in the Frontier and acts
+// on what that enabled: consumer ranges and due expansions through
+// advance, chain edges through block coverage — blocks the chunk fully
+// enables land on this worker's chain queue at depth+1 (drained by the
+// caller).
 func (e *engine) complete(w *worker, o *opState, lo, hi int, depth int32) {
-	k := hi - lo
-	full := int(o.done.Add(int64(k))) == o.n
-	wake := w.wakeBuf[:0]
-	if len(o.out) > 0 {
-		o.progressMu.Lock()
-		prefix := o.n
-		if o.doneMark != nil {
-			old := o.prefix
-			for i := lo; i < hi; i++ {
-				o.doneMark[i] = true
-			}
-			for o.prefix < o.n && o.doneMark[o.prefix] {
-				o.prefix++
-			}
-			prefix = o.prefix
-			o.prefixA.Store(int64(prefix))
-			if e.rec != nil && prefix != old {
-				e.rec.Gate(w.id, o.idx, old, prefix, time.Since(e.start).Seconds())
-			}
-		}
-		for _, oe := range o.out {
-			if oe.chain {
-				e.chainCover(w, o, oe, lo, hi, depth)
-				continue
-			}
-			if oe.barrier {
-				if full && !oe.sentFull {
-					oe.sentFull = true
-					e.chainBarrier(w, oe, depth)
-				}
-				continue
-			}
-			trigger := false
-			if oe.pipelined {
-				if nb := prefix / oe.batch; nb > oe.notified {
-					oe.notified = nb
-					trigger = true
-				}
-			}
-			if full && !oe.sentFull {
-				oe.sentFull = true
-				trigger = true
-			}
-			if trigger {
-				wake = append(wake, oe.to)
-			}
-		}
-		o.progressMu.Unlock()
-	}
-	w.wakeBuf = wake
-	for _, ci := range wake {
-		e.batches.Add(1)
-		e.tryRelease(ci, w)
-	}
-	if o.parent >= 0 {
-		// Cross-level completion: the last sub-graph task to finish
-		// releases the parent expansion's join task, whose own
-		// completion then releases the parent's successors.
-		par := e.op(o.parent)
-		if par.subLeft.Add(-int64(k)) == 0 {
-			e.releaseJoin(par, w)
+	pr := &w.pr
+	pr.Reset()
+	e.mu.Lock()
+	old := e.f.Prefix(o.idx)
+	e.f.Complete(o.idx, lo, hi, pr)
+	pfx := e.f.Prefix(o.idx)
+	for _, ce := range o.chains {
+		if !ce.barrier {
+			e.chainCover(w, o, ce, lo, hi, depth)
+		} else if e.f.Full(o.idx) {
+			e.chainBarrier(w, ce, depth)
 		}
 	}
-	if e.outstanding.Add(-int64(k)) == 0 {
+	finished := e.f.Outstanding() == 0
+	e.mu.Unlock()
+	if e.rec != nil && pfx != old {
+		e.rec.Gate(w.id, o.idx, old, pfx, time.Since(e.start).Seconds())
+	}
+	e.advance(w, pr)
+	if finished {
 		e.finishOnce.Do(func() { close(e.finished) })
 	}
 }

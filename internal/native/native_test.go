@@ -2,6 +2,7 @@ package native
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -355,4 +356,21 @@ func TestTraceCollection(t *testing.T) {
 			t.Errorf("split: no gate advances traced for the pipelined edge")
 		}
 	}
+}
+
+// TestSpinConcurrent calls Spin from several goroutines at once, as the
+// workers of a spin-bound run do; under -race it fails if spin keeps
+// its result alive through a shared write.
+func TestSpinConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				Spin(64)
+			}
+		}()
+	}
+	wg.Wait()
 }

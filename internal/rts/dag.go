@@ -24,44 +24,10 @@ import (
 // compensate for communication constraints or load imbalance in the
 // other".
 //
-// Only Processors, Omega and Sink of opts are consulted: ExecuteDAG
-// is the engine behind ModeSplit, so the mode field is ignored.
+// It is RunGraph under ModeSplit, whatever opts.Mode says.
 func ExecuteDAG(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) (trace.Result, error) {
 	opts.Mode = ModeSplit
-	if err := opts.Validate(); err != nil {
-		return trace.Result{}, err
-	}
-	if err := g.Validate(); err != nil {
-		return trace.Result{}, err
-	}
-	p := opts.processors(cfg.Processors)
-	if p < 1 {
-		p = 1
-	}
-	var rec *obs.Recorder
-	if opts.Sink != nil {
-		order, err := g.TopoOrder()
-		if err != nil {
-			return trace.Result{}, err
-		}
-		names := make([]string, len(order))
-		for i, n := range order {
-			names[i] = n.Name
-		}
-		rec = obs.NewRecorder("sim", "", names, p)
-	}
-	fx, err := simFaults(&cfg, opts, p)
-	if err != nil {
-		return trace.Result{}, err
-	}
-	r, err := executeDAG(opts.Ctx, cfg, g, bind, p, opts.Omega, rec, fx)
-	if err != nil {
-		return trace.Result{}, err
-	}
-	if opts.Sink != nil {
-		return r, opts.Sink.Consume(rec.Finish(r))
-	}
-	return r, nil
+	return RunGraph(cfg, g, bind, opts)
 }
 
 // simFaults validates a run's fault plan against the resolved
@@ -88,631 +54,531 @@ func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 	return fx, nil
 }
 
-// executeDAG is the barrier-free engine shared by ExecuteDAG and
-// RunGraph's ModeSplit path. ctx, rec and fx may be nil. A canceled
-// context makes every processor stop taking chunks at its next
-// scheduling decision; in-flight simulated chunks drain and the run
-// returns a CancelError instead of a result.
+// dagRun is the simulator's driver of a Frontier: it owns the event
+// clock, processor allocation, task queues, TAPER chunk sizing,
+// stealing and fault injection, and asks the Frontier how far each
+// operator may be dispatched.
+type dagRun struct {
+	ctx   context.Context
+	cfg   machine.Config
+	p     int
+	omega float64
+	rec   *obs.Recorder
+	fx    *fault.Exec
+
+	sim *machine.Sim
+	f   *Frontier
+	ops []dagOp // parallel to the Frontier's operator table
+	res trace.Result
+	err error
+	due Progress // scratch for the expansions Due hands out
+
+	// Fault state. live is the surviving processor count; chunk sizing
+	// and budget shares are computed against it so scheduling adapts to
+	// the machine that is actually left. Without faults it stays p.
+	live   int
+	dead   []bool
+	slowOn []bool
+	slowF  float64
+
+	idle      []int
+	tokenCost float64
+	// Each processor has at most one chunk in flight, so its completion
+	// context lives in a per-processor slot, and the two event callbacks
+	// are bound once: the allocation-free AfterFn scheduling path.
+	pend        []pendChunk
+	nextFn      func(int)
+	chunkDoneFn func(int)
+}
+
+// dagOp is the driver's state for one operator.
+type dagOp struct {
+	spec            OpSpec
+	alloc, procBase int
+	queues          []sched.TaskQueue
+	tstats          *sched.TaskStats
+	taper           sched.Taper
+	unsched         int       // tasks not yet dispatched
+	done            []int     // per own-queue completed tasks
+	spent           []float64 // per own-queue time spent on them
+}
+
+type pendChunk struct {
+	o, k  int
+	total float64
+	tasks []int
+}
+
+// executeDAG is the barrier-free engine behind RunGraph's ModeSplit
+// path. ctx, rec and fx may be nil. A canceled context makes every
+// processor stop taking chunks at its next scheduling decision;
+// in-flight simulated chunks drain and the run returns a CancelError
+// instead of a result.
 func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, omega float64, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
-	order, err := g.TopoOrder()
+	r := &dagRun{ctx: ctx, cfg: cfg, p: p, omega: omega, rec: rec, fx: fx,
+		sim:  machine.NewSim(cfg),
+		res:  trace.Result{Processors: p, Busy: make([]float64, p)},
+		live: p, dead: make([]bool, p), slowOn: make([]bool, p), slowF: 1,
+		tokenCost: 0.2 * cfg.MsgOverhead,
+		pend:      make([]pendChunk, p),
+	}
+	r.nextFn, r.chunkDoneFn = r.next, r.chunkDone
+	f, err := NewFrontier(g, bind, true, func(prod OpSpec) int {
+		return ChoosePairGranularityOmega(cfg, prod, p, prod.Op.Bytes, omega)
+	}, Limits{})
 	if err != nil {
 		return trace.Result{}, err
 	}
-	sim := machine.NewSim(cfg)
-	res := trace.Result{Name: "dag/" + g.Name, Processors: p, Busy: make([]float64, p)}
-
-	// Operator state: parallel slices, appended to mid-run by runtime
-	// expansion. The event loop is single-threaded, so plain appends
-	// are safe, and every closure below sees the grown tables through
-	// the captured slice variables.
-	type inEdge struct {
-		from      int
-		pipelined bool
-		batch     int
-	}
-	var (
-		specs     []OpSpec
-		names     []string
-		index     = map[string]int{}
-		inEdges   [][]inEdge
-		alloc     []int
-		procBase  []int
-		queues    [][]sched.TaskQueue
-		tstats    []*sched.TaskStats
-		policies  []sched.Policy
-		unsched   []int   // tasks not yet dispatched
-		doneTasks []int   // tasks completed
-		doneMark  [][]bool
-		donePfx   []int // contiguous completed prefix
-		done      [][]int
-		spent     [][]float64
-		expandFns []ExpandFunc
-		expDepth  []int
-		expParent []int // expansion that materialized this op, or -1
-		expLeft   []int // -1 until expanded; then sub-tasks not yet done
-		pendExp   []int // expandable ops not yet expanded
-	)
-	totalOutstanding := 0
-
-	// addOp appends one operator's state (allocation and queues come
-	// separately, per level — see place).
-	addOp := func(nd *delirium.Node, spec OpSpec, depth, parent int) error {
-		if nd.Kind == delirium.Exp && spec.Expand == nil {
-			return fmt.Errorf("rts: operator %s is expandable (kind=exp) but its binding has no Expand rule", nd.Name)
-		}
-		if nd.Kind != delirium.Exp && spec.Expand != nil {
-			return fmt.Errorf("rts: binding provides an Expand rule for non-expandable operator %s (kind=%s)", nd.Name, nd.Kind)
-		}
-		if spec.Expand != nil {
-			spec = JoinSpec(spec)
-			pendExp = append(pendExp, len(specs))
-		}
-		index[nd.Name] = len(specs)
-		n := spec.Op.N
-		specs = append(specs, spec)
-		names = append(names, nd.Name)
-		inEdges = append(inEdges, nil)
-		alloc = append(alloc, 0)
-		procBase = append(procBase, 0)
-		queues = append(queues, nil)
-		tstats = append(tstats, sched.NewTaskStats(n))
-		policies = append(policies, &sched.Taper{UseCostFunction: true, Omega: omega})
-		unsched = append(unsched, n)
-		doneTasks = append(doneTasks, 0)
-		doneMark = append(doneMark, make([]bool, n))
-		donePfx = append(donePfx, 0)
-		done = append(done, nil)
-		spent = append(spent, nil)
-		expandFns = append(expandFns, spec.Expand)
-		expDepth = append(expDepth, depth)
-		expParent = append(expParent, parent)
-		expLeft = append(expLeft, -1)
-		// The sequential pass: TotalTime executes every task once, in
-		// topological order, which also settles kernel arrays upfront
-		// (kernel contract rule 1 — re-executions are idempotent).
-		res.SeqTime += spec.Op.TotalTime()
-		totalOutstanding += n
-		return nil
-	}
-
-	// wire installs g2's edges among already-added operators, with
-	// batch granularity for pipelined ones. Edges touching an
-	// expandable endpoint are always completion-gated: a consumer must
-	// not start against a not-yet-materialized sub-graph, and an
-	// expandable producer's join task is its only observable progress.
-	wire := func(g2 *delirium.Graph) {
-		for _, e := range g2.Edges {
-			if e.Carried {
-				continue
-			}
-			f, t := index[e.From], index[e.To]
-			ie := inEdge{from: f}
-			if e.Pipelined && expandFns[f] == nil && expandFns[t] == nil {
-				ie.pipelined = true
-				ie.batch = ChoosePairGranularityOmega(cfg, specs[f], p, specs[f].Op.Bytes, omega)
-			}
-			inEdges[t] = append(inEdges[t], ie)
-		}
-	}
-
-	// place allocates processors to g2's operators and decomposes their
-	// task queues: operators that can execute concurrently (the same
-	// dataflow level) divide the machine among themselves; operators in
-	// different levels execute at different times and therefore own
-	// overlapping processor ranges. Each operator's data is decomposed
-	// once onto its owners (owner-computes); idle processors migrate at
-	// runtime.
-	place := func(g2 *delirium.Graph) error {
-		levels, err := g2.Levels()
-		if err != nil {
-			return err
-		}
-		for _, level := range levels {
-			lspecs := make([]OpSpec, len(level))
-			lnames := make([]string, len(level))
-			idxs := make([]int, len(level))
-			for i, n := range level {
-				idxs[i] = index[n.Name]
-				lspecs[i] = specs[idxs[i]]
-				lnames[i] = n.Name
-			}
-			shares := AllocateManyOmega(cfg, lspecs, p, omega, rec, lnames...)
-			base := 0
-			for i, o := range idxs {
-				alloc[o] = shares[i]
-				procBase[o] = base
-				base += shares[i]
-			}
-		}
-		for _, nd := range g2.Nodes {
-			// The allocator can hand an operator a zero share when a level
-			// has more operators than processors; its tasks must still live
-			// in a queue (unowned, reached through the steal path) or they
-			// would be undispatchable and the run would stall.
-			o := index[nd.Name]
-			qn := alloc[o]
-			if qn < 1 {
-				qn = 1
-			}
-			queues[o] = sched.Decompose(specs[o].Op, qn)
-			done[o] = make([]int, len(queues[o]))
-			spent[o] = make([]float64, len(queues[o]))
-		}
-		return nil
-	}
-
-	for _, n := range order {
-		if err := addOp(n, bind(n.Name), 0, -1); err != nil {
-			return trace.Result{}, err
-		}
-	}
-	wire(g)
-	if err := place(g); err != nil {
+	r.f = f
+	if err := r.addOps(g, 0); err != nil {
 		return trace.Result{}, err
 	}
-	// ownQueue reports the queue index processor gp owns in op o, or -1.
-	ownQueue := func(gp, o int) int {
-		j := gp - procBase[o]
-		if j >= 0 && j < alloc[o] {
-			return j
-		}
-		return -1
-	}
-
-	// gate reports how many tasks of op o are executable given its
-	// predecessors' progress: min over incoming edges of the enabled
-	// prefix. Pipelined edges enable the consumer in proportion to the
-	// producer's delivered batches; ordinary edges enable everything
-	// only once the producer is fully done.
-	//
-	// Pipelined progress is the producer's contiguous completed prefix,
-	// not its completion count: steals finish tasks out of order, and a
-	// count of 50 completions may coexist with task 0 still queued — a
-	// consumer enabled from the count would read tasks that have not
-	// produced anything yet on a real machine.
-	gate := func(o int) int {
-		if expandFns[o] != nil && expLeft[o] != 0 {
-			// The join task of an expandable operator is held until its
-			// materialized sub-graph drains (expLeft hits 0 — or the base
-			// case sets it there directly). -1 means not yet expanded.
-			return 0
-		}
-		n := specs[o].Op.N
-		avail := n
-		for _, ie := range inEdges[o] {
-			pn := specs[ie.from].Op.N
-			var en int
-			if doneTasks[ie.from] >= pn {
-				en = n
-			} else if ie.pipelined && pn > 0 {
-				delivered := donePfx[ie.from] / ie.batch * ie.batch
-				en = int(int64(delivered) * int64(n) / int64(pn))
-			} else {
-				en = 0
-			}
-			if en < avail {
-				avail = en
-			}
-		}
-		return avail
-	}
-	// dispatched(o) = tasks handed to processors so far.
-	dispatched := func(o int) int { return specs[o].Op.N - unsched[o] }
-
-	// maybeExpand materializes every pending expandable operator whose
-	// predecessors have fully completed, to a fixpoint: an expansion may
-	// itself introduce expandable sources that are immediately ready
-	// (recursion — bounded by MaxExpandDepth via ValidateExpansion).
-	// Runs inside the single-threaded event loop, so the appends need no
-	// synchronization. A failure lands in runErr and aborts the run.
-	var runErr error
-	maybeExpand := func() {
-		for progress := true; progress && runErr == nil; {
-			progress = false
-			for pi := 0; pi < len(pendExp); pi++ {
-				o := pendExp[pi]
-				ready := true
-				for _, ie := range inEdges[o] {
-					if doneTasks[ie.from] < specs[ie.from].Op.N {
-						ready = false
-						break
-					}
-				}
-				if !ready {
-					continue
-				}
-				pendExp = append(pendExp[:pi], pendExp[pi+1:]...)
-				pi--
-				progress = true
-				exp, err := expandFns[o](expDepth[o])
-				if err == nil && exp != nil {
-					err = ValidateExpansion(names[o], expDepth[o], exp, func(nm string) bool {
-						_, ok := index[nm]
-						return ok
-					})
-				}
-				if err != nil {
-					runErr = fmt.Errorf("rts: expanding %s: %w", names[o], err)
-					return
-				}
-				if exp == nil {
-					// Base case: no sub-graph; the join runs directly.
-					expLeft[o] = 0
-					continue
-				}
-				suborder, err := exp.Graph.TopoOrder()
-				if err != nil {
-					runErr = fmt.Errorf("rts: expanding %s: %w", names[o], err)
-					return
-				}
-				base := len(specs)
-				before := totalOutstanding
-				for _, nd := range suborder {
-					if err := addOp(nd, exp.Bind(nd.Name), expDepth[o]+1, o); err != nil {
-						runErr = err
-						return
-					}
-				}
-				wire(exp.Graph)
-				if err := place(exp.Graph); err != nil {
-					runErr = err
-					return
-				}
-				if rec != nil {
-					for i := base; i < len(specs); i++ {
-						rec.AddOp(names[i])
-					}
-				}
-				expLeft[o] = totalOutstanding - before
-			}
-		}
-	}
-
-	// Fault state. live tracks the surviving processor count; chunk
-	// sizing and budget shares are computed against it so scheduling
-	// adapts to the machine that is actually left. With fx == nil it
-	// stays p and the engine behaves identically to a fault-free build.
-	live := p
-	dead := make([]bool, p)
-	slowOn := make([]bool, p)
-	slowF := 1.0
-	// chunkBudget is the fair per-dispatch time share of an operator's
-	// remaining work: the hint sum of its unscheduled tasks (exact in
-	// steady state) divided by the machine size. Early task samples are
-	// biased toward the expensive queue fronts, so the observed mean is
-	// only a fallback.
-	chunkBudget := func(o int) float64 {
-		rate := specs[o].Mu
-		if m := tstats[o].Global.Mean(); rate <= 0 && m > 0 {
-			rate = m
-		}
-		sum := 0.0
-		for v := range queues[o] {
-			sum += queues[o][v].EstRemaining(rate)
-		}
-		return sum / float64(live)
-	}
-
-	var idle []int
-	var next func(gproc int)
-	wake := func() {
-		w := idle
-		idle = nil
-		for _, gp := range w {
-			sim.AfterFn(0, next, gp)
-		}
-	}
-	tokenCost := 0.2 * cfg.MsgOverhead
-
-	// Each processor has at most one chunk in flight, so its completion
-	// context lives in a per-processor slot instead of a per-event
-	// closure — the allocation-free AfterFn scheduling path.
-	type pendChunk struct {
-		o, k         int
-		start, total float64
-		tasks        []int
-	}
-	pend := make([]pendChunk, p)
-	chunkDone := func(gp int) {
-		pc := pend[gp]
-		doneTasks[pc.o] += pc.k
-		for _, i := range pc.tasks {
-			doneMark[pc.o][i] = true
-		}
-		oldPfx := donePfx[pc.o]
-		for pfx := oldPfx; pfx < len(doneMark[pc.o]) && doneMark[pc.o][pfx]; pfx++ {
-			donePfx[pc.o] = pfx + 1
-		}
-		if rec != nil && donePfx[pc.o] != oldPfx {
-			rec.Gate(gp, pc.o, oldPfx, donePfx[pc.o], sim.Now())
-		}
-		totalOutstanding -= pc.k
-		if j := ownQueue(gp, pc.o); j >= 0 {
-			done[pc.o][j] += pc.k
-			spent[pc.o][j] += pc.total
-		}
-		// Cross-level accounting: a sub-operator's completed tasks drain
-		// its expander's expLeft; at 0 the parent's join gate opens.
-		if par := expParent[pc.o]; par >= 0 {
-			expLeft[par] -= pc.k
-		}
-		// Fully-completed predecessors may make expansions ready, and
-		// progress may open successors' gates.
-		maybeExpand()
-		wake()
-		next(gp)
-	}
-	execChunk := func(gp, o int, tasks []int, transferCost float64, stolen bool) {
-		total := transferCost
-		for _, i := range tasks {
-			// A slow fault scales only the observed cost, never the
-			// computed values.
-			t := specs[o].Op.Time(i) * slowF
-			tstats[o].Observe(i, t)
-			total += t
-		}
-		total += cfg.SchedOverhead + tokenCost
-		res.Messages++
-		res.Busy[gp] += total
-		res.Chunks++
-		k := len(tasks)
-		unsched[o] -= k
-		if rec != nil {
-			rec.Chunk(gp, o, tasks[0], k, sim.Now(), sim.Now()+total, stolen)
-		}
-		pend[gp] = pendChunk{o: o, k: k, start: sim.Now(), total: total, tasks: tasks}
-		sim.AfterFn(total, chunkDone, gp)
-	}
-
-	// tryDispatch attempts to hand processor gp a chunk of op o,
-	// stealing from the most loaded owner when gp's own queue (if it
-	// belongs to o) is empty. Chunks respect the op's gate as a task
-	// -index prefix: a queue only contributes tasks whose indices the
-	// gate has enabled, never an equivalent count of later tasks.
-	tryDispatch := func(gp, o int) bool {
-		limit := gate(o)
-		open := limit - dispatched(o)
-		if open <= 0 || unsched[o] <= 0 {
-			return false
-		}
-		pol := policies[o]
-		// Chunk sizes are computed against the whole machine: any
-		// processor may execute any executable operator, so the
-		// effective worker pool of a hot operator is p, not its
-		// allocation.
-		if j := ownQueue(gp, o); j >= 0 {
-			q := &queues[o][j]
-			if en := q.EnabledPrefix(limit); en > 0 {
-				k := pol.NextChunk(unsched[o], live, tstats[o])
-				if t, ok := pol.(*sched.Taper); ok {
-					k = clampInt(t.ScaleChunk(k, q.NextTask(), tstats[o]), unsched[o])
-				}
-				if rec != nil {
-					rec.Taper(gp, o, unsched[o], k, int(tstats[o].Global.N()),
-						tstats[o].Global.Mean(), tstats[o].Global.StdDev(), sim.Now())
-				}
-				if k > open {
-					k = open
-				}
-				if k > en {
-					k = en
-				}
-				// The chunk is budgeted in time, not tasks — the
-				// per-task-grained form of the paper's s = μg/μc chunk
-				// scaling — so a chunk never collects several expensive
-				// tasks whose combined time exceeds a fair share.
-				tasks := q.TakeBudget(k, chunkBudget(o), specs[o].Op.Hint)
-				execChunk(gp, o, tasks, 0, false)
-				return true
-			}
-		}
-		// Steal from the most loaded owner of o.
-		globalMean := tstats[o].Global.Mean()
-		victim := -1
-		victimEn := 0
-		bestTime := 0.0
-		opRemaining := 0.0
-		for v := range queues[o] {
-			if queues[o][v].Remaining() == 0 {
-				continue
-			}
-			rate := globalMean
-			if done[o][v] > 0 && spent[o][v]/float64(done[o][v]) > rate {
-				rate = spent[o][v] / float64(done[o][v])
-			}
-			est := queues[o][v].EstRemaining(rate)
-			opRemaining += est
-			// A queue whose front task sits beyond the gate has nothing
-			// stealable right now, however much work it holds.
-			en := queues[o][v].EnabledPrefix(limit)
-			if en == 0 {
-				continue
-			}
-			// Any nonempty queue qualifies: before the first sample the
-			// time estimate is zero for every queue, and a strict
-			// greater-than would leave an untouched operator unstealable
-			// forever.
-			if victim < 0 || est > bestTime {
-				bestTime = est
-				victim = v
-				victimEn = en
-			}
-		}
-		if victim < 0 {
-			return false
-		}
-		k := pol.NextChunk(unsched[o], live, tstats[o])
-		if rec != nil {
-			rec.Taper(gp, o, unsched[o], k, int(tstats[o].Global.N()),
-				tstats[o].Global.Mean(), tstats[o].Global.StdDev(), sim.Now())
-		}
-		if k > open {
-			k = open
-		}
-		if k > victimEn {
-			k = victimEn
-		}
-		// A thief takes at most a fair per-processor share of the
-		// operator's remaining work, and never more than half the
-		// victim's queue.
-		budget := opRemaining / float64(live)
-		if half := queues[o][victim].EstRemaining(globalMean) / 2; half < budget {
-			budget = half
-		}
-		tasks := queues[o][victim].TakeBudget(k, budget, specs[o].Op.Hint)
-		if rec != nil {
-			gv := procBase[o] + victim
-			rec.Steal(gp, gv, o, tasks[0], len(tasks), sim.Now())
-			if gv < p && dead[gv] {
-				// Re-assignment from a crashed owner is the recovery path:
-				// its queued tasks are re-issued to a survivor.
-				rec.Retry(gp, gv, o, tasks[0], len(tasks), sim.Now())
-			}
-		}
-		res.Steals++
-		res.Messages += 3
-		cost := 2*cfg.MsgTime(gp, procBase[o], 16) +
-			cfg.MsgTime(procBase[o]+victim, gp, int64(len(tasks))*specs[o].Op.Bytes+32)
-		execChunk(gp, o, tasks, cost, true)
-		return true
-	}
-
-	// reallocSurvivors re-runs the allocation algorithm over the
-	// surviving processor set using the statistics measured so far, so
-	// the trace carries finishing-time estimates for the machine that is
-	// actually left (reallocation-on-loss).
-	reallocSurvivors := func(gp int) {
-		if rec == nil {
-			return
-		}
-		rec.Realloc(gp, live, sim.Now())
-		var rspecs []OpSpec
-		var rnames []string
-		for o := range specs {
-			if unsched[o] <= 0 {
-				continue
-			}
-			s := specs[o]
-			if m := tstats[o].Global.Mean(); m > 0 {
-				s.Mu = m
-				s.Sigma = tstats[o].Global.StdDev()
-			}
-			rspecs = append(rspecs, s)
-			rnames = append(rnames, names[o])
-		}
-		if len(rspecs) > 0 {
-			ReallocateOnLossOmega(cfg, rspecs, live, omega, rec, rnames...)
-		}
-	}
-
-	next = func(gp int) {
-		if totalOutstanding <= 0 || runErr != nil {
-			return
-		}
-		if ctx != nil && ctx.Err() != nil {
-			// Canceled: this processor stops taking work; once every
-			// in-flight chunk drains the event loop empties out.
-			return
-		}
-		slowF = 1.0
-		if fx != nil {
-			d := fx.Begin(gp)
-			if d.Crash {
-				if !dead[gp] {
-					dead[gp] = true
-					live--
-					if rec != nil {
-						rec.Fault(gp, gp, int(fault.Crash), sim.Now())
-					}
-					reallocSurvivors(gp)
-				}
-				// The dead processor's queued tasks stay stealable; idle
-				// survivors must re-scan now that the pool shrank.
-				wake()
-				return
-			}
-			if d.Stall > 0 {
-				if rec != nil {
-					rec.Fault(gp, gp, int(fault.Stall), sim.Now())
-				}
-				sim.AfterFn(d.Stall, next, gp)
-				return
-			}
-			if d.Slow > 0 {
-				slowF = d.Slow
-				if !slowOn[gp] {
-					slowOn[gp] = true
-					if rec != nil {
-						rec.Fault(gp, gp, int(fault.Slow), sim.Now())
-					}
-				}
-			}
-		}
-		// Own operators first (locality): in topological order, the
-		// first executable operator whose queue this processor owns.
-		for o := range specs {
-			if j := ownQueue(gp, o); j >= 0 && queues[o][j].Remaining() > 0 {
-				if gate(o)-dispatched(o) > 0 && tryDispatch(gp, o) {
-					return
-				}
-			}
-		}
-		bestOp, bestWork := -1, 0.0
-		for o := range specs {
-			if unsched[o] <= 0 || gate(o)-dispatched(o) <= 0 {
-				continue
-			}
-			work := float64(unsched[o]) * tstats[o].Global.Mean()
-			if tstats[o].Global.N() == 0 {
-				work = float64(unsched[o]) * specs[o].Mu
-			}
-			if work > bestWork {
-				bestWork = work
-				bestOp = o
-			}
-		}
-		if bestOp >= 0 {
-			if tryDispatch(gp, bestOp) {
-				return
-			}
-			// The best operator can refuse the dispatch even with its
-			// gate open: hinted queues are expensive-first, not index-
-			// ordered, so every gate-enabled task may sit behind a
-			// blocked queue front. Parking here would stall the run —
-			// nothing wakes an idle processor until some chunk
-			// completes, and with one processor there is no other chunk
-			// — so fall back to any other executable operator.
-			for o := range specs {
-				if o == bestOp || unsched[o] <= 0 || gate(o)-dispatched(o) <= 0 {
-					continue
-				}
-				if tryDispatch(gp, o) {
-					return
-				}
-			}
-		}
-		idle = append(idle, gp)
-	}
-
 	// Expandable sources (no predecessors) materialize before the
 	// processors start.
-	maybeExpand()
-	if runErr != nil {
-		return trace.Result{}, runErr
+	if r.expand(); r.err != nil {
+		return trace.Result{}, r.err
 	}
 	for gp := 0; gp < p; gp++ {
-		sim.AfterFn(0, next, gp)
+		r.sim.AfterFn(0, r.nextFn, gp)
 	}
-	sim.Run()
-	if runErr != nil {
-		return trace.Result{}, runErr
+	r.sim.Run()
+	if r.err != nil {
+		return trace.Result{}, r.err
 	}
-	if totalOutstanding != 0 {
+	if left := f.Outstanding(); left != 0 {
 		if ctx != nil && ctx.Err() != nil {
 			return trace.Result{}, CancelError("rts", ctx)
 		}
-		return trace.Result{}, fmt.Errorf("rts: DAG execution stalled with %d tasks outstanding", totalOutstanding)
+		return trace.Result{}, fmt.Errorf("rts: DAG execution stalled with %d tasks outstanding", left)
 	}
-	res.Makespan = sim.Now() + cfg.BroadcastTime(p, 8)
-	return res, nil
+	r.res.Makespan = r.sim.Now() + cfg.BroadcastTime(p, 8)
+	return r.res, nil
+}
+
+// addOps builds the driver state of the operators the Frontier just
+// appended, [base, Len) — the nodes of g2 — and places them on the
+// machine.
+func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
+	for o := base; o < r.f.Len(); o++ {
+		spec := r.f.Spec(o)
+		r.ops = append(r.ops, dagOp{
+			spec:    spec,
+			tstats:  sched.NewTaskStats(spec.Op.N),
+			taper:   sched.Taper{UseCostFunction: true, Omega: r.omega},
+			unsched: spec.Op.N,
+		})
+		// The sequential pass: TotalTime executes every task once, in
+		// topological order, which also settles kernel arrays upfront
+		// (kernel contract rule 1 — re-executions are idempotent).
+		r.res.SeqTime += spec.Op.TotalTime()
+	}
+	return r.place(g2)
+}
+
+// place allocates processors to g2's operators and decomposes their
+// task queues: operators that can execute concurrently (the same
+// dataflow level) divide the machine among themselves; operators in
+// different levels execute at different times and therefore own
+// overlapping processor ranges. Each operator's data is decomposed
+// once onto its owners (owner-computes); idle processors migrate at
+// runtime.
+func (r *dagRun) place(g2 *delirium.Graph) error {
+	levels, err := g2.Levels()
+	if err != nil {
+		return err
+	}
+	for _, level := range levels {
+		lspecs := make([]OpSpec, len(level))
+		lnames := make([]string, len(level))
+		idxs := make([]int, len(level))
+		for i, n := range level {
+			idxs[i] = r.f.Index(n.Name)
+			lspecs[i] = r.ops[idxs[i]].spec
+			lnames[i] = n.Name
+		}
+		shares := AllocateManyOmega(r.cfg, lspecs, r.p, r.omega, r.rec, lnames...)
+		base := 0
+		for i, o := range idxs {
+			r.ops[o].alloc = shares[i]
+			r.ops[o].procBase = base
+			base += shares[i]
+		}
+	}
+	for _, nd := range g2.Nodes {
+		// The allocator can hand an operator a zero share when a level
+		// has more operators than processors; its tasks must still live
+		// in a queue (unowned, reached through the steal path) or they
+		// would be undispatchable and the run would stall.
+		op := &r.ops[r.f.Index(nd.Name)]
+		qn := op.alloc
+		if qn < 1 {
+			qn = 1
+		}
+		op.queues = sched.Decompose(op.spec.Op, qn)
+		op.done = make([]int, len(op.queues))
+		op.spent = make([]float64, len(op.queues))
+	}
+	return nil
+}
+
+// expand materializes every operator the Frontier reports due, to a
+// fixpoint: an expansion may itself introduce expandable sources that
+// are immediately due (recursion — bounded by MaxExpandDepth). A
+// failure lands in r.err and aborts the run. The driver dispatches by
+// polling Enabled, so it passes the Frontier no Progress for ranges.
+func (r *dagRun) expand() {
+	for r.err == nil {
+		r.due.Reset()
+		if r.f.Due(&r.due); len(r.due.Expand) == 0 {
+			return
+		}
+		for _, x := range r.due.Expand {
+			if r.err = r.expandOne(x); r.err != nil {
+				return
+			}
+		}
+	}
+}
+
+// expandOne runs x's rule, splices the result and builds the driver
+// state of the operators that appended.
+func (r *dagRun) expandOne(x Expandable) error {
+	exp, err := x.Expand()
+	if err != nil {
+		return err
+	}
+	first, err := r.f.Splice(x.Op, exp, nil)
+	if err != nil || exp == nil {
+		return err
+	}
+	err = r.addOps(exp.Graph, first)
+	for o := first; o < r.f.Len() && r.rec != nil; o++ {
+		r.rec.AddOp(r.f.Name(o))
+	}
+	return err
+}
+
+// ownQueue reports the queue index processor gp owns in op o, or -1.
+func (r *dagRun) ownQueue(gp, o int) int {
+	j := gp - r.ops[o].procBase
+	if j >= 0 && j < r.ops[o].alloc {
+		return j
+	}
+	return -1
+}
+
+// open is how many more tasks of op o may be dispatched right now.
+func (r *dagRun) open(o int) int {
+	return r.f.Enabled(o) - (r.ops[o].spec.Op.N - r.ops[o].unsched)
+}
+
+// chunkBudget is the fair per-dispatch time share of an operator's
+// remaining work: the hint sum of its unscheduled tasks (exact in
+// steady state) divided by the machine size. Early task samples are
+// biased toward the expensive queue fronts, so the observed mean is
+// only a fallback.
+func (r *dagRun) chunkBudget(op *dagOp) float64 {
+	rate := op.spec.Mu
+	if m := op.tstats.Global.Mean(); rate <= 0 && m > 0 {
+		rate = m
+	}
+	sum := 0.0
+	for v := range op.queues {
+		sum += op.queues[v].EstRemaining(rate)
+	}
+	return sum / float64(r.live)
+}
+
+func (r *dagRun) wake() {
+	w := r.idle
+	r.idle = nil
+	for _, gp := range w {
+		r.sim.AfterFn(0, r.nextFn, gp)
+	}
+}
+
+func (r *dagRun) chunkDone(gp int) {
+	pc := r.pend[gp]
+	oldPfx := r.f.Prefix(pc.o)
+	// Hinted queues are expensive-first, so a chunk's tasks need not be
+	// contiguous: complete them run by run.
+	for i := 0; i < len(pc.tasks); {
+		j := i + 1
+		for j < len(pc.tasks) && pc.tasks[j] == pc.tasks[j-1]+1 {
+			j++
+		}
+		r.f.Complete(pc.o, pc.tasks[i], pc.tasks[j-1]+1, nil)
+		i = j
+	}
+	if pfx := r.f.Prefix(pc.o); r.rec != nil && pfx != oldPfx {
+		r.rec.Gate(gp, pc.o, oldPfx, pfx, r.sim.Now())
+	}
+	if j := r.ownQueue(gp, pc.o); j >= 0 {
+		r.ops[pc.o].done[j] += pc.k
+		r.ops[pc.o].spent[j] += pc.total
+	}
+	// Fully-completed predecessors may make expansions ready, and
+	// progress may open successors' gates.
+	r.expand()
+	r.wake()
+	r.next(gp)
+}
+
+func (r *dagRun) execChunk(gp, o int, tasks []int, transferCost float64, stolen bool) {
+	op := &r.ops[o]
+	total := transferCost
+	for _, i := range tasks {
+		// A slow fault scales only the observed cost, never the
+		// computed values.
+		t := op.spec.Op.Time(i) * r.slowF
+		op.tstats.Observe(i, t)
+		total += t
+	}
+	total += r.cfg.SchedOverhead + r.tokenCost
+	r.res.Messages++
+	r.res.Busy[gp] += total
+	r.res.Chunks++
+	k := len(tasks)
+	op.unsched -= k
+	now := r.sim.Now()
+	if r.rec != nil {
+		r.rec.Chunk(gp, o, tasks[0], k, now, now+total, stolen)
+	}
+	r.pend[gp] = pendChunk{o: o, k: k, total: total, tasks: tasks}
+	r.sim.AfterFn(total, r.chunkDoneFn, gp)
+}
+
+// taperChunk asks op's TAPER policy for the next chunk size and traces
+// the decision. Chunk sizes are computed against the whole surviving
+// machine: any processor may execute any executable operator, so the
+// effective worker pool of a hot operator is p, not its allocation.
+func (r *dagRun) taperChunk(gp, o int, scaleAt int) int {
+	op := &r.ops[o]
+	k := op.taper.NextChunk(op.unsched, r.live, op.tstats)
+	if scaleAt >= 0 {
+		k = clampInt(op.taper.ScaleChunk(k, scaleAt, op.tstats), op.unsched)
+	}
+	if r.rec != nil {
+		r.rec.Taper(gp, o, op.unsched, k, int(op.tstats.Global.N()),
+			op.tstats.Global.Mean(), op.tstats.Global.StdDev(), r.sim.Now())
+	}
+	return k
+}
+
+// tryDispatch attempts to hand processor gp a chunk of op o, stealing
+// from the most loaded owner when gp's own queue (if it belongs to o)
+// is empty. Chunks respect the op's gate as a task-index prefix: a
+// queue only contributes tasks whose indices the gate has enabled,
+// never an equivalent count of later tasks.
+func (r *dagRun) tryDispatch(gp, o int) bool {
+	op := &r.ops[o]
+	limit := r.f.Enabled(o)
+	open := limit - (op.spec.Op.N - op.unsched)
+	if open <= 0 || op.unsched <= 0 {
+		return false
+	}
+	if j := r.ownQueue(gp, o); j >= 0 {
+		q := &op.queues[j]
+		if en := q.EnabledPrefix(limit); en > 0 {
+			k := min(r.taperChunk(gp, o, q.NextTask()), open, en)
+			// The chunk is budgeted in time, not tasks — the
+			// per-task-grained form of the paper's s = μg/μc chunk
+			// scaling — so a chunk never collects several expensive
+			// tasks whose combined time exceeds a fair share.
+			tasks := q.TakeBudget(k, r.chunkBudget(op), op.spec.Op.Hint)
+			r.execChunk(gp, o, tasks, 0, false)
+			return true
+		}
+	}
+	return r.steal(gp, o, limit, open)
+}
+
+// steal takes a chunk of op o for gp from o's most loaded owner.
+func (r *dagRun) steal(gp, o, limit, open int) bool {
+	op := &r.ops[o]
+	globalMean := op.tstats.Global.Mean()
+	victim := -1
+	victimEn := 0
+	bestTime := 0.0
+	opRemaining := 0.0
+	for v := range op.queues {
+		if op.queues[v].Remaining() == 0 {
+			continue
+		}
+		rate := globalMean
+		if op.done[v] > 0 && op.spent[v]/float64(op.done[v]) > rate {
+			rate = op.spent[v] / float64(op.done[v])
+		}
+		est := op.queues[v].EstRemaining(rate)
+		opRemaining += est
+		// A queue whose front task sits beyond the gate has nothing
+		// stealable right now, however much work it holds.
+		en := op.queues[v].EnabledPrefix(limit)
+		if en == 0 {
+			continue
+		}
+		// Any nonempty queue qualifies: before the first sample the
+		// time estimate is zero for every queue, and a strict
+		// greater-than would leave an untouched operator unstealable
+		// forever.
+		if victim < 0 || est > bestTime {
+			bestTime = est
+			victim = v
+			victimEn = en
+		}
+	}
+	if victim < 0 {
+		return false
+	}
+	k := min(r.taperChunk(gp, o, -1), open, victimEn)
+	// A thief takes at most a fair per-processor share of the
+	// operator's remaining work, and never more than half the
+	// victim's queue.
+	budget := opRemaining / float64(r.live)
+	if half := op.queues[victim].EstRemaining(globalMean) / 2; half < budget {
+		budget = half
+	}
+	tasks := op.queues[victim].TakeBudget(k, budget, op.spec.Op.Hint)
+	gv := op.procBase + victim
+	if r.rec != nil {
+		r.rec.Steal(gp, gv, o, tasks[0], len(tasks), r.sim.Now())
+		if gv < r.p && r.dead[gv] {
+			// Re-assignment from a crashed owner is the recovery path:
+			// its queued tasks are re-issued to a survivor.
+			r.rec.Retry(gp, gv, o, tasks[0], len(tasks), r.sim.Now())
+		}
+	}
+	r.res.Steals++
+	r.res.Messages += 3
+	cost := 2*r.cfg.MsgTime(gp, op.procBase, 16) +
+		r.cfg.MsgTime(gv, gp, int64(len(tasks))*op.spec.Op.Bytes+32)
+	r.execChunk(gp, o, tasks, cost, true)
+	return true
+}
+
+// reallocSurvivors re-runs the allocation algorithm over the
+// surviving processor set using the statistics measured so far, so
+// the trace carries finishing-time estimates for the machine that is
+// actually left (reallocation-on-loss).
+func (r *dagRun) reallocSurvivors(gp int) {
+	if r.rec == nil {
+		return
+	}
+	r.rec.Realloc(gp, r.live, r.sim.Now())
+	var rspecs []OpSpec
+	var rnames []string
+	for o := range r.ops {
+		op := &r.ops[o]
+		if op.unsched <= 0 {
+			continue
+		}
+		s := op.spec
+		if m := op.tstats.Global.Mean(); m > 0 {
+			s.Mu = m
+			s.Sigma = op.tstats.Global.StdDev()
+		}
+		rspecs = append(rspecs, s)
+		rnames = append(rnames, r.f.Name(o))
+	}
+	if len(rspecs) > 0 {
+		ReallocateOnLossOmega(r.cfg, rspecs, r.live, r.omega, r.rec, rnames...)
+	}
+}
+
+// faulted consults the fault plan at processor gp's scheduling point
+// and reports whether gp takes no chunk now (crashed or stalled).
+func (r *dagRun) faulted(gp int) bool {
+	d := r.fx.Begin(gp)
+	if d.Crash {
+		if !r.dead[gp] {
+			r.dead[gp] = true
+			r.live--
+			if r.rec != nil {
+				r.rec.Fault(gp, gp, int(fault.Crash), r.sim.Now())
+			}
+			r.reallocSurvivors(gp)
+		}
+		// The dead processor's queued tasks stay stealable; idle
+		// survivors must re-scan now that the pool shrank.
+		r.wake()
+		return true
+	}
+	if d.Stall > 0 {
+		if r.rec != nil {
+			r.rec.Fault(gp, gp, int(fault.Stall), r.sim.Now())
+		}
+		r.sim.AfterFn(d.Stall, r.nextFn, gp)
+		return true
+	}
+	if d.Slow > 0 {
+		r.slowF = d.Slow
+		if !r.slowOn[gp] {
+			r.slowOn[gp] = true
+			if r.rec != nil {
+				r.rec.Fault(gp, gp, int(fault.Slow), r.sim.Now())
+			}
+		}
+	}
+	return false
+}
+
+// next is processor gp's scheduling decision.
+func (r *dagRun) next(gp int) {
+	if r.f.Outstanding() <= 0 || r.err != nil {
+		return
+	}
+	if r.ctx != nil && r.ctx.Err() != nil {
+		// Canceled: this processor stops taking work; once every
+		// in-flight chunk drains the event loop empties out.
+		return
+	}
+	r.slowF = 1.0
+	if r.fx != nil && r.faulted(gp) {
+		return
+	}
+	// Own operators first (locality): in topological order, the
+	// first executable operator whose queue this processor owns.
+	for o := range r.ops {
+		if j := r.ownQueue(gp, o); j >= 0 && r.ops[o].queues[j].Remaining() > 0 {
+			if r.open(o) > 0 && r.tryDispatch(gp, o) {
+				return
+			}
+		}
+	}
+	bestOp, bestWork := -1, 0.0
+	for o := range r.ops {
+		op := &r.ops[o]
+		if op.unsched <= 0 || r.open(o) <= 0 {
+			continue
+		}
+		work := float64(op.unsched) * op.tstats.Global.Mean()
+		if op.tstats.Global.N() == 0 {
+			work = float64(op.unsched) * op.spec.Mu
+		}
+		if work > bestWork {
+			bestWork = work
+			bestOp = o
+		}
+	}
+	if bestOp >= 0 {
+		if r.tryDispatch(gp, bestOp) {
+			return
+		}
+		// The best operator can refuse the dispatch even with its
+		// gate open: hinted queues are expensive-first, not index-
+		// ordered, so every gate-enabled task may sit behind a
+		// blocked queue front. Parking here would stall the run —
+		// nothing wakes an idle processor until some chunk
+		// completes, and with one processor there is no other chunk
+		// — so fall back to any other executable operator.
+		for o := range r.ops {
+			if o == bestOp || r.ops[o].unsched <= 0 || r.open(o) <= 0 {
+				continue
+			}
+			if r.tryDispatch(gp, o) {
+				return
+			}
+		}
+	}
+	r.idle = append(r.idle, gp)
 }

@@ -196,11 +196,8 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 				return CancelError("rts", opts.Ctx)
 			}
 			spec := bind2(n.Name)
-			if n.Kind == delirium.Exp && spec.Expand == nil {
-				return fmt.Errorf("rts: operator %s is expandable (kind=exp) but its binding has no Expand rule", n.Name)
-			}
-			if n.Kind != delirium.Exp && spec.Expand != nil {
-				return fmt.Errorf("rts: binding provides an Expand rule for non-expandable operator %s (kind=%s)", n.Name, n.Kind)
+			if err := CheckExpandBinding(n, spec); err != nil {
+				return err
 			}
 			oi := idxOf(n.Name)
 			if spec.Expand != nil {
