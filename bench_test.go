@@ -13,6 +13,10 @@
 //	BenchmarkAblation*         — design-choice ablations
 //	BenchmarkNativeBackend     — wall-clock execution on the goroutine backend
 //	BenchmarkCompiler*         — compiler-side throughput (analysis + split)
+//
+// The simulator's own cost per chunk (events/chunk, ms per cell) is
+// BenchmarkSimDAG in internal/rts, where a test can read the event
+// count without the package exporting it.
 package orchestra_bench
 
 import (

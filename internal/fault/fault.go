@@ -472,6 +472,17 @@ func (x *Exec) Deadline() float64 {
 // chunk. The returned decision tells the executor to proceed (possibly
 // slowed), to stall and ask again, or to crash. Begin must be called
 // only from the goroutine that owns worker w.
+//
+// An action's "@K" is compared against the number of Begin calls that
+// said "proceed", whether or not the caller then found a chunk to
+// start. The native and dist engines call Begin with a chunk in hand,
+// so there K counts chunks. The simulator's barrier-free executor
+// (rts.dagRun) calls it at every scheduling decision, including the
+// re-scan of a woken idle processor that finds nothing: there
+// "crash:W@K" is W's K-th scheduling decision, which can fall while W
+// is parked between chunks. That count is part of the simulator's
+// pinned fault schedules, so the executor must consult Begin at every
+// such point (see dagRun.drain).
 func (x *Exec) Begin(w int) Decision {
 	if x == nil || w < 0 || w >= len(x.ws) {
 		return Decision{}

@@ -81,14 +81,22 @@ type dagRun struct {
 	slowOn []bool
 	slowF  float64
 
+	// idle is the processors parked with nothing to take, in parking
+	// order. wake moves the whole list to the back of woken and
+	// schedules one drain event for it; woken[wokenHead:] is the batches
+	// whose drain has not run yet, oldest first. Both backing arrays are
+	// reused for the whole run.
 	idle      []int
+	woken     []int
+	wokenHead int
 	tokenCost float64
 	// Each processor has at most one chunk in flight, so its completion
-	// context lives in a per-processor slot, and the two event callbacks
-	// are bound once: the allocation-free AfterFn scheduling path.
+	// context lives in a per-processor slot, and the event callbacks are
+	// bound once: the allocation-free AfterFn scheduling path.
 	pend        []pendChunk
 	nextFn      func(int)
 	chunkDoneFn func(int)
+	drainFn     func(int)
 }
 
 // dagOp is the driver's state for one operator.
@@ -115,43 +123,62 @@ type pendChunk struct {
 // in-flight simulated chunks drain and the run returns a CancelError
 // instead of a result.
 func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, omega float64, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
+	r, err := newDagRun(ctx, cfg, g, bind, p, omega, rec, fx)
+	if err != nil {
+		return trace.Result{}, err
+	}
+	r.sim.Run()
+	return r.result()
+}
+
+// newDagRun builds a run up to its first event: the Frontier, the
+// operators' placement and queues, the expansions of expandable
+// sources, and every processor woken at time zero. The caller runs
+// r.sim to exhaustion and reads r.result.
+func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, omega float64, rec *obs.Recorder, fx *fault.Exec) (*dagRun, error) {
 	r := &dagRun{ctx: ctx, cfg: cfg, p: p, omega: omega, rec: rec, fx: fx,
 		sim:  machine.NewSim(cfg),
 		res:  trace.Result{Processors: p, Busy: make([]float64, p)},
 		live: p, dead: make([]bool, p), slowOn: make([]bool, p), slowF: 1,
+		idle: make([]int, 0, p), woken: make([]int, 0, p),
 		tokenCost: 0.2 * cfg.MsgOverhead,
 		pend:      make([]pendChunk, p),
 	}
-	r.nextFn, r.chunkDoneFn = r.next, r.chunkDone
+	r.nextFn, r.chunkDoneFn, r.drainFn = r.next, r.chunkDone, r.drain
 	f, err := NewFrontier(g, bind, true, func(prod OpSpec) int {
 		return ChoosePairGranularityOmega(cfg, prod, p, prod.Op.Bytes, omega)
 	}, Limits{})
 	if err != nil {
-		return trace.Result{}, err
+		return nil, err
 	}
 	r.f = f
 	if err := r.addOps(g, 0); err != nil {
-		return trace.Result{}, err
+		return nil, err
 	}
 	// Expandable sources (no predecessors) materialize before the
 	// processors start.
 	if r.expand(); r.err != nil {
-		return trace.Result{}, r.err
+		return nil, r.err
 	}
 	for gp := 0; gp < p; gp++ {
-		r.sim.AfterFn(0, r.nextFn, gp)
+		r.idle = append(r.idle, gp)
 	}
-	r.sim.Run()
+	r.wake()
+	return r, nil
+}
+
+// result is the run's outcome once the event loop has emptied.
+func (r *dagRun) result() (trace.Result, error) {
 	if r.err != nil {
 		return trace.Result{}, r.err
 	}
-	if left := f.Outstanding(); left != 0 {
-		if ctx != nil && ctx.Err() != nil {
-			return trace.Result{}, CancelError("rts", ctx)
+	if left := r.f.Outstanding(); left != 0 {
+		if r.ctx != nil && r.ctx.Err() != nil {
+			return trace.Result{}, CancelError("rts", r.ctx)
 		}
 		return trace.Result{}, fmt.Errorf("rts: DAG execution stalled with %d tasks outstanding", left)
 	}
-	r.res.Makespan = r.sim.Now() + cfg.BroadcastTime(p, 8)
+	r.res.Makespan = r.sim.Now() + r.cfg.BroadcastTime(r.p, 8)
 	return r.res, nil
 }
 
@@ -289,12 +316,69 @@ func (r *dagRun) chunkBudget(op *dagOp) float64 {
 	return sum / float64(r.live)
 }
 
+// wake hands every idle processor to one drain event at the current
+// time: something changed (a chunk completed, a processor died) that
+// may have given them work.
 func (r *dagRun) wake() {
-	w := r.idle
-	r.idle = nil
-	for _, gp := range w {
-		r.sim.AfterFn(0, r.nextFn, gp)
+	if n := len(r.idle); n > 0 {
+		r.woken = append(r.woken, r.idle...)
+		r.idle = r.idle[:0]
+		r.sim.AfterFn(0, r.drainFn, n)
 	}
+}
+
+// drain takes the scheduling decisions of the oldest woken batch, n
+// processors in the order they parked. It stands for n events, one
+// next(gp) each, scheduled back to back by wake: those would carry
+// consecutive seq at one time, Sim orders events by (time, seq), and
+// whatever runs meanwhile schedules behind the last of them, so nothing
+// could interleave with the batch and one event looping over it is the
+// same execution. A completion therefore costs at most one more event,
+// where a wake per idle processor cost one per idle processor.
+//
+// A processor that finds nothing re-parks itself in schedule, as
+// before. Every way schedule can dispatch needs an operator with
+// unscheduled tasks and an open gate; once there is none, a visit could
+// only append the processor to idle (no recorder call, no other state)
+// and no later visit in the batch can change that, so the rest of the
+// batch is parked in order, unvisited.
+//
+// Not so under a fault plan: fault.Exec.Begin counts every scheduling
+// point, futile re-scans included, and crash/stall/slow triggers hang
+// off that count — on the simulator "crash:W@K" is W's K-th scheduling
+// decision, not its K-th chunk. With fx set every woken processor is
+// visited. A crash inside the batch calls wake itself; that batch
+// queues behind this one, as its events would have.
+//
+// Once the run has stopped nobody is re-parked, so the event loop
+// empties after the chunks in flight.
+func (r *dagRun) drain(n int) {
+	batch := r.woken[r.wokenHead : r.wokenHead+n]
+	for i, gp := range batch {
+		if r.stopped() {
+			break
+		}
+		if r.fx == nil && !r.dispatchable() {
+			r.idle = append(r.idle, batch[i:]...)
+			break
+		}
+		r.schedule(gp)
+	}
+	if r.wokenHead += n; r.wokenHead == len(r.woken) {
+		r.woken, r.wokenHead = r.woken[:0], 0
+	}
+}
+
+// dispatchable reports whether any operator has a task a processor
+// could take now: the condition every successful path of schedule
+// requires.
+func (r *dagRun) dispatchable() bool {
+	for o := range r.ops {
+		if r.ops[o].unsched > 0 && r.open(o) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *dagRun) chunkDone(gp int) {
@@ -522,16 +606,25 @@ func (r *dagRun) faulted(gp int) bool {
 	return false
 }
 
-// next is processor gp's scheduling decision.
+// stopped reports that no processor takes another chunk: nothing is
+// outstanding, the run failed, or its context was canceled. Processors
+// just stop; once every in-flight chunk drains the event loop empties
+// out.
+func (r *dagRun) stopped() bool {
+	return r.f.Outstanding() <= 0 || r.err != nil || (r.ctx != nil && r.ctx.Err() != nil)
+}
+
+// next is processor gp's scheduling point: after its own chunk, or
+// after a stall.
 func (r *dagRun) next(gp int) {
-	if r.f.Outstanding() <= 0 || r.err != nil {
-		return
+	if !r.stopped() {
+		r.schedule(gp)
 	}
-	if r.ctx != nil && r.ctx.Err() != nil {
-		// Canceled: this processor stops taking work; once every
-		// in-flight chunk drains the event loop empties out.
-		return
-	}
+}
+
+// schedule is processor gp's scheduling decision: it takes a chunk or
+// parks gp on the idle list.
+func (r *dagRun) schedule(gp int) {
 	r.slowF = 1.0
 	if r.fx != nil && r.faulted(gp) {
 		return
