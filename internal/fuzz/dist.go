@@ -230,7 +230,6 @@ func (in *Instance) applySegment(k *kernel, lo, hi int, blob []byte) {
 			}
 			in.aVals[id][off] = val
 			in.aWriter[id][off] = int32(writer)
-			in.aGen[id][off] = 1
 			in.aFlag[id][off] = true
 		}
 	}
@@ -247,7 +246,6 @@ func (in *Instance) applySegment(k *kernel, lo, hi int, blob []byte) {
 			return
 		}
 		in.sVal[id] = val
-		in.sGen[id] = 1
 		in.sSet[id] = true
 	}
 }

@@ -2,47 +2,34 @@ package fuzz
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"orchestra/internal/interp"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
-	"orchestra/internal/source"
 )
 
 // Instance is one run's memory image: fresh version buffers over the
 // lowering's immutable plan. A single Instance must see exactly one
-// graph execution (backends may execute each task several times — the
-// simulator's settling pass — but version buffers are write-once per
-// element, so re-execution is idempotent).
+// graph execution, and every engine calls each task body exactly once
+// in it, so an element a task has not written yet is simply unwritten.
 type Instance struct {
 	low *Lowered
 
 	aVals   [][]float64
 	aFlag   [][]bool
 	aWriter [][]int32
-	// aGen records which execution (the task's call number) wrote each
-	// element. Backends may run a task several times — the simulator
-	// settles every op once before scheduling — and a kernel that reads
-	// elements it later overwrites must not see a previous execution's
-	// writes, or re-execution diverges from the first run. Reads ignore
-	// own-task elements stamped by an earlier call, restoring each
-	// execution's view to "nothing written yet by me".
-	aGen [][]int32
-	sVal []float64
-	sSet []bool
-	sGen []int32
+	sVal    []float64
+	sSet    []bool
 
 	ops []opRun
 
-	// checkSim enables the execution-order oracle. It is sound only for
-	// the simulator's ModeSplit runs: there every op's tasks are first
-	// executed once by the upfront settling pass (call 1) and then once
-	// by the scheduled dataflow execution (call ≥ 2), all on a single
-	// goroutine, so per-task call counts distinguish the phases and
-	// scheduled-completion marks are exact.
+	// checkSim enables the execution-order oracle: every read of a value
+	// another operator produced is checked against the completion marks
+	// of that operator's tasks. It is sound only for the simulator's
+	// ModeSplit runs, which execute every body on a single goroutine, so
+	// the marks are exact.
 	checkSim bool
 
 	mu         sync.Mutex
@@ -50,15 +37,16 @@ type Instance struct {
 	violations []string
 }
 
+// opRun is one operator's completion marks: mark[t] is set when task
+// t's body returns.
 type opRun struct {
-	calls []int32
-	mark  []uint32
-	pfx   int
+	mark []uint32
+	pfx  int
 }
 
 // prefix returns the length of the contiguous completed prefix of the
-// op's scheduled-phase tasks. Marks only ever get set, so the cached
-// pointer just advances.
+// op's tasks. Marks only ever get set, so the cached pointer just
+// advances.
 func (o *opRun) prefix() int {
 	i := o.pfx
 	for i < len(o.mark) && atomic.LoadUint32(&o.mark[i]) != 0 {
@@ -76,10 +64,8 @@ func (l *Lowered) NewInstance(checkSim bool) *Instance {
 		aVals:    make([][]float64, len(l.aPlans)),
 		aFlag:    make([][]bool, len(l.aPlans)),
 		aWriter:  make([][]int32, len(l.aPlans)),
-		aGen:     make([][]int32, len(l.aPlans)),
 		sVal:     make([]float64, len(l.sPlans)),
 		sSet:     make([]bool, len(l.sPlans)),
-		sGen:     make([]int32, len(l.sPlans)),
 		ops:      make([]opRun, len(l.kernels)),
 	}
 	for id, p := range l.aPlans {
@@ -87,10 +73,9 @@ func (l *Lowered) NewInstance(checkSim bool) *Instance {
 		in.aVals[id] = make([]float64, n)
 		in.aFlag[id] = make([]bool, n)
 		in.aWriter[id] = make([]int32, n)
-		in.aGen[id] = make([]int32, n)
 	}
 	for i, k := range l.kernels {
-		in.ops[i] = opRun{calls: make([]int32, k.n), mark: make([]uint32, k.n)}
+		in.ops[i] = opRun{mark: make([]uint32, k.n)}
 	}
 	return in
 }
@@ -193,69 +178,70 @@ func (in *Instance) FinalScalar(name string) float64 {
 	return v
 }
 
-// taskError aborts one task's evaluation (mirrors the interpreter's
-// runtime failures: bad subscripts, division by zero, step limits).
-type taskError struct{ msg string }
-
-func (ec *evalCtx) bail(format string, args ...interface{}) {
-	panic(&taskError{fmt.Sprintf(format, args...)})
-}
-
 // runTask executes one task of one kernel and returns its simulated
 // cost. It never panics into the calling engine: evaluation failures
-// (and any internal bug) are recorded on the instance, and the
+// (the interpreter's: bad subscripts, division by zero, step limits —
+// and any internal bug) are recorded on the instance, and the
 // differential oracle reports them as divergences.
 func (in *Instance) runTask(k *kernel, t int) float64 {
-	op := &in.ops[k.idx]
-	c := atomic.AddInt32(&op.calls[t], 1)
-	scheduled := !in.checkSim || c >= 2
 	defer func() {
 		if r := recover(); r != nil {
-			if te, ok := r.(*taskError); ok {
-				in.recordFailure(k.name, t, te.msg)
-			} else {
-				in.recordFailure(k.name, t, fmt.Sprintf("internal panic: %v", r))
-			}
+			in.recordFailure(k.name, t, fmt.Sprintf("internal panic: %v", r))
 		}
-		if scheduled && in.checkSim {
-			atomic.StoreUint32(&op.mark[t], 1)
+		if in.checkSim {
+			atomic.StoreUint32(&in.ops[k.idx].mark[t], 1)
 		}
 	}()
-	ec := &evalCtx{in: in, k: k, task: t, call: c, phase2: scheduled && in.checkSim, env: map[string]float64{}}
+	if err := in.execTask(k, t); err != nil {
+		in.recordFailure(k.name, t, err.Error())
+	}
+	return taskCost(k.idx, t)
+}
+
+const maxTaskSteps = 10_000_000
+
+// execTask evaluates task t's statements with the interpreter's own
+// evaluator over the task's view of the versioned memory, so the
+// lowered baseline matches the interpreter bit for bit.
+func (in *Instance) execTask(k *kernel, t int) error {
+	m := &taskMem{in: in, k: k, task: t}
+	ev := interp.Eval{Mem: m, MaxSteps: maxTaskSteps}
 	switch k.kind {
-	case kParallel:
-		iv := k.iters[t]
-		ec.env[k.loop.Var] = float64(iv)
-		if k.loop.Where == nil || truthy(ec.eval(k.loop.Where)) {
-			ec.execStmts(k.loop.Body)
+	case kParallel, kReduction:
+		ev.Bind(k.loop.Var, float64(k.iters[t]))
+		if k.loop.Where != nil {
+			if w, err := ev.Value(k.loop.Where); err != nil || w == 0 {
+				return err
+			}
 		}
-	case kReduction:
-		iv := k.iters[t]
-		ec.env[k.loop.Var] = float64(iv)
-		if k.loop.Where == nil || truthy(ec.eval(k.loop.Where)) {
-			v := ec.eval(k.redExpr)
-			in.aVals[k.contrib][t] = v
-			in.aWriter[k.contrib][t] = int32(t)
-			in.aGen[k.contrib][t] = c
-			in.aFlag[k.contrib][t] = true
+		if k.kind == kParallel {
+			return ev.Exec(k.loop.Body)
 		}
+		v, err := ev.Value(k.redExpr)
+		if err != nil {
+			return err
+		}
+		in.aVals[k.contrib][t] = v
+		in.aWriter[k.contrib][t] = int32(t)
+		in.aFlag[k.contrib][t] = true
 	case kMerge:
 		red := in.low.kernels[k.srcOp]
-		sum := ec.loadScalar(k.redVar)
+		sum, ok := m.Scalar(k.redVar)
+		if !ok {
+			return fmt.Errorf("unbound scalar %s", k.redVar)
+		}
 		vals, flag := in.aVals[red.contrib], in.aFlag[red.contrib]
 		for i := 0; i < red.n; i++ {
 			if flag[i] {
-				if ec.phase2 {
-					ec.checkProducer(red.idx, in.aWriter[red.contrib][i])
-				}
+				m.checkProducer(red.idx, in.aWriter[red.contrib][i])
 				sum += vals[i]
 			}
 		}
-		ec.storeScalar(k.redVar, sum)
+		m.SetScalar(k.redVar, sum)
 	case kSerial:
-		ec.execStmts(k.stmts)
+		return ev.Exec(k.stmts)
 	}
-	return taskCost(k.idx, t)
+	return nil
 }
 
 func taskCost(op, i int) float64 {
@@ -270,17 +256,18 @@ func taskCost(op, i int) float64 {
 // task is legal at this point of the scheduled execution: the engine
 // must already have completed that producer task (through a pipelined
 // edge's delivered prefix, or the producer entirely for ordinary
-// edges). Values are always present thanks to the settling pass, so
-// this — not the value diff — is what catches gating bugs in the
-// simulator's dataflow execution.
+// edges). An element read before its producer task ran is simply
+// unwritten and shows in the value diff; this check covers the reads
+// that do find a value — the producer task has run, but the edge's
+// condition was not yet met — and names the broken edge.
 //
 // Completion marks are set when a task's body returns, which precedes
 // the engine's own completion accounting; the marked prefix therefore
 // never lags what a correct engine has completed, and a violation here
 // is a true ordering error, not a measurement artifact.
-func (ec *evalCtx) checkProducer(owner int, writer int32) {
-	k, in := ec.k, ec.in
-	if owner == k.idx {
+func (m *taskMem) checkProducer(owner int, writer int32) {
+	k, in := m.k, m.in
+	if !in.checkSim || owner == k.idx {
 		return
 	}
 	P := in.low.kernels[owner]
@@ -311,258 +298,61 @@ func (ec *evalCtx) checkProducer(owner int, writer int32) {
 	}
 }
 
-// evalCtx evaluates statements and expressions for one task against
-// the versioned memory, bit-for-bit mirroring internal/interp (same
-// literal parsing, rounding, short-circuiting, division check, default
-// external function) so the lowered baseline matches the interpreter
-// exactly. env holds induction variables, which shadow memory as the
-// interpreter's single namespace would.
-type evalCtx struct {
-	in     *Instance
-	k      *kernel
-	task   int
-	call   int32 // which execution of this task (see Instance.aGen)
-	phase2 bool
-	env    map[string]float64
-	steps  int
+// taskMem is one task's view of the versioned memory, the interp.Memory
+// its statements are evaluated over: a read resolves through the
+// kernel's version chain down to the initial image, a write lands in
+// the kernel's own output version.
+type taskMem struct {
+	in   *Instance
+	k    *kernel
+	task int
 }
 
-const maxTaskSteps = 10_000_000
-
-func (ec *evalCtx) step() {
-	ec.steps++
-	if ec.steps > maxTaskSteps {
-		ec.bail("step limit exceeded (%d)", maxTaskSteps)
-	}
-}
-
-func (ec *evalCtx) execStmts(body []source.Stmt) {
-	for _, s := range body {
-		ec.execStmt(s)
-	}
-}
-
-func (ec *evalCtx) execStmt(s source.Stmt) {
-	ec.step()
-	switch s := s.(type) {
-	case *source.Assign:
-		v := ec.eval(s.RHS)
-		switch lhs := s.LHS.(type) {
-		case *source.Ident:
-			ec.storeScalar(lhs.Name, v)
-		case *source.ArrayRef:
-			ec.storeArray(lhs, v)
-		default:
-			ec.bail("bad assignment target %T", s.LHS)
-		}
-	case *source.Do:
-		ec.execDo(s)
-	case *source.If:
-		if truthy(ec.eval(s.Cond)) {
-			ec.execStmts(s.Then)
-		} else {
-			ec.execStmts(s.Else)
-		}
-	case *source.CallStmt:
-		for _, a := range s.Args {
-			ec.eval(a)
-		}
-	default:
-		ec.bail("unknown statement %T", s)
-	}
-}
-
-func (ec *evalCtx) execDo(d *source.Do) {
-	outer, had := ec.env[d.Var]
-	for _, r := range d.Ranges {
-		lo := int(math.Round(ec.eval(r.Lo)))
-		hi := int(math.Round(ec.eval(r.Hi)))
-		stepBy := 1
-		if r.Step != nil {
-			stepBy = int(math.Round(ec.eval(r.Step)))
-			if stepBy < 1 {
-				ec.bail("non-positive do step %d", stepBy)
-			}
-		}
-		for i := lo; i <= hi; i += stepBy {
-			ec.step()
-			ec.env[d.Var] = float64(i)
-			if d.Where != nil && !truthy(ec.eval(d.Where)) {
-				continue
-			}
-			ec.execStmts(d.Body)
-		}
-	}
-	if had {
-		ec.env[d.Var] = outer
-	} else {
-		delete(ec.env, d.Var)
-	}
-}
-
-func (ec *evalCtx) loadScalar(name string) float64 {
-	if v, ok := ec.env[name]; ok {
-		return v
-	}
-	in := ec.in
-	if id, ok := ec.k.verS[name]; ok {
+func (m *taskMem) Scalar(name string) (float64, bool) {
+	in := m.in
+	if id, ok := m.k.verS[name]; ok {
 		for ; id >= 0; id = in.low.sPlans[id].prev {
 			if in.sSet[id] {
-				if in.low.sPlans[id].owner == ec.k.idx {
-					if in.sGen[id] != ec.call {
-						continue // stale write from a previous execution
-					}
-				} else if ec.phase2 {
-					ec.checkProducer(in.low.sPlans[id].owner, 0)
-				}
-				return in.sVal[id]
+				m.checkProducer(in.low.sPlans[id].owner, 0)
+				return in.sVal[id], true
 			}
 		}
 	}
 	v, ok := in.low.initS[name]
-	if !ok {
-		ec.bail("unbound scalar %s", name)
-	}
-	return v
+	return v, ok
 }
 
-func (ec *evalCtx) storeScalar(name string, v float64) {
-	if _, ok := ec.env[name]; ok {
-		ec.env[name] = v
-		return
-	}
-	id, ok := ec.k.writeS[name]
+func (m *taskMem) SetScalar(name string, v float64) {
+	id, ok := m.k.writeS[name]
 	if !ok {
-		ec.bail("scalar %s written without a version (classifier bug)", name)
+		panic(fmt.Sprintf("scalar %s written without a version (classifier bug)", name))
 	}
-	ec.in.sVal[id] = v
-	ec.in.sGen[id] = ec.call
-	ec.in.sSet[id] = true
+	m.in.sVal[id] = v
+	m.in.sSet[id] = true
 }
 
-// offset mirrors the interpreter's subscript evaluation and bounds
-// checking, returning the column-major flat index.
-func (ec *evalCtx) offset(ref *source.ArrayRef) int {
-	dims, ok := ec.in.low.dims[ref.Name]
-	if !ok {
-		ec.bail("undeclared array %s", ref.Name)
-	}
-	if len(ref.Index) != len(dims) {
-		ec.bail("array %s: %d subscripts for %d dims", ref.Name, len(ref.Index), len(dims))
-	}
-	off := 0
-	stride := 1
-	for k, ix := range ref.Index {
-		i := int(math.Round(ec.eval(ix)))
-		if i < 1 || i > dims[k] {
-			ec.bail("array %s: subscript %d = %d out of [1,%d]", ref.Name, k+1, i, dims[k])
-		}
-		off += (i - 1) * stride
-		stride *= dims[k]
-	}
-	return off
-}
-
-func (ec *evalCtx) loadArray(ref *source.ArrayRef) float64 {
-	off := ec.offset(ref)
-	in := ec.in
-	if id, ok := ec.k.verA[ref.Name]; ok {
+func (m *taskMem) Load(array string, idx []int64) float64 {
+	in := m.in
+	off := interp.Offset(array, in.low.dims[array], idx)
+	if id, ok := m.k.verA[array]; ok {
 		for ; id >= 0; id = in.low.aPlans[id].prev {
 			if in.aFlag[id][off] {
-				if in.low.aPlans[id].owner == ec.k.idx {
-					if in.aWriter[id][off] == int32(ec.task) && in.aGen[id][off] != ec.call {
-						continue // stale write from a previous execution
-					}
-				} else if ec.phase2 {
-					ec.checkProducer(in.low.aPlans[id].owner, in.aWriter[id][off])
-				}
+				m.checkProducer(in.low.aPlans[id].owner, in.aWriter[id][off])
 				return in.aVals[id][off]
 			}
 		}
 	}
-	buf, ok := in.low.initA[ref.Name]
-	if !ok {
-		ec.bail("undeclared array %s", ref.Name)
-	}
-	return buf[off]
+	return in.low.initA[array][off]
 }
 
-func (ec *evalCtx) storeArray(ref *source.ArrayRef, v float64) {
-	id, ok := ec.k.writeA[ref.Name]
+func (m *taskMem) Store(array string, idx []int64, v float64) {
+	in := m.in
+	off := interp.Offset(array, in.low.dims[array], idx)
+	id, ok := m.k.writeA[array]
 	if !ok {
-		ec.bail("array %s written without a version (classifier bug)", ref.Name)
+		panic(fmt.Sprintf("array %s written without a version (classifier bug)", array))
 	}
-	off := ec.offset(ref)
-	in := ec.in
 	in.aVals[id][off] = v
-	in.aWriter[id][off] = int32(ec.task)
-	in.aGen[id][off] = ec.call
+	in.aWriter[id][off] = int32(m.task)
 	in.aFlag[id][off] = true
-}
-
-func (ec *evalCtx) eval(e source.Expr) float64 {
-	switch e := e.(type) {
-	case *source.Num:
-		return numValue(e)
-	case *source.Ident:
-		return ec.loadScalar(e.Name)
-	case *source.ArrayRef:
-		return ec.loadArray(e)
-	case *source.FuncCall:
-		args := make([]float64, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = ec.eval(a)
-		}
-		return interp.DefaultFunc(args)
-	case *source.Un:
-		if e.Op == "-" {
-			return -ec.eval(e.X)
-		}
-		ec.bail("unknown unary %q", e.Op)
-	case *source.Bin:
-		switch e.Op {
-		case "&&":
-			return b2f(truthy(ec.eval(e.L)) && truthy(ec.eval(e.R)))
-		case "||":
-			return b2f(truthy(ec.eval(e.L)) || truthy(ec.eval(e.R)))
-		}
-		l, r := ec.eval(e.L), ec.eval(e.R)
-		switch e.Op {
-		case "+":
-			return l + r
-		case "-":
-			return l - r
-		case "*":
-			return l * r
-		case "/":
-			if r == 0 {
-				ec.bail("division by zero")
-			}
-			return l / r
-		case "==":
-			return b2f(l == r)
-		case "!=":
-			return b2f(l != r)
-		case "<":
-			return b2f(l < r)
-		case "<=":
-			return b2f(l <= r)
-		case ">":
-			return b2f(l > r)
-		case ">=":
-			return b2f(l >= r)
-		}
-		ec.bail("unknown operator %q", e.Op)
-	}
-	ec.bail("unknown expression %T", e)
-	return 0
-}
-
-func truthy(v float64) bool { return v != 0 }
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

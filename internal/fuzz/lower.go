@@ -6,16 +6,17 @@ import (
 
 	"orchestra/internal/compile"
 	"orchestra/internal/delirium"
+	"orchestra/internal/interp"
 	"orchestra/internal/source"
 )
 
 // The lowering turns a compiled program's units into dataflow-safe
 // kernels over a versioned memory image, so the same graph binding runs
 // correctly on every backend regardless of task execution order. The
-// kernel contract (internal/native/kernel.go) demands idempotent,
-// order-independent tasks; ordinary program statements mutate shared
-// arrays in place and are neither. The lowering restores the contract
-// with single-assignment versions:
+// kernel contract (internal/native/kernel.go) demands tasks that are
+// order-independent within an operator; ordinary program statements
+// mutate shared arrays in place and are not. The lowering restores the
+// contract with single-assignment versions:
 //
 //   - every unit that writes an array gets a fresh output version of
 //     it, with per-element written flags and the writing task recorded;
@@ -617,7 +618,7 @@ func enumerate(d *source.Do, writtenScalars map[string]bool, initS map[string]fl
 func boundEval(e source.Expr, writtenScalars map[string]bool, initS map[string]float64) (float64, bool) {
 	switch e := e.(type) {
 	case *source.Num:
-		return numValue(e), true
+		return interp.NumValue(e), true
 	case *source.Ident:
 		if writtenScalars[e.Name] {
 			return 0, false
@@ -750,15 +751,6 @@ func readsScalarExpr(e source.Expr, name string) bool {
 func isIdent(e source.Expr, name string) bool {
 	id, ok := e.(*source.Ident)
 	return ok && id.Name == name
-}
-
-func numValue(n *source.Num) float64 {
-	if n.IsReal {
-		var v float64
-		fmt.Sscanf(n.Text, "%g", &v)
-		return v
-	}
-	return float64(n.Int)
 }
 
 // baseOf strips a split-part suffix (_i/_d/_m/_ai/_ad/_am), mirroring

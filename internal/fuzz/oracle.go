@@ -31,9 +31,11 @@ import (
 // promise); everything below is compared bitwise, because the lowered
 // kernels replay the interpreter's arithmetic exactly and the backends
 // execute those same kernels — any drift at all is a real ordering or
-// gating defect. The simulator's ModeSplit runs additionally carry the
-// execution-order oracle (see Instance.checkSim), which catches gating
-// bugs the settling pass would otherwise mask.
+// gating defect. Every engine calls each kernel body exactly once, so
+// the simulator's value diff means what native's does: a task released
+// too early reads unwritten elements. The simulator's ModeSplit runs
+// additionally carry the execution-order oracle (see
+// Instance.checkSim), which names the edge whose gate was broken.
 type Divergence struct {
 	Config string // which rung/config disagreed
 	Kind   string // divergence taxonomy key (see DESIGN.md)

@@ -25,22 +25,23 @@ import (
 // body and measures the wall clock.
 //
 // Kernel tasks must obey a dataflow-safety contract so that every
-// execution order either backend produces yields bit-identical
-// results:
+// execution order any backend produces yields bit-identical results.
+// Every engine, the simulator included, calls each task body exactly
+// once per memory image, from the chunk its schedule put the task in
+// (dist re-grants a lost worker's unfinished segment, to a process
+// whose image never saw the first attempt); the contract is about what
+// a body may touch when that happens:
 //
-//  1. Tasks are idempotent and order-independent within an operator:
-//     task i writes only its own elements, as a pure function of its
-//     inputs. (The simulator executes Time more than once per task —
-//     e.g. Op.TotalTime sums costs by calling every task — so a
-//     re-execution after inputs settle must reproduce the value.)
+//  1. Tasks are order-independent within an operator: task i writes
+//     only its own elements, as a pure function of its inputs, and
+//     reads nothing another task of the same operator writes.
 //  2. A task may read arrays of non-pipelined predecessors at any
-//     index: both backends run it only after such producers fully
+//     index: every engine runs it only after such producers fully
 //     complete.
 //  3. A task i of an operator with n tasks may read a *pipelined*
-//     predecessor (pn tasks) only at indices j ≤ i·pn/n: the native
-//     gate enables i only once the producer's contiguous completed
-//     prefix covers that index, and the simulator's upfront
-//     sequential pass settles all arrays in topological order.
+//     predecessor (pn tasks) only at indices j ≤ i·pn/n: the prefix
+//     gate (rts.Frontier, driven by every engine) enables i only once
+//     the producer's contiguous completed prefix covers that index.
 
 // ArrayKernels binds every node of a graph to a real array kernel
 // over an interp.State memory image: node X owns the n-element array

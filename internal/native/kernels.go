@@ -138,25 +138,26 @@ func TaskCount(params rts.KernelParams) func(*delirium.Node) int {
 
 // ResolveTasks evaluates a symbolic trip-count annotation (such as
 // "n-1" or "n/2") with every identifier bound to n, by parsing it as
-// a one-assignment program and running the interpreter over it.
+// a one-assignment program and evaluating the right-hand side. The
+// program declares no array, so the evaluator needs no memory.
 func ResolveTasks(expr string, n int) (int, bool) {
 	scratch, err := source.Parse("program s\n integer v\n v = " + expr + "\nend\n")
 	if err != nil {
 		return 0, false
 	}
-	st := interp.NewState()
 	assign, ok := scratch.Body[0].(*source.Assign)
 	if !ok {
 		return 0, false
 	}
+	var ev interp.Eval
 	source.WalkExpr(assign.RHS, func(e source.Expr) {
 		if id, ok := e.(*source.Ident); ok {
-			st.Scalars[id.Name] = float64(n)
+			ev.Bind(id.Name, float64(n))
 		}
 	})
-	if err := interp.Run(scratch, st); err != nil {
+	v, err := ev.Value(assign.RHS)
+	if err != nil {
 		return 0, false
 	}
-	return int(st.Scalars["v"]), true
+	return int(v), true
 }
-

@@ -37,10 +37,11 @@ func ExecuteConcurrent(cfg machine.Config, specs []OpSpec, alloc []int, factory 
 	opOfProc := make([]int, totalP) // which op a processor belongs to
 	localIdx := make([]int, totalP) // processor's index within its op
 	procBase := make([]int, nOps)   // first global proc id of each op
+	cost := make([][]float64, nOps) // per task, recorded as its chunk runs
 
 	proc := 0
 	for o, spec := range specs {
-		res.SeqTime += spec.Op.TotalTime()
+		cost[o] = make([]float64, spec.Op.N)
 		p := alloc[o]
 		if p < 1 && spec.Op.N > 0 {
 			panic(fmt.Sprintf("rts: op %d has %d tasks but no processors", o, spec.Op.N))
@@ -67,15 +68,6 @@ func ExecuteConcurrent(cfg machine.Config, specs []OpSpec, alloc []int, factory 
 		spent[o] = make([]float64, len(queues[o]))
 	}
 
-	anyRemaining := func() bool {
-		for _, r := range remaining {
-			if r > 0 {
-				return true
-			}
-		}
-		return false
-	}
-
 	var next func(g int)
 	// Per-processor pending-chunk context: a processor has at most one
 	// chunk in flight, so completion state lives in these slots instead
@@ -96,6 +88,7 @@ func ExecuteConcurrent(cfg machine.Config, specs []OpSpec, alloc []int, factory 
 		total := transferCost
 		for _, i := range tasks {
 			t := spec.Op.Time(i)
+			cost[o][i] = t
 			tstats[o].Observe(i, t)
 			total += t
 		}
@@ -112,21 +105,7 @@ func ExecuteConcurrent(cfg machine.Config, specs []OpSpec, alloc []int, factory 
 	// reports false when op o has no unscheduled work.
 	steal := func(g, o int) bool {
 		globalMean := tstats[o].Global.Mean()
-		victim := -1
-		bestTime := 0.0
-		for v := range queues[o] {
-			if queues[o][v].Remaining() == 0 {
-				continue
-			}
-			rate := globalMean
-			if done[o][v] > 0 && spent[o][v]/float64(done[o][v]) > rate {
-				rate = spent[o][v] / float64(done[o][v])
-			}
-			if est := queues[o][v].EstRemaining(rate); est > bestTime {
-				bestTime = est
-				victim = v
-			}
-		}
+		victim := sched.MostLoaded(queues[o], done[o], spent[o], globalMean)
 		if victim < 0 {
 			return false
 		}
@@ -164,11 +143,8 @@ func ExecuteConcurrent(cfg machine.Config, specs []OpSpec, alloc []int, factory 
 				return
 			}
 		}
-		if !anyRemaining() {
-			finish[g] = sim.Now()
-			return
-		}
-		// Work exists but is all in flight; this processor is done.
+		// No queue holds a task: whatever remains is in flight on the
+		// processor that took it, and this one is done.
 		finish[g] = sim.Now()
 	}
 
@@ -182,6 +158,9 @@ func ExecuteConcurrent(cfg machine.Config, specs []OpSpec, alloc []int, factory 
 		if f > max {
 			max = f
 		}
+	}
+	for o := range cost {
+		res.SeqTime += sched.SeqTime(cost[o])
 	}
 	res.Makespan = max + cfg.BroadcastTime(totalP, 8)
 	res.Name = fmt.Sprintf("concurrent-%d-ops", nOps)

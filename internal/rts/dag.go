@@ -57,7 +57,8 @@ func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 // dagRun is the simulator's driver of a Frontier: it owns the event
 // clock, processor allocation, task queues, TAPER chunk sizing,
 // stealing and fault injection, and asks the Frontier how far each
-// operator may be dispatched.
+// operator may be dispatched. Every task body is called exactly once,
+// by the chunk that holds it (execChunk).
 type dagRun struct {
 	ctx   context.Context
 	cfg   machine.Config
@@ -107,6 +108,7 @@ type dagOp struct {
 	tstats          *sched.TaskStats
 	taper           sched.Taper
 	unsched         int       // tasks not yet dispatched
+	cost            []float64 // per task, recorded as its chunk runs
 	done            []int     // per own-queue completed tasks
 	spent           []float64 // per own-queue time spent on them
 }
@@ -178,6 +180,9 @@ func (r *dagRun) result() (trace.Result, error) {
 		}
 		return trace.Result{}, fmt.Errorf("rts: DAG execution stalled with %d tasks outstanding", left)
 	}
+	for o := range r.ops {
+		r.res.SeqTime += sched.SeqTime(r.ops[o].cost)
+	}
 	r.res.Makespan = r.sim.Now() + r.cfg.BroadcastTime(r.p, 8)
 	return r.res, nil
 }
@@ -193,11 +198,8 @@ func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 			tstats:  sched.NewTaskStats(spec.Op.N),
 			taper:   sched.Taper{UseCostFunction: true, Omega: r.omega},
 			unsched: spec.Op.N,
+			cost:    make([]float64, spec.Op.N),
 		})
-		// The sequential pass: TotalTime executes every task once, in
-		// topological order, which also settles kernel arrays upfront
-		// (kernel contract rule 1 — re-executions are idempotent).
-		r.res.SeqTime += spec.Op.TotalTime()
 	}
 	return r.place(g2)
 }
@@ -414,7 +416,8 @@ func (r *dagRun) execChunk(gp, o int, tasks []int, transferCost float64, stolen 
 	for _, i := range tasks {
 		// A slow fault scales only the observed cost, never the
 		// computed values.
-		t := op.spec.Op.Time(i) * r.slowF
+		op.cost[i] = op.spec.Op.Time(i)
+		t := op.cost[i] * r.slowF
 		op.tstats.Observe(i, t)
 		total += t
 	}

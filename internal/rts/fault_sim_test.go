@@ -4,21 +4,24 @@ import (
 	"strings"
 	"testing"
 
+	"orchestra/internal/delirium"
 	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/sched"
 )
 
+// This file checks the simulator's fault handling and the property it
+// rests on: every task body is called exactly once, by the chunk the
+// schedule put it in. Kernels compute their values as a side effect of
+// Op.Time, so "exactly once" under every mode and fault plan is what
+// makes a faulted result bitwise-identical to a fault-free one.
+
 // countingSpec returns an OpSpec whose Time closure counts per-task
-// executions. On real bindings the kernel computes values as a Time
-// side effect and re-execution is idempotent (the engines' settling
-// pass already runs each task once), so the survival witness is: every
-// task was dispatched by the scheduled run, i.e. executed at least
-// twice here — once by SeqTime accounting, once or more scheduled.
-func countingSpec(n int, execs []int) OpSpec {
+// calls.
+func countingSpec(name string, execs []int) OpSpec {
 	s := OpSpec{Op: sched.Op{
-		Name: "cnt", N: n, Bytes: 64,
+		Name: name, N: len(execs), Bytes: 64,
 		Time: func(i int) float64 {
 			execs[i]++
 			return 1 + float64(i%7)
@@ -31,14 +34,17 @@ func countingSpec(n int, execs []int) OpSpec {
 func checkAllExecuted(t *testing.T, label string, execs []int) {
 	t.Helper()
 	for i, c := range execs {
-		if c < 2 {
-			t.Fatalf("%s: task %d executed %d times, want settling + scheduled", label, i, c)
+		if c != 1 {
+			t.Fatalf("%s: task %d executed %d times, want exactly 1", label, i, c)
 		}
 	}
 }
 
 func mustPlan(t *testing.T, spec string) *fault.Plan {
 	t.Helper()
+	if spec == "" {
+		return nil
+	}
 	p, err := fault.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -46,13 +52,75 @@ func mustPlan(t *testing.T, spec string) *fault.Plan {
 	return p
 }
 
-// TestSimFaultSurvival drives crash/stall/slow/message plans through
-// both simulator engines (the per-op TAPER loop and the barrier-free
-// DAG) and checks the run completes with every task executed exactly
-// once — the property that makes faulted results bitwise-identical to
-// fault-free ones.
-func TestSimFaultSurvival(t *testing.T) {
+// onceWorld is one run's counting kernels: a → r → b, where r is a
+// plain operator in the flat shape and, in the nested one, an Exp
+// operator expanding to r/0 → r/1 whose join body also records whether
+// every child task had already run when it was called.
+type onceWorld struct {
+	execs     map[string][]int
+	joinEarly bool
+}
+
+func newOnceWorld() *onceWorld {
+	return &onceWorld{execs: map[string][]int{
+		"a": make([]int, 400), "r": make([]int, 400), "b": make([]int, 400),
+		"r/0": make([]int, 90), "r/1": make([]int, 60),
+	}}
+}
+
+func (w *onceWorld) bind(name string) OpSpec { return countingSpec(name, w.execs[name]) }
+
+func (w *onceWorld) nestedBind(name string) OpSpec {
+	if name != "r" {
+		return w.bind(name)
+	}
+	w.execs["r"] = make([]int, 1)
+	spec := w.bind("r")
+	count := spec.Op.Time
+	spec.Op.Time = func(i int) float64 {
+		for _, child := range []string{"r/0", "r/1"} {
+			for _, c := range w.execs[child] {
+				if c != 1 {
+					w.joinEarly = true
+				}
+			}
+		}
+		return count(i)
+	}
+	spec.Expand = func(int) (*Expansion, error) {
+		sub := delirium.NewGraph("r")
+		sub.AddNode(&delirium.Node{Name: "r/0", Kind: delirium.Par, Tasks: "90"})
+		sub.AddNode(&delirium.Node{Name: "r/1", Kind: delirium.Par, Tasks: "60"})
+		sub.AddEdge(&delirium.Edge{From: "r/0", To: "r/1"})
+		return &Expansion{Graph: sub, Bind: w.bind}, nil
+	}
+	return spec
+}
+
+// TestSimExactlyOnce drives fault-free runs and crash/stall/slow/
+// message plans through every simulator engine — closed-form static,
+// the per-operator TAPER loop and the barrier-free DAG — and checks
+// each run completes with every task body called exactly once.
+func TestSimExactlyOnce(t *testing.T) {
+	testExactlyOnce(t, chainGraph(t, "a", "r", "b"), false)
+}
+
+// TestSimExactlyOnceNested is the same matrix over a graph whose middle
+// operator expands at run time: its join body, too, is called once, and
+// only after all of its children's.
+func TestSimExactlyOnceNested(t *testing.T) {
+	g := delirium.NewGraph("once")
+	g.AddNode(&delirium.Node{Name: "a", Kind: delirium.Par, Tasks: "400"})
+	g.AddNode(&delirium.Node{Name: "r", Kind: delirium.Exp, Tasks: "1", Rule: "once"})
+	g.AddNode(&delirium.Node{Name: "b", Kind: delirium.Par, Tasks: "400"})
+	g.AddEdge(&delirium.Edge{From: "a", To: "r"})
+	g.AddEdge(&delirium.Edge{From: "r", To: "b"})
+	testExactlyOnce(t, g, true)
+}
+
+func testExactlyOnce(t *testing.T, g *delirium.Graph, nested bool) {
 	plans := []string{
+		"",
 		"crash:0@2",
 		"crash:0@0,crash:2@5",
 		"stall:1@1:5",
@@ -62,30 +130,75 @@ func TestSimFaultSurvival(t *testing.T) {
 		"crash:3@0,delay:0.25",
 	}
 	cfg := machine.DefaultConfig(4)
-	for _, mode := range []Mode{ModeTaper, ModeSplit} {
+	for _, mode := range []Mode{ModeStatic, ModeTaper, ModeSplit} {
 		for _, spec := range plans {
-			g := chainGraph(t, "a", "b")
-			const n = 400
-			execsA := make([]int, n)
-			execsB := make([]int, n)
-			bind := func(name string) OpSpec {
-				if name == "a" {
-					return countingSpec(n, execsA)
+			plan := mustPlan(t, spec)
+			if mode == ModeStatic && plan.HasWorkerFaults() {
+				continue // rejected: see TestSimFaultRejections
+			}
+			t.Run(mode.String()+"/"+spec, func(t *testing.T) {
+				w := newOnceWorld()
+				bind := w.bind
+				if nested {
+					bind = w.nestedBind
 				}
-				return countingSpec(n, execsB)
-			}
-			r, err := RunGraph(cfg, g, bind, RunOpts{
-				Processors: 4, Mode: mode, Fault: mustPlan(t, spec),
+				r, err := RunGraph(cfg, g, bind, RunOpts{Processors: 4, Mode: mode, Fault: plan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Makespan <= 0 {
+					t.Fatal("empty result")
+				}
+				for name, execs := range w.execs {
+					if nested || !strings.Contains(name, "/") {
+						checkAllExecuted(t, name, execs)
+					}
+				}
+				if w.joinEarly {
+					t.Fatal("join body of r ran before all of its children's tasks")
+				}
 			})
-			if err != nil {
-				t.Fatalf("%v/%s: %v", mode, spec, err)
-			}
-			if r.Makespan <= 0 {
-				t.Fatalf("%v/%s: empty result", mode, spec)
-			}
-			checkAllExecuted(t, mode.String()+"/"+spec+"/a", execsA)
-			checkAllExecuted(t, mode.String()+"/"+spec+"/b", execsB)
 		}
+	}
+}
+
+// TestSimFaultUnsampledOwnerCrash: a one-task operator whose owner
+// crashes before any cost sample exists must still be executed, by a
+// survivor. Every queue's time estimate is zero before the first sample,
+// so the re-assignment scan has to accept any non-empty victim.
+func TestSimFaultUnsampledOwnerCrash(t *testing.T) {
+	for _, mode := range []Mode{ModeTaper, ModeSplit} {
+		execs := make([]int, 1)
+		bind := func(string) OpSpec { return countingSpec("one", execs) }
+		r, err := RunGraph(machine.DefaultConfig(4), chainGraph(t, "one"), bind, RunOpts{
+			Processors: 4, Mode: mode, Fault: mustPlan(t, "crash:0@0"),
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if r.Chunks != 1 {
+			t.Fatalf("%v: %d chunks scheduled, want 1", mode, r.Chunks)
+		}
+		checkAllExecuted(t, mode.String(), execs)
+	}
+}
+
+// TestSimBarrieredLostWorkIsAnError: when no processor is left to take
+// an operator's remaining tasks the barriered engine must fail the run
+// like the barrier-free one does, not return a shorter one. RunGraph
+// refuses plans without a survivor, so the plan goes in below it.
+func TestSimBarrieredLostWorkIsAnError(t *testing.T) {
+	g := chainGraph(t, "a")
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := make([]int, 64)
+	bind := func(string) OpSpec { return countingSpec("a", execs) }
+	fx := fault.NewExec(mustPlan(t, "crash:0@1,crash:1@1"), 2)
+	_, err = executeBarriered(machine.DefaultConfig(2), g, bind, RunOpts{Mode: ModeTaper}, 2, order, nil, fx)
+	if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
+		t.Fatalf("error = %v, want a stall naming the outstanding tasks", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func ExecutePipelined(cfg machine.Config, prod, cons OpSpec, pProd, pCons, batch
 		Processors: pProd + pCons,
 		Busy:       make([]float64, pProd+pCons),
 	}
-	res.SeqTime = prod.Op.TotalTime() + cons.Op.TotalTime()
+	prodCost, consCost := make([]float64, n), make([]float64, n)
 
 	nBatches := (n + batch - 1) / batch
 	batchLeft := make([]int, nBatches) // producer tasks outstanding per batch
@@ -70,6 +70,7 @@ func ExecutePipelined(cfg machine.Config, prod, cons OpSpec, pProd, pCons, batch
 		total := cfg.SchedOverhead
 		for _, i := range take {
 			t := cons.Op.Time(i)
+			consCost[i] = t
 			consStats.Observe(i, t)
 			total += t
 		}
@@ -163,6 +164,7 @@ func ExecutePipelined(cfg machine.Config, prod, cons OpSpec, pProd, pCons, batch
 		sendDebt[j] = 0
 		for i := lo; i < lo+k; i++ {
 			t := prod.Op.Time(i)
+			prodCost[i] = t
 			prodStats.Observe(i, t)
 			total += t
 		}
@@ -185,6 +187,7 @@ func ExecutePipelined(cfg machine.Config, prod, cons OpSpec, pProd, pCons, batch
 			max = f
 		}
 	}
+	res.SeqTime = sched.SeqTime(prodCost) + sched.SeqTime(consCost)
 	res.Makespan = max + cfg.BroadcastTime(pProd+pCons, 8)
 	return res
 }

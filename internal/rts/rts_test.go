@@ -407,3 +407,53 @@ func TestChoosePairGranularity(t *testing.T) {
 		t.Fatal("degenerate granularity")
 	}
 }
+
+// TestLegacyExecutorsCallEachBodyOnce: the two-operator executors call
+// each task body exactly once, inside a chunk, and report the
+// sequential time TotalTime would.
+func TestLegacyExecutorsCallEachBodyOnce(t *testing.T) {
+	const n = 240
+	cfg := machine.DefaultConfig(8)
+	cost := func(i int) float64 { return 1 + float64(i%5)/3 }
+	seq := sched.Op{N: n, Time: cost}.TotalTime()
+	runs := map[string]func(a, b OpSpec) float64{
+		"pipelined": func(a, b OpSpec) float64 { return ExecutePipelined(cfg, a, b, 4, 4, 16).SeqTime },
+		"concurrent": func(a, b OpSpec) float64 {
+			return ExecuteConcurrent(cfg, []OpSpec{a, b}, []int{4, 4}, func() sched.Policy { return &sched.Taper{} }).SeqTime
+		},
+	}
+	for name, run := range runs {
+		calls := [2][]int{make([]int, n), make([]int, n)}
+		spec := func(side int) OpSpec {
+			return OpSpec{Op: sched.Op{Name: name, N: n, Bytes: 64, Time: func(i int) float64 {
+				calls[side][i]++
+				return cost(i)
+			}}, Mu: 1.7, Sigma: 0.5}
+		}
+		got := run(spec(0), spec(1))
+		for side := range calls {
+			for i, c := range calls[side] {
+				if c != 1 {
+					t.Fatalf("%s: operator %d task %d body called %d times, want 1", name, side, i, c)
+				}
+			}
+		}
+		if got != seq+seq {
+			t.Fatalf("%s: SeqTime %v, want %v", name, got, seq+seq)
+		}
+	}
+}
+
+// TestExecuteConcurrentStealsFromUnsampledOp: a processor whose own
+// operation has nothing for it must be able to take work from a
+// concurrent operation nobody has sampled yet, when every queue's time
+// estimate is still zero.
+func TestExecuteConcurrentStealsFromUnsampledOp(t *testing.T) {
+	one, many := uniformSpec(1, 1), uniformSpec(200, 1)
+	r := ExecuteConcurrent(machine.DefaultConfig(3), []OpSpec{one, many}, []int{2, 1},
+		func() sched.Policy { return &sched.Taper{} })
+	// Processor 1 belongs to the one-task operation and owns none of it.
+	if r.Busy[1] == 0 {
+		t.Fatal("the idle processor of the small operation never took work from the other one")
+	}
+}

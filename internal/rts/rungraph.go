@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"orchestra/internal/delirium"
+	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/sched"
@@ -113,38 +114,42 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 	if err != nil {
 		return trace.Result{}, err
 	}
-	finish := func(r trace.Result) (trace.Result, error) {
-		if opts.Sink == nil {
-			return r, nil
-		}
-		return r, opts.Sink.Consume(rec.Finish(r))
-	}
-
 	if opts.canceled() {
 		return trace.Result{}, CancelError("rts", opts.Ctx)
 	}
 
+	var r trace.Result
 	if opts.Mode == ModeSplit {
 		// Fully adaptive dataflow execution of the whole graph — no
 		// barriers; operators enable as predecessors complete, pipelined
 		// edges enable consumers incrementally, and processors migrate
 		// to whatever is executable.
-		r, err := executeDAG(opts.Ctx, cfg, g, bind, p, opts.Omega, rec, fx)
-		if err != nil {
-			return trace.Result{}, err
-		}
-		r.Name = fmt.Sprintf("%s/%s", opts.Mode, g.Name)
-		return finish(r)
+		r, err = executeDAG(opts.Ctx, cfg, g, bind, p, opts.Omega, rec, fx)
+	} else {
+		r, err = executeBarriered(cfg, g, bind, opts, p, order, rec, fx)
 	}
+	if err != nil {
+		return trace.Result{}, err
+	}
+	r.Name = fmt.Sprintf("%s/%s", opts.Mode, g.Name)
+	if opts.Sink == nil {
+		return r, nil
+	}
+	return r, opts.Sink.Consume(rec.Finish(r))
+}
 
-	agg := trace.Result{Name: fmt.Sprintf("%s/%s", opts.Mode, g.Name), Processors: p}
+// executeBarriered is the engine behind RunGraph's ModeStatic and
+// ModeTaper paths: one operator at a time on all p processors, in
+// topological order, with a barrier after each. rec and fx may be nil.
+func executeBarriered(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts, p int, order []*delirium.Node, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
+	agg := trace.Result{Processors: p}
 	procs := make([]int, p)
 	for i := range procs {
 		procs[i] = i
 	}
 	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true, Omega: opts.Omega} }
 
-	runOp := func(op sched.Op, oi int) {
+	runOp := func(op sched.Op, oi int) error {
 		ob := obs.OpObs{R: rec, Op: oi, Base: agg.Makespan}
 		var r trace.Result
 		if opts.Mode == ModeStatic {
@@ -153,13 +158,17 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 			// fx persists across the per-operator loop, so a worker's
 			// chunk count — and any crash it triggers — carries from one
 			// operator to the next.
-			r = sched.ExecuteDistributedFault(cfg, op, procs, factory, ob, fx)
+			var err error
+			if r, err = sched.ExecuteDistributedFault(cfg, op, procs, factory, ob, fx); err != nil {
+				return err
+			}
 		}
 		agg.Makespan += r.Makespan
 		agg.SeqTime += r.SeqTime
 		agg.Chunks += r.Chunks
 		agg.Steals += r.Steals
 		agg.Messages += r.Messages
+		return nil
 	}
 	// taken tracks every operator name scheduled so far; expansions must
 	// not redeclare names (same contract as the dataflow engines).
@@ -218,7 +227,9 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 				}
 				spec = JoinSpec(spec)
 			}
-			runOp(spec.Op, oi)
+			if err := runOp(spec.Op, oi); err != nil {
+				return err
+			}
 		}
 		for _, e := range g2.Edges {
 			if e.Carried {
@@ -240,5 +251,5 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 	if err := execBarriered(g, bind, 0, func(nm string) int { return topIdx[nm] }); err != nil {
 		return trace.Result{}, err
 	}
-	return finish(agg)
+	return agg, nil
 }

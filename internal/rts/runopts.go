@@ -37,8 +37,7 @@ func IsCanceled(err error) bool { return errors.Is(err, ErrCanceled) }
 // RunOpts configures one execution of a Delirium graph. It is the
 // single way to configure a run on any backend: the zero value of
 // every field is a sensible default, so callers set only what they
-// care about — either directly as a struct literal or through the
-// functional options accepted by NewRunOpts.
+// care about in a struct literal.
 type RunOpts struct {
 	// Processors is the number of simulated processors or worker
 	// goroutines. Zero lets the backend choose its default: the
@@ -102,51 +101,6 @@ const (
 	// ChainOff forces every pipelined edge through the prefix gate.
 	ChainOff
 )
-
-// RunOption mutates a RunOpts; see NewRunOpts.
-type RunOption func(*RunOpts)
-
-// NewRunOpts builds a RunOpts from functional options:
-//
-//	rts.NewRunOpts(rts.WithProcessors(512), rts.WithMode(rts.ModeSplit))
-func NewRunOpts(opts ...RunOption) RunOpts {
-	var o RunOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// WithProcessors sets the processor/worker count.
-func WithProcessors(p int) RunOption { return func(o *RunOpts) { o.Processors = p } }
-
-// WithMode sets the execution mode.
-func WithMode(m Mode) RunOption { return func(o *RunOpts) { o.Mode = m } }
-
-// WithOmega overrides TAPER's confidence width ω.
-func WithOmega(omega float64) RunOption { return func(o *RunOpts) { o.Omega = omega } }
-
-// WithSink enables event tracing into the given sink.
-func WithSink(s obs.Sink) RunOption { return func(o *RunOpts) { o.Sink = s } }
-
-// WithPinnedWorkers locks native workers to OS threads.
-func WithPinnedWorkers() RunOption { return func(o *RunOpts) { o.Pin = true } }
-
-// WithProfileLabels enables pprof worker/operator labels on native
-// workers.
-func WithProfileLabels() RunOption { return func(o *RunOpts) { o.Labels = true } }
-
-// WithFaultPlan injects a fault plan into the run. Plan validation
-// against the worker count happens in the backend, which resolves the
-// processor default first.
-func WithFaultPlan(p *fault.Plan) RunOption { return func(o *RunOpts) { o.Fault = p } }
-
-// WithContext bounds the run by a context: cancellation or an expired
-// deadline abandons the run with an error wrapping ErrCanceled.
-func WithContext(ctx context.Context) RunOption { return func(o *RunOpts) { o.Ctx = ctx } }
-
-// WithChain sets the cache-chain policy for pipelined edges.
-func WithChain(c ChainPolicy) RunOption { return func(o *RunOpts) { o.Chain = c } }
 
 // Supported declares which optional RunOpts capabilities a backend
 // implements, for CheckSupported. The split is by what the option

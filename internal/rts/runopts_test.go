@@ -14,8 +14,7 @@ func TestRunOptsValidate(t *testing.T) {
 	good := []RunOpts{
 		{},
 		{Processors: 64, Mode: ModeSplit, Omega: 2.5},
-		NewRunOpts(WithProcessors(8), WithMode(ModeTaper), WithOmega(1),
-			WithSink(&obs.Collector{}), WithPinnedWorkers(), WithProfileLabels()),
+		{Processors: 8, Mode: ModeTaper, Omega: 1, Sink: &obs.Collector{}, Pin: true, Labels: true},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -31,19 +30,6 @@ func TestRunOptsValidate(t *testing.T) {
 		if err := o.Validate(); err == nil {
 			t.Errorf("%+v: invalid options accepted", o)
 		}
-	}
-}
-
-func TestNewRunOptsAppliesOptions(t *testing.T) {
-	sink := &obs.Collector{}
-	o := NewRunOpts(WithProcessors(17), WithMode(ModeSplit), WithOmega(3.5),
-		WithSink(sink), WithPinnedWorkers(), WithProfileLabels())
-	if o.Processors != 17 || o.Mode != ModeSplit || o.Omega != 3.5 ||
-		o.Sink != sink || !o.Pin || !o.Labels {
-		t.Fatalf("options not applied: %+v", o)
-	}
-	if z := NewRunOpts(); z != (RunOpts{}) {
-		t.Fatalf("no options should give the zero value, got %+v", z)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
@@ -32,11 +34,27 @@ type Op struct {
 	Hint func(i int) float64
 }
 
-// TotalTime sums all task times (the sequential execution time).
+// TotalTime sums all task times (the sequential execution time). It
+// obtains them by calling Time for every task, so it is for cost-only
+// operations: on a binding whose Time runs a kernel body it executes
+// every body. No executor calls it; they sum the costs their chunks
+// observed (SeqTime).
 func (op Op) TotalTime() float64 {
 	t := 0.0
 	for i := 0; i < op.N; i++ {
 		t += op.Time(i)
+	}
+	return t
+}
+
+// SeqTime sums the task costs an executor recorded, cost[i] as task i's
+// chunk ran, in task-index order: the operation's sequential execution
+// time, bit for bit what TotalTime returns for the same costs however
+// the schedule interleaved them.
+func SeqTime(cost []float64) float64 {
+	t := 0.0
+	for _, c := range cost {
+		t += c
 	}
 	return t
 }
@@ -131,9 +149,9 @@ func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory, ob 
 		Processors: p,
 		Busy:       make([]float64, p),
 	}
-	res.SeqTime = op.TotalTime()
 
 	next := 0
+	cost := make([]float64, op.N)
 	finish := make([]float64, p)
 	qOwner := procs[0]
 
@@ -142,6 +160,7 @@ func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory, ob 
 		total := 0.0
 		for i := lo; i < lo+k; i++ {
 			t := op.Time(i)
+			cost[i] = t
 			ts.Observe(i, t)
 			total += t
 			if o := procs[owner(i, op.N, p)]; o != procs[j] {
@@ -191,6 +210,7 @@ func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory, ob 
 			max = f
 		}
 	}
+	res.SeqTime = SeqTime(cost)
 	res.Makespan = max + cfg.BroadcastTime(p, 8)
 	return res
 }
@@ -328,6 +348,32 @@ func sortByHintDesc(tasks []int, hint func(int) float64) {
 	}
 }
 
+// MostLoaded picks the victim of a chunk re-assignment among one
+// operation's queues: the non-empty queue with the largest estimated
+// remaining time, -1 when all are empty. A queue's estimate uses its
+// owner's observed rate (spent time over done tasks) where that exceeds
+// the operation's mean. Any non-empty queue qualifies: before the first
+// sample every estimate is zero, and a strict greater-than would strand
+// the tasks of an owner that crashed before taking any.
+func MostLoaded(queues []TaskQueue, done []int, spent []float64, mean float64) int {
+	victim := -1
+	bestTime := 0.0
+	for v := range queues {
+		if queues[v].Remaining() == 0 {
+			continue
+		}
+		rate := mean
+		if done[v] > 0 && spent[v]/float64(done[v]) > rate {
+			rate = spent[v] / float64(done[v])
+		}
+		if est := queues[v].EstRemaining(rate); victim < 0 || est > bestTime {
+			bestTime = est
+			victim = v
+		}
+	}
+	return victim
+}
+
 // ExecuteDistributed runs op with the paper's distributed scheme
 // (§4.1.1): tasks start on their owners (owner-computes), each
 // processor self-schedules chunks from its local queue using the
@@ -339,7 +385,10 @@ func sortByHintDesc(tasks []int, hint func(int) float64) {
 // algorithm reduces task transfer costs and maintains communication
 // locality."
 func ExecuteDistributed(cfg machine.Config, op Op, procs []int, factory Factory, ob obs.OpObs) trace.Result {
-	return ExecuteDistributedFault(cfg, op, procs, factory, ob, nil)
+	// Only a crashed processor can strand work, and without a fault plan
+	// none crashes.
+	res, _ := ExecuteDistributedFault(cfg, op, procs, factory, ob, nil)
+	return res
 }
 
 // ExecuteDistributedFault is ExecuteDistributed with a fault plan
@@ -351,8 +400,10 @@ func ExecuteDistributed(cfg machine.Config, op Op, procs []int, factory Factory,
 // factor; computed values are untouched). Injection happens only at
 // chunk boundaries, so every task still executes exactly once and
 // results stay bitwise identical to a fault-free run. A nil fx is the
-// fault-free fast path.
-func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Factory, ob obs.OpObs, fx *fault.Exec) trace.Result {
+// fault-free fast path. A plan that leaves no processor to take the
+// remaining tasks (fault.Plan.Validate rejects those) is an error, not
+// a shorter run.
+func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Factory, ob obs.OpObs, fx *fault.Exec) (trace.Result, error) {
 	p := len(procs)
 	sim := machine.NewSim(cfg)
 	policy := factory()
@@ -362,10 +413,10 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		Processors: p,
 		Busy:       make([]float64, p),
 	}
-	res.SeqTime = op.TotalTime()
 
 	local := Decompose(op, p)
 	remainingGlobal := op.N
+	cost := make([]float64, op.N)
 	finish := make([]float64, p)
 	tree := NewTokenTree(p)
 	// Observed per-processor progress (the token protocol's signal).
@@ -396,7 +447,8 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 			// A slow fault scales only the observed cost: the kernel
 			// (op.Time's side effect on real bindings) runs normally, so
 			// computed values are untouched.
-			t := op.Time(i) * slowF
+			cost[i] = op.Time(i)
+			t := cost[i] * slowF
 			ts.Observe(i, t)
 			total += t
 		}
@@ -476,21 +528,7 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		// hints when present, else the observed per-processor rate the
 		// token protocol reports.
 		globalMean := ts.Global.Mean()
-		victim := -1
-		bestTime := 0.0
-		for v := 0; v < p; v++ {
-			if local[v].Remaining() == 0 {
-				continue
-			}
-			rate := globalMean
-			if done[v] > 0 && spent[v]/float64(done[v]) > rate {
-				rate = spent[v] / float64(done[v])
-			}
-			if est := local[v].EstRemaining(rate); est > bestTime {
-				bestTime = est
-				victim = v
-			}
-		}
+		victim := MostLoaded(local, done, spent, globalMean)
 		if victim < 0 {
 			// Nothing left anywhere; wait for stragglers to finish
 			// their running chunks.
@@ -534,5 +572,9 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 	// barrier synchronizes completion.
 	res.Messages += tree.Messages
 	res.Makespan = max + float64(tree.Broadcasts)*0.1*cfg.HopLatency + cfg.BroadcastTime(p, 8)
-	return res
+	if remainingGlobal > 0 {
+		return res, fmt.Errorf("sched: %s stalled with %d tasks outstanding", op.Name, remainingGlobal)
+	}
+	res.SeqTime = SeqTime(cost)
+	return res, nil
 }

@@ -2,11 +2,14 @@ package sched
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/stats"
+	"orchestra/internal/trace"
 )
 
 func uniformOp(n int, t float64) Op {
@@ -367,5 +370,51 @@ func TestObserveChunkSingleTask(t *testing.T) {
 	b.Observe(7, 2.5)
 	if a.Global != b.Global || a.bins[0] != b.bins[0] {
 		t.Fatalf("ObserveChunk(7,1,2.5) != Observe(7,2.5): %+v vs %+v", a.Global, b.Global)
+	}
+}
+
+// TestExecutorsCallEachBodyOnce: every executor calls each task body
+// exactly once — inside a chunk, never in an accounting pass — and
+// still reports the sequential time TotalTime would.
+func TestExecutorsCallEachBodyOnce(t *testing.T) {
+	const n, p = 300, 8
+	cfg := machine.DefaultConfig(p)
+	taper := func() Policy { return &Taper{UseCostFunction: true} }
+	cost := func(i int) float64 { return 1 + float64(i%5)/3 }
+	want := Op{N: n, Time: cost}.TotalTime()
+	runs := map[string]func(Op) trace.Result{
+		"static":      func(op Op) trace.Result { return ExecuteStatic(cfg, op, procList(p), obs.OpObs{}) },
+		"central":     func(op Op) trace.Result { return ExecuteCentral(cfg, op, procList(p), taper, obs.OpObs{}) },
+		"distributed": func(op Op) trace.Result { return ExecuteDistributed(cfg, op, procList(p), taper, obs.OpObs{}) },
+	}
+	for name, run := range runs {
+		calls := make([]int, n)
+		r := run(Op{Name: name, N: n, Bytes: 64, Time: func(i int) float64 {
+			calls[i]++
+			return cost(i)
+		}})
+		for i, c := range calls {
+			if c != 1 {
+				t.Fatalf("%s: task %d body called %d times, want 1", name, i, c)
+			}
+		}
+		if r.SeqTime != want {
+			t.Fatalf("%s: SeqTime %v, want %v", name, r.SeqTime, want)
+		}
+	}
+}
+
+// TestDistributedFaultLostWorkIsAnError: a plan that kills every
+// processor (fault.Plan.Validate refuses those; this one goes in below
+// it) strands tasks, and the executor must say so.
+func TestDistributedFaultLostWorkIsAnError(t *testing.T) {
+	plan, err := fault.Parse("crash:0@1,crash:1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ExecuteDistributedFault(machine.DefaultConfig(2), uniformOp(64, 1), procList(2),
+		func() Policy { return &Taper{} }, obs.OpObs{}, fault.NewExec(plan, 2))
+	if err == nil || !strings.Contains(err.Error(), "tasks outstanding") {
+		t.Fatalf("error = %v, want a stall naming the outstanding tasks", err)
 	}
 }
