@@ -125,38 +125,6 @@ func (e *engine) redistribute(s segment, from *worker) {
 	e.deliver(s, from.id)
 }
 
-// stealInbox takes one segment posted to another worker's inbox.
-// Fault recovery re-posts work to inboxes of workers that may be
-// waiting for CPU (or declared dead); without inbox theft such a
-// segment is reachable only through its holder's own drain, and on an
-// oversubscribed machine the detector can relocate it between inboxes
-// faster than any holder gets scheduled — a livelock. Theft makes
-// posted work globally reachable: whichever worker actually runs
-// executes it. Only consulted under fault injection, after deque
-// steals fail; the fault-free hot path never calls it.
-func (e *engine) stealInbox(w *worker) (segment, bool) {
-	for off := 1; off < e.p; off++ {
-		v := e.workers[(w.id+off)%e.p]
-		if v.inboxN.Load() == 0 {
-			continue
-		}
-		v.inboxMu.Lock()
-		if len(v.inbox) == 0 {
-			v.inboxMu.Unlock()
-			continue
-		}
-		s := v.inbox[len(v.inbox)-1]
-		v.inbox = v.inbox[:len(v.inbox)-1]
-		v.inboxN.Add(-1)
-		v.inboxMu.Unlock()
-		if e.rec != nil {
-			e.rec.Steal(w.id, v.id, s.op, s.lo, s.len(), time.Since(e.start).Seconds())
-		}
-		return s, true
-	}
-	return segment{}, false
-}
-
 // recoverHoldings steal-drains a worker's deque and empties its inbox,
 // re-issuing everything to survivors. Deque steals are safe against a
 // concurrently running owner (false positive); the inbox drain holds

@@ -190,6 +190,11 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 // the serve daemon's clients (and orchload -verify) compare a job
 // executed on the shared pool against a local one-shot run without
 // shipping whole arrays around.
+//
+// Elements are encoded into a fixed stack block and hashed a block at a
+// time: the byte stream is the one a Write per element would produce
+// (TestStateDigestGolden holds it), at SHA-256's bulk rate instead of
+// its per-call overhead.
 func StateDigest(st *interp.State) string {
 	names := make([]string, 0, len(st.Arrays))
 	for name := range st.Arrays {
@@ -197,20 +202,28 @@ func StateDigest(st *interp.State) string {
 	}
 	sort.Strings(names)
 	h := sha256.New()
-	var buf [8]byte
+	var buf [digestBlock]byte
 	for _, name := range names {
 		arr := st.Arrays[name]
 		h.Write([]byte(name))
 		h.Write([]byte{0})
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(arr)))
-		h.Write(buf[:])
-		for _, v := range arr {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+		h.Write(buf[:8])
+		for len(arr) > 0 {
+			k := min(len(arr), digestBlock/8)
+			for i, v := range arr[:k] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+			}
+			h.Write(buf[:8*k])
+			arr = arr[k:]
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// digestBlock is StateDigest's encode buffer in bytes: small enough to
+// live on the stack, large enough that SHA-256's per-Write cost vanishes.
+const digestBlock = 4096
 
 // SpinBinder binds every node to a synthetic CPU-bound operation of
 // count tasks whose task times are log-normally distributed with unit

@@ -680,9 +680,12 @@ func (e *engine) signal(n int) {
 }
 
 // reachableWork reports whether work this worker could run may exist.
-// With stealing enabled any queued segment anywhere is reachable;
-// without it only the worker's own deque and inbox count (otherwise an
-// idle worker would spin on work it is not allowed to take).
+// The invariant it keeps with findWork: whenever it reports true for a
+// segment that stays put, findWork can take that segment — otherwise an
+// idle worker spins on work it is not allowed to take instead of
+// parking. With stealing enabled every queued segment, in any deque or
+// any inbox, is reachable; without it only the worker's own deque and
+// inbox count.
 func (e *engine) reachableWork(w *worker) bool {
 	if e.steal {
 		return e.queued.Load() > 0
@@ -744,9 +747,41 @@ func (e *engine) stealFrom(w *worker) (segment, bool) {
 	return segment{}, false
 }
 
+// stealInbox takes one segment posted to another worker's inbox. A
+// posted segment is ready work like any other: its addressee may not
+// have been scheduled yet (a pool goroutine whose vCPU is asleep, a
+// worker stalled or declared dead under a fault plan), and until it
+// drains its inbox the segment is in no deque for stealFrom to find. An
+// idle worker is idle only when no ready work exists, so whichever
+// worker actually runs takes it; placement never decides values.
+// Consulted after the deque steals fail.
+func (e *engine) stealInbox(w *worker) (segment, bool) {
+	for off := 1; off < e.p; off++ {
+		v := e.workers[(w.id+off)%e.p]
+		if v.inboxN.Load() == 0 {
+			continue
+		}
+		v.inboxMu.Lock()
+		if len(v.inbox) == 0 {
+			v.inboxMu.Unlock()
+			continue
+		}
+		s := v.inbox[len(v.inbox)-1]
+		v.inbox = v.inbox[:len(v.inbox)-1]
+		v.inboxN.Add(-1)
+		v.inboxMu.Unlock()
+		e.steals.Add(1)
+		if e.rec != nil {
+			e.rec.Steal(w.id, v.id, s.op, s.lo, s.len(), time.Since(e.start).Seconds())
+		}
+		return s, true
+	}
+	return segment{}, false
+}
+
 // findWork is the worker's acquisition order: drain the inbox into the
-// deque, pop local work, else steal. stolen reports whether the segment
-// came off another worker's deque.
+// deque, pop local work, else steal from a peer's deque, else from a
+// peer's inbox. stolen reports whether the segment came from a peer.
 func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 	if w.inboxN.Load() > 0 {
 		w.drainInbox()
@@ -758,10 +793,8 @@ func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 		if s, ok := e.stealFrom(w); ok {
 			return s, true, true
 		}
-		if e.fx != nil {
-			if s, ok := e.stealInbox(w); ok {
-				return s, true, true
-			}
+		if s, ok := e.stealInbox(w); ok {
+			return s, true, true
 		}
 	}
 	return segment{}, false, false

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -373,4 +374,59 @@ func TestSpinConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPostedBlockNotHostage pins the idle invariant: work posted to a
+// peer's inbox is ready work, and an idle worker takes it. Worker 1 is
+// launched only once the run has finished, so every block worker 0's
+// releases post to worker 1's inbox has no owner to drain it: worker 0
+// alone must carry the P = 2 split-mode run to the end, every task
+// executed once, and the inbox thefts show in Result.Steals as they do
+// in the trace. Were a posted block reachable only through its
+// addressee, worker 0 would spin forever on queued > 0 here.
+func TestPostedBlockNotHostage(t *testing.T) {
+	const n = 2048
+	counts := map[string][]atomic.Int32{"a": make([]atomic.Int32, n), "b": make([]atomic.Int32, n)}
+	bind := func(name string) rts.OpSpec {
+		c := counts[name]
+		return rts.OpSpec{Op: sched.Op{Name: name, N: n, Time: func(i int) float64 { c[i].Add(1); return 1 }}, Mu: 1}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	opts := rts.RunOpts{Processors: 2, Mode: rts.ModeSplit, Ctx: ctx}
+	e, err := newEngine(chainGraph(t, true), bind, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.workers = []*worker{newWorker(0), newWorker(1)}
+	launched := 0
+	r, err := e.execute(opts, func(run func()) {
+		launched++
+		if launched == 1 {
+			go run()
+			return
+		}
+		go func() {
+			// The deadline closes finished too, which lets a hung run
+			// (worker 0 spinning on a hostage block) join and fail.
+			<-e.finished
+			run()
+		}()
+	})
+	if err != nil {
+		t.Fatalf("worker 0 alone did not finish the run: %v", err)
+	}
+	for name, c := range counts {
+		for i := range c {
+			if got := c[i].Load(); got != 1 {
+				t.Fatalf("op %s task %d executed %d times, want 1", name, i, got)
+			}
+		}
+	}
+	if r.Steals == 0 {
+		t.Errorf("Result.Steals = 0: worker 0 finished without taking a posted block")
+	}
+	if r.Busy[1] != 0 {
+		t.Errorf("worker 1 reports %v s busy; it was never started", r.Busy[1])
+	}
 }

@@ -14,6 +14,9 @@ import (
 //	POST /api/v1/jobs            submit (sync unless "async": true)
 //	GET  /api/v1/jobs/{id}       job status (?wait=1 blocks until done)
 //	POST /api/v1/jobs/{id}/cancel
+//	                             both: 410 once the finished job has been
+//	                             evicted (see retainTerminal), 404 for an
+//	                             id never issued
 //	GET  /api/v1/stats           pool, cache, jobs, allocation decisions
 //	GET  /healthz                liveness
 //
@@ -59,19 +62,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	st := j.Status()
 	if req.Async {
 		// Submitted but probably not finished: report the snapshot.
-		writeJSON(w, http.StatusAccepted, j.Status())
+		writeJSON(w, http.StatusAccepted, st)
 		return
 	}
-	writeJSON(w, statusCode(j), j.Status())
+	writeJSON(w, statusCode(st.State), st)
 }
 
-// statusCode maps a terminal job to its HTTP status: failures are
-// 500s, cancellations 499 (the de-facto client-closed-request code),
-// anything else 200.
-func statusCode(j *Job) int {
-	switch st := j.Status(); st.State {
+// statusCode maps a terminal job state to its HTTP status: failures
+// are 500s, cancellations 499 (the de-facto client-closed-request
+// code), anything else 200.
+func statusCode(state string) int {
+	switch state {
 	case StateFailed:
 		return http.StatusInternalServerError
 	case StateCanceled:
@@ -81,10 +85,25 @@ func statusCode(j *Job) int {
 	}
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
+// findJob resolves the request's {id}, answering the misses itself:
+// 410 Gone for a job the registry has evicted, 404 for an id never
+// issued.
+func (s *Server) findJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	j, evicted := s.lookup(r.PathValue("id"))
+	switch {
+	case j != nil:
+		return j, true
+	case evicted:
+		writeError(w, http.StatusGone, fmt.Errorf("job finished more than %d completions ago; its record was evicted", retainTerminal))
+	default:
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
+	}
+	return nil, false
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.findJob(w, r)
+	if !ok {
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
@@ -99,9 +118,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.findJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
 	j.Cancel()

@@ -9,6 +9,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ import (
 
 // figure1 loads the paper's running example, the daemon's canonical
 // test program.
-func figure1(t *testing.T) string {
+func figure1(t testing.TB) string {
 	t.Helper()
 	src, err := os.ReadFile("../../examples/figure1.f")
 	if err != nil {
@@ -445,5 +447,206 @@ func TestAllocLogRing(t *testing.T) {
 	}
 	if snap[0].Job != "job-36" || snap[63].Job != "job-99" {
 		t.Errorf("snapshot spans %s..%s, want job-36..job-99 oldest-first", snap[0].Job, snap[63].Job)
+	}
+}
+
+// flood runs n tiny synchronous jobs to completion, four callers at a
+// time, and fails the test on any that does not finish done.
+func flood(t *testing.T, s *Server, src string, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	var left atomic.Int64
+	left.Store(int64(n))
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for left.Add(-1) >= 0 {
+				j, err := s.Submit(SubmitRequest{Program: src, N: 16})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st := j.Status(); st.State != StateDone {
+					t.Errorf("job %s: %s (%s)", st.ID, st.State, st.Error)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// httpCode issues a body-less request and returns only the status.
+func httpCode(t *testing.T, method, url string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestRegistryBounded pins retention: the registry holds every job that
+// is not terminal plus the last retainTerminal that are, an evicted id
+// answers 410 and a never-issued one 404, and no amount of eviction
+// touches a job that is still queued or running.
+func TestRegistryBounded(t *testing.T) {
+	s, ts := newTestServer(t)
+	src := figure1(t)
+	jobURL := ts.URL + "/api/v1/jobs/"
+
+	flood(t, s, src, retainTerminal+50)
+	if jc := s.Stats().Jobs; jc.Total != retainTerminal || jc.Done != retainTerminal+50 || jc.Queued != 0 || jc.Running != 0 {
+		t.Fatalf("after %d jobs: counts %+v, want total %d (the cap), done %d, none live",
+			retainTerminal+50, jc, retainTerminal, retainTerminal+50)
+	}
+	if _, ok := s.Job("job-1"); ok {
+		t.Error("Server.Job(job-1) hit; the oldest terminal job should be evicted")
+	}
+	if _, ok := s.Job(fmt.Sprintf("job-%d", retainTerminal+50)); !ok {
+		t.Error("the most recent job is missing from the registry")
+	}
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "job-1", http.StatusGone},
+		{"GET", "job-1?wait=1", http.StatusGone},
+		{"POST", "job-1/cancel", http.StatusGone},
+		{"GET", fmt.Sprintf("job-%d?wait=1", retainTerminal+50), http.StatusOK},
+		{"GET", "job-999999", http.StatusNotFound},
+		{"POST", "job-999999/cancel", http.StatusNotFound},
+		{"GET", "job-0", http.StatusNotFound},
+		{"GET", "job-01", http.StatusNotFound},
+		{"GET", "job-+1", http.StatusNotFound},
+		{"GET", "1", http.StatusNotFound},
+	} {
+		if got := httpCode(t, c.method, jobURL+c.path); got != c.want {
+			t.Errorf("%s %s: %d, want %d", c.method, c.path, got, c.want)
+		}
+	}
+
+	// One job held queued (registered, never admitted) and one held
+	// running (admitted, not yet executed): both must outlive any number
+	// of completions around them.
+	queued, err := s.prepare(SubmitRequest{Program: src, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, err := s.prepare(SubmitRequest{Program: src, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := s.admitJob(running)
+	flood(t, s, src, 2*retainTerminal+50)
+	if jc := s.Stats().Jobs; jc.Total != retainTerminal+2 || jc.Queued != 1 || jc.Running != 1 {
+		t.Fatalf("with two held jobs: counts %+v, want total %d, 1 queued, 1 running", jc, retainTerminal+2)
+	}
+	for _, h := range []struct {
+		j     *Job
+		state string
+	}{{queued, StateQueued}, {running, StateRunning}} {
+		if got, ok := s.Job(h.j.ID()); !ok || got != h.j {
+			t.Fatalf("%s job %s was evicted", h.state, h.j.ID())
+		}
+		var st JobStatus
+		if code := getJSON(t, jobURL+h.j.ID(), &st); code != http.StatusOK || st.State != h.state {
+			t.Errorf("%s: HTTP %d state %s, want 200 %s", h.j.ID(), code, st.State, h.state)
+		}
+		// Still cancellable, and the cancellation lands when the job
+		// proceeds.
+		if code := httpCode(t, "POST", jobURL+h.j.ID()+"/cancel"); code != http.StatusOK {
+			t.Errorf("cancel %s: HTTP %d, want 200", h.j.ID(), code)
+		}
+	}
+	s.runJob(queued)
+	s.execute(running, grant)
+	for _, j := range []*Job{queued, running} {
+		if st := j.Status(); st.State != StateCanceled {
+			t.Errorf("%s after cancel: %s (%s), want canceled", st.ID, st.State, st.Error)
+		}
+	}
+	if jc := s.Stats().Jobs; jc.Total != retainTerminal || jc.Queued != 0 || jc.Running != 0 || jc.Canceled != 2 {
+		t.Errorf("after the held jobs finish: counts %+v, want total %d, none live, 2 canceled", jc, retainTerminal)
+	}
+}
+
+// TestAdmissionSeesOnlyRunning pins what admission balances across: the
+// jobs running now, whatever the daemon has served before, and a job is
+// visible to its neighbours from the moment its own admission returns.
+func TestAdmissionSeesOnlyRunning(t *testing.T) {
+	s, _ := newTestServer(t)
+	src := figure1(t)
+	flood(t, s, src, 2*retainTerminal)
+
+	decision := func(j *Job) AllocDecision {
+		t.Helper()
+		log := s.alloc.snapshot()
+		for i := len(log) - 1; i >= 0; i-- {
+			if log[i].Job == j.ID() {
+				return log[i]
+			}
+		}
+		t.Fatalf("no admission decision logged for %s", j.ID())
+		return AllocDecision{}
+	}
+
+	lone, err := s.Submit(SubmitRequest{Program: src, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := decision(lone); d.Running != 1 || d.Grant != s.pool.Size() {
+		t.Errorf("lone job after %d finished ones: balanced across %d jobs, grant %d; want 1 job, the whole pool (%d)",
+			2*retainTerminal, d.Running, d.Grant, s.pool.Size())
+	}
+
+	// Two admissions at once: whichever takes the lock second must see
+	// the first.
+	a, err := s.prepare(SubmitRequest{Program: src, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.prepare(SubmitRequest{Program: src, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants := map[*Job]int{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, j := range []*Job{a, b} {
+		wg.Add(1)
+		go func(j *Job) {
+			defer wg.Done()
+			g := s.admitJob(j)
+			mu.Lock()
+			grants[j] = g
+			mu.Unlock()
+		}(j)
+	}
+	wg.Wait()
+	if jc := s.Stats().Jobs; jc.Running != 2 || jc.Queued != 0 {
+		t.Errorf("two admitted jobs: counts %+v, want 2 running, 0 queued", jc)
+	}
+	da, db := decision(a), decision(b)
+	if da.Running+db.Running != 3 {
+		t.Errorf("concurrent admissions balanced across %d and %d jobs; want 1 and 2 (one sees the other)", da.Running, db.Running)
+	}
+	for _, j := range []*Job{a, b} {
+		s.execute(j, grants[j])
+		if st := j.Status(); st.State != StateDone {
+			t.Errorf("%s: %s (%s)", st.ID, st.State, st.Error)
+		}
+	}
+	if jc := s.Stats().Jobs; jc.Running != 0 {
+		t.Errorf("after both finish: %d running, want 0", jc.Running)
 	}
 }

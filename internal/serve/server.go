@@ -24,6 +24,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,6 +50,12 @@ type Config struct {
 	Omega float64
 }
 
+// retainTerminal is how many finished jobs the registry keeps for status
+// reads, most recently finished last out. A daemon's memory and its
+// per-job cost must not grow with the jobs it has ever served; a client
+// that wants a result later than this many completions polls sooner.
+const retainTerminal = 1024
+
 // Server is the daemon state: the warm pool, the graph cache, and the
 // job registry. Create with New, dispose with Close.
 type Server struct {
@@ -57,11 +65,21 @@ type Server struct {
 	plans *planCache
 	alloc allocLog
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	seq    int
-	closed bool
-	wg     sync.WaitGroup
+	mu sync.Mutex
+	// jobs is the registry: every job that is not terminal yet, plus the
+	// last retainTerminal that are. running holds the admitted, unfinished
+	// ones — what admission balances the pool across — and pending counts
+	// those registered but not yet admitted, so neither admission nor
+	// Stats ever walks the registry. terminal is the eviction ring, in
+	// completion order; termNext is its oldest entry once it is full.
+	jobs     map[string]*Job
+	running  map[*Job]struct{}
+	pending  int
+	terminal []*Job
+	termNext int
+	seq      int
+	closed   bool
+	wg       sync.WaitGroup
 
 	done, failed, canceled int64
 	// Pipeline counters, accumulated over every completed job's result:
@@ -82,6 +100,7 @@ func New(cfg Config) *Server {
 		cache:   newGraphCache(),
 		plans:   newPlanCache(),
 		jobs:    map[string]*Job{},
+		running: map[*Job]struct{}{},
 		started: time.Now(),
 	}
 }
@@ -95,12 +114,16 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	jobs := make([]*Job, 0, len(s.jobs))
+	var live []*Job
 	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+		select {
+		case <-j.doneCh:
+		default:
+			live = append(live, j)
+		}
 	}
 	s.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range live {
 		j.cancel()
 	}
 	s.wg.Wait()
@@ -249,7 +272,7 @@ func (j *Job) Status() JobStatus {
 		ID:        j.id,
 		State:     j.state,
 		Graph:     j.graph.Name,
-		Cache:     map[bool]string{true: "hit", false: "miss"}[j.cacheHit],
+		Cache:     "miss",
 		Mode:      j.mode.String(),
 		Requested: j.req.Processors,
 		Allocated: j.grant,
@@ -258,6 +281,9 @@ func (j *Job) Status() JobStatus {
 		TraceJSON: j.traceJSON,
 		Plan:      j.planInfo,
 		Error:     j.errMsg,
+	}
+	if j.cacheHit {
+		st.Cache = "hit"
 	}
 	if !j.startedAt.IsZero() {
 		st.QueueSeconds = j.startedAt.Sub(j.submitted).Seconds()
@@ -387,8 +413,9 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 		return nil, fmt.Errorf("serve: server is closed")
 	}
 	s.seq++
-	j.id = fmt.Sprintf("job-%d", s.seq)
+	j.id = jobPrefix + strconv.Itoa(s.seq)
 	s.jobs[j.id] = j
+	s.pending++
 	s.mu.Unlock()
 	return j, nil
 }
@@ -397,14 +424,12 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 // construction, pool execution, digest.
 func (s *Server) runJob(j *Job) {
 	defer j.cancel() // release the context's timer resources
-	grant := s.admitJob(j)
+	s.execute(j, s.admitJob(j))
+}
 
-	j.mu.Lock()
-	j.state = StateRunning
-	j.grant = grant
-	j.startedAt = time.Now()
-	j.mu.Unlock()
-
+// execute runs an admitted job on the pool with its grant and finishes
+// it.
+func (s *Server) execute(j *Job, grant int) {
 	// Kernels resolve by name from the registry; the request's binder
 	// names map onto the registered kernel families ("kernel" predates
 	// the registry and aliases "array").
@@ -496,28 +521,33 @@ func (s *Server) runJob(j *Job) {
 	s.finishJob(j, &res, digest, traceJSON, nil)
 }
 
-// admitJob computes the job's worker grant against the currently
-// running jobs and logs the decision.
+// admitJob moves a registered job into the running set, computes its
+// worker grant against the jobs already there and logs the decision.
+// The cost is O(running): the set is read and joined in one critical
+// section, so of two concurrent admissions one always sees the other.
 func (s *Server) admitJob(j *Job) int {
-	var running []jobLoad
 	s.mu.Lock()
-	for _, o := range s.jobs {
-		if o == j {
-			continue
-		}
-		o.mu.Lock()
-		if o.state == StateRunning {
-			running = append(running, jobLoad{id: o.id, tasks: o.tasks})
-		}
-		o.mu.Unlock()
+	running := make([]jobLoad, 0, len(s.running))
+	for o := range s.running {
+		running = append(running, jobLoad{id: o.id, tasks: o.tasks})
 	}
+	s.running[j] = struct{}{}
+	s.pending--
 	s.mu.Unlock()
 	d := admit(jobLoad{id: j.id, tasks: j.tasks}, running, s.pool.Size(), j.req.Processors)
 	s.alloc.add(d)
+
+	j.mu.Lock()
+	j.state = StateRunning
+	j.grant = d.Grant
+	j.startedAt = time.Now()
+	j.mu.Unlock()
 	return d.Grant
 }
 
-// finishJob moves a job to its terminal state and closes Done.
+// finishJob moves a job to its terminal state, closes Done, and retires
+// it from the running set into the eviction ring: the terminal job it
+// displaces there, the oldest, leaves the registry.
 func (s *Server) finishJob(j *Job, res *trace.Result, digest, traceJSON string, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -539,6 +569,14 @@ func (s *Server) finishJob(j *Job, res *trace.Result, digest, traceJSON string, 
 	close(j.doneCh)
 
 	s.mu.Lock()
+	delete(s.running, j)
+	if len(s.terminal) < retainTerminal {
+		s.terminal = append(s.terminal, j)
+	} else {
+		delete(s.jobs, s.terminal[s.termNext].id)
+		s.terminal[s.termNext] = j
+		s.termNext = (s.termNext + 1) % retainTerminal
+	}
 	switch state {
 	case StateDone:
 		s.done++
@@ -555,12 +593,26 @@ func (s *Server) finishJob(j *Job, res *trace.Result, digest, traceJSON string, 
 	s.mu.Unlock()
 }
 
-// Job looks up a registered job by id.
+// Job looks up a job in the registry by id. A terminal job that
+// retainTerminal later completions have displaced is a miss.
 func (s *Server) Job(id string) (*Job, bool) {
+	j, _ := s.lookup(id)
+	return j, j != nil
+}
+
+const jobPrefix = "job-"
+
+// lookup is Job that also tells an evicted id from one never issued.
+// Ids are issued densely from 1, so a well-formed id at or below seq
+// that misses the registry was evicted; no tombstones are kept.
+func (s *Server) lookup(id string) (j *Job, evicted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j, ok := s.jobs[id]; ok {
+		return j, false
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(id, jobPrefix))
+	return nil, err == nil && 1 <= n && n <= s.seq && id == jobPrefix+strconv.Itoa(n)
 }
 
 // Stats is the /stats document: pool occupancy, graph-cache hit rates,
@@ -586,7 +638,10 @@ type PipelineStats struct {
 	ChainFallbacks int64 `json:"chain_fallbacks"`
 }
 
-// JobCounts aggregates job states.
+// JobCounts aggregates job states. Total is the number of jobs in the
+// registry right now — Queued + Running + the terminal jobs retained,
+// never more than retainTerminal of those — not the number ever
+// submitted. Done, Failed and Canceled count over the daemon's lifetime.
 type JobCounts struct {
 	Total    int   `json:"total"`
 	Queued   int   `json:"queued"`
@@ -599,24 +654,11 @@ type JobCounts struct {
 // Stats snapshots the daemon.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	jc := JobCounts{Total: len(s.jobs), Done: s.done, Failed: s.failed, Canceled: s.canceled}
+	jc := JobCounts{Total: len(s.jobs), Queued: s.pending, Running: len(s.running),
+		Done: s.done, Failed: s.failed, Canceled: s.canceled}
 	ps := PipelineStats{ChainHits: s.chainHits, ChainSpills: s.chainSpills, ChainFallbacks: s.chainFallbacks}
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
 	uptime := time.Since(s.started).Seconds()
 	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			jc.Queued++
-		case StateRunning:
-			jc.Running++
-		}
-		j.mu.Unlock()
-	}
 	return Stats{
 		UptimeSeconds: uptime,
 		Pool:          s.pool.Stats(),
