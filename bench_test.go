@@ -1,18 +1,15 @@
-// Package orchestra_bench regenerates every table and figure of the
-// paper's evaluation (§5) as Go benchmarks, plus the ablations DESIGN.md
-// calls out. Each benchmark prints the regenerated rows/series through
-// b.Log and reports domain metrics (simulated speedup and efficiency)
-// via b.ReportMetric, so `go test -bench . -benchmem` reproduces the
-// whole evaluation.
+// Package orchestra_bench holds the standing per-layer Go benchmarks
+// that need more than one internal package. The paper's tables and
+// figures (§5) are printed by `go run ./cmd/orchbench` and pinned by
+// the tests in internal/experiment; wall-clock end-to-end numbers come
+// from `go run ./bench`.
 //
 // Mapping:
 //
-//	BenchmarkFig6Psirrfan*     — Figure 6 (speedup vs processors, three configurations)
-//	BenchmarkTable1Climate*    — in-text climate measurements (512/1024, ±split)
-//	BenchmarkTable2Doubling    — in-text doubling claim (5–15% efficiency loss)
-//	BenchmarkAblation*         — design-choice ablations
 //	BenchmarkNativeBackend     — wall-clock execution on the goroutine backend
+//	BenchmarkHotpathSimEvents  — the simulator's allocation-free event loop
 //	BenchmarkCompiler*         — compiler-side throughput (analysis + split)
+//	BenchmarkSplitTransform    — the split transformation alone (Figure 4)
 //
 // The simulator's own cost per chunk (events/chunk, ms per cell) is
 // BenchmarkSimDAG in internal/rts, where a test can read the event
@@ -27,184 +24,13 @@ import (
 
 	"orchestra/internal/analysis"
 	"orchestra/internal/compile"
-	"orchestra/internal/experiment"
 	"orchestra/internal/machine"
 	"orchestra/internal/native"
-	"orchestra/internal/obs"
 	"orchestra/internal/rts"
-	"orchestra/internal/sched"
 	"orchestra/internal/source"
 	"orchestra/internal/split"
 	"orchestra/internal/trace"
-	"orchestra/internal/workload"
 )
-
-const (
-	benchSeed = 7
-	fig6N     = 4096
-	climateN  = 3200 // the paper: "about 3200 latitude-longitude grid cells"
-)
-
-// reportRun reports the simulated metrics of one execution.
-func reportRun(b *testing.B, r trace.Result) {
-	b.ReportMetric(r.Speedup(), "speedup")
-	b.ReportMetric(100*r.Efficiency(), "eff%")
-}
-
-// benchMode runs one Figure 6 configuration at one processor count.
-func benchMode(b *testing.B, p int, mode rts.Mode) {
-	var last trace.Result
-	for i := 0; i < b.N; i++ {
-		app := workload.Psirrfan(workload.Config{N: fig6N, Seed: benchSeed})
-		last = experiment.RunApp(app, p, mode)
-	}
-	reportRun(b, last)
-}
-
-// BenchmarkFig6Psirrfan regenerates the three curves of Figure 6 at the
-// paper's processor counts.
-func BenchmarkFig6Psirrfan(b *testing.B) {
-	for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
-		for _, p := range []int{128, 256, 512, 768, 1024, 1280} {
-			b.Run(fmt.Sprintf("%s/p=%d", mode, p), func(b *testing.B) {
-				benchMode(b, p, mode)
-			})
-		}
-	}
-}
-
-// BenchmarkFig6Series prints the complete Figure 6 table once per run.
-func BenchmarkFig6Series(b *testing.B) {
-	var series []*trace.Series
-	for i := 0; i < b.N; i++ {
-		series = experiment.Figure6(fig6N, benchSeed,
-			[]int{128, 256, 512, 768, 1024, 1280})
-	}
-	b.Log("\n" + trace.Table("Figure 6: Psirrfan", "procs", series,
-		trace.Result.Speedup, "speedup"))
-}
-
-// BenchmarkTable1Climate regenerates the climate-model rows. Paper
-// values: TAPER@512 87% (445), TAPER@1024 57% (581), split@1024 83%
-// (850).
-func BenchmarkTable1Climate(b *testing.B) {
-	configs := []struct {
-		name string
-		p    int
-		mode rts.Mode
-	}{
-		{"TAPER/p=512", 512, rts.ModeTaper},
-		{"TAPER/p=1024", 1024, rts.ModeTaper},
-		{"TAPER+split/p=1024", 1024, rts.ModeSplit},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			var last trace.Result
-			for i := 0; i < b.N; i++ {
-				app := workload.Climate(workload.Config{N: climateN, Seed: benchSeed})
-				last = experiment.RunApp(app, c.p, c.mode)
-			}
-			reportRun(b, last)
-		})
-	}
-}
-
-// BenchmarkTable2Doubling regenerates the doubling table: with split,
-// doubling the processors loses only five to fifteen percent
-// efficiency on each application.
-func BenchmarkTable2Doubling(b *testing.B) {
-	var rows []experiment.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = experiment.Table2(climateN, benchSeed, 512)
-	}
-	b.Log("\n" + experiment.FormatTable2(rows))
-	for _, r := range rows {
-		b.ReportMetric(r.LossPoints, r.App+"-loss-pts")
-	}
-}
-
-// BenchmarkAblationCostFunction measures the s = μg/μc chunk scaling
-// on the spatially clustered vortex velocity operation.
-func BenchmarkAblationCostFunction(b *testing.B) {
-	var with, without trace.Result
-	for i := 0; i < b.N; i++ {
-		with, without = experiment.AblationCostFunction(fig6N, 256, benchSeed)
-	}
-	b.ReportMetric(with.Makespan, "with-makespan")
-	b.ReportMetric(without.Makespan, "without-makespan")
-}
-
-// BenchmarkAblationAllocation compares the iterative processor
-// allocation against a naive half/half division.
-func BenchmarkAblationAllocation(b *testing.B) {
-	var iterative, naive trace.Result
-	for i := 0; i < b.N; i++ {
-		iterative, naive = experiment.AblationAllocation(climateN, 512, benchSeed)
-	}
-	b.ReportMetric(iterative.Makespan, "iterative-makespan")
-	b.ReportMetric(naive.Makespan, "naive-makespan")
-}
-
-// BenchmarkAblationDistributed compares the distributed token-tree
-// scheme against a centralized task queue.
-func BenchmarkAblationDistributed(b *testing.B) {
-	var dist, central trace.Result
-	for i := 0; i < b.N; i++ {
-		dist, central = experiment.AblationDistributed(fig6N, 512, benchSeed)
-	}
-	b.ReportMetric(dist.Makespan, "distributed-makespan")
-	b.ReportMetric(central.Makespan, "central-makespan")
-	b.ReportMetric(float64(dist.Messages), "distributed-msgs")
-	b.ReportMetric(float64(central.Messages), "central-msgs")
-}
-
-// BenchmarkAblationMaxCount sweeps the allocation iteration bound (the
-// paper: "a max_count of four has been sufficient").
-func BenchmarkAblationMaxCount(b *testing.B) {
-	for _, mc := range []int{0, 1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("max_count=%d", mc), func(b *testing.B) {
-			var rs []trace.Result
-			for i := 0; i < b.N; i++ {
-				rs = experiment.AblationMaxCount(climateN, 512, benchSeed, []int{mc})
-			}
-			b.ReportMetric(rs[0].Makespan, "makespan")
-		})
-	}
-}
-
-// BenchmarkSchedulerPolicies compares the loop schedulers on one
-// irregular operation (an extension beyond the paper's figures: SS,
-// GSS, factoring, TAPER under the same distributed executor).
-func BenchmarkSchedulerPolicies(b *testing.B) {
-	app := workload.Psirrfan(workload.Config{N: fig6N, Seed: benchSeed})
-	spec := app.Bind("update")
-	spec.Op.Hint = nil // cold run: policies differ most without hints
-	cfg := machine.DefaultConfig(512)
-	procs := make([]int, 512)
-	for i := range procs {
-		procs[i] = i
-	}
-	policies := []struct {
-		name    string
-		factory sched.Factory
-	}{
-		{"SS", func() sched.Policy { return sched.SelfSched{} }},
-		{"GSS", func() sched.Policy { return sched.GSS{} }},
-		{"factoring", func() sched.Policy { return &sched.Factoring{} }},
-		{"TAPER", func() sched.Policy { return &sched.Taper{} }},
-		{"TAPER+costfn", func() sched.Policy { return &sched.Taper{UseCostFunction: true} }},
-	}
-	for _, pol := range policies {
-		b.Run(pol.name, func(b *testing.B) {
-			var last trace.Result
-			for i := 0; i < b.N; i++ {
-				last = sched.ExecuteDistributed(cfg, spec.Op, procs, pol.factory, obs.OpObs{})
-			}
-			b.ReportMetric(last.Makespan, "makespan")
-			b.ReportMetric(float64(last.Chunks), "chunks")
-		})
-	}
-}
 
 // BenchmarkNativeBackend runs the compiled running example on the
 // native goroutine backend with real array kernels — wall-clock

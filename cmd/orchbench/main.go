@@ -1,64 +1,47 @@
-// Command orchbench regenerates the paper's evaluation (§5): the
-// Figure 6 processor sweep for Psirrfan, the in-text climate-model
-// measurements (Table 1), the processor-doubling claim (Table 2), and
-// the design-choice ablations DESIGN.md lists.
-//
-// The native experiment is deliberately not part of "all": unlike the
-// simulated experiments it measures wall-clock time on this machine's
-// cores, so its numbers are noisy and host-dependent. It writes its
-// series to BENCH_native.json alongside the printed table.
+// Command orchbench regenerates the paper's evaluation (§5) on the
+// simulated machine: the Figure 6 processor sweep for Psirrfan, the
+// in-text climate-model measurements (Table 1), the processor-doubling
+// claim (Table 2), the design-choice ablations DESIGN.md lists, and
+// two extensions (loop-scheduler policies, K-timestep unrolling). The
+// simulator is deterministic, so the same flags print the same bytes.
+// Wall-clock numbers come from `go run ./bench` (bench/README.md).
 //
 // Usage:
 //
-//	orchbench [-exp fig6|table1|table2|ablations|native|all] [-n size] [-seed s]
-//	          [-modes static,taper,split|all]
+//	orchbench [-exp fig6|table1|table2|ablations|iterated|policies|all] [-n size] [-seed s]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 
-	"orchestra/internal/cliflag"
-	"orchestra/internal/dist"
 	"orchestra/internal/experiment"
 	"orchestra/internal/trace"
 	"orchestra/internal/workload"
 )
 
 func main() {
-	// The dist experiment's coordinator forks this binary as its
-	// workers; divert those forks before touching flags.
-	dist.MaybeWorker()
-	exp := flag.String("exp", "all", "experiment: fig6, table1, table2, ablations, iterated, policies, native, dist, hotpath, pipeline, search, nested, or all (the wall-clock experiments — native, dist, hotpath, pipeline, search, nested — are never part of all)")
-	n := flag.Int("n", 0, "problem size override (0 = per-experiment default)")
-	seed := flag.Uint64("seed", 7, "workload seed")
-	nativeOut := flag.String("native-out", "BENCH_native.json", "output file for the native experiment's series")
-	distOut := flag.String("dist-out", "BENCH_dist.json", "output file for the dist experiment's series")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "before/after file for the hotpath experiment")
-	pipelineOut := flag.String("pipeline-out", "BENCH_pipeline.json", "output file for the pipeline experiment's sweep")
-	searchOut := flag.String("search-out", "BENCH_search.json", "output file for the search experiment's report")
-	nestedOut := flag.String("nested-out", "BENCH_nested.json", "output file for the nested experiment's report")
-	repeats := flag.Int("repeats", 3, "search experiment: best-of-N repeats per measured program")
-	modesFlag := cliflag.Modes(flag.CommandLine, "modes", "all", "native experiment: modes to sweep (static, taper, split, all, or a comma list)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	modes := modesFlag.Modes()
-
-	run := map[string]bool{}
-	switch *exp {
-	case "all":
-		for _, e := range []string{"fig6", "table1", "table2", "ablations", "iterated", "policies"} {
-			run[e] = true
-		}
-	case "fig6", "table1", "table2", "ablations", "iterated", "policies", "native", "dist", "hotpath", "pipeline", "search", "nested":
-		run[*exp] = true
-	default:
-		fmt.Fprintf(os.Stderr, "orchbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("orchbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: fig6, table1, table2, ablations, iterated, policies, or all")
+	n := fs.Int("n", 0, "problem size override (0 = per-experiment default)")
+	seed := fs.Uint64("seed", 7, "workload seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	switch *exp {
+	case "all", "fig6", "table1", "table2", "ablations", "iterated", "policies":
+	default:
+		fmt.Fprintf(stderr, "orchbench: unknown experiment %q (want fig6, table1, table2, ablations, iterated, policies or all)\n", *exp)
+		return 2
+	}
+	on := func(e string) bool { return *exp == "all" || *exp == e }
 
 	size := func(def int) int {
 		if *n > 0 {
@@ -67,259 +50,64 @@ func main() {
 		return def
 	}
 
-	if run["fig6"] {
-		fmt.Println("=== Figure 6: Psirrfan performance (speedup vs processors) ===")
-		fmt.Println("paper: static flattens, TAPER sags past 512, TAPER+split sustains")
-		fmt.Println(">80% efficiency through 1024 processors")
-		fmt.Println()
+	if on("fig6") {
+		fmt.Fprintln(stdout, "=== Figure 6: Psirrfan performance (speedup vs processors) ===")
+		fmt.Fprintln(stdout, "paper: static flattens, TAPER sags past 512, TAPER+split sustains")
+		fmt.Fprintln(stdout, ">80% efficiency through 1024 processors")
+		fmt.Fprintln(stdout)
 		series := experiment.Figure6(size(4096), *seed,
 			[]int{128, 256, 384, 512, 640, 768, 896, 1024, 1152, 1280})
-		fmt.Print(trace.Table("Psirrfan", "procs", series, trace.Result.Speedup, "speedup"))
-		fmt.Println()
-		fmt.Print(trace.Table("Psirrfan", "procs", series,
+		fmt.Fprint(stdout, trace.Table("Psirrfan", "procs", series, trace.Result.Speedup, "speedup"))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Table("Psirrfan", "procs", series,
 			func(r trace.Result) float64 { return 100 * r.Efficiency() }, "efficiency %"))
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	if run["table1"] {
-		fmt.Println("=== Table 1: UCLA climate model, ~3200 grid cells ===")
-		fmt.Print(experiment.FormatTable1(experiment.Table1(size(3200), *seed)))
-		fmt.Println()
+	if on("table1") {
+		fmt.Fprintln(stdout, "=== Table 1: UCLA climate model, ~3200 grid cells ===")
+		fmt.Fprint(stdout, experiment.FormatTable1(experiment.Table1(size(3200), *seed)))
+		fmt.Fprintln(stdout)
 	}
 
-	if run["table2"] {
-		fmt.Println("=== Table 2: doubling processors with split (paper: 5-15% loss) ===")
-		fmt.Print(experiment.FormatTable2(experiment.Table2(size(3200), *seed, 512)))
-		fmt.Println()
+	if on("table2") {
+		fmt.Fprintln(stdout, "=== Table 2: doubling processors with split (paper: 5-15% loss) ===")
+		fmt.Fprint(stdout, experiment.FormatTable2(experiment.Table2(size(3200), *seed, 512)))
+		fmt.Fprintln(stdout)
 	}
 
-	if run["policies"] {
-		fmt.Println("=== Loop schedulers on one irregular operation (psirrfan update, cold, p=512) ===")
-		fmt.Print(experiment.FormatPolicies(experiment.Policies(size(4096), 512, *seed)))
-		fmt.Println()
+	if on("policies") {
+		fmt.Fprintln(stdout, "=== Loop schedulers on one irregular operation (psirrfan update, cold, p=512) ===")
+		fmt.Fprint(stdout, experiment.FormatPolicies(experiment.Policies(size(4096), 512, *seed)))
+		fmt.Fprintln(stdout)
 	}
 
-	if run["iterated"] {
-		fmt.Println("=== Extension: K-timestep unrolled dataflow (climate, K=8, p=1024) ===")
+	if on("iterated") {
+		fmt.Fprintln(stdout, "=== Extension: K-timestep unrolled dataflow (climate, K=8, p=1024) ===")
 		app := workload.Climate(workload.Config{N: size(3200), Seed: *seed})
 		taperSteps, splitSteps, unrolled := experiment.Iterated(app, 8, 1024)
-		fmt.Printf("  per-step TAPER (barriers):  makespan %8.1f  eff %5.1f%%\n", taperSteps.Makespan, 100*taperSteps.Efficiency())
-		fmt.Printf("  per-step split (barriers):  makespan %8.1f  eff %5.1f%%\n", splitSteps.Makespan, 100*splitSteps.Efficiency())
-		fmt.Printf("  unrolled dataflow:          makespan %8.1f  eff %5.1f%%\n", unrolled.Makespan, 100*unrolled.Efficiency())
-		fmt.Println()
+		fmt.Fprintf(stdout, "  per-step TAPER (barriers):  makespan %8.1f  eff %5.1f%%\n", taperSteps.Makespan, 100*taperSteps.Efficiency())
+		fmt.Fprintf(stdout, "  per-step split (barriers):  makespan %8.1f  eff %5.1f%%\n", splitSteps.Makespan, 100*splitSteps.Efficiency())
+		fmt.Fprintf(stdout, "  unrolled dataflow:          makespan %8.1f  eff %5.1f%%\n", unrolled.Makespan, 100*unrolled.Efficiency())
+		fmt.Fprintln(stdout)
 	}
 
-	if run["native"] {
-		workers := []int{1, 2, 4}
-		if g := runtime.GOMAXPROCS(0); g > 4 {
-			workers = append(workers, g)
-		}
-		fmt.Printf("=== Native backend: Psirrfan topology on goroutines (GOMAXPROCS=%d) ===\n", runtime.GOMAXPROCS(0))
-		fmt.Println("wall-clock measurements; CPU-spinning log-normal tasks, cv 1")
-		fmt.Println()
-		points := experiment.NativeSweep(size(2048), *seed, workers, 2000, modes)
-		fmt.Print(experiment.FormatNative(points))
-		file := struct {
-			Schema int                      `json:"schema"`
-			Points []experiment.NativePoint `json:"points"`
-		}{Schema: trace.SchemaVersion, Points: points}
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*nativeOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d points to %s\n\n", len(points), *nativeOut)
-	}
-
-	if run["dist"] {
-		// Wall-clock distributed measurements: forked worker processes
-		// over Unix sockets, with real protocol comm time set beside the
-		// simulator cost model's prediction, and an array-kernel digest
-		// cross-check against the native backend for every point.
-		workers := []int{1, 2, 4}
-		fmt.Printf("=== Dist backend: multi-process workers over Unix sockets (GOMAXPROCS=%d) ===\n", runtime.GOMAXPROCS(0))
-		fmt.Println("wall-clock measurements; CPU-spinning log-normal tasks, cv 1")
-		fmt.Println()
-		rep := experiment.DistSweep(size(1024), *seed, workers, 2000, modes)
-		fmt.Print(experiment.FormatDist(rep))
-		if !rep.DigestsAgree() {
-			fmt.Fprintln(os.Stderr, "orchbench: dist and native array-kernel digests differ")
-			os.Exit(1)
-		}
-		file := struct {
-			Schema int                   `json:"schema"`
-			Report experiment.DistReport `json:"report"`
-		}{Schema: trace.SchemaVersion, Report: rep}
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*distOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d points to %s\n\n", len(rep.Points), *distOut)
-	}
-
-	if run["hotpath"] {
-		// Wall-clock hot-path measurements with before/after bookkeeping:
-		// the first run records the "before" series into -hotpath-out, a
-		// later run (after an optimization) fills "after" and prints the
-		// deltas. Parameters are fixed so the two series are comparable.
-		workers := []int{1}
-		if g := runtime.GOMAXPROCS(0); g > 1 {
-			workers = append(workers, g)
-		}
-		fmt.Printf("=== Hot-path: native backend + sim event loop (GOMAXPROCS=%d) ===\n\n", runtime.GOMAXPROCS(0))
-		rep := experiment.Hotpath(size(1024), *seed, workers, 2000, 1_000_000)
-		fmt.Print(experiment.FormatNative(rep.Native))
-		fmt.Printf("\nsim event loop: %d events, %.1f ns/event, %.3f allocs/event\n\n",
-			rep.SimEvents.Events, rep.SimEvents.NsPerEvent, rep.SimEvents.AllocsPerEvent)
-		var file struct {
-			Schema int                       `json:"schema"`
-			Before *experiment.HotpathReport `json:"before,omitempty"`
-			After  *experiment.HotpathReport `json:"after,omitempty"`
-		}
-		if data, err := os.ReadFile(*hotpathOut); err == nil {
-			// A file in an older (unversioned) format starts the
-			// before/after cycle over rather than failing the run.
-			if err := json.Unmarshal(data, &file); err != nil || file.Schema != trace.SchemaVersion {
-				fmt.Fprintf(os.Stderr, "orchbench: %s is not schema %d; starting a fresh before/after cycle\n",
-					*hotpathOut, trace.SchemaVersion)
-				file.Before, file.After = nil, nil
-			}
-		}
-		file.Schema = trace.SchemaVersion
-		if file.Before == nil {
-			file.Before = &rep
-			fmt.Printf("recorded the before series in %s\n\n", *hotpathOut)
-		} else {
-			file.After = &rep
-			fmt.Print(experiment.FormatHotpathDelta(*file.Before, rep))
-			fmt.Printf("\nrecorded the after series in %s\n\n", *hotpathOut)
-		}
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*hotpathOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-	}
-
-	if run["pipeline"] {
-		// Wall-clock cache-chain measurement: the MemChain bandwidth
-		// workload (five streaming kernels over 32 MB arrays at the
-		// default size) in split mode, chained vs unchained. The digest
-		// column proves both schedules produced identical bits.
-		workers := []int{1, 2, 4}
-		if g := runtime.GOMAXPROCS(0); g > 4 {
-			workers = append(workers, g)
-		}
-		fmt.Printf("=== Pipeline: cache chaining on the memory-bound chain (GOMAXPROCS=%d) ===\n\n", runtime.GOMAXPROCS(0))
-		rep := experiment.Pipeline(size(1<<22), *seed, workers, 3)
-		fmt.Print(experiment.FormatPipeline(rep))
-		if !rep.DigestsAgree() {
-			fmt.Fprintln(os.Stderr, "orchbench: chained and unchained digests differ")
-			os.Exit(1)
-		}
-		file := struct {
-			Schema int                       `json:"schema"`
-			Report experiment.PipelineReport `json:"report"`
-		}{Schema: trace.SchemaVersion, Report: rep}
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*pipelineOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d points to %s\n\n", len(rep.Points), *pipelineOut)
-	}
-
-	if run["search"] {
-		// Wall-clock profile-guided split search: always-seq vs
-		// always-split (wholesale, even on one worker) vs the program the
-		// search emits from a profile of the split run. The binder
-		// conserves work across graphs, and the digest column proves every
-		// program executed each original task exactly once.
-		workers := []int{1, 2, 4, 8}
-		fmt.Printf("=== Search: profile-guided split search (GOMAXPROCS=%d) ===\n\n", runtime.GOMAXPROCS(0))
-		rep := experiment.Search(size(1024), *seed, workers, 2000, *repeats)
-		fmt.Print(experiment.FormatSearch(rep))
-		if !rep.DigestsAgree() {
-			fmt.Fprintln(os.Stderr, "orchbench: searched-program coverage digests differ")
-			os.Exit(1)
-		}
-		file := struct {
-			Schema int                     `json:"schema"`
-			Report experiment.SearchReport `json:"report"`
-		}{Schema: trace.SchemaVersion, Report: rep}
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*searchOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d points to %s\n\n", len(rep.Points), *searchOut)
-	}
-
-	if run["nested"] {
-		// Nested-dataflow measurements: runtime expansion vs static
-		// unrolling of the same workloads, with a bitwise digest
-		// cross-check per point. Expansion must change scheduling only —
-		// a digest mismatch is a correctness failure, not noise.
-		procs := []int{1, 2, 4}
-		fmt.Printf("=== Nested: runtime expansion vs static unrolling (GOMAXPROCS=%d) ===\n\n", runtime.GOMAXPROCS(0))
-		rep := experiment.NestedSweep(size(512), procs, modes)
-		fmt.Print(experiment.FormatNested(rep))
-		if !rep.DigestsAgree() {
-			fmt.Fprintln(os.Stderr, "orchbench: nested and statically-unrolled digests differ")
-			os.Exit(1)
-		}
-		file := struct {
-			Schema int                     `json:"schema"`
-			Report experiment.NestedReport `json:"report"`
-		}{Schema: trace.SchemaVersion, Report: rep}
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*nestedOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "orchbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d points to %s\n\n", len(rep.Points), *nestedOut)
-	}
-
-	if run["ablations"] {
-		fmt.Println("=== Ablations ===")
+	if on("ablations") {
+		fmt.Fprintln(stdout, "=== Ablations ===")
 		w, wo := experiment.AblationCostFunction(size(4096), 256, *seed)
-		fmt.Printf("cost function (vortex velocity, p=256): with=%.1f without=%.1f (%.1f%% better)\n",
+		fmt.Fprintf(stdout, "cost function (vortex velocity, p=256): with=%.1f without=%.1f (%.1f%% better)\n",
 			w.Makespan, wo.Makespan, 100*(wo.Makespan-w.Makespan)/wo.Makespan)
 		it, na := experiment.AblationAllocation(size(3200), 512, *seed)
-		fmt.Printf("allocation (climate cloud+radI, p=512): iterative=%.1f naive-half=%.1f (%.1f%% better)\n",
+		fmt.Fprintf(stdout, "allocation (climate cloud+radI, p=512): iterative=%.1f naive-half=%.1f (%.1f%% better)\n",
 			it.Makespan, na.Makespan, 100*(na.Makespan-it.Makespan)/na.Makespan)
 		d, c := experiment.AblationDistributed(size(4096), 512, *seed)
-		fmt.Printf("distributed vs central (psirrfan update, p=512): distributed=%.1f central=%.1f; messages %d vs %d\n",
+		fmt.Fprintf(stdout, "distributed vs central (psirrfan update, p=512): distributed=%.1f central=%.1f; messages %d vs %d\n",
 			d.Makespan, c.Makespan, d.Messages, c.Messages)
-		fmt.Println("allocation max_count sweep (climate cloud+radI, p=512):")
+		fmt.Fprintln(stdout, "allocation max_count sweep (climate cloud+radI, p=512):")
 		for _, r := range experiment.AblationMaxCount(size(3200), 512, *seed, []int{0, 1, 2, 4, 8}) {
-			fmt.Printf("  %-12s makespan=%.1f\n", r.Name, r.Makespan)
+			fmt.Fprintf(stdout, "  %-12s makespan=%.1f\n", r.Name, r.Makespan)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

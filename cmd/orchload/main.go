@@ -1,9 +1,8 @@
 // Command orchload replays a stream of concurrent job submissions
 // against a running orchserve daemon and reports throughput and
-// latency percentiles — the serve benchmark. With -verify it also
-// checks end-to-end correctness: every job's result digest must be
-// bitwise identical to a local one-shot run of the same program on a
-// fresh native backend.
+// latency percentiles. With -verify it also checks end-to-end
+// correctness: every job's result digest must be bitwise identical to
+// a local one-shot run of the same program on a fresh native backend.
 //
 // Usage:
 //
@@ -11,8 +10,8 @@
 //	orchload -addr http://127.0.0.1:8021 -jobs 1000 -concurrency 16 \
 //	         -n 512 -verify examples/figure1.f
 //
-// The summary goes to stdout; the full series is written to -out
-// (default BENCH_serve.json, schema 1):
+// The summary goes to stdout; -out file.json additionally writes the
+// full series (schema 1):
 //
 //	{"schema": 1, "jobs": ..., "throughput_jps": ...,
 //	 "latency_s": {"mean": ..., "p50": ..., "p99": ..., "p999": ...},
@@ -44,7 +43,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchDoc is the BENCH_serve.json schema (schema 1).
+// benchDoc is the -out file's schema (schema 1).
 type benchDoc struct {
 	Schema           int        `json:"schema"`
 	Jobs             int        `json:"jobs"`
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	procs := fs.Int("p", 0, "per-job processor cap (0 = allocator's choice)")
 	mode := cliflag.Modes(fs, "mode", "split", "execution mode for every job")
 	verify := fs.Bool("verify", false, "compare every job's digest against a local one-shot run")
-	out := fs.String("out", "BENCH_serve.json", "benchmark output file (empty = none)")
+	out := fs.String("out", "", "also write the full series to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

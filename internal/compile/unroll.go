@@ -14,8 +14,8 @@ import (
 // its (recursively unrolled) sub-graph followed by the node itself as
 // a one-task join. The unrolled graph admits only schedules the nested
 // graph also admits, so a run of the flat graph is the reference a
-// nested run must match bitwise: orchbench's nested experiment and the
-// fuzzer's nested rung both check against it.
+// nested run must match bitwise: workload.TestNestedDCDigestParity and
+// the fuzzer's nested rung both check against it.
 //
 // Unrolling calls each ExpandFunc eagerly, before any operator has
 // executed. Rules that inspect predecessor data at runtime (adaptive

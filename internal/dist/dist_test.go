@@ -11,11 +11,13 @@ import (
 	"testing"
 
 	"orchestra/internal/core"
+	"orchestra/internal/delirium"
 	"orchestra/internal/dist"
 	"orchestra/internal/fault"
 	"orchestra/internal/native"
 	"orchestra/internal/rts"
 	"orchestra/internal/trace"
+	"orchestra/internal/workload"
 )
 
 // TestMain routes worker forks: the dist backend re-executes this test
@@ -74,13 +76,13 @@ func arrayBinding(n int) rts.Binding {
 // nativeDigest runs the graph on the in-process native backend from a
 // fresh binding and returns the resulting memory-image digest: the
 // reference every dist run must match bitwise.
-func nativeDigest(t *testing.T, out *core.Output, n, p int, mode rts.Mode) string {
+func nativeDigest(t *testing.T, g *delirium.Graph, n, p int, mode rts.Mode) string {
 	t.Helper()
-	bound, err := rts.Bind(out.Graph, arrayBinding(n))
+	bound, err := rts.Bind(g, arrayBinding(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (native.Backend{}).Run(out.Graph, bound, rts.RunOpts{Processors: p, Mode: mode}); err != nil {
+	if _, err := (native.Backend{}).Run(g, bound, rts.RunOpts{Processors: p, Mode: mode}); err != nil {
 		t.Fatal(err)
 	}
 	d, ok := bound.Digest()
@@ -90,13 +92,13 @@ func nativeDigest(t *testing.T, out *core.Output, n, p int, mode rts.Mode) strin
 	return d
 }
 
-func distRun(t *testing.T, out *core.Output, n, p int, opts rts.RunOpts) (trace.Result, string) {
+func distRun(t *testing.T, g *delirium.Graph, n, p int, opts rts.RunOpts) (trace.Result, string) {
 	t.Helper()
-	bound, err := rts.Bind(out.Graph, arrayBinding(n))
+	bound, err := rts.Bind(g, arrayBinding(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := (dist.Backend{Workers: p}).Run(out.Graph, bound, opts)
+	r, err := (dist.Backend{Workers: p}).Run(g, bound, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,26 +110,44 @@ func distRun(t *testing.T, out *core.Output, n, p int, opts rts.RunOpts) (trace.
 }
 
 // TestDistParityAllModes is the cross-process bitwise check: the same
-// program, bound by name to the array kernels, must end with exactly
-// the same memory image whether it ran in one address space or across
-// three forked worker processes — in every scheduling mode.
+// graph, bound by name to the array kernels, must end with exactly the
+// same memory image whether it ran in one address space or across
+// forked worker processes — in every scheduling mode. The compiled
+// sample runs at three workers; the Psirrfan and climate topologies
+// run at one, two and four (18 cells), each on the graph the workload
+// builds for that mode and worker count.
 func TestDistParityAllModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")
 	}
-	out := compileSample(t)
-	const n, p = 512, 3
-	for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
-		want := nativeDigest(t, out, n, p, mode)
-		r, got := distRun(t, out, n, p, rts.RunOpts{Processors: p, Mode: mode})
-		if got != want {
-			t.Errorf("%v: dist digest %s != native digest %s", mode, got, want)
-		}
-		if r.Makespan <= 0 {
-			t.Errorf("%v: no measured makespan", mode)
-		}
-		if r.Processors != p {
-			t.Errorf("%v: result reports %d processors, want %d", mode, r.Processors, p)
+	const n = 512
+	sample := compileSample(t).Graph
+	cfg := workload.Config{N: n, Seed: 7}
+	cases := []struct {
+		name  string
+		graph func(rts.Mode, int) *delirium.Graph
+		procs []int
+	}{
+		{"sample", func(rts.Mode, int) *delirium.Graph { return sample }, []int{3}},
+		{"psirrfan", workload.Psirrfan(cfg).GraphFor, []int{1, 2, 4}},
+		{"climate", workload.Climate(cfg).GraphFor, []int{1, 2, 4}},
+	}
+	for _, c := range cases {
+		for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
+			for _, p := range c.procs {
+				g := c.graph(mode, p)
+				want := nativeDigest(t, g, n, p, mode)
+				r, got := distRun(t, g, n, p, rts.RunOpts{Processors: p, Mode: mode})
+				if got != want {
+					t.Errorf("%s/%v/p=%d: dist digest %s != native digest %s", c.name, mode, p, got, want)
+				}
+				if r.Makespan <= 0 {
+					t.Errorf("%s/%v/p=%d: no measured makespan", c.name, mode, p)
+				}
+				if r.Processors != p {
+					t.Errorf("%s/%v/p=%d: result reports %d processors", c.name, mode, p, r.Processors)
+				}
+			}
 		}
 	}
 }
@@ -140,7 +160,7 @@ func TestDistCommMeasured(t *testing.T) {
 		t.Skip("forks worker processes")
 	}
 	out := compileSample(t)
-	r, _ := distRun(t, out, 512, 3, rts.RunOpts{Processors: 3, Mode: rts.ModeSplit})
+	r, _ := distRun(t, out.Graph, 512, 3, rts.RunOpts{Processors: 3, Mode: rts.ModeSplit})
 	if r.Chunks <= 0 {
 		t.Error("no chunks recorded")
 	}
@@ -165,8 +185,8 @@ func TestDistKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeSplit} {
-		want := nativeDigest(t, out, n, p, mode)
-		r, got := distRun(t, out, n, p, rts.RunOpts{Processors: p, Mode: mode, Fault: plan})
+		want := nativeDigest(t, out.Graph, n, p, mode)
+		r, got := distRun(t, out.Graph, n, p, rts.RunOpts{Processors: p, Mode: mode, Fault: plan})
 		if got != want {
 			t.Errorf("%v: digest after worker crash %s != undisturbed native %s", mode, got, want)
 		}

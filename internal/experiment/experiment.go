@@ -1,8 +1,9 @@
 // Package experiment regenerates the paper's evaluation (§5): the
 // Figure 6 processor sweep for Psirrfan, the in-text climate-model
 // measurements (Table 1), and the processor-doubling table (Table 2),
-// plus the ablations DESIGN.md lists. cmd/orchbench and the repository
-// benchmarks both drive these entry points.
+// plus the ablations DESIGN.md lists — all on the simulated machine.
+// cmd/orchbench and examples/{climate,tomography} drive these entry
+// points.
 package experiment
 
 import (

@@ -177,9 +177,9 @@ func TestNativeFaultRejections(t *testing.T) {
 
 // BenchmarkHotpathFaultDisabled measures a full native run with the
 // fault machinery compiled in but no plan injected — the cost the
-// nil-plan branches add to the scheduling hot path. The end-to-end
-// bound is the 2% regression guard on BENCH_hotpath.json; this
-// benchmark localizes a violation to the fault gates.
+// nil-plan branches add to the scheduling hot path. End to end that
+// cost shows in bench's native.overhead_us_per_chunk; this benchmark
+// localizes a regression to the fault gates.
 func BenchmarkHotpathFaultDisabled(b *testing.B) {
 	out, err := core.CompileSource(quickstartProgram, core.DefaultOptions())
 	if err != nil {

@@ -276,9 +276,8 @@ func SpinBinder(g *delirium.Graph, count func(node *delirium.Node) int, cv float
 }
 
 // Spin burns approximately iters iterations of floating-point work.
-// Exported for binders elsewhere (the search benchmark's
-// work-conserving binder) that need the same calibrated busy-loop
-// SpinBinder uses.
+// Exported for binders elsewhere (bench/conserve.go's work-conserving
+// binder) that need the same calibrated busy-loop SpinBinder uses.
 func Spin(iters int) { spin(iters) }
 
 // spin burns approximately iters iterations of floating-point work.

@@ -138,8 +138,8 @@ func TestConcurrentEmission(t *testing.T) {
 }
 
 // BenchmarkEmitDisabled measures the nil-sink fast path: the cost a
-// disabled run pays per would-be event. This is the overhead the
-// 2%-regression guard on the hotpath benchmarks bounds end to end.
+// disabled run pays per would-be event; end to end it is part of
+// bench's native.overhead_us_per_chunk.
 func BenchmarkEmitDisabled(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()

@@ -60,8 +60,8 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // ParseModes resolves a -mode flag value: a single mode name, "all"
-// for every mode, or a comma-separated list. Both orchrun and
-// orchbench parse their mode flags through this helper.
+// for every mode, or a comma-separated list. Every CLI mode flag
+// (internal/cliflag) parses through this helper.
 func ParseModes(s string) ([]Mode, error) {
 	if strings.EqualFold(s, "all") {
 		return []Mode{ModeStatic, ModeTaper, ModeSplit}, nil

@@ -85,7 +85,7 @@ type RunOpts struct {
 	// chains edges whose kernels carry compatible split annotations
 	// (or that the compiler marked Chain); ChainOff disables chaining
 	// so every pipelined edge keeps the prefix-gate path — the
-	// before/after knob the pipeline benchmarks flip. The simulator
+	// before/after knob bench's native-memchain workload flips. The simulator
 	// ignores it.
 	Chain ChainPolicy
 }

@@ -178,6 +178,57 @@ func TestHybridCandidatesPsirrfan(t *testing.T) {
 	}
 }
 
+// TestHybridCandidatesCoverEveryTask executes every hybrid program:
+// whichever subset of rewrites a candidate keeps, and whichever edges
+// it un-pipelines, running its graph must execute each task of each
+// original phase exactly once. Part operators map their indices back
+// to the phase through the workload's part metadata, so structurally
+// different graphs fill the same counters.
+func TestHybridCandidatesCoverEveryTask(t *testing.T) {
+	const p = 4
+	for _, app := range workload.All(256, 11) {
+		cands, err := HybridCandidates(app.SeqGraph, app.SplitGraph, originOf(app))
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		for _, c := range cands {
+			counts := map[string][]int{}
+			for _, ph := range app.Phases() {
+				counts[ph] = make([]int, app.Bind(ph).Op.N)
+			}
+			bind := func(name string) rts.OpSpec {
+				spec := app.Bind(name)
+				part, ok := app.PartOrigin(name)
+				if !ok {
+					part = workload.Part{Phase: name}
+				}
+				base := spec.Op.Time
+				spec.Op.Time = func(i int) float64 {
+					o := i
+					if part.Index != nil {
+						o = part.Index[i]
+					}
+					counts[part.Phase][o]++
+					return base(i)
+				}
+				spec.Op.TimeRange = nil // fused chunks would bypass the counter
+				return spec
+			}
+			if _, err := rts.RunGraph(machine.DefaultConfig(p), c.Graph, bind,
+				rts.RunOpts{Processors: p, Mode: rts.ModeSplit}); err != nil {
+				t.Fatalf("%s/%s: %v", app.Name, c.ID, err)
+			}
+			for ph, cnt := range counts {
+				for i, n := range cnt {
+					if n != 1 {
+						t.Fatalf("%s/%s: task %s[%d] executed %d times, want 1", app.Name, c.ID, ph, i, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGraphCandidatesOnlyWeaken(t *testing.T) {
 	app := workload.EMU(workload.Config{N: 128, Seed: 3})
 	cands := GraphCandidates(app.SplitGraph)
@@ -197,9 +248,9 @@ func TestGraphCandidatesOnlyWeaken(t *testing.T) {
 	}
 }
 
-// TestSearchKeepsSeqOnOneWorker is the regression the hotpath benchmark
-// demanded: with one worker nothing overlaps, so the profitable subset
-// of the split transformation is empty and the search must emit the
+// TestSearchKeepsSeqOnOneWorker is the one-worker regression test:
+// with one worker nothing overlaps, so the profitable subset of the
+// split transformation is empty and the search must emit the
 // sequential program rather than pay the split graph's bookkeeping.
 func TestSearchKeepsSeqOnOneWorker(t *testing.T) {
 	app := workload.Psirrfan(workload.Config{N: 1024, Seed: 11})

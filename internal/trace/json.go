@@ -6,8 +6,8 @@ import (
 )
 
 // SchemaVersion is the version tag every serialized Result carries.
-// BENCH_*.json files, trace exports and experiment reports all embed
-// Results, so the encoding is versioned explicitly: a reader checks the
+// Trace exports, orchload's -out file and the daemon's job status all
+// embed Results, so the encoding is versioned explicitly: a reader checks the
 // tag instead of guessing from field shapes, and old files fail loudly
 // rather than decoding into zero values.
 const SchemaVersion = 1

@@ -21,7 +21,7 @@ import (
 // every intermediate array to DRAM and back once per stage; cache
 // chaining (internal/native's split-annotation scheduler) instead runs
 // each ~64 KB block through all stages while it is L2-resident, which
-// is exactly the traffic the pipeline benchmark measures.
+// is exactly the traffic bench's native-memchain workload measures.
 //
 // Every kernel writes only its own elements as a pure function of its
 // inputs (the native kernel contract), so any schedule either backend

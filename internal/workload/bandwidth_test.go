@@ -46,10 +46,9 @@ func TestMemChainParity(t *testing.T) {
 }
 
 // TestGraphForSingleWorker is the regression test for the 1-worker
-// split pessimization: the hotpath benchmark measured TAPER+split
-// ≈1.7× slower than plain TAPER on one worker (nothing to overlap,
-// all the bookkeeping), so GraphFor must never hand out the split
-// graph at workers == 1.
+// split pessimization: TAPER+split measured ≈1.7× slower than plain
+// TAPER on one worker (nothing to overlap, all the bookkeeping), so
+// GraphFor must never hand out the split graph at workers == 1.
 func TestGraphForSingleWorker(t *testing.T) {
 	for _, app := range workload.All(500, 11) {
 		if g := app.GraphFor(rts.ModeSplit, 1); g != app.SeqGraph {

@@ -98,9 +98,9 @@ func (a *App) Bind(name string) rts.OpSpec {
 // count. Split mode runs the transformed graph only when more than
 // one worker can exploit the exposed concurrency: on a single worker
 // the split graph's extra operators and pipelined-delivery bookkeeping
-// are pure overhead with nothing to overlap (the hotpath benchmark
-// measured TAPER+split ≈1.7× slower than plain TAPER on one-worker
-// psirrfan), so wholesale split is never applied at workers == 1.
+// are pure overhead with nothing to overlap (TAPER+split measured
+// ≈1.7× slower than plain TAPER on one-worker psirrfan), so wholesale
+// split is never applied at workers == 1.
 func (a *App) GraphFor(mode rts.Mode, workers int) *delirium.Graph {
 	if mode == rts.ModeSplit && workers > 1 {
 		return a.SplitGraph
