@@ -105,6 +105,10 @@ func Table2(n int, seed uint64, p int) []Table2Row {
 	return rows
 }
 
+// taperCost is TAPER with the learned cost function, as ModeTaper and
+// ModeSplit run it.
+func taperCost() sched.Policy { return &sched.Taper{UseCostFunction: true} }
+
 // AblationCostFunction compares TAPER with and without the learned
 // cost function (§4.1.1: the runtime "does additional sampling of task
 // costs to build a cost function") on one irregular operation: with it,
@@ -117,8 +121,7 @@ func AblationCostFunction(n, p int, seed uint64) (with, without trace.Result) {
 	cold.Hint = nil
 	cfg := machine.DefaultConfig(p)
 	procs := idents(p)
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	with = sched.ExecuteDistributed(cfg, spec.Op, procs, factory, obs.OpObs{})
+	with = sched.ExecuteDistributed(cfg, spec.Op, procs, taperCost, obs.OpObs{})
 	without = sched.ExecuteDistributed(cfg, cold, procs,
 		func() sched.Policy { return &sched.Taper{UseCostFunction: false} }, obs.OpObs{})
 	return with, without
@@ -126,16 +129,32 @@ func AblationCostFunction(n, p int, seed uint64) (with, without trace.Result) {
 
 // AblationAllocation compares the iterative processor-allocation
 // algorithm against a naive half/half division for a concurrent
-// irregular/regular pair.
+// irregular/regular pair, each operation on the processor subset the
+// allocation gave it.
 func AblationAllocation(n, p int, seed uint64) (iterative, naive trace.Result) {
 	app := workload.Climate(workload.Config{N: n, Seed: seed})
-	specs := []rts.OpSpec{app.Bind("cloud"), app.Bind("radI")}
+	a, b := app.Bind("cloud"), app.Bind("radI")
 	cfg := machine.DefaultConfig(p)
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	alloc := rts.AllocateMany(cfg, specs, p, nil)
-	iterative = rts.ExecuteConcurrent(cfg, specs, alloc, factory)
-	naive = rts.ExecuteConcurrent(cfg, specs, []int{p / 2, p - p/2}, factory)
-	return iterative, naive
+	alloc := rts.AllocateMany(cfg, []rts.OpSpec{a, b}, p, nil)
+	return dedicated(cfg, a, b, alloc[0], alloc[1]), dedicated(cfg, a, b, p/2, p-p/2)
+}
+
+// dedicated measures an allocation the way §4.1.2 defines one: a runs
+// on its own p1 processors and b on the next p2, TAPER within each
+// subset and nothing crossing between them. The pair finishes when the
+// slower side does.
+func dedicated(cfg machine.Config, a, b rts.OpSpec, p1, p2 int) trace.Result {
+	procs := idents(p1 + p2)
+	ra := sched.ExecuteDistributed(cfg, a.Op, procs[:p1], taperCost, obs.OpObs{})
+	rb := sched.ExecuteDistributed(cfg, b.Op, procs[p1:], taperCost, obs.OpObs{})
+	return trace.Result{
+		Processors: p1 + p2,
+		Makespan:   max(ra.Makespan, rb.Makespan),
+		SeqTime:    ra.SeqTime + rb.SeqTime,
+		Chunks:     ra.Chunks + rb.Chunks,
+		Steals:     ra.Steals + rb.Steals,
+		Messages:   ra.Messages + rb.Messages,
+	}
 }
 
 // AblationDistributed compares the distributed (owner-computes +
@@ -145,27 +164,31 @@ func AblationDistributed(n, p int, seed uint64) (distributed, central trace.Resu
 	app := workload.Psirrfan(workload.Config{N: n, Seed: seed})
 	spec := app.Bind("update")
 	cfg := machine.DefaultConfig(p)
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	distributed = sched.ExecuteDistributed(cfg, spec.Op, idents(p), factory, obs.OpObs{})
-	central = sched.ExecuteCentral(cfg, spec.Op, idents(p), factory, obs.OpObs{})
+	distributed = sched.ExecuteDistributed(cfg, spec.Op, idents(p), taperCost, obs.OpObs{})
+	central = sched.ExecuteCentral(cfg, spec.Op, idents(p), taperCost, obs.OpObs{})
 	return distributed, central
 }
 
 // AblationMaxCount sweeps the allocation iteration bound, reporting
-// the concurrent makespan for each setting (the paper: "using a
-// max_count of four has been sufficient").
+// the pair's makespan on the dedicated subsets each setting yields (the
+// paper: "using a max_count of four has been sufficient"). A count of
+// zero is no iteration at all: the half/half division the algorithm
+// starts from, which rts.Allocate cannot be asked for because it reads
+// a non-positive bound as DefaultMaxCount.
 func AblationMaxCount(n, p int, seed uint64, counts []int) []trace.Result {
 	app := workload.Climate(workload.Config{N: n, Seed: seed})
 	a, b := app.Bind("cloud"), app.Bind("radI")
 	cfg := machine.DefaultConfig(p)
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
 	var out []trace.Result
 	for _, mc := range counts {
-		p1, p2 := rts.Allocate(
-			func(q int) float64 { return rts.FinishEstimate(cfg, a, q).Total() },
-			func(q int) float64 { return rts.FinishEstimate(cfg, b, q).Total() },
-			p, mc, rts.DefaultEpsilon)
-		r := rts.ExecuteConcurrent(cfg, []rts.OpSpec{a, b}, []int{p1, p2}, factory)
+		p1, p2 := p/2, p-p/2
+		if mc > 0 {
+			p1, p2 = rts.Allocate(
+				func(q int) float64 { return rts.FinishEstimate(cfg, a, q).Total() },
+				func(q int) float64 { return rts.FinishEstimate(cfg, b, q).Total() },
+				p, mc, rts.DefaultEpsilon)
+		}
+		r := dedicated(cfg, a, b, p1, p2)
 		r.Name = fmt.Sprintf("max_count=%d", mc)
 		out = append(out, r)
 	}
@@ -231,7 +254,7 @@ func Policies(n, p int, seed uint64) []PolicyRow {
 		{"GSS", func() sched.Policy { return sched.GSS{} }},
 		{"factoring", func() sched.Policy { return &sched.Factoring{} }},
 		{"TAPER", func() sched.Policy { return &sched.Taper{} }},
-		{"TAPER+costfn", func() sched.Policy { return &sched.Taper{UseCostFunction: true} }},
+		{"TAPER+costfn", taperCost},
 	}
 	var out []PolicyRow
 	for _, r := range rows {

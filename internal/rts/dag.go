@@ -443,7 +443,7 @@ func (r *dagRun) taperChunk(gp, o int, scaleAt int) int {
 	op := &r.ops[o]
 	k := op.taper.NextChunk(op.unsched, r.live, op.tstats)
 	if scaleAt >= 0 {
-		k = clampInt(op.taper.ScaleChunk(k, scaleAt, op.tstats), op.unsched)
+		k = max(1, min(op.taper.ScaleChunk(k, scaleAt, op.tstats), op.unsched))
 	}
 	if r.rec != nil {
 		r.rec.Taper(gp, o, op.unsched, k, int(op.tstats.Global.N()),
@@ -484,40 +484,11 @@ func (r *dagRun) tryDispatch(gp, o int) bool {
 func (r *dagRun) steal(gp, o, limit, open int) bool {
 	op := &r.ops[o]
 	globalMean := op.tstats.Global.Mean()
-	victim := -1
-	victimEn := 0
-	bestTime := 0.0
-	opRemaining := 0.0
-	for v := range op.queues {
-		if op.queues[v].Remaining() == 0 {
-			continue
-		}
-		rate := globalMean
-		if op.done[v] > 0 && op.spent[v]/float64(op.done[v]) > rate {
-			rate = op.spent[v] / float64(op.done[v])
-		}
-		est := op.queues[v].EstRemaining(rate)
-		opRemaining += est
-		// A queue whose front task sits beyond the gate has nothing
-		// stealable right now, however much work it holds.
-		en := op.queues[v].EnabledPrefix(limit)
-		if en == 0 {
-			continue
-		}
-		// Any nonempty queue qualifies: before the first sample the
-		// time estimate is zero for every queue, and a strict
-		// greater-than would leave an untouched operator unstealable
-		// forever.
-		if victim < 0 || est > bestTime {
-			bestTime = est
-			victim = v
-			victimEn = en
-		}
-	}
+	victim, opRemaining := sched.Victim(op.queues, op.done, op.spent, globalMean, limit)
 	if victim < 0 {
 		return false
 	}
-	k := min(r.taperChunk(gp, o, -1), open, victimEn)
+	k := min(r.taperChunk(gp, o, -1), open, op.queues[victim].EnabledPrefix(limit))
 	// A thief takes at most a fair per-processor share of the
 	// operator's remaining work, and never more than half the
 	// victim's queue.

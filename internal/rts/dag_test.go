@@ -239,6 +239,97 @@ func TestExecuteDAGAbsorbsIrregularity(t *testing.T) {
 	}
 }
 
+// TestTwoOperatorGraphs holds, through RunGraph, what the paper claims
+// of a pair of parallel operations. Each row runs one pair under
+// several graph shapes — no edge (concurrent), a per-task edge with or
+// without Pipelined, and the same graph barriered under ModeTaper — and
+// expects their makespans in strictly increasing order. Every run must
+// call each task body exactly once and account for the pair's whole
+// sequential time; a dataflow run must also have kept its processors
+// at least that busy.
+func TestTwoOperatorGraphs(t *testing.T) {
+	type shape struct {
+		label       string
+		edge, piped bool
+		mode        Mode
+	}
+	var (
+		concurrent = shape{"concurrent", false, false, ModeSplit}
+		phases     = shape{"barriered phases", false, false, ModeTaper}
+		pipelined  = shape{"pipelined edge", true, true, ModeSplit}
+		plain      = shape{"plain edge", true, false, ModeSplit}
+		barriered  = shape{"barriered TAPER", true, false, ModeTaper}
+	)
+	for _, tc := range []struct {
+		name  string
+		p     int
+		a, b  OpSpec
+		order []shape
+	}{
+		// The paper's key claim: running an irregular operation
+		// concurrently with a regular one lets the runtime smooth the
+		// load, beating the barrier execution of the two.
+		{"concurrent-smooths-irregularity", 128, irregularSpec(2048, 11), uniformSpec(2048, 2),
+			[]shape{concurrent, phases}},
+		// A producer with a log-normal tail fed into a regular
+		// consumer: the pipelined gate overlaps the tail, the plain edge
+		// waits for the producer's last task, and barriers also keep the
+		// consumer off the processors the tail leaves idle.
+		{"pipelined-beats-plain-beats-barrier", 64, irregularSpec(2048, 17), uniformSpec(2048, 1.5),
+			[]shape{pipelined, plain, barriered}},
+		// A small balanced pair, nothing to overlap: the gate must
+		// still release every consumer task.
+		{"pipelined-completes-all-work", 8, uniformSpec(100, 1), uniformSpec(100, 1),
+			[]shape{pipelined}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := tc.a.Op.TotalTime() + tc.b.Op.TotalTime()
+			prev := 0.0
+			for _, sh := range tc.order {
+				var edges [][2]string
+				if sh.edge {
+					edges = [][2]string{{"a", "b"}}
+				}
+				g := dagGraph(t, edges, map[[2]string]bool{{"a", "b"}: sh.piped}, "a", "b")
+				calls := map[string][]int{"a": make([]int, tc.a.Op.N), "b": make([]int, tc.b.Op.N)}
+				bind := func(name string) OpSpec {
+					spec := tc.a
+					if name == "b" {
+						spec = tc.b
+					}
+					body, n := spec.Op.Time, calls[name]
+					spec.Op.Time = func(i int) float64 { n[i]++; return body(i) }
+					return spec
+				}
+				r, err := RunGraph(machine.DefaultConfig(tc.p), g, bind, RunOpts{Processors: tc.p, Mode: sh.mode})
+				if err != nil {
+					t.Fatalf("%s: %v", sh.label, err)
+				}
+				for name, n := range calls {
+					checkAllExecuted(t, sh.label+"/"+name, n)
+				}
+				if r.SeqTime != seq {
+					t.Fatalf("%s: SeqTime %v, want %v", sh.label, r.SeqTime, seq)
+				}
+				if r.Makespan < seq/float64(tc.p) {
+					t.Fatalf("%s: impossible makespan %v", sh.label, r.Makespan)
+				}
+				busy := 0.0
+				for _, b := range r.Busy {
+					busy += b
+				}
+				if r.Busy != nil && busy < seq {
+					t.Fatalf("%s: lost work: busy=%v seq=%v", sh.label, busy, seq)
+				}
+				if r.Makespan <= prev {
+					t.Fatalf("%s (%v) should take longer than the shape before it (%v)", sh.label, r.Makespan, prev)
+				}
+				prev = r.Makespan
+			}
+		})
+	}
+}
+
 func TestExecuteDAGDeterministic(t *testing.T) {
 	g := dagGraph(t, [][2]string{{"a", "b"}}, nil, "a", "b")
 	bind := func(name string) OpSpec { return irregularSpec(512, 5) }

@@ -240,106 +240,6 @@ func TestChooseGranularity(t *testing.T) {
 	}
 }
 
-func TestExecuteConcurrentSmoothing(t *testing.T) {
-	// The paper's key claim: running an irregular op concurrently with
-	// a regular one lets the runtime smooth the load, beating the
-	// barrier execution of the two.
-	cfg := machine.DefaultConfig(128)
-	irr := irregularSpec(2048, 11)
-	reg := uniformSpec(2048, 2)
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-
-	alloc := AllocateMany(cfg, []OpSpec{irr, reg}, 128, nil)
-	conc := ExecuteConcurrent(cfg, []OpSpec{irr, reg}, alloc, factory)
-
-	procs := make([]int, 128)
-	for i := range procs {
-		procs[i] = i
-	}
-	b1 := sched.ExecuteDistributed(cfg, irr.Op, procs, factory, obs.OpObs{})
-	b2 := sched.ExecuteDistributed(cfg, reg.Op, procs, factory, obs.OpObs{})
-	barrier := b1.Makespan + b2.Makespan
-
-	if conc.Makespan >= barrier {
-		t.Fatalf("concurrent (%v) should beat barrier (%v)", conc.Makespan, barrier)
-	}
-	// All work must be executed.
-	var busy float64
-	for _, b := range conc.Busy {
-		busy += b
-	}
-	if busy < conc.SeqTime {
-		t.Fatalf("lost work: busy=%v seq=%v", busy, conc.SeqTime)
-	}
-}
-
-func TestExecuteConcurrentDeterministic(t *testing.T) {
-	cfg := machine.DefaultConfig(32)
-	specs := []OpSpec{irregularSpec(512, 13), uniformSpec(512, 1)}
-	factory := func() sched.Policy { return &sched.Taper{} }
-	alloc := AllocateMany(cfg, specs, 32, nil)
-	a := ExecuteConcurrent(cfg, specs, alloc, factory)
-	b := ExecuteConcurrent(cfg, specs, alloc, factory)
-	if a.Makespan != b.Makespan || a.Steals != b.Steals {
-		t.Fatal("concurrent execution not deterministic")
-	}
-}
-
-func TestExecuteConcurrentSingleOp(t *testing.T) {
-	cfg := machine.DefaultConfig(16)
-	spec := uniformSpec(1024, 1)
-	r := ExecuteConcurrent(cfg, []OpSpec{spec}, []int{16}, func() sched.Policy { return &sched.Taper{} })
-	if r.Efficiency() < 0.7 {
-		t.Fatalf("single-op concurrent eff = %v", r.Efficiency())
-	}
-}
-
-func TestExecutePipelinedBeatsBarrier(t *testing.T) {
-	cfg := machine.DefaultConfig(64)
-	// A producer with a serial-ish tail fed into a consumer: pipelining
-	// overlaps the two.
-	prod := irregularSpec(2048, 17)
-	cons := uniformSpec(2048, 1.5)
-	m := ChooseGranularity(cfg, 2048, 64)
-	pProd, pCons := AllocateSpecs(cfg, prod, cons, 64)
-	pipe := ExecutePipelined(cfg, prod, cons, pProd, pCons, m)
-	barrier := ExecuteBarrier(cfg, prod, cons, 64, func() sched.Policy { return &sched.Taper{} })
-	if pipe.Makespan >= barrier.Makespan {
-		t.Fatalf("pipelined (%v) should beat barrier (%v)", pipe.Makespan, barrier.Makespan)
-	}
-}
-
-func TestExecutePipelinedCompletesAllWork(t *testing.T) {
-	cfg := machine.DefaultConfig(8)
-	prod := uniformSpec(100, 1)
-	cons := uniformSpec(100, 1)
-	r := ExecutePipelined(cfg, prod, cons, 4, 4, 10)
-	var busy float64
-	for _, b := range r.Busy {
-		busy += b
-	}
-	if busy < r.SeqTime {
-		t.Fatalf("lost work: busy=%v seq=%v", busy, r.SeqTime)
-	}
-	if r.Makespan < r.SeqTime/8 {
-		t.Fatalf("impossible makespan %v", r.Makespan)
-	}
-}
-
-func TestPipelineBatchExtremes(t *testing.T) {
-	cfg := machine.DefaultConfig(16)
-	prod := uniformSpec(512, 1)
-	cons := uniformSpec(512, 1)
-	// Batch = n degenerates toward barrier behaviour (consumer waits
-	// for everything); tiny batches pay message overhead. A moderate
-	// batch should beat batch = n.
-	all := ExecutePipelined(cfg, prod, cons, 8, 8, 512)
-	mid := ExecutePipelined(cfg, prod, cons, 8, 8, 32)
-	if mid.Makespan >= all.Makespan {
-		t.Fatalf("mid batch (%v) should beat full batch (%v)", mid.Makespan, all.Makespan)
-	}
-}
-
 func TestFinishEstimateTracksReality(t *testing.T) {
 	// Equation (1) is used to RANK allocations, so it must track the
 	// simulator within a modest factor across operation shapes and
@@ -376,20 +276,29 @@ func TestFinishEstimateTracksReality(t *testing.T) {
 
 func TestEstimateRanksAllocations(t *testing.T) {
 	// The estimator's real job: given two operations, the allocation it
-	// prefers should execute no worse than allocations it rejects.
+	// prefers should execute no worse than allocations it rejects —
+	// each operation on its own dedicated subset, as §4.1.2 defines an
+	// allocation, so nothing smooths a bad one over.
 	cfg := machine.DefaultConfig(256)
 	a := irregularSpec(4096, 23)
 	b := uniformSpec(2048, 1)
 	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
+	procs := make([]int, 256)
+	for i := range procs {
+		procs[i] = i
+	}
+	dedicated := func(p1, p2 int) float64 {
+		return max(
+			sched.ExecuteDistributed(cfg, a.Op, procs[:p1], factory, obs.OpObs{}).Makespan,
+			sched.ExecuteDistributed(cfg, b.Op, procs[p1:p1+p2], factory, obs.OpObs{}).Makespan)
+	}
 
 	p1, p2 := AllocateSpecs(cfg, a, b, 256)
-	chosen := ExecuteConcurrent(cfg, []OpSpec{a, b}, []int{p1, p2}, factory)
+	chosen := dedicated(p1, p2)
 	// Compare against two deliberately bad splits.
 	for _, bad := range [][2]int{{32, 224}, {224, 32}} {
-		r := ExecuteConcurrent(cfg, []OpSpec{a, b}, []int{bad[0], bad[1]}, factory)
-		if chosen.Makespan > 1.15*r.Makespan {
-			t.Errorf("chosen %d/%d (%v) much worse than %v (%v)",
-				p1, p2, chosen.Makespan, bad, r.Makespan)
+		if r := dedicated(bad[0], bad[1]); chosen > 1.15*r {
+			t.Errorf("chosen %d/%d (%v) much worse than %v (%v)", p1, p2, chosen, bad, r)
 		}
 	}
 }
@@ -405,55 +314,5 @@ func TestChoosePairGranularity(t *testing.T) {
 	tiny := uniformSpec(4, 1)
 	if ChoosePairGranularity(cfg, tiny, 2, 64) < 1 {
 		t.Fatal("degenerate granularity")
-	}
-}
-
-// TestLegacyExecutorsCallEachBodyOnce: the two-operator executors call
-// each task body exactly once, inside a chunk, and report the
-// sequential time TotalTime would.
-func TestLegacyExecutorsCallEachBodyOnce(t *testing.T) {
-	const n = 240
-	cfg := machine.DefaultConfig(8)
-	cost := func(i int) float64 { return 1 + float64(i%5)/3 }
-	seq := sched.Op{N: n, Time: cost}.TotalTime()
-	runs := map[string]func(a, b OpSpec) float64{
-		"pipelined": func(a, b OpSpec) float64 { return ExecutePipelined(cfg, a, b, 4, 4, 16).SeqTime },
-		"concurrent": func(a, b OpSpec) float64 {
-			return ExecuteConcurrent(cfg, []OpSpec{a, b}, []int{4, 4}, func() sched.Policy { return &sched.Taper{} }).SeqTime
-		},
-	}
-	for name, run := range runs {
-		calls := [2][]int{make([]int, n), make([]int, n)}
-		spec := func(side int) OpSpec {
-			return OpSpec{Op: sched.Op{Name: name, N: n, Bytes: 64, Time: func(i int) float64 {
-				calls[side][i]++
-				return cost(i)
-			}}, Mu: 1.7, Sigma: 0.5}
-		}
-		got := run(spec(0), spec(1))
-		for side := range calls {
-			for i, c := range calls[side] {
-				if c != 1 {
-					t.Fatalf("%s: operator %d task %d body called %d times, want 1", name, side, i, c)
-				}
-			}
-		}
-		if got != seq+seq {
-			t.Fatalf("%s: SeqTime %v, want %v", name, got, seq+seq)
-		}
-	}
-}
-
-// TestExecuteConcurrentStealsFromUnsampledOp: a processor whose own
-// operation has nothing for it must be able to take work from a
-// concurrent operation nobody has sampled yet, when every queue's time
-// estimate is still zero.
-func TestExecuteConcurrentStealsFromUnsampledOp(t *testing.T) {
-	one, many := uniformSpec(1, 1), uniformSpec(200, 1)
-	r := ExecuteConcurrent(machine.DefaultConfig(3), []OpSpec{one, many}, []int{2, 1},
-		func() sched.Policy { return &sched.Taper{} })
-	// Processor 1 belongs to the one-task operation and owns none of it.
-	if r.Busy[1] == 0 {
-		t.Fatal("the idle processor of the small operation never took work from the other one")
 	}
 }

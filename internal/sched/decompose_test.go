@@ -182,3 +182,50 @@ func TestDecomposeSmallN(t *testing.T) {
 		t.Fatalf("covered %d of 5", total)
 	}
 }
+
+// TestVictim pins the re-assignment scan both simulated drivers share:
+// dagRun.steal calls it with the Frontier's gate limit,
+// ExecuteDistributedFault with the operation's task count.
+func TestVictim(t *testing.T) {
+	q := func(remHint float64, tasks ...int) TaskQueue { return TaskQueue{tasks: tasks, remHint: remHint} }
+	// A hinted queue taken to the end keeps whatever the float
+	// subtractions left in remHint.
+	emptied := TaskQueue{tasks: []int{0, 1}, pos: 2, remHint: 1e-13}
+	const n = 9 // every task index below is < n
+	for _, tc := range []struct {
+		name        string
+		queues      []TaskQueue
+		done        []int
+		spent       []float64
+		mean        float64
+		limit       int
+		victim      int
+		opRemaining float64
+	}{
+		{"all queues empty", []TaskQueue{q(0), emptied}, []int{0, 2}, []float64{0, 2}, 1, n, -1, 0},
+		// Before the first sample every estimate is zero; a non-empty
+		// queue must still be found.
+		{"no sample yet", []TaskQueue{q(0), q(0, 3, 4)}, []int{0, 0}, []float64{0, 0}, 0, n, 1, 0},
+		{"equal estimates keep the first", []TaskQueue{q(0, 0, 1), q(0, 2, 3)}, []int{0, 0}, []float64{0, 0}, 2, n, 0, 8},
+		// Owner 1 has been running at 10 per task against a mean of 2.
+		{"owner rate above the mean wins", []TaskQueue{q(0, 0, 1, 2), q(0, 3, 4)}, []int{4, 1}, []float64{4, 10}, 2, n, 1, 26},
+		{"owner rate below the mean is ignored", []TaskQueue{q(0, 0, 1, 2), q(0, 3, 4)}, []int{4, 1}, []float64{4, 1}, 2, n, 0, 10},
+		// Hinted queues run expensive-first: queue 0's front is task 8,
+		// beyond the gate, so its 100 units are counted but not offered.
+		{"front beyond the gate is skipped", []TaskQueue{q(100, 8, 2, 3), q(1, 0, 1)}, []int{0, 0}, []float64{0, 0}, 1, 4, 1, 101},
+		{"every front beyond the gate", []TaskQueue{q(100, 8, 2, 3), q(1, 5, 1)}, []int{0, 0}, []float64{0, 0}, 1, 4, -1, 101},
+		{"limit = N gates nothing", []TaskQueue{q(100, 8, 2, 3), q(1, 0, 1)}, []int{0, 0}, []float64{0, 0}, 1, n, 0, 101},
+		{"emptied queue's residue is not summed", []TaskQueue{emptied, q(5, 2)}, []int{2, 0}, []float64{2, 0}, 1, n, 1, 5},
+	} {
+		victim, opRemaining := Victim(tc.queues, tc.done, tc.spent, tc.mean, tc.limit)
+		if victim != tc.victim || opRemaining != tc.opRemaining {
+			t.Errorf("%s: victim %d, remaining %v; want %d, %v", tc.name, victim, opRemaining, tc.victim, tc.opRemaining)
+		}
+		if tc.limit == n {
+			// Ungated is limit = N: no larger limit changes the answer.
+			if v, rem := Victim(tc.queues, tc.done, tc.spent, tc.mean, math.MaxInt); v != victim || rem != opRemaining {
+				t.Errorf("%s: limit N gave %d, %v but MaxInt gave %d, %v", tc.name, victim, opRemaining, v, rem)
+			}
+		}
+	}
+}

@@ -68,19 +68,12 @@ func BlockBounds(j, n, p int) (lo, hi int) {
 	}
 	base := n / p
 	rem := n % p
-	lo = j*base + minInt(j, rem)
+	lo = j*base + min(j, rem)
 	hi = lo + base
 	if j < rem {
 		hi++
 	}
 	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // owner returns the balanced block-decomposition owner of task i among
@@ -348,30 +341,43 @@ func sortByHintDesc(tasks []int, hint func(int) float64) {
 	}
 }
 
-// MostLoaded picks the victim of a chunk re-assignment among one
+// Victim picks the queue a chunk re-assignment takes from, among one
 // operation's queues: the non-empty queue with the largest estimated
-// remaining time, -1 when all are empty. A queue's estimate uses its
-// owner's observed rate (spent time over done tasks) where that exceeds
-// the operation's mean. Any non-empty queue qualifies: before the first
-// sample every estimate is zero, and a strict greater-than would strand
-// the tasks of an owner that crashed before taking any.
-func MostLoaded(queues []TaskQueue, done []int, spent []float64, mean float64) int {
-	victim := -1
+// remaining time whose front task the gate has enabled (index below
+// limit), -1 when there is none. A queue's estimate uses its owner's
+// observed rate (spent time over done tasks) where that exceeds the
+// operation's mean. Any such queue qualifies: before the first sample
+// every estimate is zero, and a strict greater-than would strand the
+// tasks of an untouched operation, or of an owner that crashed before
+// taking any. A queue whose front sits beyond the gate has nothing
+// stealable right now, however much work it holds; an ungated caller
+// passes the operation's task count.
+//
+// opRemaining is the summed estimate of every non-empty queue, gated or
+// not, in queue order.
+func Victim(queues []TaskQueue, done []int, spent []float64, mean float64, limit int) (victim int, opRemaining float64) {
+	victim = -1
 	bestTime := 0.0
 	for v := range queues {
-		if queues[v].Remaining() == 0 {
+		q := &queues[v]
+		if q.Remaining() == 0 {
 			continue
 		}
 		rate := mean
 		if done[v] > 0 && spent[v]/float64(done[v]) > rate {
 			rate = spent[v] / float64(done[v])
 		}
-		if est := queues[v].EstRemaining(rate); victim < 0 || est > bestTime {
+		est := q.EstRemaining(rate)
+		opRemaining += est
+		if q.NextTask() >= limit {
+			continue
+		}
+		if victim < 0 || est > bestTime {
 			bestTime = est
 			victim = v
 		}
 	}
-	return victim
+	return victim, opRemaining
 }
 
 // ExecuteDistributed runs op with the paper's distributed scheme
@@ -528,7 +534,7 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		// hints when present, else the observed per-processor rate the
 		// token protocol reports.
 		globalMean := ts.Global.Mean()
-		victim := MostLoaded(local, done, spent, globalMean)
+		victim, _ := Victim(local, done, spent, globalMean, op.N)
 		if victim < 0 {
 			// Nothing left anywhere; wait for stragglers to finish
 			// their running chunks.

@@ -75,21 +75,14 @@ func (ts *TaskStats) ObserveChunk(lo, k int, total float64) {
 	for b := lo / ts.binSize; b < len(ts.bins); b++ {
 		binLo, binHi := b*ts.binSize, (b+1)*ts.binSize
 		if b == len(ts.bins)-1 {
-			binHi = maxInt(binHi, lo+k)
+			binHi = max(binHi, lo+k)
 		}
-		ov := minInt(lo+k, binHi) - maxInt(lo, binLo)
+		ov := min(lo+k, binHi) - max(lo, binLo)
 		if ov <= 0 {
 			break
 		}
 		ts.bins[b].AddChunk(ov, mean)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RegionMean estimates the mean task time in [lo, hi) using the cost
