@@ -1,71 +1,57 @@
 // Command orchfuzz runs the differential conformance fuzzer: it
 // generates random mini-Fortran programs, compiles each one, and runs
 // it through the reference interpreter, the lowered sequential
-// baseline, the discrete-event simulator, and the native goroutine
-// backend across a matrix of processor counts and scheduling policies,
-// diffing final memory bitwise and checking the simulator's dispatch
-// order against the dataflow graph. Any disagreement is a bug in the
-// compiler, the lowering, or an orchestration backend.
+// baseline, and then a table of backend configurations — the rows of
+// the rung named by -rung — diffing final memory bitwise and checking
+// the simulator's dispatch order against the dataflow graph. Any
+// disagreement is a bug in the compiler, the lowering, or an
+// orchestration backend.
 //
 // Usage:
 //
-//	orchfuzz -seed 1 -count 1000        # campaign over seeds 1..1000
-//	orchfuzz -seed 14 -v                # one seed, print the program
-//	orchfuzz -minimize 14 -out repro.f  # shrink seed 14's divergence
-//	orchfuzz -seed 14 -trace-dir traces # export diverging schedules
-//	orchfuzz -faults -count 200         # campaign under fault injection
-//	orchfuzz -search -count 200         # campaign through the split search
-//	orchfuzz -dist -count 200           # campaign including the dist backend
-//	orchfuzz -nested -count 200         # campaign over recursive dataflow programs
+//	orchfuzz -seed 1 -count 1000          # base-rung campaign over seeds 1..1000
+//	orchfuzz -seed 14 -v                  # one seed, print the program
+//	orchfuzz -rung faults -count 200      # campaign on another rung
+//	orchfuzz -fault crash:1@0 -count 200  # faults rung under one exact plan
+//	orchfuzz -rung dist -minimize 14 -out repro.f  # shrink seed 14's divergence on that rung
+//	orchfuzz -seed 14 -trace-dir traces   # export diverging schedules
 //
-// With -dist, the backend matrix gains the distributed runtime: each
-// program additionally runs on forked worker processes over Unix
-// sockets (the coordinator re-executes this binary in worker mode),
-// with the binding shipped by kernel name and rebuilt on each worker,
-// and every final state compared bitwise against the same sequential
-// baseline as the in-process backends.
+// The rungs (internal/fuzz.Rows lists each one's rows; DESIGN.md,
+// "Differential testing", has the table):
 //
-// With -search, each program's lowered graph is additionally profiled
-// on the simulator, fed through the profile-guided split search
-// (internal/search), and the searched graph — the search may turn
-// per-edge pipelining and chaining off — is run across a compact
-// backend matrix and compared bitwise against the sequential baseline:
-// the search must never change values, only the schedule.
+//	base    simulator and native runtime × processor counts × modes
+//	dist    base plus forked worker processes (this binary, re-executed)
+//	faults  both backends under a seed-derived survivable fault plan, or
+//	        under the exact plan -fault gives: faults may cost time,
+//	        never values
+//	search  the profile-searched graph (internal/search) in place of the
+//	        lowered one: the search may only change the schedule
+//	nested  random recursive dataflow graphs instead of mini-Fortran,
+//	        each against its statically unrolled (internal/compile) twin
 //
-// With -nested, the generator emits recursive dataflow programs
-// instead of mini-Fortran: small graphs whose expandable operators
-// carry seed-derived expansion rules that materialize further random
-// sub-graphs (possibly themselves expandable) at execution time. Each
-// program is statically unrolled (internal/compile) into its flat
-// reference, and every runtime-expanding execution across the backend
-// matrix must reproduce the reference's memory digest bitwise.
-//
-// With -faults, each program additionally runs under a seed-derived
-// random fault plan (worker crashes, stalls, slowdowns, message
-// delay/loss — always leaving a survivor) on both backends, and the
-// faulted final state is compared bitwise against the undisturbed
-// sequential baseline: failure tolerance means faults may cost time,
-// never values. A divergence prints the plan alongside the program.
-//
-// With -trace-dir, every diverging backend configuration is re-executed
-// with event tracing and its schedule written as a Chrome trace-event
-// file (seed<N>-<config>.json) into the directory, for inspection in
+// Every diverging row is re-executed once with event tracing; with
+// -trace-dir its schedule is written as a Chrome trace-event file
+// (seed<N>-<config>.json) into the directory, for inspection in
 // Perfetto alongside the divergence report.
 //
-// The exit status is nonzero when any checked program diverged.
+// The exit status is 1 when any checked program diverged (or, with
+// -minimize, when there was nothing to minimize) and 2 on a usage
+// error.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"orchestra/internal/cliflag"
 	"orchestra/internal/dist"
-	"orchestra/internal/fault"
 	"orchestra/internal/fuzz"
 	"orchestra/internal/obs"
 	"orchestra/internal/source"
@@ -75,56 +61,55 @@ func main() {
 	// The dist rung's coordinator forks this binary as its workers;
 	// divert those forks before touching flags.
 	dist.MaybeWorker()
-	var (
-		seed     = flag.Uint64("seed", 1, "first generator seed")
-		count    = flag.Int("count", 1, "number of programs to check")
-		verbose  = flag.Bool("v", false, "print each program and verdict")
-		minimize = flag.Uint64("minimize", 0, "minimize the divergence at this seed and exit")
-		out      = flag.String("out", "", "write the minimized reproducer here instead of stdout")
-		traceDir = flag.String("trace-dir", "", "write Chrome traces of diverging configurations into this directory")
-		faults   = flag.Bool("faults", false, "check each program under a seed-derived random fault plan")
-		searchIt = flag.Bool("search", false, "check each program through the profile-guided split search")
-		distIt   = flag.Bool("dist", false, "extend the backend matrix with the distributed (multi-process) backend")
-		nested   = flag.Bool("nested", false, "check recursive dataflow programs against their statically unrolled references")
-	)
-	fixedFault := cliflag.Fault(flag.CommandLine, "fault", "check each program under this exact fault plan (internal/fault syntax) instead of random ones")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment made explicit, so tests can drive
+// the full flag-to-execution path and assert on exit codes.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("orchfuzz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "first generator seed")
+	count := fs.Int("count", 1, "number of programs to check")
+	verbose := fs.Bool("v", false, "print each program and verdict")
+	rung := fs.String("rung", fuzz.Base, "oracle rung to check on: "+strings.Join(fuzz.Rungs, ", "))
+	fixedFault := cliflag.Fault(fs, "fault", "check on the faults rung under this exact plan (internal/fault syntax) instead of random ones")
+	minimize := fs.Uint64("minimize", 0, "minimize the divergence this seed shows on the rung and exit")
+	out := fs.String("out", "", "write the minimized reproducer here instead of stdout")
+	traceDir := fs.String("trace-dir", "", "write Chrome traces of diverging configurations into this directory")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !slices.Contains(fuzz.Rungs, *rung) {
+		fmt.Fprintf(stderr, "orchfuzz: unknown rung %q (have %s)\n", *rung, strings.Join(fuzz.Rungs, ", "))
+		return 2
+	}
+	if fixedFault.Plan() != nil {
+		if *rung != fuzz.Base && *rung != fuzz.Faults {
+			fmt.Fprintf(stderr, "orchfuzz: -fault selects the faults rung, not %s\n", *rung)
+			return 2
+		}
+		*rung = fuzz.Faults
+	}
+	if *minimize != 0 && *rung == fuzz.Nested {
+		fmt.Fprintln(stderr, "orchfuzz: -minimize shrinks program text; a nested case is its seed")
+		return 2
+	}
 	cfg := fuzz.DefaultGenConfig()
 
 	if *minimize != 0 {
-		os.Exit(runMinimize(*minimize, cfg, *out))
+		rep, c := fuzz.CheckSeed(*minimize, cfg, *rung, fixedFault.Plan())
+		return runMinimize(rep, c, *rung, *out, *traceDir, stdout, stderr)
 	}
 
 	skips := 0
 	failed := 0
 	kindTotals := map[string]int{}
 	for s := *seed; s < *seed+uint64(*count); s++ {
-		var rep *fuzz.Report
-		var prog *source.Program
-		progText := "" // printable program; set when prog is nil (nested rung)
-		plan := ""
-		switch {
-		case *nested:
-			var c *fuzz.NestedCase
-			rep, c = fuzz.CheckSeedNested(s)
-			progText = c.String()
-			plan = " nested"
-		case fixedFault.Plan() != nil:
-			prog = fuzz.NewGen(s, cfg).Program()
-			rep = fuzz.CheckProgramFaults(prog, s, fixedFault.Plan())
-			plan = " under " + fixedFault.Plan().String()
-		case *faults:
-			var p *fault.Plan
-			rep, prog, p = fuzz.CheckSeedFaults(s, cfg)
-			plan = " under " + p.String()
-		case *searchIt:
-			rep, prog = fuzz.CheckSeedSearched(s, cfg)
-			plan = " searched"
-		case *distIt:
-			rep, prog = fuzz.CheckSeedDist(s, cfg)
-			plan = " +dist"
-		default:
-			rep, prog = fuzz.CheckSeed(s, cfg)
+		rep, c := fuzz.CheckSeed(s, cfg, *rung, fixedFault.Plan())
+		label := ""
+		if c.Plan != nil {
+			label = " under " + c.Plan.String()
 		}
 		for k, n := range rep.Kinds {
 			kindTotals[k] += n
@@ -133,47 +118,41 @@ func main() {
 		case rep.Skip != "":
 			skips++
 			if *verbose {
-				fmt.Printf("seed %d: skip: %s\n", s, rep.Skip)
+				fmt.Fprintf(stdout, "seed %d: skip: %s\n", s, rep.Skip)
 			}
 		case rep.Failed():
 			failed++
-			fmt.Printf("seed %d%s: %s", s, plan, rep)
-			if prog != nil {
-				progText = source.Format(prog)
-			}
-			fmt.Printf("--- program (seed %d) ---\n%s---\n", s, progText)
-			if *traceDir != "" {
-				writeTraces(*traceDir, s, rep)
-			}
+			fmt.Fprintf(stdout, "seed %d%s: %s", s, label, rep)
+			fmt.Fprintf(stdout, "--- program (seed %d) ---\n%s---\n", s, c)
+			writeTraces(*traceDir, s, rep, stdout, stderr)
 		case *verbose:
-			fmt.Printf("seed %d%s: ok\n", s, plan)
-			if prog != nil {
-				progText = source.Format(prog)
-			}
-			fmt.Print(progText)
+			fmt.Fprintf(stdout, "seed %d%s: ok\n%s", s, label, c)
 		}
 	}
-	checked := *count - skips
-	fmt.Printf("%d programs: %d checked, %d skipped, %d diverged\n",
-		*count, checked, skips, failed)
+	fmt.Fprintf(stdout, "%d programs: %d checked, %d skipped, %d diverged\n",
+		*count, *count-skips, skips, failed)
 	var kinds []string
 	for k := range kindTotals {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		fmt.Printf("  kernels %-10s %d\n", k, kindTotals[k])
+		fmt.Fprintf(stdout, "  kernels %-10s %d\n", k, kindTotals[k])
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // writeTraces exports each diverging configuration's captured schedule
-// as a Chrome trace-event file under dir.
-func writeTraces(dir string, seed uint64, rep *fuzz.Report) {
+// as a Chrome trace-event file under dir, if one was named.
+func writeTraces(dir string, seed uint64, rep *fuzz.Report, stdout, stderr io.Writer) {
+	if dir == "" {
+		return
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "orchfuzz:", err)
+		fmt.Fprintln(stderr, "orchfuzz:", err)
 		return
 	}
 	seen := map[string]bool{}
@@ -182,53 +161,51 @@ func writeTraces(dir string, seed uint64, rep *fuzz.Report) {
 			continue
 		}
 		seen[d.Config] = true
-		name := fmt.Sprintf("seed%d-%s.json", seed,
-			strings.NewReplacer("/", "_", "=", "").Replace(d.Config))
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchfuzz:", err)
-			continue
-		}
-		err = obs.WriteChromeTrace(f, d.Trace)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		path := filepath.Join(dir, fmt.Sprintf("seed%d-%s.json", seed,
+			strings.NewReplacer("/", "_", "=", "").Replace(d.Config)))
+		var buf bytes.Buffer
+		err := obs.WriteChromeTrace(&buf, d.Trace)
+		if err == nil {
+			err = os.WriteFile(path, buf.Bytes(), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "orchfuzz:", err)
+			fmt.Fprintln(stderr, "orchfuzz:", err)
 			continue
 		}
-		fmt.Printf("wrote trace %s\n", filepath.Join(dir, name))
+		fmt.Fprintf(stdout, "wrote trace %s\n", path)
 	}
 }
 
-// runMinimize shrinks the diverging program for one seed, keeping any
-// divergence alive (not necessarily the original one: a smaller
-// program that trips a different rung is still a reproducer).
-func runMinimize(seed uint64, cfg fuzz.GenConfig, out string) int {
-	rep, prog := fuzz.CheckSeed(seed, cfg)
+// runMinimize shrinks a case that diverged on the named rung, keeping
+// any divergence on that rung alive (not necessarily the original one:
+// a smaller program that trips a different row or layer is still a
+// reproducer).
+func runMinimize(rep *fuzz.Report, c *fuzz.Case, rung, out, traceDir string, stdout, stderr io.Writer) int {
 	if rep.Skip != "" {
-		fmt.Fprintf(os.Stderr, "seed %d was skipped (%s); nothing to minimize\n", seed, rep.Skip)
+		fmt.Fprintf(stderr, "seed %d was skipped (%s); nothing to minimize\n", c.Seed, rep.Skip)
 		return 1
 	}
 	if !rep.Failed() {
-		fmt.Fprintf(os.Stderr, "seed %d does not diverge; nothing to minimize\n", seed)
+		fmt.Fprintf(stderr, "seed %d does not diverge on rung %s; nothing to minimize\n", c.Seed, rung)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "seed %d: %s", seed, rep)
-	min := fuzz.Minimize(prog, func(p *source.Program) bool {
-		return fuzz.CheckProgram(p, seed).Failed()
-	})
-	final := fuzz.CheckProgram(min, seed)
+	fmt.Fprintf(stderr, "seed %d: %s", c.Seed, rep)
+	recheck := func(p *source.Program) *fuzz.Report {
+		return fuzz.Check(&fuzz.Case{Seed: c.Seed, Prog: p, Plan: c.Plan}, rung)
+	}
+	min := fuzz.Minimize(c.Prog, func(p *source.Program) bool { return recheck(p).Failed() })
+	final := recheck(min)
+	writeTraces(traceDir, c.Seed, final, stdout, stderr)
 	text := source.Format(min)
-	fmt.Fprintf(os.Stderr, "minimized to %d bytes; still: %s", len(text), final)
+	fmt.Fprintf(stderr, "minimized to %d bytes; still: %s", len(text), final)
 	if out != "" {
 		if err := os.WriteFile(out, []byte(text), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+		fmt.Fprintf(stderr, "wrote %s\n", out)
 		return 0
 	}
-	fmt.Print(text)
+	fmt.Fprint(stdout, text)
 	return 0
 }

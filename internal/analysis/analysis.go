@@ -45,9 +45,6 @@ func Analyze(p *source.Program) *Result {
 // envOf returns the recorded environment before statement s.
 func (r *Result) envOf(s source.Stmt) ssa.Env { return r.SSA.AtStmt[s] }
 
-// ctxOf returns the recorded assertion context of statement s.
-func (r *Result) ctxOf(s source.Stmt) symbolic.Conj { return r.SSA.Ctx[s] }
-
 // DescribeStmt summarizes one statement. Loops are fully promoted over
 // their induction ranges.
 func (r *Result) DescribeStmt(s source.Stmt) descriptor.Descriptor {

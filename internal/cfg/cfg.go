@@ -259,17 +259,6 @@ func (g *Graph) DominanceFrontiers(idom map[*Node]*Node) map[*Node][]*Node {
 	return df
 }
 
-// DomTree returns the children lists of the dominator tree.
-func DomTree(idom map[*Node]*Node) map[*Node][]*Node {
-	children := map[*Node][]*Node{}
-	for n, d := range idom {
-		if d != nil {
-			children[d] = append(children[d], n)
-		}
-	}
-	return children
-}
-
 // Dominates reports whether a dominates b (reflexively) under idom.
 func Dominates(idom map[*Node]*Node, a, b *Node) bool {
 	for n := b; n != nil; n = idom[n] {

@@ -81,8 +81,7 @@ func buildState(text string, seed uint64) (*fuzzEnvState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz kernel: compile: %w", err)
 	}
-	initS, initA := img.initFor()
-	low, err := Lower(out, initS, initA)
+	low, err := Lower(out, img.scalars, img.arrays)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz kernel: lower: %w", err)
 	}

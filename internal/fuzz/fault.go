@@ -1,89 +1,23 @@
 package fuzz
 
-import (
-	"fmt"
+import "orchestra/internal/fault"
 
-	"orchestra/internal/fault"
-	"orchestra/internal/machine"
-	"orchestra/internal/native"
-	"orchestra/internal/rts"
-	"orchestra/internal/source"
-)
+// The faults rung. Failure tolerance claims an exact property: a run
+// that loses workers mid-flight (or suffers stalls, slowdowns and
+// message perturbations) still produces bitwise the final state of an
+// undisturbed sequential run. The rung's rows carry the case's plan in
+// RunOpts.Fault, so a recovery bug (lost chunk, double-released range,
+// mis-gated retry) shows up as a value divergence whose row name spells
+// the plan that provoked it.
 
-// The fault-injection oracle. Failure tolerance claims an exact
-// property: a run that loses workers mid-flight (or suffers stalls,
-// slowdowns and message perturbations) still produces bitwise the
-// final state of an undisturbed sequential run. This file checks that
-// claim the same way oracle.go checks scheduling — lowered kernels,
-// sequential baseline, then a matrix of faulted executions compared
-// bitwise — so a recovery bug (lost chunk, double-released range,
-// mis-gated retry) shows up as a value divergence with the plan that
-// provoked it attached.
+// faultWorkers is the worker count of the rung's rows, and so of the
+// random plans generated for it.
+const faultWorkers = 4
 
-// faultMatrix is the faulted configuration grid for one plan: both
-// adaptive modes on the simulator and the native runtime. Static mode
-// is excluded — the simulator rejects worker faults without scheduling
-// events to survive through, and the oracle only wants configurations
-// every backend accepts.
-func faultMatrix(plan *fault.Plan) []backendConfig {
-	const p = 4
-	var cfgs []backendConfig
-	for _, m := range []rts.Mode{rts.ModeTaper, rts.ModeSplit} {
-		cfgs = append(cfgs, backendConfig{
-			name:    fmt.Sprintf("sim/p=%d/%s/fault=%s", p, m, plan),
-			backend: rts.NewSimBackend(machine.DefaultConfig(p)),
-			opts:    rts.RunOpts{Processors: p, Mode: m, Fault: plan},
-		})
-	}
-	for _, m := range []rts.Mode{rts.ModeTaper, rts.ModeSplit} {
-		cfgs = append(cfgs, backendConfig{
-			name:    fmt.Sprintf("native/p=%d/%s/fault=%s", p, m, plan),
-			backend: native.Backend{},
-			opts:    rts.RunOpts{Processors: p, Mode: m, Fault: plan},
-		})
-	}
-	return cfgs
-}
-
-// CheckProgramFaults runs the baseline ladder on one program, then
-// executes the faulted configuration matrix under the plan and
-// compares every final state bitwise against the sequential run.
-func CheckProgramFaults(prog *source.Program, seed uint64, plan *fault.Plan) *Report {
-	rep := &Report{Seed: seed}
-	base := runBaseline(prog, seed, rep)
-	if base == nil {
-		return rep
-	}
-	for _, cfg := range faultMatrix(plan) {
-		before := len(rep.Divs)
-		in, err := runConfig(prog, seed, base.low, cfg, nil)
-		if err != nil {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-error", Detail: err.Error()})
-			continue
-		}
-		if f := in.Failure(); f != "" {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-runtime", Detail: f})
-		} else if d := diffFinal(base.gseq, instFinal{in}, base.arrays, base.scalars, true); d != "" {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "fault-value", Detail: d})
-		}
-		if len(rep.Divs) > before {
-			if t := captureTrace(prog, seed, base.low, cfg); t != nil {
-				for i := before; i < len(rep.Divs); i++ {
-					rep.Divs[i].Trace = t
-				}
-			}
-		}
-	}
-	return rep
-}
-
-// CheckSeedFaults generates program #seed and checks it under the
-// generator-derived random fault plan for the matrix's worker count —
-// always survivable by construction, with a deadline tightened for
-// test turnaround.
-func CheckSeedFaults(seed uint64, cfg GenConfig) (*Report, *source.Program, *fault.Plan) {
-	prog := NewGen(seed, cfg).Program()
-	plan := fault.Random(seed, 4)
+// randomPlan derives seed's fault plan: always survivable by
+// construction, with a deadline tightened for test turnaround.
+func randomPlan(seed uint64) *fault.Plan {
+	plan := fault.Random(seed, faultWorkers)
 	plan.Deadline = 0.002
-	return CheckProgramFaults(prog, seed, plan), prog, plan
+	return plan
 }

@@ -8,39 +8,41 @@ import (
 	"orchestra/internal/source"
 )
 
-// TestCampaignSmoke runs a small slice of the differential campaign on
-// every `go test`. The full campaign lives in cmd/orchfuzz (and the CI
-// fuzz job); this keeps a canary in the ordinary test run without
-// making it slow.
-func TestCampaignSmoke(t *testing.T) {
+// campaigns is the smoke table, keyed by test name: a small slice of
+// each rung's campaign — generator programs (under generator plans, on
+// the faults rung), the exact path `orchfuzz -rung R` takes — on every
+// `go test`. The full campaigns live in cmd/orchfuzz and the CI fuzz
+// jobs; this keeps a canary in the ordinary test run without making it
+// slow.
+var campaigns = map[string]struct {
+	rung  string
+	seeds uint64
+	short uint64 // seeds under -short; 0 skips
+}{
+	"TestCampaignSmoke":         {rung: Base, seeds: 25},
+	"TestSearchedCampaignSmoke": {rung: Search, seeds: 15},
+	"TestFaultCampaignShort":    {rung: Faults, seeds: 12, short: 4},
+}
+
+func campaignSmoke(t *testing.T) {
+	row := campaigns[t.Name()]
+	n := row.seeds
 	if testing.Short() {
-		t.Skip("campaign smoke is not short")
+		if n = row.short; n == 0 {
+			t.Skip("campaign smoke is not short")
+		}
 	}
-	cfg := DefaultGenConfig()
-	for seed := uint64(1); seed <= 25; seed++ {
-		rep, prog := CheckSeed(seed, cfg)
+	for seed := uint64(1); seed <= n; seed++ {
+		rep, c := CheckSeed(seed, DefaultGenConfig(), row.rung, nil)
 		if rep.Failed() {
-			t.Fatalf("seed %d diverged:\n%s\nprogram:\n%s", seed, rep, source.Format(prog))
+			t.Fatalf("seed %d diverged on rung %s:\n%s\nprogram:\n%s", seed, row.rung, rep, c)
 		}
 	}
 }
 
-// TestSearchedCampaignSmoke is the same canary for the searched-program
-// rung: a slice of seeds through profile → split search → searched-graph
-// execution, bitwise against the sequential baseline. The full campaign
-// lives in cmd/orchfuzz -search (and the CI search job).
-func TestSearchedCampaignSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign smoke is not short")
-	}
-	cfg := DefaultGenConfig()
-	for seed := uint64(1); seed <= 15; seed++ {
-		rep, prog := CheckSeedSearched(seed, cfg)
-		if rep.Failed() {
-			t.Fatalf("seed %d diverged:\n%s\nprogram:\n%s", seed, rep, source.Format(prog))
-		}
-	}
-}
+func TestCampaignSmoke(t *testing.T)         { campaignSmoke(t) }
+func TestSearchedCampaignSmoke(t *testing.T) { campaignSmoke(t) }
+func TestFaultCampaignShort(t *testing.T)    { campaignSmoke(t) }
 
 // FuzzPipeline drives the full differential ladder — reference
 // interpreter, compiled-program interpreter, lowered sequential run,
@@ -56,9 +58,9 @@ func FuzzPipeline(f *testing.F) {
 	}
 	cfg := DefaultGenConfig()
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		rep, prog := CheckSeed(seed, cfg)
+		rep, c := CheckSeed(seed, cfg, Base, nil)
 		if rep.Failed() {
-			t.Fatalf("seed %d diverged:\n%s\nprogram:\n%s", seed, rep, source.Format(prog))
+			t.Fatalf("seed %d diverged:\n%s\nprogram:\n%s", seed, rep, c)
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"orchestra/internal/compile"
 	"orchestra/internal/delirium"
 	"orchestra/internal/interp"
-	"orchestra/internal/machine"
 	"orchestra/internal/native"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
@@ -23,9 +22,10 @@ import (
 // whose task values are pure functions of (operator name, task index,
 // inputs). The oracle is the statically unrolled reference:
 // compile.Unroll flattens the same program ahead of time, the flat
-// graph runs once to produce the reference digest, and every nested
-// execution (simulator and native, several processor counts and
-// modes) must reproduce that digest bitwise. Runtime expansion may
+// graph runs once to produce the reference digest, and every row of
+// the rung (simulator and native, several processor counts and modes,
+// plus a second flat run on the native backend) must reproduce that
+// digest bitwise. Runtime expansion may
 // only ever change the schedule; any value drift is a gating,
 // splicing, or cross-level-stealing defect.
 //
@@ -39,20 +39,8 @@ import (
 // this depth a sub-operator may itself be expandable.
 const nestedMaxDepth = 3
 
-// NestedCase is one generated recursive program.
-type NestedCase struct {
-	Seed  uint64
-	Graph *delirium.Graph
-}
-
-// String renders the top-level graph in codec form (the sub-graphs are
-// implied by the seed).
-func (c *NestedCase) String() string {
-	return c.Graph.Encode()
-}
-
 // GenNested derives a random recursive program from seed.
-func GenNested(seed uint64) *NestedCase {
+func GenNested(seed uint64) *Case {
 	rng := stats.NewRNG(seed ^ 0x9e3779b97f4a7c15)
 	g := delirium.NewGraph(fmt.Sprintf("nested-%d", seed))
 	k := 3 + rng.Intn(3) // 3..5 top-level operators
@@ -79,7 +67,7 @@ func GenNested(seed uint64) *NestedCase {
 			addNestedEdge(rng, g, g.Nodes[j].Name, g.Nodes[i].Name)
 		}
 	}
-	return &NestedCase{Seed: seed, Graph: g}
+	return &Case{Seed: seed, Graph: g}
 }
 
 // addNestedEdge adds one edge with randomized attributes. Pipelining
@@ -269,23 +257,16 @@ func sortNestedReads(reads []nestedRead) {
 	}
 }
 
-// newNestedInst builds a fresh single-use instance of a case.
-func newNestedInst(c *NestedCase) *nestedInst {
-	return &nestedInst{seed: c.Seed, st: interp.NewState()}
-}
+// Nested instances keep no failure record and no order ledger: a wrong
+// schedule can only show in the values.
+func (*nestedInst) Failure() string      { return "" }
+func (*nestedInst) Violations() []string { return nil }
 
-// CheckSeedNested generates and checks seed's recursive program.
-func CheckSeedNested(seed uint64) (*Report, *NestedCase) {
-	c := GenNested(seed)
-	return CheckCaseNested(c), c
-}
-
-// CheckCaseNested runs the nested rung on one case: unroll statically,
-// run the flat reference once, then require every nested execution
-// across the backend matrix — and a second flat run on the native
-// backend — to reproduce the reference digest bitwise.
-func CheckCaseNested(c *NestedCase) *Report {
-	rep := &Report{Seed: c.Seed, Kinds: map[string]int{}}
+// nestedSubject builds the nested rung's subject: the case's graph,
+// bound afresh per row, with the digest of the statically unrolled
+// graph (a Flat row), run on one simulated processor, as reference. It returns nil when the report is already decided.
+func nestedSubject(c *Case, rep *Report) *subject {
+	rep.Kinds = map[string]int{}
 	for _, nd := range c.Graph.Nodes {
 		if nd.Kind == delirium.Exp {
 			rep.Kinds["exp"]++
@@ -295,64 +276,38 @@ func CheckCaseNested(c *NestedCase) *Report {
 	}
 	if err := c.Graph.Validate(); err != nil {
 		rep.Skip = fmt.Sprintf("generated graph invalid: %v", err)
-		return rep
+		return nil
 	}
-
-	// The statically unrolled reference, executed sequentially on the
-	// simulator.
-	ref := newNestedInst(c)
-	fg, fb, err := compile.Unroll(c.Graph, ref.bindNested(c.Graph, nil))
-	if err != nil {
-		rep.Divs = append(rep.Divs, Divergence{Config: "unroll", Kind: "unroll-error", Detail: err.Error()})
-		return rep
+	s := &subject{
+		graph: c.Graph,
+		bind: func(Config) (*rts.Bound, instance, error) {
+			in := &nestedInst{seed: c.Seed, st: interp.NewState()}
+			return rts.BindClosure(in.bindNested(c.Graph, nil)), in, nil
+		},
 	}
-	if fg.HasExpansions() {
+	// An unrolling that leaves expandable operators behind is no static
+	// reference; one that fails shows as the reference row's error.
+	probe, _, _ := s.bind(Config{})
+	if fg, _, err := compile.Unroll(c.Graph, probe.Binder()); err == nil && fg.HasExpansions() {
 		rep.Divs = append(rep.Divs, Divergence{Config: "unroll", Kind: "unroll-residue",
 			Detail: "unrolled graph still has expandable operators"})
-		return rep
+		return nil
 	}
-	simBE := func(p int) rts.Backend { return rts.NewSimBackend(machine.DefaultConfig(p)) }
-	if _, err := simBE(1).Run(fg, rts.BindClosure(fb), rts.RunOpts{Processors: 1, Mode: rts.ModeSplit}); err != nil {
-		rep.Divs = append(rep.Divs, Divergence{Config: "flat-sim/p=1/split", Kind: "nested-error", Detail: err.Error()})
-		return rep
+	ref, ok := s.check(Config{
+		Name:    "flat-sim/p=1/split",
+		Backend: sim(1),
+		Opts:    rts.RunOpts{Processors: 1, Mode: rts.ModeSplit},
+		Flat:    true,
+	}, rep, nil)
+	if !ok {
+		return nil
 	}
-	want := ref.digest()
-
-	type cfg struct {
-		name string
-		flat bool
-		be   rts.Backend
-		opts rts.RunOpts
-	}
-	matrix := []cfg{
-		{"flat-native/p=4/split", true, native.Backend{}, rts.RunOpts{Processors: 4, Mode: rts.ModeSplit}},
-		{"sim/p=1/split", false, simBE(1), rts.RunOpts{Processors: 1, Mode: rts.ModeSplit}},
-		{"sim/p=8/split", false, simBE(8), rts.RunOpts{Processors: 8, Mode: rts.ModeSplit}},
-		{"sim/p=4/static", false, simBE(4), rts.RunOpts{Processors: 4, Mode: rts.ModeStatic}},
-		{"native/p=2/split", false, native.Backend{}, rts.RunOpts{Processors: 2, Mode: rts.ModeSplit}},
-		{"native/p=4/split", false, native.Backend{}, rts.RunOpts{Processors: 4, Mode: rts.ModeSplit}},
-		{"native/p=2/taper", false, native.Backend{}, rts.RunOpts{Processors: 2, Mode: rts.ModeTaper}},
-	}
-	for _, m := range matrix {
-		in := newNestedInst(c)
-		g := c.Graph
-		bind := in.bindNested(g, nil)
-		if m.flat {
-			g2, b2, err := compile.Unroll(g, bind)
-			if err != nil {
-				rep.Divs = append(rep.Divs, Divergence{Config: m.name, Kind: "unroll-error", Detail: err.Error()})
-				continue
-			}
-			g, bind = g2, b2
+	want := ref.(*nestedInst).digest()
+	s.diff = func(in instance) string {
+		if got := in.(*nestedInst).digest(); got != want {
+			return fmt.Sprintf("digest %s != statically-unrolled reference %s", got[:16], want[:16])
 		}
-		if _, err := m.be.Run(g, rts.BindClosure(bind), m.opts); err != nil {
-			rep.Divs = append(rep.Divs, Divergence{Config: m.name, Kind: "nested-error", Detail: err.Error()})
-			continue
-		}
-		if got := in.digest(); got != want {
-			rep.Divs = append(rep.Divs, Divergence{Config: m.name, Kind: "nested-digest",
-				Detail: fmt.Sprintf("digest %s != statically-unrolled reference %s", got[:16], want[:16])})
-		}
+		return ""
 	}
-	return rep
+	return s
 }

@@ -3,11 +3,14 @@ package fuzz
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"orchestra/internal/compile"
+	"orchestra/internal/delirium"
 	"orchestra/internal/dist"
+	"orchestra/internal/fault"
 	"orchestra/internal/interp"
 	"orchestra/internal/machine"
 	"orchestra/internal/native"
@@ -56,7 +59,6 @@ func (d Divergence) String() string {
 
 // Report is the oracle's verdict on one program.
 type Report struct {
-	Seed uint64
 	// Skip explains why the program was not checked (invalid under the
 	// reference interpreter, or outside the lowering's supported shape).
 	Skip string
@@ -195,15 +197,9 @@ func (img *memImage) state(p *source.Program) (*interp.State, error) {
 	return st, nil
 }
 
-// initFor adapts the image to Lower's inputs for a transformed
-// program (temporaries default to zero inside Lower).
-func (img *memImage) initFor() (map[string]float64, map[string][]float64) {
-	return img.scalars, img.arrays
-}
-
 const refTolerance = 1e-9
 
-// diffKind compares two values under the rung's comparison policy.
+// valueEqual compares two values under the rung's comparison policy.
 func valueEqual(a, b float64, bitwise bool) bool {
 	if bitwise {
 		return math.Float64bits(a) == math.Float64bits(b)
@@ -271,90 +267,25 @@ func diffFinal(a, b finalState, arrays, scalars []string, bitwise bool) string {
 	return ""
 }
 
-// backendConfig is one cell of the differential matrix.
-type backendConfig struct {
-	name     string
-	backend  rts.Backend
-	opts     rts.RunOpts
-	checkSim bool
-	// dist marks the fourth rung: the run executes on forked worker
-	// processes, bound by name through the registry rather than through
-	// an in-process closure.
-	dist bool
-}
-
-// matrix builds the standard configuration matrix: the simulator over
-// {1,3,8} processors × {static, TAPER, split}, and the native runtime
-// over {1,2,4} workers × {static, TAPER, split} with an extra tight
-// and loose TAPER ω sweep on split mode.
-func matrix() []backendConfig {
-	var cfgs []backendConfig
-	modes := []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit}
-	for _, p := range []int{1, 3, 8} {
-		for _, m := range modes {
-			cfgs = append(cfgs, backendConfig{
-				name:     fmt.Sprintf("sim/p=%d/%s", p, m),
-				backend:  rts.NewSimBackend(machine.DefaultConfig(p)),
-				opts:     rts.RunOpts{Processors: p, Mode: m},
-				checkSim: m == rts.ModeSplit,
-			})
-		}
-	}
-	for _, p := range []int{1, 2, 4} {
-		for _, m := range modes {
-			cfgs = append(cfgs, backendConfig{
-				name:    fmt.Sprintf("native/p=%d/%s", p, m),
-				backend: native.Backend{},
-				opts:    rts.RunOpts{Processors: p, Mode: m},
-			})
-		}
-	}
-	for _, omega := range []float64{0.5, 3} {
-		cfgs = append(cfgs, backendConfig{
-			name:    fmt.Sprintf("native/p=4/%s/omega=%g", rts.ModeSplit, omega),
-			backend: native.Backend{},
-			opts:    rts.RunOpts{Processors: 4, Mode: rts.ModeSplit, Omega: omega},
-		})
-	}
-	return cfgs
-}
-
-// distMatrix is the fourth oracle rung: the same program on real
-// forked worker processes. It is opt-in (CheckProgramDist) because
-// every cell forks its worker set — orders of magnitude costlier than
-// an in-process run.
-func distMatrix() []backendConfig {
-	var cfgs []backendConfig
-	for _, m := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
-		cfgs = append(cfgs, backendConfig{
-			name:    fmt.Sprintf("dist/p=3/%s", m),
-			backend: dist.Backend{},
-			opts:    rts.RunOpts{Processors: 3, Mode: m},
-			dist:    true,
-		})
-	}
-	return cfgs
-}
-
-// baseline is the outcome of the ladder's first three rungs — the
-// lowered program plus the sequential final state every scheduled
-// configuration is compared against.
-type baseline struct {
-	low     *Lowered
-	gseq    finalState
-	arrays  []string
-	scalars []string
-}
-
 // runBaseline executes rungs 0–2 (reference interpreter, transformed
-// interpreter, sequential lowered run) and returns the lowered
-// baseline, or nil when the report is already decided — either skipped
-// (invalid/unsupported input) or diverged before any scheduling ran.
-func runBaseline(prog *source.Program, seed uint64, rep *Report) *baseline {
+// interpreter, sequential lowered run) on a mini-Fortran case and
+// returns the scheduled rungs' subject — the lowered graph, with the
+// sequential final state as reference — or nil when the report is
+// already decided: skipped (invalid/unsupported input) or diverged
+// before any scheduling ran.
+func runBaseline(c *Case, rep *Report) *subject {
+	prog, seed := c.Prog, c.Seed
+	skip := func(why string) *subject {
+		rep.Skip = why
+		return nil
+	}
+	diverged := func(config, kind, detail string) *subject {
+		rep.Divs = append(rep.Divs, Divergence{Config: config, Kind: kind, Detail: detail})
+		return nil
+	}
 	img, err := buildImage(prog, seed)
 	if err != nil {
-		rep.Skip = err.Error()
-		return nil
+		return skip(err.Error())
 	}
 	arrays, scalars := observed(prog)
 
@@ -363,158 +294,315 @@ func runBaseline(prog *source.Program, seed uint64, rep *Report) *baseline {
 	// invalid input, not a bug.
 	refSt, err := img.state(prog)
 	if err != nil {
-		rep.Skip = err.Error()
-		return nil
+		return skip(err.Error())
 	}
 	if err := interp.Run(source.CloneProgram(prog), refSt); err != nil {
-		rep.Skip = fmt.Sprintf("reference interpreter: %v", err)
-		return nil
+		return skip(fmt.Sprintf("reference interpreter: %v", err))
 	}
-	ref := interpFinal{refSt}
 
 	// Rung 1: compile, and interpret the transformed program.
 	out, err := compile.Compile(source.CloneProgram(prog), compile.DefaultOptions())
 	if err != nil {
-		rep.Divs = append(rep.Divs, Divergence{Config: "compile", Kind: "compile-error", Detail: err.Error()})
-		return nil
+		return diverged("compile", "compile-error", err.Error())
 	}
 	transSt, err := img.state(out.Program)
 	if err != nil {
-		rep.Skip = err.Error()
-		return nil
+		return skip(err.Error())
 	}
 	if err := interp.Run(out.Program, transSt); err != nil {
-		rep.Divs = append(rep.Divs, Divergence{Config: "interp/transformed", Kind: "transform-invalid", Detail: err.Error()})
-		return nil
+		return diverged("interp/transformed", "transform-invalid", err.Error())
 	}
 	trans := interpFinal{transSt}
-	if d := diffFinal(ref, trans, arrays, scalars, false); d != "" {
-		rep.Divs = append(rep.Divs, Divergence{Config: "interp/transformed", Kind: "transform-value", Detail: d})
-		return nil
+	if d := diffFinal(interpFinal{refSt}, trans, arrays, scalars, false); d != "" {
+		return diverged("interp/transformed", "transform-value", d)
 	}
 
 	// Rung 2: lower and run the sequential lowered baseline.
-	initS, initA := img.initFor()
-	low, err := Lower(out, initS, initA)
+	low, err := Lower(out, img.scalars, img.arrays)
 	if err != nil {
-		rep.Skip = err.Error()
-		return nil
+		return skip(err.Error())
 	}
 	rep.Kinds = low.Kinds()
 	gseqIn := low.NewInstance(false)
 	if err := gseqIn.RunSequential(); err != nil {
-		rep.Divs = append(rep.Divs, Divergence{Config: "lowered/seq", Kind: "lowering-runtime", Detail: err.Error()})
-		return nil
+		return diverged("lowered/seq", "lowering-runtime", err.Error())
 	}
 	gseq := instFinal{gseqIn}
 	if d := diffFinal(trans, gseq, arrays, scalars, true); d != "" {
-		rep.Divs = append(rep.Divs, Divergence{Config: "lowered/seq", Kind: "lowering-value", Detail: d})
-		return nil
+		return diverged("lowered/seq", "lowering-value", d)
 	}
-	return &baseline{low: low, gseq: gseq, arrays: arrays, scalars: scalars}
+	return &subject{
+		graph: low.Graph,
+		bind: func(cfg Config) (*rts.Bound, instance, error) {
+			if !cfg.ByName {
+				in := low.NewInstance(cfg.CheckSim)
+				return rts.BindClosure(in.Binder()), in, nil
+			}
+			// The program text ships through the registry binding; the
+			// instance is the coordinator's local image (the dist backend
+			// itself verified every worker's digest against it).
+			bound, err := rts.Bind(low.Graph, FuzzBinding(prog, seed))
+			return bound, InstanceOf(bound), err
+		},
+		diff: func(in instance) string {
+			return diffFinal(gseq, instFinal{in.(*Instance)}, arrays, scalars, true)
+		},
+	}
 }
 
-// CheckProgram runs the full differential ladder on one program with
-// the seed-derived initial image. The returned report distinguishes
-// invalid/unsupported programs (Skip) from real divergences.
-func CheckProgram(prog *source.Program, seed uint64) *Report {
-	return checkProgram(prog, seed, false)
+// The scheduled rungs: a graph runs under a table of backend
+// configurations, and every row must reproduce the reference bitwise.
+// A rung is its rows (Rows) plus a subject — reference, graph and
+// comparison — and every row of every rung goes through subject.run.
+const (
+	Base   = "base"   // simulator and native runtime over processors × modes
+	Dist   = "dist"   // Base plus forked worker processes, bound by name
+	Faults = "faults" // both backends under the case's fault plan
+	Search = "search" // the profile-searched graph in place of the lowered one
+	Nested = "nested" // recursive dataflow graphs against their static unrolling
+)
+
+// Rungs lists the rung names Check accepts.
+var Rungs = []string{Base, Dist, Faults, Search, Nested}
+
+// Case is one input to the oracle: a mini-Fortran program or, for the
+// nested rung, a recursive dataflow graph. Seed fixes the program's
+// initial memory image, respectively the graph's expansion rules.
+type Case struct {
+	Seed  uint64
+	Prog  *source.Program
+	Graph *delirium.Graph
+	Plan  *fault.Plan // what the faults rung's rows run under
 }
 
-// CheckProgramDist runs the ladder plus the fourth rung: the dist
-// backend on forked worker processes, bound by name through the
-// registry. The calling binary must invoke dist.MaybeWorker first
-// thing in main (or TestMain) — the dist backend re-executes it.
-func CheckProgramDist(prog *source.Program, seed uint64) *Report {
-	return checkProgram(prog, seed, true)
+// String renders the case as text: program source, or the top-level
+// graph in codec form (its sub-graphs are implied by the seed).
+func (c *Case) String() string {
+	if c.Graph != nil {
+		return c.Graph.Encode()
+	}
+	return source.Format(c.Prog)
 }
 
-func checkProgram(prog *source.Program, seed uint64, withDist bool) *Report {
-	rep := &Report{Seed: seed}
-	base := runBaseline(prog, seed, rep)
-	if base == nil {
+// Config is one row of a rung's table: a backend configuration the
+// rung's graph runs under.
+type Config struct {
+	Name    string
+	Backend rts.Backend
+	Opts    rts.RunOpts
+	// CheckSim runs the row on an instance that keeps the
+	// execution-order ledger (see Instance.checkSim).
+	CheckSim bool
+	// ByName marks an out-of-process backend: the run is bound by kernel
+	// name through the registry (FuzzBinding), not by an in-process
+	// closure.
+	ByName bool
+	// Flat has the loop statically unroll the graph (compile.Unroll)
+	// before running it: the nested rung's flat twins.
+	Flat bool
+}
+
+// sim is the simulated machine with p processors.
+func sim(p int) rts.Backend { return rts.NewSimBackend(machine.DefaultConfig(p)) }
+
+// Rows returns a rung's table; plan is the faults rung's fault plan.
+func Rows(rung string, plan *fault.Plan) []Config {
+	if rung != Faults {
+		plan = nil
+	}
+	nat := native.Backend{}
+	static, taper, split := rts.ModeStatic, rts.ModeTaper, rts.ModeSplit
+	modes := []rts.Mode{static, taper, split}
+	var rows []Config
+	// add names a row after what it runs. The order ledger is exact only
+	// on the simulator's undisturbed split runs.
+	add := func(be rts.Backend, p int, m rts.Mode, omega float64) {
+		name := fmt.Sprintf("%s/p=%d/%s", be.Name(), p, m)
+		if omega != 0 {
+			name += fmt.Sprintf("/omega=%g", omega)
+		}
+		if plan != nil {
+			name += fmt.Sprintf("/fault=%s", plan)
+		}
+		_, isSim := be.(*rts.SimBackend)
+		rows = append(rows, Config{
+			Name:     name,
+			Backend:  be,
+			Opts:     rts.RunOpts{Processors: p, Mode: m, Omega: omega, Fault: plan},
+			CheckSim: isSim && m == split && plan == nil,
+		})
+	}
+	switch rung {
+	case Base:
+		for _, p := range []int{1, 3, 8} {
+			for _, m := range modes {
+				add(sim(p), p, m, 0)
+			}
+		}
+		for _, p := range []int{1, 2, 4} {
+			for _, m := range modes {
+				add(nat, p, m, 0)
+			}
+		}
+		add(nat, 4, split, 0.5) // a tight and a loose TAPER ω
+		add(nat, 4, split, 3)
+	case Dist:
+		// Every row forks its worker set — orders of magnitude costlier
+		// than an in-process run, hence a rung of its own.
+		for _, m := range modes {
+			add(dist.Backend{}, 3, m, 0)
+			rows[len(rows)-1].ByName = true
+		}
+	case Faults:
+		// No static rows: the simulator rejects worker faults it has no
+		// scheduling events to survive through.
+		for _, be := range []rts.Backend{sim(faultWorkers), nat} {
+			add(be, faultWorkers, taper, 0)
+			add(be, faultWorkers, split, 0)
+		}
+	case Search:
+		// One worker, oversubscribed, both backends, an ω extreme: enough
+		// to shake scheduling order without tripling campaign cost.
+		add(sim(1), 1, split, 0)
+		add(sim(8), 8, split, 0)
+		add(nat, 2, split, 0)
+		add(nat, 4, split, 0.5)
+		for i := range rows {
+			rows[i].Name = "searched/" + rows[i].Name
+		}
+	case Nested:
+		opts := func(p int, m rts.Mode) rts.RunOpts { return rts.RunOpts{Processors: p, Mode: m} }
+		rows = []Config{
+			{Name: "flat-native/p=4/split", Backend: nat, Opts: opts(4, split), Flat: true},
+			{Name: "sim/p=1/split", Backend: sim(1), Opts: opts(1, split)},
+			{Name: "sim/p=8/split", Backend: sim(8), Opts: opts(8, split)},
+			{Name: "sim/p=4/static", Backend: sim(4), Opts: opts(4, static)},
+			{Name: "native/p=2/split", Backend: nat, Opts: opts(2, split)},
+			{Name: "native/p=4/split", Backend: nat, Opts: opts(4, split)},
+			{Name: "native/p=2/taper", Backend: nat, Opts: opts(2, taper)},
+		}
+	}
+	return rows
+}
+
+// instance is a finished run's memory as the loop sees it: the first
+// task runtime error, and what the order ledger recorded if one was
+// kept.
+type instance interface {
+	Failure() string
+	Violations() []string
+}
+
+// subject is what a rung hands the loop besides its rows.
+type subject struct {
+	// graph is what the rows run: the lowered graph, the searched one, or
+	// a nested case's top-level graph.
+	graph *delirium.Graph
+	// bind builds a fresh single-use instance for one row and binds the
+	// graph's operators to it.
+	bind func(cfg Config) (*rts.Bound, instance, error)
+	// diff describes the first difference between a finished instance
+	// and the reference, or returns "". It is nil only while the
+	// reference itself is being run.
+	diff func(instance) string
+}
+
+// run executes one row on a fresh instance and classifies the outcome.
+// This is the only place a backend runs on behalf of the oracle.
+func (s *subject) run(cfg Config, sink obs.Sink) (instance, []Divergence) {
+	div := func(kind, detail string) Divergence {
+		return Divergence{Config: cfg.Name, Kind: kind, Detail: detail}
+	}
+	g := s.graph
+	bound, in, err := s.bind(cfg)
+	if err == nil && cfg.Flat {
+		var flat rts.Binder
+		g, flat, err = compile.Unroll(g, bound.Binder())
+		bound = rts.BindClosure(flat)
+	}
+	if err == nil {
+		opts := cfg.Opts
+		opts.Sink = sink
+		_, err = cfg.Backend.Run(g, bound, opts)
+	}
+	if err != nil {
+		return nil, []Divergence{div("backend-error", err.Error())}
+	}
+	if f := in.Failure(); f != "" {
+		return in, []Divergence{div("backend-runtime", f)}
+	}
+	var divs []Divergence
+	for _, v := range in.Violations() {
+		divs = append(divs, div("order-violation", v))
+	}
+	if s.diff != nil {
+		if d := s.diff(in); d != "" {
+			divs = append(divs, div("backend-value", d))
+		}
+	}
+	return in, divs
+}
+
+// check runs one row (into sink, if the caller wants the trace of a
+// conforming run) and reports whether it conformed. A diverging row is
+// re-executed once with a trace sink of its own, so that the report
+// carries the schedule.
+func (s *subject) check(cfg Config, rep *Report, sink obs.Sink) (instance, bool) {
+	in, divs := s.run(cfg, sink)
+	if len(divs) == 0 {
+		return in, true
+	}
+	var col obs.Collector
+	s.run(cfg, &col)
+	for i := range divs {
+		divs[i].Trace = col.Trace
+	}
+	rep.Divs = append(rep.Divs, divs...)
+	return in, false
+}
+
+// Check runs the differential ladder on one case, up to and including
+// the named rung. The report distinguishes invalid/unsupported inputs
+// (Skip) from real divergences. A binary checking the Dist rung must
+// call dist.MaybeWorker first thing in main (or TestMain): the dist
+// backend re-executes it.
+func Check(c *Case, rung string) *Report {
+	rep := &Report{}
+	if !slices.Contains(Rungs, rung) || (rung == Nested) != (c.Graph != nil) {
+		rep.Skip = fmt.Sprintf("rung %q does not apply to this case", rung)
 		return rep
 	}
-	low, gseq, arrays, scalars := base.low, base.gseq, base.arrays, base.scalars
-
-	// Rung 3: every backend configuration, compared bitwise against the
-	// lowered baseline.
-	cfgs := matrix()
-	if withDist {
-		cfgs = append(cfgs, distMatrix()...)
+	var s *subject
+	if rung == Nested {
+		s = nestedSubject(c, rep)
+	} else {
+		s = runBaseline(c, rep)
 	}
-	for _, cfg := range cfgs {
-		before := len(rep.Divs)
-		in, err := runConfig(prog, seed, low, cfg, nil)
-		if err != nil {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-error", Detail: err.Error()})
-			continue
-		}
-		if f := in.Failure(); f != "" {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-runtime", Detail: f})
-		} else {
-			for _, v := range in.Violations() {
-				rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "order-violation", Detail: v})
-			}
-			if d := diffFinal(gseq, instFinal{in}, arrays, scalars, true); d != "" {
-				rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-value", Detail: d})
-			}
-		}
-		if len(rep.Divs) > before {
-			// Re-execute the diverging configuration with tracing so the
-			// divergence report carries the schedule.
-			if t := captureTrace(prog, seed, low, cfg); t != nil {
-				for i := before; i < len(rep.Divs); i++ {
-					rep.Divs[i].Trace = t
-				}
-			}
-		}
+	if s == nil || (rung == Search && !s.search(rep)) {
+		return rep
+	}
+	rows := Rows(rung, c.Plan)
+	if rung == Dist {
+		// The dist rung extends the base table rather than replacing it.
+		rows = append(Rows(Base, nil), rows...)
+	}
+	for _, cfg := range rows {
+		s.check(cfg, rep, nil)
 	}
 	return rep
 }
 
-// runConfig executes one matrix cell and returns the instance holding
-// its final memory. In-process cells bind the instance's closure; dist
-// cells ship the program text through the registry binding, and the
-// returned instance is the coordinator's local image (every worker's
-// digest was already verified against it by the dist backend itself).
-func runConfig(prog *source.Program, seed uint64, low *Lowered, cfg backendConfig, sink obs.Sink) (*Instance, error) {
-	opts := cfg.opts
-	opts.Sink = sink
-	if !cfg.dist {
-		in := low.NewInstance(cfg.checkSim)
-		_, err := cfg.backend.Run(low.Graph, rts.BindClosure(in.Binder()), opts)
-		return in, err
+// CheckSeed generates case #seed for the rung and checks it: a random
+// recursive graph on the nested rung, else a random program — on the
+// faults rung under plan or, if that is nil, under seed's random plan.
+func CheckSeed(seed uint64, cfg GenConfig, rung string, plan *fault.Plan) (*Report, *Case) {
+	if rung == Nested {
+		c := GenNested(seed)
+		return Check(c, rung), c
 	}
-	bound, err := rts.Bind(low.Graph, FuzzBinding(prog, seed))
-	if err != nil {
-		return nil, err
+	c := &Case{Seed: seed, Prog: NewGen(seed, cfg).Program(), Plan: plan}
+	if rung == Faults && plan == nil {
+		c.Plan = randomPlan(seed)
 	}
-	if _, err := cfg.backend.Run(low.Graph, bound, opts); err != nil {
-		return nil, err
-	}
-	return InstanceOf(bound), nil
-}
-
-// captureTrace re-runs one matrix configuration with an event sink
-// attached and returns the collected trace (nil if the re-run errors).
-func captureTrace(prog *source.Program, seed uint64, low *Lowered, cfg backendConfig) *obs.Trace {
-	var col obs.Collector
-	if _, err := runConfig(prog, seed, low, cfg, &col); err != nil {
-		return nil
-	}
-	return col.Trace
-}
-
-// CheckSeed generates program #seed and checks it.
-func CheckSeed(seed uint64, cfg GenConfig) (*Report, *source.Program) {
-	prog := NewGen(seed, cfg).Program()
-	return CheckProgram(prog, seed), prog
-}
-
-// CheckSeedDist generates program #seed and checks it including the
-// dist rung.
-func CheckSeedDist(seed uint64, cfg GenConfig) (*Report, *source.Program) {
-	prog := NewGen(seed, cfg).Program()
-	return CheckProgramDist(prog, seed), prog
+	return Check(c, rung), c
 }

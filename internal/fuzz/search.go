@@ -3,122 +3,57 @@ package fuzz
 import (
 	"fmt"
 
-	"orchestra/internal/machine"
-	"orchestra/internal/native"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 	"orchestra/internal/search"
-	"orchestra/internal/source"
 )
 
-// The searched-program rung: profile the lowered graph, let the
-// profile-guided search (internal/search) weaken its per-edge
-// pipelining/chaining, and run the emitted graph across a compact
-// backend matrix — compared bitwise against the sequential baseline.
+// The search rung: profile the lowered graph, let the profile-guided
+// search (internal/search) weaken its per-edge pipelining/chaining, and
+// run the emitted graph in place of the lowered one.
 //
 // The search's graph space only ever turns edge attributes off, never
 // drops an edge or node, so every schedule a searched graph admits was
 // already admitted by the original graph: searched programs must stay
 // bitwise-conformant by construction, and any divergence here is a
 // real bug — a search emitting a graph that lost a dependence, or a
-// runtime mishandling the weakened graph.
+// runtime mishandling the weakened graph. The order ledger keeps
+// checking the ORIGINAL graph's gating for the same reason.
 
-// searchedMatrix is the backend matrix the searched graph runs under:
-// enough diversity (one worker, oversubscribed, both backends, an ω
-// extreme) to shake scheduling order without tripling campaign cost.
-func searchedMatrix() []backendConfig {
-	return []backendConfig{
-		{
-			name:     "searched/sim/p=1/TAPER+split",
-			backend:  rts.NewSimBackend(machine.DefaultConfig(1)),
-			opts:     rts.RunOpts{Processors: 1, Mode: rts.ModeSplit},
-			checkSim: true,
-		},
-		{
-			name:     "searched/sim/p=8/TAPER+split",
-			backend:  rts.NewSimBackend(machine.DefaultConfig(8)),
-			opts:     rts.RunOpts{Processors: 8, Mode: rts.ModeSplit},
-			checkSim: true,
-		},
-		{
-			name:    "searched/native/p=2/TAPER+split",
-			backend: native.Backend{},
-			opts:    rts.RunOpts{Processors: 2, Mode: rts.ModeSplit},
-		},
-		{
-			name:    "searched/native/p=4/TAPER+split/omega=0.5",
-			backend: native.Backend{},
-			opts:    rts.RunOpts{Processors: 4, Mode: rts.ModeSplit, Omega: 0.5},
-		},
+// search swaps the subject's graph for the searched one and reports
+// whether there is anything left to check.
+func (s *subject) search(rep *Report) bool {
+	// The profiling run is a row like any other: the simulator in split
+	// mode, with an event sink. Its final state must itself conform — a
+	// profile of a wrong run would search a lie.
+	profile := Config{
+		Name:     "search/profile",
+		Backend:  sim(8),
+		Opts:     rts.RunOpts{Processors: 8, Mode: rts.ModeSplit},
+		CheckSim: true,
 	}
-}
-
-// CheckProgramSearched runs the baseline ladder, then the searched
-// rung, on one program.
-func CheckProgramSearched(prog *source.Program, seed uint64) *Report {
-	rep := &Report{Seed: seed}
-	base := runBaseline(prog, seed, rep)
-	if base == nil {
-		return rep
-	}
-	low, gseq, arrays, scalars := base.low, base.gseq, base.arrays, base.scalars
-
-	// Profiling run: the simulator in split mode with an event sink.
-	// Its final state must itself conform — a profile of a wrong run
-	// would search a lie.
-	profIn := low.NewInstance(true)
 	var col obs.Collector
-	simBe := rts.NewSimBackend(machine.DefaultConfig(8))
-	if _, err := simBe.Run(low.Graph, rts.BindClosure(profIn.Binder()), rts.RunOpts{
-		Processors: 8, Mode: rts.ModeSplit, Sink: &col,
-	}); err != nil {
-		rep.Divs = append(rep.Divs, Divergence{Config: "search/profile", Kind: "backend-error", Detail: err.Error()})
-		return rep
-	}
-	if d := diffFinal(gseq, instFinal{profIn}, arrays, scalars, true); d != "" {
-		rep.Divs = append(rep.Divs, Divergence{Config: "search/profile", Kind: "backend-value", Detail: d})
-		return rep
+	if _, ok := s.check(profile, rep, &col); !ok {
+		return false
 	}
 	prof, err := search.FromTrace(col.Trace, 0)
 	if err != nil {
 		rep.Skip = fmt.Sprintf("search profile: %v", err)
-		return rep
+		return false
 	}
-	plan, err := search.Run(prof, search.GraphCandidates(low.Graph), search.Options{P: 8})
+	plan, err := search.Run(prof, search.GraphCandidates(s.graph), search.Options{P: 8})
 	if err != nil {
 		rep.Divs = append(rep.Divs, Divergence{Config: "search", Kind: "search-error", Detail: err.Error()})
-		return rep
+		return false
 	}
-
-	for _, cfg := range searchedMatrix() {
-		in := low.NewInstance(cfg.checkSim)
-		if _, err := cfg.backend.Run(plan.Best.Graph, rts.BindClosure(in.Binder()), cfg.opts); err != nil {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-error", Detail: err.Error()})
-			continue
+	s.graph = plan.Best.Graph
+	lowered := s.diff
+	s.diff = func(in instance) string {
+		d := lowered(in)
+		if d != "" {
+			d = fmt.Sprintf("plan %q: %s", plan.Best.ID, d)
 		}
-		if f := in.Failure(); f != "" {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "backend-runtime", Detail: f})
-			continue
-		}
-		// The order oracle checks the ORIGINAL graph's gating; the
-		// searched graph only removed scheduling freedom, so violations
-		// are real.
-		for _, v := range in.Violations() {
-			rep.Divs = append(rep.Divs, Divergence{Config: cfg.name, Kind: "order-violation", Detail: v})
-		}
-		if d := diffFinal(gseq, instFinal{in}, arrays, scalars, true); d != "" {
-			rep.Divs = append(rep.Divs, Divergence{
-				Config: cfg.name, Kind: "backend-value",
-				Detail: fmt.Sprintf("plan %q: %s", plan.Best.ID, d),
-			})
-		}
+		return d
 	}
-	return rep
-}
-
-// CheckSeedSearched generates program #seed and runs the searched
-// rung.
-func CheckSeedSearched(seed uint64, cfg GenConfig) (*Report, *source.Program) {
-	prog := NewGen(seed, cfg).Program()
-	return CheckProgramSearched(prog, seed), prog
+	return true
 }

@@ -147,9 +147,6 @@ func (s *Sim) Now() float64 { return s.now }
 // Events reports how many events have executed.
 func (s *Sim) Events() int64 { return s.ran }
 
-// Pending reports how many events are currently scheduled.
-func (s *Sim) Pending() int { return len(s.heap) }
-
 // alloc takes an event slot off the free list, growing the arena only
 // when no freed slot is available.
 func (s *Sim) alloc(t float64) int32 {

@@ -522,7 +522,7 @@ const sampleEach = 16
 // batchSize picks the pipelined delivery granularity: a handful of
 // batches per worker, so consumers ramp up early without paying a
 // release per task. (The simulator derives its granularity from
-// modelled message costs — rts.ChoosePairGranularity; natively a
+// modelled message costs — rts.ChoosePairGranularityOmega; natively a
 // release costs nanoseconds, so only the pipeline-fill consideration
 // survives.)
 func batchSize(n, p int) int {

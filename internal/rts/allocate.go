@@ -89,15 +89,6 @@ func imbalance(a, b float64) float64 {
 	return d / max
 }
 
-// AllocateSpecs allocates p processors between two operation specs
-// using FinishEstimate as the estimator.
-func AllocateSpecs(cfg machine.Config, a, b OpSpec, p int) (p1, p2 int) {
-	return Allocate(
-		func(q int) float64 { return FinishEstimate(cfg, a, q).Total() },
-		func(q int) float64 { return FinishEstimate(cfg, b, q).Total() },
-		p, DefaultMaxCount, DefaultEpsilon)
-}
-
 // AllocateMany divides processors among concurrent operations under
 // the default TAPER confidence width; see AllocateManyOmega.
 func AllocateMany(cfg machine.Config, specs []OpSpec, p int, rec *obs.Recorder, names ...string) []int {

@@ -92,7 +92,7 @@ func TestCalibrationContract(t *testing.T) {
 				if spec.Mu > 0 {
 					cvMeasured = spec.Sigma / spec.Mu
 				}
-				predicted := PredictChunks(n, p, cvMeasured)
+				predicted := PredictChunksOmega(n, p, cvMeasured, 0)
 				if r := float64(predicted) / float64(chunks); r < 1.0/3 || r > 3 {
 					t.Errorf("predicted %d chunks, measured %d (ratio %.2f outside [1/3, 3])",
 						predicted, chunks, r)

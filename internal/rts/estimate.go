@@ -204,12 +204,6 @@ func cv(spec OpSpec) float64 {
 	return sanitize(spec.Sigma/spec.Mu, 0)
 }
 
-// PredictChunks predicts the TAPER chunk count under the default
-// confidence width; see PredictChunksOmega.
-func PredictChunks(n, p int, cv float64) int {
-	return PredictChunksOmega(n, p, cv, 0)
-}
-
 // PredictChunksOmega predicts how many chunks TAPER will schedule for
 // n tasks on p processors given the coefficient of variation of task
 // times, by iterating the chunk-size recurrence (§4.1.2: "we need to

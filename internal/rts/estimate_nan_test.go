@@ -76,22 +76,22 @@ func TestEstimatorNeverEmitsNaN(t *testing.T) {
 				}
 				label := "estimate"
 				checkEstimate(t, label, FinishEstimate(cfg, spec, p))
-				if c := PredictChunks(n, p, cv(spec)); c < 0 || (n > 0 && p >= 1 && c == 0) {
-					t.Errorf("PredictChunks(%d, %d, cv(%v,%v)) = %d", n, p, ms[0], ms[1], c)
+				if c := PredictChunksOmega(n, p, cv(spec), 0); c < 0 || (n > 0 && p >= 1 && c == 0) {
+					t.Errorf("PredictChunksOmega(%d, %d, cv(%v,%v), 0) = %d", n, p, ms[0], ms[1], c)
 				}
 			}
 		}
 	}
-	if c := PredictChunks(100, 4, nan); c <= 0 {
-		t.Errorf("PredictChunks with NaN cv = %d", c)
+	if c := PredictChunksOmega(100, 4, nan, 0); c <= 0 {
+		t.Errorf("PredictChunksOmega with NaN cv = %d", c)
 	}
 
 	// Poisoned specs must still yield a full, positive allocation.
 	bad := OpSpec{Op: sched.Op{N: 50, Time: func(int) float64 { return 1 }}, Mu: nan, Sigma: inf}
 	good := uniformSpec(100, 2)
-	p1, p2 := AllocateSpecs(cfg, bad, good, 8)
+	p1, p2 := allocatePair(cfg, bad, good, 8)
 	if p1+p2 != 8 || p1 < 1 || p2 < 1 {
-		t.Fatalf("AllocateSpecs with poisoned spec: %d + %d", p1, p2)
+		t.Fatalf("Allocate with poisoned spec: %d + %d", p1, p2)
 	}
 	alloc := AllocateMany(cfg, []OpSpec{bad, good, uniformSpec(10, 1)}, 8, nil)
 	sum := 0

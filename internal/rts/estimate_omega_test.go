@@ -79,10 +79,9 @@ func TestEffectiveOmegaMirrorsPolicy(t *testing.T) {
 			t.Errorf("p=%d: EffectiveOmega(3.5) = %v", p, got)
 		}
 	}
-	// An explicit default-valued override and the zero value agree, so
-	// PredictChunks == PredictChunksOmega(..., 0) == the explicit form.
-	if a, b := PredictChunks(4096, 16, 1.2), PredictChunksOmega(4096, 16, 1.2, EffectiveOmega(16, 0)); a != b {
-		t.Errorf("PredictChunks %d != explicit-default PredictChunksOmega %d", a, b)
+	// An explicit default-valued override and the zero value agree.
+	if a, b := PredictChunksOmega(4096, 16, 1.2, 0), PredictChunksOmega(4096, 16, 1.2, EffectiveOmega(16, 0)); a != b {
+		t.Errorf("PredictChunksOmega(ω=0) %d != explicit-default PredictChunksOmega %d", a, b)
 	}
 }
 
@@ -106,7 +105,7 @@ func TestPredictChunksTracksOverriddenOmega(t *testing.T) {
 		obs.OpObs{}).Chunks
 
 	aware := PredictChunksOmega(spec.Op.N, p, cvm, omega)
-	stale := PredictChunks(spec.Op.N, p, cvm)
+	stale := PredictChunksOmega(spec.Op.N, p, cvm, 0)
 
 	if stale >= aware {
 		t.Fatalf("override ω=%v should predict more chunks than the default: aware %d, stale %d", omega, aware, stale)

@@ -28,12 +28,6 @@ func PipeBatchCost(cfg machine.Config, n int, itemBytes int64, m int) float64 {
 		float64(n)*float64(itemBytes)*cfg.ByteCost
 }
 
-// ChoosePairGranularity picks the pipelined batch size under the
-// default TAPER confidence width; see ChoosePairGranularityOmega.
-func ChoosePairGranularity(cfg machine.Config, prod OpSpec, pProd int, itemBytes int64) int {
-	return ChoosePairGranularityOmega(cfg, prod, pProd, itemBytes, 0)
-}
-
 // ChoosePairGranularityOmega combines the communication-cost model
 // with finishing-time estimates, as §4.1 describes ("combined
 // finishing time estimates with runtime communication cost estimates

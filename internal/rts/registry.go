@@ -331,17 +331,6 @@ func Bind(g *delirium.Graph, binding Binding) (*Bound, error) {
 	return BindWith(Kernels, g, binding)
 }
 
-// BinderFromRegistry is the closure-adapter form of Bind: it returns
-// the legacy Binder for callers that drive an execution engine
-// directly (RunGraph, ExecuteDAG) rather than a Backend.
-func BinderFromRegistry(r *KernelRegistry, g *delirium.Graph, binding Binding) (Binder, error) {
-	b, err := BindWith(r, g, binding)
-	if err != nil {
-		return nil, err
-	}
-	return b.Binder(), nil
-}
-
 // BindClosure wraps a raw Binder closure as a Bound for engine-level
 // tests and in-process harnesses. The result is not Shippable: the
 // dist backend rejects it, because a closure cannot be rebuilt inside

@@ -103,16 +103,16 @@ func TestFinishEstimateMonotonicity(t *testing.T) {
 
 func TestPredictChunks(t *testing.T) {
 	// Zero variance: behaves like GSS; chunk count ~ p·log(N/p).
-	c := PredictChunks(1024, 8, 0)
+	c := PredictChunksOmega(1024, 8, 0, 0)
 	if c < 8 || c > 200 {
 		t.Fatalf("chunks = %d", c)
 	}
 	// Variance increases the chunk count.
-	cv := PredictChunks(1024, 8, 2.0)
+	cv := PredictChunksOmega(1024, 8, 2.0, 0)
 	if cv <= c {
 		t.Fatalf("variance should add chunks: %d <= %d", cv, c)
 	}
-	if PredictChunks(0, 8, 1) != 0 {
+	if PredictChunksOmega(0, 8, 1, 0) != 0 {
 		t.Fatal("no tasks, no chunks")
 	}
 }
@@ -175,11 +175,20 @@ func TestAllocateEdgeCases(t *testing.T) {
 	}
 }
 
+// allocatePair allocates p processors between two specs with the
+// finishing-time estimate as Allocate's estimator.
+func allocatePair(cfg machine.Config, a, b OpSpec, p int) (p1, p2 int) {
+	return Allocate(
+		func(q int) float64 { return FinishEstimate(cfg, a, q).Total() },
+		func(q int) float64 { return FinishEstimate(cfg, b, q).Total() },
+		p, DefaultMaxCount, DefaultEpsilon)
+}
+
 func TestAllocateSpecs(t *testing.T) {
 	cfg := machine.DefaultConfig(128)
 	a := irregularSpec(4096, 5)
 	b := uniformSpec(1024, 1)
-	p1, p2 := AllocateSpecs(cfg, a, b, 128)
+	p1, p2 := allocatePair(cfg, a, b, 128)
 	if p1+p2 != 128 || p1 < 1 || p2 < 1 {
 		t.Fatalf("alloc = %d/%d", p1, p2)
 	}
@@ -293,7 +302,7 @@ func TestEstimateRanksAllocations(t *testing.T) {
 			sched.ExecuteDistributed(cfg, b.Op, procs[p1:p1+p2], factory, obs.OpObs{}).Makespan)
 	}
 
-	p1, p2 := AllocateSpecs(cfg, a, b, 256)
+	p1, p2 := allocatePair(cfg, a, b, 256)
 	chosen := dedicated(p1, p2)
 	// Compare against two deliberately bad splits.
 	for _, bad := range [][2]int{{32, 224}, {224, 32}} {
@@ -306,13 +315,13 @@ func TestEstimateRanksAllocations(t *testing.T) {
 func TestChoosePairGranularity(t *testing.T) {
 	cfg := machine.DefaultConfig(64)
 	prod := uniformSpec(4096, 2)
-	m := ChoosePairGranularity(cfg, prod, 32, 64)
+	m := ChoosePairGranularityOmega(cfg, prod, 32, 64, 0)
 	if m < 1 || m > 4096/16 {
 		t.Fatalf("m = %d, want within [1, 256]", m)
 	}
 	// Small operations still get at least one item per batch.
 	tiny := uniformSpec(4, 1)
-	if ChoosePairGranularity(cfg, tiny, 2, 64) < 1 {
+	if ChoosePairGranularityOmega(cfg, tiny, 2, 64, 0) < 1 {
 		t.Fatal("degenerate granularity")
 	}
 }

@@ -41,14 +41,6 @@ type OpProfile struct {
 	Sigma float64 `json:"sigma"`
 }
 
-// Cv is the measured coefficient of variation.
-func (o *OpProfile) Cv() float64 {
-	if o.Mu <= 0 {
-		return 0
-	}
-	return o.Sigma / o.Mu
-}
-
 // Profile summarizes a profiling run for the search: per-operator
 // measured statistics plus run-level calibration terms.
 type Profile struct {

@@ -109,23 +109,6 @@ func predToSource(r *analysis.Result, p symbolic.Pred) (source.Expr, bool) {
 	return &source.Bin{Op: cmpToSourceOp[p.Op], L: l, R: rhs}, true
 }
 
-// conjToSource renders a conjunction as a chain of &&.
-func conjToSource(r *analysis.Result, c symbolic.Conj) (source.Expr, bool) {
-	var out source.Expr
-	for _, p := range c {
-		e, ok := predToSource(r, p)
-		if !ok {
-			return nil, false
-		}
-		if out == nil {
-			out = e
-		} else {
-			out = &source.Bin{Op: "&&", L: out, R: e}
-		}
-	}
-	return out, out != nil
-}
-
 // andWhere conjoins an extra condition onto a loop's where clause.
 func andWhere(existing, extra source.Expr) source.Expr {
 	if existing == nil {

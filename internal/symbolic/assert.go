@@ -138,14 +138,6 @@ func False() Assertion { return Assertion{} }
 // FromPred lifts a single predicate.
 func FromPred(p Pred) Assertion { return Assertion{disjuncts: []Conj{{p}}} }
 
-// FromConj lifts a conjunction.
-func FromConj(c Conj) Assertion {
-	if len(c) == 0 {
-		return True()
-	}
-	return Assertion{disjuncts: []Conj{c}}
-}
-
 // IsTrue reports whether the assertion is the constant true.
 func (a Assertion) IsTrue() bool { return a.isTrue }
 
@@ -161,9 +153,6 @@ func (a Assertion) IsFalse() bool {
 	}
 	return true
 }
-
-// Disjuncts returns the disjuncts (nil when constant true).
-func (a Assertion) Disjuncts() []Conj { return a.disjuncts }
 
 // Or returns a ∨ b.
 func (a Assertion) Or(b Assertion) Assertion {
@@ -195,9 +184,6 @@ func (a Assertion) And(b Assertion) Assertion {
 	}
 	return Assertion{disjuncts: out}
 }
-
-// AndPred returns a ∧ p.
-func (a Assertion) AndPred(p Pred) Assertion { return a.And(FromPred(p)) }
 
 // Not negates the assertion. Negation of a DNF can blow up; we apply
 // De Morgan and distribute, which is acceptable for the small
