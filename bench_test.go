@@ -136,6 +136,7 @@ func BenchmarkCompilerAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := analysis.Analyze(prog)
@@ -151,6 +152,7 @@ func BenchmarkCompilerSplit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compile.Compile(prog, compile.DefaultOptions()); err != nil {
@@ -183,6 +185,7 @@ end
 	g := prog.Body[0].(*source.Do)
 	h := prog.Body[1].(*source.Do)
 	dg := r.DescribeLoop(g)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := split.Split(r, []source.Stmt{h}, dg, nil, split.DefaultOptions())
@@ -211,6 +214,7 @@ func BenchmarkCompilerManyPhases(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compile.Compile(prog, compile.DefaultOptions()); err != nil {

@@ -28,16 +28,31 @@ import (
 	"orchestra/internal/symbolic"
 )
 
-// Result is the analyzed form of a program.
+// Result is the analyzed form of a program. It remembers the
+// descriptors it has derived, so it is not safe for concurrent use.
 type Result struct {
 	Program *source.Program
 	SSA     *ssa.Info
 	Calls   []CallSite
+
+	// iterations remembers DescribeIteration per loop statement. The
+	// key is the pointer SSA.AtStmt and SSA.InsideLoop are keyed by and
+	// the value is a function of those records and the loop's subtree
+	// alone, so an entry is exactly as fresh as they are: anything that
+	// would invalidate it (a rewritten loop) needs a new Analyze for
+	// the SSA records too.
+	iterations map[*source.Do]iteration
+}
+
+// iteration is one remembered DescribeIteration result.
+type iteration struct {
+	desc descriptor.Descriptor
+	iv   symbolic.Name
 }
 
 // Analyze runs the full pipeline.
 func Analyze(p *source.Program) *Result {
-	r := &Result{Program: p, SSA: ssa.Convert(p)}
+	r := &Result{Program: p, SSA: ssa.Convert(p), iterations: map[*source.Do]iteration{}}
 	r.Calls = collectCallSites(p, r.SSA)
 	return r
 }
@@ -93,8 +108,21 @@ func (r *Result) DescribeLoop(s *source.Do) descriptor.Descriptor {
 // descriptor with the where-guard attached to every triple, plus the
 // reads performed by the guard and the bound expressions themselves.
 // The induction variable's SSA name is returned and remains unresolved
-// in the descriptor, as split's independence test requires.
+// in the descriptor, as split's independence test requires. The triple
+// slices returned are the caller's own.
 func (r *Result) DescribeIteration(s *source.Do) (descriptor.Descriptor, symbolic.Name) {
+	it, ok := r.iterations[s]
+	if !ok {
+		it.desc, it.iv = r.describeIteration(s)
+		r.iterations[s] = it
+	}
+	return descriptor.Descriptor{
+		Reads:  append([]descriptor.Triple(nil), it.desc.Reads...),
+		Writes: append([]descriptor.Triple(nil), it.desc.Writes...),
+	}, it.iv
+}
+
+func (r *Result) describeIteration(s *source.Do) (descriptor.Descriptor, symbolic.Name) {
 	env := r.SSA.InsideLoop[s]
 	iv := env[s.Var]
 
@@ -290,29 +318,28 @@ func covers(w, rd descriptor.Triple) bool {
 }
 
 // dedupe removes exact-duplicate triples, keeping descriptor sizes (and
-// interference costs) proportional to the distinct accesses.
+// interference costs) proportional to the distinct accesses. It filters
+// d's slices in place: every caller passes a descriptor it has just
+// built. Triples are compared structurally, block name first, so no
+// comparison renders anything; the lists are short (under sixteen
+// triples everywhere in compile's pinned corpus), which is why there is
+// no hash set in front of the scan.
 func dedupe(d descriptor.Descriptor) descriptor.Descriptor {
-	out := descriptor.Descriptor{}
-	for _, t := range d.Reads {
-		if !containsTriple(out.Reads, t) {
-			out.AddRead(t)
-		}
-	}
-	for _, t := range d.Writes {
-		if !containsTriple(out.Writes, t) {
-			out.AddWrite(t)
-		}
-	}
-	return out
+	return descriptor.Descriptor{Reads: distinct(d.Reads), Writes: distinct(d.Writes)}
 }
 
-func containsTriple(ts []descriptor.Triple, t descriptor.Triple) bool {
-	for _, x := range ts {
-		if x.String() == t.String() {
-			return true
+func distinct(ts []descriptor.Triple) []descriptor.Triple {
+	out := ts[:0]
+next:
+	for _, t := range ts {
+		for _, x := range out {
+			if x.Equal(t) {
+				continue next
+			}
 		}
+		out = append(out, t)
 	}
-	return false
+	return out
 }
 
 // WrittenBeforeRead returns the blocks a descriptor writes but never

@@ -226,7 +226,7 @@ func TestFuzzGraphsExecute(t *testing.T) {
 			spec.SampleStats(16)
 			return spec
 		}
-		r, err := rts.ExecuteDAG(machine.DefaultConfig(32), out.Graph, bind, rts.RunOpts{Processors: 32})
+		r, err := rts.RunGraph(machine.DefaultConfig(32), out.Graph, bind, rts.RunOpts{Processors: 32, Mode: rts.ModeSplit})
 		if err != nil {
 			t.Fatalf("trial %d: execution: %v\ngraph:\n%s", trial, err, out.Graph.Encode())
 		}

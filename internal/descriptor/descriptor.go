@@ -92,6 +92,19 @@ func (d Dim) Subst(n symbolic.Name, v symbolic.Expr) Dim {
 	return out
 }
 
+// Equal reports structural equality.
+func (d Dim) Equal(o Dim) bool {
+	if len(d.Ranges) != len(o.Ranges) || (d.Mask == nil) != (o.Mask == nil) {
+		return false
+	}
+	for i := range d.Ranges {
+		if !d.Ranges[i].Equal(o.Ranges[i]) {
+			return false
+		}
+	}
+	return d.Mask == nil || d.Mask.Equal(*o.Mask)
+}
+
 func (d Dim) String() string {
 	parts := make([]string, len(d.Ranges))
 	for i, r := range d.Ranges {
@@ -145,6 +158,20 @@ func (t Triple) Uses(n symbolic.Name) bool {
 		}
 	}
 	return t.Guard.Uses(n)
+}
+
+// Equal reports structural equality: the same block, guard and access
+// pattern, compared field by field without rendering either side.
+func (t Triple) Equal(o Triple) bool {
+	if t.Block != o.Block || len(t.Dims) != len(o.Dims) || !t.Guard.Equal(o.Guard) {
+		return false
+	}
+	for i := range t.Dims {
+		if !t.Dims[i].Equal(o.Dims[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (t Triple) String() string {

@@ -219,7 +219,7 @@ func Iterated(app *workload.App, k, p int) (perStepTaper, perStepSplit, unrolled
 	if err != nil {
 		panic(fmt.Sprintf("experiment: unroll: %v", err))
 	}
-	unrolled, err = rts.ExecuteDAG(cfg, g, bind, rts.RunOpts{Processors: p})
+	unrolled, err = rts.RunGraph(cfg, g, bind, rts.RunOpts{Processors: p, Mode: rts.ModeSplit})
 	if err != nil {
 		panic(fmt.Sprintf("experiment: unrolled run: %v", err))
 	}

@@ -12,24 +12,6 @@ import (
 	"orchestra/internal/trace"
 )
 
-// ExecuteDAG executes an entire Delirium graph adaptively on p
-// processors: every operator is decomposed onto the processor subset
-// the allocation algorithm assigned it, operators become executable as
-// their dataflow predecessors complete (incrementally, in batches of
-// the chosen communication granularity, for pipelined edges), and a
-// processor with no work left in its own operator is re-assigned
-// chunks from any executable operator. There are no barriers anywhere:
-// this is the orchestration the paper's title refers to — the runtime
-// "uses the additional parallelism of one sub-computation to
-// compensate for communication constraints or load imbalance in the
-// other".
-//
-// It is RunGraph under ModeSplit, whatever opts.Mode says.
-func ExecuteDAG(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) (trace.Result, error) {
-	opts.Mode = ModeSplit
-	return RunGraph(cfg, g, bind, opts)
-}
-
 // simFaults validates a run's fault plan against the resolved
 // processor count and builds the injection state: a fault.Exec for the
 // executor's chunk boundaries, plus a MsgPerturb hook on the machine
@@ -120,7 +102,19 @@ type pendChunk struct {
 }
 
 // executeDAG is the barrier-free engine behind RunGraph's ModeSplit
-// path. ctx, rec and fx may be nil. A canceled context makes every
+// path. It executes an entire Delirium graph adaptively on p
+// processors: every operator is decomposed onto the processor subset
+// the allocation algorithm assigned it, operators become executable as
+// their dataflow predecessors complete (incrementally, in batches of
+// the chosen communication granularity, for pipelined edges), and a
+// processor with no work left in its own operator is re-assigned
+// chunks from any executable operator. There are no barriers anywhere:
+// this is the orchestration the paper's title refers to — the runtime
+// "uses the additional parallelism of one sub-computation to
+// compensate for communication constraints or load imbalance in the
+// other".
+//
+// ctx, rec and fx may be nil. A canceled context makes every
 // processor stop taking chunks at its next scheduling decision;
 // in-flight simulated chunks drain and the run returns a CancelError
 // instead of a result.

@@ -28,7 +28,7 @@ func TestExecuteDAGChain(t *testing.T) {
 	g := dagGraph(t, [][2]string{{"a", "b"}, {"b", "c"}}, nil, "a", "b", "c")
 	bind := func(string) OpSpec { return uniformSpec(512, 1) }
 	cfg := machine.DefaultConfig(32)
-	r, err := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 32})
+	r, err := RunGraph(cfg, g, bind, RunOpts{Processors: 32, Mode: ModeSplit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestExecuteDAGDiamondOverlap(t *testing.T) {
 		nil, "a", "b", "c", "d")
 	bind := func(string) OpSpec { return uniformSpec(1024, 1) }
 	cfg := machine.DefaultConfig(64)
-	r, err := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 64})
+	r, err := RunGraph(cfg, g, bind, RunOpts{Processors: 64, Mode: ModeSplit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExecuteDAGRespectsDependence(t *testing.T) {
 	g := dagGraph(t, [][2]string{{"a", "b"}}, nil, "a", "b")
 	bind := func(string) OpSpec { return uniformSpec(256, 1) }
 	cfg := machine.DefaultConfig(256)
-	r, err := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 256})
+	r, err := RunGraph(cfg, g, bind, RunOpts{Processors: 256, Mode: ModeSplit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestExecuteDAGPipelinedGateOverlaps(t *testing.T) {
 	// starts on partial data.
 	run := func(g *delirium.Graph) (consStart, prodFinish, makespan float64) {
 		var col obs.Collector
-		r, err := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 512, Sink: &col})
+		r, err := RunGraph(cfg, g, bind, RunOpts{Processors: 512, Sink: &col, Mode: ModeSplit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestExecuteDAGOneProcHintedNoStall(t *testing.T) {
 		g := dagGraph(t, edges, map[[2]string]bool{{"update", "outD"}: true},
 			"projPre", "projI", "update", "outI", "outD")
 		bind := func(name string) OpSpec { return hinted(name, 64, 7) }
-		r, err := ExecuteDAG(machine.DefaultConfig(1), g, bind, RunOpts{Processors: 1})
+		r, err := RunGraph(machine.DefaultConfig(1), g, bind, RunOpts{Processors: 1, Mode: ModeSplit})
 		if err != nil {
 			t.Fatalf("%s edge order: %v", label, err)
 		}
@@ -196,7 +196,7 @@ func TestExecuteDAGIndependentSources(t *testing.T) {
 	g := dagGraph(t, nil, nil, "a", "b", "c")
 	bind := func(string) OpSpec { return uniformSpec(512, 1) }
 	cfg := machine.DefaultConfig(48)
-	r, err := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 48})
+	r, err := RunGraph(cfg, g, bind, RunOpts{Processors: 48, Mode: ModeSplit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestExecuteDAGAbsorbsIrregularity(t *testing.T) {
 	}
 	conc := dagGraph(t, nil, nil, "a", "b")
 	cfg := machine.DefaultConfig(512)
-	r, err := ExecuteDAG(cfg, conc, bindBoth, RunOpts{Processors: 512})
+	r, err := RunGraph(cfg, conc, bindBoth, RunOpts{Processors: 512, Mode: ModeSplit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +334,8 @@ func TestExecuteDAGDeterministic(t *testing.T) {
 	g := dagGraph(t, [][2]string{{"a", "b"}}, nil, "a", "b")
 	bind := func(name string) OpSpec { return irregularSpec(512, 5) }
 	cfg := machine.DefaultConfig(64)
-	r1, _ := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 64})
-	r2, _ := ExecuteDAG(cfg, g, bind, RunOpts{Processors: 64})
+	r1, _ := RunGraph(cfg, g, bind, RunOpts{Processors: 64, Mode: ModeSplit})
+	r2, _ := RunGraph(cfg, g, bind, RunOpts{Processors: 64, Mode: ModeSplit})
 	if r1.Makespan != r2.Makespan || r1.Steals != r2.Steals {
 		t.Fatal("DAG execution not deterministic")
 	}
@@ -345,9 +345,9 @@ func TestExecuteDAGInvalidGraph(t *testing.T) {
 	g := delirium.NewGraph("bad")
 	_ = g.AddNode(&delirium.Node{Name: "a"})
 	g.AddEdge(&delirium.Edge{From: "a", To: "ghost"})
-	if _, err := ExecuteDAG(machine.DefaultConfig(4), g, func(string) OpSpec {
+	if _, err := RunGraph(machine.DefaultConfig(4), g, func(string) OpSpec {
 		return uniformSpec(4, 1)
-	}, RunOpts{Processors: 4}); err == nil {
+	}, RunOpts{Processors: 4, Mode: ModeSplit}); err == nil {
 		t.Fatal("invalid graph accepted")
 	}
 }

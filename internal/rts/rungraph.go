@@ -84,7 +84,7 @@ type Binder func(name string) OpSpec
 // the given options and returns the aggregate result. A zero
 // opts.Processors defaults to cfg.Processors. Non-pipelined edges
 // charge a data-transfer cost between operators; under ModeSplit, the
-// whole graph executes as barrier-free dataflow (ExecuteDAG). With a
+// whole graph executes as barrier-free dataflow (executeDAG). With a
 // Sink set, the simulated clock provides every event timestamp, so
 // exported spans are exact.
 func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) (trace.Result, error) {

@@ -221,14 +221,14 @@ func TestRunGraphNoSinkNoTrace(t *testing.T) {
 }
 
 // TestRunGraphRejectsInvalidOpts checks options are validated before
-// execution on both RunGraph and ExecuteDAG.
+// execution.
 func TestRunGraphRejectsInvalidOpts(t *testing.T) {
 	g := dagGraph(t, nil, nil, "a")
 	bind := func(string) OpSpec { return uniformSpec(8, 1) }
 	if _, err := RunGraph(machine.DefaultConfig(4), g, bind, RunOpts{Mode: Mode(9)}); err == nil {
 		t.Fatal("RunGraph accepted an unknown mode")
 	}
-	if _, err := ExecuteDAG(machine.DefaultConfig(4), g, bind, RunOpts{Processors: -2}); err == nil {
-		t.Fatal("ExecuteDAG accepted a negative processor count")
+	if _, err := RunGraph(machine.DefaultConfig(4), g, bind, RunOpts{Processors: -2, Mode: ModeSplit}); err == nil {
+		t.Fatal("RunGraph accepted a negative processor count")
 	}
 }

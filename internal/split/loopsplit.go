@@ -308,14 +308,14 @@ func tryPointExclusion(r *analysis.Result, loop *source.Do, d descriptor.Descrip
 	if len(loop.Ranges) != 1 || len(ranges) != 1 || ranges[0].Skip != 1 {
 		return nil, false
 	}
-	seen := map[string]bool{}
+	var seen []symbolic.Expr
 	for _, t := range append(append([]descriptor.Triple{}, d.Writes...), d.Reads...) {
 		for _, dim := range t.Dims {
 			p, isPoint := dim.IsPoint()
-			if !isPoint || p.Uses(iv) || seen[p.String()] {
+			if !isPoint || p.Uses(iv) || containsExpr(seen, p) {
 				continue
 			}
-			seen[p.String()] = true
+			seen = append(seen, p)
 
 			// Restricted iteration space: [lo, P-1] and [P+1, hi].
 			lo, hi := ranges[0].Start, ranges[0].End
@@ -368,6 +368,15 @@ func tryPointExclusion(r *analysis.Result, loop *source.Do, d descriptor.Descrip
 		}
 	}
 	return nil, false
+}
+
+func containsExpr(es []symbolic.Expr, e symbolic.Expr) bool {
+	for _, x := range es {
+		if x.Equal(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // applyReductions replicates each reduction variable into per-part

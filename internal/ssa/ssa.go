@@ -94,7 +94,9 @@ type Info struct {
 	// AtStmt gives the environment in force immediately before each
 	// statement. Loop statements see the environment at the loop
 	// header including their own induction definition; a statement
-	// after a loop sees post-loop versions.
+	// after a loop sees post-loop versions. Consecutive statements with
+	// no scalar definition between them share one map, so the
+	// environments are read-only.
 	AtStmt map[source.Stmt]Env
 
 	// InsideLoop gives, for loop statements, the environment in force
@@ -117,17 +119,17 @@ type Info struct {
 	// within a straight-line region, a value stored through an array
 	// element can be recovered by a scalar load of the same element
 	// ("if a value V is assigned to A[i] and then A[i] is assigned to
-	// a scalar, the compiler creates an SSA name for V"). Keys are the
-	// array name plus canonical symbolic index strings; the cache is
-	// invalidated at loops, branches, and calls (alias elimination,
-	// step 5), and on stores whose index cannot be proven distinct.
-	elemCache map[string]elemEntry
+	// a scalar, the compiler creates an SSA name for V"). An entry is
+	// found by its array name and symbolic index; the cache is emptied
+	// at loops, branches, and calls (alias elimination, step 5), and
+	// loses entries on stores whose index cannot be proven distinct. A
+	// straight-line region keeps a handful of entries, so it is a list.
+	elemCache []elemEntry
 }
 
 // elemEntry is one cached array-element value.
 type elemEntry struct {
-	array string
-	index []symbolic.Expr
+	elem  symbolic.Atom // the array element, indices translated
 	value symbolic.Expr
 }
 
@@ -143,7 +145,6 @@ func Convert(p *source.Program) *Info {
 		BodyCtx:    map[*source.Do]symbolic.Conj{},
 		scalars:    map[string]bool{},
 		counters:   map[string]int{},
-		elemCache:  map[string]elemEntry{},
 	}
 	in.collectScalars(p)
 
@@ -154,7 +155,7 @@ func Convert(p *source.Program) *Info {
 		env[v] = d.Name
 	}
 
-	in.walkStmts(p.Body, env, nil)
+	in.walkStmts(p.Body, env, nil, nil)
 	return in
 }
 
@@ -195,10 +196,19 @@ func (in *Info) newDef(v string, kind DefKind, node *cfg.Node) *Def {
 // computed by a direct recursive walk: a loop or branch merges the
 // environments of its constituent paths with phi definitions. env is
 // mutated in place to reflect the effect of the statements; ctx is the
-// assertion context in force.
-func (in *Info) walkStmts(body []source.Stmt, env Env, ctx symbolic.Conj) {
+// assertion context in force. snap, when non-nil, is a read-only copy
+// of env the caller already holds.
+func (in *Info) walkStmts(body []source.Stmt, env, snap Env, ctx symbolic.Conj) {
+	// An environment only ever changes by receiving a new definition,
+	// so the snapshot recorded for one statement serves the following
+	// ones until the definition count moves (array stores, the bulk of
+	// a loop body, define nothing).
+	defs := len(in.Defs)
 	for _, s := range body {
-		in.AtStmt[s] = cloneEnv(env)
+		if snap == nil || len(in.Defs) != defs {
+			snap, defs = cloneEnv(env), len(in.Defs)
+		}
+		in.AtStmt[s] = snap
 		in.Ctx[s] = ctx
 		switch s := s.(type) {
 		case *source.Assign:
@@ -212,15 +222,15 @@ func (in *Info) walkStmts(body []source.Stmt, env Env, ctx symbolic.Conj) {
 					in.newDefInto(id.Name, DefCall, nil, env)
 				}
 			}
-			in.elemCache = map[string]elemEntry{}
+			in.elemCache = in.elemCache[:0]
 		case *source.Do:
-			in.elemCache = map[string]elemEntry{}
+			in.elemCache = in.elemCache[:0]
 			in.walkDo(s, env, ctx)
-			in.elemCache = map[string]elemEntry{}
+			in.elemCache = in.elemCache[:0]
 		case *source.If:
-			in.elemCache = map[string]elemEntry{}
-			in.walkIf(s, env, ctx)
-			in.elemCache = map[string]elemEntry{}
+			in.elemCache = in.elemCache[:0]
+			in.walkIf(s, env, snap, ctx)
+			in.elemCache = in.elemCache[:0]
 		}
 	}
 }
@@ -255,64 +265,39 @@ func (in *Info) walkAssign(s *source.Assign, env Env) {
 	}
 }
 
-// elemKey canonicalizes an array reference with translated indices.
-func elemKey(array string, idx []symbolic.Expr) string {
-	key := array + "["
-	for i, e := range idx {
-		if i > 0 {
-			key += ","
-		}
-		key += e.String()
-	}
-	return key + "]"
-}
-
 // storeElem records a store through an aggregate and invalidates cached
-// entries of the same array it cannot prove untouched.
+// entries of the same array it cannot prove untouched (an entry at the
+// stored index is one of those, so the new entry replaces it).
 func (in *Info) storeElem(ar *source.ArrayRef, rhs source.Expr, env Env) {
-	idx := make([]symbolic.Expr, len(ar.Index))
-	translatable := true
-	for i, e := range ar.Index {
-		x, ok := in.TranslateExpr(e, env)
-		if !ok {
-			translatable = false
-			break
-		}
-		idx[i] = x
-	}
-	// Invalidate entries of this array that may alias the store.
-	for k, ent := range in.elemCache {
-		if ent.array != ar.Name {
-			continue
-		}
-		if !translatable || aliases(ent.index, idx) {
-			delete(in.elemCache, k)
+	elem, translatable := in.TranslateAtom(ar, env)
+	kept := in.elemCache[:0]
+	for _, ent := range in.elemCache {
+		if string(ent.elem.Array) != ar.Name || translatable && !aliases(ent.elem.Index, elem.Index) {
+			kept = append(kept, ent)
 		}
 	}
+	in.elemCache = kept
 	if !translatable {
 		return
 	}
 	if val, ok := in.TranslateExpr(rhs, env); ok {
-		in.elemCache[elemKey(ar.Name, idx)] = elemEntry{array: ar.Name, index: idx, value: val}
+		in.elemCache = append(in.elemCache, elemEntry{elem: elem, value: val})
 	}
 }
 
 // lookupElem recovers the value previously stored through an equal
 // aggregate element, if any.
 func (in *Info) lookupElem(ar *source.ArrayRef, env Env) (symbolic.Expr, bool) {
-	idx := make([]symbolic.Expr, len(ar.Index))
-	for i, e := range ar.Index {
-		x, ok := in.TranslateExpr(e, env)
-		if !ok {
-			return symbolic.Expr{}, false
-		}
-		idx[i] = x
-	}
-	ent, ok := in.elemCache[elemKey(ar.Name, idx)]
+	elem, ok := in.TranslateAtom(ar, env)
 	if !ok {
 		return symbolic.Expr{}, false
 	}
-	return ent.value, true
+	for _, ent := range in.elemCache {
+		if ent.elem.Equal(elem) {
+			return ent.value, true
+		}
+	}
+	return symbolic.Expr{}, false
 }
 
 // aliases reports whether two index vectors may refer to the same
@@ -385,11 +370,18 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 			bodyCtx = bodyCtx.Merge(preds)
 		}
 	}
-	in.InsideLoop[s] = cloneEnv(headerEnv)
+	in.InsideLoop[s] = headerEnv
 	in.BodyCtx[s] = bodyCtx
 
-	bodyEnv := cloneEnv(headerEnv)
-	in.walkStmts(s.Body, bodyEnv, bodyCtx)
+	// The body is walked in env itself, brought to the header state:
+	// the two differ only in the assigned scalars, and those are reset
+	// below whatever the body leaves in them. headerEnv stays as the
+	// read-only record.
+	env[s.Var] = headerEnv[s.Var]
+	for v := range assigned {
+		env[v] = headerEnv[v]
+	}
+	in.walkStmts(s.Body, env, headerEnv, bodyCtx)
 
 	// Close the phis with the body-exit versions.
 	for v := range assigned {
@@ -397,7 +389,7 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 			continue
 		}
 		phi := in.Defs[headerEnv[v]]
-		phi.Args = append(phi.Args, bodyEnv[v])
+		phi.Args = append(phi.Args, env[v])
 		in.resolvePhi(phi)
 	}
 
@@ -414,7 +406,7 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 	post.Loop = s
 }
 
-func (in *Info) walkIf(s *source.If, env Env, ctx symbolic.Conj) {
+func (in *Info) walkIf(s *source.If, env, snap Env, ctx symbolic.Conj) {
 	thenCtx := ctx
 	elseCtx := ctx
 	if preds, ok := in.TranslatePred(s.Cond, env); ok {
@@ -425,9 +417,9 @@ func (in *Info) walkIf(s *source.If, env Env, ctx symbolic.Conj) {
 		}
 	}
 	thenEnv := cloneEnv(env)
-	in.walkStmts(s.Then, thenEnv, thenCtx)
+	in.walkStmts(s.Then, thenEnv, snap, thenCtx)
 	elseEnv := cloneEnv(env)
-	in.walkStmts(s.Else, elseEnv, elseCtx)
+	in.walkStmts(s.Else, elseEnv, snap, elseCtx)
 
 	// Merge: variables redefined on either arm get phis.
 	node := in.Graph.BranchNode[s]

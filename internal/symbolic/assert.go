@@ -69,7 +69,7 @@ func implies(q, p Pred) bool {
 	if !qok || !pok {
 		return false
 	}
-	delta, ok := pd.Sub(qd).IsConst()
+	delta, ok := constDiff(pd, qd)
 	if !ok {
 		return false
 	}
@@ -86,6 +86,20 @@ func implies(q, p Pred) bool {
 	}
 	if hiP != nil && (hiQ == nil || *hiQ > *hiP) {
 		return false
+	}
+	return true
+}
+
+// Equal reports structural equality: the same predicates in the same
+// order.
+func (c Conj) Equal(o Conj) bool {
+	if len(c) != len(o) {
+		return false
+	}
+	for i := range c {
+		if !c[i].Equal(o[i]) {
+			return false
+		}
 	}
 	return true
 }

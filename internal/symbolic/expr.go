@@ -13,8 +13,7 @@
 package symbolic
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -22,86 +21,107 @@ import (
 // SSA construction guarantees each has a single defining value.
 type Name string
 
+// term is one coef*name summand.
+type term struct {
+	name Name
+	coef int64
+}
+
 // Expr is a linear symbolic expression: a constant plus a sum of SSA
 // names with integer coefficients. The zero value is the constant 0.
-// Expr values are immutable; all operations return new expressions.
+//
+// The summands are a slice sorted by name with no zero coefficient, so
+// equal expressions have equal slices and every binary operation is one
+// merge. A term slice is never written after the operation that built
+// it returns, which is what lets operations that leave the summands
+// alone (AddConst, Scale(1), adding a constant) hand the same slice to
+// their result: Expr values are immutable, and all operations return
+// new expressions.
 type Expr struct {
 	konst int64
-	terms map[Name]int64 // never contains zero coefficients
+	terms []term
 }
 
 // Const returns the constant expression c.
 func Const(c int64) Expr { return Expr{konst: c} }
 
 // Var returns the expression consisting of the single name n.
-func Var(n Name) Expr {
-	return Expr{terms: map[Name]int64{n: 1}}
-}
+func Var(n Name) Expr { return Term(n, 1) }
 
 // Term returns coef*n.
 func Term(n Name, coef int64) Expr {
 	if coef == 0 {
 		return Expr{}
 	}
-	return Expr{terms: map[Name]int64{n: coef}}
+	return Expr{terms: []term{{n, coef}}}
 }
 
-// clone returns a deep copy of the term map (nil-safe).
-func cloneTerms(m map[Name]int64) map[Name]int64 {
-	if len(m) == 0 {
-		return nil
-	}
-	c := make(map[Name]int64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// Add returns e + o.
-func (e Expr) Add(o Expr) Expr {
-	r := Expr{konst: e.konst + o.konst, terms: cloneTerms(e.terms)}
-	for n, c := range o.terms {
-		nc := r.terms[n] + c
-		if r.terms == nil {
-			r.terms = make(map[Name]int64)
+// combine returns a + k*b, leaving out a's summand at index skip (-1
+// keeps them all). It allocates at most once, and not at all when one
+// side contributes no summands.
+func combine(a Expr, skip int, b Expr, k int64) Expr {
+	r := Expr{konst: a.konst + k*b.konst}
+	switch {
+	case k == 0 || len(b.terms) == 0:
+		if skip < 0 {
+			r.terms = a.terms
+		} else if len(a.terms) > 1 {
+			r.terms = make([]term, 0, len(a.terms)-1)
+			r.terms = append(append(r.terms, a.terms[:skip]...), a.terms[skip+1:]...)
 		}
-		if nc == 0 {
-			delete(r.terms, n)
-		} else {
-			r.terms[n] = nc
+		return r
+	case k == 1 && (len(a.terms) == 0 || skip >= 0 && len(a.terms) == 1):
+		r.terms = b.terms
+		return r
+	}
+	out := make([]term, 0, len(a.terms)+len(b.terms))
+	i, j := 0, 0
+	for i < len(a.terms) || j < len(b.terms) {
+		switch {
+		case i == skip:
+			i++
+		case j == len(b.terms) || i < len(a.terms) && a.terms[i].name < b.terms[j].name:
+			out = append(out, a.terms[i])
+			i++
+		case i == len(a.terms) || b.terms[j].name < a.terms[i].name:
+			if c := k * b.terms[j].coef; c != 0 {
+				out = append(out, term{b.terms[j].name, c})
+			}
+			j++
+		default:
+			if c := a.terms[i].coef + k*b.terms[j].coef; c != 0 {
+				out = append(out, term{a.terms[i].name, c})
+			}
+			i++
+			j++
 		}
 	}
-	if len(r.terms) == 0 {
-		r.terms = nil
+	if len(out) > 0 {
+		r.terms = out
 	}
 	return r
 }
 
+// Add returns e + o.
+func (e Expr) Add(o Expr) Expr { return combine(e, -1, o, 1) }
+
 // Sub returns e - o.
-func (e Expr) Sub(o Expr) Expr { return e.Add(o.Neg()) }
+func (e Expr) Sub(o Expr) Expr { return combine(e, -1, o, -1) }
 
 // Neg returns -e.
 func (e Expr) Neg() Expr { return e.Scale(-1) }
 
 // Scale returns k*e.
 func (e Expr) Scale(k int64) Expr {
-	if k == 0 {
-		return Expr{}
+	if k == 1 {
+		return e
 	}
-	r := Expr{konst: e.konst * k}
-	if len(e.terms) > 0 {
-		r.terms = make(map[Name]int64, len(e.terms))
-		for n, c := range e.terms {
-			r.terms[n] = c * k
-		}
-	}
-	return r
+	return combine(Expr{}, -1, e, k)
 }
 
 // AddConst returns e + c.
 func (e Expr) AddConst(c int64) Expr {
-	return Expr{konst: e.konst + c, terms: cloneTerms(e.terms)}
+	return Expr{konst: e.konst + c, terms: e.terms}
 }
 
 // IsConst reports whether e has no symbolic terms, and if so its value.
@@ -115,29 +135,47 @@ func (e Expr) IsConst() (int64, bool) {
 // ConstPart returns the constant component of e.
 func (e Expr) ConstPart() int64 { return e.konst }
 
+// index returns the position of name n among e's summands, or -1.
+func (e Expr) index(n Name) int {
+	for i, t := range e.terms {
+		if t.name == n {
+			return i
+		}
+	}
+	return -1
+}
+
 // Coef returns the coefficient of name n (zero if absent).
-func (e Expr) Coef(n Name) int64 { return e.terms[n] }
+func (e Expr) Coef(n Name) int64 {
+	if i := e.index(n); i >= 0 {
+		return e.terms[i].coef
+	}
+	return 0
+}
 
 // Names returns the SSA names appearing in e, sorted.
 func (e Expr) Names() []Name {
-	ns := make([]Name, 0, len(e.terms))
-	for n := range e.terms {
-		ns = append(ns, n)
+	ns := make([]Name, len(e.terms))
+	for i, t := range e.terms {
+		ns[i] = t.name
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 	return ns
 }
 
 // Uses reports whether name n appears in e with nonzero coefficient.
-func (e Expr) Uses(n Name) bool { return e.terms[n] != 0 }
+func (e Expr) Uses(n Name) bool { return e.index(n) >= 0 }
 
 // Equal reports structural equality.
 func (e Expr) Equal(o Expr) bool {
-	if e.konst != o.konst || len(e.terms) != len(o.terms) {
+	return e.konst == o.konst && sameTerms(e.terms, o.terms)
+}
+
+func sameTerms(a, b []term) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for n, c := range e.terms {
-		if o.terms[n] != c {
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -146,28 +184,23 @@ func (e Expr) Equal(o Expr) bool {
 
 // Subst replaces every occurrence of name n with expression v.
 func (e Expr) Subst(n Name, v Expr) Expr {
-	c, ok := e.terms[n]
-	if !ok {
+	i := e.index(n)
+	if i < 0 {
 		return e
 	}
-	r := Expr{konst: e.konst, terms: cloneTerms(e.terms)}
-	delete(r.terms, n)
-	if len(r.terms) == 0 {
-		r.terms = nil
-	}
-	return r.Add(v.Scale(c))
+	return combine(e, i, v, e.terms[i].coef)
 }
 
 // Eval evaluates e under an environment giving each name an integer
 // value. It reports false if any name is unbound.
 func (e Expr) Eval(env map[Name]int64) (int64, bool) {
 	v := e.konst
-	for n, c := range e.terms {
-		nv, ok := env[n]
+	for _, t := range e.terms {
+		nv, ok := env[t.name]
 		if !ok {
 			return 0, false
 		}
-		v += c * nv
+		v += t.coef * nv
 	}
 	return v, true
 }
@@ -175,32 +208,34 @@ func (e Expr) Eval(env map[Name]int64) (int64, bool) {
 // String renders e deterministically, e.g. "2*n.1 - i.3 + 4".
 func (e Expr) String() string {
 	if len(e.terms) == 0 {
-		return fmt.Sprintf("%d", e.konst)
+		return strconv.FormatInt(e.konst, 10)
 	}
 	var b strings.Builder
-	for i, n := range e.Names() {
-		c := e.terms[n]
+	for i, t := range e.terms {
+		c := t.coef
 		switch {
-		case i == 0 && c == 1:
-			b.WriteString(string(n))
 		case i == 0 && c == -1:
-			b.WriteString("-" + string(n))
+			b.WriteByte('-')
+			c = 1
 		case i == 0:
-			fmt.Fprintf(&b, "%d*%s", c, n)
-		case c == 1:
-			b.WriteString(" + " + string(n))
-		case c == -1:
-			b.WriteString(" - " + string(n))
-		case c > 0:
-			fmt.Fprintf(&b, " + %d*%s", c, n)
+		case c < 0:
+			b.WriteString(" - ")
+			c = -c
 		default:
-			fmt.Fprintf(&b, " - %d*%s", -c, n)
+			b.WriteString(" + ")
 		}
+		if c != 1 {
+			b.WriteString(strconv.FormatInt(c, 10))
+			b.WriteByte('*')
+		}
+		b.WriteString(string(t.name))
 	}
 	if e.konst > 0 {
-		fmt.Fprintf(&b, " + %d", e.konst)
+		b.WriteString(" + ")
+		b.WriteString(strconv.FormatInt(e.konst, 10))
 	} else if e.konst < 0 {
-		fmt.Fprintf(&b, " - %d", -e.konst)
+		b.WriteString(" - ")
+		b.WriteString(strconv.FormatInt(-e.konst, 10))
 	}
 	return b.String()
 }

@@ -206,12 +206,12 @@ func (p Pred) Equivalent(q Pred) bool {
 		return true
 	}
 	// Linear normalization for pure-expression predicates.
+	if p.Op != q.Op {
+		return false
+	}
 	pd, pok := p.diff()
 	qd, qok := q.diff()
-	if pok && qok && p.Op == q.Op && pd.Equal(qd) {
-		return true
-	}
-	return false
+	return pok && qok && pd.Equal(qd)
 }
 
 // flip mirrors a comparison across its operands: a op b == b flip(op) a.
@@ -240,11 +240,10 @@ func (p Pred) diff() (Expr, bool) {
 // ConstTruth reports the truth value of p when it is decidable from
 // constants alone; ok is false otherwise.
 func (p Pred) ConstTruth() (truth, ok bool) {
-	d, isLinear := p.diff()
-	if !isLinear {
+	if p.Lhs.IsElem() || p.Rhs.IsElem() {
 		return false, false
 	}
-	c, isConst := d.IsConst()
+	c, isConst := constDiff(p.Lhs.E, p.Rhs.E)
 	if !isConst {
 		return false, false
 	}
@@ -270,11 +269,8 @@ func (p Pred) Contradicts(q Pred) bool {
 		}
 		return false
 	}
-	if pd.Equal(qd) {
-		return rangesOfOpsDisjoint(p.Op, q.Op, 0)
-	}
 	// pd and qd differ by a constant k: p about d, q about d-k.
-	if delta, ok := pd.Sub(qd).IsConst(); ok {
+	if delta, ok := constDiff(pd, qd); ok {
 		return rangesOfOpsDisjoint(p.Op, q.Op, delta)
 	}
 	return false

@@ -6,10 +6,19 @@ package symbolic
 // interference. That is the paper's discipline: "We compute interference
 // conservatively; descriptors interfere unless we can prove otherwise."
 
+// constDiff reports a - b when that is a constant, which is when the
+// two have the same summands; it builds nothing. The constant case is
+// the first thing every question below and in pred.go asks.
+func constDiff(a, b Expr) (int64, bool) {
+	if !sameTerms(a.terms, b.terms) {
+		return 0, false
+	}
+	return a.konst - b.konst, true
+}
+
 // ProvesNotEqual reports whether a != b is provable under ctx.
 func ProvesNotEqual(a, b Expr, ctx Conj) bool {
-	d := a.Sub(b)
-	if c, ok := d.IsConst(); ok {
+	if c, ok := constDiff(a, b); ok {
 		return c != 0
 	}
 	// ctx may directly assert the disequality (or an equivalent form).
@@ -19,35 +28,23 @@ func ProvesNotEqual(a, b Expr, ctx Conj) bool {
 	if ctx.Implies(CmpExpr(a, LT, b)) || ctx.Implies(CmpExpr(a, GT, b)) {
 		return true
 	}
+	d := a.Sub(b)
+	if len(d.terms) != 2 {
+		return false
+	}
+	x, y := d.terms[0], d.terms[1]
 	// d == k*(x - y) with ctx |- x != y and k != 0.
-	names := d.Names()
-	if len(names) == 2 && d.ConstPart() == 0 {
-		x, y := names[0], names[1]
-		if d.Coef(x) == -d.Coef(y) && d.Coef(x) != 0 {
-			neq := CmpExpr(Var(x), NE, Var(y))
-			if ctx.Implies(neq) {
-				return true
-			}
-		}
+	if d.konst == 0 && x.coef == -y.coef && ctx.Implies(CmpExpr(Var(x.name), NE, Var(y.name))) {
+		return true
 	}
 	// d == (x - y) + c with a known strict ordering of x and y whose
 	// sign agrees with c: ctx |- x < y and c <= 0 gives d <= -1, and
 	// symmetrically. (This is the loop-interchange legality pattern:
 	// subscripts like i-1 vs i' under i < i'.)
-	if len(names) == 2 {
-		x, y := names[0], names[1]
-		if d.Coef(x) == 1 && d.Coef(y) == -1 {
-			if signedDifferenceNonzero(x, y, d.ConstPart(), ctx) {
-				return true
-			}
-		}
-		if d.Coef(x) == -1 && d.Coef(y) == 1 {
-			if signedDifferenceNonzero(y, x, d.ConstPart(), ctx) {
-				return true
-			}
-		}
+	if x.coef == 1 && y.coef == -1 && signedDifferenceNonzero(x.name, y.name, d.konst, ctx) {
+		return true
 	}
-	return false
+	return x.coef == -1 && y.coef == 1 && signedDifferenceNonzero(y.name, x.name, d.konst, ctx)
 }
 
 // signedDifferenceNonzero reports whether (x - y) + c is provably
@@ -68,31 +65,27 @@ func signedDifferenceNonzero(x, y Name, c int64, ctx Conj) bool {
 
 // ProvesLess reports whether a < b is provable under ctx.
 func ProvesLess(a, b Expr, ctx Conj) bool {
-	d := a.Sub(b)
-	if c, ok := d.IsConst(); ok {
+	if c, ok := constDiff(a, b); ok {
 		return c < 0
 	}
 	if ctx.Implies(CmpExpr(a, LT, b)) {
 		return true
 	}
+	d := a.Sub(b)
 	// d == (x - y) + c with ctx |- x < y and c <= 0 gives d < 0.
-	names := d.Names()
-	if len(names) == 2 && d.ConstPart() <= 0 {
-		x, y := names[0], names[1]
-		if d.Coef(x) == 1 && d.Coef(y) == -1 && ctx.Implies(CmpExpr(Var(x), LT, Var(y))) {
-			return true
-		}
-		if d.Coef(x) == -1 && d.Coef(y) == 1 && ctx.Implies(CmpExpr(Var(y), LT, Var(x))) {
-			return true
-		}
+	if len(d.terms) != 2 || d.konst > 0 {
+		return false
 	}
-	return false
+	x, y := d.terms[0], d.terms[1]
+	if x.coef == 1 && y.coef == -1 && ctx.Implies(CmpExpr(Var(x.name), LT, Var(y.name))) {
+		return true
+	}
+	return x.coef == -1 && y.coef == 1 && ctx.Implies(CmpExpr(Var(y.name), LT, Var(x.name)))
 }
 
 // ProvesLessEq reports whether a <= b is provable under ctx.
 func ProvesLessEq(a, b Expr, ctx Conj) bool {
-	d := a.Sub(b)
-	if c, ok := d.IsConst(); ok {
+	if c, ok := constDiff(a, b); ok {
 		return c <= 0
 	}
 	return ctx.Implies(CmpExpr(a, LE, b))
