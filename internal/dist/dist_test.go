@@ -25,6 +25,9 @@ import (
 // invocation into a worker process instead of a test run.
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
+	if os.Getenv(helperEnv) != "" {
+		helperMain()
+	}
 	os.Exit(m.Run())
 }
 
@@ -59,11 +62,17 @@ end
 
 func compileSample(t *testing.T) *core.Output {
 	t.Helper()
-	out, err := core.CompileSource(sample, core.DefaultOptions())
+	out, err := sampleOutput()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// sampleOutput compiles the sample without a *testing.T: the helper
+// process of TestLeaseDiesWithCoordinator has none.
+func sampleOutput() (*core.Output, error) {
+	return core.CompileSource(sample, core.DefaultOptions())
 }
 
 func arrayBinding(n int) rts.Binding {

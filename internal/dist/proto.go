@@ -24,13 +24,17 @@
 //
 //	u32 payload length (big-endian) | u8 type | payload
 //
-// Control frames (hello, job, job-ok, bye) carry JSON payloads; the
-// hot frames (grant, done, block, heartbeat) are fixed-layout binary.
-// All integers are big-endian.
+// and leaves its sender in one write (writeFrame). Control frames
+// (hello, job, job-ok, bye) carry JSON payloads; the hot frames (grant,
+// done, block, heartbeat) are fixed-layout binary. All integers are
+// big-endian.
 //
-//	hello     worker → coord   JSON {worker, pid}; sent once on connect
-//	job       coord → worker   JSON {graph, binding, mode, omega,
-//	                           workers, fault, ops, heartbeat}
+//	hello     worker → coord   JSON {worker, pid}; sent once on connect.
+//	                           worker only names the connection among
+//	                           the processes one Run forked
+//	job       coord → worker   JSON {worker, graph, binding, mode, omega,
+//	                           workers, fault, ops, heartbeat}; worker is
+//	                           the id the process has for this job
 //	job-ok    worker → coord   JSON {err}; binding resolved (or not)
 //	grant     coord → worker   op u32, lo u32, hi u32, seq u32:
 //	                           execute tasks [lo,hi) of ops[op]
@@ -40,13 +44,24 @@
 //	                           Apply() before reading further frames
 //	heartbeat worker → coord   empty; liveness under long computations
 //	finish    coord → worker   empty; graph is complete
-//	bye       worker → coord   JSON {digest, err}; then the worker exits
+//	bye       worker → coord   JSON {digest, err}; the job is over
+//
+// A worker serves jobs until its socket closes: after bye it drops the
+// job's memory image and waits for the next job frame, and end of file
+// there is its order to exit. Heartbeats run from job-ok to just before
+// bye, so nothing follows a bye on the wire and the coordinator's
+// reader for the connection ends with it (see lease.go for what happens
+// to the process between jobs).
 //
 // Ordering is per-socket FIFO, which is the protocol's one correctness
 // hinge: the coordinator writes every input block a segment needs to a
 // worker's socket before the segment's grant, so by the time the
 // worker reads the grant its memory image is current — no explicit
-// acknowledgement round is needed.
+// acknowledgement round is needed. A worker may hold a credit of two
+// grants, the segment it runs and the next one; it executes and
+// answers them in the order they arrived, so a done always names the
+// oldest grant its worker holds, and the second grant was, like the
+// first, issued only for tasks whose inputs were already on the socket.
 package dist
 
 import (
@@ -55,6 +70,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 
 	"orchestra/internal/rts"
 )
@@ -82,7 +98,9 @@ const (
 	// EnvSocket is the coordinator's Unix socket path. Its presence
 	// turns the process into a worker.
 	EnvSocket = "ORCHDIST_SOCKET"
-	// EnvWorker is the worker's id (0-based).
+	// EnvWorker names the worker's connection in its hello, among the
+	// processes forked together; the id it works under arrives with
+	// each job.
 	EnvWorker = "ORCHDIST_WORKER"
 )
 
@@ -96,6 +114,9 @@ type helloMsg struct {
 // binding (resolved against the worker's own kernel registry), and the
 // run parameters the worker needs locally.
 type jobMsg struct {
+	// Worker is the receiving worker's id in this run (0-based): what
+	// its share of the fault plan is keyed by.
+	Worker  int         `json:"worker"`
 	Graph   string      `json:"graph"`
 	Binding rts.Binding `json:"binding"`
 	Mode    int         `json:"mode"`
@@ -144,25 +165,37 @@ func getSegHeader(buf []byte) (op, lo, hi, seq int) {
 		int(binary.BigEndian.Uint32(buf[12:]))
 }
 
-// writeFrame emits one frame. Callers serialize access per connection
-// (the coordinator writes from its single scheduler goroutine; workers
-// hold a mutex across their response and heartbeat paths).
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("dist: frame payload %d exceeds limit %d", len(payload), maxFrame)
+// writeFrame emits one frame whose payload is the concatenation of
+// parts, in one write: a frame that fits the stack buffer is assembled
+// there, a larger one goes out as a net.Buffers (one writev on a
+// socket), so a payload is never copied to sit behind its header.
+// Callers serialize access per connection (the coordinator writes from
+// its single scheduler goroutine; workers hold a mutex across their
+// response and heartbeat paths).
+func writeFrame(w io.Writer, typ byte, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	if n > maxFrame {
+		return fmt.Errorf("dist: frame payload %d exceeds limit %d", n, maxFrame)
+	}
+	var small [5 + segHeaderLen + 8]byte
+	binary.BigEndian.PutUint32(small[:4], uint32(n))
+	small[4] = typ
+	if 5+n <= len(small) {
+		at := 5
+		for _, p := range parts {
+			at += copy(small[at:], p)
+		}
+		_, err := w.Write(small[:at])
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	bufs := make(net.Buffers, 0, 1+len(parts))
+	bufs = append(bufs, small[:5])
+	bufs = append(bufs, parts...)
+	_, err := bufs.WriteTo(w)
+	return err
 }
 
 // writeJSON emits one control frame with a JSON payload.

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -19,10 +21,10 @@ import (
 
 // MaybeWorker is the hidden worker mode: when the ORCHDIST_SOCKET
 // environment variable is set, the process is a forked dist worker —
-// it connects back to the coordinator, serves exactly one job, and
-// exits without ever reaching the caller's own main logic. Every
-// program that can act as a dist coordinator calls MaybeWorker first
-// thing in main (and test binaries from TestMain, before flag
+// it connects back to the coordinator, serves jobs until the socket
+// closes, and exits without ever reaching the caller's own main logic.
+// Every program that can act as a dist coordinator calls MaybeWorker
+// first thing in main (and test binaries from TestMain, before flag
 // parsing), because the coordinator re-executes its own binary to fork
 // workers: that is what guarantees the worker's kernel registry is
 // bit-for-bit the coordinator's.
@@ -36,8 +38,12 @@ func MaybeWorker() {
 		fmt.Fprintf(os.Stderr, "dist worker: bad %s=%q\n", EnvWorker, os.Getenv(EnvWorker))
 		os.Exit(3)
 	}
-	if err := runWorker(sock, id); err != nil {
-		fmt.Fprintf(os.Stderr, "dist worker %d: %v\n", id, err)
+	conn, err := net.Dial("unix", sock)
+	if err == nil {
+		err = serve(conn, id)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dist worker (pid %d): %v\n", os.Getpid(), err)
 		os.Exit(1)
 	}
 	os.Exit(0)
@@ -50,10 +56,10 @@ type workerConn struct {
 	mu   sync.Mutex
 }
 
-func (c *workerConn) send(typ byte, payload []byte) error {
+func (c *workerConn) send(typ byte, parts ...[]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return writeFrame(c.conn, typ, payload)
+	return writeFrame(c.conn, typ, parts...)
 }
 
 func (c *workerConn) sendJSON(typ byte, v any) error {
@@ -62,33 +68,44 @@ func (c *workerConn) sendJSON(typ byte, v any) error {
 	return writeJSON(c.conn, typ, v)
 }
 
-// runWorker serves one job: handshake, bind, then execute granted
-// segments until the coordinator says finish (or the socket dies,
-// which means the coordinator is gone and the worker with it).
-func runWorker(sock string, id int) error {
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		return err
-	}
+// serve is a worker's life on its connection: hello under the id that
+// names the connection, then one job after another. The socket closing
+// between jobs is the coordinator retiring the worker, or exiting: the
+// worker leaves without a word. Anything else that ends a job ends the
+// process with an error.
+func serve(conn net.Conn, connID int) error {
 	defer conn.Close()
 	wc := &workerConn{conn: conn}
 	br := bufio.NewReaderSize(conn, 1<<16)
-
-	if err := wc.sendJSON(mHello, helloMsg{Worker: id, PID: os.Getpid()}); err != nil {
+	if err := wc.sendJSON(mHello, helloMsg{Worker: connID, PID: os.Getpid()}); err != nil {
 		return err
 	}
+	for {
+		typ, payload, err := readFrame(br)
+		if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("reading job: %w", err)
+		}
+		if typ != mJob {
+			return fmt.Errorf("expected job frame, got type %d", typ)
+		}
+		if err := serveJob(wc, br, payload); err != nil {
+			return err
+		}
+	}
+}
 
-	typ, payload, err := readFrame(br)
-	if err != nil {
-		return fmt.Errorf("reading job: %w", err)
-	}
-	if typ != mJob {
-		return fmt.Errorf("expected job frame, got type %d", typ)
-	}
+// serveJob runs one job: bind, then execute granted segments until the
+// coordinator says finish. Everything the job allocated — the memory
+// image above all — is unreachable once it returns.
+func serveJob(wc *workerConn, br *bufio.Reader, payload []byte) error {
 	var job jobMsg
 	if err := json.Unmarshal(payload, &job); err != nil {
 		return err
 	}
+	id := job.Worker
 
 	// Rebuild the run from data alone: decode the graph, resolve the
 	// binding against this process's kernel registry. Any failure is
@@ -116,16 +133,19 @@ func runWorker(sock string, id int) error {
 		fx = fault.NewExec(plan, job.Workers)
 	}
 
-	// Heartbeats prove liveness while a long segment computes. The
-	// goroutine dies with the process; a send failure just means the
-	// coordinator went away, which the main loop will also notice.
+	// Heartbeats prove liveness while a long segment computes. A send
+	// failure just means the coordinator went away, which the main loop
+	// will also notice. The goroutine is joined before bye, so that bye
+	// is the last frame of the job.
 	hb := job.Heartbeat
 	if hb <= 0 {
 		hb = 0.05
 	}
-	stopHB := make(chan struct{})
-	defer close(stopHB)
+	stopHB, hbDone := make(chan struct{}), make(chan struct{})
+	joinHB := sync.OnceFunc(func() { close(stopHB); <-hbDone })
+	defer joinHB()
 	go func() {
+		defer close(hbDone)
 		t := time.NewTicker(time.Duration(hb * float64(time.Second)))
 		defer t.Stop()
 		for {
@@ -133,7 +153,7 @@ func runWorker(sock string, id int) error {
 			case <-stopHB:
 				return
 			case <-t.C:
-				if wc.send(mHeartbeat, nil) != nil {
+				if wc.send(mHeartbeat) != nil {
 					return
 				}
 			}
@@ -185,20 +205,18 @@ func runWorker(sock string, id int) error {
 			if spec.Pack != nil {
 				blob = spec.Pack(lo, hi)
 			}
-			out := make([]byte, segHeaderLen+8+len(blob))
-			putSegHeader(out, op, lo, hi, seq)
-			putU64(out[segHeaderLen:], uint64(execNS))
-			copy(out[segHeaderLen+8:], blob)
-			if err := wc.send(mDone, out); err != nil {
+			var head [segHeaderLen + 8]byte
+			putSegHeader(head[:], op, lo, hi, seq)
+			putU64(head[segHeaderLen:], uint64(execNS))
+			if err := wc.send(mDone, head[:], blob); err != nil {
 				return err
 			}
 		case mFinish:
 			var bye byeMsg
-			if bound != nil {
-				if d, ok := bound.Digest(); ok {
-					bye.Digest = d
-				}
+			if d, ok := bound.Digest(); ok {
+				bye.Digest = d
 			}
+			joinHB()
 			return wc.sendJSON(mBye, bye)
 		default:
 			return fmt.Errorf("unexpected frame type %d", typ)

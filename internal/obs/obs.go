@@ -89,11 +89,13 @@ const (
 	// work-stealing path instead.
 	KindSpill
 	// KindMsg is one measured inter-process message round on the dist
-	// backend: a segment grant for tasks [Lo, Lo+N) of Op sent to
-	// worker process Worker at T0, whose completion arrived back at
-	// T1. Arg carries the data-block payload bytes the round moved;
-	// V0 is the worker-reported execution time, so T1-T0-V0 is the
-	// round's pure communication cost.
+	// backend: a segment grant for tasks [Lo, Lo+N) of Op was the
+	// business of worker process Worker from T0 — when it was sent or,
+	// for a grant queued behind the worker's previous segment, when
+	// that segment's completion arrived — until its own completion
+	// arrived back at T1. Arg carries the data-block payload bytes the
+	// round moved; V0 is the worker-reported execution time, so
+	// T1-T0-V0 is the round's pure communication cost.
 	KindMsg
 )
 
@@ -344,9 +346,10 @@ func (r *Recorder) Spill(w, op, lo, n int, t float64) {
 }
 
 // Msg records one measured message round on the dist backend: a grant
-// for tasks [lo, lo+n) of operator op was sent to worker process w at
-// t0, its completion arrived at t1, the worker reported exec seconds
-// of execution, and the round moved bytes of data-block payload.
+// for tasks [lo, lo+n) of operator op became worker process w's next
+// segment at t0 (see KindMsg), its completion arrived at t1, the worker
+// reported exec seconds of execution, and the round moved bytes of
+// data-block payload.
 func (r *Recorder) Msg(w, op, lo, n int, bytes int64, t0, t1, exec float64) {
 	if r == nil {
 		return
