@@ -10,12 +10,12 @@
 // (one unit ≈ the cost of a small task).
 //
 // The event core is allocation-free in steady state: events live in a
-// pooled arena with free-list reuse, ordered by an intrusive 4-ary
-// indexed heap, and the AtFn/AfterFn scheduling path takes a reusable
-// func(int) plus an integer argument so callers need not box a fresh
-// closure per event. After the arena reaches the peak number of
-// outstanding events, scheduling and running events performs no heap
-// allocation at all.
+// pooled arena with free-list reuse, ordered by a 4-ary heap of
+// (time, seq, slot) keys that sifts without reading the arena, and the
+// AtFn/AfterFn scheduling path takes a reusable func(int) plus an
+// integer argument so callers need not box a fresh closure per event.
+// After the arena reaches the peak number of outstanding events,
+// scheduling and running events performs no heap allocation at all.
 package machine
 
 import (
@@ -98,14 +98,21 @@ func (c Config) BroadcastTime(p int, bytes int64) float64 {
 }
 
 // event is one scheduled callback, pooled in the Sim's arena. Exactly
-// one of fn and cfn is set. The next field threads the free list.
+// one of fn and cfn is set. The next field threads the free list. Its
+// time and sequence number live in its heap key.
 type event struct {
-	time float64
-	seq  int64
 	fn   func()
 	cfn  func(int)
 	arg  int
 	next int32
+}
+
+// key is one heap entry: an event's ordering fields beside its arena
+// slot, so sifting compares keys without touching the arena.
+type key struct {
+	time float64
+	seq  int64
+	id   int32
 }
 
 // nilEvent marks the end of the free list.
@@ -120,11 +127,11 @@ type Sim struct {
 	// not allocate.
 	arena []event
 	free  int32
-	// heap is a 4-ary min-heap of arena indices ordered by (time, seq).
-	// 4-ary halves the tree depth vs binary, trading slightly more
+	// heap is a 4-ary min-heap of keys ordered by (time, seq). 4-ary
+	// halves the tree depth vs binary, trading slightly more
 	// comparisons per level for fewer cache lines touched per sift —
 	// the usual win for simulation event loops.
-	heap []int32
+	heap []key
 	now  float64
 	seq  int64
 	ran  int64
@@ -153,7 +160,6 @@ func (s *Sim) alloc(t float64) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("machine: scheduling into the past (%g < %g)", t, s.now))
 	}
-	s.seq++
 	var id int32
 	if s.free != nilEvent {
 		id = s.free
@@ -162,9 +168,6 @@ func (s *Sim) alloc(t float64) int32 {
 		s.arena = append(s.arena, event{})
 		id = int32(len(s.arena) - 1)
 	}
-	e := &s.arena[id]
-	e.time = t
-	e.seq = s.seq
 	return id
 }
 
@@ -185,7 +188,7 @@ func (s *Sim) release(id int32) {
 func (s *Sim) At(t float64, fn func()) {
 	id := s.alloc(t)
 	s.arena[id].fn = fn
-	s.push(id)
+	s.push(t, id)
 }
 
 // After schedules fn delay units from now.
@@ -200,65 +203,70 @@ func (s *Sim) AtFn(t float64, fn func(int), arg int) {
 	e := &s.arena[id]
 	e.cfn = fn
 	e.arg = arg
-	s.push(id)
+	s.push(t, id)
 }
 
 // AfterFn schedules fn(arg) delay units from now, allocation-free.
 func (s *Sim) AfterFn(delay float64, fn func(int), arg int) { s.AtFn(s.now+delay, fn, arg) }
 
-// less orders events by (time, seq): deterministic FIFO at equal times.
-func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.arena[a], &s.arena[b]
-	if ea.time != eb.time {
-		return ea.time < eb.time
+// less orders keys by (time, seq): deterministic FIFO at equal times.
+func less(a, b key) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
-// push inserts an arena index into the 4-ary heap.
-func (s *Sim) push(id int32) {
-	s.heap = append(s.heap, id)
-	i := len(s.heap) - 1
+// push inserts slot id at time t into the 4-ary heap, numbered after
+// every event scheduled before it.
+func (s *Sim) push(t float64, id int32) {
+	s.seq++
+	k := key{time: t, seq: s.seq, id: id}
+	s.heap = append(s.heap, k)
+	h := s.heap
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s.less(s.heap[i], s.heap[parent]) {
+		if !less(k, h[parent]) {
 			break
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 }
 
-// popMin removes and returns the earliest event's arena index.
-func (s *Sim) popMin() int32 {
+// popMin removes and returns the earliest event's key.
+func (s *Sim) popMin() key {
 	h := s.heap
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
-	s.heap = h[:last]
-	h = s.heap
-	// Sift down: promote the smallest of up to four children.
+	k := h[last]
+	h = h[:last]
+	s.heap = h
+	// Sift the old last key down from the root: promote the smallest
+	// of up to four children into the hole until k fits.
 	i := 0
 	for {
 		first := 4*i + 1
 		if first >= last {
 			break
 		}
-		min := first
-		end := first + 4
-		if end > last {
-			end = last
-		}
+		least := first
+		end := min(first+4, last)
 		for c := first + 1; c < end; c++ {
-			if s.less(h[c], h[min]) {
-				min = c
+			if less(h[c], h[least]) {
+				least = c
 			}
 		}
-		if !s.less(h[min], h[i]) {
+		if !less(h[least], k) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i] = h[least]
+		i = least
+	}
+	if i < last {
+		h[i] = k
 	}
 	return top
 }
@@ -268,12 +276,12 @@ func (s *Sim) popMin() int32 {
 // schedules a successor reuses its own slot — the steady-state regime
 // where the arena stops growing entirely.
 func (s *Sim) dispatch() {
-	id := s.popMin()
-	e := &s.arena[id]
-	s.now = e.time
+	k := s.popMin()
+	e := &s.arena[k.id]
+	s.now = k.time
 	s.ran++
 	fn, cfn, arg := e.fn, e.cfn, e.arg
-	s.release(id)
+	s.release(k.id)
 	if cfn != nil {
 		cfn(arg)
 	} else {

@@ -297,9 +297,10 @@ func (r *dagRun) open(o int) int {
 
 // chunkBudget is the fair per-dispatch time share of an operator's
 // remaining work: the hint sum of its unscheduled tasks (exact in
-// steady state) divided by the machine size. Early task samples are
-// biased toward the expensive queue fronts, so the observed mean is
-// only a fallback.
+// steady state) divided by the machine size. It is an O(queues) sum, so
+// callers take it only when sched.NeedsBudget says the chunk can use
+// it. Early task samples are biased toward the expensive queue fronts,
+// so the observed mean is only a fallback.
 func (r *dagRun) chunkBudget(op *dagOp) float64 {
 	rate := op.spec.Mu
 	if m := op.tstats.Global.Mean(); rate <= 0 && m > 0 {
@@ -466,7 +467,11 @@ func (r *dagRun) tryDispatch(gp, o int) bool {
 			// per-task-grained form of the paper's s = μg/μc chunk
 			// scaling — so a chunk never collects several expensive
 			// tasks whose combined time exceeds a fair share.
-			tasks := q.TakeBudget(k, r.chunkBudget(op), op.spec.Op.Hint)
+			budget := 0.0
+			if sched.NeedsBudget(k, op.spec.Op.Hint) {
+				budget = r.chunkBudget(op)
+			}
+			tasks := q.TakeBudget(k, budget, op.spec.Op.Hint)
 			r.execChunk(gp, o, tasks, 0, false)
 			return true
 		}
@@ -478,19 +483,23 @@ func (r *dagRun) tryDispatch(gp, o int) bool {
 func (r *dagRun) steal(gp, o, limit, open int) bool {
 	op := &r.ops[o]
 	globalMean := op.tstats.Global.Mean()
-	victim, opRemaining := sched.Victim(op.queues, op.done, op.spent, globalMean, limit)
+	victim := sched.Victim(op.queues, op.done, op.spent, globalMean, limit)
 	if victim < 0 {
 		return false
 	}
-	k := min(r.taperChunk(gp, o, -1), open, op.queues[victim].EnabledPrefix(limit))
+	vq := &op.queues[victim]
+	k := min(r.taperChunk(gp, o, -1), open, vq.EnabledPrefix(limit))
 	// A thief takes at most a fair per-processor share of the
 	// operator's remaining work, and never more than half the
 	// victim's queue.
-	budget := opRemaining / float64(r.live)
-	if half := op.queues[victim].EstRemaining(globalMean) / 2; half < budget {
-		budget = half
+	budget := 0.0
+	if sched.NeedsBudget(k, op.spec.Op.Hint) {
+		budget = sched.EstTotal(op.queues, op.done, op.spent, globalMean) / float64(r.live)
+		if half := vq.EstRemaining(globalMean) / 2; half < budget {
+			budget = half
+		}
 	}
-	tasks := op.queues[victim].TakeBudget(k, budget, op.spec.Op.Hint)
+	tasks := vq.TakeBudget(k, budget, op.spec.Op.Hint)
 	gv := op.procBase + victim
 	if r.rec != nil {
 		r.rec.Steal(gp, gv, o, tasks[0], len(tasks), r.sim.Now())

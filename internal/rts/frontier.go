@@ -2,8 +2,8 @@ package rts
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"orchestra/internal/delirium"
 )
@@ -42,6 +42,7 @@ type Frontier struct {
 	lim         Limits
 	pending     []int // expandable operators not yet handed out, ascending
 	outstanding int
+	spare       []*page // released completion pages, cleared, for reuse
 }
 
 // frontierEdge is one dataflow input. batch is the delivery granularity
@@ -58,14 +59,19 @@ type frontierOp struct {
 	in   []frontierEdge
 	out  []int
 	done int
-	// prefix is the contiguous completed prefix; ahead holds the runs
-	// completed beyond it — disjoint, sorted, adjacent runs merged — so
-	// tracking costs memory only for what is out of order right now
-	// (about one run per worker), never per task. Pipelined progress
-	// must be the prefix, not the count: a count of 50 completions may
-	// coexist with task 0 still queued.
+	// prefix is the contiguous completed prefix. Tasks completed beyond
+	// it are bits in pages of pageTasks tasks: pages[i] covers tasks
+	// [i·pageTasks, (i+1)·pageTasks) and is nil until an out-of-order
+	// completion lands in it, fullPage when one completion covered it
+	// whole, and released once the prefix passes it. Memory follows
+	// what is out of order (at p = 512 that is hundreds of runs, not
+	// one per worker), plus one pointer per page: the pages slice is
+	// allocated on the first out-of-order completion and dropped when
+	// the operator is full. Pipelined progress must be the prefix, not
+	// the count: a count of 50 completions may coexist with task 0
+	// still queued.
 	prefix int
-	ahead  []run
+	pages  []*page
 	issued int // tasks already returned in an Enabled range
 	// Expansion tree: depth is the nesting depth, parent the expandable
 	// operator whose sub-graph holds this one (-1 at top level). For an
@@ -85,8 +91,25 @@ type Limits struct {
 	Tasks int // tasks of one operator
 }
 
-// run is the task interval [lo, hi).
-type run struct{ lo, hi int }
+// A completion page covers pageTasks = 1<<pageShift tasks.
+const (
+	pageShift = 12
+	pageTasks = 1 << pageShift
+)
+
+// page is one pageTasks-task window of an operator's completion bitset:
+// bit i of word w is task w·64+i of the window.
+type page [pageTasks / 64]uint64
+
+// fullPage is the shared, read-only page of a window one completion
+// covered whole.
+var fullPage = func() *page {
+	var pg page
+	for w := range pg {
+		pg[w] = ^uint64(0)
+	}
+	return &pg
+}()
 
 // Range is the run of tasks [Lo, Hi) of operator Op.
 type Range struct{ Op, Lo, Hi int }
@@ -298,33 +321,93 @@ func (f *Frontier) Due(pr *Progress) {
 	f.pending = keep
 }
 
-// markDone folds the completed run [lo, hi) into prefix and ahead.
-func (o *frontierOp) markDone(lo, hi int) {
-	a := o.ahead
-	if lo == o.prefix {
-		// In order: extend the prefix, absorbing the run it now touches.
-		o.prefix = hi
-		if len(a) > 0 && a[0].lo == hi {
-			o.prefix = a[0].hi
-			o.ahead = a[:copy(a, a[1:])]
+// markDone folds the completed run [lo, hi) of o into its prefix and
+// pages. Runs are disjoint, so a whole-page run lands on a page nothing
+// else has touched.
+func (f *Frontier) markDone(o *frontierOp, lo, hi int) {
+	if lo != o.prefix {
+		if o.pages == nil {
+			o.pages = make([]*page, (o.n+pageTasks-1)>>pageShift)
+		}
+		for lo < hi {
+			pi := lo >> pageShift
+			end := min(hi, (pi+1)<<pageShift)
+			if end-lo == pageTasks {
+				o.pages[pi] = fullPage
+			} else {
+				if o.pages[pi] == nil {
+					o.pages[pi] = f.newPage()
+				}
+				o.pages[pi].set(lo&(pageTasks-1), end-pi<<pageShift)
+			}
+			lo = end
 		}
 		return
 	}
-	i := sort.Search(len(a), func(i int) bool { return a[i].lo > lo })
-	switch prev, next := i > 0 && a[i-1].hi == lo, i < len(a) && a[i].lo == hi; {
-	case prev && next:
-		a[i-1].hi = a[i].hi
-		a = append(a[:i], a[i+1:]...)
-	case prev:
-		a[i-1].hi = hi
-	case next:
-		a[i].lo = lo
-	default:
-		a = append(a, run{})
-		copy(a[i+1:], a[i:])
-		a[i] = run{lo, hi}
+	// In order: the prefix moves to hi and on across whatever has
+	// already completed beyond it; the pages it passed are released.
+	if o.pages == nil {
+		o.prefix = hi
+		return
 	}
-	o.ahead = a
+	from := o.prefix >> pageShift
+	o.prefix = o.scan(hi)
+	if o.prefix >= o.n {
+		for pi := from; pi < len(o.pages); pi++ {
+			f.release(o, pi)
+		}
+		o.pages = nil
+		return
+	}
+	for pi := from; pi < o.prefix>>pageShift; pi++ {
+		f.release(o, pi)
+	}
+}
+
+// scan returns the first task at or after at that has not completed,
+// reading the pages a word at a time.
+func (o *frontierOp) scan(at int) int {
+	for at < o.n {
+		pg := o.pages[at>>pageShift]
+		if pg == nil {
+			return at
+		}
+		for w := at >> 6 & (len(pg) - 1); w < len(pg); w++ {
+			if open := ^pg[w] >> (at & 63); open != 0 {
+				return at + bits.TrailingZeros64(open)
+			}
+			at = (at | 63) + 1
+		}
+	}
+	return at
+}
+
+// set marks the window's tasks [lo, hi) complete.
+func (pg *page) set(lo, hi int) {
+	for lo < hi {
+		end := min(hi, (lo|63)+1)
+		pg[lo>>6] |= ^uint64(0) >> (64 - (end - lo)) << (lo & 63)
+		lo = end
+	}
+}
+
+// newPage hands out a cleared page, reusing a released one if any.
+func (f *Frontier) newPage() *page {
+	if n := len(f.spare); n > 0 {
+		pg := f.spare[n-1]
+		f.spare = f.spare[:n-1]
+		return pg
+	}
+	return new(page)
+}
+
+// release drops o's page pi, keeping a private page for reuse.
+func (f *Frontier) release(o *frontierOp, pi int) {
+	if pg := o.pages[pi]; pg != nil && pg != fullPage {
+		*pg = page{}
+		f.spare = append(f.spare, pg)
+	}
+	o.pages[pi] = nil
 }
 
 // Complete records tasks [lo, hi) of op as done.
@@ -334,7 +417,7 @@ func (f *Frontier) Complete(op, lo, hi int, pr *Progress) {
 	o.done += k
 	f.outstanding -= k
 	old := o.prefix
-	o.markDone(lo, hi)
+	f.markDone(o, lo, hi)
 	full := o.done >= o.n
 	if full {
 		f.Due(pr)

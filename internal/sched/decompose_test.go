@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"orchestra/internal/machine"
@@ -183,25 +184,30 @@ func TestDecomposeSmallN(t *testing.T) {
 	}
 }
 
-// TestVictim pins the re-assignment scan both simulated drivers share:
-// dagRun.steal calls it with the Frontier's gate limit,
-// ExecuteDistributedFault with the operation's task count.
-func TestVictim(t *testing.T) {
+// victimCase is one row of the re-assignment scan both simulated
+// drivers share: dagRun.steal calls Victim with the Frontier's gate
+// limit, ExecuteDistributedFault with the operation's task count, and
+// dagRun.steal budgets a thief against EstTotal.
+type victimCase struct {
+	name        string
+	queues      []TaskQueue
+	done        []int
+	spent       []float64
+	mean        float64
+	limit       int
+	victim      int
+	opRemaining float64
+}
+
+const victimN = 9 // every task index in victimCases is < victimN
+
+func victimCases() []victimCase {
 	q := func(remHint float64, tasks ...int) TaskQueue { return TaskQueue{tasks: tasks, remHint: remHint} }
 	// A hinted queue taken to the end keeps whatever the float
 	// subtractions left in remHint.
 	emptied := TaskQueue{tasks: []int{0, 1}, pos: 2, remHint: 1e-13}
-	const n = 9 // every task index below is < n
-	for _, tc := range []struct {
-		name        string
-		queues      []TaskQueue
-		done        []int
-		spent       []float64
-		mean        float64
-		limit       int
-		victim      int
-		opRemaining float64
-	}{
+	const n = victimN
+	return []victimCase{
 		{"all queues empty", []TaskQueue{q(0), emptied}, []int{0, 2}, []float64{0, 2}, 1, n, -1, 0},
 		// Before the first sample every estimate is zero; a non-empty
 		// queue must still be found.
@@ -216,16 +222,60 @@ func TestVictim(t *testing.T) {
 		{"every front beyond the gate", []TaskQueue{q(100, 8, 2, 3), q(1, 5, 1)}, []int{0, 0}, []float64{0, 0}, 1, 4, -1, 101},
 		{"limit = N gates nothing", []TaskQueue{q(100, 8, 2, 3), q(1, 0, 1)}, []int{0, 0}, []float64{0, 0}, 1, n, 0, 101},
 		{"emptied queue's residue is not summed", []TaskQueue{emptied, q(5, 2)}, []int{2, 0}, []float64{2, 0}, 1, n, 1, 5},
-	} {
-		victim, opRemaining := Victim(tc.queues, tc.done, tc.spent, tc.mean, tc.limit)
-		if victim != tc.victim || opRemaining != tc.opRemaining {
-			t.Errorf("%s: victim %d, remaining %v; want %d, %v", tc.name, victim, opRemaining, tc.victim, tc.opRemaining)
+	}
+}
+
+func TestVictim(t *testing.T) {
+	for _, tc := range victimCases() {
+		victim := Victim(tc.queues, tc.done, tc.spent, tc.mean, tc.limit)
+		if victim != tc.victim {
+			t.Errorf("%s: victim %d, want %d", tc.name, victim, tc.victim)
 		}
-		if tc.limit == n {
+		if tc.limit == victimN {
 			// Ungated is limit = N: no larger limit changes the answer.
-			if v, rem := Victim(tc.queues, tc.done, tc.spent, tc.mean, math.MaxInt); v != victim || rem != opRemaining {
-				t.Errorf("%s: limit N gave %d, %v but MaxInt gave %d, %v", tc.name, victim, opRemaining, v, rem)
+			if v := Victim(tc.queues, tc.done, tc.spent, tc.mean, math.MaxInt); v != victim {
+				t.Errorf("%s: limit N gave %d but MaxInt gave %d", tc.name, victim, v)
 			}
 		}
+	}
+}
+
+// TestEstTotal: the operation's remaining estimate counts every
+// non-empty queue, gated or not, at the rate Victim ranks it by.
+func TestEstTotal(t *testing.T) {
+	for _, tc := range victimCases() {
+		if got := EstTotal(tc.queues, tc.done, tc.spent, tc.mean); got != tc.opRemaining {
+			t.Errorf("%s: remaining %v, want %v", tc.name, got, tc.opRemaining)
+		}
+	}
+}
+
+// TestTakeBudgetIgnoresBudgetBelowTwo pins what NeedsBudget rests on:
+// at k ≤ 1, or without hints, TakeBudget takes the same tasks and
+// leaves the same remHint whatever the budget, so a caller that skips
+// computing one changes nothing.
+func TestTakeBudgetIgnoresBudgetBelowTwo(t *testing.T) {
+	op := hintedOp(64, 11)
+	budgets := []float64{0, -1, math.NaN(), math.Inf(1), 1e-300}
+	for _, tc := range []struct {
+		k    int
+		hint func(int) float64
+	}{{0, op.Hint}, {1, op.Hint}, {0, nil}, {1, nil}, {2, nil}, {5, nil}, {64, nil}} {
+		if NeedsBudget(tc.k, tc.hint) {
+			t.Fatalf("NeedsBudget(%d, hint %v) = true", tc.k, tc.hint != nil)
+		}
+		ref := Decompose(op, 2)[1]
+		want := ref.TakeBudget(tc.k, 0, tc.hint)
+		for _, b := range budgets {
+			q := Decompose(op, 2)[1]
+			got := q.TakeBudget(tc.k, b, tc.hint)
+			if !slices.Equal(got, want) || q.remHint != ref.remHint || q.pos != ref.pos {
+				t.Errorf("k=%d hint=%v budget %v: took %v (remHint %v), want %v (remHint %v)",
+					tc.k, tc.hint != nil, b, got, q.remHint, want, ref.remHint)
+			}
+		}
+	}
+	if !NeedsBudget(2, op.Hint) {
+		t.Error("NeedsBudget(2, hint) = false")
 	}
 }

@@ -227,28 +227,30 @@ func Decompose(op Op, p int) []TaskQueue {
 		}
 		return queues
 	}
+	// Each hint is evaluated once: the split and the sort read h.
+	h := make([]float64, op.N)
 	total := 0.0
-	for i := 0; i < op.N; i++ {
-		total += op.Hint(i)
+	for i := range h {
+		h[i] = op.Hint(i)
+		total += h[i]
 	}
 	target := total / float64(p)
 	j := 0
 	cum := 0.0
-	for i := 0; i < op.N; i++ {
-		h := op.Hint(i)
+	for i, hi := range h {
 		// Each processor's block ends at its global share boundary:
 		// task i goes to the processor whose cumulative share covers
 		// the task's midpoint, so rounding never accumulates into a
 		// pile on the last processor.
-		for j < p-1 && cum+h/2 > target*float64(j+1) {
+		for j < p-1 && cum+hi/2 > target*float64(j+1) {
 			j++
 		}
 		queues[j].tasks = append(queues[j].tasks, i)
-		queues[j].remHint += h
-		cum += h
+		queues[j].remHint += hi
+		cum += hi
 	}
 	for j := range queues {
-		sortByHintDesc(queues[j].tasks, op.Hint)
+		sortByHintDesc(queues[j].tasks, h)
 	}
 	return queues
 }
@@ -311,7 +313,8 @@ func (q *TaskQueue) EstRemaining(rate float64) float64 {
 // TakeBudget removes up to k tasks from the front of the queue,
 // additionally stopping once their cumulative hinted cost exceeds
 // budget (always taking at least one). Re-assignment uses it so that a
-// thief never walks away with several expensive tasks at once.
+// thief never walks away with several expensive tasks at once. Unless
+// NeedsBudget(k, hint), budget is not read.
 func (q *TaskQueue) TakeBudget(k int, budget float64, hint func(int) float64) []int {
 	if hint == nil || budget <= 0 {
 		return q.Take(k, hint)
@@ -332,10 +335,17 @@ func (q *TaskQueue) TakeBudget(k int, budget float64, hint func(int) float64) []
 	return q.Take(take, hint)
 }
 
-func sortByHintDesc(tasks []int, hint func(int) float64) {
+// NeedsBudget reports whether TakeBudget(k, budget, hint) can depend on
+// budget: without hints it takes k tasks, and at k ≤ 1 it takes min(k,
+// 1) whatever the budget. Callers compute a budget, an O(queues) sum,
+// only when it does.
+func NeedsBudget(k int, hint func(int) float64) bool { return k > 1 && hint != nil }
+
+// sortByHintDesc orders tasks by h[task], largest first, stably.
+func sortByHintDesc(tasks []int, h []float64) {
 	// Insertion sort: queues are short (N/p tasks).
 	for i := 1; i < len(tasks); i++ {
-		for j := i; j > 0 && hint(tasks[j]) > hint(tasks[j-1]); j-- {
+		for j := i; j > 0 && h[tasks[j]] > h[tasks[j-1]]; j-- {
 			tasks[j], tasks[j-1] = tasks[j-1], tasks[j]
 		}
 	}
@@ -343,41 +353,53 @@ func sortByHintDesc(tasks []int, hint func(int) float64) {
 
 // Victim picks the queue a chunk re-assignment takes from, among one
 // operation's queues: the non-empty queue with the largest estimated
-// remaining time whose front task the gate has enabled (index below
-// limit), -1 when there is none. A queue's estimate uses its owner's
-// observed rate (spent time over done tasks) where that exceeds the
-// operation's mean. Any such queue qualifies: before the first sample
-// every estimate is zero, and a strict greater-than would strand the
-// tasks of an untouched operation, or of an owner that crashed before
-// taking any. A queue whose front sits beyond the gate has nothing
-// stealable right now, however much work it holds; an ungated caller
-// passes the operation's task count.
-//
-// opRemaining is the summed estimate of every non-empty queue, gated or
-// not, in queue order.
-func Victim(queues []TaskQueue, done []int, spent []float64, mean float64, limit int) (victim int, opRemaining float64) {
-	victim = -1
-	bestTime := 0.0
+// remaining time (ownerEst) whose front task the gate has enabled
+// (index below limit), -1 when there is none. Any such queue
+// qualifies: before the first sample every estimate is zero, and a
+// strict greater-than would strand the tasks of an untouched
+// operation, or of an owner that crashed before taking any. A queue
+// whose front sits beyond the gate has nothing stealable right now,
+// however much work it holds; an ungated caller passes the operation's
+// task count.
+func Victim(queues []TaskQueue, done []int, spent []float64, mean float64, limit int) int {
+	victim, bestTime := -1, 0.0
 	for v := range queues {
 		q := &queues[v]
-		if q.Remaining() == 0 {
+		if q.Remaining() == 0 || q.NextTask() >= limit {
 			continue
 		}
-		rate := mean
-		if done[v] > 0 && spent[v]/float64(done[v]) > rate {
-			rate = spent[v] / float64(done[v])
-		}
-		est := q.EstRemaining(rate)
-		opRemaining += est
-		if q.NextTask() >= limit {
-			continue
-		}
-		if victim < 0 || est > bestTime {
+		if est := ownerEst(q, done[v], spent[v], mean); victim < 0 || est > bestTime {
 			bestTime = est
 			victim = v
 		}
 	}
-	return victim, opRemaining
+	return victim
+}
+
+// EstTotal is the operation's estimated remaining time: the sum of
+// ownerEst over every non-empty queue, gated or not, in queue order.
+func EstTotal(queues []TaskQueue, done []int, spent []float64, mean float64) float64 {
+	sum := 0.0
+	for v := range queues {
+		if q := &queues[v]; q.Remaining() > 0 {
+			sum += ownerEst(q, done[v], spent[v], mean)
+		}
+	}
+	return sum
+}
+
+// ownerEst is a queue's estimated remaining time: its hint sum, else
+// its task count at its owner's observed rate (spent time over done
+// tasks) where that exceeds the operation's mean, else at the mean.
+func ownerEst(q *TaskQueue, done int, spent, mean float64) float64 {
+	if q.remHint > 0 {
+		return q.remHint
+	}
+	rate := mean
+	if done > 0 && spent/float64(done) > rate {
+		rate = spent / float64(done)
+	}
+	return float64(q.Remaining()) * rate
 }
 
 // ExecuteDistributed runs op with the paper's distributed scheme
@@ -520,10 +542,12 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 			// collects several expensive tasks. The budget is the
 			// hint-estimated remaining work per processor.
 			budget := 0.0
-			for v := 0; v < p; v++ {
-				budget += local[v].EstRemaining(0)
+			if NeedsBudget(k, op.Hint) {
+				for v := 0; v < p; v++ {
+					budget += local[v].EstRemaining(0)
+				}
+				budget /= float64(p)
 			}
-			budget /= float64(p)
 			stolen = false
 			execChunk(j, q.TakeBudget(k, budget, op.Hint), 0)
 			return
@@ -534,7 +558,7 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		// hints when present, else the observed per-processor rate the
 		// token protocol reports.
 		globalMean := ts.Global.Mean()
-		victim, _ := Victim(local, done, spent, globalMean, op.N)
+		victim := Victim(local, done, spent, globalMean, op.N)
 		if victim < 0 {
 			// Nothing left anywhere; wait for stragglers to finish
 			// their running chunks.

@@ -211,6 +211,9 @@ type Taper struct {
 	// is applied by the executor via ScaleChunk since it depends on
 	// which region of the iteration space the chunk would cover.
 	UseCostFunction bool
+	// memoP and memoOmega cache the default ω for the last p seen.
+	memoP     int
+	memoOmega float64
 }
 
 // Name implements Policy.
@@ -230,7 +233,10 @@ func (t *Taper) NextChunk(remaining, p int, ts *TaskStats) int {
 	}
 	omega := t.Omega
 	if omega <= 0 {
-		omega = math.Sqrt(2 * math.Log(float64(p)+1))
+		if t.memoP != p {
+			t.memoP, t.memoOmega = p, math.Sqrt(2*math.Log(float64(p)+1))
+		}
+		omega = t.memoOmega
 	}
 	cv := ts.Global.StdDev() / ts.Global.Mean()
 	share := float64(remaining) / float64(p)
