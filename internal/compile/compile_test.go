@@ -178,6 +178,47 @@ end
 	}
 }
 
+// TestCompileReductionOrder: a split loop carrying several reductions
+// must compile to one program, its replicas numbered in the order the
+// loop body first assigns the reduced scalars — not in the order a map
+// of the loop's SSA names happens to iterate.
+func TestCompileReductionOrder(t *testing.T) {
+	const src = `
+program fig4
+  integer n, a
+  real x(n, n), y(n), sum, prod, cnt
+
+  do i = 1, n
+    x(a, i) = x(a, i) + y(i)
+  end do
+
+  do i = 1, n
+    do j = 1, n
+      sum = sum + x(i, j)
+      prod = prod * x(i, j)
+      cnt = cnt + 1
+    end do
+  end do
+end
+`
+	first := compileSrc(t, src, DefaultOptions())
+	want := source.Format(first.Program)
+	var replicas []string
+	for _, d := range first.Program.Decls {
+		if strings.Contains(d.Name, "_") {
+			replicas = append(replicas, d.Name)
+		}
+	}
+	if got, pin := strings.Join(replicas, ", "), "sum_i1, sum_d1, prod_i2, prod_d2, cnt_i3, cnt_d3"; got != pin {
+		t.Fatalf("replicated scalars %s, want %s\n%s", got, pin, want)
+	}
+	for k := 1; k < 50; k++ {
+		if got := source.Format(compileSrc(t, src, DefaultOptions()).Program); got != want {
+			t.Fatalf("compile %d differs from the first:\n%s\nfirst:\n%s", k, got, want)
+		}
+	}
+}
+
 func TestCompileGraphEncodes(t *testing.T) {
 	out := compileSrc(t, figure1, DefaultOptions())
 	text := out.Graph.Encode()

@@ -19,7 +19,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-const corpusGoldenFile = "testdata/corpus_pinned.txt"
+const (
+	corpusGoldenFile         = "testdata/corpus_pinned.txt"
+	corpusProgramsGoldenFile = "testdata/corpus_programs.txt"
+)
 
 // corpusProgram is one program of the pinned corpus, as source text.
 type corpusProgram struct {
@@ -101,22 +104,42 @@ func TestCorpusPinned(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%x %s\n", h.Sum(nil), p.name)
 	}
+	checkGolden(t, corpusGoldenFile, got.String())
+}
+
+// TestCorpusProgramsPinned holds the transformed program still, which
+// TestCorpusPinned's hash does not cover: one sha256 per corpus program
+// over its formatted source, so a renamed or reordered replica, init or
+// merge shows even where the graph and the unit roles stay the same.
+func TestCorpusProgramsPinned(t *testing.T) {
+	var got strings.Builder
+	for _, p := range pinnedCorpus(t) {
+		out := compileText(t, p)
+		fmt.Fprintf(&got, "%x %s\n", sha256.Sum256([]byte(source.Format(out.Program))), p.name)
+	}
+	checkGolden(t, corpusProgramsGoldenFile, got.String())
+}
+
+// checkGolden compares one line per corpus program with file, or
+// rewrites file under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(corpusGoldenFile, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(corpusGoldenFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("corpus has %d programs, %s pins %d", len(gotLines)-1, corpusGoldenFile, len(wantLines)-1)
+		t.Fatalf("corpus has %d programs, %s pins %d", len(gotLines)-1, file, len(wantLines)-1)
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {

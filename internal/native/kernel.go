@@ -22,7 +22,10 @@ import (
 // backend. A binding is an rts.Binder whose Time function executes
 // task i's body and returns a nominal simulated cost: the simulator
 // charges the return value to its clock, the native backend runs the
-// body and measures the wall clock.
+// body and measures the wall clock. Each kernel is written once, as a
+// range body (sched.Op.TimeRange) that loops over its tasks, and Time(i)
+// is TimeRange(i, i+1): a chunk then runs as one loop, and no range
+// calls a closure per element.
 //
 // Kernel tasks must obey a dataflow-safety contract so that every
 // execution order any backend produces yields bit-identical results.
@@ -96,27 +99,6 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 		nodeID := float64(hashName(nd.Name) % (1 << 20))
 		w := work
 		ins := inputs
-		body := func(i int) float64 {
-			v := 0.0
-			for r := 0; r < w; r++ {
-				v += interp.DefaultFunc([]float64{float64(i), nodeID, float64(r)})
-			}
-			for _, in := range ins {
-				var j int
-				if in.pipelined {
-					// Prefix-safe read (contract rule 3).
-					j = i * len(in.arr) / n
-				} else {
-					j = (i*31 + 7) % len(in.arr)
-				}
-				v += in.arr[j]
-			}
-			arr[i] = v
-			return 1
-		}
-		// Fused variant: identical writes to per-task body calls, but
-		// one call per chunk with the task loop inlined, so a chunk
-		// costs no per-task closure dispatch.
 		bodyRange := func(lo, hi int) float64 {
 			for i := lo; i < hi; i++ {
 				v := 0.0
@@ -126,6 +108,7 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 				for _, in := range ins {
 					var j int
 					if in.pipelined {
+						// Prefix-safe read (contract rule 3).
 						j = i * len(in.arr) / n
 					} else {
 						j = (i*31 + 7) % len(in.arr)
@@ -157,7 +140,7 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 			Op: sched.Op{
 				Name:      nd.Name,
 				N:         n,
-				Time:      body,
+				Time:      func(i int) float64 { return bodyRange(i, i+1) },
 				TimeRange: bodyRange,
 				Bytes:     8,
 			},
@@ -251,23 +234,21 @@ func SpinBinder(g *delirium.Graph, count func(node *delirium.Node) int, cv float
 		}
 		t := times
 		uw := unitWork
-		spec := rts.OpSpec{Op: sched.Op{
-			Name:  nd.Name,
-			N:     n,
-			Bytes: 64,
-			Time: func(i int) float64 {
+		bodyRange := func(lo, hi int) float64 {
+			sum := 0.0
+			for i := lo; i < hi; i++ {
 				spin(int(t[i] * float64(uw)))
-				return t[i]
-			},
-			TimeRange: func(lo, hi int) float64 {
-				sum := 0.0
-				for i := lo; i < hi; i++ {
-					spin(int(t[i] * float64(uw)))
-					sum += t[i]
-				}
-				return sum
-			},
-			Hint: func(i int) float64 { return t[i] },
+				sum += t[i]
+			}
+			return sum
+		}
+		spec := rts.OpSpec{Op: sched.Op{
+			Name:      nd.Name,
+			N:         n,
+			Bytes:     64,
+			Time:      func(i int) float64 { return bodyRange(i, i+1) },
+			TimeRange: bodyRange,
+			Hint:      func(i int) float64 { return t[i] },
 		}}
 		spec.SampleStats(128)
 		specs[nd.Name] = spec

@@ -16,11 +16,12 @@ type Op struct {
 	N    int
 	// Time gives the execution time of task i.
 	Time func(i int) float64
-	// TimeRange, when non-nil, executes tasks [lo, hi) in one fused
-	// call and returns their summed time. It must be observationally
-	// identical to calling Time for each i in [lo, hi); a wall-clock
-	// executor uses it to avoid a closure invocation per task on
-	// chunk-timed chunks. The simulator ignores it.
+	// TimeRange, when non-nil, executes tasks [lo, hi) in one call and
+	// returns their summed time. It must be observationally identical
+	// to calling Time for each i in [lo, hi): a kernel is written once,
+	// as this range body, with Time(i) = TimeRange(i, i+1). Wall-clock
+	// executors run a chunk through it, so a chunk costs no call per
+	// task. The simulator ignores it.
 	TimeRange func(lo, hi int) float64
 	// Bytes is the data volume associated with one task; moving a task
 	// off its owner costs a message of this size.

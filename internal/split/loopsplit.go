@@ -95,12 +95,18 @@ func splittableIterations(r *analysis.Result, loop *source.Do, iter descriptor.D
 // must be updated only by associative self-updates (v = v + e or
 // v = v * e with e free of v) and read nowhere else in the body. It
 // reports ok=false when a loop-carried scalar defies that pattern.
+//
+// The scalars are taken in the order the body first assigns them, so
+// the replicas' names, declarations, initialisations and merges are the
+// same on every compile. A carried scalar the body never assigns is no
+// reduction and can never disqualify the loop, so it is not visited.
 func detectReductions(r *analysis.Result, loop *source.Do) ([]reduction, bool) {
 	env := r.SSA.InsideLoop[loop]
 	headNode := r.SSA.Graph.LoopNode[loop]
 	var reds []reduction
-	for v, name := range env {
-		if v == loop.Var {
+	for _, v := range assignedScalars(loop.Body) {
+		name, ok := env[v]
+		if !ok || v == loop.Var {
 			continue
 		}
 		def := r.SSA.Defs[name]
@@ -116,6 +122,22 @@ func detectReductions(r *analysis.Result, loop *source.Do) ([]reduction, bool) {
 		}
 	}
 	return reds, true
+}
+
+// assignedScalars lists the scalars body assigns, in the order of their
+// first assignment.
+func assignedScalars(body []source.Stmt) []string {
+	var names []string
+	seen := map[string]bool{}
+	source.WalkStmts(body, func(s source.Stmt) {
+		if a, ok := s.(*source.Assign); ok {
+			if id, ok := a.LHS.(*source.Ident); ok && !seen[id.Name] {
+				seen[id.Name] = true
+				names = append(names, id.Name)
+			}
+		}
+	})
+	return names
 }
 
 // reductionOp inspects every use of scalar v in body. It returns the

@@ -23,6 +23,11 @@ import (
 // each ~64 KB block through all stages while it is L2-resident, which
 // is exactly the traffic bench's native-memchain workload measures.
 //
+// Each stage is one plain loop over its own arrays (the range body), and
+// a single task is the one-element range. At this intensity a call per
+// element costs as much as the element's memory traffic, so a chunk must
+// not pay one.
+//
 // Every kernel writes only its own elements as a pure function of its
 // inputs (the native kernel contract), so any schedule either backend
 // produces — barriered, prefix-gated, chained, stolen, re-issued after
@@ -52,22 +57,19 @@ func MemChain(cfg Config) (*App, *interp.State) {
 	rd := st.Arrays["reduce"]
 	seed := float64(cfg.Seed%1021) * 1e-3
 
-	// streamOp wraps a per-element kernel as an operation spec; the
-	// range body is the same loop without per-task closure dispatch.
-	streamOp := func(name string, f func(i int), ann *split.Annotation) rts.OpSpec {
+	// streamOp wraps a stage's range body as an operation spec.
+	streamOp := func(name string, body func(lo, hi int), ann *split.Annotation) rts.OpSpec {
 		return rts.OpSpec{
 			Op: sched.Op{
 				Name:  name,
 				N:     n,
 				Bytes: 8,
 				Time: func(i int) float64 {
-					f(i)
+					body(i, i+1)
 					return 1
 				},
 				TimeRange: func(lo, hi int) float64 {
-					for i := lo; i < hi; i++ {
-						f(i)
-					}
+					body(lo, hi)
 					return float64(hi - lo)
 				},
 			},
@@ -76,28 +78,37 @@ func MemChain(cfg Config) (*App, *interp.State) {
 		}
 	}
 	ops := map[string]rts.OpSpec{
-		"load": streamOp("load", func(i int) {
-			x := float64(i)
-			ld[i] = seed + x*1.000000059604645e-08 // cheap, index-pure fill
-		}, split.Pointwise()),
-		"scale1": streamOp("scale1", func(i int) {
-			s1[i] = 1.0001*ld[i] + 0.5
-		}, split.Pointwise()),
-		"scale2": streamOp("scale2", func(i int) {
-			s2[i] = 0.9997*s1[i] - 0.25
-		}, split.Pointwise()),
-		"smooth": streamOp("smooth", func(i int) {
-			l, r := i-1, i+1
-			if l < 0 {
-				l = 0
+		"load": streamOp("load", func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				ld[i] = seed + float64(i)*1.000000059604645e-08 // cheap, index-pure fill
 			}
-			if r >= n {
-				r = n - 1
+		}, split.Pointwise()),
+		"scale1": streamOp("scale1", func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				s1[i] = 1.0001*ld[i] + 0.5
 			}
-			sm[i] = 0.25*s2[l] + 0.5*s2[i] + 0.25*s2[r]
+		}, split.Pointwise()),
+		"scale2": streamOp("scale2", func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				s2[i] = 0.9997*s1[i] - 0.25
+			}
+		}, split.Pointwise()),
+		"smooth": streamOp("smooth", func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				l, r := i-1, i+1
+				if l < 0 {
+					l = 0
+				}
+				if r >= n {
+					r = n - 1
+				}
+				sm[i] = 0.25*s2[l] + 0.5*s2[i] + 0.25*s2[r]
+			}
 		}, split.Stencil(1)),
-		"reduce": streamOp("reduce", func(i int) {
-			rd[i] = sm[i] * sm[i]
+		"reduce": streamOp("reduce", func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				rd[i] = sm[i] * sm[i]
+			}
 		}, split.Reduction()),
 	}
 

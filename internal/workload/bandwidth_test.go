@@ -5,7 +5,16 @@ import (
 
 	"orchestra/internal/native"
 	"orchestra/internal/rts"
+	"orchestra/internal/stats"
 	"orchestra/internal/workload"
+)
+
+// MemChain's memory image at seed 7, recorded from the stages' earlier
+// per-element bodies: a kernel change that alters a value fails here
+// even when every schedule agrees with every other.
+const (
+	memChainDigest100k = "adc1bea62f43fd1319b80e4e1b1a27d8d339c75efb99adeac79267dfff2ff0d4"
+	memChainDigest4M   = "7125d05b81a20be1a8221c98c54e77625a5706f525f8863c204722a7b299f782"
 )
 
 // runMemChain executes a fresh MemChain instance natively and returns
@@ -21,14 +30,20 @@ func runMemChain(t *testing.T, p, n int, mode rts.Mode, chain rts.ChainPolicy) (
 	return r.ChainHits, native.StateDigest(st)
 }
 
-// TestMemChainParity: the bandwidth chain must produce bitwise-
-// identical memory images under every schedule — barriered reference,
+// TestMemChainParity: the bandwidth chain must produce the pinned
+// memory image under every schedule — barriered reference,
 // gate-pipelined, and cache-chained — and the chained run must
 // actually engage the chain path (including across the stencil's
 // halo-widened blocks).
 func TestMemChainParity(t *testing.T) {
 	const n = 100000
 	_, want := runMemChain(t, 1, n, rts.ModeStatic, rts.ChainOff)
+	if want != memChainDigest100k {
+		t.Fatalf("n=%d: digest %s, want %s", n, want, memChainDigest100k)
+	}
+	if _, got := runMemChain(t, 2, 1<<22, rts.ModeSplit, rts.ChainAuto); got != memChainDigest4M {
+		t.Fatalf("n=1<<22: digest %s, want %s", got, memChainDigest4M)
+	}
 	for _, p := range []int{2, 4, 8} {
 		for _, chain := range []rts.ChainPolicy{rts.ChainAuto, rts.ChainOff} {
 			hits, got := runMemChain(t, p, n, rts.ModeSplit, chain)
@@ -40,6 +55,53 @@ func TestMemChainParity(t *testing.T) {
 			}
 			if chain == rts.ChainOff && hits != 0 {
 				t.Errorf("p=%d: ChainOff memchain run reported %d chain hits", p, hits)
+			}
+		}
+	}
+}
+
+// TestKernelRangeMatchesTasks: each MemChain stage is one range body
+// and Time(i) is its one-task range, so random cuts of every stage, the
+// pieces run in random order, each as one range or task by task, must
+// leave the image an all-per-task run leaves.
+func TestKernelRangeMatchesTasks(t *testing.T) {
+	rng := stats.NewRNG(27)
+	for _, n := range []int{1, 2, 3, 7, 4096, 65539} {
+		app, st := workload.MemChain(workload.Config{N: n, Seed: 7})
+		for _, name := range app.Phases() {
+			op := app.Bind(name).Op
+			for i := 0; i < op.N; i++ {
+				op.Time(i)
+			}
+		}
+		want := native.StateDigest(st)
+		for round := 0; round < 4; round++ {
+			app, st := workload.MemChain(workload.Config{N: n, Seed: 7})
+			for _, name := range app.Phases() {
+				op := app.Bind(name).Op
+				var pieces [][2]int
+				for lo := 0; lo < op.N; {
+					hi := min(op.N, lo+1+rng.Intn(1+rng.Intn(op.N)))
+					pieces = append(pieces, [2]int{lo, hi})
+					lo = hi
+				}
+				for _, k := range rng.Perm(len(pieces)) {
+					lo, hi := pieces[k][0], pieces[k][1]
+					cost := 0.0
+					if rng.Intn(2) == 0 {
+						cost = op.TimeRange(lo, hi)
+					} else {
+						for i := lo; i < hi; i++ {
+							cost += op.Time(i)
+						}
+					}
+					if cost != float64(hi-lo) {
+						t.Fatalf("n=%d %s [%d, %d): reported %v", n, name, lo, hi, cost)
+					}
+				}
+			}
+			if got := native.StateDigest(st); got != want {
+				t.Fatalf("n=%d round %d: mixed cuts digest %s, per-task %s", n, round, got, want)
 			}
 		}
 	}
