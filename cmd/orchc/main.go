@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"orchestra/internal/analysis"
@@ -22,43 +23,54 @@ import (
 	"orchestra/internal/source"
 )
 
-func main() {
-	fuse := flag.Bool("fuse", false, "fuse legal adjacent loops before splitting")
-	noSplit := flag.Bool("no-split", false, "disable the split transformation")
-	noPipe := flag.Bool("no-pipeline", false, "disable the pipelining transformation")
-	depth := flag.Int("depth", 1, "pipelining depth")
-	descriptors := flag.Bool("descriptors", false, "print symbolic data descriptors for each top-level computation")
-	dot := flag.Bool("dot", false, "also emit the dataflow graph in Graphviz DOT form")
-	out := flag.String("o", "", "output file prefix (default stdout)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: orchc [flags] file.f")
-		os.Exit(2)
+// run is the whole command: it returns the exit status, 2 for bad
+// usage and 1 for a failed compile or write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("orchc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fuse := fs.Bool("fuse", false, "fuse legal adjacent loops before splitting")
+	noSplit := fs.Bool("no-split", false, "disable the split transformation")
+	noPipe := fs.Bool("no-pipeline", false, "disable the pipelining transformation")
+	depth := fs.Int("depth", 1, "pipelining depth")
+	descriptors := fs.Bool("descriptors", false, "print symbolic data descriptors for each top-level computation")
+	dot := fs.Bool("dot", false, "also emit the dataflow graph in Graphviz DOT form")
+	out := fs.String("o", "", "output file prefix (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: orchc [flags] file.f")
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "orchc:", err)
+		return 1
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	prog, err := source.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	if *descriptors {
 		r := analysis.Analyze(prog)
-		fmt.Println("symbolic data descriptors:")
+		fmt.Fprintln(stdout, "symbolic data descriptors:")
 		for i, s := range prog.Body {
 			d := r.DescribeStmt(s)
-			fmt.Printf("-- computation %d (%T):\n%s\n", i+1, s, d)
+			fmt.Fprintf(stdout, "-- computation %d (%T):\n%s\n", i+1, s, d)
 		}
 		if len(r.Calls) > 0 {
-			fmt.Println("\ncall-site groups (hot sites grouped by aliasing and constants):")
+			fmt.Fprintln(stdout, "\ncall-site groups (hot sites grouped by aliasing and constants):")
 			for _, k := range analysis.GroupKeys(r.Calls) {
-				fmt.Printf("  %s: %d site(s)\n", k, analysis.Groups(r.Calls)[k])
+				fmt.Fprintf(stdout, "  %s: %d site(s)\n", k, analysis.Groups(r.Calls)[k])
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	opts := compile.DefaultOptions()
@@ -69,13 +81,13 @@ func main() {
 
 	res, err := compile.Compile(prog, opts)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	for _, line := range res.Report {
-		fmt.Fprintln(os.Stderr, "orchc:", line)
+		fmt.Fprintln(stderr, "orchc:", line)
 	}
 	if st, err := res.Graph.Summarize(); err == nil {
-		fmt.Fprintln(os.Stderr, "orchc: graph:", st)
+		fmt.Fprintln(stderr, "orchc: graph:", st)
 	}
 	// Unit-weight critical path = the residual serialization depth.
 	w := delirium.Weights{}
@@ -83,40 +95,36 @@ func main() {
 		w[n.Name] = 1
 	}
 	if path, depth, err := res.Graph.CriticalPath(w); err == nil {
-		fmt.Fprintf(os.Stderr, "orchc: critical path (depth %.0f): %v\n", depth, path)
+		fmt.Fprintf(stderr, "orchc: critical path (depth %.0f): %v\n", depth, path)
 	}
 
 	program := source.Format(res.Program)
 	graph := res.Graph.Encode()
 	if *out == "" {
-		fmt.Println("! ---- transformed program ----")
-		fmt.Print(program)
-		fmt.Println("! ---- dataflow graph ----")
-		fmt.Print(graph)
+		fmt.Fprintln(stdout, "! ---- transformed program ----")
+		fmt.Fprint(stdout, program)
+		fmt.Fprintln(stdout, "! ---- dataflow graph ----")
+		fmt.Fprint(stdout, graph)
 		if *dot {
-			fmt.Println("// ---- graphviz ----")
-			fmt.Print(res.Graph.ToDot())
+			fmt.Fprintln(stdout, "// ---- graphviz ----")
+			fmt.Fprint(stdout, res.Graph.ToDot())
 		}
-		return
+		return 0
 	}
-	if *out+".f" == flag.Arg(0) {
-		fatal(fmt.Errorf("output %s.f would overwrite the input", *out))
+	if *out+".f" == fs.Arg(0) {
+		return fatal(fmt.Errorf("output %s.f would overwrite the input", *out))
 	}
 	if err := os.WriteFile(*out+".f", []byte(program), 0o644); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if err := os.WriteFile(*out+".graph", []byte(graph), 0o644); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *dot {
 		if err := os.WriteFile(*out+".dot", []byte(res.Graph.ToDot()), 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "orchc: wrote %s.f and %s.graph\n", *out, *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "orchc:", err)
-	os.Exit(1)
+	fmt.Fprintf(stderr, "orchc: wrote %s.f and %s.graph\n", *out, *out)
+	return 0
 }

@@ -17,6 +17,9 @@
 // rts.Binding values naming synthetic kernels from the process-wide
 // registry; real workloads register their own kernels (see
 // internal/workload) or construct rts.OpSpec values directly.
+// BindIrregular's task times are native.LogNormalTimes, the one
+// log-normal draw the "spin" and "lognormal" families use too, so the
+// same seed, cv and node name give the same times in every family.
 //
 // Importing core registers every backend ("sim", "native", "dist") and
 // the built-in kernel families, so rts.OpenBackend and rts.Bind work
@@ -24,15 +27,12 @@
 package core
 
 import (
-	"math"
-
 	"orchestra/internal/compile"
 	_ "orchestra/internal/dist" // register the "dist" backend
-	_ "orchestra/internal/native"
+	"orchestra/internal/native"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
 	"orchestra/internal/source"
-	"orchestra/internal/stats"
 	"orchestra/internal/trace"
 )
 
@@ -156,30 +156,5 @@ func irregularKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 	n := env.Params.Int("tasks", 1024)
 	cv := env.Params.Float("cv", 1)
 	seed := env.Params.Uint64("seed", 1)
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
-	mu := -sigma * sigma / 2
-	rng := stats.NewRNG(seed ^ hashName(op))
-	times := make([]float64, n)
-	for i := range times {
-		times[i] = rng.LogNormal(mu, sigma)
-	}
-	t := times
-	spec := rts.OpSpec{Op: sched.Op{
-		Name:  op,
-		N:     n,
-		Time:  func(i int) float64 { return t[i] },
-		Bytes: 64,
-		Hint:  func(i int) float64 { return t[i] },
-	}}
-	spec.SampleStats(128)
-	return spec, nil
-}
-
-// hashName is FNV-1a, keeping per-node workloads distinct.
-func hashName(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
+	return native.CostSpec(op, native.LogNormalTimes(seed, op, n, cv)), nil
 }

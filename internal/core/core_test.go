@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"testing"
 
@@ -114,6 +118,36 @@ func TestBindIrregularPerNodeDistinct(t *testing.T) {
 	}
 	if same > 16 {
 		t.Fatalf("distinct nodes share %d task times", same)
+	}
+}
+
+// TestLogNormalDrawsPinned pins, bit for bit, the per-node task times
+// the three log-normal families draw: "irregular" (this package),
+// "lognormal" and "spin" (native). The hashes were recorded before the
+// families shared one draw, so they hold the draw itself fixed; all
+// three drew the same times per node then too.
+func TestLogNormalDrawsPinned(t *testing.T) {
+	want := map[string]string{"a": "64:6f7ff3ce19190a29", "c": "64:36d730ab16ec9c3f"}
+	for _, family := range []string{"irregular", "lognormal", "spin"} {
+		params := rts.KernelParams{}
+		params.SetInt("tasks", 64)
+		params.SetFloat("cv", 1.5)
+		params.SetUint64("seed", 7)
+		params.SetInt("unitwork", 1)
+		bind := bindTo(t, rts.NamedBinding(family, params))
+		for _, node := range []string{"a", "c"} {
+			op := bind(node).Op
+			h := fnv.New64a()
+			for i := 0; i < op.N; i++ {
+				if got := op.Time(i); got != op.Hint(i) {
+					t.Fatalf("%s/%s: task %d costs %v, hinted %v", family, node, i, got, op.Hint(i))
+				}
+				binary.Write(h, binary.LittleEndian, math.Float64bits(op.Hint(i)))
+			}
+			if got := fmt.Sprintf("%d:%016x", op.N, h.Sum64()); got != want[node] {
+				t.Errorf("%s/%s draws %s, want %s", family, node, got, want[node])
+			}
+		}
 	}
 }
 

@@ -44,8 +44,8 @@ func (Backend) Name() string { return "dist" }
 
 // distSupported: fault plans are the point (crash is a real SIGKILL);
 // the chain policy is trivially satisfied (segments are delivered by
-// message, nothing is cache-chained); Pin and Labels would have to act
-// inside the worker processes and are not implemented.
+// message, nothing is cache-chained); Labels would have to act inside
+// the worker processes and is not implemented.
 var distSupported = rts.Supported{Chain: true, Fault: true}
 
 func init() {

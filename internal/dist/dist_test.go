@@ -221,8 +221,8 @@ func TestDistRejectsClosureBinding(t *testing.T) {
 }
 
 // TestDistUnsupportedRunOpts checks the structured option rejection:
-// the dist backend has no shared-memory worker pool, so Pin and Labels
-// must come back as an *OptionError naming them.
+// the dist backend has no shared-memory worker pool, so Labels must
+// come back as an *OptionError naming it.
 func TestDistUnsupportedRunOpts(t *testing.T) {
 	out := compileSample(t)
 	bound, err := rts.Bind(out.Graph, arrayBinding(64))
@@ -230,14 +230,14 @@ func TestDistUnsupportedRunOpts(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = (dist.Backend{Workers: 2}).Run(out.Graph, bound, rts.RunOpts{
-		Processors: 2, Pin: true, Labels: true,
+		Processors: 2, Labels: true,
 	})
 	var oe *rts.OptionError
 	if !errors.As(err, &oe) {
 		t.Fatalf("error %v is not an *OptionError", err)
 	}
-	if len(oe.Fields) != 2 || oe.Fields[0] != "Pin" || oe.Fields[1] != "Labels" {
-		t.Fatalf("fields %v, want [Pin Labels]", oe.Fields)
+	if len(oe.Fields) != 1 || oe.Fields[0] != "Labels" {
+		t.Fatalf("fields %v, want [Labels]", oe.Fields)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestRows(t *testing.T) {
 			if sim, ok := c.Backend.(*rts.SimBackend); ok && sim.Cfg.Processors != c.Opts.Processors {
 				t.Errorf("%s: simulated machine has %d processors", c.Name, sim.Cfg.Processors)
 			}
-			if c.Opts.Sink != nil || c.Opts.Pin || c.Opts.Labels || c.Opts.Ctx != nil || c.Opts.Chain != rts.ChainAuto {
+			if c.Opts.Sink != nil || c.Opts.Labels || c.Opts.Ctx != nil || c.Opts.Chain != rts.ChainAuto {
 				t.Errorf("%s: RunOpts %+v sets more than p, mode, ω and fault", c.Name, c.Opts)
 			}
 		}
@@ -168,8 +168,8 @@ func TestOracleCatchesSabotage(t *testing.T) {
 				}
 			}
 			t.Fatal("w was never written")
-		case *nestedInst:
-			a := in.st.Arrays["t0"]
+		case nestedRun:
+			a := in.Array("t0")
 			a[0] = math.Float64frombits(math.Float64bits(a[0]) ^ 1)
 		}
 	}

@@ -256,64 +256,3 @@ func (e *engine) detector() {
 		}
 	}
 }
-
-// releaseFault is release's path once any worker has been declared
-// dead: ranges are block-split over the surviving workers only, so
-// fresh work never lands on (and has to be recovered from) a dead
-// inbox. The releasing worker counts as live even if falsely declared
-// dead — it is demonstrably running.
-func (e *engine) releaseFault(w *worker, op, lo, hi int) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	targets := make([]*worker, 0, e.p)
-	for _, t := range e.workers {
-		if t.deadA.Load() && (w == nil || t.id != w.id) {
-			continue
-		}
-		targets = append(targets, t)
-	}
-	if len(targets) == 0 {
-		targets = append(targets, e.workers[0])
-	}
-	m := len(targets)
-	if n >= 2*m && m > 1 {
-		for j := 0; j < m; j++ {
-			a, b := sched.BlockBounds(j, n, m)
-			if b <= a {
-				continue
-			}
-			s := segment{op: op, lo: lo + a, hi: lo + b}
-			if w != nil && targets[j].id == w.id {
-				w.dq.push(s)
-			} else {
-				targets[j].postInbox(s)
-			}
-			e.queued.Add(1)
-		}
-		if e.steal {
-			e.signal(m)
-		} else {
-			for _, t := range targets {
-				t.pk.unpark()
-			}
-		}
-		return
-	}
-	s := segment{op: op, lo: lo, hi: hi}
-	if w != nil && e.steal {
-		w.dq.push(s)
-		e.queued.Add(1)
-		e.signal(1)
-		return
-	}
-	t := targets[int(e.rr.Add(1)-1)%m]
-	if w != nil && t.id == w.id {
-		w.dq.push(s)
-	} else {
-		t.postInbox(s)
-	}
-	e.queued.Add(1)
-	t.pk.unpark()
-}

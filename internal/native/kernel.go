@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 
 	"orchestra/internal/delirium"
 	"orchestra/internal/interp"
@@ -45,6 +47,47 @@ import (
 //     predecessor (pn tasks) only at indices j ≤ i·pn/n: the prefix
 //     gate (rts.Frontier, driven by every engine) enables i only once
 //     the producer's contiguous completed prefix covers that index.
+//
+// Every kernel that reads its predecessors' arrays does so through
+// Input.Read, over the inputs Inputs snapshots, and names its nodes by
+// HashName: the read, the input order and the node hash are defined
+// here once, for ArrayKernels and the nested workloads alike.
+
+// Input is one predecessor array a kernel reads, as its node's in-edge
+// delivers it.
+type Input struct {
+	From      string
+	Arr       []float64
+	Pipelined bool
+}
+
+// Read is what task i of an n-task operator reads from the input: the
+// prefix-safe index i·pn/n on a pipelined edge (contract rule 3), a
+// fixed stride (i·31+7) mod pn otherwise (rule 2).
+func (in Input) Read(i, n int) float64 {
+	pn := len(in.Arr)
+	if in.Pipelined {
+		return in.Arr[i*pn/n]
+	}
+	return in.Arr[(i*31+7)%pn]
+}
+
+// Inputs snapshots node's predecessor arrays (array resolves a
+// producer's name) after the inherited ones, sorted by producer name:
+// float addition is not associative, so a kernel's summation order must
+// not depend on the graph's edge-list order — a graph and its
+// Encode/Decode round trip must digest identically. A producer with no
+// elements contributes nothing and is left out.
+func Inputs(g *delirium.Graph, node string, array func(string) []float64, inherited []Input) []Input {
+	inputs := slices.Clone(inherited)
+	for _, e := range g.InEdges(node) {
+		if arr := array(e.From); len(arr) > 0 {
+			inputs = append(inputs, Input{From: e.From, Arr: arr, Pipelined: e.Pipelined})
+		}
+	}
+	slices.SortStableFunc(inputs, func(a, b Input) int { return strings.Compare(a.From, b.From) })
+	return inputs
+}
 
 // ArrayKernels binds every node of a graph to a real array kernel
 // over an interp.State memory image: node X owns the n-element array
@@ -75,45 +118,22 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 	for _, nd := range order {
 		st.Alloc(nd.Name, n)
 		arr := st.Arrays[nd.Name]
-		// Snapshot the predecessor arrays and their edge kinds, in
-		// canonical (name-sorted) order: float addition is not
-		// associative, so the summation order below must not depend on
-		// the graph's edge-list order — a graph and its Encode/Decode
-		// round trip must digest identically.
-		type input struct {
-			from      string
-			arr       []float64
-			pipelined bool
-		}
-		var inputs []input
-		for _, e := range g.InEdges(nd.Name) {
-			inputs = append(inputs, input{from: e.From, arr: st.Arrays[e.From], pipelined: e.Pipelined})
-		}
-		sort.Slice(inputs, func(a, b int) bool { return inputs[a].from < inputs[b].from })
+		inputs := Inputs(g, nd.Name, func(name string) []float64 { return st.Arrays[name] }, nil)
 		// The node's identity in task values must be canonical across an
 		// Encode/Decode round trip: Encode sorts the edge list, which can
 		// legally reorder TopoOrder's tie-breaking, so a topological
 		// *index* would differ between a graph and its wire form (the
 		// dist backend binds the decoded graph inside worker processes).
 		// Hash the name instead — names survive the wire unchanged.
-		nodeID := float64(hashName(nd.Name) % (1 << 20))
-		w := work
-		ins := inputs
+		nodeID := float64(HashName(nd.Name) % (1 << 20))
 		bodyRange := func(lo, hi int) float64 {
 			for i := lo; i < hi; i++ {
 				v := 0.0
-				for r := 0; r < w; r++ {
+				for r := 0; r < work; r++ {
 					v += interp.DefaultFunc([]float64{float64(i), nodeID, float64(r)})
 				}
-				for _, in := range ins {
-					var j int
-					if in.pipelined {
-						// Prefix-safe read (contract rule 3).
-						j = i * len(in.arr) / n
-					} else {
-						j = (i*31 + 7) % len(in.arr)
-					}
-					v += in.arr[j]
+				for _, in := range inputs {
+					v += in.Read(i, n)
 				}
 				arr[i] = v
 			}
@@ -128,7 +148,7 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 		ann := &split.Annotation{Read: split.AccessAll, Write: split.AccessElement}
 		allPip := true
 		for _, in := range inputs {
-			if !in.pipelined {
+			if !in.Pipelined {
 				allPip = false
 				break
 			}
@@ -219,32 +239,20 @@ func SpinBinder(g *delirium.Graph, count func(node *delirium.Node) int, cv float
 	if unitWork < 1 {
 		unitWork = 1
 	}
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
-	mu := -sigma * sigma / 2
 	specs := map[string]rts.OpSpec{}
 	for _, nd := range g.Nodes {
-		n := count(nd)
-		if n < 1 {
-			n = 1
-		}
-		rng := stats.NewRNG(seed ^ hashName(nd.Name))
-		times := make([]float64, n)
-		for i := range times {
-			times[i] = rng.LogNormal(mu, sigma)
-		}
-		t := times
-		uw := unitWork
+		t := LogNormalTimes(seed, nd.Name, max(count(nd), 1), cv)
 		bodyRange := func(lo, hi int) float64 {
 			sum := 0.0
 			for i := lo; i < hi; i++ {
-				spin(int(t[i] * float64(uw)))
+				spin(int(t[i] * float64(unitWork)))
 				sum += t[i]
 			}
 			return sum
 		}
 		spec := rts.OpSpec{Op: sched.Op{
 			Name:      nd.Name,
-			N:         n,
+			N:         len(t),
 			Bytes:     64,
 			Time:      func(i int) float64 { return bodyRange(i, i+1) },
 			TimeRange: bodyRange,
@@ -271,11 +279,42 @@ func spin(iters int) {
 	runtime.KeepAlive(v)
 }
 
-// hashName is FNV-1a, keeping per-node workloads distinct.
-func hashName(s string) uint64 {
+// HashName is FNV-1a over a node name: the identity every kernel
+// derives per-node values and random streams from, stable across an
+// Encode/Decode round trip.
+func HashName(s string) uint64 {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
+}
+
+// LogNormalTimes draws node name's n task times: log-normal with unit
+// mean and coefficient of variation cv, from the stream seeded with
+// seed ⊕ HashName(name). SpinBinder, the "lognormal" family and core's
+// "irregular" family all draw through it.
+func LogNormalTimes(seed uint64, name string, n int, cv float64) []float64 {
+	sigma := math.Sqrt(math.Log(1 + cv*cv))
+	mu := -sigma * sigma / 2
+	rng := stats.NewRNG(seed ^ HashName(name))
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = rng.LogNormal(mu, sigma)
+	}
+	return times
+}
+
+// CostSpec binds an operator whose task i costs times[i] as a modeled
+// cost, with nothing to execute: the simulator's synthetic workload.
+func CostSpec(name string, times []float64) rts.OpSpec {
+	spec := rts.OpSpec{Op: sched.Op{
+		Name:  name,
+		N:     len(times),
+		Time:  func(i int) float64 { return times[i] },
+		Bytes: 64,
+		Hint:  func(i int) float64 { return times[i] },
+	}}
+	spec.SampleStats(128)
+	return spec
 }

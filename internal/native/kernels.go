@@ -1,14 +1,10 @@
 package native
 
 import (
-	"math"
-
 	"orchestra/internal/delirium"
 	"orchestra/internal/interp"
 	"orchestra/internal/rts"
-	"orchestra/internal/sched"
 	"orchestra/internal/source"
-	"orchestra/internal/stats"
 )
 
 // This file registers this package's kernel families into the
@@ -87,25 +83,9 @@ func lognormalKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 		cv := env.Params.Float("cv", 1.0)
 		seed := env.Params.Uint64("seed", 1)
 		count := TaskCount(env.Params)
-		sigma := math.Sqrt(math.Log(1 + cv*cv))
-		mu := -sigma * sigma / 2 // unit mean
 		specs := map[string]rts.OpSpec{}
 		for _, nd := range env.Graph.Nodes {
-			rng := stats.NewRNG(seed ^ hashName(nd.Name))
-			times := make([]float64, count(nd))
-			for i := range times {
-				times[i] = rng.LogNormal(mu, sigma)
-			}
-			t := times
-			spec := rts.OpSpec{Op: sched.Op{
-				Name:  nd.Name,
-				N:     len(t),
-				Time:  func(i int) float64 { return t[i] },
-				Bytes: 64,
-				Hint:  func(i int) float64 { return t[i] },
-			}}
-			spec.SampleStats(128)
-			specs[nd.Name] = spec
+			specs[nd.Name] = CostSpec(nd.Name, LogNormalTimes(seed, nd.Name, count(nd), cv))
 		}
 		var bind rts.Binder = func(name string) rts.OpSpec { return specs[name] }
 		return bind, nil

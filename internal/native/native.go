@@ -55,7 +55,7 @@ import (
 
 // Backend runs Delirium graphs on goroutine workers. It is a stateless
 // value: every per-run knob (worker count, mode, TAPER ω, trace sink,
-// pinning, pprof labels) arrives in rts.RunOpts, so two concurrent Run
+// pprof labels) arrives in rts.RunOpts, so two concurrent Run
 // calls on the same Backend cannot interfere. Each Run spawns its own
 // worker goroutines and tears them down when the graph completes; a
 // long-lived process serving many runs should execute them on a Pool
@@ -70,7 +70,7 @@ func (Backend) Name() string { return "native" }
 // native backend: all of them. Message faults in a plan have no
 // native equivalent (the backend exchanges no modelled messages) and
 // are trivially satisfied; see newEngine.
-var nativeSupported = rts.Supported{Pin: true, Labels: true, Chain: true, Fault: true, Expand: true}
+var nativeSupported = rts.Supported{Labels: true, Chain: true, Fault: true, Expand: true}
 
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "native", Measured: true},
@@ -146,7 +146,7 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		// actions take effect here.
 		fx = fault.NewExec(opts.Fault, p)
 	}
-	e := &engine{p: p, pin: opts.Pin, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode, omega: opts.Omega}
+	e := &engine{p: p, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode, omega: opts.Omega}
 	e.live.Store(int32(p))
 	switch opts.Mode {
 	case rts.ModeStatic:
@@ -292,10 +292,13 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 		e.finishOnce.Do(func() { close(e.finished) })
 	}
 
+	var done <-chan struct{}
+	if opts.Ctx != nil {
+		done = opts.Ctx.Done()
+	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
-		w := w
-		launch(func() { e.runWorker(w) })
+		launch(func() { e.runWorker(w, done) })
 	}
 	if e.needsDetector {
 		e.detWG.Add(1)
@@ -314,7 +317,7 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 		return trace.Result{}, err
 	}
 	if left := e.f.Outstanding(); left != 0 {
-		if e.canceled.Load() {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return trace.Result{}, rts.CancelError("native", opts.Ctx)
 		}
 		return trace.Result{}, fmt.Errorf("native: execution stalled with %d tasks outstanding", left)
@@ -444,7 +447,7 @@ func (w *worker) drainInbox() {
 type engine struct {
 	p                          int
 	adaptive, steal, pipelined bool
-	pin, labels                bool
+	labels                     bool
 	graphName                  string
 	mode                       rts.Mode
 	needsDetector              bool
@@ -610,41 +613,50 @@ func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
 	}
 }
 
-// release hands tasks [lo, hi) of op to the workers: a large range is
-// block-split across every worker (the owner-computes decomposition —
-// worker j owns block j), while a small pipelined delta stays with the
-// releasing worker (cache-warm, lock-free) when stealing can spread
-// it, else goes to the next worker round-robin. w is the releasing
-// worker, or nil during single-threaded setup (when plain deque
-// pushes are safe because the pool has not launched).
+// release hands tasks [lo, hi) of op to the workers not declared
+// dead: a large range is block-split across all of them (the
+// owner-computes decomposition — the j-th worker owns block j), while a
+// small pipelined delta stays with the releasing worker (cache-warm,
+// lock-free) when stealing can spread it, else goes to the next worker
+// round-robin. w is the releasing worker, or nil during
+// single-threaded setup (when plain deque pushes are safe because the
+// pool has not launched) and for a crashing worker's hand-off. The
+// releasing worker counts as live even if falsely declared dead — it
+// is demonstrably running — so fresh work never lands on (and has to
+// be recovered from) a dead inbox.
 func (e *engine) release(w *worker, op, lo, hi int) {
 	n := hi - lo
 	if n <= 0 {
 		return
 	}
+	targets, setup := e.workers, w == nil
+	var buf [16]*worker
 	if e.fx != nil && e.anyDead.Load() {
-		e.releaseFault(w, op, lo, hi)
-		return
+		// Set-up never sees a dead worker: a nil w here is a crashing
+		// worker's hand-off (drainChain), which must only post.
+		setup = false
+		targets = buf[:0]
+		for _, t := range e.workers {
+			if !t.deadA.Load() || t == w {
+				targets = append(targets, t)
+			}
+		}
+		if len(targets) == 0 {
+			targets = append(targets, e.workers[0])
+		}
 	}
-	if n >= 2*e.p && e.p > 1 {
-		for j := 0; j < e.p; j++ {
-			a, b := sched.BlockBounds(j, n, e.p)
-			if b <= a {
-				continue
+	m := len(targets)
+	if n >= 2*m && m > 1 {
+		for j, t := range targets {
+			if a, b := sched.BlockBounds(j, n, m); b > a {
+				e.place(w, t, segment{op: op, lo: lo + a, hi: lo + b}, setup)
 			}
-			s := segment{op: op, lo: lo + a, hi: lo + b}
-			if w == nil || j == w.id {
-				e.workers[j].dq.push(s)
-			} else {
-				e.workers[j].postInbox(s)
-			}
-			e.queued.Add(1)
 		}
 		if e.steal {
-			e.signal(e.p)
+			e.signal(m)
 		} else {
-			for j := 0; j < e.p; j++ {
-				e.workers[j].pk.unpark()
+			for _, t := range targets {
+				t.pk.unpark()
 			}
 		}
 		return
@@ -656,14 +668,21 @@ func (e *engine) release(w *worker, op, lo, hi int) {
 		e.signal(1)
 		return
 	}
-	j := int(e.rr.Add(1)-1) % e.p
-	if w == nil || j == w.id {
-		e.workers[j].dq.push(s)
+	t := targets[int(e.rr.Add(1)-1)%m]
+	e.place(w, t, s, setup)
+	t.pk.unpark()
+}
+
+// place queues a released segment on worker t: a push onto its own
+// deque by the releasing worker (or during set-up), a post to its inbox
+// from anyone else, since t alone may push its Chase–Lev bottom.
+func (e *engine) place(w, t *worker, s segment, setup bool) {
+	if setup || t == w {
+		t.dq.push(s)
 	} else {
-		e.workers[j].postInbox(s)
+		t.postInbox(s)
 	}
 	e.queued.Add(1)
-	e.workers[j].pk.unpark()
 }
 
 // signal wakes up to n parked workers after work became visible. The
@@ -801,12 +820,9 @@ func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 }
 
 // runWorker is the worker loop: pop local work, else steal, else park.
-func (e *engine) runWorker(w *worker) {
+// done is the run context's Done channel (nil without a context).
+func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 	defer e.wg.Done()
-	if e.pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	if e.labels {
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
@@ -821,6 +837,14 @@ func (e *engine) runWorker(w *worker) {
 			// is abandoned (the engine is discarded wholesale), but the
 			// chunk that was executing has fully completed.
 			return
+		}
+		select {
+		case <-done:
+			// The context fired, and the callback that raises canceled
+			// may not have run yet: without this check the workers could
+			// finish the run meanwhile, and a canceled Run return nil.
+			return
+		default:
 		}
 		if e.fx != nil {
 			w.hb.Store(time.Now().UnixNano())

@@ -50,9 +50,8 @@ func (*SimBackend) Name() string { return "sim" }
 // simSupported declares the optional RunOpts capabilities of the
 // simulator: fault plans (including message faults, which only exist
 // here) and the chain policy (trivially satisfied — the simulator
-// never chains, so ChainOff asks for what it already does). Pin and
-// Labels request effects on real OS threads the simulator does not
-// have.
+// never chains, so ChainOff asks for what it already does). Labels
+// requests an effect on real goroutines the simulator does not have.
 var simSupported = Supported{Fault: true, Chain: true, Expand: true}
 
 // Run implements Backend via RunGraph. A zero opts.Processors

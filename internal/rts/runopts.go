@@ -58,9 +58,6 @@ type RunOpts struct {
 	// completed obs.Trace to the sink. A nil Sink costs one branch per
 	// would-be event.
 	Sink obs.Sink
-	// Pin locks each native worker goroutine to an OS thread. The
-	// simulator ignores it.
-	Pin bool
 	// Labels annotates native worker goroutines with runtime/pprof
 	// labels (worker id, current operator) so profiles attribute
 	// samples per operator. Labelling costs an allocation per operator
@@ -104,15 +101,13 @@ const (
 
 // Supported declares which optional RunOpts capabilities a backend
 // implements, for CheckSupported. The split is by what the option
-// asks for: Pin and Labels request an effect (OS-thread pinning,
-// pprof labels) that a backend either produces or cannot; Chain and
+// asks for: Labels requests an effect (pprof labels) that a backend
+// either produces or cannot; Chain and
 // Fault are constraints a backend may satisfy trivially (a backend
 // that never chains satisfies ChainOff by construction, which is why
 // the simulator declares Chain support without a chaining
 // implementation).
 type Supported struct {
-	// Pin: the backend can lock workers to OS threads.
-	Pin bool
 	// Labels: the backend can attach pprof worker/operator labels.
 	Labels bool
 	// Chain: the backend honours the cache-chain policy (possibly
@@ -160,9 +155,6 @@ func (e *OptionError) Error() string {
 // Backends call it at the top of Run, after Validate.
 func (o RunOpts) CheckSupported(backend string, sup Supported) error {
 	var bad []string
-	if o.Pin && !sup.Pin {
-		bad = append(bad, "Pin")
-	}
 	if o.Labels && !sup.Labels {
 		bad = append(bad, "Labels")
 	}

@@ -14,7 +14,7 @@ func TestRunOptsValidate(t *testing.T) {
 	good := []RunOpts{
 		{},
 		{Processors: 64, Mode: ModeSplit, Omega: 2.5},
-		{Processors: 8, Mode: ModeTaper, Omega: 1, Sink: &obs.Collector{}, Pin: true, Labels: true},
+		{Processors: 8, Mode: ModeTaper, Omega: 1, Sink: &obs.Collector{}, Labels: true},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -87,7 +87,7 @@ func TestParseModes(t *testing.T) {
 // structured *OptionError naming exactly the offending fields, and
 // supported (or default) options must pass silently.
 func TestCheckSupported(t *testing.T) {
-	all := Supported{Pin: true, Labels: true, Chain: true, Fault: true}
+	all := Supported{Labels: true, Chain: true, Fault: true}
 	none := Supported{}
 	plan := &fault.Plan{}
 	cases := []struct {
@@ -97,16 +97,15 @@ func TestCheckSupported(t *testing.T) {
 		wantFields []string
 	}{
 		{"defaults pass anywhere", RunOpts{}, none, nil},
-		{"everything supported", RunOpts{Pin: true, Labels: true, Chain: ChainOff, Fault: plan}, all, nil},
-		{"pin unsupported", RunOpts{Pin: true}, none, []string{"Pin"}},
+		{"everything supported", RunOpts{Labels: true, Chain: ChainOff, Fault: plan}, all, nil},
 		{"labels unsupported", RunOpts{Labels: true}, none, []string{"Labels"}},
 		{"chain unsupported", RunOpts{Chain: ChainOff}, none, []string{"Chain"}},
 		{"chain auto is a default", RunOpts{Chain: ChainAuto}, none, nil},
 		{"fault unsupported", RunOpts{Fault: plan}, none, []string{"Fault"}},
-		{"several at once", RunOpts{Pin: true, Labels: true, Fault: plan},
-			Supported{Fault: true}, []string{"Pin", "Labels"}},
-		{"sim-shaped set", RunOpts{Pin: true, Chain: ChainOff},
-			Supported{Chain: true, Fault: true}, []string{"Pin"}},
+		{"several at once", RunOpts{Labels: true, Chain: ChainOff, Fault: plan},
+			Supported{}, []string{"Labels", "Chain", "Fault"}},
+		{"sim-shaped set", RunOpts{Labels: true, Chain: ChainOff},
+			Supported{Chain: true, Fault: true}, []string{"Labels"}},
 	}
 	for _, c := range cases {
 		err := c.opts.CheckSupported("testbe", c.sup)

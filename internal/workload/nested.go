@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"orchestra/internal/delirium"
@@ -10,13 +11,16 @@ import (
 	"orchestra/internal/native"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
+	"orchestra/internal/stats"
 )
 
-// Nested-dataflow workloads (ROADMAP item 3): real array kernels whose
-// graphs contain Exp nodes, for exercising runtime expansion on both
-// engines with a durable, bitwise-comparable result digest.
+// Nested-dataflow workloads: real array kernels whose graphs contain
+// Exp nodes, for exercising runtime expansion on every engine with a
+// durable, bitwise-comparable result digest. This is the one nested
+// binder: the workloads below, the "nested" registry family and the
+// differential fuzzer's nested rung all bind through NewNested.
 //
-// Two rules cover the two interesting shapes:
+// Three rules cover the interesting shapes:
 //
 //	rule=dc     — divide and conquer: the operator covers an index
 //	              range and expands into Branch children, each either a
@@ -31,20 +35,30 @@ import (
 //	              unrolling would read unsettled arrays — so the flat
 //	              reference comes from VortexFlat, which evaluates the
 //	              same decision function analytically.
+//	rule=random — a random recursive sub-graph, drawn from Seed ⊕
+//	              HashName(operator) alone, so the runtime expansion in
+//	              an engine and the eager one in compile.Unroll
+//	              materialize identical sub-graphs without sharing
+//	              state. The fuzzer's nested rung generates from it.
 //
 // Every operator owns one array in a shared interp.State image; task
 // values are pure functions of (operator name, task index, inputs), so
 // any two correct schedules — nested or flat, simulated or native, any
-// worker count — digest identically (native.StateDigest).
+// worker count — digest identically (native.StateDigest). Inputs are
+// read under the kernel contract (native.Input.Read), and every
+// sub-operator of an expansion also reads its Exp ancestors' inputs: a
+// sub-task released before an ancestor's producers settled changes
+// bits, so the digest sees premature expansion, not just misordered
+// sub-graphs.
 
 func init() {
 	rts.Kernels.MustRegister("nested", nestedKernel)
 }
 
 // nestedKernel is the registry form of the nested workloads: bind any
-// graph whose Exp nodes carry rule=dc or rule=vortex with
+// graph whose Exp nodes carry rule=dc, vortex or random with
 // rts.NamedBinding("nested", params). Recognized params (all optional):
-// n, branch, leaf, cells, threshold. The whole graph shares one
+// n, branch, leaf, cells, threshold, seed. The whole graph shares one
 // instance, built once per BindEnv, whose digest becomes the run's
 // result digest.
 func nestedKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
@@ -55,6 +69,7 @@ func nestedKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 			Leaf:      env.Params.Int("leaf", 0),
 			Cells:     env.Params.Int("cells", 0),
 			Threshold: env.Params.Float("threshold", 0),
+			Seed:      env.Params.Uint64("seed", 0),
 		}
 		in, err := NewNested(env.Graph, cfg)
 		if err != nil {
@@ -84,6 +99,9 @@ type NestedConfig struct {
 	// Threshold is the cell-intensity cutoff for fine refinement, in
 	// [0,1]; higher means fewer fine cells.
 	Threshold float64
+	// Seed keys the random rule: an operator's sub-graph is drawn from
+	// Seed ⊕ HashName(operator).
+	Seed uint64
 }
 
 func (c NestedConfig) withDefaults() NestedConfig {
@@ -128,8 +146,8 @@ func (in *NestedInstance) alloc(name string, n int) []float64 {
 	return in.st.Arrays[name]
 }
 
-// lookup reads the named array under the map lock.
-func (in *NestedInstance) lookup(name string) []float64 {
+// Array returns the named operator's array, read under the map lock.
+func (in *NestedInstance) Array(name string) []float64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.st.Arrays[name]
@@ -153,24 +171,10 @@ func (in *NestedInstance) Digest() string { return native.StateDigest(in.st) }
 //	seed (par, N) → root (exp, rule=dc) → out (par, N)
 //
 // root expands recursively over [0, N) until ranges reach Leaf size;
-// leaves read seed's array, every dc join folds its children, and out
-// reads the root join.
+// every leaf and every dc join reads seed (root's input, inherited),
+// every dc join folds its children, and out reads the root join.
 func NewDC(cfg NestedConfig) (*NestedInstance, error) {
-	cfg = cfg.withDefaults()
-	g := delirium.NewGraph("nested-dc")
-	nodes := []*delirium.Node{
-		{Name: "seed", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)},
-		{Name: "root", Kind: delirium.Exp, Tasks: "1", Rule: "dc"},
-		{Name: "out", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)},
-	}
-	for _, nd := range nodes {
-		if err := g.AddNode(nd); err != nil {
-			return nil, err
-		}
-	}
-	g.AddEdge(&delirium.Edge{From: "seed", To: "root", Bytes: 64, PerTask: true})
-	g.AddEdge(&delirium.Edge{From: "root", To: "out", Bytes: 64, PerTask: true})
-	return NewNested(g, cfg)
+	return newChain3("nested-dc", "seed", "root", "dc", "out", cfg)
 }
 
 // NewVortex builds the adaptive vortex-refinement workload:
@@ -181,20 +185,20 @@ func NewDC(cfg NestedConfig) (*NestedInstance, error) {
 // cell whose measured intensity exceeds Threshold expands into a fine
 // operator (4× the tasks of a coarse one).
 func NewVortex(cfg NestedConfig) (*NestedInstance, error) {
+	return newChain3("nested-vortex", "field", "refine", "vortex", "gather", cfg)
+}
+
+// newChain3 builds and binds src (par, N) → exp (exp, rule) → dst
+// (par, N), both edges barriers.
+func newChain3(graph, src, exp, rule, dst string, cfg NestedConfig) (*NestedInstance, error) {
 	cfg = cfg.withDefaults()
-	g := delirium.NewGraph("nested-vortex")
-	nodes := []*delirium.Node{
-		{Name: "field", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)},
-		{Name: "refine", Kind: delirium.Exp, Tasks: "1", Rule: "vortex"},
-		{Name: "gather", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)},
-	}
-	for _, nd := range nodes {
-		if err := g.AddNode(nd); err != nil {
-			return nil, err
-		}
-	}
-	g.AddEdge(&delirium.Edge{From: "field", To: "refine", Bytes: 64, PerTask: true})
-	g.AddEdge(&delirium.Edge{From: "refine", To: "gather", Bytes: 64, PerTask: true})
+	n := strconv.Itoa(cfg.N)
+	g := delirium.NewGraph(graph)
+	g.AddNode(&delirium.Node{Name: src, Kind: delirium.Par, Tasks: n})
+	g.AddNode(&delirium.Node{Name: exp, Kind: delirium.Exp, Tasks: "1", Rule: rule})
+	g.AddNode(&delirium.Node{Name: dst, Kind: delirium.Par, Tasks: n})
+	g.AddEdge(&delirium.Edge{From: src, To: exp, Bytes: 64, PerTask: true})
+	g.AddEdge(&delirium.Edge{From: exp, To: dst, Bytes: 64, PerTask: true})
 	return NewNested(g, cfg)
 }
 
@@ -205,86 +209,61 @@ func NewVortex(cfg NestedConfig) (*NestedInstance, error) {
 // field's task values are a pure closed form. VortexFlat evaluates
 // that closed form, applies the same decision function the runtime
 // rule applies, and assembles the flat graph Unroll would have built,
-// with bodies constructed from the same closures the nested run uses.
-// Digests of a NewVortex run and a VortexFlat run must match bitwise.
+// bound by the same binder the nested run uses. Digests of a NewVortex
+// run and a VortexFlat run must match bitwise.
 func VortexFlat(cfg NestedConfig) (*NestedInstance, error) {
 	cfg = cfg.withDefaults()
-	in := &NestedInstance{st: interp.NewState()}
-	g := delirium.NewGraph("nested-vortex")
-	specs := map[string]rts.OpSpec{}
-
 	// field has no predecessors: field[i] is its pure base value, so
 	// the refinement decisions can be taken before anything runs.
-	fieldArr := in.alloc("field", cfg.N)
-	if err := g.AddNode(&delirium.Node{Name: "field", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)}); err != nil {
-		return nil, err
-	}
-	specs["field"] = rts.OpSpec{Op: sched.Op{Name: "field", N: cfg.N, Time: func(i int) float64 {
-		fieldArr[i] = nestedVal("field", i)
-		return 1
-	}, Bytes: 64}, Mu: 1}
-
 	analytic := make([]float64, cfg.N)
 	for i := range analytic {
 		analytic[i] = nestedVal("field", i)
 	}
-	cells := vortexCells(analytic, "refine", cfg)
-	children := make([][]float64, 0, len(cells))
+	cells := vortexGraph("refine", analytic, cfg).Nodes
+	g := delirium.NewGraph("nested-vortex")
+	g.AddNode(&delirium.Node{Name: "field", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)})
 	for _, c := range cells {
-		if err := g.AddNode(&delirium.Node{Name: c.name, Kind: delirium.Par, Tasks: strconv.Itoa(c.tasks)}); err != nil {
-			return nil, err
-		}
 		// The parent edge field→refine anchors at the sub-graph's
 		// sources in the unrolled form, barrier-converted.
-		g.AddEdge(&delirium.Edge{From: "field", To: c.name, Bytes: 64, PerTask: true})
-		arr := in.alloc(c.name, c.tasks)
-		specs[c.name] = rts.OpSpec{
-			Op: sched.Op{Name: c.name, N: c.tasks, Time: vortexCellBody(c.name, c.tasks, fieldArr, arr), Bytes: 64},
-			Mu: 1,
-		}
-		children = append(children, arr)
+		g.AddNode(c)
+		g.AddEdge(&delirium.Edge{From: "field", To: c.Name, Bytes: 64, PerTask: true})
 	}
+	g.AddNode(&delirium.Node{Name: "refine", Kind: delirium.Par, Tasks: "1"})
+	for _, c := range cells {
+		g.AddEdge(&delirium.Edge{From: c.Name, To: "refine"})
+	}
+	g.AddNode(&delirium.Node{Name: "gather", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)})
+	g.AddEdge(&delirium.Edge{From: "refine", To: "gather", Bytes: 64, PerTask: true})
 
+	in := &NestedInstance{Graph: g, st: interp.NewState()}
+	bind, err := in.bindGraph(g, cfg, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	// refine survives as its one-task join, gated on the cell sinks,
 	// with the exact join body the nested run executes: its top-graph
-	// inputs (field, transitively ordered through the cells) plus the
+	// input (field, transitively ordered through the cells) plus the
 	// element-wise fold of every child.
-	if err := g.AddNode(&delirium.Node{Name: "refine", Kind: delirium.Par, Tasks: "1"}); err != nil {
-		return nil, err
+	children := make([][]float64, len(cells))
+	for i, c := range cells {
+		children[i] = in.Array(c.Name)
 	}
-	for _, c := range cells {
-		g.AddEdge(&delirium.Edge{From: c.name, To: "refine"})
-	}
-	refineArr := in.alloc("refine", 1)
-	refineInputs := []nestedInput{{from: "field", arr: fieldArr}}
-	specs["refine"] = rts.OpSpec{
-		Op: sched.Op{Name: "refine", N: 1, Time: nestedJoinBody("refine", refineInputs, &children, refineArr), Bytes: 64},
+	field := []native.Input{{From: "field", Arr: in.Array("field")}}
+	join := rts.OpSpec{
+		Op: sched.Op{Name: "refine", N: 1, Time: nestedJoinBody("refine", field, &children, in.Array("refine")), Bytes: 64},
 		Mu: 1,
 	}
-
-	if err := g.AddNode(&delirium.Node{Name: "gather", Kind: delirium.Par, Tasks: strconv.Itoa(cfg.N)}); err != nil {
-		return nil, err
-	}
-	g.AddEdge(&delirium.Edge{From: "refine", To: "gather", Bytes: 64, PerTask: true})
-	gatherArr := in.alloc("gather", cfg.N)
-	gatherInputs := []nestedInput{{from: "refine", arr: refineArr}}
-	n := cfg.N
-	specs["gather"] = rts.OpSpec{Op: sched.Op{Name: "gather", N: cfg.N, Time: func(i int) float64 {
-		v := nestedVal("gather", i)
-		for _, inp := range gatherInputs {
-			v += inp.read(i, n)
+	in.bind = func(name string) rts.OpSpec {
+		if name == "refine" {
+			return join
 		}
-		gatherArr[i] = v
-		return 1
-	}, Bytes: 64}, Mu: 1}
-
-	in.Graph = g
-	in.bind = func(name string) rts.OpSpec { return specs[name] }
+		return bind(name)
+	}
 	return in, nil
 }
 
 // NewNested builds a binder instance for any graph whose Exp nodes
-// carry rule=dc or rule=vortex. Non-expandable nodes become array
+// carry rule=dc, vortex or random. Non-expandable nodes become array
 // operators (one array per operator, task values pure in the inputs);
 // Exp nodes get the named expansion rule plus a join task that folds
 // their children. This is also the builder behind the "nested"
@@ -292,7 +271,7 @@ func VortexFlat(cfg NestedConfig) (*NestedInstance, error) {
 func NewNested(g *delirium.Graph, cfg NestedConfig) (*NestedInstance, error) {
 	cfg = cfg.withDefaults()
 	in := &NestedInstance{Graph: g, st: interp.NewState()}
-	bind, err := in.bindGraph(g, cfg, "")
+	bind, err := in.bindGraph(g, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -304,17 +283,8 @@ func NewNested(g *delirium.Graph, cfg NestedConfig) (*NestedInstance, error) {
 // deterministic function of the operator name and task index alone, so
 // every correct schedule computes identical bits.
 func nestedVal(name string, i int) float64 {
-	h := nestedHash(name)
+	h := native.HashName(name)
 	return float64((h*31+uint64(i)*7)%1009)/1009 + float64(h%97)/97
-}
-
-// nestedHash is FNV-1a over a string.
-func nestedHash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }
 
 // nestedTasks resolves a node's tasks annotation: a literal count, or
@@ -331,112 +301,113 @@ func nestedTasks(nd *delirium.Node, cfg NestedConfig) (int, error) {
 }
 
 // bindGraph resolves one (sub-)graph level against the shared image.
-func (in *NestedInstance) bindGraph(g *delirium.Graph, cfg NestedConfig, parent string) (rts.Binder, error) {
+// inherited are the Exp ancestors' inputs, which every operator of the
+// level reads besides its own; spans are the index ranges of the
+// level's dc nodes (cfg.N where absent).
+func (in *NestedInstance) bindGraph(g *delirium.Graph, cfg NestedConfig, inherited []native.Input, spans map[string]int) (rts.Binder, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	specs := map[string]rts.OpSpec{}
 	for _, nd := range order {
-		var spec rts.OpSpec
-		var err error
-		if nd.Kind == delirium.Exp {
-			spec, err = in.expSpec(g, nd, cfg)
-		} else {
-			spec, err = in.arraySpec(g, nd, cfg)
-		}
+		n, err := nestedTasks(nd, cfg)
 		if err != nil {
 			return nil, err
 		}
-		specs[nd.Name] = spec
+		inputs := native.Inputs(g, nd.Name, in.Array, inherited)
+		if nd.Kind != delirium.Exp {
+			specs[nd.Name] = arraySpec(nd.Name, inputs, in.alloc(nd.Name, n))
+			continue
+		}
+		span, ok := spans[nd.Name]
+		if !ok {
+			span = cfg.N
+		}
+		if specs[nd.Name], err = in.expSpec(g, nd, inputs, span, cfg); err != nil {
+			return nil, err
+		}
 	}
 	return func(name string) rts.OpSpec { return specs[name] }, nil
 }
 
 // arraySpec builds an ordinary array operator: task i writes
-// arr[i] = base(name, i) + Σ inputs, reading each predecessor with the
-// kernel contract's index rule (prefix-safe on pipelined edges).
-func (in *NestedInstance) arraySpec(g *delirium.Graph, nd *delirium.Node, cfg NestedConfig) (rts.OpSpec, error) {
-	n, err := nestedTasks(nd, cfg)
-	if err != nil {
-		return rts.OpSpec{}, err
-	}
-	arr := in.alloc(nd.Name, n)
-	inputs := nestedInputs(in.st, g, nd.Name)
-	name := nd.Name
+// arr[i] = base(name, i) + Σ inputs, each read under the kernel
+// contract.
+func arraySpec(name string, inputs []native.Input, arr []float64) rts.OpSpec {
+	n := len(arr)
 	body := func(i int) float64 {
 		v := nestedVal(name, i)
 		for _, inp := range inputs {
-			v += inp.read(i, n)
+			v += inp.Read(i, n)
 		}
 		arr[i] = v
 		return 1
 	}
-	spec := rts.OpSpec{Op: sched.Op{Name: name, N: n, Time: body, Bytes: 64}, Mu: 1}
-	return spec, nil
+	return rts.OpSpec{Op: sched.Op{Name: name, N: n, Time: body, Bytes: 64}, Mu: 1}
 }
 
-// expSpec builds an expandable operator: its Expand hook (by rule)
-// plus its one-task join body, which folds every child array the
-// expansion materialized.
-func (in *NestedInstance) expSpec(g *delirium.Graph, nd *delirium.Node, cfg NestedConfig) (rts.OpSpec, error) {
-	if _, err := nestedTasks(nd, cfg); err != nil {
-		return rts.OpSpec{}, err
-	}
-	arr := in.alloc(nd.Name, 1)
-	inputs := nestedInputs(in.st, g, nd.Name)
+// expSpec builds an expandable operator: its Expand hook, which draws
+// the sub-graph by rule and binds it one level down with the operator's
+// inputs inherited, plus its one-task join body, which folds every
+// child array the expansion materialized. span is the index range a dc
+// operator covers.
+func (in *NestedInstance) expSpec(g *delirium.Graph, nd *delirium.Node, inputs []native.Input, span int, cfg NestedConfig) (rts.OpSpec, error) {
 	name := nd.Name
+	var rule func() (*delirium.Graph, map[string]int)
+	switch nd.Rule {
+	case "dc":
+		rule = func() (*delirium.Graph, map[string]int) { return dcGraph(name, span, cfg) }
+	case "vortex":
+		edges := g.InEdges(name)
+		if len(edges) != 1 {
+			return rts.OpSpec{}, fmt.Errorf("workload: vortex node %s needs exactly one predecessor, has %d", name, len(edges))
+		}
+		field := in.Array(edges[0].From)
+		rule = func() (*delirium.Graph, map[string]int) { return vortexGraph(name, field, cfg), nil }
+	case "random":
+		rule = func() (*delirium.Graph, map[string]int) { return randomGraph(cfg.Seed, name), nil }
+	default:
+		return rts.OpSpec{}, fmt.Errorf("workload: exp node %s has unknown rule %q (want dc, vortex or random)", name, nd.Rule)
+	}
 
 	// children is filled by the expansion (or left empty at the base
 	// case) and read by the join body, which the engines run only after
 	// the whole sub-graph completed.
 	var children [][]float64
-	join := nestedJoinBody(name, inputs, &children, arr)
-
-	var expand rts.ExpandFunc
-	switch nd.Rule {
-	case "dc":
-		expand = func(depth int) (*rts.Expansion, error) {
-			exp, subs, err := in.expandDC(name, 0, cfg.N, cfg)
-			if err != nil {
-				return nil, err
-			}
-			children = subs
-			return exp, nil
+	expand := func(depth int) (*rts.Expansion, error) {
+		sub, spans := rule()
+		if sub == nil {
+			return nil, nil
 		}
-	case "vortex":
-		if len(inputs) != 1 {
-			return rts.OpSpec{}, fmt.Errorf("workload: vortex node %s needs exactly one predecessor, has %d", name, len(inputs))
+		bind, err := in.bindGraph(sub, cfg, inputs, spans)
+		if err != nil {
+			return nil, err
 		}
-		field := inputs[0].arr
-		expand = func(depth int) (*rts.Expansion, error) {
-			exp, subs, err := in.expandVortex(name, field, cfg)
-			if err != nil {
-				return nil, err
-			}
-			children = subs
-			return exp, nil
+		kids := make([][]float64, len(sub.Nodes))
+		for i, c := range sub.Nodes {
+			kids[i] = in.Array(c.Name)
 		}
-	default:
-		return rts.OpSpec{}, fmt.Errorf("workload: exp node %s has unknown rule %q (want dc or vortex)", name, nd.Rule)
+		children = kids
+		return &rts.Expansion{Graph: sub, Bind: bind}, nil
 	}
 	return rts.OpSpec{
-		Op:     sched.Op{Name: name, N: 1, Time: join, Bytes: 64},
+		Op:     sched.Op{Name: name, N: 1, Time: nestedJoinBody(name, inputs, &children, in.alloc(name, 1)), Bytes: 64},
 		Mu:     1,
 		Expand: expand,
 	}, nil
 }
 
 // nestedJoinBody is the one-task body of an expanded operator's join:
-// its base value, plus its own (top-graph) inputs, plus the
-// element-wise fold of every child array the expansion materialized.
-// children is a pointer because the nested run fills the slice at
-// expansion time, after the body closure is built.
-func nestedJoinBody(name string, inputs []nestedInput, children *[][]float64, arr []float64) func(int) float64 {
+// its base value, plus its inputs, plus the element-wise fold of every
+// child array the expansion materialized. children is a pointer because
+// the nested run fills the slice at expansion time, after the body
+// closure is built.
+func nestedJoinBody(name string, inputs []native.Input, children *[][]float64, arr []float64) func(int) float64 {
 	return func(int) float64 {
 		v := nestedVal(name, 0)
 		for _, inp := range inputs {
-			v += inp.read(0, 1)
+			v += inp.Read(0, 1)
 		}
 		for _, c := range *children {
 			for _, x := range c {
@@ -448,150 +419,40 @@ func nestedJoinBody(name string, inputs []nestedInput, children *[][]float64, ar
 	}
 }
 
-// vortexCellBody is the task body of one refinement cell: its base
-// value plus a stride-sampled read of the field it refines.
-func vortexCellBody(name string, n int, field, arr []float64) func(int) float64 {
-	return func(i int) float64 {
-		v := nestedVal(name, i)
-		if len(field) > 0 {
-			v += field[i*len(field)/n] * 0.75
-		}
-		arr[i] = v
-		return 1
-	}
-}
-
-// nestedInput reads one predecessor array under the kernel contract.
-type nestedInput struct {
-	from      string
-	arr       []float64
-	pipelined bool
-}
-
-func (inp nestedInput) read(i, n int) float64 {
-	pn := len(inp.arr)
-	if pn == 0 {
-		return 0
-	}
-	if inp.pipelined {
-		return inp.arr[i*pn/n]
-	}
-	return inp.arr[(i*31+7)%pn]
-}
-
-// nestedInputs snapshots a node's predecessor arrays in canonical
-// (name-sorted) order — float addition is not associative.
-func nestedInputs(st *interp.State, g *delirium.Graph, name string) []nestedInput {
-	var inputs []nestedInput
-	for _, e := range g.InEdges(name) {
-		if e.Carried {
-			continue
-		}
-		inputs = append(inputs, nestedInput{from: e.From, arr: st.Arrays[e.From], pipelined: e.Pipelined})
-	}
-	for i := 1; i < len(inputs); i++ {
-		for j := i; j > 0 && inputs[j].from < inputs[j-1].from; j-- {
-			inputs[j], inputs[j-1] = inputs[j-1], inputs[j]
-		}
-	}
-	return inputs
-}
-
-// expandDC materializes one dc level covering [off, off+span): Branch
-// children, each a leaf operator or a nested dc node. Children are
-// named by tree path ("root/1"), so the nested run and its static
-// unroll allocate identical arrays. Returns the expansion plus the
-// child arrays for the parent's join.
-func (in *NestedInstance) expandDC(name string, off, span int, cfg NestedConfig) (*rts.Expansion, [][]float64, error) {
+// dcGraph is the dc rule for an operator covering span indices: Branch
+// children of ⌈span/Branch⌉ indices (the last one takes the rest), each
+// a leaf operator of that many tasks or, above Leaf, another dc node.
+// Children are named by tree path ("root/1"), so the nested run and its
+// static unroll allocate identical arrays; spans maps each dc child to
+// its range. A span within Leaf is the base case: the operator keeps
+// just its join task.
+func dcGraph(name string, span int, cfg NestedConfig) (*delirium.Graph, map[string]int) {
 	if span <= cfg.Leaf {
-		// Base case: the range is small enough to have been executed by
-		// a leaf; the operator keeps just its join task.
-		return nil, nil, nil
+		return nil, nil
 	}
 	sub := delirium.NewGraph(name)
-	specs := map[string]rts.OpSpec{}
-	var childArrs [][]float64
-	childSpan := (span + cfg.Branch - 1) / cfg.Branch
-	for k, o := 0, off; o < off+span; k, o = k+1, o+childSpan {
-		cspan := childSpan
-		if o+cspan > off+span {
-			cspan = off + span - o
-		}
+	spans := map[string]int{}
+	step := (span + cfg.Branch - 1) / cfg.Branch
+	for k, o := 0, 0; o < span; k, o = k+1, o+step {
+		cspan := min(step, span-o)
 		cname := fmt.Sprintf("%s/%d", name, k)
 		if cspan > cfg.Leaf {
-			if err := sub.AddNode(&delirium.Node{Name: cname, Kind: delirium.Exp, Tasks: "1", Rule: "dc"}); err != nil {
-				return nil, nil, err
-			}
-			arr := in.alloc(cname, 1)
-			var grand [][]float64
-			co, cs := o, cspan
-			nm := cname
-			join := func(int) float64 {
-				v := nestedVal(nm, 0)
-				for _, c := range grand {
-					for _, x := range c {
-						v += x * 0.5
-					}
-				}
-				arr[0] = v
-				return 1
-			}
-			specs[cname] = rts.OpSpec{
-				Op: sched.Op{Name: cname, N: 1, Time: join, Bytes: 64},
-				Mu: 1,
-				Expand: func(depth int) (*rts.Expansion, error) {
-					exp, subs, err := in.expandDC(nm, co, cs, cfg)
-					if err != nil {
-						return nil, err
-					}
-					grand = subs
-					return exp, nil
-				},
-			}
-			childArrs = append(childArrs, arr)
-			continue
+			sub.AddNode(&delirium.Node{Name: cname, Kind: delirium.Exp, Tasks: "1", Rule: "dc"})
+			spans[cname] = cspan
+		} else {
+			sub.AddNode(&delirium.Node{Name: cname, Kind: delirium.Par, Tasks: strconv.Itoa(cspan)})
 		}
-		// Leaf: cspan tasks over [o, o+cspan), reading the workload's
-		// seed array (allocated by the top-level graph) at the covered
-		// indices when present.
-		if err := sub.AddNode(&delirium.Node{Name: cname, Kind: delirium.Par, Tasks: strconv.Itoa(cspan)}); err != nil {
-			return nil, nil, err
-		}
-		arr := in.alloc(cname, cspan)
-		seed := in.lookup("seed")
-		co := o
-		nm := cname
-		body := func(i int) float64 {
-			v := nestedVal(nm, i)
-			if len(seed) > 0 {
-				v += seed[(co+i)%len(seed)] * 1.5
-			}
-			arr[i] = v
-			return 1
-		}
-		specs[cname] = rts.OpSpec{Op: sched.Op{Name: cname, N: cspan, Time: body, Bytes: 64}, Mu: 1}
-		childArrs = append(childArrs, arr)
 	}
-	return &rts.Expansion{
-		Graph: sub,
-		Bind:  func(n string) rts.OpSpec { return specs[n] },
-	}, childArrs, nil
+	return sub, spans
 }
 
-// vortexCell is one refinement decision: a cell operator's name and
-// task count.
-type vortexCell struct {
-	name  string
-	tasks int
-}
-
-// vortexCells applies the refinement rule to a field array: cell c
+// vortexGraph is the vortex rule over a (settled) field array: cell c
 // covers field[c·N/Cells : (c+1)·N/Cells); its intensity is the mean
 // fractional part of the covered values, and intensity > Threshold
-// refines fine (4× tasks).
-func vortexCells(field []float64, name string, cfg NestedConfig) []vortexCell {
+// refines fine (4× tasks). Each cell is one operator.
+func vortexGraph(name string, field []float64, cfg NestedConfig) *delirium.Graph {
 	n := len(field)
-	cells := make([]vortexCell, 0, cfg.Cells)
+	sub := delirium.NewGraph(name)
 	for c := 0; c < cfg.Cells; c++ {
 		lo, hi := c*n/cfg.Cells, (c+1)*n/cfg.Cells
 		if hi <= lo {
@@ -610,31 +471,55 @@ func vortexCells(field []float64, name string, cfg NestedConfig) []vortexCell {
 		if intensity > cfg.Threshold {
 			tasks *= 4
 		}
-		cells = append(cells, vortexCell{name: fmt.Sprintf("%s/c%d", name, c), tasks: tasks})
+		sub.AddNode(&delirium.Node{Name: fmt.Sprintf("%s/c%d", name, c), Kind: delirium.Par, Tasks: strconv.Itoa(tasks)})
 	}
-	return cells
+	return sub
 }
 
-// expandVortex materializes the vortex refinement: one operator per
-// cell, fine or coarse by the measured intensity of the predecessor's
-// (already settled) array.
-func (in *NestedInstance) expandVortex(name string, field []float64, cfg NestedConfig) (*rts.Expansion, [][]float64, error) {
-	sub := delirium.NewGraph(name)
-	specs := map[string]rts.OpSpec{}
-	var childArrs [][]float64
-	for _, c := range vortexCells(field, name, cfg) {
-		if err := sub.AddNode(&delirium.Node{Name: c.name, Kind: delirium.Par, Tasks: strconv.Itoa(c.tasks)}); err != nil {
-			return nil, nil, err
-		}
-		arr := in.alloc(c.name, c.tasks)
-		specs[c.name] = rts.OpSpec{
-			Op: sched.Op{Name: c.name, N: c.tasks, Time: vortexCellBody(c.name, c.tasks, field, arr), Bytes: 64},
-			Mu: 1,
-		}
-		childArrs = append(childArrs, arr)
+// randomMaxDepth bounds the random rule's recursion: below this depth
+// a sub-operator may itself be expandable.
+const randomMaxDepth = 3
+
+// randomGraph is the random rule: one to three sub-operators in a
+// chain, each expandable (below randomMaxDepth) or an array operator of
+// one to eight tasks, drawn from seed ⊕ HashName(name) alone. A nil
+// result is the base case (fork-join degenerates to the join task).
+func randomGraph(seed uint64, name string) *delirium.Graph {
+	rng := stats.NewRNG(seed ^ native.HashName(name))
+	depth := strings.Count(name, "/")
+	if depth > 0 && rng.Bernoulli(0.25) {
+		return nil
 	}
-	return &rts.Expansion{
-		Graph: sub,
-		Bind:  func(n string) rts.OpSpec { return specs[n] },
-	}, childArrs, nil
+	g := delirium.NewGraph(name)
+	m := 1 + rng.Intn(3)
+	for i := 0; i < m; i++ {
+		sub := fmt.Sprintf("%s/%d", name, i)
+		if depth+1 < randomMaxDepth && rng.Bernoulli(0.3) {
+			g.AddNode(&delirium.Node{Name: sub, Kind: delirium.Exp, Tasks: "1", Rule: "random"})
+		} else {
+			g.AddNode(&delirium.Node{Name: sub, Kind: delirium.Par, Tasks: strconv.Itoa(1 + rng.Intn(8))})
+		}
+	}
+	for i := 1; i < m; i++ {
+		RandomEdge(rng, g, g.Nodes[i-1].Name, g.Nodes[i].Name)
+	}
+	return g
+}
+
+// RandomEdge adds one edge from → to with randomized attributes.
+// Pipelining is requested freely — edges adjacent to expandable
+// operators must be barrier-converted by every layer, and letting a
+// generator ask for the illegal thing is exactly how that conversion
+// gets exercised.
+func RandomEdge(rng *stats.RNG, g *delirium.Graph, from, to string) {
+	e := &delirium.Edge{From: from, To: to}
+	if rng.Bernoulli(0.6) {
+		e.Bytes = 64
+		e.PerTask = rng.Bernoulli(0.5)
+	}
+	if rng.Bernoulli(0.4) {
+		e.Pipelined = true
+		e.Chain = rng.Bernoulli(0.3)
+	}
+	g.AddEdge(e)
 }
