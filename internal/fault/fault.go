@@ -37,8 +37,8 @@ type Kind uint8
 // The fault taxonomy.
 const (
 	// Crash permanently removes a worker: at the trigger point it stops
-	// taking work and never returns. Its queued chunks must be
-	// re-issued to survivors.
+	// taking work and never returns. Its queued chunks stay where they
+	// are, and the survivors take them by the ordinary steal.
 	Crash Kind = 1 + iota
 	// Stall suspends a worker for Duration at the trigger point, then
 	// lets it resume — the transient form of Crash, which the native
@@ -261,15 +261,16 @@ func (p *Plan) HasWorkerFaults() bool {
 	return false
 }
 
-// NeedsDetector reports whether the plan can leave work stranded on an
-// unresponsive worker (crash or stall) — the native backend starts its
-// heartbeat detector only for these plans.
+// NeedsDetector reports whether the plan can leave a worker unresponsive
+// while it holds work (a stall) — the native backend starts its
+// heartbeat detector only for these plans. A crash needs no detector:
+// the crashing worker declares itself dead.
 func (p *Plan) NeedsDetector() bool {
 	if p == nil {
 		return false
 	}
 	for _, a := range p.Actions {
-		if a.Kind == Crash || a.Kind == Stall {
+		if a.Kind == Stall {
 			return true
 		}
 	}
@@ -380,6 +381,9 @@ type Decision struct {
 	// Slow: execute the chunk, but its tasks run this many times
 	// slower. Zero means full speed.
 	Slow float64
+	// Fresh marks the worker's first crash decision and its first
+	// slowed one: the decisions a driver records a fault event for.
+	Fresh bool
 }
 
 // workerState is one worker's injection state. Owned by the worker's
@@ -394,6 +398,7 @@ type workerState struct {
 	slows    []Action
 	slowPos  int
 	slowF    float64 // active multiplier (1 = none)
+	slowed   bool    // a slowed decision has been returned
 }
 
 // Exec is the runtime injector built from a validated plan. A nil
@@ -489,8 +494,9 @@ func (x *Exec) Begin(w int) Decision {
 	}
 	ws := &x.ws[w]
 	if ws.crashed || (ws.crashAt >= 0 && ws.count >= ws.crashAt) {
+		fresh := !ws.crashed
 		ws.crashed = true
-		return Decision{Crash: true}
+		return Decision{Crash: true, Fresh: fresh}
 	}
 	if ws.stallPos < len(ws.stalls) && ws.count >= ws.stalls[ws.stallPos].After {
 		d := ws.stalls[ws.stallPos].Duration
@@ -505,7 +511,9 @@ func (x *Exec) Begin(w int) Decision {
 	}
 	ws.count++
 	if ws.slowF > 1 {
-		return Decision{Slow: ws.slowF}
+		fresh := !ws.slowed
+		ws.slowed = true
+		return Decision{Slow: ws.slowF, Fresh: fresh}
 	}
 	return Decision{}
 }

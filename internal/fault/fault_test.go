@@ -112,11 +112,11 @@ func TestBeginTriggerSemantics(t *testing.T) {
 			t.Fatalf("worker 0 chunk %d: unexpected decision %+v", i, d)
 		}
 	}
-	if d := x.Begin(0); !d.Crash {
-		t.Fatal("worker 0 should crash at its third chunk boundary")
+	if d := x.Begin(0); !d.Crash || !d.Fresh {
+		t.Fatalf("worker 0 should crash, fresh, at its third chunk boundary, got %+v", d)
 	}
-	if d := x.Begin(0); !d.Crash {
-		t.Fatal("crash must be sticky")
+	if d := x.Begin(0); !d.Crash || d.Fresh {
+		t.Fatalf("crash must be sticky and fresh only once, got %+v", d)
 	}
 	if !x.Crashed(0) || x.Crashed(1) {
 		t.Fatal("Crashed() disagrees with decisions")
@@ -138,8 +138,8 @@ func TestBeginTriggerSemantics(t *testing.T) {
 		t.Fatal("worker 2 slowed too early")
 	}
 	for i := 0; i < 3; i++ {
-		if d := x.Begin(2); d.Slow != 3 {
-			t.Fatalf("worker 2 chunk %d: want slow ×3, got %+v", i, d)
+		if d := x.Begin(2); d.Slow != 3 || d.Fresh != (i == 0) {
+			t.Fatalf("worker 2 chunk %d: want slow ×3, fresh only first, got %+v", i, d)
 		}
 	}
 }

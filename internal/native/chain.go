@@ -35,8 +35,8 @@ import (
 //
 // Fallback keeps results bitwise identical: blocks past the depth
 // limit spill to the worker's deque (stealable, ordinary runSegment
-// path), a worker that crashes mid-chain hands its enabled blocks to
-// the survivors through the fault-release path, and ChainOff (or a
+// path), a worker that crashes mid-chain leaves its enabled blocks on
+// its own deque for the survivors to steal, and ChainOff (or a
 // missing/incompatible annotation) leaves the edge on the prefix-gate
 // path untouched. A chained block runs the same task bodies over the
 // same arrays in a schedule the kernel contract already allows, so
@@ -282,8 +282,8 @@ func (e *engine) chainEnable(w *worker, cons *opState, b int, depth int32) {
 // and a block's complete may push its own consumers, so a chain
 // A[b] → B[b] → C[b] runs back-to-back without touching the deques.
 // Blocks past the depth limit spill to the ordinary work-stealing
-// path; a crash mid-chain hands everything still queued to the
-// survivors (the fault-release path excludes the dying worker).
+// path; a crash mid-chain leaves everything still queued on the dying
+// worker's deque, where the survivors steal it (crash).
 func (e *engine) drainChain(w *worker) {
 	for len(w.chainQ) > 0 {
 		it := w.chainQ[len(w.chainQ)-1]
@@ -300,20 +300,8 @@ func (e *engine) drainChain(w *worker) {
 		if e.fx != nil {
 			w.hb.Store(time.Now().UnixNano())
 			if !e.faultPoint(w, it.seg) {
-				// Crashed: faultPoint delivered it.seg to a survivor. The
-				// rest of the queue must outlive this worker too — release
-				// through the survivor-aware split (nil: never back to the
-				// dying worker's own deque).
-				for len(w.chainQ) > 0 {
-					s := w.chainQ[len(w.chainQ)-1].seg
-					w.chainQ = w.chainQ[:len(w.chainQ)-1]
-					e.chainFB.Add(1)
-					if e.rec != nil {
-						e.rec.Spill(w.id, s.op, s.lo, s.len(), time.Since(e.start).Seconds())
-					}
-					e.release(nil, s.op, s.lo, s.hi)
-				}
-				w.crashed = true
+				// Crashed: it.seg and the rest of the queue are on this
+				// worker's deque for the survivors.
 				return
 			}
 		}

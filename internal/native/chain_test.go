@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"fmt"
 	"testing"
 
 	"orchestra/internal/core"
@@ -103,25 +104,27 @@ func TestChainEngaged(t *testing.T) {
 	}
 }
 
-// chainFanGraph builds one producer with two chained consumers:
+// chainFanGraph builds k producers, each with two chained consumers:
 //
-//	a ─p→ b
-//	a ─p→ c
+//	aI ─p→ bI
+//	aI ─p→ cI
 //
-// A completed producer block enables both consumer blocks in the same
-// chainCover pass, so whenever a crash fires on the first chained pop
-// the sibling block is still queued — the deterministic way to drive
-// drainChain's crash fallback (release-to-survivors) path.
-func chainFanGraph(t *testing.T) *delirium.Graph {
+// A completed producer block enables both of its consumer blocks in the
+// same chainCover pass, so a crash that fires on the first chained pop
+// finds the sibling block still queued: drainChain's crash path.
+func chainFanGraph(t *testing.T, k int) *delirium.Graph {
 	t.Helper()
 	g := delirium.NewGraph("chainfan")
-	for _, n := range []string{"a", "b", "c"} {
-		if err := g.AddNode(&delirium.Node{Name: n, Kind: delirium.Par, Tasks: "n"}); err != nil {
-			t.Fatal(err)
+	for i := 0; i < k; i++ {
+		a, b, c := fmt.Sprint("a", i), fmt.Sprint("b", i), fmt.Sprint("c", i)
+		for _, n := range []string{a, b, c} {
+			if err := g.AddNode(&delirium.Node{Name: n, Kind: delirium.Par, Tasks: "n"}); err != nil {
+				t.Fatal(err)
+			}
 		}
+		g.AddEdge(&delirium.Edge{From: a, To: b, Pipelined: true, Bytes: 8, PerTask: true})
+		g.AddEdge(&delirium.Edge{From: a, To: c, Pipelined: true, Bytes: 8, PerTask: true})
 	}
-	g.AddEdge(&delirium.Edge{From: "a", To: "b", Pipelined: true, Bytes: 8, PerTask: true})
-	g.AddEdge(&delirium.Edge{From: "a", To: "c", Pipelined: true, Bytes: 8, PerTask: true})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,28 +149,36 @@ func runChainFault(t *testing.T, g *delirium.Graph, p, n int, plan *fault.Plan) 
 }
 
 // TestChainFaultBitwise: a worker crashing mid-chain must neither lose
-// nor duplicate consumer blocks. The crashed pop's block is handed to
-// a survivor by faultPoint; everything still queued behind it goes
-// through drainChain's fallback release. Every faulted run must stay
-// bitwise identical to the fault-free reference, and across the plans
-// the fallback path must actually fire (ChainFallbacks > 0) — parity
-// alone would also pass if crashes never landed inside a drain.
+// nor duplicate consumer blocks. The crashing worker leaves the popped
+// block and everything still queued behind it on its own deque, and the
+// survivors steal them. Every faulted run must stay bitwise identical
+// to the fault-free reference.
+//
+// The crash path itself is driven deterministically, not by luck: on
+// fans of one-task operators, a worker's first segment can only be a
+// producer (consumers are chain-issued, never queued, until a crash),
+// its one-task chunk enables both consumer blocks, so its second chunk
+// boundary is always the first chained pop with the sibling block still
+// queued. Workers 1–3 crash there; the survivor, worker 0, is slowed and
+// so sleeps after every chunk, yielding its CPU to the others while
+// producers remain. The run must report ChainFallbacks > 0 — parity
+// alone would also pass if no crash landed inside a drain.
 func TestChainFaultBitwise(t *testing.T) {
 	lin := chainGraph(t)
-	fan := chainFanGraph(t)
+	fan := chainFanGraph(t, 1)
 	const n = 50000
 	_, wantLin := runChainGraph(t, lin, 1, n, rts.ModeStatic, rts.ChainOff)
 	_, wantFan := runChainGraph(t, fan, 1, n, rts.ModeStatic, rts.ChainOff)
 
-	var hits, fallbacks int
-	run := func(g *delirium.Graph, want, spec string) {
+	hits := 0
+	run := func(g *delirium.Graph, n int, want, spec string) trace.Result {
 		t.Helper()
 		r, got := runChainFault(t, g, 4, n, mustPlan(t, spec))
 		if got != want {
 			t.Fatalf("%s under %q: digest %s, want %s", g.Name, spec, got, want)
 		}
 		hits += r.ChainHits
-		fallbacks += r.ChainFallbacks
+		return r
 	}
 	for _, spec := range []string{
 		"crash:0@1,deadline:0.002",
@@ -175,14 +186,17 @@ func TestChainFaultBitwise(t *testing.T) {
 		"crash:1@1,crash:2@3,deadline:0.002",
 		"stall:1@1:0.01,crash:0@2,deadline:0.002",
 	} {
-		run(lin, wantLin, spec)
-		run(fan, wantFan, spec)
+		run(lin, n, wantLin, spec)
+		run(fan, n, wantFan, spec)
 	}
 	if hits == 0 {
 		t.Fatal("no chained chunk ran under fault injection")
 	}
-	if fallbacks == 0 {
-		t.Fatal("no crash landed mid-drain: the chain fallback path never fired")
+
+	fans := chainFanGraph(t, 8)
+	_, wantFans := runChainGraph(t, fans, 1, 1, rts.ModeStatic, rts.ChainOff)
+	if r := run(fans, 1, wantFans, "slow:0@0:50,crash:1@1,crash:2@1,crash:3@1"); r.ChainFallbacks == 0 {
+		t.Fatalf("no crash landed mid-drain: the chain fallback path never fired (%+v)", r)
 	}
 }
 

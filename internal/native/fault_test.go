@@ -2,7 +2,6 @@ package native_test
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"orchestra/internal/core"
@@ -57,8 +56,8 @@ func checkBitwise(t *testing.T, label string, got, ref map[string][]float64) {
 // TestNativeFaultBitwise is the tentpole acceptance test: under every
 // survivable fault plan the native backend's results must be bitwise
 // identical to a fault-free sequential run. Faults are injected at
-// chunk boundaries and recovered work is re-issued to survivors, so
-// every task still runs exactly once.
+// chunk boundaries and a lost worker's work stays queued where it is
+// until a survivor takes it, so every task still runs exactly once.
 func TestNativeFaultBitwise(t *testing.T) {
 	out, err := core.CompileSource(quickstartProgram, core.DefaultOptions())
 	if err != nil {
@@ -66,24 +65,9 @@ func TestNativeFaultBitwise(t *testing.T) {
 	}
 	const n = 3000
 	ref := runKernels(t, out, "sim", 1, rts.ModeStatic, n, 1)
-	cases := []struct {
-		mode rts.Mode
-		plan string
-	}{
-		// Static workers pop their whole block as one segment, so only
-		// @0 triggers fire; recovery goes through the detector inboxes.
-		{rts.ModeStatic, "crash:0@0,deadline:0.002"},
-		{rts.ModeStatic, "slow:1@0:4,deadline:0.002"},
-		{rts.ModeTaper, "crash:0@1,deadline:0.002"},
-		{rts.ModeTaper, "crash:0@0,crash:2@3,deadline:0.002"},
-		{rts.ModeTaper, "stall:1@1:0.02,deadline:0.002"},
-		{rts.ModeSplit, "crash:0@2,deadline:0.002"},
-		{rts.ModeSplit, "crash:0@1,stall:1@2:0.01,slow:2@0:6,deadline:0.002"},
-		{rts.ModeSplit, "slow:3@1:8,deadline:0.002"},
-	}
-	for _, c := range cases {
-		got := runNativeFault(t, out, 4, c.mode, n, 1, mustPlan(t, c.plan), nil)
-		checkBitwise(t, c.mode.String()+"/"+c.plan, got, ref)
+	for _, c := range native.FaultCases {
+		got := runNativeFault(t, out, 4, c.Mode, n, 1, mustPlan(t, c.Plan), nil)
+		checkBitwise(t, c.Mode.String()+"/"+c.Plan, got, ref)
 	}
 }
 
@@ -104,55 +88,45 @@ func TestNativeFaultRandom(t *testing.T) {
 	}
 }
 
-// TestNativeFaultEvents checks the recovery machinery leaves a trace:
-// an early crash in a run with downstream releases must surface the
-// self-reported fault, the detector's declared-dead escalation, retry
-// events for the recovered segments, and a reallocation over the
-// survivors. Whether the detector or a survivor's steal wins the race
-// to the dead worker's holdings is a genuine scheduling race (on a
-// single-CPU machine with GOMAXPROCS=1 the survivors always win), so
-// the test forces real goroutine interleaving and retries the run a
-// bounded number of times until the detector path is exercised.
+// TestNativeFaultEvents checks that a loss leaves its trace in one run.
+// A crashing worker records its fault and the reallocation over the
+// survivors, and leaves the segment it held on its own deque, where only
+// a survivor can take it — and a thief taking from a dead worker records
+// a retry. Workers 1–3 crash at their first chunk boundary, so whichever
+// of them the Go scheduler runs first crashes. A crash is self-declared:
+// a crash-only plan runs no detector and records on the workers' four
+// rings alone.
 func TestNativeFaultEvents(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
 	out, err := core.CompileSource(quickstartProgram, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const attempts = 25
+	var col obs.Collector
+	runNativeFault(t, out, 4, rts.ModeSplit, 4000, 60, mustPlan(t, "crash:1@0,crash:2@0,crash:3@0"), &col)
+	tr := col.Trace
+	if tr == nil {
+		t.Fatal("no trace collected")
+	}
+	if tr.Workers != 4 {
+		t.Fatalf("Workers = %d, want 4: a crash-only plan runs no detector ring", tr.Workers)
+	}
 	var faults, retries, reallocs int
-	for attempt := 0; attempt < attempts; attempt++ {
-		var col obs.Collector
-		runNativeFault(t, out, 4, rts.ModeSplit, 4000, 60,
-			mustPlan(t, "crash:0@1,deadline:0.001"), &col)
-		tr := col.Trace
-		if tr == nil {
-			t.Fatal("no trace collected")
-		}
-		if tr.Workers != 5 {
-			t.Fatalf("Workers = %d, want 4 workers + 1 detector ring", tr.Workers)
-		}
-		faults, retries, reallocs = 0, 0, 0
-		for _, e := range tr.Events {
-			switch e.Kind {
-			case obs.KindFault:
-				faults++
-			case obs.KindRetry:
-				retries++
-			case obs.KindRealloc:
-				reallocs++
-			}
-		}
-		if faults == 0 {
-			t.Fatal("crash left no fault event")
-		}
-		if reallocs > 0 && retries > 0 {
-			return
+	for _, e := range tr.Events {
+		switch e.Kind {
+		case obs.KindFault:
+			faults++
+		case obs.KindRetry:
+			retries++
+		case obs.KindRealloc:
+			reallocs++
 		}
 	}
-	t.Fatalf("retries=%d reallocs=%d after %d attempts: the detector never recovered the dead worker",
-		retries, reallocs, attempts)
+	if faults == 0 || reallocs == 0 || retries == 0 {
+		t.Fatalf("faults=%d reallocs=%d retries=%d: a crash must record all three", faults, reallocs, retries)
+	}
+	if faults != reallocs {
+		t.Fatalf("faults=%d reallocs=%d: every loss reallocates once", faults, reallocs)
+	}
 }
 
 // TestNativeFaultRejections: a plan that leaves no survivor must be
@@ -201,8 +175,8 @@ func BenchmarkHotpathFaultDisabled(b *testing.B) {
 }
 
 // BenchmarkHotpathFaultCrash is the same run with a crash plan — the
-// price of one worker loss including detection, recovery and
-// reallocation, for eyeballing against the disabled baseline.
+// price of one worker loss including the survivors' steals of its work
+// and the reallocation, for eyeballing against the disabled baseline.
 func BenchmarkHotpathFaultCrash(b *testing.B) {
 	out, err := core.CompileSource(quickstartProgram, core.DefaultOptions())
 	if err != nil {

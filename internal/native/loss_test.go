@@ -1,0 +1,87 @@
+package native
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"orchestra/internal/fault"
+	"orchestra/internal/rts"
+)
+
+// lossEngine builds an engine of p unlaunched workers under a fault
+// plan, so a test can mark workers dead and drive findWork, release and
+// the park protocol by hand.
+func lossEngine(t *testing.T, mode rts.Mode, p int) *engine {
+	t.Helper()
+	plan, err := fault.Parse("slow:0@0:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]*atomic.Int64{"a": {}, "b": {}}
+	e, err := newEngine(chainGraph(t, false), countBinder(64, counts),
+		rts.RunOpts{Processors: p, Mode: mode, Fault: plan}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p; i++ {
+		e.workers = append(e.workers, newWorker(i))
+	}
+	return e
+}
+
+// TestStaticRobsOnlyTheDead pins the loss rule's seam in ModeStatic,
+// which does not steal: findWork and reachableWork reach a dead
+// worker's deque and inbox, and only those — reachableWork must report
+// true only for work findWork can take, or an idle worker spins instead
+// of parking.
+func TestStaticRobsOnlyTheDead(t *testing.T) {
+	e := lossEngine(t, rts.ModeStatic, 3)
+	thief, dead, live := e.workers[0], e.workers[1], e.workers[2]
+	live.dq.push(segment{op: 0, lo: 0, hi: 10})
+	live.postInbox(segment{op: 0, lo: 10, hi: 20})
+	if e.reachableWork(thief) {
+		t.Fatal("a live peer's queues are reachable without stealing")
+	}
+	if s, ok, _ := e.findWork(thief); ok {
+		t.Fatalf("took %+v from a live peer without stealing", s)
+	}
+	dead.dq.push(segment{op: 0, lo: 20, hi: 30})
+	dead.postInbox(segment{op: 0, lo: 30, hi: 40})
+	dead.deadA.Store(true)
+	took := map[int]bool{}
+	for e.reachableWork(thief) {
+		s, ok, stolen := e.findWork(thief)
+		if !ok || !stolen {
+			t.Fatalf("reachableWork reports work findWork cannot take (took %v so far)", took)
+		}
+		took[s.lo] = true
+	}
+	if len(took) != 2 || !took[20] || !took[30] {
+		t.Fatalf("took segments at %v, want the dead worker's two (20, 30)", took)
+	}
+	if live.dq.size() != 1 || live.inboxN.Load() != 1 {
+		t.Fatal("the live peer lost work it was not robbed of")
+	}
+}
+
+// TestPostToDeadWakesSurvivor pins the other seam: a segment posted to a
+// dead worker's inbox must wake a parked survivor, because the
+// addressee never will take it.
+func TestPostToDeadWakesSurvivor(t *testing.T) {
+	e := lossEngine(t, rts.ModeStatic, 3)
+	releaser, dead, parked := e.workers[0], e.workers[1], e.workers[2]
+	dead.deadA.Store(true)
+	parked.pk.prepare()
+	e.idle.Add(1)
+	e.rr.Store(1) // the next round-robin target is the dead worker
+	e.release(releaser, 0, 0, 1)
+	if dead.inboxN.Load() != 1 {
+		t.Fatal("the released segment did not go to the dead addressee's inbox")
+	}
+	if parked.pk.state.Load() != pActive || len(parked.pk.wake) != 1 {
+		t.Fatal("a post to a dead addressee left the parked survivor asleep")
+	}
+	if !e.reachableWork(parked) {
+		t.Fatal("the woken survivor cannot reach the dead addressee's inbox")
+	}
+}

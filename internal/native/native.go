@@ -163,7 +163,7 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 	if opts.Sink != nil {
 		rings := p
 		if e.needsDetector {
-			// The detector emits fault/retry/realloc events from its own
+			// The detector emits fault/realloc events from its own
 			// goroutine; rings are single-writer, so it gets ring p.
 			rings = p + 1
 		}
@@ -242,11 +242,9 @@ func (w *worker) reset(i int) {
 	w.hb.Store(0)
 	w.deadA.Store(false)
 	w.slowF = 0
-	w.slowSeen = false
 	w.pr.Reset()
 	w.labelOp = -1
 	w.chainQ = w.chainQ[:0]
-	w.crashed = false
 }
 
 // execute runs the prepared engine to completion on its attached
@@ -401,12 +399,12 @@ type worker struct {
 	// hb is the wall-clock heartbeat the fault detector watches, stored
 	// at every loop-top when a fault plan is active.
 	hb atomic.Int64
-	// deadA is set by the detector when this worker is declared dead.
+	// deadA marks the worker dead: set by the worker itself when it
+	// crashes, or by the detector when it stalls holding work. A dead
+	// worker's deque and inbox are every survivor's to take.
 	deadA atomic.Bool
-	// slowF is the active slowdown factor (0 or 1 = none); slowSeen
-	// dedups the trace event. Owner-only.
-	slowF    float64
-	slowSeen bool
+	// slowF is the active slowdown factor (0 or 1 = none). Owner-only.
+	slowF float64
 	// pr is completion-path scratch for what the Frontier reports.
 	pr rts.Progress
 	// labelOp is the operator currently named in this goroutine's
@@ -415,10 +413,11 @@ type worker struct {
 	// chainQ holds consumer blocks this worker enabled and will run
 	// depth-first while their inputs are cache-resident. Owner-only.
 	chainQ []chainItem
-	// crashed is set when a fault crashes this worker mid-chain after
-	// its queued blocks were handed to the survivors; the loop-top exits.
-	crashed bool
 }
+
+// holding reports whether segments are queued on w, in its deque or its
+// inbox.
+func (w *worker) holding() bool { return w.dq.size() > 0 || w.inboxN.Load() > 0 }
 
 // postInbox hands a segment to this worker from another goroutine.
 func (w *worker) postInbox(s segment) {
@@ -495,7 +494,8 @@ type engine struct {
 	batches atomic.Int64
 
 	// Cache-chain counters: blocks run in place, blocks spilled to the
-	// deques at the depth limit, blocks released to survivors on crash.
+	// deques at the depth limit, blocks a crashing worker left on its
+	// deque.
 	chainHits   atomic.Int64
 	chainSpills atomic.Int64
 	chainFB     atomic.Int64
@@ -507,12 +507,10 @@ type engine struct {
 	start time.Time
 
 	// Fault injection (nil fx = disabled, one branch on the hot paths).
-	// live tracks workers not declared dead; anyDead routes releases
-	// through the survivor-aware split.
-	fx      *fault.Exec
-	live    atomic.Int32
-	anyDead atomic.Bool
-	detWG   sync.WaitGroup
+	// live counts the workers not marked dead.
+	fx    *fault.Exec
+	live  atomic.Int32
+	detWG sync.WaitGroup
 
 	wg sync.WaitGroup
 }
@@ -613,50 +611,32 @@ func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
 	}
 }
 
-// release hands tasks [lo, hi) of op to the workers not declared
-// dead: a large range is block-split across all of them (the
-// owner-computes decomposition — the j-th worker owns block j), while a
-// small pipelined delta stays with the releasing worker (cache-warm,
-// lock-free) when stealing can spread it, else goes to the next worker
-// round-robin. w is the releasing worker, or nil during
-// single-threaded setup (when plain deque pushes are safe because the
-// pool has not launched) and for a crashing worker's hand-off. The
-// releasing worker counts as live even if falsely declared dead — it
-// is demonstrably running — so fresh work never lands on (and has to
-// be recovered from) a dead inbox.
+// release hands tasks [lo, hi) of op to the workers: a large range is
+// block-split across all of them (the owner-computes decomposition —
+// the j-th worker owns block j), while a small pipelined delta stays
+// with the releasing worker (cache-warm, lock-free) when stealing can
+// spread it, else goes to the next worker round-robin. w is the
+// releasing worker, or nil during single-threaded setup (when plain
+// deque pushes are safe because the pool has not launched). A block
+// that lands on a dead worker is taken by a survivor like any other
+// (findWork), so placement ignores the dead.
 func (e *engine) release(w *worker, op, lo, hi int) {
 	n := hi - lo
 	if n <= 0 {
 		return
 	}
-	targets, setup := e.workers, w == nil
-	var buf [16]*worker
-	if e.fx != nil && e.anyDead.Load() {
-		// Set-up never sees a dead worker: a nil w here is a crashing
-		// worker's hand-off (drainChain), which must only post.
-		setup = false
-		targets = buf[:0]
-		for _, t := range e.workers {
-			if !t.deadA.Load() || t == w {
-				targets = append(targets, t)
-			}
-		}
-		if len(targets) == 0 {
-			targets = append(targets, e.workers[0])
-		}
-	}
-	m := len(targets)
+	m := e.p
 	if n >= 2*m && m > 1 {
-		for j, t := range targets {
+		for j, t := range e.workers {
 			if a, b := sched.BlockBounds(j, n, m); b > a {
-				e.place(w, t, segment{op: op, lo: lo + a, hi: lo + b}, setup)
+				e.place(w, t, segment{op: op, lo: lo + a, hi: lo + b})
 			}
 		}
 		if e.steal {
 			e.signal(m)
 		} else {
-			for _, t := range targets {
-				t.pk.unpark()
+			for _, t := range e.workers {
+				e.wake(t)
 			}
 		}
 		return
@@ -668,21 +648,33 @@ func (e *engine) release(w *worker, op, lo, hi int) {
 		e.signal(1)
 		return
 	}
-	t := targets[int(e.rr.Add(1)-1)%m]
-	e.place(w, t, s, setup)
-	t.pk.unpark()
+	t := e.workers[int(e.rr.Add(1)-1)%m]
+	e.place(w, t, s)
+	e.wake(t)
 }
 
 // place queues a released segment on worker t: a push onto its own
-// deque by the releasing worker (or during set-up), a post to its inbox
-// from anyone else, since t alone may push its Chase–Lev bottom.
-func (e *engine) place(w, t *worker, s segment, setup bool) {
-	if setup || t == w {
+// deque by the releasing worker (or during set-up, w == nil), a post to
+// its inbox from anyone else, since t alone may push its Chase–Lev
+// bottom.
+func (e *engine) place(w, t *worker, s segment) {
+	if w == nil || t == w {
 		t.dq.push(s)
 	} else {
 		t.postInbox(s)
 	}
 	e.queued.Add(1)
+}
+
+// wake unparks t after a segment was queued for it. A dead addressee
+// never will take it, so a survivor is woken in its place. A worker
+// that dies after this check wakes the survivors itself (crash).
+func (e *engine) wake(t *worker) {
+	if t.deadA.Load() {
+		e.signal(1)
+		return
+	}
+	t.pk.unpark()
 }
 
 // signal wakes up to n parked workers after work became visible. The
@@ -703,13 +695,23 @@ func (e *engine) signal(n int) {
 // segment that stays put, findWork can take that segment — otherwise an
 // idle worker spins on work it is not allowed to take instead of
 // parking. With stealing enabled every queued segment, in any deque or
-// any inbox, is reachable; without it only the worker's own deque and
-// inbox count.
+// any inbox, is reachable; without it the worker's own deque and inbox
+// count, and those of dead workers (robbable).
 func (e *engine) reachableWork(w *worker) bool {
 	if e.steal {
 		return e.queued.Load() > 0
 	}
-	return w.dq.size() > 0 || w.inboxN.Load() > 0
+	if w.holding() {
+		return true
+	}
+	if e.fx != nil {
+		for _, v := range e.workers {
+			if v.deadA.Load() && v.holding() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // idleWait spins briefly and then parks until work this worker could
@@ -743,33 +745,49 @@ func (e *engine) idleWait(w *worker) bool {
 	return e.isFinished()
 }
 
-// stealFrom scans the other workers' deques from a random start and
-// takes the first stealable segment.
+// robbable reports whether a peer may take the segments queued on v:
+// any worker's when stealing is on, else only a dead worker's, whose
+// owner never will.
+func (e *engine) robbable(v *worker) bool { return e.steal || v.deadA.Load() }
+
+// took records that w took s from peer v: a steal, and a retry when v
+// is marked dead — the loss rule's re-issue, recorded by the thief on
+// its own ring as the simulator records it.
+func (e *engine) took(w, v *worker, s segment) {
+	e.steals.Add(1)
+	if e.rec != nil {
+		t := time.Since(e.start).Seconds()
+		e.rec.Steal(w.id, v.id, s.op, s.lo, s.len(), t)
+		if v.deadA.Load() {
+			e.rec.Retry(w.id, v.id, s.op, s.lo, s.len(), t)
+		}
+	}
+}
+
+// stealFrom scans the other robbable workers' deques from a random
+// start and takes the first stealable segment.
 func (e *engine) stealFrom(w *worker) (segment, bool) {
 	if e.p == 1 {
 		return segment{}, false
 	}
 	start := w.rng.Intn(e.p)
 	for t := 0; t < e.p; t++ {
-		v := (start + t) % e.p
-		if v == w.id {
+		v := e.workers[(start+t)%e.p]
+		if v == w || !e.robbable(v) {
 			continue
 		}
-		if s, ok := e.workers[v].dq.steal(); ok {
-			e.steals.Add(1)
-			if e.rec != nil {
-				e.rec.Steal(w.id, v, s.op, s.lo, s.len(), time.Since(e.start).Seconds())
-			}
+		if s, ok := v.dq.steal(); ok {
+			e.took(w, v, s)
 			return s, true
 		}
 	}
 	return segment{}, false
 }
 
-// stealInbox takes one segment posted to another worker's inbox. A
-// posted segment is ready work like any other: its addressee may not
-// have been scheduled yet (a pool goroutine whose vCPU is asleep, a
-// worker stalled or declared dead under a fault plan), and until it
+// stealInbox takes one segment posted to another robbable worker's
+// inbox. A posted segment is ready work like any other: its addressee
+// may not have been scheduled yet (a pool goroutine whose vCPU is
+// asleep, a worker stalled or dead under a fault plan), and until it
 // drains its inbox the segment is in no deque for stealFrom to find. An
 // idle worker is idle only when no ready work exists, so whichever
 // worker actually runs takes it; placement never decides values.
@@ -777,7 +795,7 @@ func (e *engine) stealFrom(w *worker) (segment, bool) {
 func (e *engine) stealInbox(w *worker) (segment, bool) {
 	for off := 1; off < e.p; off++ {
 		v := e.workers[(w.id+off)%e.p]
-		if v.inboxN.Load() == 0 {
+		if v.inboxN.Load() == 0 || !e.robbable(v) {
 			continue
 		}
 		v.inboxMu.Lock()
@@ -789,18 +807,16 @@ func (e *engine) stealInbox(w *worker) (segment, bool) {
 		v.inbox = v.inbox[:len(v.inbox)-1]
 		v.inboxN.Add(-1)
 		v.inboxMu.Unlock()
-		e.steals.Add(1)
-		if e.rec != nil {
-			e.rec.Steal(w.id, v.id, s.op, s.lo, s.len(), time.Since(e.start).Seconds())
-		}
+		e.took(w, v, s)
 		return s, true
 	}
 	return segment{}, false
 }
 
 // findWork is the worker's acquisition order: drain the inbox into the
-// deque, pop local work, else steal from a peer's deque, else from a
-// peer's inbox. stolen reports whether the segment came from a peer.
+// deque, pop local work, else steal from a robbable peer's deque, else
+// from a robbable peer's inbox. stolen reports whether the segment came
+// from a peer. Without stealing only a fault plan makes peers robbable.
 func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 	if w.inboxN.Load() > 0 {
 		w.drainInbox()
@@ -808,7 +824,7 @@ func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 	if s, ok := w.dq.pop(); ok {
 		return s, true, false
 	}
-	if e.steal {
+	if e.steal || e.fx != nil {
 		if s, ok := e.stealFrom(w); ok {
 			return s, true, true
 		}
@@ -827,11 +843,6 @@ func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
 	for {
-		if w.crashed {
-			// A fault crashed this worker inside a chain drain; its queued
-			// blocks have already been released to the survivors.
-			return
-		}
 		if e.canceled.Load() {
 			// Cooperative cancellation: whatever this worker still holds
 			// is abandoned (the engine is discarded wholesale), but the
@@ -847,12 +858,18 @@ func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 		default:
 		}
 		if e.fx != nil {
+			if e.fx.Crashed(w.id) {
+				// A fault crashed this worker inside a chain drain; what it
+				// held is on its deque for the survivors.
+				return
+			}
 			w.hb.Store(time.Now().UnixNano())
 			// A declared-dead worker reaching its loop-top is demonstrably
 			// alive (a detector false positive — easy on oversubscribed
 			// machines where scheduling delays exceed the deadline):
-			// resurrect so deliveries and releases include it again.
-			if w.deadA.Load() && !e.fx.Crashed(w.id) && w.deadA.CompareAndSwap(true, false) {
+			// resurrect, so its queues are its own again and the live
+			// set counts it.
+			if w.deadA.Load() && w.deadA.CompareAndSwap(true, false) {
 				e.live.Add(1)
 			}
 		}

@@ -2,6 +2,8 @@ package native
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,9 +11,12 @@ import (
 	"time"
 
 	"orchestra/internal/delirium"
+	"orchestra/internal/fault"
+	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
+	"orchestra/internal/trace"
 )
 
 // chainGraph builds a -> b (optionally pipelined).
@@ -42,37 +47,126 @@ func countBinder(n int, counts map[string]*atomic.Int64) rts.Binder {
 	}
 }
 
+// taskCountBinder binds every node to n tasks that count each task's
+// executions in counts[name][i].
+func taskCountBinder(n int, counts map[string][]atomic.Int32) rts.Binder {
+	return func(name string) rts.OpSpec {
+		c := counts[name]
+		return rts.OpSpec{Op: sched.Op{Name: name, N: n, Time: func(i int) float64 { c[i].Add(1); return 1 }}, Mu: 1}
+	}
+}
+
 func allModes() []rts.Mode {
 	return []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit}
 }
 
+// FaultCases are the named fault plans of the bitwise fault tests, each
+// with the mode it was written for, on four workers.
+// TestExecuteRunsEveryTaskOnce runs every plan in all three modes.
+var FaultCases = []struct {
+	Mode rts.Mode
+	Plan string
+}{
+	// Static workers pop each operator's block as one segment; a dead
+	// worker's blocks are reachable to the survivors although static
+	// mode does not steal.
+	{rts.ModeStatic, "crash:0@0,deadline:0.002"},
+	{rts.ModeStatic, "slow:1@0:4,deadline:0.002"},
+	{rts.ModeTaper, "crash:0@1,deadline:0.002"},
+	{rts.ModeTaper, "crash:0@0,crash:2@3,deadline:0.002"},
+	{rts.ModeTaper, "stall:1@1:0.02,deadline:0.002"},
+	{rts.ModeSplit, "crash:0@2,deadline:0.002"},
+	{rts.ModeSplit, "crash:0@1,stall:1@2:0.01,slow:2@0:6,deadline:0.002"},
+	{rts.ModeSplit, "slow:3@1:8,deadline:0.002"},
+}
+
 // TestExecuteRunsEveryTaskOnce checks that each mode executes each
-// task of each operator exactly once and fills the trace.
+// task of each operator exactly once and fills the trace: fault-free at
+// one and four workers, and on four under every plan of FaultCases and
+// fault.Random seeds 1–6. The bitwise fault tests cannot see a task
+// that runs twice — ArrayKernels' store is idempotent — so this counts
+// per task.
 func TestExecuteRunsEveryTaskOnce(t *testing.T) {
 	const n = 500
+	type config struct {
+		workers int
+		plan    *fault.Plan
+	}
+	configs := []config{{1, nil}, {4, nil}}
+	for _, c := range FaultCases {
+		plan, err := fault.Parse(c.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		configs = append(configs, config{4, plan})
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		plan := fault.Random(seed, 4)
+		plan.Deadline = 0.002
+		configs = append(configs, config{4, plan})
+	}
 	for _, mode := range allModes() {
-		for _, workers := range []int{1, 4} {
-			counts := map[string]*atomic.Int64{"a": {}, "b": {}}
-			r, err := (Backend{}).Run(chainGraph(t, true), rts.BindClosure(countBinder(n, counts)),
-				rts.RunOpts{Processors: workers, Mode: mode})
+		for _, c := range configs {
+			label := fmt.Sprintf("%v/p=%d/%v", mode, c.workers, c.plan)
+			counts := map[string][]atomic.Int32{"a": make([]atomic.Int32, n), "b": make([]atomic.Int32, n)}
+			r, err := (Backend{}).Run(chainGraph(t, true), rts.BindClosure(taskCountBinder(n, counts)),
+				rts.RunOpts{Processors: c.workers, Mode: mode, Fault: c.plan})
 			if err != nil {
-				t.Fatalf("%v/p=%d: %v", mode, workers, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			for name, c := range counts {
-				if c.Load() != n {
-					t.Errorf("%v/p=%d: op %s executed %d tasks, want %d", mode, workers, name, c.Load(), n)
+			for name, cs := range counts {
+				for i := range cs {
+					if got := cs[i].Load(); got != 1 {
+						t.Fatalf("%s: op %s task %d executed %d times, want 1", label, name, i, got)
+					}
 				}
 			}
-			if r.Processors != workers || r.Unit != "s" {
-				t.Errorf("%v: result metadata = p%d unit %q", mode, r.Processors, r.Unit)
+			if r.Processors != c.workers || r.Unit != "s" {
+				t.Errorf("%s: result metadata = p%d unit %q", label, r.Processors, r.Unit)
 			}
 			if r.Makespan <= 0 || r.Chunks <= 0 {
-				t.Errorf("%v: makespan %v chunks %d, want positive", mode, r.Makespan, r.Chunks)
+				t.Errorf("%s: makespan %v chunks %d, want positive", label, r.Makespan, r.Chunks)
 			}
-			if len(r.Busy) != workers {
-				t.Errorf("%v: len(Busy) = %d, want %d", mode, len(r.Busy), workers)
+			if len(r.Busy) != c.workers {
+				t.Errorf("%s: len(Busy) = %d, want %d", label, len(r.Busy), c.workers)
 			}
 		}
+	}
+}
+
+// TestEmitReallocRows: the reallocation a loss triggers runs the
+// estimator on the statistics measured so far, at the run's TAPER ω as
+// the simulator's does. Fixed task statistics go through emitRealloc at
+// a non-default ω, and the recorded AllocEstimate rows must be
+// rts.ReallocateOnLossOmega's. (Under native's zero cost model ω only
+// scales the sched term, which is zero, so no row shows ω today; the
+// test pins the call for when the model gains a sched cost.)
+func TestEmitReallocRows(t *testing.T) {
+	const omega, live = 3.5, 2
+	counts := map[string]*atomic.Int64{"a": {}, "b": {}}
+	e, err := newEngine(chainGraph(t, true), countBinder(100, counts),
+		rts.RunOpts{Processors: 4, Mode: rts.ModeTaper, Omega: omega, Sink: &obs.Collector{}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []rts.OpSpec
+	var names []string
+	for j, o := range e.opsSnap() {
+		o.unsched.Store(int64(40 + 20*j))
+		for i := 0; i < 8; i++ {
+			o.stats.Observe(i, 1e-3*float64(1+i+3*j))
+		}
+		specs = append(specs, rts.OpSpec{Op: sched.Op{Name: o.name, N: 40 + 20*j},
+			Mu: o.stats.Global.Mean(), Sigma: o.stats.Global.StdDev()})
+		names = append(names, o.name)
+	}
+	e.emitRealloc(live)
+	got := e.rec.Finish(trace.Result{}).Allocs
+	rec := obs.NewRecorder("native", "s", nil, 1)
+	rts.ReallocateOnLossOmega(machine.Config{}, specs, live, omega, rec, names...)
+	want := rec.Finish(trace.Result{}).Allocs
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("emitRealloc rows at ω=%g:\n got %+v\nwant %+v", omega, got, want)
 	}
 }
 
@@ -387,14 +481,10 @@ func TestSpinConcurrent(t *testing.T) {
 func TestPostedBlockNotHostage(t *testing.T) {
 	const n = 2048
 	counts := map[string][]atomic.Int32{"a": make([]atomic.Int32, n), "b": make([]atomic.Int32, n)}
-	bind := func(name string) rts.OpSpec {
-		c := counts[name]
-		return rts.OpSpec{Op: sched.Op{Name: name, N: n, Time: func(i int) float64 { c[i].Add(1); return 1 }}, Mu: 1}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	opts := rts.RunOpts{Processors: 2, Mode: rts.ModeSplit, Ctx: ctx}
-	e, err := newEngine(chainGraph(t, true), bind, opts, 2)
+	e, err := newEngine(chainGraph(t, true), taskCountBinder(n, counts), opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,8 @@ const (
 	// Worker (the native detector emits with its own dedicated ring).
 	// Arg carries the fault action kind (fault.Kind numbering).
 	KindFault
-	// KindRetry is a chunk re-issue at T0: tasks [Lo, Lo+N) of Op,
-	// recovered from unresponsive worker Arg, were handed back to the
-	// survivors by Worker.
+	// KindRetry is a chunk re-issue at T0: survivor Worker took tasks
+	// [Lo, Lo+N) of Op from worker Arg, which a fault had taken out.
 	KindRetry
 	// KindRealloc marks a reallocation-on-loss at T0: the allocation
 	// estimates were recomputed over the Arg surviving workers (the
@@ -313,8 +312,8 @@ func (r *Recorder) Fault(w, target, action int, t float64) {
 		Lo: int32(target), Arg: int32(action), T0: t})
 }
 
-// Retry records that tasks [lo, lo+n) of operator op, recovered from
-// unresponsive worker victim, were re-issued to the survivors at time t.
+// Retry records that survivor w took tasks [lo, lo+n) of operator op
+// from victim, a worker a fault had taken out, at time t.
 func (r *Recorder) Retry(w, victim, op, lo, n int, t float64) {
 	if r == nil {
 		return

@@ -203,12 +203,6 @@ func AllocateManyOmega(cfg machine.Config, specs []OpSpec, p int, omega float64,
 	return alloc
 }
 
-// ReallocateOnLoss re-runs the allocation over the surviving processor
-// set under the default confidence width; see ReallocateOnLossOmega.
-func ReallocateOnLoss(cfg machine.Config, specs []OpSpec, live int, rec *obs.Recorder, names ...string) []int {
-	return ReallocateOnLossOmega(cfg, specs, live, 0, rec, names...)
-}
-
 // ReallocateOnLossOmega re-runs the allocation algorithm over the
 // surviving processor set after a worker loss, so finishing-time
 // estimates track the machine that is actually left instead of

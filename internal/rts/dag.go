@@ -59,10 +59,8 @@ type dagRun struct {
 	// Fault state. live is the surviving processor count; chunk sizing
 	// and budget shares are computed against it so scheduling adapts to
 	// the machine that is actually left. Without faults it stays p.
-	live   int
-	dead   []bool
-	slowOn []bool
-	slowF  float64
+	live  int
+	slowF float64
 
 	// idle is the processors parked with nothing to take, in parking
 	// order. wake moves the whole list to the back of woken and
@@ -135,7 +133,7 @@ func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind 
 	r := &dagRun{ctx: ctx, cfg: cfg, p: p, omega: omega, rec: rec, fx: fx,
 		sim:  machine.NewSim(cfg),
 		res:  trace.Result{Processors: p, Busy: make([]float64, p)},
-		live: p, dead: make([]bool, p), slowOn: make([]bool, p), slowF: 1,
+		live: p, slowF: 1,
 		idle: make([]int, 0, p), woken: make([]int, 0, p),
 		tokenCost: 0.2 * cfg.MsgOverhead,
 		pend:      make([]pendChunk, p),
@@ -503,7 +501,7 @@ func (r *dagRun) steal(gp, o, limit, open int) bool {
 	gv := op.procBase + victim
 	if r.rec != nil {
 		r.rec.Steal(gp, gv, o, tasks[0], len(tasks), r.sim.Now())
-		if gv < r.p && r.dead[gv] {
+		if r.fx.Crashed(gv) {
 			// Re-assignment from a crashed owner is the recovery path:
 			// its queued tasks are re-issued to a survivor.
 			r.rec.Retry(gp, gv, o, tasks[0], len(tasks), r.sim.Now())
@@ -551,8 +549,7 @@ func (r *dagRun) reallocSurvivors(gp int) {
 func (r *dagRun) faulted(gp int) bool {
 	d := r.fx.Begin(gp)
 	if d.Crash {
-		if !r.dead[gp] {
-			r.dead[gp] = true
+		if d.Fresh {
 			r.live--
 			if r.rec != nil {
 				r.rec.Fault(gp, gp, int(fault.Crash), r.sim.Now())
@@ -573,11 +570,8 @@ func (r *dagRun) faulted(gp int) bool {
 	}
 	if d.Slow > 0 {
 		r.slowF = d.Slow
-		if !r.slowOn[gp] {
-			r.slowOn[gp] = true
-			if r.rec != nil {
-				r.rec.Fault(gp, gp, int(fault.Slow), r.sim.Now())
-			}
+		if d.Fresh && r.rec != nil {
+			r.rec.Fault(gp, gp, int(fault.Slow), r.sim.Now())
 		}
 	}
 	return false

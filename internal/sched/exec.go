@@ -466,8 +466,6 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		spent[j] += pendTotal[j]
 		next(j)
 	}
-	dead := make([]bool, p)
-	slowOn := make([]bool, p)
 	stolen := false
 	slowF := 1.0
 	execChunk := func(j int, tasks []int, transferCost float64) {
@@ -504,7 +502,6 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		if fx != nil {
 			d := fx.Begin(j)
 			if d.Crash {
-				dead[j] = true
 				if ob.On() {
 					ob.R.Fault(j, j, int(fault.Crash), ob.Base+sim.Now())
 				}
@@ -520,11 +517,8 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 			}
 			if d.Slow > 0 {
 				slowF = d.Slow
-				if !slowOn[j] {
-					slowOn[j] = true
-					if ob.On() {
-						ob.R.Fault(j, j, int(fault.Slow), ob.Base+sim.Now())
-					}
+				if d.Fresh && ob.On() {
+					ob.R.Fault(j, j, int(fault.Slow), ob.Base+sim.Now())
 				}
 			}
 		}
@@ -577,7 +571,7 @@ func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Fac
 		res.Messages += 3
 		if ob.On() {
 			ob.R.Steal(j, victim, ob.Op, tasks[0], len(tasks), ob.Base+sim.Now())
-			if dead[victim] {
+			if fx.Crashed(victim) {
 				// Re-assignment from a crashed owner is the recovery path:
 				// its queued tasks are re-issued to a survivor.
 				ob.R.Retry(j, victim, ob.Op, tasks[0], len(tasks), ob.Base+sim.Now())

@@ -40,9 +40,9 @@ type Result struct {
 	// handed back to the work-stealing deques (depth limit or
 	// cancellation) instead of running in place.
 	ChainSpills int
-	// ChainFallbacks counts enabled consumer blocks released to other
-	// workers because the enabling worker could not keep them (crash
-	// recovery).
+	// ChainFallbacks counts enabled consumer blocks the enabling worker
+	// could not run because it crashed: it left them on its deque for
+	// the survivors to steal.
 	ChainFallbacks int
 	// Comm is the measured total communication time in Unit: on the
 	// dist backend, wall-clock time spent moving grants, data blocks
