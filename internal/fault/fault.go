@@ -24,6 +24,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -172,19 +173,19 @@ func Parse(spec string) (*Plan, error) {
 			}
 			p.Seed = v
 		case "deadline":
-			v, err := strconv.ParseFloat(rest, 64)
+			v, err := parseFinite(rest)
 			if err != nil || v <= 0 {
 				return nil, fmt.Errorf("fault: bad deadline %q", rest)
 			}
 			p.Deadline = v
 		case "delay":
-			v, err := strconv.ParseFloat(rest, 64)
+			v, err := parseFinite(rest)
 			if err != nil || v < 0 {
 				return nil, fmt.Errorf("fault: bad delay %q", rest)
 			}
 			p.Actions = append(p.Actions, Action{Kind: MsgDelay, Delay: v})
 		case "loss":
-			v, err := strconv.ParseFloat(rest, 64)
+			v, err := parseFinite(rest)
 			if err != nil || v < 0 || v >= 1 {
 				return nil, fmt.Errorf("fault: bad loss probability %q (want [0, 1))", rest)
 			}
@@ -228,7 +229,7 @@ func parseWorkerAction(key, rest string) (Action, error) {
 		if !hasExtra {
 			return Action{}, fmt.Errorf("fault: stall:%s needs a duration", rest)
 		}
-		d, err := strconv.ParseFloat(extra, 64)
+		d, err := parseFinite(extra)
 		if err != nil || d <= 0 {
 			return Action{}, fmt.Errorf("fault: bad stall duration %q", extra)
 		}
@@ -237,13 +238,23 @@ func parseWorkerAction(key, rest string) (Action, error) {
 		if !hasExtra {
 			return Action{}, fmt.Errorf("fault: slow:%s needs a factor", rest)
 		}
-		f, err := strconv.ParseFloat(extra, 64)
+		f, err := parseFinite(extra)
 		if err != nil || f < 1 {
 			return Action{}, fmt.Errorf("fault: bad slow factor %q (want >= 1)", extra)
 		}
 		a.Kind, a.Factor = Slow, f
 	}
 	return a, nil
+}
+
+// parseFinite is strconv.ParseFloat restricted to finite values: no
+// run has a NaN or infinite duration, factor, probability or delay.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("fault: %q is not finite", s)
+	}
+	return v, err
 }
 
 // HasWorkerFaults reports whether the plan targets any worker (crash,

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,16 @@ func TestParseRejects(t *testing.T) {
 		"crash:-1@0",   // negative worker
 		"deadline:0",   // non-positive deadline
 		"seed:x",       // non-numeric seed
+		// Non-finite numbers parse as floats but describe no run.
+		"delay:NaN",
+		"delay:Inf",
+		"loss:NaN",
+		"stall:0@1:NaN",
+		"stall:0@1:Inf",
+		"slow:0@1:NaN",
+		"slow:0@1:+Inf",
+		"deadline:NaN",
+		"deadline:Inf",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -201,4 +213,61 @@ func TestPlanStringNamesKinds(t *testing.T) {
 	if !strings.Contains(Kind(99).String(), "?") {
 		t.Error("unknown kind should render as ?")
 	}
+}
+
+// FuzzParse checks the -fault parser on arbitrary specs: it never
+// panics, every accepted plan renders back to a spec that re-parses to
+// the same plan, and every number in an accepted plan is finite. The
+// seeds are the specs the CI workflow, the README and orchrun's doc
+// pass, a few random survivable plans, and the non-finite rejects.
+// Run the seeds alone with `go test ./internal/fault -run FuzzParse`;
+// explore with `go test ./internal/fault -run XXX -fuzz FuzzParse`.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"crash:0@1,delay:0.5",
+		"crash:1@0,stall:2@1:0.005,deadline:0.005",
+		"crash:0@1,deadline:0.005",
+		"crash:0@1,stall:2@0:0.01,delay:0.5,loss:0.2",
+		"crash:0@1,deadline:0.01",
+		"seed:7,slow:3@1:2.5",
+		"delay:NaN",
+		"stall:0@1:Inf",
+		"",
+		",",
+	} {
+		f.Add(spec)
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		f.Add(Random(seed, 4).String())
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if p != nil {
+			finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+			if !finite(p.Deadline) {
+				t.Fatalf("Parse(%q) accepted deadline %v", spec, p.Deadline)
+			}
+			for _, a := range p.Actions {
+				if !finite(a.Duration) || !finite(a.Factor) || !finite(a.Prob) || !finite(a.Delay) {
+					t.Fatalf("Parse(%q) accepted non-finite action %+v", spec, a)
+				}
+			}
+			if reflect.DeepEqual(*p, Plan{}) {
+				// A plan that sets nothing renders empty, and the empty
+				// spec is the nil plan.
+				p = nil
+			}
+		}
+		back := p.String()
+		q, err := Parse(back)
+		if err != nil {
+			t.Fatalf("Parse(%q) rendered %q, which does not re-parse: %v", spec, back, err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("Parse(%q) = %+v renders %q, which re-parses to %+v", spec, p, back, q)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"orchestra/internal/fault"
@@ -187,8 +188,8 @@ func (o RunOpts) Validate() error {
 	if o.Processors < 0 {
 		return fmt.Errorf("rts: negative processor count %d", o.Processors)
 	}
-	if o.Omega < 0 {
-		return fmt.Errorf("rts: negative omega %g", o.Omega)
+	if o.Omega < 0 || math.IsNaN(o.Omega) || math.IsInf(o.Omega, 0) {
+		return fmt.Errorf("rts: omega %g is negative or not finite", o.Omega)
 	}
 	switch o.Chain {
 	case ChainAuto, ChainOff:

@@ -2,6 +2,7 @@ package rts
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -25,6 +26,10 @@ func TestRunOptsValidate(t *testing.T) {
 		{Mode: Mode(42)},
 		{Processors: -1},
 		{Omega: -0.5},
+		// A NaN ω would override TAPER in the executor but not in the
+		// estimator (EffectiveOmega), so the two would drift.
+		{Omega: math.NaN()},
+		{Omega: math.Inf(1)},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {

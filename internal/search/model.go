@@ -2,24 +2,21 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
 	"orchestra/internal/delirium"
 	"orchestra/internal/machine"
+	"orchestra/internal/native"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
-	"orchestra/internal/stats"
 )
 
 // Model ranks candidate graphs with the paper's finishing-time
 // estimate (equation 1), calibrated by a profiling run: per-operator
 // μ/σ come from the measured trace, the per-chunk scheduling overhead
 // from the run's measured (p·makespan − busy)/chunks, and the TAPER
-// confidence width ω from the run's actual override. Operators the
-// profile knows only as split parts are pooled (Merged) when a
-// candidate keeps their phase sequential.
+// confidence width ω from the run's actual override.
 type Model struct {
 	Prof *Profile
 	// P is the worker count the estimate targets (defaults to the
@@ -28,11 +25,6 @@ type Model struct {
 	// Omega is the TAPER override of the run being planned (defaults
 	// to the profile's).
 	Omega float64
-	// Parts maps a phase that a candidate may keep sequential to the
-	// profiled part operators that cover it; filled by the caller from
-	// the application's rewrite metadata (nil for raw-graph spaces,
-	// where every candidate keeps the profiled node set).
-	Parts map[string][]string
 }
 
 // Cfg returns the calibrated machine model: the default simulated
@@ -75,24 +67,9 @@ func (m *Model) omega() float64 {
 }
 
 // spec builds the calibrated OpSpec for an operator of a candidate
-// graph: measured statistics when the profile saw the operator itself,
-// pooled part statistics when the candidate merged a rewritten phase
-// back together.
+// graph from the profile's measured statistics.
 func (m *Model) spec(name string) (rts.OpSpec, error) {
 	op := m.Prof.Op(name)
-	if op == nil {
-		if parts := m.Parts[name]; len(parts) > 0 {
-			ps := make([]*OpProfile, 0, len(parts))
-			for _, q := range parts {
-				if qp := m.Prof.Op(q); qp != nil {
-					ps = append(ps, qp)
-				}
-			}
-			if len(ps) > 0 {
-				op = Merged(name, ps...)
-			}
-		}
-	}
 	if op == nil || op.Tasks == 0 {
 		return rts.OpSpec{}, fmt.Errorf("search: operator %q not covered by the profile", name)
 	}
@@ -252,24 +229,13 @@ func (m *Model) DryRun(g *delirium.Graph) (float64, error) {
 			bindErr = err
 			return rts.OpSpec{Op: sched.Op{Name: name, N: 1, Time: func(int) float64 { return 0 }}}
 		}
-		n := s.Op.N
-		mu, sigma := s.Mu, s.Sigma
-		times := make([]float64, n)
-		if mu > 0 && sigma > 0 {
-			// Log-normal with the measured mean and variance.
-			s2 := math.Log(1 + (sigma*sigma)/(mu*mu))
-			lmu := math.Log(mu) - s2/2
-			rng := stats.NewRNG(0x5ea8c4 ^ hash64(name))
-			for i := range times {
-				times[i] = rng.LogNormal(lmu, math.Sqrt(s2))
-			}
-		} else {
-			for i := range times {
-				times[i] = mu
-			}
+		// The kernels' log-normal draw: unit mean at the measured cv,
+		// scaled to the measured μ.
+		times := native.LogNormalTimes(0x5ea8c4, name, s.Op.N, cvOf(s))
+		for i := range times {
+			times[i] *= s.Mu
 		}
-		t := times
-		s.Op.Time = func(i int) float64 { return t[i] }
+		s.Op.Time = func(i int) float64 { return times[i] }
 		s.Op.Bytes = 64
 		s.SetupBytes = 0
 		return s
@@ -284,15 +250,6 @@ func (m *Model) DryRun(g *delirium.Graph) (float64, error) {
 		return 0, bindErr
 	}
 	return res.Makespan, nil
-}
-
-// hash64 is FNV-1a over a string.
-func hash64(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }
 
 // rank orders candidate indices by model estimate, ties toward lower

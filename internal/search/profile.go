@@ -1,12 +1,11 @@
 // Package search implements profile-guided split search: given the
-// obs trace of a profiling run of a program's fully split graph, it
-// enumerates the hybrid programs between keep-everything-sequential
-// and split-everything — per-phase rewrite on/off, per-edge pipelining
-// and chaining on/off — ranks them with the paper's finishing-time
-// estimate (equation 1) calibrated by the measured statistics,
-// validates the finalists against a simulator dry-run, and emits only
-// the profitable subset of the transformation as a concrete
-// delirium.Graph.
+// obs trace of a profiling run of a split graph, it enumerates the
+// graph's edge-attribute weakenings — per-edge pipelining and chaining
+// on/off, the node and edge sets untouched — ranks them with the
+// paper's finishing-time estimate (equation 1) calibrated by the
+// measured statistics, validates the finalists against a simulator
+// dry-run, and emits only the profitable subset of the attributes as a
+// concrete delirium.Graph.
 //
 // The paper applies the split transformation wholesale; the hotpath
 // benchmark showed why that is wrong (TAPER+split ≈1.7× slower than
@@ -14,7 +13,9 @@
 // feedback-directed automatic parallelization closes the same loop —
 // measured profiles plus a cost model decide which parallelizations
 // pay for themselves — and this package is that loop for the split
-// transformation: profile once, search, re-run the searched program.
+// graph's pipelined and chained edges: profile once, search, re-run
+// the searched program. Keeping whole phases unsplit on one worker is
+// workload.GraphFor's rule, not the search's.
 package search
 
 import (
@@ -86,16 +87,18 @@ func FromTrace(tr *obs.Trace, omega float64) (*Profile, error) {
 		mean, m2 float64
 		nMeans   int
 		// latest TAPER online estimate and its sample count
-		taperN         int
+		taperN              int
 		taperMu, taperSigma float64
 	}
 	accs := map[string]*acc{}
+	var names []string // first-seen order: the busy sum below is order-sensitive
 	get := func(op int32) *acc {
 		name := tr.OpName(op)
 		a := accs[name]
 		if a == nil {
 			a = &acc{}
 			accs[name] = a
+			names = append(names, name)
 		}
 		return a
 	}
@@ -123,7 +126,8 @@ func FromTrace(tr *obs.Trace, omega float64) (*Profile, error) {
 		}
 	}
 	totalBusy := 0.0
-	for name, a := range accs {
+	for _, name := range names {
+		a := accs[name]
 		if a.tasks == 0 {
 			continue
 		}
@@ -156,34 +160,4 @@ func FromTrace(tr *obs.Trace, omega float64) (*Profile, error) {
 // Op returns the profile for an operator, or nil.
 func (p *Profile) Op(name string) *OpProfile {
 	return p.Ops[name]
-}
-
-// Merged pools the statistics of several profiled operators into the
-// profile of the merged operator that would replace them (a phase whose
-// rewrite the search keeps sequential runs as one operator covering
-// every part's tasks). Pooled mean and variance are exact for the
-// union of the parts' samples.
-func Merged(name string, parts ...*OpProfile) *OpProfile {
-	out := &OpProfile{Name: name}
-	var sumSq float64
-	for _, q := range parts {
-		if q == nil {
-			continue
-		}
-		out.Tasks += q.Tasks
-		out.Chunks += q.Chunks
-		out.Busy += q.Busy
-		n := float64(q.Tasks)
-		out.Mu += n * q.Mu
-		sumSq += n * (q.Sigma*q.Sigma + q.Mu*q.Mu)
-	}
-	if out.Tasks == 0 {
-		return out
-	}
-	n := float64(out.Tasks)
-	out.Mu /= n
-	if v := sumSq/n - out.Mu*out.Mu; v > 0 {
-		out.Sigma = math.Sqrt(v)
-	}
-	return out
 }

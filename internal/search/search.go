@@ -5,17 +5,17 @@ import (
 	"sort"
 )
 
-// DefaultEpsilon is the adoption margin: a transformation is applied
-// only when it improves the validated makespan by more than this
-// fraction over a less-transformed alternative. The margin is the
-// "profitable subset" rule — near-ties go to the simpler program,
-// which is how one-worker runs end up unsplit (nothing overlaps, so
-// the split graph's extra operators and delivery bookkeeping buy
-// nothing measurable).
-const DefaultEpsilon = 0.03
+// epsilon is the adoption margin: a transformation is applied only
+// when it improves the validated makespan by more than this fraction
+// over a less-transformed alternative. The margin is the "profitable
+// subset" rule — near-ties go to the simpler program, which is how
+// one-worker runs end up un-pipelined (nothing overlaps, so delivery
+// bookkeeping buys nothing measurable).
+const epsilon = 0.03
 
-// DefaultTopK is how many model-ranked finalists get validated.
-const DefaultTopK = 8
+// topK is how many model-ranked finalists get validated; the least-
+// and most-transformed candidates are always validated as controls.
+const topK = 8
 
 // Options parameterizes a search.
 type Options struct {
@@ -25,20 +25,6 @@ type Options struct {
 	// Omega is the planned run's TAPER override (default: the
 	// profile's).
 	Omega float64
-	// Epsilon overrides the adoption margin (default DefaultEpsilon).
-	Epsilon float64
-	// TopK overrides how many finalists are validated (default
-	// DefaultTopK; the least- and most-transformed candidates are
-	// always validated as controls).
-	TopK int
-	// Parts maps a phase that candidates may keep sequential to the
-	// profiled part operators covering it (from the application's
-	// rewrite metadata); nil for raw-graph spaces.
-	Parts map[string][]string
-	// Validate measures a finalist, returning its makespan in profile
-	// time units. Nil uses the calibrated simulator dry-run
-	// (Model.DryRun); benchmarks may substitute a measured run.
-	Validate func(Candidate) (float64, error)
 }
 
 // Score is one candidate's outcome.
@@ -46,8 +32,8 @@ type Score struct {
 	ID     string  `json:"id"`
 	Degree int     `json:"degree"`
 	Model  float64 `json:"model"`
-	// Validated is the dry-run (or measured) makespan; 0 when the
-	// candidate was not a finalist.
+	// Validated is the dry-run makespan; 0 when the candidate was not
+	// a finalist.
 	Validated float64 `json:"validated,omitempty"`
 	Chosen    bool    `json:"chosen,omitempty"`
 }
@@ -61,9 +47,8 @@ type Plan struct {
 
 // Run searches the candidate space against a profile: rank every
 // candidate with the calibrated finishing-time model, validate the
-// finalists (simulator dry-run by default), and pick the
-// least-transformed candidate within Epsilon of the best validated
-// makespan.
+// finalists by simulator dry-run, and pick the least-transformed
+// candidate within epsilon of the best validated makespan.
 func Run(prof *Profile, cands []Candidate, opt Options) (*Plan, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("search: nil profile")
@@ -71,15 +56,7 @@ func Run(prof *Profile, cands []Candidate, opt Options) (*Plan, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("search: empty candidate space")
 	}
-	eps := opt.Epsilon
-	if eps <= 0 {
-		eps = DefaultEpsilon
-	}
-	topK := opt.TopK
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
-	m := &Model{Prof: prof, P: opt.P, Omega: opt.Omega, Parts: opt.Parts}
+	m := &Model{Prof: prof, P: opt.P, Omega: opt.Omega}
 
 	// Model pass over the full space.
 	type scored struct {
@@ -121,16 +98,12 @@ func Run(prof *Profile, cands []Candidate, opt Options) (*Plan, error) {
 	}
 	finalist[lo], finalist[hi] = true, true
 
-	validate := opt.Validate
-	if validate == nil {
-		validate = func(c Candidate) (float64, error) { return m.DryRun(c.Graph) }
-	}
 	val := make([]float64, len(cs))
 	for i := range cs {
 		if !finalist[i] {
 			continue
 		}
-		v, err := validate(cs[i])
+		v, err := m.DryRun(cs[i].Graph)
 		if err != nil || v <= 0 {
 			finalist[i] = false
 			continue
@@ -167,7 +140,7 @@ func Run(prof *Profile, cands []Candidate, opt Options) (*Plan, error) {
 	})
 	chosen := fin[0]
 	for _, i := range fin {
-		if val[i] <= bestVal*(1+eps) {
+		if val[i] <= bestVal*(1+epsilon) {
 			chosen = i
 			break
 		}

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"orchestra/internal/delirium"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
@@ -18,36 +18,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// originOf adapts an application's part metadata to the search Origin.
-func originOf(app *workload.App) Origin {
-	return func(part string) string {
-		if p, ok := app.PartOrigin(part); ok {
-			return p.Phase
-		}
-		return part
-	}
-}
-
-// partsOf builds the phase → part-operators map the model needs to
-// pool statistics for merged phases.
-func partsOf(app *workload.App) map[string][]string {
-	out := map[string][]string{}
-	for _, nd := range app.SplitGraph.Nodes {
-		if p, ok := app.PartOrigin(nd.Name); ok && p.Phase != nd.Name {
-			out[p.Phase] = append(out[p.Phase], nd.Name)
-		}
-	}
-	return out
-}
-
-// profileApp runs the application's fully split graph on the simulator
-// with tracing and distills the profile, the way orchrun -autosplit
-// does.
-func profileApp(t *testing.T, app *workload.App, p int) *Profile {
+// profileGraph runs g on the simulator with tracing and distills the
+// profile, the way orchrun -autosplit does.
+func profileGraph(t *testing.T, g *delirium.Graph, bind rts.Binder, p int) *Profile {
 	t.Helper()
 	cfg := machine.DefaultConfig(p)
 	var col obs.Collector
-	if _, err := rts.RunGraph(cfg, app.SplitGraph, app.Bind, rts.RunOpts{
+	if _, err := rts.RunGraph(cfg, g, bind, rts.RunOpts{
 		Processors: p, Mode: rts.ModeSplit, Sink: &col,
 	}); err != nil {
 		t.Fatalf("profiling run: %v", err)
@@ -59,9 +36,29 @@ func profileApp(t *testing.T, app *workload.App, p int) *Profile {
 	return prof
 }
 
+// searchApp profiles the application's split graph at p workers and
+// searches its edge-attribute space, the call every production caller
+// makes.
+func searchApp(t *testing.T, app *workload.App, p int) *Plan {
+	t.Helper()
+	prof := profileGraph(t, app.SplitGraph, app.Bind, p)
+	plan, err := Run(prof, GraphCandidates(app.SplitGraph), Options{P: p})
+	if err != nil {
+		t.Fatalf("%s p=%d: %v", app.Name, p, err)
+	}
+	return plan
+}
+
+func logScores(t *testing.T, plan *Plan) {
+	t.Helper()
+	for _, s := range plan.Scores {
+		t.Logf("  %-40s degree=%d model=%.3f validated=%.3f chosen=%v", s.ID, s.Degree, s.Model, s.Validated, s.Chosen)
+	}
+}
+
 func TestFromTraceCoversSplitOperators(t *testing.T) {
 	app := workload.Psirrfan(workload.Config{N: 512, Seed: 7})
-	prof := profileApp(t, app, 4)
+	prof := profileGraph(t, app.SplitGraph, app.Bind, 4)
 	total := 0
 	for _, nd := range app.SplitGraph.Nodes {
 		op := prof.Op(nd.Name)
@@ -79,152 +76,17 @@ func TestFromTraceCoversSplitOperators(t *testing.T) {
 	}
 }
 
-func TestMergedPoolsExactly(t *testing.T) {
-	// Two parts with known per-sample statistics: pooled mean/variance
-	// must equal the union's.
-	a := []float64{1, 2, 3, 4}
-	b := []float64{10, 12}
-	mk := func(name string, xs []float64) *OpProfile {
-		mu, m2 := 0.0, 0.0
-		for i, x := range xs {
-			d := x - mu
-			mu += d / float64(i+1)
-			m2 += d * (x - mu)
-		}
-		return &OpProfile{Name: name, Tasks: len(xs), Mu: mu, Sigma: math.Sqrt(m2 / float64(len(xs)))}
-	}
-	got := Merged("all", mk("a", a), mk("b", b))
-	want := mk("all", append(append([]float64{}, a...), b...))
-	if math.Abs(got.Mu-want.Mu) > 1e-12 || math.Abs(got.Sigma-want.Sigma) > 1e-12 {
-		t.Fatalf("pooled (μ=%g σ=%g), want (μ=%g σ=%g)", got.Mu, got.Sigma, want.Mu, want.Sigma)
-	}
-}
-
-func TestHybridCandidatesPsirrfan(t *testing.T) {
-	app := workload.Psirrfan(workload.Config{N: 256, Seed: 1})
-	cands, err := HybridCandidates(app.SeqGraph, app.SplitGraph, originOf(app))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Structural space: ∅ (seq), {proj}, {output}, {proj,output}
-	// (split). The update→outD pipelined edge survives in {output} and
-	// {proj,output}, each contributing an extra no-pipe variant: 6.
-	if len(cands) != 6 {
-		for _, c := range cands {
-			t.Logf("  %s (degree %d)", c.ID, c.Degree)
-		}
-		t.Fatalf("psirrfan hybrid space has %d candidates, want 6", len(cands))
-	}
-	byID := map[string]Candidate{}
-	for _, c := range cands {
-		byID[c.ID] = c
-	}
-	seq, ok := byID["seq"]
-	if !ok {
-		t.Fatal("no seq candidate")
-	}
-	if seq.Graph != app.SeqGraph || seq.Degree != 0 {
-		t.Fatalf("seq candidate should be the literal sequential graph at degree 0")
-	}
-	split, ok := byID["split"]
-	if !ok {
-		t.Fatal("no split candidate")
-	}
-	if split.Graph != app.SplitGraph {
-		t.Fatal("split candidate should be the literal split graph")
-	}
-
-	// The proj-only hybrid keeps projPre/projI but merges the output
-	// phase back; its edges into the merged operator lose pipelining.
-	h, ok := byID["split[proj]"]
-	if !ok {
-		t.Fatal("no split[proj] candidate")
-	}
-	wantNodes := []string{"projPre", "projI", "update", "output"}
-	if len(h.Graph.Nodes) != len(wantNodes) {
-		t.Fatalf("split[proj] has %d nodes, want %d", len(h.Graph.Nodes), len(wantNodes))
-	}
-	for _, n := range wantNodes {
-		if h.Graph.Node(n) == nil {
-			t.Fatalf("split[proj] missing node %q", n)
-		}
-	}
-	for _, e := range h.Graph.Edges {
-		if e.To == "output" && (e.Pipelined || e.Chain) {
-			t.Fatalf("edge %s>%s into merged phase kept scheduling attributes", e.From, e.To)
-		}
-	}
-	if err := h.Graph.Validate(); err != nil {
-		t.Fatalf("split[proj] does not validate: %v", err)
-	}
-
-	// The output-only hybrid merges proj back; update still pipes into
-	// outD, so its no-pipe ablation must exist too.
-	h2, ok := byID["split[output]"]
-	if !ok {
-		t.Fatal("no split[output] candidate")
-	}
-	pipelined := 0
-	for _, e := range h2.Graph.Edges {
-		if e.Pipelined {
-			pipelined++
-		}
-	}
-	if pipelined != 1 {
-		t.Fatalf("split[output] keeps %d pipelined edges, want 1", pipelined)
-	}
-	if _, ok := byID["split[output]-nopipe[update>outD]"]; !ok {
-		t.Fatal("missing the no-pipe ablation of split[output]")
-	}
-}
-
-// TestHybridCandidatesCoverEveryTask executes every hybrid program:
-// whichever subset of rewrites a candidate keeps, and whichever edges
-// it un-pipelines, running its graph must execute each task of each
-// original phase exactly once. Part operators map their indices back
-// to the phase through the workload's part metadata, so structurally
-// different graphs fill the same counters.
-func TestHybridCandidatesCoverEveryTask(t *testing.T) {
-	const p = 4
-	for _, app := range workload.All(256, 11) {
-		cands, err := HybridCandidates(app.SeqGraph, app.SplitGraph, originOf(app))
-		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
-		}
-		for _, c := range cands {
-			counts := map[string][]int{}
-			for _, ph := range app.Phases() {
-				counts[ph] = make([]int, app.Bind(ph).Op.N)
-			}
-			bind := func(name string) rts.OpSpec {
-				spec := app.Bind(name)
-				part, ok := app.PartOrigin(name)
-				if !ok {
-					part = workload.Part{Phase: name}
-				}
-				base := spec.Op.Time
-				spec.Op.Time = func(i int) float64 {
-					o := i
-					if part.Index != nil {
-						o = part.Index[i]
-					}
-					counts[part.Phase][o]++
-					return base(i)
-				}
-				spec.Op.TimeRange = nil // fused chunks would bypass the counter
-				return spec
-			}
-			if _, err := rts.RunGraph(machine.DefaultConfig(p), c.Graph, bind,
-				rts.RunOpts{Processors: p, Mode: rts.ModeSplit}); err != nil {
-				t.Fatalf("%s/%s: %v", app.Name, c.ID, err)
-			}
-			for ph, cnt := range counts {
-				for i, n := range cnt {
-					if n != 1 {
-						t.Fatalf("%s/%s: task %s[%d] executed %d times, want 1", app.Name, c.ID, ph, i, n)
-					}
-				}
-			}
+// TestFromTraceDeterministic: the measured per-chunk overhead is a
+// difference of two nearly equal sums, so it must not depend on map
+// iteration order. On one worker memchain's idle time is ~0 and the
+// sum order alone would flip the overhead between 0 and positive. The
+// simulator is deterministic, so every run yields the same trace.
+func TestFromTraceDeterministic(t *testing.T) {
+	g, bound := memchain(t)
+	want := profileGraph(t, g, bound.Binder(), 1).ChunkOverhead
+	for i := 0; i < 30; i++ {
+		if got := profileGraph(t, g, bound.Binder(), 1).ChunkOverhead; got != want {
+			t.Fatalf("chunk overhead %v, then %v from the same run", want, got)
 		}
 	}
 }
@@ -250,47 +112,56 @@ func TestGraphCandidatesOnlyWeaken(t *testing.T) {
 
 // TestSearchKeepsSeqOnOneWorker is the one-worker regression test:
 // with one worker nothing overlaps, so the profitable subset of the
-// split transformation is empty and the search must emit the
-// sequential program rather than pay the split graph's bookkeeping.
+// edge attributes is empty and the search must emit the graph with
+// every pipelined and chained edge turned off rather than pay their
+// delivery bookkeeping.
 func TestSearchKeepsSeqOnOneWorker(t *testing.T) {
 	app := workload.Psirrfan(workload.Config{N: 1024, Seed: 11})
-	prof := profileApp(t, app, 1)
-	cands, err := HybridCandidates(app.SeqGraph, app.SplitGraph, originOf(app))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Run(prof, cands, Options{P: 1, Parts: partsOf(app)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Best.ID != "seq" {
-		for _, s := range plan.Scores {
-			t.Logf("  %-40s degree=%d model=%.3f validated=%.3f chosen=%v", s.ID, s.Degree, s.Model, s.Validated, s.Chosen)
-		}
-		t.Fatalf("one-worker psirrfan search chose %q, want the sequential program", plan.Best.ID)
+	plan := searchApp(t, app, 1)
+	if plan.Best.Degree != 0 {
+		logScores(t, plan)
+		t.Fatalf("one-worker psirrfan search chose %q (degree %d), want the degree-0 candidate", plan.Best.ID, plan.Best.Degree)
 	}
 }
 
-// TestSearchAdoptsSplitWhenProfitable: with enough workers the split
-// transformation's overlap pays for itself — on climate at 32 workers
-// the dry-run gain is ~12%, far past the adoption margin — and the
-// search must not flatten the program back to the phase chain.
-func TestSearchAdoptsSplitWhenProfitable(t *testing.T) {
-	app := workload.Climate(workload.Config{N: 1024, Seed: 11})
-	prof := profileApp(t, app, 32)
-	cands, err := HybridCandidates(app.SeqGraph, app.SplitGraph, originOf(app))
+// memchain decodes examples/memchain.graph and binds its "lognormal"
+// kernels as `orchrun -tasks 256` binds them on the simulator; every
+// node's tasks=n annotation resolves with orchrun's default n.
+func memchain(t *testing.T) (*delirium.Graph, *rts.Bound) {
+	t.Helper()
+	src, err := os.ReadFile("../../examples/memchain.graph")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Run(prof, cands, Options{P: 32, Parts: partsOf(app)})
+	g, err := delirium.Decode(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := rts.KernelParams{}
+	params.SetInt("tasks", 256)
+	params.SetInt("n", 2048)
+	bound, err := rts.Bind(g, rts.NamedBinding("lognormal", params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, bound
+}
+
+// TestSearchAdoptsSplitWhenProfitable: with enough workers pipelining
+// pays for itself. memchain's four-stage streaming chain at 64 workers
+// overlaps its stages, and the search must keep some of its pipelined
+// edges rather than fall back to the barriered chain.
+func TestSearchAdoptsSplitWhenProfitable(t *testing.T) {
+	const p = 64
+	g, bound := memchain(t)
+	prof := profileGraph(t, g, bound.Binder(), p)
+	plan, err := Run(prof, GraphCandidates(g), Options{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Best.Degree == 0 {
-		for _, s := range plan.Scores {
-			t.Logf("  %-40s degree=%d model=%.3f validated=%.3f chosen=%v", s.ID, s.Degree, s.Model, s.Validated, s.Chosen)
-		}
-		t.Fatalf("32-worker climate search chose %q; expected some of the transformation to survive", plan.Best.ID)
+		logScores(t, plan)
+		t.Fatalf("64-worker memchain search chose %q; expected some pipelining to survive", plan.Best.ID)
 	}
 }
 
@@ -303,16 +174,7 @@ func TestSearchGoldenReplay(t *testing.T) {
 	got := map[string]string{}
 	for _, app := range workload.All(1024, 11) {
 		for _, p := range []int{1, 16, 64} {
-			prof := profileApp(t, app, p)
-			cands, err := HybridCandidates(app.SeqGraph, app.SplitGraph, originOf(app))
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := Run(prof, cands, Options{P: p, Parts: partsOf(app)})
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", app.Name, p, err)
-			}
-			got[fmt.Sprintf("%s/p%d", app.Name, p)] = plan.Best.ID
+			got[fmt.Sprintf("%s/p%d", app.Name, p)] = searchApp(t, app, p).Best.ID
 		}
 	}
 	path := filepath.Join("testdata", "plans.golden.json")

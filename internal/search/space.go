@@ -1,117 +1,29 @@
 package search
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"orchestra/internal/delirium"
 )
 
 // Candidate is one point of the search space: a concrete executable
-// graph plus a description of which pieces of the split transformation
-// it applies.
+// graph plus a description of which edge attributes it keeps.
 type Candidate struct {
-	// ID is a stable human-readable identifier: "seq", "split", or a
-	// hybrid/toggle description such as "split[proj]" or
-	// "split-nopipe[update>outD]".
+	// ID is a stable human-readable identifier: "asis" for the graph
+	// as written, or a toggle description such as
+	// "asis-nopipe[update>outD]" or "asis-nochain[a>b]".
 	ID    string
 	Graph *delirium.Graph
-	// SplitPhases lists the original phases whose rewrite this
-	// candidate keeps (empty = the sequential program).
-	SplitPhases []string
-	// PipelinedOff and ChainOff list edges ("from>to") whose
-	// pipelining/chaining the candidate disables relative to the fully
-	// transformed graph.
-	PipelinedOff []string
-	ChainOff     []string
-	// Degree counts transformation features the candidate applies
-	// (split phases + pipelined edges + chained edges). Ties in the
-	// cost model break toward the LOWER degree: a transformation that
-	// does not pay for itself is not applied.
+	// Degree counts the pipelined and chained edges the candidate
+	// keeps. Ties in the cost model break toward the LOWER degree: a
+	// transformation that does not pay for itself is not applied.
 	Degree int
 }
 
-// Origin maps a split-graph operator name to the original phase it
-// rewrites (itself for operators the transformation left alone).
-type Origin func(part string) string
-
-// maxRewrites bounds the phase-subset enumeration (2^maxRewrites
-// structural candidates); the paper's programs have one to three
-// rewritten phases.
-const maxRewrites = 6
-
-// maxToggleCross bounds the per-edge toggle cross-product per
-// structural candidate; above it the space degrades to single-edge
-// ablations plus the all-off variant.
+// maxToggleCross bounds the per-edge toggle cross-product; above it
+// the space degrades to single-edge ablations plus the all-off
+// variant.
 const maxToggleCross = 16
-
-// HybridCandidates enumerates the programs between seq (no rewrite
-// applied) and split (every rewrite applied): every subset of phase
-// rewrites, composed into a merged graph, times per-edge pipelining/
-// chain toggles on the surviving transformed edges.
-//
-// A phase is "rewritten" when the split graph replaces it with
-// operators whose origin is that phase but whose names differ (e.g.
-// proj → {projPre, projI}). Keeping a rewrite sequential merges its
-// parts back into the original phase operator; edges incident to a
-// merged operator conservatively lose their Pipelined/Chain
-// attributes (the pipelining proof was for the parts, not for the
-// merged iteration order), and edges made transitively redundant by
-// the merge are dropped.
-func HybridCandidates(seq, split *delirium.Graph, origin Origin) ([]Candidate, error) {
-	if seq == nil || split == nil {
-		return nil, fmt.Errorf("search: hybrid enumeration needs both graphs")
-	}
-	// Group split operators by origin phase, and order rewritten
-	// phases by the sequential program for stable IDs.
-	groups := map[string][]string{}
-	for _, nd := range split.Nodes {
-		ph := nd.Name
-		if origin != nil {
-			ph = origin(nd.Name)
-		}
-		groups[ph] = append(groups[ph], nd.Name)
-	}
-	var rewrites []string
-	for _, nd := range seq.Nodes {
-		parts := groups[nd.Name]
-		if len(parts) > 1 || (len(parts) == 1 && parts[0] != nd.Name) {
-			rewrites = append(rewrites, nd.Name)
-		}
-	}
-	if len(rewrites) > maxRewrites {
-		rewrites = rewrites[:maxRewrites]
-	}
-
-	var out []Candidate
-	for mask := 0; mask < 1<<len(rewrites); mask++ {
-		var applied []string
-		for i, ph := range rewrites {
-			if mask&(1<<i) != 0 {
-				applied = append(applied, ph)
-			}
-		}
-		var base *delirium.Graph
-		var id string
-		switch {
-		case len(applied) == 0:
-			base, id = seq, "seq"
-		case len(applied) == len(rewrites):
-			base, id = split, "split"
-		default:
-			g, err := mergeUnsplit(seq, split, origin, applied)
-			if err != nil {
-				// A hybrid that does not compose is simply not a
-				// candidate.
-				continue
-			}
-			base, id = g, "split["+strings.Join(applied, ",")+"]"
-		}
-		out = append(out, toggleVariants(base, id, applied)...)
-	}
-	return out, nil
-}
 
 // GraphCandidates enumerates the edge-attribute weakenings of a raw
 // graph: the graph as-is plus variants with pipelining/chaining
@@ -119,13 +31,7 @@ func HybridCandidates(seq, split *delirium.Graph, origin Origin) ([]Candidate, e
 // intact — attributes are only ever turned off — so any execution
 // schedule a candidate admits was already admitted by the original
 // graph, and results stay bitwise identical by construction.
-func GraphCandidates(g *delirium.Graph) []Candidate {
-	return toggleVariants(g, "asis", nil)
-}
-
-// toggleVariants expands one structural candidate into its per-edge
-// pipelining/chain toggle variants.
-func toggleVariants(base *delirium.Graph, id string, splitPhases []string) []Candidate {
+func GraphCandidates(base *delirium.Graph) []Candidate {
 	type toggle struct {
 		idx  int
 		name string
@@ -142,9 +48,9 @@ func toggleVariants(base *delirium.Graph, id string, splitPhases []string) []Can
 		}
 	}
 	mk := func(off []toggle) Candidate {
-		c := Candidate{ID: id, Graph: base, SplitPhases: splitPhases}
+		c := Candidate{ID: "asis", Graph: base}
 		if len(off) > 0 {
-			g := cloneGraph(base, base.Name)
+			g := cloneGraph(base)
 			var pnames, cnames []string
 			for _, t := range off {
 				e := g.Edges[t.idx]
@@ -157,7 +63,6 @@ func toggleVariants(base *delirium.Graph, id string, splitPhases []string) []Can
 				}
 			}
 			c.Graph = g
-			c.PipelinedOff, c.ChainOff = pnames, cnames
 			if len(pnames) > 0 {
 				c.ID += "-nopipe[" + strings.Join(pnames, ",") + "]"
 			}
@@ -165,7 +70,7 @@ func toggleVariants(base *delirium.Graph, id string, splitPhases []string) []Can
 				c.ID += "-nochain[" + strings.Join(cnames, ",") + "]"
 			}
 		}
-		c.Degree = degree(c)
+		c.Degree = degree(c.Graph)
 		return c
 	}
 	if len(toggles) == 0 || 1<<len(toggles) > maxToggleCross {
@@ -191,10 +96,10 @@ func toggleVariants(base *delirium.Graph, id string, splitPhases []string) []Can
 	return out
 }
 
-// degree counts the transformation features a candidate applies.
-func degree(c Candidate) int {
-	d := len(c.SplitPhases)
-	for _, e := range c.Graph.Edges {
+// degree counts the pipelined and chained edges of a graph.
+func degree(g *delirium.Graph) int {
+	d := 0
+	for _, e := range g.Edges {
 		if e.Pipelined {
 			d++
 		}
@@ -205,143 +110,9 @@ func degree(c Candidate) int {
 	return d
 }
 
-// mergeUnsplit composes the hybrid graph that applies only the listed
-// phase rewrites: parts of unapplied rewrites collapse back into the
-// original phase operator.
-func mergeUnsplit(seq, split *delirium.Graph, origin Origin, applied []string) (*delirium.Graph, error) {
-	keep := map[string]bool{}
-	for _, ph := range applied {
-		keep[ph] = true
-	}
-	// mapped resolves a split operator to its node in the hybrid.
-	mapped := func(part string) (name string, merged bool) {
-		ph := part
-		if origin != nil {
-			ph = origin(part)
-		}
-		if ph == part || keep[ph] {
-			return part, false
-		}
-		return ph, true
-	}
-
-	g := delirium.NewGraph(seq.Name + "~" + strings.Join(applied, "+"))
-	order, err := split.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	added := map[string]bool{}
-	add := func(name string, merged bool) error {
-		if added[name] {
-			return nil
-		}
-		added[name] = true
-		src := split.Node(name)
-		if merged || src == nil {
-			src = seq.Node(name)
-		}
-		if src == nil {
-			return fmt.Errorf("search: no definition for operator %q", name)
-		}
-		n := *src
-		n.Name = name
-		return g.AddNode(&n)
-	}
-	for _, nd := range order {
-		name, merged := mapped(nd.Name)
-		if err := add(name, merged); err != nil {
-			return nil, err
-		}
-	}
-
-	// Remap edges; an edge touching a merged operator loses its
-	// scheduling attributes (conservative: the merged phase's iteration
-	// order was not what the pipelining was proven against).
-	type key struct{ f, t string }
-	byKey := map[key]*delirium.Edge{}
-	var keys []key
-	for _, e := range split.Edges {
-		f, fm := mapped(e.From)
-		t, tm := mapped(e.To)
-		if f == t {
-			continue
-		}
-		ne := *e
-		ne.From, ne.To = f, t
-		if fm || tm {
-			ne.Pipelined, ne.Chain = false, false
-		}
-		k := key{f, t}
-		if prev, ok := byKey[k]; ok {
-			if ne.Bytes > prev.Bytes {
-				prev.Bytes, prev.PerTask = ne.Bytes, ne.PerTask
-			}
-			prev.Pipelined = prev.Pipelined && ne.Pipelined
-			prev.Chain = prev.Chain && ne.Chain
-			prev.Carried = prev.Carried || ne.Carried
-			continue
-		}
-		byKey[k] = &ne
-		keys = append(keys, k)
-	}
-
-	// Transitive reduction over the plain edges: merging reintroduces
-	// dependences the remaining chain already implies (projI→outI
-	// becomes proj→output alongside proj→update→output).
-	succ := map[string][]string{}
-	for _, k := range keys {
-		succ[k.f] = append(succ[k.f], k.t)
-	}
-	reaches := func(from, to string, skip key) bool {
-		seen := map[string]bool{from: true}
-		stack := []string{from}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range succ[v] {
-				if v == skip.f && w == skip.t {
-					continue
-				}
-				if w == to {
-					return true
-				}
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		return false
-	}
-	for _, k := range keys {
-		e := byKey[k]
-		if e == nil || e.Pipelined || e.Chain || e.Carried {
-			continue
-		}
-		if reaches(k.f, k.t, k) {
-			delete(byKey, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].f != keys[j].f {
-			return keys[i].f < keys[j].f
-		}
-		return keys[i].t < keys[j].t
-	})
-	for _, k := range keys {
-		if e := byKey[k]; e != nil {
-			g.AddEdge(e)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// cloneGraph deep-copies a graph under a new name.
-func cloneGraph(g *delirium.Graph, name string) *delirium.Graph {
-	out := delirium.NewGraph(name)
+// cloneGraph deep-copies a graph.
+func cloneGraph(g *delirium.Graph) *delirium.Graph {
+	out := delirium.NewGraph(g.Name)
 	for _, nd := range g.Nodes {
 		n := *nd
 		if err := out.AddNode(&n); err != nil {

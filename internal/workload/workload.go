@@ -53,11 +53,8 @@ type App struct {
 	ops map[string]rts.OpSpec
 	// parts maps a split-graph operator to the original phase it came
 	// from, and to the original task indices its tasks cover (nil =
-	// identity: the operator IS the phase). This is the metadata the
-	// profile-guided split search (internal/search) uses to compose
-	// hybrid graphs — any subset of phase rewrites applied — and what
-	// coverage digests use to prove a hybrid executed every original
-	// task exactly once.
+	// identity: the operator IS the phase): what coverage digests use
+	// to prove a split graph executed every original task exactly once.
 	parts map[string]Part
 }
 
