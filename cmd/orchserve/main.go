@@ -30,9 +30,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -44,39 +45,53 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8021", "listen address")
-	pool := flag.Int("pool", 0, "warm pool size in worker goroutines (0 = GOMAXPROCS)")
-	mode := cliflag.Modes(flag.CommandLine, "default-mode", "split", "execution mode for submissions that omit one")
-	omega := flag.Float64("omega", 0, "default TAPER confidence width ω (0 = scheduler default)")
-	flag.Parse()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stderr, stop))
+}
 
+// run is the daemon: it parses args, listens, serves until stop
+// delivers a signal or is closed, drains, and returns the exit code —
+// 2 for bad flags, 1 when the address cannot be served.
+func run(args []string, stderr io.Writer, stop <-chan os.Signal) int {
+	fs := flag.NewFlagSet("orchserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8021", "listen address")
+	pool := fs.Int("pool", 0, "warm pool size in worker goroutines (0 = GOMAXPROCS)")
+	mode := cliflag.Modes(fs, "default-mode", "split", "execution mode for submissions that omit one")
+	omega := fs.Float64("omega", 0, "default TAPER confidence width ω (0 = scheduler default)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	m, err := mode.Single()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "orchserve: -default-mode:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "orchserve: -default-mode:", err)
+		return 2
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(stderr, "orchserve:", err)
+		return 1
 	}
 
 	s := serve.New(serve.Config{PoolSize: *pool, DefaultMode: m, Omega: *omega})
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-stop
-		fmt.Fprintln(os.Stderr, "orchserve: shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
+	srv := &http.Server{Handler: s.Handler()}
+	fmt.Fprintf(stderr, "orchserve: listening on %s (pool %d workers, default mode %s)\n",
+		ln.Addr(), s.Stats().Pool.Size, m)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		// Serve returns before Shutdown only on failure.
+		fmt.Fprintln(stderr, "orchserve:", err)
 		s.Close()
-	}()
-
-	fmt.Fprintf(os.Stderr, "orchserve: listening on %s (pool %d workers, default mode %s)\n",
-		*addr, s.Stats().Pool.Size, m)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "orchserve:", err)
-		os.Exit(1)
+		return 1
+	case <-stop:
 	}
-	<-done
+	fmt.Fprintln(stderr, "orchserve: shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_ = srv.Shutdown(ctx)
+	s.Close()
+	return 0
 }

@@ -125,13 +125,13 @@ func (in *Instance) Fingerprint(arrays, scalars []string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// packSegment serializes everything tasks [lo,hi) of kernel k wrote:
+// packWrites serializes everything tasks [lo,hi) of kernel k wrote:
 // for each version buffer the op owns, the elements whose recorded
 // writer lies in the segment, plus the op's scalar-version values.
 // The format is private to this kernel family (both ends run the same
 // code): little-endian, per array version (id, count, count ×
 // (offset, writer, float bits)), then per scalar version (id, bits).
-func (in *Instance) packSegment(k *kernel, lo, hi int) []byte {
+func (in *Instance) packWrites(k *kernel, lo, hi int) []byte {
 	var out []byte
 	var n32 [4]byte
 	var n64 [8]byte

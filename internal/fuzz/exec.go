@@ -100,7 +100,7 @@ func (in *Instance) Binder() rts.Binder {
 		}
 		kk := k
 		spec.Op.Time = func(i int) float64 { return in.runTask(kk, i) }
-		spec.Pack = func(lo, hi int) []byte { return in.packSegment(kk, lo, hi) }
+		spec.Pack = func(lo, hi int) []byte { return in.packWrites(kk, lo, hi) }
 		spec.Apply = func(lo, hi int, blob []byte) { in.applySegment(kk, lo, hi, blob) }
 		return spec
 	}

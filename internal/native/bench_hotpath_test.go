@@ -9,7 +9,6 @@ import (
 // LIFO path: one push + one pop per iteration, no thieves.
 func BenchmarkHotpathDequePushPop(b *testing.B) {
 	var d deque
-	d.init()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -21,11 +20,10 @@ func BenchmarkHotpathDequePushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathDequeSteal measures the thief's CAS path against a
-// quiescent owner: batches are pushed and then stolen back FIFO.
+// BenchmarkHotpathDequeSteal measures the thief's locked path against
+// a quiescent owner: batches are pushed and then stolen back FIFO.
 func BenchmarkHotpathDequeSteal(b *testing.B) {
 	var d deque
-	d.init()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {

@@ -323,39 +323,14 @@ func (e *engine) spillChain(w *worker, s segment) {
 // runChained executes one enabled block as a single chunk. No TAPER
 // consultation: the block size was chosen for cache residency at
 // setup, and splitting it would forfeit exactly the locality the
-// chain exists for. Statistics, busy time, tracing and completion go
-// through the same paths as runSegment, so chained chunks are
-// indistinguishable downstream except for the KindChain marker.
+// chain exists for. The chunk itself runs through runChunk, as
+// runSegment's do, so chained chunks are indistinguishable downstream
+// except for the KindChain marker.
 func (e *engine) runChained(w *worker, it chainItem) {
 	seg := it.seg
-	o := e.op(seg.op)
-	k := seg.len()
-	o.unsched.Add(-int64(k))
-	if e.labels && w.labelOp != seg.op {
-		e.setLabels(w, seg.op)
-	}
-	begin := time.Now()
-	if o.bodyRange != nil {
-		o.bodyRange(seg.lo, seg.hi)
-	} else {
-		for i := seg.lo; i < seg.hi; i++ {
-			o.body(i)
-		}
-	}
-	elapsed := time.Since(begin).Seconds()
-	w.busy += elapsed
-	o.statsMu.Lock()
-	o.stats.ObserveChunk(seg.lo, k, elapsed)
-	o.statsMu.Unlock()
+	b := e.runChunk(w, e.op(seg.op), seg.lo, seg.hi, false, it.depth)
 	if e.rec != nil {
-		b := begin.Sub(e.start).Seconds()
-		e.rec.Chunk(w.id, seg.op, seg.lo, k, b, b+elapsed, false)
-		e.rec.Chain(w.id, seg.op, seg.lo, k, int(it.depth), b)
+		e.rec.Chain(w.id, seg.op, seg.lo, seg.len(), int(it.depth), b)
 	}
-	if e.fx != nil && w.slowF > 1 {
-		time.Sleep(time.Duration((w.slowF - 1) * elapsed * float64(time.Second)))
-	}
-	e.chunks.Add(1)
 	e.chainHits.Add(1)
-	e.complete(w, o, seg.lo, seg.hi, it.depth)
 }

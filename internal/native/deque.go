@@ -1,6 +1,7 @@
 package native
 
 import (
+	"sync"
 	"sync/atomic"
 )
 
@@ -15,157 +16,85 @@ type segment struct {
 
 func (s segment) len() int { return s.hi - s.lo }
 
-// Deque slots hold segments packed into one uint64 so the buffer can
-// be read and written with single atomic operations — the property the
-// lock-free protocol depends on (a torn read of a multi-word slot
-// would be unrecoverable). The packing budgets 16 bits for the
-// operator index and 24 bits for each bound.
-const (
-	// maxOps bounds the number of operators a graph may have.
-	maxOps = 1 << 16
-	// maxTasks bounds the task count of one operator, exclusive: the
-	// hi bound of a segment is one past the last task, so the largest
-	// representable operator has maxTasks-1 tasks.
-	maxTasks = 1 << 24
-)
-
-func packSegment(s segment) uint64 {
-	return uint64(s.op)<<48 | uint64(s.lo)<<24 | uint64(s.hi)
-}
-
-func unpackSegment(v uint64) segment {
-	return segment{
-		op: int(v >> 48),
-		lo: int(v >> 24 & (maxTasks - 1)),
-		hi: int(v & (maxTasks - 1)),
-	}
-}
-
-// ring is one immutable-capacity circular buffer generation of a
-// deque. Growth allocates a doubled ring and atomically swings the
-// deque's buffer pointer; thieves still holding the old generation
-// read valid slots, because the owner never overwrites a slot of a
-// retired ring.
-type ring struct {
-	mask  uint64
-	slots []atomic.Uint64
-}
-
-func newRing(capacity int) *ring {
-	return &ring{mask: uint64(capacity - 1), slots: make([]atomic.Uint64, capacity)}
-}
-
-// deque is one worker's double-ended work queue: the lock-free
-// Chase–Lev work-stealing deque. The owner pushes and pops at the
-// bottom (LIFO — the most recently split remainder, still cache-warm);
-// thieves steal at the top (FIFO — the oldest and typically largest
-// segment, so a single steal moves substantial work). Only the owner
-// writes bottom; top advances only by compare-and-swap, which
-// arbitrates thief-vs-thief and thief-vs-owner races over the last
-// element. Go's sync/atomic operations are sequentially consistent,
-// which subsumes the fences of the weak-memory formulation (Lê et al.,
-// PPoPP '13); the ordering argument is written out in DESIGN.md.
+// deque is one worker's work queue: a mutex-guarded double-ended queue
+// of segments, the only place a ready segment waits. Any worker may
+// push at the bottom, so a release lands directly on its target. The
+// owner pops at the bottom (LIFO — the most recently split remainder,
+// still cache-warm); thieves steal at the top (FIFO — the oldest and
+// typically largest segment, so a single steal moves substantial
+// work). The lock makes every move of a segment exactly one pop or
+// steal; n mirrors the length so emptiness checks take no lock.
 type deque struct {
-	bottom atomic.Int64
-	top    atomic.Int64
-	buf    atomic.Pointer[ring]
+	mu   sync.Mutex
+	segs []segment // queued segments are segs[head:], oldest first
+	head int
+	n    atomic.Int32
 }
 
-// initialDequeCap is the starting ring size; it must be a power of two.
-const initialDequeCap = 16
-
-// init sizes the empty deque; it must be called before use, while the
-// deque is not yet shared.
-func (d *deque) init() {
-	d.buf.Store(newRing(initialDequeCap))
-}
-
-// reset restores the canonical empty state while keeping the ring
-// allocation — the deque half of a pooled worker's arena. Stale slot
-// contents are unreachable (every read is bounded by [top, bottom)).
-// Must only be called while the deque is not shared: after a job's
-// workers have all exited, before the next job's launch.
+// reset empties the deque, keeping its backing array — the deque half
+// of a pooled worker's arena.
 func (d *deque) reset() {
-	d.bottom.Store(0)
-	d.top.Store(0)
+	d.mu.Lock()
+	d.segs, d.head = d.segs[:0], 0
+	d.n.Store(0)
+	d.mu.Unlock()
 }
 
-// push adds a segment at the bottom. Only the owning worker may call
-// it (single-writer bottom is what makes the fast path fence-free in
-// the classic algorithm; here it keeps push CAS-free).
+// push adds a segment at the bottom. Any worker may call it. A full
+// backing array whose front half was stolen is compacted instead of
+// grown, so steals at the top never leak capacity.
 func (d *deque) push(s segment) {
-	b := d.bottom.Load()
-	t := d.top.Load()
-	r := d.buf.Load()
-	if b-t >= int64(len(r.slots)) {
-		r = d.grow(r, b, t)
+	d.mu.Lock()
+	if len(d.segs) == cap(d.segs) && 2*d.head >= len(d.segs) {
+		d.segs = d.segs[:copy(d.segs, d.segs[d.head:])]
+		d.head = 0
 	}
-	r.slots[uint64(b)&r.mask].Store(packSegment(s))
-	d.bottom.Store(b + 1)
+	d.segs = append(d.segs, s)
+	d.n.Add(1)
+	d.mu.Unlock()
 }
 
-// grow doubles the ring, copying the live window [t, b). Owner-only.
-func (d *deque) grow(old *ring, b, t int64) *ring {
-	nr := newRing(2 * len(old.slots))
-	for i := t; i < b; i++ {
-		nr.slots[uint64(i)&nr.mask].Store(old.slots[uint64(i)&old.mask].Load())
-	}
-	d.buf.Store(nr)
-	return nr
-}
-
-// pop removes the bottom segment (owner end, LIFO). Only the owning
-// worker may call it. When one element remains the owner races thieves
-// for it with a CAS on top; losing means the deque emptied under us.
+// pop removes the bottom segment (owner end, LIFO).
 func (d *deque) pop() (segment, bool) {
-	b := d.bottom.Load() - 1
-	r := d.buf.Load()
-	d.bottom.Store(b)
-	t := d.top.Load()
-	if t > b {
-		// Empty: restore the canonical bottom == top state.
-		d.bottom.Store(t)
+	if d.n.Load() == 0 {
 		return segment{}, false
 	}
-	v := r.slots[uint64(b)&r.mask].Load()
-	if t == b {
-		// Last element: win it from any concurrent thief.
-		if !d.top.CompareAndSwap(t, t+1) {
-			d.bottom.Store(b + 1)
-			return segment{}, false
-		}
-		d.bottom.Store(b + 1)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.head == len(d.segs) {
+		return segment{}, false
 	}
-	return unpackSegment(v), true
+	s := d.segs[len(d.segs)-1]
+	d.segs = d.segs[:len(d.segs)-1]
+	d.taken()
+	return s, true
 }
 
-// steal removes the top segment (thief end, FIFO). Any worker may call
-// it. The slot is read before the CAS on top; a successful CAS
-// validates the read, because the owner cannot recycle that slot
-// until top has moved past it (push requires bottom-top < capacity,
-// and a wrapped bottom aliasing slot t implies top advanced first,
-// which would fail this CAS).
+// steal removes the top segment (thief end, FIFO).
 func (d *deque) steal() (segment, bool) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
+	if d.n.Load() == 0 {
 		return segment{}, false
 	}
-	r := d.buf.Load()
-	v := r.slots[uint64(t)&r.mask].Load()
-	if !d.top.CompareAndSwap(t, t+1) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.head == len(d.segs) {
 		return segment{}, false
 	}
-	return unpackSegment(v), true
+	s := d.segs[d.head]
+	d.head++
+	d.taken()
+	return s, true
 }
 
-// size reports the number of queued segments. It is exact for the
-// owner between its own operations and a racy approximation for
-// anyone else.
-func (d *deque) size() int {
-	n := d.bottom.Load() - d.top.Load()
-	if n < 0 {
-		return 0
+// taken accounts for one removed segment and rewinds an emptied deque
+// to the front of its backing array. Caller holds mu.
+func (d *deque) taken() {
+	d.n.Add(-1)
+	if d.head == len(d.segs) {
+		d.segs, d.head = d.segs[:0], 0
 	}
-	return int(n)
 }
+
+// size reports the number of queued segments; to anyone racing a push
+// or a take it is a snapshot.
+func (d *deque) size() int { return int(d.n.Load()) }

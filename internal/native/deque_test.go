@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,6 @@ import (
 
 func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	var d deque
-	d.init()
 	for i := 0; i < 3; i++ {
 		d.push(segment{op: i, lo: 0, hi: 1})
 	}
@@ -38,32 +38,10 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 	}
 }
 
-// TestSegmentPackingBounds pins the packing format at its edges: the
-// largest representable operator index and task bounds must round-trip
-// exactly. hi is an exclusive bound, so maxTasks-1 is the largest
-// value either bound can take (an operator of maxTasks tasks would
-// need hi = 1<<24, which does not fit 24 bits — the engine rejects it,
-// see TestExecuteRejectsOversizedOp).
-func TestSegmentPackingBounds(t *testing.T) {
-	cases := []segment{
-		{op: 0, lo: 0, hi: 0},
-		{op: 0, lo: 0, hi: maxTasks - 1},
-		{op: 0, lo: maxTasks - 1, hi: maxTasks - 1},
-		{op: maxOps - 1, lo: maxTasks - 2, hi: maxTasks - 1},
-		{op: maxOps - 1, lo: 12345, hi: 678910},
-	}
-	for _, s := range cases {
-		if got := unpackSegment(packSegment(s)); got != s {
-			t.Errorf("pack/unpack %+v = %+v", s, got)
-		}
-	}
-}
-
-// TestExecuteRejectsOversizedOp checks the guard that keeps an
-// operator's task count inside the segment packing budget. maxTasks
-// itself must be rejected: hi bounds are exclusive, so it would
-// overflow the 24-bit field and alias the lo field (this was a real
-// off-by-one — the guard used > instead of >=).
+// TestExecuteRejectsOversizedOp checks the engine's size bound on a
+// submitted graph: maxTasks is exclusive, so an operator of exactly
+// maxTasks tasks must be rejected (this was a real off-by-one — the
+// guard used > instead of >=).
 func TestExecuteRejectsOversizedOp(t *testing.T) {
 	g := delirium.NewGraph("big")
 	if err := g.AddNode(&delirium.Node{Name: "a", Kind: delirium.Par}); err != nil {
@@ -78,13 +56,13 @@ func TestExecuteRejectsOversizedOp(t *testing.T) {
 	}
 }
 
-// TestExpansionRejectsOversized holds the packing limits for operators
-// that only exist once an expansion has run: a sub-graph with an
-// oversized operator, or one that grows the table past maxOps, must fail
-// the run with an error — both when the expandable operator is a source
-// (it expands during single-threaded set-up) and when it expands on a
-// worker mid-run, where an operator table that disagrees with the
-// Frontier would crash the process instead.
+// TestExpansionRejectsOversized holds the engine's size bound for
+// operators that only exist once an expansion has run: a sub-graph
+// with an oversized operator, or one that grows the table past maxOps,
+// must fail the run with an error — both when the expandable operator
+// is a source (it expands during single-threaded set-up) and when it
+// expands on a worker mid-run, where an operator table that disagrees
+// with the Frontier would crash the process instead.
 func TestExpansionRejectsOversized(t *testing.T) {
 	unit := func(int) float64 { return 1 }
 	subs := map[string]func() *rts.Expansion{
@@ -123,14 +101,14 @@ func TestExpansionRejectsOversized(t *testing.T) {
 			for _, mode := range []rts.Mode{rts.ModeSplit, rts.ModeTaper} {
 				_, err := (Backend{}).Run(g, rts.BindClosure(bind), rts.RunOpts{Processors: 4, Mode: mode})
 				if err == nil || !strings.Contains(err.Error(), "expanding x") || !strings.Contains(err.Error(), "limit") {
-					t.Fatalf("%s midRun=%v mode=%v: error = %v, want the expansion refused at the packing limit", what, midRun, mode, err)
+					t.Fatalf("%s midRun=%v mode=%v: error = %v, want the expansion refused at the size limit", what, midRun, mode, err)
 				}
 			}
 		}
 	}
 }
 
-// TestDequeLastElementRace targets the CAS arbitration over a deque's
+// TestDequeLastElementRace targets the arbitration over a deque's
 // final segment: one owner pops while one thief steals, with exactly
 // one element present each round. Exactly one side must win every
 // round — a double grant corrupts task accounting, a double miss
@@ -138,7 +116,6 @@ func TestExpansionRejectsOversized(t *testing.T) {
 func TestDequeLastElementRace(t *testing.T) {
 	const rounds = 20000
 	var d deque
-	d.init()
 	var popWins, stealWins atomic.Int64
 	ready := make(chan struct{})
 	taken := make(chan bool)
@@ -169,18 +146,17 @@ func TestDequeLastElementRace(t *testing.T) {
 	}
 }
 
-// TestDequeGrowthUnderSteal forces repeated ring growth (bursts far
-// beyond the initial capacity) while thieves hold references to retired
-// ring generations, and checks exact-once consumption. Run with -race:
-// the hazard is the owner recycling a slot a thief is still validating.
+// TestDequeGrowthUnderSteal forces repeated growth and compaction of
+// the backing array (bursts of pushes while thieves take from the
+// front) and checks exact-once consumption. Run with -race: the hazard
+// is a slot moved or reused while a thief reads it.
 func TestDequeGrowthUnderSteal(t *testing.T) {
 	const (
 		thieves = 4
 		bursts  = 50
-		burst   = 200 // >> initialDequeCap, so every burst grows the ring
+		burst   = 200
 	)
 	var d deque
-	d.init()
 	total := bursts * burst
 	seen := make([]atomic.Int32, total)
 	var consumed atomic.Int64
@@ -222,7 +198,7 @@ func TestDequeGrowthUnderSteal(t *testing.T) {
 			next++
 		}
 		// A few pops between bursts keep the owner end active while
-		// the ring is at its largest.
+		// the deque is at its largest.
 		for i := 0; i < 8; i++ {
 			if s, ok := d.pop(); ok {
 				record(s)
@@ -252,7 +228,6 @@ func TestDequeStealContention(t *testing.T) {
 		items   = 2000
 	)
 	var d deque
-	d.init()
 	seen := make([]atomic.Int32, items)
 	var consumed atomic.Int64
 	record := func(s segment) {
@@ -309,5 +284,57 @@ func TestDequeStealContention(t *testing.T) {
 	}
 	if consumed.Load() != items {
 		t.Fatalf("consumed %d segments, want %d", consumed.Load(), items)
+	}
+}
+
+// TestDequeManyPushers covers foreign pushes: several goroutines push
+// disjoint segments into one deque while its owner pops and two thieves
+// steal. Every segment must come out exactly once. Run with -race.
+func TestDequeManyPushers(t *testing.T) {
+	const (
+		pushers = 4
+		each    = 2000
+		total   = pushers * each
+	)
+	var d deque
+	seen := make([]atomic.Int32, total)
+	var consumed atomic.Int64
+	record := func(s segment) {
+		if n := seen[s.lo].Add(1); n != 1 {
+			t.Errorf("segment %d consumed %d times", s.lo, n)
+		}
+		consumed.Add(1)
+	}
+	take := func(get func() (segment, bool)) {
+		for consumed.Load() < total {
+			if s, ok := get(); ok {
+				record(s)
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}
+	var pushWG, takeWG sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		pushWG.Add(1)
+		go func() {
+			defer pushWG.Done()
+			for i := p * each; i < (p+1)*each; i++ {
+				d.push(segment{op: p, lo: i, hi: i + 1})
+			}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		takeWG.Add(1)
+		go func() {
+			defer takeWG.Done()
+			take(d.steal)
+		}()
+	}
+	take(d.pop)
+	pushWG.Wait()
+	takeWG.Wait()
+	if consumed.Load() != total || d.size() != 0 {
+		t.Fatalf("consumed %d segments, %d left queued; want %d and 0", consumed.Load(), d.size(), total)
 	}
 }

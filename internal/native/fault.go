@@ -11,23 +11,23 @@ import (
 
 // Fault-tolerant execution follows the simulator's loss rule, the
 // paper's §4.1.1 chunk re-assignment: a lost worker's work stays where
-// it is, and the survivors take it through findWork's ordinary steal
-// and inbox theft. Injected faults are cooperative: the fault plan is
-// consulted at chunk boundaries only (faultPoint), before the popped
-// segment executes, so no chunk is ever lost mid-flight. A crashing
-// worker marks itself dead, leaves what it holds on its own deque and
-// exits; Chase–Lev moves each segment exactly once, so every task still
-// runs exactly once and faulted results are bitwise identical to
-// fault-free ones by construction. A thief that takes work from a
-// worker marked dead records the retry (took).
+// it is, and the survivors take it through findWork's ordinary steal.
+// Injected faults are cooperative: the fault plan is consulted at chunk
+// boundaries only (faultPoint), before the popped segment executes, so
+// no chunk is ever lost mid-flight. A crashing worker marks itself
+// dead, leaves what it holds on its own deque and exits; the deque's
+// lock makes each segment leave it exactly once, by one pop or one
+// steal, so every task still runs exactly once and faulted results are
+// bitwise identical to fault-free ones by construction. A thief that
+// takes work from a worker marked dead records the retry (took).
 //
 // The detector only detects. It runs for plans with stalls: a worker
 // whose heartbeat stops while it holds work is declared dead, so the
 // live set shrinks and its queues become reachable in ModeStatic too. A
 // declared worker that reaches its loop-top again resurrects. False
 // positives are safe: a worker declared dead while merely slow keeps
-// running, and the survivors' steals race it through the same
-// lock-free protocol.
+// running, and the survivors' steals race its pops under the same
+// deque lock.
 
 // deadTicks is how many consecutive stale detector ticks escalate a
 // suspect worker to declared-dead.
@@ -80,15 +80,14 @@ func (e *engine) faultPoint(w *worker, seg segment) bool {
 // survivors are woken, and the caller exits.
 func (e *engine) crash(w *worker, seg segment) {
 	e.markDead(w, w.id)
-	w.dq.push(seg)
+	e.place(w, seg)
 	for _, it := range w.chainQ {
 		e.chainFB.Add(1)
 		if e.rec != nil {
 			e.rec.Spill(w.id, it.seg.op, it.seg.lo, it.seg.len(), time.Since(e.start).Seconds())
 		}
-		w.dq.push(it.seg)
+		e.place(w, it.seg)
 	}
-	e.queued.Add(int64(1 + len(w.chainQ)))
 	w.chainQ = w.chainQ[:0]
 	e.signal(e.p)
 }

@@ -2,6 +2,7 @@ package native_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"orchestra/internal/core"
@@ -121,4 +122,32 @@ func TestKernelRangeMatchesTasks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestResolveTasks pins trip-count resolution, including annotations
+// whose value no int holds: those must resolve to !ok rather than to
+// whatever the float conversion yields.
+func TestResolveTasks(t *testing.T) {
+	for _, c := range []struct {
+		expr string
+		want int
+		ok   bool
+	}{
+		{"n", 2048, true},
+		{"n-1", 2047, true},
+		{"n/2", 1024, true},
+		{"n*n*n*n*n", 1 << 55, true},
+		{"-n", -2048, true},
+		{"n/0", 0, false},
+		{"n+", 0, false},
+		{"n*n*n*n*n*n", 0, false},                  // 2^66
+		{"n*n*n*n*n*n*n", 0, false},                // 2^77
+		{"n-n*n*n*n*n*n*n", 0, false},              // −2^77
+		{strings.Repeat("n*", 99) + "n", 0, false}, // +Inf
+	} {
+		got, ok := native.ResolveTasks(c.expr, 2048)
+		if got != c.want || ok != c.ok {
+			t.Errorf("ResolveTasks(%.40q, 2048) = (%d, %v), want (%d, %v)", c.expr, got, ok, c.want, c.ok)
+		}
+	}
 }

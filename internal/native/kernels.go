@@ -1,6 +1,8 @@
 package native
 
 import (
+	"math"
+
 	"orchestra/internal/delirium"
 	"orchestra/internal/interp"
 	"orchestra/internal/rts"
@@ -119,7 +121,10 @@ func TaskCount(params rts.KernelParams) func(*delirium.Node) int {
 // ResolveTasks evaluates a symbolic trip-count annotation (such as
 // "n-1" or "n/2") with every identifier bound to n, by parsing it as
 // a one-assignment program and evaluating the right-hand side. The
-// program declares no array, so the evaluator needs no memory.
+// program declares no array, so the evaluator needs no memory. A value
+// that is not finite or does not fit an int resolves to !ok: graph
+// text arrives from outside, and converting such a float is
+// implementation-defined.
 func ResolveTasks(expr string, n int) (int, bool) {
 	scratch, err := source.Parse("program s\n integer v\n v = " + expr + "\nend\n")
 	if err != nil {
@@ -136,7 +141,7 @@ func ResolveTasks(expr string, n int) (int, bool) {
 		}
 	})
 	v, err := ev.Value(assign.RHS)
-	if err != nil {
+	if err != nil || !(v >= math.MinInt && v < -math.MinInt) {
 		return 0, false
 	}
 	return int(v), true

@@ -31,22 +31,22 @@ func lossEngine(t *testing.T, mode rts.Mode, p int) *engine {
 
 // TestStaticRobsOnlyTheDead pins the loss rule's seam in ModeStatic,
 // which does not steal: findWork and reachableWork reach a dead
-// worker's deque and inbox, and only those — reachableWork must report
-// true only for work findWork can take, or an idle worker spins instead
-// of parking.
+// worker's deque, and only that — reachableWork must report true only
+// for work findWork can take, or an idle worker spins instead of
+// parking.
 func TestStaticRobsOnlyTheDead(t *testing.T) {
 	e := lossEngine(t, rts.ModeStatic, 3)
 	thief, dead, live := e.workers[0], e.workers[1], e.workers[2]
 	live.dq.push(segment{op: 0, lo: 0, hi: 10})
-	live.postInbox(segment{op: 0, lo: 10, hi: 20})
+	live.dq.push(segment{op: 0, lo: 10, hi: 20})
 	if e.reachableWork(thief) {
-		t.Fatal("a live peer's queues are reachable without stealing")
+		t.Fatal("a live peer's queue is reachable without stealing")
 	}
 	if s, ok, _ := e.findWork(thief); ok {
 		t.Fatalf("took %+v from a live peer without stealing", s)
 	}
 	dead.dq.push(segment{op: 0, lo: 20, hi: 30})
-	dead.postInbox(segment{op: 0, lo: 30, hi: 40})
+	dead.dq.push(segment{op: 0, lo: 30, hi: 40})
 	dead.deadA.Store(true)
 	took := map[int]bool{}
 	for e.reachableWork(thief) {
@@ -59,14 +59,14 @@ func TestStaticRobsOnlyTheDead(t *testing.T) {
 	if len(took) != 2 || !took[20] || !took[30] {
 		t.Fatalf("took segments at %v, want the dead worker's two (20, 30)", took)
 	}
-	if live.dq.size() != 1 || live.inboxN.Load() != 1 {
+	if live.dq.size() != 2 {
 		t.Fatal("the live peer lost work it was not robbed of")
 	}
 }
 
-// TestPostToDeadWakesSurvivor pins the other seam: a segment posted to a
-// dead worker's inbox must wake a parked survivor, because the
-// addressee never will take it.
+// TestPostToDeadWakesSurvivor pins the other seam: a segment released
+// to a dead worker lands on its deque and must wake a parked survivor,
+// because the addressee never will take it.
 func TestPostToDeadWakesSurvivor(t *testing.T) {
 	e := lossEngine(t, rts.ModeStatic, 3)
 	releaser, dead, parked := e.workers[0], e.workers[1], e.workers[2]
@@ -75,13 +75,13 @@ func TestPostToDeadWakesSurvivor(t *testing.T) {
 	e.idle.Add(1)
 	e.rr.Store(1) // the next round-robin target is the dead worker
 	e.release(releaser, 0, 0, 1)
-	if dead.inboxN.Load() != 1 {
-		t.Fatal("the released segment did not go to the dead addressee's inbox")
+	if dead.dq.size() != 1 {
+		t.Fatal("the released segment did not go to the dead addressee's deque")
 	}
 	if parked.pk.state.Load() != pActive || len(parked.pk.wake) != 1 {
-		t.Fatal("a post to a dead addressee left the parked survivor asleep")
+		t.Fatal("a release to a dead addressee left the parked survivor asleep")
 	}
 	if !e.reachableWork(parked) {
-		t.Fatal("the woken survivor cannot reach the dead addressee's inbox")
+		t.Fatal("the woken survivor cannot reach the dead addressee's deque")
 	}
 }

@@ -18,9 +18,9 @@
 //     the same trace.Result the simulator fills.
 //
 // The hot paths are engineered to keep orchestration overhead small
-// relative to task work (the paper's central requirement): per-worker
-// lock-free Chase–Lev deques instead of mutex queues, direct release
-// of newly enabled tasks from the completing worker instead of
+// relative to task work (the paper's central requirement): one
+// segment deque per worker that any worker may push and idle workers
+// steal from, direct release of newly enabled tasks from the completing worker instead of
 // per-operator gater goroutines, chunk-amortized clock reads, and a
 // futex-style parker (atomic idle count plus per-worker wake channels)
 // instead of a global condition variable.
@@ -120,6 +120,17 @@ func defaultProcs(req int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// The engine's size bound on a graph, handed to the Frontier as
+// rts.Limits: it refuses a submitted graph, or a mid-run expansion,
+// beyond them whole.
+const (
+	// maxOps bounds the number of operators a graph may have.
+	maxOps = 1 << 16
+	// maxTasks bounds the task count of one operator, exclusive: the
+	// largest accepted operator has maxTasks-1 tasks.
+	maxTasks = 1 << 24
+)
+
 // newEngine validates the graph and options and builds the per-job
 // scheduler state for p workers: the dataflow Frontier, operator states
 // parallel to its table, chain ledgers, fault-injection state, and the
@@ -171,11 +182,8 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 	}
 
 	// Pipelined edges get a delivery granularity; in the barriered modes
-	// the Frontier degrades every edge to completion-gated. The limits
-	// are the deque's segment packing (a segment's hi bound is exclusive,
-	// so the largest representable operator has maxTasks-1 tasks): the
-	// Frontier refuses a graph or a mid-run expansion beyond them whole,
-	// so the table addOps mirrors always fits.
+	// the Frontier degrades every edge to completion-gated. Its limits
+	// keep the table addOps mirrors inside the engine's size bound.
 	f, err := rts.NewFrontier(g, bind, e.pipelined, func(prod rts.OpSpec) int { return batchSize(prod.Op.N, p) },
 		rts.Limits{Ops: maxOps, Tasks: maxTasks - 1})
 	if err != nil {
@@ -218,7 +226,6 @@ func (e *engine) addOps(first int) {
 // id i.
 func newWorker(i int) *worker {
 	w := &worker{}
-	w.dq.init()
 	w.pk.init()
 	w.reset(i)
 	return w
@@ -226,18 +233,16 @@ func newWorker(i int) *worker {
 
 // reset re-initializes a worker for a new job under job-local id i:
 // the start of the worker's next epoch. Everything observable is
-// cleared — deque window, inbox, parker state and any unconsumed wake
-// token, fault flags, measured busy time — while the allocations that
-// survive (deque ring, inbox backing array, wake scratch) are the
-// arena the Pool reuses across jobs. Must only be called while no
+// cleared — deque, parker state and any unconsumed wake token, fault
+// flags, measured busy time — while the allocations that survive
+// (deque and chain-queue backing arrays, wake scratch) are the arena
+// the Pool reuses across jobs. Must only be called while no
 // other goroutine can reach the worker.
 func (w *worker) reset(i int) {
 	w.id = i
 	w.rng = stats.NewRNG(uint64(i)*0x9e3779b97f4a7c15 + 0x1d)
 	w.dq.reset()
 	w.pk.reset()
-	w.inbox = w.inbox[:0]
-	w.inboxN.Store(0)
 	w.busy = 0
 	w.hb.Store(0)
 	w.deadA.Store(false)
@@ -279,8 +284,7 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 	}
 
 	// Initial releases, still single-threaded (the worker goroutines
-	// start below, so these plain deque pushes are safely published):
-	// sources, operators whose producers are trivially complete
+	// start below): sources, operators whose producers are trivially complete
 	// (zero-task operators), and expandable operators with nothing to
 	// wait for, which expand here.
 	var pr rts.Progress
@@ -381,18 +385,12 @@ type opState struct {
 
 // worker is one goroutine of the pool.
 type worker struct {
-	id  int
+	id int
+	// dq is the worker's one work queue: its own remainders and every
+	// segment released to it, by itself or by a peer.
 	dq  deque
 	pk  parker
 	rng *stats.RNG
-	// inbox receives segments released by other workers: Chase–Lev
-	// bottoms are single-writer, so cross-worker releases cannot push
-	// into the target's deque directly. The owner drains its inbox
-	// into its deque before popping. inboxN allows a lock-free
-	// emptiness check on the hot path.
-	inboxMu sync.Mutex
-	inbox   []segment
-	inboxN  atomic.Int32
 	// busy accumulates measured task-execution seconds; written only
 	// by the owning goroutine, read after the pool joins.
 	busy float64
@@ -401,7 +399,7 @@ type worker struct {
 	hb atomic.Int64
 	// deadA marks the worker dead: set by the worker itself when it
 	// crashes, or by the detector when it stalls holding work. A dead
-	// worker's deque and inbox are every survivor's to take.
+	// worker's deque is every survivor's to take.
 	deadA atomic.Bool
 	// slowF is the active slowdown factor (0 or 1 = none). Owner-only.
 	slowF float64
@@ -415,30 +413,8 @@ type worker struct {
 	chainQ []chainItem
 }
 
-// holding reports whether segments are queued on w, in its deque or its
-// inbox.
-func (w *worker) holding() bool { return w.dq.size() > 0 || w.inboxN.Load() > 0 }
-
-// postInbox hands a segment to this worker from another goroutine.
-func (w *worker) postInbox(s segment) {
-	w.inboxMu.Lock()
-	w.inbox = append(w.inbox, s)
-	w.inboxMu.Unlock()
-	w.inboxN.Add(1)
-}
-
-// drainInbox moves posted segments into the worker's own deque.
-// Owner-only.
-func (w *worker) drainInbox() {
-	w.inboxMu.Lock()
-	segs := w.inbox
-	w.inbox = w.inbox[:0]
-	w.inboxN.Add(int32(-len(segs)))
-	for _, s := range segs {
-		w.dq.push(s)
-	}
-	w.inboxMu.Unlock()
-}
+// holding reports whether segments are queued on w.
+func (w *worker) holding() bool { return w.dq.size() > 0 }
 
 // engine is the per-execution scheduler state: everything whose
 // lifetime is one job, as opposed to the workers' goroutines, whose
@@ -469,7 +445,7 @@ type engine struct {
 	omega float64
 
 	// failMu guards failErr, the first mid-run failure (expansion
-	// errors: depth bound, packing limits, bad sub-graphs). fail()
+	// errors: depth bound, size limits, bad sub-graphs). fail()
 	// stops the workers; execute returns failErr instead of a result.
 	failMu  sync.Mutex
 	failErr error
@@ -482,8 +458,8 @@ type engine struct {
 	// releasers skip the wake scan entirely while it is zero.
 	idle atomic.Int32
 
-	// queued approximates the number of segments across all deques and
-	// inboxes; workers park when it reaches zero.
+	// queued approximates the number of segments across all deques;
+	// workers park when it reaches zero.
 	queued     atomic.Int64
 	finished   chan struct{}
 	finishOnce sync.Once
@@ -594,7 +570,7 @@ func (e *engine) advance(w *worker, pr *rts.Progress) {
 // rule runs outside the lock (it may read what the predecessors
 // produced, for as long as it likes), the splice and the grown operator
 // table are published together under it. A
-// failure — depth bound, packing limits, a bad sub-graph — fails the
+// failure — depth bound, size limits, a bad sub-graph — fails the
 // run.
 func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
 	exp, err := x.Expand()
@@ -614,12 +590,11 @@ func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
 // release hands tasks [lo, hi) of op to the workers: a large range is
 // block-split across all of them (the owner-computes decomposition —
 // the j-th worker owns block j), while a small pipelined delta stays
-// with the releasing worker (cache-warm, lock-free) when stealing can
-// spread it, else goes to the next worker round-robin. w is the
-// releasing worker, or nil during single-threaded setup (when plain
-// deque pushes are safe because the pool has not launched). A block
-// that lands on a dead worker is taken by a survivor like any other
-// (findWork), so placement ignores the dead.
+// with the releasing worker (cache-warm) when stealing can spread it,
+// else goes to the next worker round-robin. w is the releasing worker,
+// or nil during single-threaded setup. A block that lands on a dead
+// worker is taken by a survivor like any other (findWork), so
+// placement ignores the dead.
 func (e *engine) release(w *worker, op, lo, hi int) {
 	n := hi - lo
 	if n <= 0 {
@@ -629,7 +604,7 @@ func (e *engine) release(w *worker, op, lo, hi int) {
 	if n >= 2*m && m > 1 {
 		for j, t := range e.workers {
 			if a, b := sched.BlockBounds(j, n, m); b > a {
-				e.place(w, t, segment{op: op, lo: lo + a, hi: lo + b})
+				e.place(t, segment{op: op, lo: lo + a, hi: lo + b})
 			}
 		}
 		if e.steal {
@@ -643,26 +618,18 @@ func (e *engine) release(w *worker, op, lo, hi int) {
 	}
 	s := segment{op: op, lo: lo, hi: hi}
 	if w != nil && e.steal {
-		w.dq.push(s)
-		e.queued.Add(1)
+		e.place(w, s)
 		e.signal(1)
 		return
 	}
 	t := e.workers[int(e.rr.Add(1)-1)%m]
-	e.place(w, t, s)
+	e.place(t, s)
 	e.wake(t)
 }
 
-// place queues a released segment on worker t: a push onto its own
-// deque by the releasing worker (or during set-up, w == nil), a post to
-// its inbox from anyone else, since t alone may push its Chase–Lev
-// bottom.
-func (e *engine) place(w, t *worker, s segment) {
-	if w == nil || t == w {
-		t.dq.push(s)
-	} else {
-		t.postInbox(s)
-	}
+// place queues a released segment on worker t's deque.
+func (e *engine) place(t *worker, s segment) {
+	t.dq.push(s)
 	e.queued.Add(1)
 }
 
@@ -694,9 +661,9 @@ func (e *engine) signal(n int) {
 // The invariant it keeps with findWork: whenever it reports true for a
 // segment that stays put, findWork can take that segment — otherwise an
 // idle worker spins on work it is not allowed to take instead of
-// parking. With stealing enabled every queued segment, in any deque or
-// any inbox, is reachable; without it the worker's own deque and inbox
-// count, and those of dead workers (robbable).
+// parking. With stealing enabled every queued segment, in any deque, is
+// reachable; without it the worker's own deque counts, and those of
+// dead workers (robbable).
 func (e *engine) reachableWork(w *worker) bool {
 	if e.steal {
 		return e.queued.Load() > 0
@@ -784,51 +751,16 @@ func (e *engine) stealFrom(w *worker) (segment, bool) {
 	return segment{}, false
 }
 
-// stealInbox takes one segment posted to another robbable worker's
-// inbox. A posted segment is ready work like any other: its addressee
-// may not have been scheduled yet (a pool goroutine whose vCPU is
-// asleep, a worker stalled or dead under a fault plan), and until it
-// drains its inbox the segment is in no deque for stealFrom to find. An
-// idle worker is idle only when no ready work exists, so whichever
-// worker actually runs takes it; placement never decides values.
-// Consulted after the deque steals fail.
-func (e *engine) stealInbox(w *worker) (segment, bool) {
-	for off := 1; off < e.p; off++ {
-		v := e.workers[(w.id+off)%e.p]
-		if v.inboxN.Load() == 0 || !e.robbable(v) {
-			continue
-		}
-		v.inboxMu.Lock()
-		if len(v.inbox) == 0 {
-			v.inboxMu.Unlock()
-			continue
-		}
-		s := v.inbox[len(v.inbox)-1]
-		v.inbox = v.inbox[:len(v.inbox)-1]
-		v.inboxN.Add(-1)
-		v.inboxMu.Unlock()
-		e.took(w, v, s)
-		return s, true
-	}
-	return segment{}, false
-}
-
-// findWork is the worker's acquisition order: drain the inbox into the
-// deque, pop local work, else steal from a robbable peer's deque, else
-// from a robbable peer's inbox. stolen reports whether the segment came
-// from a peer. Without stealing only a fault plan makes peers robbable.
+// findWork is the worker's acquisition order: pop local work, else
+// steal from a robbable peer's deque. stolen reports whether the
+// segment came from a peer. Without stealing only a fault plan makes
+// peers robbable.
 func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
-	if w.inboxN.Load() > 0 {
-		w.drainInbox()
-	}
 	if s, ok := w.dq.pop(); ok {
 		return s, true, false
 	}
 	if e.steal || e.fx != nil {
 		if s, ok := e.stealFrom(w); ok {
-			return s, true, true
-		}
-		if s, ok := e.stealInbox(w); ok {
 			return s, true, true
 		}
 	}
@@ -901,12 +833,6 @@ func (e *engine) setLabels(w *worker, op int) {
 // runSegment executes one chunk off the segment's front and returns
 // the remainder to the worker's deque (where thieves can see it while
 // the chunk runs).
-//
-// Clock discipline: a chunk of k ≤ sampleEach tasks is boundary-timed
-// (k+1 clock reads give exact per-task durations while chunks are
-// small and variance information matters most); a larger chunk costs
-// two clock reads total, and its aggregate time is folded into the
-// statistics as k observations of the chunk mean via ObserveChunk.
 func (e *engine) runSegment(w *worker, seg segment, stolen bool) {
 	o := e.op(seg.op)
 	k := seg.len()
@@ -930,67 +856,78 @@ func (e *engine) runSegment(w *worker, seg segment, stolen bool) {
 		}
 		o.statsMu.Unlock()
 		if c < k {
-			w.dq.push(segment{op: seg.op, lo: seg.lo + c, hi: seg.hi})
-			e.queued.Add(1)
+			e.place(w, segment{op: seg.op, lo: seg.lo + c, hi: seg.hi})
 			e.signal(1)
 			k = c
 		}
 	}
-	hi := seg.lo + k
+	e.runChunk(w, o, seg.lo, seg.lo+k, stolen, 0)
+	if len(w.chainQ) > 0 {
+		e.drainChain(w)
+	}
+}
+
+// runChunk executes tasks [lo, hi) of o as one chunk on w — timing,
+// statistics, busy time, tracing, slow-fault padding — and completes
+// it at chain depth depth (0 for a chunk carved off a segment). It
+// returns the chunk's start in run seconds.
+//
+// Clock discipline: a segment chunk of k ≤ sampleEach tasks is
+// boundary-timed (k+1 clock reads give exact per-task durations while
+// chunks are small and variance information matters most); a larger
+// chunk, and every chained block, costs two clock reads total, and its
+// aggregate time is folded into the statistics as k observations of
+// the chunk mean via ObserveChunk.
+func (e *engine) runChunk(w *worker, o *opState, lo, hi int, stolen bool, depth int32) float64 {
+	k := hi - lo
 	o.unsched.Add(-int64(k))
-	if e.labels && w.labelOp != seg.op {
-		e.setLabels(w, seg.op)
+	if e.labels && w.labelOp != o.idx {
+		e.setLabels(w, o.idx)
 	}
 
-	var chunkEl float64
-	if k <= sampleEach {
+	var begin time.Time
+	var elapsed float64
+	if k <= sampleEach && depth == 0 {
 		var marks [sampleEach + 1]time.Time
 		marks[0] = time.Now()
-		for i := seg.lo; i < hi; i++ {
+		for i := lo; i < hi; i++ {
 			o.body(i)
-			marks[i-seg.lo+1] = time.Now()
+			marks[i-lo+1] = time.Now()
 		}
-		chunkEl = marks[k].Sub(marks[0]).Seconds()
-		w.busy += chunkEl
+		begin, elapsed = marks[0], marks[k].Sub(marks[0]).Seconds()
 		o.statsMu.Lock()
 		for i := 0; i < k; i++ {
-			o.stats.Observe(seg.lo+i, marks[i+1].Sub(marks[i]).Seconds())
+			o.stats.Observe(lo+i, marks[i+1].Sub(marks[i]).Seconds())
 		}
 		o.statsMu.Unlock()
-		if e.rec != nil {
-			e.rec.Chunk(w.id, seg.op, seg.lo, k,
-				marks[0].Sub(e.start).Seconds(), marks[k].Sub(e.start).Seconds(), stolen)
-		}
 	} else {
-		begin := time.Now()
+		begin = time.Now()
 		if o.bodyRange != nil {
-			o.bodyRange(seg.lo, hi)
+			o.bodyRange(lo, hi)
 		} else {
-			for i := seg.lo; i < hi; i++ {
+			for i := lo; i < hi; i++ {
 				o.body(i)
 			}
 		}
-		elapsed := time.Since(begin).Seconds()
-		chunkEl = elapsed
-		w.busy += elapsed
+		elapsed = time.Since(begin).Seconds()
 		o.statsMu.Lock()
-		o.stats.ObserveChunk(seg.lo, k, elapsed)
+		o.stats.ObserveChunk(lo, k, elapsed)
 		o.statsMu.Unlock()
-		if e.rec != nil {
-			b := begin.Sub(e.start).Seconds()
-			e.rec.Chunk(w.id, seg.op, seg.lo, k, b, b+elapsed, stolen)
-		}
+	}
+	w.busy += elapsed
+	var b float64
+	if e.rec != nil {
+		b = begin.Sub(e.start).Seconds()
+		e.rec.Chunk(w.id, o.idx, lo, k, b, b+elapsed, stolen)
 	}
 	if e.fx != nil && w.slowF > 1 {
 		// A slow fault stretches wall time only: the tasks already ran
 		// normally, so results are untouched and stats stay honest.
-		time.Sleep(time.Duration((w.slowF - 1) * chunkEl * float64(time.Second)))
+		time.Sleep(time.Duration((w.slowF - 1) * elapsed * float64(time.Second)))
 	}
 	e.chunks.Add(1)
-	e.complete(w, o, seg.lo, hi, 0)
-	if len(w.chainQ) > 0 {
-		e.drainChain(w)
-	}
+	e.complete(w, o, lo, hi, depth)
+	return b
 }
 
 // complete records the chunk [lo, hi) as done in the Frontier and acts

@@ -470,14 +470,14 @@ func TestSpinConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPostedBlockNotHostage pins the idle invariant: work posted to a
-// peer's inbox is ready work, and an idle worker takes it. Worker 1 is
-// launched only once the run has finished, so every block worker 0's
-// releases post to worker 1's inbox has no owner to drain it: worker 0
-// alone must carry the P = 2 split-mode run to the end, every task
-// executed once, and the inbox thefts show in Result.Steals as they do
-// in the trace. Were a posted block reachable only through its
-// addressee, worker 0 would spin forever on queued > 0 here.
+// TestPostedBlockNotHostage pins the idle invariant: a block released
+// to a peer's deque is ready work, and an idle worker takes it. Worker
+// 1 is launched only once the run has finished, so every block worker
+// 0's releases place on worker 1's deque has no owner to pop it: worker
+// 0 alone must carry the P = 2 split-mode run to the end, every task
+// executed once, and its steals of those blocks show in Result.Steals
+// as they do in the trace. Were a released block reachable only through
+// its addressee, worker 0 would spin forever on queued > 0 here.
 func TestPostedBlockNotHostage(t *testing.T) {
 	const n = 2048
 	counts := map[string][]atomic.Int32{"a": make([]atomic.Int32, n), "b": make([]atomic.Int32, n)}
@@ -514,7 +514,7 @@ func TestPostedBlockNotHostage(t *testing.T) {
 		}
 	}
 	if r.Steals == 0 {
-		t.Errorf("Result.Steals = 0: worker 0 finished without taking a posted block")
+		t.Errorf("Result.Steals = 0: worker 0 finished without taking a released block")
 	}
 	if r.Busy[1] != 0 {
 		t.Errorf("worker 1 reports %v s busy; it was never started", r.Busy[1])

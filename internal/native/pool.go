@@ -20,9 +20,10 @@ import (
 // spawn-and-join per worker per run; a Pool pays it once at NewPool.
 //
 // Each job is an epoch: Run leases n of the pool's goroutines, attaches
-// per-job worker states (deques, parkers, inboxes — recycled through an
-// arena, so a warm pool's job setup allocates almost nothing), executes
-// the engine exactly as a one-shot run would, and returns the leases.
+// per-job worker states (deques, parkers, chain queues — recycled
+// through an arena, so a warm pool's job setup allocates almost
+// nothing), executes the engine exactly as a one-shot run would, and
+// returns the leases.
 // Per-job state never leaks across epochs: worker arenas are reset
 // before reuse, and the engine — operator gates, statistics, fault
 // state, trace recorder — is built fresh per job. Concurrent jobs are

@@ -12,7 +12,7 @@ import (
 // calls the bound OpSpec's Expand hook, which returns a sub-graph plus
 // a binder for the sub-graph's operators. The engine splices the
 // sub-graph into the running schedule — on the native backend the
-// sub-tasks feed the same Chase-Lev deques every other task uses, so
+// sub-tasks feed the same worker deques every other task uses, so
 // work-stealing crosses nesting levels — and holds the Exp operator's
 // own join task until every sub-graph task (including recursively
 // expanded ones) has completed. Completion of the join task then
