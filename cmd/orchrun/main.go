@@ -50,11 +50,12 @@
 // Fault injection: -fault runs the graph under a deterministic fault
 // plan (internal/fault syntax), e.g.
 //
-//	orchrun -backend native -mode taper -fault crash:0@1,deadline:0.01 g.graph
+//	orchrun -backend native -mode taper -fault crash:0@1 g.graph
 //
 // crashes worker 0 at its second chunk boundary; the run survives on
 // the remaining workers, and -trace/-gantt show the fault, retry and
-// reallocation events the recovery leaves behind. On the dist backend
+// reallocation events the recovery leaves behind. A stall:W@C:SECS
+// action only delays worker W, on every backend. On the dist backend
 // a crash is a literal SIGKILL of the worker process. delay:/loss:
 // perturb the simulator's message cost model (the measured backends
 // have no modelled messages and ignore them).

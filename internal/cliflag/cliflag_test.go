@@ -146,7 +146,7 @@ func TestFaultFlag(t *testing.T) {
 	}{
 		{nil, true, false, ""},
 		{[]string{"-fault", ""}, true, false, ""},
-		{[]string{"-fault", "crash:0@1,deadline:0.01"}, false, false, ""},
+		{[]string{"-fault", "crash:0@1"}, false, false, ""},
 		{[]string{"-fault", "stall:1@0:0.5"}, false, false, ""},
 		{[]string{"-fault", "explode:3"}, true, true, "explode"},
 	}

@@ -42,11 +42,12 @@ type Backend struct {
 // Name implements rts.Backend.
 func (Backend) Name() string { return "dist" }
 
-// distSupported: fault plans are the point (crash is a real SIGKILL);
-// the chain policy is trivially satisfied (segments are delivered by
-// message, nothing is cache-chained); Labels would have to act inside
-// the worker processes and is not implemented.
-var distSupported = rts.Supported{Chain: true, Fault: true}
+// distSupported: Labels would have to act inside the worker processes
+// and is not implemented, and runtime expansion is not either. Fault
+// plans (crash is a real SIGKILL) and the chain policy (trivially
+// satisfied: segments are delivered by message, nothing is
+// cache-chained) need no declaration.
+var distSupported = rts.Supported{}
 
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "dist", Measured: true, Distributed: true},

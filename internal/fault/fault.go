@@ -13,9 +13,8 @@
 // native runtime's wall clock, and a replayed plan fires at the same
 // logical point every time.
 //
-// Durations (stall lengths, the native detector deadline) are in the
-// backend's time unit: wall-clock seconds on the native backend,
-// simulated units on the simulator.
+// Stall lengths are in the backend's time unit: wall-clock seconds on
+// the native and dist backends, simulated units on the simulator.
 //
 // The package is a leaf: it imports only the standard library and
 // internal/stats, so every layer (machine, sched, rts, native) can
@@ -42,8 +41,9 @@ const (
 	// are, and the survivors take them by the ordinary steal.
 	Crash Kind = 1 + iota
 	// Stall suspends a worker for Duration at the trigger point, then
-	// lets it resume — the transient form of Crash, which the native
-	// detector must tolerate without losing the worker's work.
+	// lets it resume. On every engine a stall is a delay, never a loss:
+	// the stalled worker keeps its work and its place in the live set,
+	// and peers that may steal take from it as from any busy worker.
 	Stall
 	// Slow multiplies a worker's task execution time by Factor from the
 	// trigger point on, for the rest of the run.
@@ -92,19 +92,9 @@ type Action struct {
 type Plan struct {
 	// Seed drives the message-loss coin flips; worker faults are fully
 	// deterministic and ignore it.
-	Seed uint64
-	// Deadline is the native detector's heartbeat deadline in seconds
-	// (zero means DefaultDeadline). The simulator needs no detector —
-	// faults are injected into its event stream directly.
-	Deadline float64
-	Actions  []Action
+	Seed    uint64
+	Actions []Action
 }
-
-// DefaultDeadline is the native detector's heartbeat deadline when the
-// plan does not set one: long enough that a healthy worker crossing a
-// chunk boundary is never suspected, short enough that tests recover
-// in milliseconds.
-const DefaultDeadline = 0.01
 
 // String renders the plan in the -fault flag syntax; Parse(p.String())
 // round-trips.
@@ -115,9 +105,6 @@ func (p *Plan) String() string {
 	var parts []string
 	if p.Seed != 0 {
 		parts = append(parts, "seed:"+strconv.FormatUint(p.Seed, 10))
-	}
-	if p.Deadline != 0 {
-		parts = append(parts, "deadline:"+formatF(p.Deadline))
 	}
 	for _, a := range p.Actions {
 		switch a.Kind {
@@ -147,7 +134,6 @@ func formatF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 //	loss:P         each simulated message is lost (and retransmitted)
 //	               with probability P
 //	seed:N         seed for the loss coin flips
-//	deadline:D     native detector heartbeat deadline (seconds)
 //
 // An empty spec yields a nil plan.
 func Parse(spec string) (*Plan, error) {
@@ -172,12 +158,6 @@ func Parse(spec string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: bad seed %q", rest)
 			}
 			p.Seed = v
-		case "deadline":
-			v, err := parseFinite(rest)
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("fault: bad deadline %q", rest)
-			}
-			p.Deadline = v
 		case "delay":
 			v, err := parseFinite(rest)
 			if err != nil || v < 0 {
@@ -197,7 +177,7 @@ func Parse(spec string) (*Plan, error) {
 			}
 			p.Actions = append(p.Actions, a)
 		default:
-			return nil, fmt.Errorf("fault: unknown action %q (valid: crash, stall, slow, delay, loss, seed, deadline)", key)
+			return nil, fmt.Errorf("fault: unknown action %q (valid: crash, stall, slow, delay, loss, seed)", key)
 		}
 	}
 	return p, nil
@@ -272,22 +252,6 @@ func (p *Plan) HasWorkerFaults() bool {
 	return false
 }
 
-// NeedsDetector reports whether the plan can leave a worker unresponsive
-// while it holds work (a stall) — the native backend starts its
-// heartbeat detector only for these plans. A crash needs no detector:
-// the crashing worker declares itself dead.
-func (p *Plan) NeedsDetector() bool {
-	if p == nil {
-		return false
-	}
-	for _, a := range p.Actions {
-		if a.Kind == Stall {
-			return true
-		}
-	}
-	return false
-}
-
 // HasMsgFaults reports whether the plan perturbs simulated messages.
 func (p *Plan) HasMsgFaults() bool {
 	if p == nil {
@@ -303,10 +267,10 @@ func (p *Plan) HasMsgFaults() bool {
 
 // Validate checks the plan against a concrete worker count. The one
 // load-bearing rule: at least one worker must be free of both crash
-// and stall actions. A crash removes a worker outright, and a stalled
-// worker can be (safely but permanently) declared dead by the native
-// detector, so a plan that crashes or stalls every worker has no
-// guaranteed survivor to finish the run.
+// and stall actions. A crash removes a worker outright, so some worker
+// must be left to finish the run. A stall is only a delay, on every
+// engine, and loses nothing; the rule counts it anyway, so every
+// accepted plan keeps one worker that neither crashes nor sleeps.
 func (p *Plan) Validate(workers int) error {
 	if p == nil {
 		return nil
@@ -340,7 +304,7 @@ func (p *Plan) Validate(workers int) error {
 // inside the survivable region Validate accepts.
 func Random(seed uint64, workers int) *Plan {
 	rng := stats.NewRNG(seed ^ 0x5fa7f2c6b1e3d9a1)
-	p := &Plan{Seed: seed, Deadline: 0.004}
+	p := &Plan{Seed: seed}
 	if workers < 2 {
 		// Nothing survivable can target the only worker; perturb
 		// messages at most.
@@ -416,7 +380,6 @@ type workerState struct {
 // *Exec is valid and injects nothing, so fault-free runs pay one nil
 // check per chunk.
 type Exec struct {
-	deadline   float64
 	delayScale float64
 	lossProb   float64
 	rng        *stats.RNG
@@ -430,13 +393,9 @@ func NewExec(p *Plan, workers int) *Exec {
 		return nil
 	}
 	x := &Exec{
-		deadline:   p.Deadline,
 		delayScale: 1,
 		rng:        stats.NewRNG(p.Seed ^ 0x9e3779b97f4a7c15),
 		ws:         make([]workerState, workers),
-	}
-	if x.deadline <= 0 {
-		x.deadline = DefaultDeadline
 	}
 	for i := range x.ws {
 		x.ws[i].crashAt = -1
@@ -474,14 +433,6 @@ func NewExec(p *Plan, workers int) *Exec {
 
 func sortByAfter(as []Action) {
 	sort.SliceStable(as, func(i, j int) bool { return as[i].After < as[j].After })
-}
-
-// Deadline is the native detector's heartbeat deadline in seconds.
-func (x *Exec) Deadline() float64 {
-	if x == nil {
-		return DefaultDeadline
-	}
-	return x.deadline
 }
 
 // Begin is the per-chunk injection point: worker w is about to start a

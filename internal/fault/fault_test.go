@@ -14,7 +14,7 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"slow:0@0:4",
 		"delay:0.5",
 		"loss:0.25",
-		"seed:7,deadline:0.01,crash:1@2,stall:2@0:0.003,slow:3@1:2.5,delay:0.1,loss:0.01",
+		"seed:7,crash:1@2,stall:2@0:0.003,slow:3@1:2.5,delay:0.1,loss:0.01",
 	}
 	for _, spec := range specs {
 		p, err := Parse(spec)
@@ -56,7 +56,7 @@ func TestParseRejects(t *testing.T) {
 		"loss:1.5",     // probability out of range
 		"delay:-1",     // negative delay
 		"crash:-1@0",   // negative worker
-		"deadline:0",   // non-positive deadline
+		"deadline:0",   // no such keyword
 		"seed:x",       // non-numeric seed
 		// Non-finite numbers parse as floats but describe no run.
 		"delay:NaN",
@@ -73,6 +73,10 @@ func TestParseRejects(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted invalid spec", spec)
 		}
+	}
+	// deadline: is an unknown action, not a bad value.
+	if _, err := Parse("crash:0@1,deadline:0.01"); err == nil || !strings.Contains(err.Error(), "unknown action") {
+		t.Errorf("Parse(crash:0@1,deadline:0.01) = %v, want an unknown-action error", err)
 	}
 }
 
@@ -164,9 +168,6 @@ func TestNilExecIsFree(t *testing.T) {
 	if got := x.MsgCost(2.5); got != 2.5 {
 		t.Fatalf("nil Exec perturbed a message: %v", got)
 	}
-	if x.Deadline() != DefaultDeadline {
-		t.Fatal("nil Exec deadline")
-	}
 }
 
 func TestMsgCost(t *testing.T) {
@@ -219,14 +220,15 @@ func TestPlanStringNamesKinds(t *testing.T) {
 // panics, every accepted plan renders back to a spec that re-parses to
 // the same plan, and every number in an accepted plan is finite. The
 // seeds are the specs the CI workflow, the README and orchrun's doc
-// pass, a few random survivable plans, and the non-finite rejects.
+// pass, a few random survivable plans, the non-finite rejects and the
+// removed deadline: keyword.
 // Run the seeds alone with `go test ./internal/fault -run FuzzParse`;
 // explore with `go test ./internal/fault -run XXX -fuzz FuzzParse`.
 func FuzzParse(f *testing.F) {
 	for _, spec := range []string{
 		"crash:0@1,delay:0.5",
-		"crash:1@0,stall:2@1:0.005,deadline:0.005",
-		"crash:0@1,deadline:0.005",
+		"crash:1@0,stall:2@1:0.005",
+		"crash:0@1",
 		"crash:0@1,stall:2@0:0.01,delay:0.5,loss:0.2",
 		"crash:0@1,deadline:0.01",
 		"seed:7,slow:3@1:2.5",
@@ -247,9 +249,6 @@ func FuzzParse(f *testing.F) {
 		}
 		if p != nil {
 			finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-			if !finite(p.Deadline) {
-				t.Fatalf("Parse(%q) accepted deadline %v", spec, p.Deadline)
-			}
 			for _, a := range p.Actions {
 				if !finite(a.Duration) || !finite(a.Factor) || !finite(a.Prob) || !finite(a.Delay) {
 					t.Fatalf("Parse(%q) accepted non-finite action %+v", spec, a)

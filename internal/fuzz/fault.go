@@ -1,7 +1,5 @@
 package fuzz
 
-import "orchestra/internal/fault"
-
 // The faults rung. Failure tolerance claims an exact property: a run
 // that loses workers mid-flight (or suffers stalls, slowdowns and
 // message perturbations) still produces bitwise the final state of an
@@ -13,11 +11,3 @@ import "orchestra/internal/fault"
 // faultWorkers is the worker count of the rung's rows, and so of the
 // random plans generated for it.
 const faultWorkers = 4
-
-// randomPlan derives seed's fault plan: always survivable by
-// construction, with a deadline tightened for test turnaround.
-func randomPlan(seed uint64) *fault.Plan {
-	plan := fault.Random(seed, faultWorkers)
-	plan.Deadline = 0.002
-	return plan
-}

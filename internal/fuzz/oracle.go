@@ -602,7 +602,7 @@ func CheckSeed(seed uint64, cfg GenConfig, rung string, plan *fault.Plan) (*Repo
 	}
 	c := &Case{Seed: seed, Prog: NewGen(seed, cfg).Program(), Plan: plan}
 	if rung == Faults && plan == nil {
-		c.Plan = randomPlan(seed)
+		c.Plan = fault.Random(seed, faultWorkers)
 	}
 	return Check(c, rung), c
 }

@@ -1,6 +1,6 @@
 ! A worker that crashes while draining its chain queue holds enabled
-! consumer blocks that exist nowhere else — not in any deque, not in an
-! inbox — so the detector's steal-drain can never recover them. The
+! consumer blocks that exist nowhere else — not in any deque — so no
+! survivor's steal can ever recover them. The
 ! drain loop must release everything still queued through the
 ! survivor-aware path (and hand the popped block off) before the worker
 ! exits, or the run deadlocks with tasks permanently unscheduled. The
@@ -8,7 +8,7 @@
 ! pipelined edge with the chain attribute, so the faulted native split
 ! runs schedule consumer blocks in place and the crash lands mid-drain.
 ! seed: 7
-! fault: crash:0@1,crash:2@3,deadline:0.002
+! fault: crash:0@1,crash:2@3
 
 program fuzz
   integer n

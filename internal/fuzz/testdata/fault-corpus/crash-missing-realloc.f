@@ -2,10 +2,11 @@
 ! self-declaration, the reallocation-on-loss emission stayed behind in
 ! the detector path, so a self-declared crash shrank the live set
 ! without re-deriving the allocation estimates — traces showed the
-! death but no fresh estimate rows. Both declaration paths must emit
-! the reallocation.
+! death but no fresh estimate rows. Self-declaration must emit the
+! reallocation; it is now the only declaration path (the detector has
+! since been deleted: a stall is a delay, only a crash loses a worker).
 ! seed: 11
-! fault: crash:0@1,crash:3@2,deadline:0.002
+! fault: crash:0@1,crash:3@2
 
 program fuzz
   integer n

@@ -2,11 +2,12 @@
 ! re-posted to a survivor's inbox, but the detector treated every
 ! CPU-starved live worker as suspect and kept relocating the segment
 ! between inboxes faster than any owner was scheduled to drain it — a
-! livelock on oversubscribed machines. Recovery must only drain
-! declared-dead workers, and posted work must be stealable from any
-! inbox so whichever worker is actually running executes it.
+! livelock on oversubscribed machines. Recovery must move nothing: a
+! dead worker's work stays on its deque for whichever survivor is
+! actually running (the detector and the inboxes have since been
+! deleted).
 ! seed: 3
-! fault: crash:0@1,deadline:0.002
+! fault: crash:0@1
 
 program fuzz
   integer n

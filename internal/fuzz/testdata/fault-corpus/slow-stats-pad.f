@@ -4,7 +4,7 @@
 ! the fault-free one even though no work was lost. The pad has to land
 ! after the chunk's timing marks are recorded.
 ! seed: 20
-! fault: slow:1@0:4,slow:3@1:8,deadline:0.002
+! fault: slow:1@0:4,slow:3@1:8
 
 program fuzz
   integer n

@@ -297,13 +297,10 @@ func (e *engine) drainChain(w *worker) {
 			e.spillChain(w, it.seg)
 			continue
 		}
-		if e.fx != nil {
-			w.hb.Store(time.Now().UnixNano())
-			if !e.faultPoint(w, it.seg) {
-				// Crashed: it.seg and the rest of the queue are on this
-				// worker's deque for the survivors.
-				return
-			}
+		if e.fx != nil && !e.faultPoint(w, it.seg) {
+			// Crashed: it.seg and the rest of the queue are on this
+			// worker's deque for the survivors.
+			return
 		}
 		e.runChained(w, it)
 	}

@@ -181,10 +181,10 @@ func TestChainFaultBitwise(t *testing.T) {
 		return r
 	}
 	for _, spec := range []string{
-		"crash:0@1,deadline:0.002",
-		"crash:0@2,deadline:0.002",
-		"crash:1@1,crash:2@3,deadline:0.002",
-		"stall:1@1:0.01,crash:0@2,deadline:0.002",
+		"crash:0@1",
+		"crash:0@2",
+		"crash:1@1,crash:2@3",
+		"stall:1@1:0.01,crash:0@2",
 	} {
 		run(lin, n, wantLin, spec)
 		run(fan, n, wantFan, spec)

@@ -39,8 +39,8 @@ func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
 }
 
 // TestExecuteRejectsOversizedOp checks the engine's size bound on a
-// submitted graph: maxTasks is exclusive, so an operator of exactly
-// maxTasks tasks must be rejected (this was a real off-by-one — the
+// submitted graph: MaxTasks is exclusive, so an operator of exactly
+// MaxTasks tasks must be rejected (this was a real off-by-one — the
 // guard used > instead of >=).
 func TestExecuteRejectsOversizedOp(t *testing.T) {
 	g := delirium.NewGraph("big")
@@ -48,11 +48,11 @@ func TestExecuteRejectsOversizedOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	bind := func(name string) rts.OpSpec {
-		return rts.OpSpec{Op: sched.Op{Name: name, N: maxTasks,
+		return rts.OpSpec{Op: sched.Op{Name: name, N: MaxTasks,
 			Time: func(i int) float64 { return 1 }}, Mu: 1}
 	}
 	if _, err := (Backend{}).Run(g, rts.BindClosure(bind), rts.RunOpts{Processors: 1, Mode: rts.ModeSplit}); err == nil {
-		t.Fatalf("Execute accepted an operator with %d tasks", maxTasks)
+		t.Fatalf("Execute accepted an operator with %d tasks", MaxTasks)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestExpansionRejectsOversized(t *testing.T) {
 			sg := delirium.NewGraph("x")
 			sg.AddNode(&delirium.Node{Name: "x/0", Kind: delirium.Par})
 			return &rts.Expansion{Graph: sg, Bind: func(name string) rts.OpSpec {
-				return rts.OpSpec{Op: sched.Op{Name: name, N: maxTasks, Time: unit}, Mu: 1}
+				return rts.OpSpec{Op: sched.Op{Name: name, N: MaxTasks, Time: unit}, Mu: 1}
 			}}
 		},
 		"ops": func() *rts.Expansion {

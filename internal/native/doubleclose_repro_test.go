@@ -9,10 +9,10 @@ import (
 )
 
 // TestEmptyGraphWithFaultPlanRepro pins the zero-work edge case: a run
-// whose operators contribute no tasks finishes immediately, and with a
-// fault plan active the detector goroutine also races to observe the
-// finish — both paths must agree on closing the finished channel
-// exactly once (regression: double close panic).
+// whose operators contribute no tasks finishes during set-up, under a
+// fault plan, and every path that observes the finish must agree on
+// closing the finished channel exactly once (regression: double close
+// panic).
 func TestEmptyGraphWithFaultPlanRepro(t *testing.T) {
 	out, err := core.CompileSource(quickstartProgram, core.DefaultOptions())
 	if err != nil {

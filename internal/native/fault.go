@@ -21,17 +21,12 @@ import (
 // bitwise identical to fault-free ones by construction. A thief that
 // takes work from a worker marked dead records the retry (took).
 //
-// The detector only detects. It runs for plans with stalls: a worker
-// whose heartbeat stops while it holds work is declared dead, so the
-// live set shrinks and its queues become reachable in ModeStatic too. A
-// declared worker that reaches its loop-top again resurrects. False
-// positives are safe: a worker declared dead while merely slow keeps
-// running, and the survivors' steals race its pops under the same
-// deque lock.
-
-// deadTicks is how many consecutive stale detector ticks escalate a
-// suspect worker to declared-dead.
-const deadTicks = 3
+// Only a crash loses a worker, as on the simulator and on dist. A stall
+// is a delay: the stalled worker sleeps holding its popped segment,
+// stays live, and keeps its deque, which peers that may steal take from
+// as from any busy worker. Nothing watches for unresponsive workers, so
+// a dead worker is one that crashed, marked itself dead and recorded the
+// loss on its own ring.
 
 // liveP is the worker count scheduling decisions are computed against:
 // the surviving set under fault injection, the whole pool otherwise.
@@ -58,7 +53,6 @@ func (e *engine) faultPoint(w *worker, seg segment) bool {
 				e.rec.Fault(w.id, w.id, int(fault.Stall), time.Since(e.start).Seconds())
 			}
 			time.Sleep(time.Duration(d.Stall * float64(time.Second)))
-			w.hb.Store(time.Now().UnixNano())
 			continue
 		}
 		if d.Crash {
@@ -79,7 +73,7 @@ func (e *engine) faultPoint(w *worker, seg segment) bool {
 // chain blocks still queued behind it, go onto its own deque; the
 // survivors are woken, and the caller exits.
 func (e *engine) crash(w *worker, seg segment) {
-	e.markDead(w, w.id)
+	e.markDead(w)
 	e.place(w, seg)
 	for _, it := range w.chainQ {
 		e.chainFB.Add(1)
@@ -93,20 +87,15 @@ func (e *engine) crash(w *worker, seg segment) {
 }
 
 // markDead marks w dead and shrinks the live set, recording the loss
-// and the reallocation over the survivors on ring r: w's own when it
-// crashes, the detector's when it is declared. The CAS pairs every live
-// decrement with one false→true transition; the owner's resurrection
-// CAS pairs increments with true→false, so the two sides can race
-// without skewing the live count, and a loss is recorded once.
-func (e *engine) markDead(w *worker, r int) {
-	if !w.deadA.CompareAndSwap(false, true) {
-		return
-	}
+// and the reallocation over the survivors on w's own ring. Only w's
+// goroutine calls it, once, when it crashes.
+func (e *engine) markDead(w *worker) {
+	w.deadA.Store(true)
 	live := int(e.live.Add(-1))
 	if e.rec != nil {
 		t := time.Since(e.start).Seconds()
-		e.rec.Fault(r, w.id, int(fault.Crash), t)
-		e.rec.Realloc(r, live, t)
+		e.rec.Fault(w.id, w.id, int(fault.Crash), t)
+		e.rec.Realloc(w.id, live, t)
 		e.emitRealloc(live)
 	}
 }
@@ -134,57 +123,5 @@ func (e *engine) emitRealloc(live int) {
 	}
 	if len(specs) > 0 {
 		rts.ReallocateOnLossOmega(machine.Config{}, specs, live, e.omega, e.rec, names...)
-	}
-}
-
-// detector is the heartbeat watcher, launched only for plans with
-// stalls. A worker is suspected when its heartbeat is at least one
-// deadline stale while it holds work — parked idle workers hold nothing
-// and are never suspected. deadTicks consecutive stale observations
-// declare it dead, provided at least one other worker stays live, and
-// wake the survivors: its queues are now theirs to take in every mode.
-func (e *engine) detector() {
-	defer e.detWG.Done()
-	deadline := e.fx.Deadline()
-	tick := time.Duration(deadline / 2 * float64(time.Second))
-	if tick < 100*time.Microsecond {
-		tick = 100 * time.Microsecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	lastHB := make([]int64, e.p)
-	stale := make([]int, e.p)
-	for {
-		select {
-		case <-e.finished:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now().UnixNano()
-		for j, w := range e.workers {
-			if w.deadA.Load() {
-				continue
-			}
-			// Progress-based staleness: an active worker stores a fresh
-			// heartbeat every loop iteration, so an unchanged value across
-			// ticks — not mere wall-clock age, which any scheduling delay
-			// on an oversubscribed machine exceeds — marks it stuck.
-			hb := w.hb.Load()
-			if hb != lastHB[j] {
-				lastHB[j] = hb
-				stale[j] = 0
-				continue
-			}
-			if !w.holding() || float64(now-hb)/1e9 < deadline {
-				stale[j] = 0
-				continue
-			}
-			stale[j]++
-			if stale[j] >= deadTicks && e.live.Load() > 1 {
-				e.markDead(w, e.p)
-				e.signal(e.p)
-				stale[j] = 0
-			}
-		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"orchestra/internal/delirium"
 	"orchestra/internal/fault"
+	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 )
 
@@ -83,5 +85,57 @@ func TestPostToDeadWakesSurvivor(t *testing.T) {
 	}
 	if !e.reachableWork(parked) {
 		t.Fatal("the woken survivor cannot reach the dead addressee's deque")
+	}
+}
+
+// TestNativeStallIsDelay pins the one loss rule every engine shares: a
+// stall is a delay, and only a crash loses a worker. In ModeStatic two
+// workers each own a block of two independent sources; worker 1 sleeps
+// 0.2 s at its first chunk boundary holding its block. Nothing declares
+// it dead, so worker 0 — which does not steal in ModeStatic — never
+// takes its work: the trace shows the one stall and no crash, no
+// reallocation and no steal, on exactly the workers' two rings.
+func TestNativeStallIsDelay(t *testing.T) {
+	const p, n = 2, 64
+	g := delirium.NewGraph("sources")
+	for _, name := range []string{"a", "b"} {
+		if err := g.AddNode(&delirium.Node{Name: name, Kind: delirium.Par}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := fault.Parse("stall:1@0:0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]*atomic.Int64{"a": {}, "b": {}}
+	var col obs.Collector
+	r, err := (Backend{}).Run(g, rts.BindClosure(countBinder(n, counts)),
+		rts.RunOpts{Processors: p, Mode: rts.ModeStatic, Fault: plan, Sink: &col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range counts {
+		if got := c.Load(); got != n {
+			t.Fatalf("op %s ran %d tasks, want %d", name, got, n)
+		}
+	}
+	tr := col.Trace
+	if tr.Workers != p {
+		t.Fatalf("trace has %d rings, want %d", tr.Workers, p)
+	}
+	var crashes, stalls, reallocs int
+	for _, ev := range tr.Events {
+		switch {
+		case ev.Kind == obs.KindFault && fault.Kind(ev.Arg) == fault.Crash:
+			crashes++
+		case ev.Kind == obs.KindFault && fault.Kind(ev.Arg) == fault.Stall:
+			stalls++
+		case ev.Kind == obs.KindRealloc:
+			reallocs++
+		}
+	}
+	if r.Steals != 0 || crashes != 0 || reallocs != 0 || stalls != 1 {
+		t.Fatalf("steals=%d crashes=%d reallocs=%d stalls=%d, want 0 0 0 1: a stall is a delay",
+			r.Steals, crashes, reallocs, stalls)
 	}
 }

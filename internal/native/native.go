@@ -66,11 +66,9 @@ type Backend struct{}
 // Name implements rts.Backend.
 func (Backend) Name() string { return "native" }
 
-// nativeSupported declares the optional RunOpts capabilities of the
-// native backend: all of them. Message faults in a plan have no
-// native equivalent (the backend exchanges no modelled messages) and
-// are trivially satisfied; see newEngine.
-var nativeSupported = rts.Supported{Labels: true, Chain: true, Fault: true, Expand: true}
+// nativeSupported declares the optional capabilities of the native
+// backend: all of them.
+var nativeSupported = rts.Supported{Labels: true, Expand: true}
 
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "native", Measured: true},
@@ -126,9 +124,9 @@ func defaultProcs(req int) int {
 const (
 	// maxOps bounds the number of operators a graph may have.
 	maxOps = 1 << 16
-	// maxTasks bounds the task count of one operator, exclusive: the
-	// largest accepted operator has maxTasks-1 tasks.
-	maxTasks = 1 << 24
+	// MaxTasks bounds the task count of one operator, exclusive: the
+	// largest accepted operator has MaxTasks-1 tasks.
+	MaxTasks = 1 << 24
 )
 
 // newEngine validates the graph and options and builds the per-job
@@ -168,24 +166,15 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		e.adaptive, e.steal, e.pipelined = true, true, true
 	}
 	e.finished = make(chan struct{})
-	if fx != nil && opts.Fault.NeedsDetector() {
-		e.needsDetector = true
-	}
 	if opts.Sink != nil {
-		rings := p
-		if e.needsDetector {
-			// The detector emits fault/realloc events from its own
-			// goroutine; rings are single-writer, so it gets ring p.
-			rings = p + 1
-		}
-		e.rec = obs.NewRecorder("native", "s", nil, rings)
+		e.rec = obs.NewRecorder("native", "s", nil, p)
 	}
 
 	// Pipelined edges get a delivery granularity; in the barriered modes
 	// the Frontier degrades every edge to completion-gated. Its limits
 	// keep the table addOps mirrors inside the engine's size bound.
 	f, err := rts.NewFrontier(g, bind, e.pipelined, func(prod rts.OpSpec) int { return batchSize(prod.Op.N, p) },
-		rts.Limits{Ops: maxOps, Tasks: maxTasks - 1})
+		rts.Limits{Ops: maxOps, Tasks: MaxTasks - 1})
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +233,6 @@ func (w *worker) reset(i int) {
 	w.dq.reset()
 	w.pk.reset()
 	w.busy = 0
-	w.hb.Store(0)
 	w.deadA.Store(false)
 	w.slowF = 0
 	w.pr.Reset()
@@ -276,12 +264,6 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 
 	start := time.Now()
 	e.start = start
-	if e.fx != nil {
-		now := start.UnixNano()
-		for _, w := range e.workers {
-			w.hb.Store(now)
-		}
-	}
 
 	// Initial releases, still single-threaded (the worker goroutines
 	// start below): sources, operators whose producers are trivially complete
@@ -302,18 +284,8 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 		e.wg.Add(1)
 		launch(func() { e.runWorker(w, done) })
 	}
-	if e.needsDetector {
-		e.detWG.Add(1)
-		go e.detector()
-	}
 	e.wg.Wait()
 	wall := time.Since(start).Seconds()
-	if e.fx != nil {
-		// Workers exit either on finished or by crashing; make sure the
-		// detector sees a closed channel even on the stall-error path.
-		e.finishOnce.Do(func() { close(e.finished) })
-		e.detWG.Wait()
-	}
 
 	if err := e.loadFail(); err != nil {
 		return trace.Result{}, err
@@ -394,12 +366,8 @@ type worker struct {
 	// busy accumulates measured task-execution seconds; written only
 	// by the owning goroutine, read after the pool joins.
 	busy float64
-	// hb is the wall-clock heartbeat the fault detector watches, stored
-	// at every loop-top when a fault plan is active.
-	hb atomic.Int64
 	// deadA marks the worker dead: set by the worker itself when it
-	// crashes, or by the detector when it stalls holding work. A dead
-	// worker's deque is every survivor's to take.
+	// crashes. A dead worker's deque is every survivor's to take.
 	deadA atomic.Bool
 	// slowF is the active slowdown factor (0 or 1 = none). Owner-only.
 	slowF float64
@@ -425,7 +393,6 @@ type engine struct {
 	labels                     bool
 	graphName                  string
 	mode                       rts.Mode
-	needsDetector              bool
 	workers                    []*worker
 
 	// mu serialises the Frontier — every readiness decision of the run
@@ -484,9 +451,8 @@ type engine struct {
 
 	// Fault injection (nil fx = disabled, one branch on the hot paths).
 	// live counts the workers not marked dead.
-	fx    *fault.Exec
-	live  atomic.Int32
-	detWG sync.WaitGroup
+	fx   *fault.Exec
+	live atomic.Int32
 
 	wg sync.WaitGroup
 }
@@ -794,15 +760,6 @@ func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 				// A fault crashed this worker inside a chain drain; what it
 				// held is on its deque for the survivors.
 				return
-			}
-			w.hb.Store(time.Now().UnixNano())
-			// A declared-dead worker reaching its loop-top is demonstrably
-			// alive (a detector false positive — easy on oversubscribed
-			// machines where scheduling delays exceed the deadline):
-			// resurrect, so its queues are its own again and the live
-			// set counts it.
-			if w.deadA.Load() && w.deadA.CompareAndSwap(true, false) {
-				e.live.Add(1)
 			}
 		}
 		seg, ok, stolen := e.findWork(w)

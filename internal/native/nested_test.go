@@ -153,10 +153,10 @@ func TestChainExpandableCrashMidExpansion(t *testing.T) {
 	g := expChainGraph(t, n)
 	_, want := runExpChain(t, g, n, m, 1, rts.ModeStatic, rts.ChainOff, "")
 	for _, spec := range []string{
-		"crash:0@2,deadline:0.002",
-		"crash:1@4,deadline:0.002",
-		"crash:0@2,crash:1@4,deadline:0.002",
-		"stall:2@1:0.01,crash:0@3,deadline:0.002",
+		"crash:0@2",
+		"crash:1@4",
+		"crash:0@2,crash:1@4",
+		"stall:2@1:0.01,crash:0@3",
 	} {
 		_, got := runExpChain(t, g, n, m, 4, rts.ModeSplit, rts.ChainAuto, spec)
 		if got != want {

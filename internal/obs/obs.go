@@ -64,9 +64,9 @@ const (
 	// a token from every processor of Op's pool and broadcast epoch
 	// Arg (§4.1.1's epoch/token protocol).
 	KindEpoch
-	// KindFault is an injected or detected fault at T0: worker Lo
-	// crashed, stalled, slowed, or was declared dead, observed by
-	// Worker (the native detector emits with its own dedicated ring).
+	// KindFault is a fault at T0: worker Lo crashed, stalled or slowed,
+	// observed by Worker — the faulted worker itself on the simulator
+	// and on native, the coordinator's ring when dist loses a process.
 	// Arg carries the fault action kind (fault.Kind numbering).
 	KindFault
 	// KindRetry is a chunk re-issue at T0: survivor Worker took tasks
@@ -301,9 +301,9 @@ func (r *Recorder) Epoch(w, op, epoch int, t float64) {
 }
 
 // Fault records a fault observation at time t: worker target crashed,
-// stalled, slowed or was declared dead (action is the fault.Kind
-// number). w is the observing ring — the worker itself when the fault
-// is self-injected, the detector's dedicated ring when detected.
+// stalled or slowed (action is the fault.Kind number). w is the
+// observing ring — the worker itself when the fault is self-injected,
+// dist's coordinator ring when it observes a process's loss.
 func (r *Recorder) Fault(w, target, action int, t float64) {
 	if r == nil {
 		return

@@ -47,12 +47,10 @@ func NewSimBackend(cfg machine.Config) *SimBackend { return &SimBackend{Cfg: cfg
 // Name implements Backend.
 func (*SimBackend) Name() string { return "sim" }
 
-// simSupported declares the optional RunOpts capabilities of the
-// simulator: fault plans (including message faults, which only exist
-// here) and the chain policy (trivially satisfied — the simulator
-// never chains, so ChainOff asks for what it already does). Labels
-// requests an effect on real goroutines the simulator does not have.
-var simSupported = Supported{Fault: true, Chain: true, Expand: true}
+// simSupported declares the optional capabilities of the simulator:
+// runtime expansion. Labels requests an effect on real goroutines the
+// simulator does not have.
+var simSupported = Supported{Expand: true}
 
 // Run implements Backend via RunGraph. A zero opts.Processors
 // defaults to the machine configuration's processor count.

@@ -100,22 +100,13 @@ const (
 	ChainOff
 )
 
-// Supported declares which optional RunOpts capabilities a backend
-// implements, for CheckSupported. The split is by what the option
-// asks for: Labels requests an effect (pprof labels) that a backend
-// either produces or cannot; Chain and
-// Fault are constraints a backend may satisfy trivially (a backend
-// that never chains satisfies ChainOff by construction, which is why
-// the simulator declares Chain support without a chaining
-// implementation).
+// Supported declares which optional capabilities a backend implements,
+// for CheckSupported and CheckGraphSupported. Every backend executes
+// fault plans and honours the chain policy (a backend that never
+// chains satisfies ChainOff by construction), so neither is declared.
 type Supported struct {
 	// Labels: the backend can attach pprof worker/operator labels.
 	Labels bool
-	// Chain: the backend honours the cache-chain policy (possibly
-	// trivially, by never chaining).
-	Chain bool
-	// Fault: the backend can execute fault plans.
-	Fault bool
 	// Expand: the backend can execute runtime expansions (delirium.Exp
 	// nodes). Checked against the graph, not the RunOpts, via
 	// CheckGraphSupported.
@@ -150,25 +141,15 @@ func (e *OptionError) Error() string {
 	return msg
 }
 
-// CheckSupported verifies that every non-default optional field of o
-// falls inside the backend's declared capability set, returning a
-// structured *OptionError naming the offending fields otherwise.
+// CheckSupported verifies that o asks for no effect outside the
+// backend's declared capability set — today only Labels can — returning
+// a structured *OptionError naming the offending field otherwise.
 // Backends call it at the top of Run, after Validate.
 func (o RunOpts) CheckSupported(backend string, sup Supported) error {
-	var bad []string
 	if o.Labels && !sup.Labels {
-		bad = append(bad, "Labels")
+		return &OptionError{Backend: backend, Fields: []string{"Labels"}}
 	}
-	if o.Chain != ChainAuto && !sup.Chain {
-		bad = append(bad, "Chain")
-	}
-	if o.Fault != nil && !sup.Fault {
-		bad = append(bad, "Fault")
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	return &OptionError{Backend: backend, Fields: bad}
+	return nil
 }
 
 // canceled reports whether the run's context has fired.

@@ -92,7 +92,7 @@ func TestParseModes(t *testing.T) {
 // structured *OptionError naming exactly the offending fields, and
 // supported (or default) options must pass silently.
 func TestCheckSupported(t *testing.T) {
-	all := Supported{Labels: true, Chain: true, Fault: true}
+	all := Supported{Labels: true}
 	none := Supported{}
 	plan := &fault.Plan{}
 	cases := []struct {
@@ -104,13 +104,9 @@ func TestCheckSupported(t *testing.T) {
 		{"defaults pass anywhere", RunOpts{}, none, nil},
 		{"everything supported", RunOpts{Labels: true, Chain: ChainOff, Fault: plan}, all, nil},
 		{"labels unsupported", RunOpts{Labels: true}, none, []string{"Labels"}},
-		{"chain unsupported", RunOpts{Chain: ChainOff}, none, []string{"Chain"}},
 		{"chain auto is a default", RunOpts{Chain: ChainAuto}, none, nil},
-		{"fault unsupported", RunOpts{Fault: plan}, none, []string{"Fault"}},
-		{"several at once", RunOpts{Labels: true, Chain: ChainOff, Fault: plan},
-			Supported{}, []string{"Labels", "Chain", "Fault"}},
 		{"sim-shaped set", RunOpts{Labels: true, Chain: ChainOff},
-			Supported{Chain: true, Fault: true}, []string{"Labels"}},
+			Supported{Expand: true}, []string{"Labels"}},
 	}
 	for _, c := range cases {
 		err := c.opts.CheckSupported("testbe", c.sup)

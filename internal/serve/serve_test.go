@@ -274,6 +274,55 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitTaskBound pins the daemon's task-count limit: a count at
+// or above the engine's per-operator bound is refused at submission,
+// before a binder allocates per task — at n = 1<<40 the array binder
+// would otherwise ask for terabytes. The spin binder's count comes
+// from a node's tasks= annotation when it has one, so that is checked
+// too.
+func TestSubmitTaskBound(t *testing.T) {
+	s, ts := newTestServer(t)
+	const pair = "graph pair\nnode a kind=par\nnode b kind=par\nedge a -> b bytes=8 pertask\n"
+	cases := []struct {
+		name string
+		req  SubmitRequest
+	}{
+		{"n at the bound", SubmitRequest{Graph: pair, N: native.MaxTasks}},
+		{"n far above", SubmitRequest{Graph: pair, N: 1 << 40}},
+		{"spin tasks= above", SubmitRequest{Graph: "graph sq\nnode a kind=par tasks=n*n\n",
+			Binder: "spin", N: 1 << 13}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if j, err := s.Submit(c.req); err == nil {
+				t.Fatalf("Submit accepted the job (state %s)", j.Status().State)
+			}
+			if code, st := postJob(t, ts, c.req); code != http.StatusBadRequest {
+				t.Fatalf("POST: %d (state %q), want 400", code, st.State)
+			}
+		})
+	}
+	if code, st := postJob(t, ts, SubmitRequest{Graph: pair, N: 64}); code != http.StatusOK {
+		t.Fatalf("a small job: %d (%s)", code, st.State)
+	}
+}
+
+// TestHTTPBodyBound pins the daemon's request-size limit: a valid
+// submission whose program carries more than maxRequestBytes of
+// comment is answered 413 without being decoded.
+func TestHTTPBodyBound(t *testing.T) {
+	_, ts := newTestServer(t)
+	var src strings.Builder
+	for src.Len() <= maxRequestBytes {
+		src.WriteString("! " + strings.Repeat("x", 62) + "\n")
+	}
+	src.WriteString(figure1(t))
+	code, _ := postJob(t, ts, SubmitRequest{Program: src.String(), N: 64})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte program: %d, want 413", src.Len(), code)
+	}
+}
+
 // TestHTTPHealthz pins the liveness endpoint.
 func TestHTTPHealthz(t *testing.T) {
 	_, ts := newTestServer(t)

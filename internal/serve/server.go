@@ -142,7 +142,8 @@ type SubmitRequest struct {
 	// (default — real array kernels with a result digest) or "spin"
 	// (synthetic CPU-bound tasks, log-normal durations).
 	Binder string `json:"binder,omitempty"`
-	// N is the per-operator task count (default 2048).
+	// N is the per-operator task count (default 2048), below
+	// native.MaxTasks.
 	N int `json:"n,omitempty"`
 	// Work is the kernel binder's function-evaluation rounds per task.
 	Work int `json:"work,omitempty"`
@@ -354,6 +355,11 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	if req.N <= 0 {
 		req.N = 2048
 	}
+	// Binders allocate per task before the engine sees the graph, so
+	// the engine's per-operator bound is enforced here, before any of it.
+	if req.N >= native.MaxTasks {
+		return nil, fmt.Errorf("serve: n = %d is not below the engine's task bound %d", req.N, native.MaxTasks)
+	}
 	if req.Work <= 0 {
 		req.Work = 1
 	}
@@ -380,6 +386,15 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if req.Binder == "spin" {
+		_, params := kernelBinding(req)
+		count := native.TaskCount(params)
+		for _, nd := range g.Nodes {
+			if c := count(nd); c >= native.MaxTasks {
+				return nil, fmt.Errorf("serve: node %s has %d tasks, not below the engine's task bound %d", nd.Name, c, native.MaxTasks)
+			}
+		}
 	}
 
 	ctx := context.Background()
@@ -427,25 +442,28 @@ func (s *Server) runJob(j *Job) {
 	s.execute(j, s.admitJob(j))
 }
 
+// kernelBinding names the registered kernel family a request binds and
+// its parameters. The request's binder names map onto the families
+// ("kernel" predates the registry and aliases "array").
+func kernelBinding(req SubmitRequest) (string, rts.KernelParams) {
+	params := rts.KernelParams{}
+	if req.Binder == "spin" {
+		params.SetInt("tasks", req.N)
+		params.SetInt("n", req.N)
+		params.SetFloat("cv", req.CV)
+		params.SetUint64("seed", req.Seed)
+		params.SetInt("unitwork", req.UnitWork)
+		return "spin", params
+	}
+	params.SetInt("n", req.N)
+	params.SetInt("work", req.Work)
+	return "array", params
+}
+
 // execute runs an admitted job on the pool with its grant and finishes
 // it.
 func (s *Server) execute(j *Job, grant int) {
-	// Kernels resolve by name from the registry; the request's binder
-	// names map onto the registered kernel families ("kernel" predates
-	// the registry and aliases "array").
-	params := rts.KernelParams{}
-	kernelName := "array"
-	if j.req.Binder == "spin" {
-		kernelName = "spin"
-		params.SetInt("tasks", j.req.N)
-		params.SetInt("n", j.req.N)
-		params.SetFloat("cv", j.req.CV)
-		params.SetUint64("seed", j.req.Seed)
-		params.SetInt("unitwork", j.req.UnitWork)
-	} else {
-		params.SetInt("n", j.req.N)
-		params.SetInt("work", j.req.Work)
-	}
+	kernelName, params := kernelBinding(j.req)
 	bound, err := rts.Bind(j.graph, rts.NamedBinding(kernelName, params))
 	if err != nil {
 		s.finishJob(j, nil, "", "", err)
