@@ -13,8 +13,8 @@
 //   - -backend dist: the distributed runtime of internal/dist; -p
 //     worker processes are forked from this binary and driven over
 //     Unix-domain sockets, and the report additionally carries real
-//     per-message communication time. Backend options ride on the
-//     flag, e.g. -backend dist:heartbeat_ms=5.
+//     per-message communication time. The flag is the bare name,
+//     -backend dist; no backend takes options.
 //
 // Graph nodes are bound to kernels resolved by name from the process
 // registry: "lognormal" (modeled timings) on the simulator, "spin"

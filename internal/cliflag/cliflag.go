@@ -61,16 +61,13 @@ func (v *ModesValue) Single() (rts.Mode, error) {
 	return v.modes[0], nil
 }
 
-// BackendValue is a -backend flag: one of rts.BackendNames, optionally
-// followed by backend-specific options ("dist:heartbeat_ms=5,bin=/x").
-// The name is validated at parse time against the backend registry;
-// the backend itself is constructed later via New, when the processor
-// count is known — unknown options fail there with a structured
-// rts.OptionError listing what the backend does accept.
+// BackendValue is a -backend flag: one of rts.BackendNames. The name
+// is validated at parse time against the backend registry; the backend
+// itself is constructed later via New, when the processor count is
+// known.
 type BackendValue struct {
 	name string
 	info rts.BackendInfo
-	opts map[string]string
 }
 
 // Backend registers a backend flag on fs. def must be a valid backend
@@ -86,22 +83,11 @@ func Backend(fs *flag.FlagSet, name, def, usage string) *BackendValue {
 
 // Set implements flag.Value, rejecting unknown backend names.
 func (v *BackendValue) Set(s string) error {
-	name, rest, hasOpts := strings.Cut(s, ":")
-	info, ok := rts.LookupBackend(name)
+	info, ok := rts.LookupBackend(s)
 	if !ok {
-		return fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(rts.BackendNames(), ", "))
+		return fmt.Errorf("unknown backend %q (valid: %s)", s, strings.Join(rts.BackendNames(), ", "))
 	}
-	opts := map[string]string{}
-	if hasOpts && rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			k, val, ok := strings.Cut(kv, "=")
-			if !ok || k == "" {
-				return fmt.Errorf("bad backend option %q (want key=value)", kv)
-			}
-			opts[k] = val
-		}
-	}
-	v.name, v.info, v.opts = name, info, opts
+	v.name, v.info = s, info
 	return nil
 }
 
@@ -122,9 +108,9 @@ func (v *BackendValue) Measured() bool { return v.info.Measured }
 func (v *BackendValue) Distributed() bool { return v.info.Distributed }
 
 // New constructs the selected backend for p processors through the
-// backend registry, applying any options given on the flag.
+// backend registry.
 func (v *BackendValue) New(p int) (rts.Backend, error) {
-	return rts.OpenBackend(v.name, rts.BackendConfig{Processors: p, Options: v.opts})
+	return rts.OpenBackend(v.name, rts.BackendConfig{Processors: p})
 }
 
 // FaultValue is a -fault flag: a fault plan in internal/fault syntax,

@@ -86,10 +86,9 @@ func TestBackendFlag(t *testing.T) {
 		{[]string{"-backend", "sim"}, "sim", false, false, false},
 		{[]string{"-backend", "native"}, "native", true, false, false},
 		{[]string{"-backend", "dist"}, "dist", true, true, false},
-		{[]string{"-backend", "dist:heartbeat_ms=5,timeout_ms=500"}, "dist", true, true, false},
 		{[]string{"-backend", "gpu"}, "", false, false, true},
 		{[]string{"-backend", ""}, "", false, false, true},
-		{[]string{"-backend", "sim:heartbeat"}, "", false, false, true}, // option without '='
+		{[]string{"-backend", "sim:heartbeat"}, "", false, false, true}, // backends take no options
 	}
 	for _, c := range cases {
 		fs := newFS()
@@ -120,20 +119,20 @@ func TestBackendFlag(t *testing.T) {
 	}
 }
 
-// TestBackendFlagBadOption checks that an unknown option name is
-// rejected at construction with the structured option error.
+// TestBackendFlagBadOption checks that a backend name carrying an
+// option suffix is rejected at parse time: no backend takes options.
 func TestBackendFlagBadOption(t *testing.T) {
 	fs := newFS()
 	v := Backend(fs, "backend", "sim", "usage")
-	if err := fs.Parse([]string{"-backend", "dist:warp=9"}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := v.New(2)
+	err := fs.Parse([]string{"-backend", "dist:warp=9"})
 	if err == nil {
-		t.Fatal("unknown backend option accepted")
+		t.Fatal("backend option accepted")
 	}
-	if !strings.Contains(err.Error(), "warp") {
-		t.Fatalf("error %q does not name the bad option", err)
+	if !strings.Contains(err.Error(), "dist:warp=9") {
+		t.Fatalf("error %q does not name the bad value", err)
+	}
+	if v.Name() != "sim" {
+		t.Fatalf("backend %q after a rejected value, want the default sim", v.Name())
 	}
 }
 

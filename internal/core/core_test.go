@@ -11,6 +11,7 @@ import (
 	"orchestra/internal/delirium"
 	"orchestra/internal/dist"
 	"orchestra/internal/rts"
+	"orchestra/internal/trace"
 )
 
 // TestMain routes dist worker forks: the dist backend re-executes this
@@ -63,6 +64,35 @@ program sample
 end
 `
 
+// lognormal binds every node to n log-normally distributed task times
+// of unit mean and coefficient of variation cv, seeded per node name.
+func lognormal(n int, cv float64, seed uint64) rts.Binding {
+	params := rts.KernelParams{}
+	params.SetInt("tasks", n)
+	params.SetInt("n", n)
+	params.SetFloat("cv", cv)
+	params.SetUint64("seed", seed)
+	return rts.NamedBinding("lognormal", params)
+}
+
+// run binds a compiled graph and runs it on the named backend.
+func run(t *testing.T, out *Output, backend string, binding rts.Binding, opts rts.RunOpts) trace.Result {
+	t.Helper()
+	be, err := rts.OpenBackend(backend, rts.BackendConfig{Processors: opts.Processors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := rts.Bind(out.Graph, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := be.Run(out.Graph, bound, opts)
+	if err != nil {
+		t.Fatalf("%s/%v: %v", backend, opts.Mode, err)
+	}
+	return r
+}
+
 func TestCompileAndExecuteAllModes(t *testing.T) {
 	out, err := CompileSource(sample, DefaultOptions())
 	if err != nil {
@@ -71,13 +101,10 @@ func TestCompileAndExecuteAllModes(t *testing.T) {
 	if len(out.Report) == 0 {
 		t.Fatal("no transformations applied")
 	}
-	bind := BindIrregular(1024, 1.2, 7)
+	bind := lognormal(1024, 1.2, 7)
 	var speedups []float64
-	for _, mode := range []Mode{ModeStatic, ModeTaper, ModeSplit} {
-		r, err := Execute(out, bind, RunOpts{Processors: 128, Mode: mode})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
+	for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
+		r := run(t, out, "sim", bind, rts.RunOpts{Processors: 128, Mode: mode})
 		if r.Makespan <= 0 {
 			t.Fatalf("%v: empty result", mode)
 		}
@@ -95,15 +122,8 @@ func TestCompileSourceErrors(t *testing.T) {
 	}
 }
 
-func TestBindUniformDeterministic(t *testing.T) {
-	spec := bindTo(t, BindUniform(16, 2.5))("a")
-	if spec.Op.N != 16 || spec.Op.Time(3) != 2.5 || spec.Mu != 2.5 {
-		t.Fatalf("uniform bind: %+v", spec)
-	}
-}
-
-func TestBindIrregularPerNodeDistinct(t *testing.T) {
-	b := bindTo(t, BindIrregular(256, 1.0, 3))
+func TestBindLogNormalPerNodeDistinct(t *testing.T) {
+	b := bindTo(t, lognormal(256, 1.0, 3))
 	a1 := b("a")
 	a2 := b("a")
 	c := b("c")
@@ -122,13 +142,13 @@ func TestBindIrregularPerNodeDistinct(t *testing.T) {
 }
 
 // TestLogNormalDrawsPinned pins, bit for bit, the per-node task times
-// the three log-normal families draw: "irregular" (this package),
-// "lognormal" and "spin" (native). The hashes were recorded before the
-// families shared one draw, so they hold the draw itself fixed; all
-// three drew the same times per node then too.
+// the two log-normal families of native draw: "lognormal" and "spin".
+// The hashes were recorded before the families shared one draw, so
+// they hold the draw itself fixed; both drew the same times per node
+// then too.
 func TestLogNormalDrawsPinned(t *testing.T) {
 	want := map[string]string{"a": "64:6f7ff3ce19190a29", "c": "64:36d730ab16ec9c3f"}
-	for _, family := range []string{"irregular", "lognormal", "spin"} {
+	for _, family := range []string{"lognormal", "spin"} {
 		params := rts.KernelParams{}
 		params.SetInt("tasks", 64)
 		params.SetFloat("cv", 1.5)
@@ -151,18 +171,20 @@ func TestLogNormalDrawsPinned(t *testing.T) {
 	}
 }
 
+// TestNewBackend opens every registered backend by name through the
+// registry, which importing this package fills.
 func TestNewBackend(t *testing.T) {
-	for _, name := range BackendNames() {
-		be, err := NewBackend(name, 4)
+	for _, name := range rts.BackendNames() {
+		be, err := rts.OpenBackend(name, rts.BackendConfig{Processors: 4})
 		if err != nil {
-			t.Fatalf("NewBackend(%q): %v", name, err)
+			t.Fatalf("OpenBackend(%q): %v", name, err)
 		}
 		if be.Name() != name {
-			t.Errorf("NewBackend(%q).Name() = %q", name, be.Name())
+			t.Errorf("OpenBackend(%q).Name() = %q", name, be.Name())
 		}
 	}
-	if _, err := NewBackend("tpu", 4); err == nil {
-		t.Fatal("NewBackend accepted an unknown name")
+	if _, err := rts.OpenBackend("tpu", rts.BackendConfig{Processors: 4}); err == nil {
+		t.Fatal("OpenBackend accepted an unknown name")
 	}
 }
 
@@ -171,15 +193,8 @@ func TestExecuteOnBothBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range BackendNames() {
-		be, err := NewBackend(name, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := ExecuteOn(be, out, BindUniform(128, 1), RunOpts{Processors: 4, Mode: ModeSplit})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, name := range rts.BackendNames() {
+		r := run(t, out, name, lognormal(128, 1, 1), rts.RunOpts{Processors: 4, Mode: rts.ModeSplit})
 		if r.Makespan <= 0 {
 			t.Errorf("%s: makespan %v, want positive", name, r.Makespan)
 		}

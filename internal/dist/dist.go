@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"orchestra/internal/delirium"
@@ -26,18 +25,19 @@ type Backend struct {
 	// RunOpts.Processors is zero. Zero means min(GOMAXPROCS, 4) —
 	// forking is expensive, so the default stays modest.
 	Workers int
-	// Heartbeat is the workers' heartbeat period in seconds (0 =
-	// 0.02). Heartbeats prove liveness while a long segment computes;
-	// a SIGKILLed worker is detected faster, through socket EOF.
-	Heartbeat float64
-	// Timeout is how long a worker may stay completely silent before
-	// the coordinator declares it dead and re-issues its work (0 = 2s).
-	Timeout float64
-	// Bin is the worker binary to fork. Empty means os.Executable() —
-	// the coordinator re-executes itself, which is what guarantees the
-	// worker's kernel and backend registries match its own.
-	Bin string
 }
+
+// The liveness watchdog, shared by coordinator and worker. Heartbeats
+// prove liveness while a long segment computes; a SIGKILLed worker is
+// detected faster, through socket EOF, so the watchdog is what catches
+// a worker process that is alive but frozen.
+const (
+	// heartbeatPeriod is how often a worker sends a heartbeat frame.
+	heartbeatPeriod = 20 * time.Millisecond
+	// silenceTimeout is how long a worker may stay completely silent
+	// before the coordinator declares it dead and re-issues its work.
+	silenceTimeout = 2 * time.Second
+)
 
 // Name implements rts.Backend.
 func (Backend) Name() string { return "dist" }
@@ -52,25 +52,7 @@ var distSupported = rts.Supported{}
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "dist", Measured: true, Distributed: true},
 		func(cfg rts.BackendConfig) (rts.Backend, error) {
-			if err := rts.CheckOptions("dist", cfg.Options, "heartbeat_ms", "timeout_ms", "bin"); err != nil {
-				return nil, err
-			}
-			b := Backend{Workers: cfg.Processors, Bin: cfg.Options["bin"]}
-			if v, ok := cfg.Options["heartbeat_ms"]; ok {
-				ms, err := strconv.ParseFloat(v, 64)
-				if err != nil || ms <= 0 {
-					return nil, fmt.Errorf("dist: bad heartbeat_ms %q", v)
-				}
-				b.Heartbeat = ms / 1000
-			}
-			if v, ok := cfg.Options["timeout_ms"]; ok {
-				ms, err := strconv.ParseFloat(v, 64)
-				if err != nil || ms <= 0 {
-					return nil, fmt.Errorf("dist: bad timeout_ms %q", v)
-				}
-				b.Timeout = ms / 1000
-			}
-			return b, nil
+			return Backend{Workers: cfg.Processors}, nil
 		})
 }
 
@@ -249,28 +231,19 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res
 		s.rec = obs.NewRecorder("dist", "s", names, p+1)
 	}
 
-	bin := b.Bin
-	if bin == "" {
-		if bin, err = os.Executable(); err != nil {
-			return trace.Result{}, fmt.Errorf("dist: resolving worker binary: %w", err)
-		}
-	}
-	hb := b.Heartbeat
-	if hb <= 0 {
-		hb = 0.02
-	}
-	timeout := b.Timeout
-	if timeout <= 0 {
-		timeout = 2.0
+	// The coordinator re-executes itself, which is what guarantees the
+	// worker's kernel and backend registries match its own.
+	bin, err := os.Executable()
+	if err != nil {
+		return trace.Result{}, fmt.Errorf("dist: resolving worker binary: %w", err)
 	}
 	job := jobMsg{
-		Graph:     g.Encode(),
-		Binding:   bound.Binding,
-		Mode:      int(opts.Mode),
-		Omega:     opts.Omega,
-		Workers:   p,
-		Ops:       names,
-		Heartbeat: hb,
+		Graph:   g.Encode(),
+		Binding: bound.Binding,
+		Mode:    int(opts.Mode),
+		Omega:   opts.Omega,
+		Workers: p,
+		Ops:     names,
 	}
 	if opts.Fault != nil {
 		job.Fault = opts.Fault.String()
@@ -282,7 +255,7 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res
 	if err := s.enlist(sp, job); err != nil {
 		return trace.Result{}, err
 	}
-	res, err = s.execute(timeout)
+	res, err = s.execute()
 	if err != nil {
 		return trace.Result{}, err
 	}
@@ -502,10 +475,10 @@ func (s *sched) reader(id int, br *bufio.Reader) {
 // execute is the scheduling loop: grant segments to workers with
 // credit, fold completions in, gate pipelined consumers on producer
 // prefixes, and survive worker deaths by re-issuing their segments.
-func (s *sched) execute(timeout float64) (trace.Result, error) {
+func (s *sched) execute() (trace.Result, error) {
 	s.t0 = time.Now()
 	s.dispatchAll()
-	tick := time.NewTicker(time.Duration(timeout * float64(time.Second) / 4))
+	tick := time.NewTicker(silenceTimeout / 4)
 	defer tick.Stop()
 	var cancel <-chan struct{}
 	if s.opts.Ctx != nil {
@@ -544,7 +517,7 @@ func (s *sched) execute(timeout float64) (trace.Result, error) {
 				return trace.Result{}, fmt.Errorf("dist: unexpected frame type %d from worker %d", m.typ, m.w)
 			}
 		case <-tick.C:
-			deadline := time.Now().Add(-time.Duration(timeout * float64(time.Second)))
+			deadline := time.Now().Add(-silenceTimeout)
 			for _, w := range s.workers {
 				if w.alive && w.lastSeen.Before(deadline) {
 					if err := s.workerDied(w.id, "heartbeat timeout"); err != nil {

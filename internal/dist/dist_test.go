@@ -241,34 +241,19 @@ func TestDistUnsupportedRunOpts(t *testing.T) {
 	}
 }
 
-// TestDistBackendOptions drives the registry factory: the documented
-// keys parse, unknown keys are rejected with the known set attached.
+// TestDistBackendOptions drives the registry factory: dist takes no
+// configuration beyond its worker count, and registers as a measured,
+// distributed backend.
 func TestDistBackendOptions(t *testing.T) {
-	be, err := rts.OpenBackend("dist", rts.BackendConfig{
-		Processors: 2,
-		Options:    map[string]string{"heartbeat_ms": "20", "timeout_ms": "500"},
-	})
+	be, err := rts.OpenBackend("dist", rts.BackendConfig{Processors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Name() != "dist" {
-		t.Fatalf("backend name %q, want dist", be.Name())
+	if be.Name() != "dist" || be.(dist.Backend).Workers != 2 {
+		t.Fatalf("backend %q %+v, want dist with 2 workers", be.Name(), be)
 	}
 	info, ok := rts.LookupBackend("dist")
 	if !ok || !info.Distributed || !info.Measured {
 		t.Fatalf("dist registry info wrong: %+v", info)
-	}
-	_, err = rts.OpenBackend("dist", rts.BackendConfig{Options: map[string]string{"warp": "9"}})
-	var oe *rts.OptionError
-	if !errors.As(err, &oe) {
-		t.Fatalf("unknown option error %v is not an *OptionError", err)
-	}
-	if len(oe.Fields) != 1 || oe.Fields[0] != "warp" {
-		t.Fatalf("fields %v, want [warp]", oe.Fields)
-	}
-	if _, err := rts.OpenBackend("dist", rts.BackendConfig{
-		Options: map[string]string{"heartbeat_ms": "not-a-number"},
-	}); err == nil {
-		t.Fatal("bad heartbeat_ms value accepted")
 	}
 }

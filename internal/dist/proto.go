@@ -131,8 +131,6 @@ type jobMsg struct {
 	// Ops is the operator-name table: binary frames refer to operators
 	// by index into this slice (topological order).
 	Ops []string `json:"ops"`
-	// Heartbeat is the worker's heartbeat period in seconds.
-	Heartbeat float64 `json:"heartbeat"`
 }
 
 // jobOKMsg acknowledges (or refuses) a job.

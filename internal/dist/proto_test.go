@@ -68,7 +68,7 @@ func TestJobMessageRoundTrip(t *testing.T) {
 	in := jobMsg{
 		Graph: "graph g\n",
 		Mode:  2, Omega: 1.5, Workers: 3,
-		Ops: []string{"a", "b"}, Heartbeat: 0.02,
+		Ops:   []string{"a", "b"},
 		Fault: "crash:0@1",
 	}
 	in.Binding.Kernel = "array"

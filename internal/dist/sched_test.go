@@ -157,7 +157,7 @@ func TestCreditDeathReissuesBoth(t *testing.T) {
 	go playWorker(peers[0], credit, &mu, &lost)
 	go playWorker(peers[1], 0, &mu, &served)
 
-	res, err := s.execute(2.0)
+	res, err := s.execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStallIsAnError(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.execute(2.0)
+		_, err := s.execute()
 		errc <- err
 	}()
 	select {

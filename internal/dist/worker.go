@@ -137,16 +137,12 @@ func serveJob(wc *workerConn, br *bufio.Reader, payload []byte) error {
 	// failure just means the coordinator went away, which the main loop
 	// will also notice. The goroutine is joined before bye, so that bye
 	// is the last frame of the job.
-	hb := job.Heartbeat
-	if hb <= 0 {
-		hb = 0.05
-	}
 	stopHB, hbDone := make(chan struct{}), make(chan struct{})
 	joinHB := sync.OnceFunc(func() { close(stopHB); <-hbDone })
 	defer joinHB()
 	go func() {
 		defer close(hbDone)
-		t := time.NewTicker(time.Duration(hb * float64(time.Second)))
+		t := time.NewTicker(heartbeatPeriod)
 		defer t.Stop()
 		for {
 			select {

@@ -292,8 +292,8 @@ func HashName(s string) uint64 {
 
 // LogNormalTimes draws node name's n task times: log-normal with unit
 // mean and coefficient of variation cv, from the stream seeded with
-// seed ⊕ HashName(name). SpinBinder, the "lognormal" family and core's
-// "irregular" family all draw through it.
+// seed ⊕ HashName(name). SpinBinder and the "lognormal" family both
+// draw through it.
 func LogNormalTimes(seed uint64, name string, n int, cv float64) []float64 {
 	sigma := math.Sqrt(math.Log(1 + cv*cv))
 	mu := -sigma * sigma / 2

@@ -73,9 +73,6 @@ var nativeSupported = rts.Supported{Labels: true, Expand: true}
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "native", Measured: true},
 		func(cfg rts.BackendConfig) (rts.Backend, error) {
-			if err := rts.CheckOptions("native", cfg.Options); err != nil {
-				return nil, err
-			}
 			// The worker count is a per-run knob (RunOpts.Processors);
 			// cfg.Processors has nothing to size on a stateless backend.
 			return Backend{}, nil

@@ -273,7 +273,7 @@ func TestCancelMidExpansionReleasesPoolLease(t *testing.T) {
 	started := make(chan struct{})
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := native.PooledBackend{Pool: pool}.Run(g, rts.BindClosure(expCancelBinder(ctx, started)), rts.RunOpts{
+		_, err := pool.Run(g, rts.BindClosure(expCancelBinder(ctx, started)), rts.RunOpts{
 			Processors: 4, Mode: rts.ModeSplit, Ctx: ctx,
 		})
 		errCh <- err
@@ -286,7 +286,7 @@ func TestCancelMidExpansionReleasesPoolLease(t *testing.T) {
 
 	released := false
 	for i := 0; i < 100 && !released; i++ {
-		released = pool.Free() == pool.Size()
+		released = pool.Stats().Free == pool.Size()
 		if !released {
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -297,7 +297,7 @@ func TestCancelMidExpansionReleasesPoolLease(t *testing.T) {
 	}
 
 	bind, st := expChainBinder(16, 64)
-	if _, err := (native.PooledBackend{Pool: pool}).Run(g, rts.BindClosure(bind), rts.RunOpts{
+	if _, err := pool.Run(g, rts.BindClosure(bind), rts.RunOpts{
 		Processors: 4, Mode: rts.ModeSplit,
 	}); err != nil {
 		t.Fatalf("pool unusable after canceled expansion: %v", err)
@@ -305,7 +305,7 @@ func TestCancelMidExpansionReleasesPoolLease(t *testing.T) {
 	if d := native.StateDigest(st); d == "" {
 		t.Fatal("follow-up run produced no state")
 	}
-	if got := fmt.Sprintf("%d/%d", pool.Free(), pool.Size()); got != "4/4" {
+	if got := fmt.Sprintf("%d/%d", pool.Stats().Free, pool.Size()); got != "4/4" {
 		t.Fatalf("pool free/size after follow-up run = %s, want 4/4", got)
 	}
 }

@@ -83,15 +83,6 @@ func (p *Pool) workerLoop() {
 // Size reports the number of persistent workers.
 func (p *Pool) Size() int { return p.size }
 
-// Free reports the number of currently unleased workers. It is advisory
-// under concurrency: by the time the caller acts, another job may have
-// taken leases.
-func (p *Pool) Free() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.free
-}
-
 // PoolStats is a snapshot of pool occupancy.
 type PoolStats struct {
 	// Size is the persistent worker count; Busy of them are leased to
@@ -266,17 +257,4 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 	close(p.tasks)
 	p.wg.Wait()
-}
-
-// PooledBackend adapts a Pool to the rts.Backend interface, so code
-// written against Backend (the serve daemon, experiments, tests) can
-// run on a shared warm pool unchanged.
-type PooledBackend struct{ Pool *Pool }
-
-// Name implements rts.Backend.
-func (PooledBackend) Name() string { return "native" }
-
-// Run implements rts.Backend via Pool.Run.
-func (b PooledBackend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (trace.Result, error) {
-	return b.Pool.Run(g, bound, opts)
 }

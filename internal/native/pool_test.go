@@ -14,9 +14,6 @@ import (
 	"orchestra/internal/sched"
 )
 
-// PooledBackend must satisfy the backend interface.
-var _ rts.Backend = PooledBackend{}
-
 // diamondGraph builds a -> {b, c} -> d, the smallest graph with both
 // a fan-out and a join, so kernels exercise real cross-operator reads.
 func diamondGraph(t *testing.T) *delirium.Graph {
@@ -80,7 +77,7 @@ func TestPoolRunMatchesOneShot(t *testing.T) {
 			}
 		}
 	}
-	if free := p.Free(); free != 4 {
+	if free := p.Stats().Free; free != 4 {
 		t.Errorf("after runs: %d free workers, want 4", free)
 	}
 }
@@ -271,7 +268,7 @@ func TestPoolCancelWhileQueued(t *testing.T) {
 	}()
 	// Wait until the holder owns both workers.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Free() != 0 {
+	for p.Stats().Free != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("holding job never acquired the pool")
 		}
@@ -351,9 +348,9 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 func waitFree(t *testing.T, p *Pool, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Free() != want {
+	for p.Stats().Free != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool free = %d, want %d (leases not released)", p.Free(), want)
+			t.Fatalf("pool free = %d, want %d (leases not released)", p.Stats().Free, want)
 		}
 		time.Sleep(time.Millisecond)
 	}

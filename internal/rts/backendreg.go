@@ -17,17 +17,12 @@ import (
 // made a third backend a cross-cutting change.
 
 // BackendConfig parameterizes the construction of one Backend
-// instance. Processors is the default worker count the instance is
-// sized for (individual runs may still override via RunOpts);
-// Options carries backend-specific string options — unknown keys are
-// rejected by the factory with an *OptionError, never ignored.
+// instance: the default worker count the instance is sized for
+// (individual runs may still override via RunOpts).
 type BackendConfig struct {
 	// Processors sizes the backend (simulated machine processors,
 	// forked worker processes). Zero lets the backend choose.
 	Processors int
-	// Options holds backend-specific settings by name. Every factory
-	// rejects keys it does not understand.
-	Options map[string]string
 }
 
 // BackendFactory constructs a Backend instance from a configuration.
@@ -79,8 +74,7 @@ func RegisterBackend(info BackendInfo, factory BackendFactory) {
 }
 
 // OpenBackend constructs an instance of the named backend. Unknown
-// names report the registered alternatives; unknown cfg.Options keys
-// surface as *OptionError from the factory.
+// names report the registered alternatives.
 func OpenBackend(name string, cfg BackendConfig) (Backend, error) {
 	backendMu.RLock()
 	e, ok := backendReg[name]
@@ -113,36 +107,8 @@ func BackendNames() []string {
 	return names
 }
 
-// CheckOptions rejects unknown keys in a BackendConfig.Options map.
-// Factories call it with the set of keys they understand, so a typo'd
-// option fails loudly at open time instead of silently configuring
-// nothing.
-func CheckOptions(backend string, opts map[string]string, known ...string) error {
-	var bad []string
-	for k := range opts {
-		ok := false
-		for _, kn := range known {
-			if k == kn {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	return &OptionError{Backend: backend, Fields: bad, Known: known}
-}
-
 func init() {
 	RegisterBackend(BackendInfo{Name: "sim"}, func(cfg BackendConfig) (Backend, error) {
-		if err := CheckOptions("sim", cfg.Options); err != nil {
-			return nil, err
-		}
 		p := cfg.Processors
 		if p < 1 {
 			p = 1

@@ -113,32 +113,21 @@ type Supported struct {
 	Expand bool
 }
 
-// OptionError reports options a backend does not understand or cannot
-// honour: RunOpts fields outside the backend's Supported set, or
-// unknown keys in a BackendConfig.Options map. It replaces the old
-// behaviour of silently ignoring such options — a run configured with
-// an inapplicable option now fails loudly at Run (or OpenBackend)
-// time, naming every offending field.
+// OptionError reports RunOpts fields outside a backend's Supported
+// set. It replaces the old behaviour of silently ignoring such options
+// — a run configured with an inapplicable option now fails loudly at
+// Run time, naming every offending field.
 type OptionError struct {
 	// Backend is the rejecting backend's name.
 	Backend string
 	// Fields lists the offending option names, sorted.
 	Fields []string
-	// Known, when non-nil, lists the option keys the backend does
-	// accept (set for BackendConfig.Options rejections).
-	Known []string
 }
 
 // Error implements error.
 func (e *OptionError) Error() string {
-	msg := fmt.Sprintf("rts: backend %q does not support option(s) %s",
+	return fmt.Sprintf("rts: backend %q does not support option(s) %s",
 		e.Backend, strings.Join(e.Fields, ", "))
-	if len(e.Known) > 0 {
-		msg += fmt.Sprintf(" (known: %s)", strings.Join(e.Known, ", "))
-	} else if e.Known != nil {
-		msg += " (backend takes no options)"
-	}
-	return msg
 }
 
 // CheckSupported verifies that o asks for no effect outside the

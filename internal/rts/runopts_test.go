@@ -142,29 +142,6 @@ func TestCheckSupported(t *testing.T) {
 	}
 }
 
-// TestCheckOptionsUnknownKeys covers the BackendConfig.Options side of
-// the same contract: unknown keys are rejected with the known set
-// attached, never silently ignored.
-func TestCheckOptionsUnknownKeys(t *testing.T) {
-	if err := CheckOptions("be", map[string]string{"a": "1"}, "a", "b"); err != nil {
-		t.Fatalf("known key rejected: %v", err)
-	}
-	err := CheckOptions("be", map[string]string{"z": "1", "a": "2", "q": "3"}, "a")
-	var oe *OptionError
-	if !errors.As(err, &oe) {
-		t.Fatalf("error %v is not an *OptionError", err)
-	}
-	if len(oe.Fields) != 2 || oe.Fields[0] != "q" || oe.Fields[1] != "z" {
-		t.Fatalf("fields %v, want sorted [q z]", oe.Fields)
-	}
-	if len(oe.Known) != 1 || oe.Known[0] != "a" {
-		t.Fatalf("known %v, want [a]", oe.Known)
-	}
-	if !strings.Contains(err.Error(), "known: a") {
-		t.Fatalf("message %q does not list the known keys", err)
-	}
-}
-
 // TestRunGraphSinkDelivery checks that a Sink receives the completed
 // trace with events from both backpressure paths: chunk spans and
 // taper decisions, on the shared timeline across operators.

@@ -206,9 +206,9 @@ func TestHTTPCancelRunningJob(t *testing.T) {
 
 	// The workers must come back; a fresh job must run normally.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.Free() != 4 {
+	for s.pool.Stats().Free != 4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool free = %d after cancel, want 4", s.pool.Free())
+			t.Fatalf("pool free = %d after cancel, want 4", s.pool.Stats().Free)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -277,12 +277,18 @@ func TestHTTPBadRequests(t *testing.T) {
 // TestSubmitTaskBound pins the daemon's task-count limit: a count at
 // or above the engine's per-operator bound is refused at submission,
 // before a binder allocates per task — at n = 1<<40 the array binder
-// would otherwise ask for terabytes. The spin binder's count comes
-// from a node's tasks= annotation when it has one, so that is checked
-// too.
+// would otherwise ask for terabytes. The bound holds for the job's
+// summed count too: 64 nodes of 1<<23 tasks each would have the array
+// binder allocate 4 GiB. The spin binder's count comes from a node's
+// tasks= annotation when it has one, so that is checked too.
 func TestSubmitTaskBound(t *testing.T) {
 	s, ts := newTestServer(t)
 	const pair = "graph pair\nnode a kind=par\nnode b kind=par\nedge a -> b bytes=8 pertask\n"
+	var wide strings.Builder
+	wide.WriteString("graph wide\n")
+	for i := range 64 {
+		fmt.Fprintf(&wide, "node n%d kind=par\n", i)
+	}
 	cases := []struct {
 		name string
 		req  SubmitRequest
@@ -291,6 +297,8 @@ func TestSubmitTaskBound(t *testing.T) {
 		{"n far above", SubmitRequest{Graph: pair, N: 1 << 40}},
 		{"spin tasks= above", SubmitRequest{Graph: "graph sq\nnode a kind=par tasks=n*n\n",
 			Binder: "spin", N: 1 << 13}},
+		{"summed over nodes", SubmitRequest{Graph: wide.String(), N: 1 << 23}},
+		{"spin summed over nodes", SubmitRequest{Graph: wide.String(), Binder: "spin", N: 1 << 23}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -142,8 +142,8 @@ type SubmitRequest struct {
 	// (default — real array kernels with a result digest) or "spin"
 	// (synthetic CPU-bound tasks, log-normal durations).
 	Binder string `json:"binder,omitempty"`
-	// N is the per-operator task count (default 2048), below
-	// native.MaxTasks.
+	// N is the per-operator task count (default 2048). The job's tasks
+	// summed over its nodes must stay below native.MaxTasks.
 	N int `json:"n,omitempty"`
 	// Work is the kernel binder's function-evaluation rounds per task.
 	Work int `json:"work,omitempty"`
@@ -355,11 +355,6 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	if req.N <= 0 {
 		req.N = 2048
 	}
-	// Binders allocate per task before the engine sees the graph, so
-	// the engine's per-operator bound is enforced here, before any of it.
-	if req.N >= native.MaxTasks {
-		return nil, fmt.Errorf("serve: n = %d is not below the engine's task bound %d", req.N, native.MaxTasks)
-	}
 	if req.Work <= 0 {
 		req.Work = 1
 	}
@@ -387,14 +382,22 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Binders allocate per task before the engine sees the graph — the
+	// array binder n values for every node, the spin binder a duration
+	// per task — so the engine's task bound is enforced here, on the
+	// job's summed count, before any of it.
+	count := func(*delirium.Node) int { return req.N }
 	if req.Binder == "spin" {
 		_, params := kernelBinding(req)
-		count := native.TaskCount(params)
-		for _, nd := range g.Nodes {
-			if c := count(nd); c >= native.MaxTasks {
-				return nil, fmt.Errorf("serve: node %s has %d tasks, not below the engine's task bound %d", nd.Name, c, native.MaxTasks)
-			}
+		count = native.TaskCount(params)
+	}
+	tasks := 0
+	for _, nd := range g.Nodes {
+		c := count(nd)
+		if c >= native.MaxTasks-tasks {
+			return nil, fmt.Errorf("serve: the job's task count reaches the engine's task bound %d at node %s", native.MaxTasks, nd.Name)
 		}
+		tasks += c
 	}
 
 	ctx := context.Background()
@@ -413,7 +416,7 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 		req:       req,
 		mode:      mode,
 		plan:      plan,
-		tasks:     req.N * len(g.Nodes),
+		tasks:     tasks,
 		ctx:       ctx,
 		cancel:    cancel,
 		doneCh:    make(chan struct{}),

@@ -102,7 +102,6 @@ func splittableIterations(r *analysis.Result, loop *source.Do, iter descriptor.D
 // reduction and can never disqualify the loop, so it is not visited.
 func detectReductions(r *analysis.Result, loop *source.Do) ([]reduction, bool) {
 	env := r.SSA.InsideLoop[loop]
-	headNode := r.SSA.Graph.LoopNode[loop]
 	var reds []reduction
 	for _, v := range assignedScalars(loop.Body) {
 		name, ok := env[v]
@@ -110,7 +109,7 @@ func detectReductions(r *analysis.Result, loop *source.Do) ([]reduction, bool) {
 			continue
 		}
 		def := r.SSA.Defs[name]
-		if def == nil || def.Kind != ssa.DefPhi || def.Node != headNode {
+		if def == nil || def.Kind != ssa.DefPhi || def.Loop != loop {
 			continue // not loop-carried here
 		}
 		op, ok := reductionOp(loop.Body, v)

@@ -475,6 +475,27 @@ end
 	if ops["sum"] != "+" || ops["prod"] != "*" {
 		t.Fatalf("ops = %v", ops)
 	}
+
+	// A sum updated inside an inner loop is a reduction of both loops.
+	r = analyze(t, `
+program p
+  integer n
+  real x(n, n), sum
+  do i = 1, n
+    do j = 1, n
+      sum = sum + x(i, j)
+    end do
+  end do
+end
+`)
+	outer := r.Program.Body[0].(*source.Do)
+	inner := outer.Body[0].(*source.Do)
+	for _, loop := range []*source.Do{outer, inner} {
+		reds, ok := detectReductions(r, loop)
+		if !ok || len(reds) != 1 || reds[0] != (reduction{Var: "sum", Op: "+"}) {
+			t.Fatalf("loop %s: reds = %v ok=%v", loop.Var, reds, ok)
+		}
+	}
 }
 
 func TestNonReductionCarriedScalarBlocksSplit(t *testing.T) {

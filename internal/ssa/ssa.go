@@ -16,7 +16,6 @@ package ssa
 import (
 	"fmt"
 
-	"orchestra/internal/cfg"
 	"orchestra/internal/source"
 	"orchestra/internal/symbolic"
 )
@@ -57,7 +56,6 @@ type Def struct {
 	Name symbolic.Name
 	Var  string
 	Kind DefKind
-	Node *cfg.Node
 
 	// Value is the linear symbolic value of the definition when known
 	// (DefAssign with a translatable right-hand side, or a phi whose
@@ -68,7 +66,8 @@ type Def struct {
 	// Ranges is the iteration space for DefInduction (one entry per
 	// "and"-joined segment), in symbolic form.
 	Ranges []symbolic.Range
-	// Loop is the defining loop for DefInduction / DefPostLoop.
+	// Loop is the defining loop for DefInduction / DefPostLoop and a
+	// loop-header DefPhi.
 	Loop *source.Do
 
 	// Args are the incoming names for DefPhi.
@@ -88,8 +87,7 @@ func cloneEnv(e Env) Env {
 
 // Info is the result of SSA conversion.
 type Info struct {
-	Graph *cfg.Graph
-	Defs  map[symbolic.Name]*Def
+	Defs map[symbolic.Name]*Def
 
 	// AtStmt gives the environment in force immediately before each
 	// statement. Loop statements see the environment at the loop
@@ -135,9 +133,7 @@ type elemEntry struct {
 
 // Convert runs SSA conversion over a program.
 func Convert(p *source.Program) *Info {
-	g := cfg.Build(p.Body)
 	in := &Info{
-		Graph:      g,
 		Defs:       map[symbolic.Name]*Def{},
 		AtStmt:     map[source.Stmt]Env{},
 		InsideLoop: map[*source.Do]Env{},
@@ -151,7 +147,7 @@ func Convert(p *source.Program) *Info {
 	// Entry definitions: version 0 of every scalar.
 	env := Env{}
 	for v := range in.scalars {
-		d := in.newDef(v, DefEntry, g.Entry)
+		d := in.newDef(v, DefEntry)
 		env[v] = d.Name
 	}
 
@@ -179,13 +175,12 @@ func (in *Info) collectScalars(p *source.Program) {
 	})
 }
 
-func (in *Info) newDef(v string, kind DefKind, node *cfg.Node) *Def {
+func (in *Info) newDef(v string, kind DefKind) *Def {
 	in.counters[v]++
 	d := &Def{
 		Name: symbolic.Name(fmt.Sprintf("%s.%d", v, in.counters[v])),
 		Var:  v,
 		Kind: kind,
-		Node: node,
 	}
 	in.Defs[d.Name] = d
 	return d
@@ -219,7 +214,7 @@ func (in *Info) walkStmts(body []source.Stmt, env, snap Env, ctx symbolic.Conj) 
 			// propagated element values).
 			for _, a := range s.Args {
 				if id, ok := a.(*source.Ident); ok {
-					in.newDefInto(id.Name, DefCall, nil, env)
+					in.newDefInto(id.Name, DefCall, env)
 				}
 			}
 			in.elemCache = in.elemCache[:0]
@@ -235,8 +230,8 @@ func (in *Info) walkStmts(body []source.Stmt, env, snap Env, ctx symbolic.Conj) 
 	}
 }
 
-func (in *Info) newDefInto(v string, kind DefKind, node *cfg.Node, env Env) *Def {
-	d := in.newDef(v, kind, node)
+func (in *Info) newDefInto(v string, kind DefKind, env Env) *Def {
+	d := in.newDef(v, kind)
 	env[v] = d.Name
 	return d
 }
@@ -251,7 +246,7 @@ func (in *Info) walkAssign(s *source.Assign, env Env) {
 				val, ok = in.lookupElem(ar, env)
 			}
 		}
-		d := in.newDefInto(id.Name, DefAssign, nil, env)
+		d := in.newDefInto(id.Name, DefAssign, env)
 		if ok {
 			d.Value = val
 			d.HasValue = true
@@ -315,8 +310,6 @@ func aliases(a, b []symbolic.Expr) bool {
 }
 
 func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
-	node := in.Graph.LoopNode[s]
-
 	// Loop-carried scalars: any scalar assigned in the body (or by a
 	// nested construct) receives a phi at the header, killing its
 	// pre-loop value. The induction variable gets its range definition.
@@ -328,23 +321,24 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 			continue
 		}
 		pre := headerEnv[v]
-		phi := in.newDefInto(v, DefPhi, node, headerEnv)
+		phi := in.newDefInto(v, DefPhi, headerEnv)
+		phi.Loop = s
 		phi.Args = []symbolic.Name{pre} // body arg appended after walk
 	}
 
 	// Induction definition: bounds translated in the header environment
 	// (which already reflects loop-carried phis, keeping bounds that
 	// depend on variables mutated in the body conservatively opaque).
-	ind := in.newDefInto(s.Var, DefInduction, node, headerEnv)
+	ind := in.newDefInto(s.Var, DefInduction, headerEnv)
 	ind.Loop = s
 	for _, r := range s.Ranges {
 		lo, okLo := in.TranslateExpr(r.Lo, headerEnv)
 		hi, okHi := in.TranslateExpr(r.Hi, headerEnv)
 		if !okLo {
-			lo = symbolic.Var(in.opaque("lo", node))
+			lo = symbolic.Var(in.opaque("lo"))
 		}
 		if !okHi {
-			hi = symbolic.Var(in.opaque("hi", node))
+			hi = symbolic.Var(in.opaque("hi"))
 		}
 		rg := symbolic.NewRange(lo, hi)
 		if r.Step != nil {
@@ -402,7 +396,7 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 			env[v] = headerEnv[v]
 		}
 	}
-	post := in.newDefInto(s.Var, DefPostLoop, node, env)
+	post := in.newDefInto(s.Var, DefPostLoop, env)
 	post.Loop = s
 }
 
@@ -422,14 +416,13 @@ func (in *Info) walkIf(s *source.If, env, snap Env, ctx symbolic.Conj) {
 	in.walkStmts(s.Else, elseEnv, snap, elseCtx)
 
 	// Merge: variables redefined on either arm get phis.
-	node := in.Graph.BranchNode[s]
 	for v := range in.scalars {
 		tn, en := thenEnv[v], elseEnv[v]
 		if tn == en {
 			env[v] = tn
 			continue
 		}
-		phi := in.newDefInto(v, DefPhi, node, env)
+		phi := in.newDefInto(v, DefPhi, env)
 		phi.Args = []symbolic.Name{tn, en}
 		in.resolvePhi(phi)
 	}
@@ -464,8 +457,8 @@ func (in *Info) resolvePhi(phi *Def) {
 
 // opaque creates a fresh unnamed definition used for untranslatable
 // bounds.
-func (in *Info) opaque(tag string, node *cfg.Node) symbolic.Name {
-	d := in.newDef("$"+tag, DefEntry, node)
+func (in *Info) opaque(tag string) symbolic.Name {
+	d := in.newDef("$"+tag, DefEntry)
 	return d.Name
 }
 

@@ -202,6 +202,9 @@ end
 	if d.HasValue {
 		t.Fatal("loop-carried phi with changing value must be opaque")
 	}
+	if d.Loop != loop {
+		t.Fatalf("header phi's loop = %v, want its do", d.Loop)
+	}
 }
 
 func TestBranchPhi(t *testing.T) {
@@ -223,6 +226,9 @@ end
 	}
 	if d.HasValue {
 		t.Fatal("phi of 1 and 2 must be opaque")
+	}
+	if d.Loop != nil {
+		t.Fatalf("branch phi's loop = %v, want nil", d.Loop)
 	}
 }
 
