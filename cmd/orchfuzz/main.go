@@ -24,8 +24,6 @@
 //	faults  both backends under a seed-derived survivable fault plan, or
 //	        under the exact plan -fault gives: faults may cost time,
 //	        never values
-//	search  the profile-searched graph (internal/search) in place of the
-//	        lowered one: the search may only change the schedule
 //	nested  random recursive dataflow graphs instead of mini-Fortran,
 //	        each against its statically unrolled (internal/compile) twin
 //

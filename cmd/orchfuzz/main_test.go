@@ -51,9 +51,10 @@ func TestUsageErrors(t *testing.T) {
 		args []string
 		want string // on stderr
 	}{
-		{[]string{"-rung", "nope"}, `unknown rung "nope" (have base, dist, faults, search, nested)`},
+		{[]string{"-rung", "nope"}, `unknown rung "nope" (have base, dist, faults, nested)`},
+		{[]string{"-rung", "search"}, `unknown rung "search" (have base, dist, faults, nested)`},
 		{[]string{"-rung", "nested", "-minimize", "3"}, "-minimize shrinks program text"},
-		{[]string{"-rung", "search", "-fault", "crash:1@0"}, "-fault selects the faults rung"},
+		{[]string{"-rung", "dist", "-fault", "crash:1@0"}, "-fault selects the faults rung"},
 		{[]string{"-fault", "explode:3"}, "explode"},
 		{[]string{"-faults"}, "flag provided but not defined"},
 	} {
@@ -69,10 +70,10 @@ func TestUsageErrors(t *testing.T) {
 
 func TestMinimizeCleanSeed(t *testing.T) {
 	var out, errw strings.Builder
-	if code := run([]string{"-rung", "search", "-minimize", "1"}, &out, &errw); code != 1 {
+	if code := run([]string{"-rung", "faults", "-minimize", "1"}, &out, &errw); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	if want := "seed 1 does not diverge on rung search"; !strings.Contains(errw.String(), want) {
+	if want := "seed 1 does not diverge on rung faults"; !strings.Contains(errw.String(), want) {
 		t.Errorf("stderr %q should contain %q", errw.String(), want)
 	}
 	if out.Len() != 0 {

@@ -82,8 +82,6 @@ import (
 	"orchestra/internal/dist"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
-	"orchestra/internal/search"
-	"orchestra/internal/trace"
 	_ "orchestra/internal/workload" // registers the "nested" kernels
 )
 
@@ -113,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace", "", "write an execution trace to this file (Chrome trace-event JSON; CSV if the name ends in .csv)")
 	gantt := fs.Bool("gantt", false, "print a per-operator Gantt/summary of the execution trace")
 	omega := fs.Float64("omega", 0, "override TAPER's confidence width ω (0 = scheduler default)")
-	autosplit := fs.Bool("autosplit", false, "profile the run, search the per-edge pipelining/chaining space against the profile, and re-run the searched graph (single -mode)")
 	noChain := fs.Bool("nochain", false, "native split mode: disable cache chaining (annotated edges fall back to the prefix gate)")
 	faultFlag := cliflag.Fault(fs, "fault", "inject a fault plan, e.g. 'crash:0@1,stall:2@0:0.01,delay:0.5' (see internal/fault)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -130,10 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracing := *traceOut != "" || *gantt
 	if tracing && len(modes) != 1 {
 		fmt.Fprintln(stderr, "orchrun: -trace/-gantt need a single -mode, not a list")
-		return 2
-	}
-	if *autosplit && len(modes) != 1 {
-		fmt.Fprintln(stderr, "orchrun: -autosplit needs a single -mode, not a list")
 		return 2
 	}
 	be, err := backend.New(*p)
@@ -224,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			opts.Labels = true
 		}
 		var col obs.Collector
-		if tracing || *autosplit {
+		if tracing {
 			opts.Sink = &col
 		}
 		r, err := be.Run(g, bound, opts)
@@ -254,11 +247,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 		}
-		if *autosplit {
-			if code := runSearched(be, g, binding, opts, col.Trace, r, unit, stdout, stderr); code != 0 {
-				return code
-			}
-		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -272,67 +260,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "orchrun:", err)
 			return 1
 		}
-	}
-	return 0
-}
-
-// runSearched is the -autosplit second pass: distill the profiling
-// run's trace, search the graph's per-edge pipelining/chaining space
-// (the candidates only ever weaken edge attributes, so any schedule a
-// candidate admits was admitted by the profiled graph and results are
-// unchanged by construction), and re-run the emitted graph for
-// comparison. Kernels are rebound from the original graph — reads
-// follow the original edge attributes — and only the schedule follows
-// the searched graph, so an array-kernel digest must match the
-// profiled run's.
-func runSearched(be rts.Backend, g *delirium.Graph, binding rts.Binding, opts rts.RunOpts, tr *obs.Trace, base trace.Result, unit string, stdout, stderr io.Writer) int {
-	prof, err := search.FromTrace(tr, opts.Omega)
-	if err != nil {
-		fmt.Fprintln(stderr, "orchrun: autosplit:", err)
-		return 1
-	}
-	plan, err := search.Run(prof, search.GraphCandidates(g), search.Options{
-		P: opts.Processors, Omega: opts.Omega,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "orchrun: autosplit:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "autosplit: %d candidates, chose %q\n", len(plan.Scores), plan.Best.ID)
-	for _, s := range plan.Scores {
-		if s.Validated > 0 {
-			mark := " "
-			if s.Chosen {
-				mark = "*"
-			}
-			fmt.Fprintf(stdout, "  %s %-40s model %10.4g  dry-run %10.4g\n", mark, s.ID, s.Model, s.Validated)
-		}
-	}
-	if plan.Best.ID == "asis" {
-		fmt.Fprintln(stdout, "autosplit: the graph as written is the profitable subset; keeping it")
-		return 0
-	}
-	// Bind against the original graph (kernel read patterns follow its
-	// edge attributes); the searched graph only reorders the schedule.
-	bound, err := rts.Bind(g, binding)
-	if err != nil {
-		fmt.Fprintln(stderr, "orchrun: autosplit:", err)
-		return 2
-	}
-	opts.Sink = nil
-	r, err := be.Run(plan.Best.Graph, bound, opts)
-	if err != nil {
-		fmt.Fprintln(stderr, "orchrun: autosplit:", err)
-		return 1
-	}
-	delta := 0.0
-	if base.Makespan > 0 {
-		delta = 100 * (base.Makespan - r.Makespan) / base.Makespan
-	}
-	fmt.Fprintf(stdout, "%-12s makespan %10.4g%s  speedup %8.1f  efficiency %5.1f%%  (%+.1f%% vs profiled run)\n",
-		"searched", r.Makespan, unit, r.Speedup(), 100*r.Efficiency(), delta)
-	if d, ok := bound.Digest(); ok {
-		fmt.Fprintf(stdout, "digest %s\n", d)
 	}
 	return 0
 }

@@ -49,10 +49,14 @@ func TestRunUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFlag includes -autosplit: every run executes the graph
+// it is given, so no flag asks for a searched one.
 func TestRunUnknownFlag(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{"-no-such-flag", writeGraph(t)}, &out, &errw); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	for _, flag := range []string{"-no-such-flag", "-autosplit"} {
+		var out, errw strings.Builder
+		if code := run([]string{flag, writeGraph(t)}, &out, &errw); code != 2 {
+			t.Errorf("%s: exit code = %d, want 2", flag, code)
+		}
 	}
 }
 

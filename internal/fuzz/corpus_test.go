@@ -89,10 +89,9 @@ var corpora = map[string]struct {
 	min       int
 	forks     bool // forks worker processes per row: not under -short
 }{
-	"TestCorpusReproducers":       {dir: "fuzz-corpus", rung: Base, min: 5},
-	"TestCorpusReproducersDist":   {dir: "fuzz-corpus", rung: Dist, min: 5, forks: true},
+	"TestCorpusReproducers":       {dir: "fuzz-corpus", rung: Base, min: 6},
+	"TestCorpusReproducersDist":   {dir: "fuzz-corpus", rung: Dist, min: 6, forks: true},
 	"TestFaultCorpus":             {dir: "fault-corpus", rung: Faults, min: 5},
-	"TestSearchCorpusReproducers": {dir: "search-corpus", rung: Search, min: 1},
 	"TestNestedCorpusReproducers": {dir: "nested-corpus", rung: Nested, min: 1},
 }
 
@@ -130,5 +129,4 @@ func replayCorpus(t *testing.T) {
 func TestCorpusReproducers(t *testing.T)       { replayCorpus(t) }
 func TestCorpusReproducersDist(t *testing.T)   { replayCorpus(t) }
 func TestFaultCorpus(t *testing.T)             { replayCorpus(t) }
-func TestSearchCorpusReproducers(t *testing.T) { replayCorpus(t) }
 func TestNestedCorpusReproducers(t *testing.T) { replayCorpus(t) }

@@ -19,9 +19,8 @@ var campaigns = map[string]struct {
 	seeds uint64
 	short uint64 // seeds under -short; 0 skips
 }{
-	"TestCampaignSmoke":         {rung: Base, seeds: 25},
-	"TestSearchedCampaignSmoke": {rung: Search, seeds: 15},
-	"TestFaultCampaignShort":    {rung: Faults, seeds: 12, short: 4},
+	"TestCampaignSmoke":      {rung: Base, seeds: 25},
+	"TestFaultCampaignShort": {rung: Faults, seeds: 12, short: 4},
 }
 
 func campaignSmoke(t *testing.T) {
@@ -40,9 +39,8 @@ func campaignSmoke(t *testing.T) {
 	}
 }
 
-func TestCampaignSmoke(t *testing.T)         { campaignSmoke(t) }
-func TestSearchedCampaignSmoke(t *testing.T) { campaignSmoke(t) }
-func TestFaultCampaignShort(t *testing.T)    { campaignSmoke(t) }
+func TestCampaignSmoke(t *testing.T)      { campaignSmoke(t) }
+func TestFaultCampaignShort(t *testing.T) { campaignSmoke(t) }
 
 // FuzzPipeline drives the full differential ladder — reference
 // interpreter, compiled-program interpreter, lowered sequential run,

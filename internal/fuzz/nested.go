@@ -114,7 +114,7 @@ func nestedSubject(c *Case, rep *Report) *subject {
 		Backend: sim(1),
 		Opts:    rts.RunOpts{Processors: 1, Mode: rts.ModeSplit},
 		Flat:    true,
-	}, rep, nil)
+	}, rep)
 	if !ok {
 		return nil
 	}

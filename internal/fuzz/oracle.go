@@ -358,12 +358,11 @@ const (
 	Base   = "base"   // simulator and native runtime over processors × modes
 	Dist   = "dist"   // Base plus forked worker processes, bound by name
 	Faults = "faults" // both backends under the case's fault plan
-	Search = "search" // the profile-searched graph in place of the lowered one
 	Nested = "nested" // recursive dataflow graphs against their static unrolling
 )
 
 // Rungs lists the rung names Check accepts.
-var Rungs = []string{Base, Dist, Faults, Search, Nested}
+var Rungs = []string{Base, Dist, Faults, Nested}
 
 // Case is one input to the oracle: a mini-Fortran program or, for the
 // nested rung, a recursive dataflow graph. Seed fixes the program's
@@ -460,16 +459,6 @@ func Rows(rung string, plan *fault.Plan) []Config {
 			add(be, faultWorkers, taper, 0)
 			add(be, faultWorkers, split, 0)
 		}
-	case Search:
-		// One worker, oversubscribed, both backends, an ω extreme: enough
-		// to shake scheduling order without tripling campaign cost.
-		add(sim(1), 1, split, 0)
-		add(sim(8), 8, split, 0)
-		add(nat, 2, split, 0)
-		add(nat, 4, split, 0.5)
-		for i := range rows {
-			rows[i].Name = "searched/" + rows[i].Name
-		}
 	case Nested:
 		opts := func(p int, m rts.Mode) rts.RunOpts { return rts.RunOpts{Processors: p, Mode: m} }
 		rows = []Config{
@@ -495,8 +484,8 @@ type instance interface {
 
 // subject is what a rung hands the loop besides its rows.
 type subject struct {
-	// graph is what the rows run: the lowered graph, the searched one, or
-	// a nested case's top-level graph.
+	// graph is what the rows run: the lowered graph or a nested case's
+	// top-level graph.
 	graph *delirium.Graph
 	// bind builds a fresh single-use instance for one row and binds the
 	// graph's operators to it.
@@ -543,12 +532,11 @@ func (s *subject) run(cfg Config, sink obs.Sink) (instance, []Divergence) {
 	return in, divs
 }
 
-// check runs one row (into sink, if the caller wants the trace of a
-// conforming run) and reports whether it conformed. A diverging row is
-// re-executed once with a trace sink of its own, so that the report
-// carries the schedule.
-func (s *subject) check(cfg Config, rep *Report, sink obs.Sink) (instance, bool) {
-	in, divs := s.run(cfg, sink)
+// check runs one row and reports whether it conformed. A diverging row
+// is re-executed once with a trace sink, so that the report carries the
+// schedule.
+func (s *subject) check(cfg Config, rep *Report) (instance, bool) {
+	in, divs := s.run(cfg, nil)
 	if len(divs) == 0 {
 		return in, true
 	}
@@ -578,7 +566,7 @@ func Check(c *Case, rung string) *Report {
 	} else {
 		s = runBaseline(c, rep)
 	}
-	if s == nil || (rung == Search && !s.search(rep)) {
+	if s == nil {
 		return rep
 	}
 	rows := Rows(rung, c.Plan)
@@ -587,7 +575,7 @@ func Check(c *Case, rung string) *Report {
 		rows = append(Rows(Base, nil), rows...)
 	}
 	for _, cfg := range rows {
-		s.check(cfg, rep, nil)
+		s.check(cfg, rep)
 	}
 	return rep
 }

@@ -58,12 +58,6 @@ func TestRows(t *testing.T) {
 			"native/p=4/TAPER/fault=crash:1@0|native|4|TAPER|0|crash:1@0|false false false",
 			"native/p=4/TAPER+split/fault=crash:1@0|native|4|TAPER+split|0|crash:1@0|false false false",
 		},
-		Search: {
-			"searched/sim/p=1/TAPER+split|sim|1|TAPER+split|0||true false false",
-			"searched/sim/p=8/TAPER+split|sim|8|TAPER+split|0||true false false",
-			"searched/native/p=2/TAPER+split|native|2|TAPER+split|0||false false false",
-			"searched/native/p=4/TAPER+split/omega=0.5|native|4|TAPER+split|0.5||false false false",
-		},
 		Nested: {
 			"flat-native/p=4/split|native|4|TAPER+split|0||false false true",
 			"sim/p=1/split|sim|1|TAPER+split|0||false false false",
@@ -100,8 +94,8 @@ func TestRows(t *testing.T) {
 			t.Errorf("rung %s rows:\n%s\nwant:\n%s", rung, g, w)
 		}
 	}
-	if total != 38 {
-		t.Errorf("%d rows over all rungs, want 38", total)
+	if total != 34 {
+		t.Errorf("%d rows over all rungs, want 34", total)
 	}
 	if rows := Rows("nope", nil); rows != nil {
 		t.Errorf("unknown rung has rows: %v", rows)
@@ -216,7 +210,7 @@ func TestOracleCatchesSabotage(t *testing.T) {
 				return b, in, err
 			}
 			tc.row.Name = "sabotage/" + tc.name
-			if _, ok := s.check(tc.row, rep, nil); ok {
+			if _, ok := s.check(tc.row, rep); ok {
 				t.Fatal("sabotaged row passed")
 			}
 			found := false

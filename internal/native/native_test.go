@@ -137,7 +137,7 @@ func TestExecuteRunsEveryTaskOnce(t *testing.T) {
 // estimator on the statistics measured so far, at the run's TAPER ω as
 // the simulator's does. Fixed task statistics go through emitRealloc at
 // a non-default ω, and the recorded AllocEstimate rows must be
-// rts.ReallocateOnLossOmega's. (Under native's zero cost model ω only
+// rts.AllocateMany's over the survivors. (Under native's zero cost model ω only
 // scales the sched term, which is zero, so no row shows ω today; the
 // test pins the call for when the model gains a sched cost.)
 func TestEmitReallocRows(t *testing.T) {
@@ -162,7 +162,7 @@ func TestEmitReallocRows(t *testing.T) {
 	e.emitRealloc(live)
 	got := e.rec.Finish(trace.Result{}).Allocs
 	rec := obs.NewRecorder("native", "s", nil, 1)
-	rts.ReallocateOnLossOmega(machine.Config{}, specs, live, omega, rec, names...)
+	rts.AllocateMany(machine.Config{}, specs, live, omega, rec, names...)
 	want := rec.Finish(trace.Result{}).Allocs
 	if len(got) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("emitRealloc rows at ω=%g:\n got %+v\nwant %+v", omega, got, want)

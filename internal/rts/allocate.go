@@ -89,13 +89,7 @@ func imbalance(a, b float64) float64 {
 	return d / max
 }
 
-// AllocateMany divides processors among concurrent operations under
-// the default TAPER confidence width; see AllocateManyOmega.
-func AllocateMany(cfg machine.Config, specs []OpSpec, p int, rec *obs.Recorder, names ...string) []int {
-	return AllocateManyOmega(cfg, specs, p, 0, rec, names...)
-}
-
-// AllocateManyOmega divides p processors among k > 0 concurrent
+// AllocateMany divides p processors among k > 0 concurrent
 // operations: an initial share proportional to estimated total work,
 // refined by pairwise application of the iterative algorithm between
 // the currently slowest and fastest operations. omega is the run's
@@ -107,7 +101,7 @@ func AllocateMany(cfg machine.Config, specs []OpSpec, p int, rec *obs.Recorder, 
 // iteration — the five finishing-time terms the decision was based on
 // — with the final allocation re-emitted as Chosen rows. names, when
 // supplied, label the rows; otherwise operations appear as op0, op1, …
-func AllocateManyOmega(cfg machine.Config, specs []OpSpec, p int, omega float64, rec *obs.Recorder, names ...string) []int {
+func AllocateMany(cfg machine.Config, specs []OpSpec, p int, omega float64, rec *obs.Recorder, names ...string) []int {
 	k := len(specs)
 	name := func(i int) string {
 		if i < len(names) {
@@ -120,7 +114,7 @@ func AllocateManyOmega(cfg machine.Config, specs []OpSpec, p int, omega float64,
 	}
 	if k == 1 {
 		if rec != nil {
-			e := FinishEstimateOmega(cfg, specs[0], p, omega)
+			e := FinishEstimate(cfg, specs[0], p, omega)
 			rec.Alloc(obs.AllocEstimate{Op: name(0), Procs: p, Setup: e.Setup,
 				Compute: e.Compute, Lag: e.Lag, Comm: e.Comm, Sched: e.Sched, Chosen: true})
 		}
@@ -164,7 +158,7 @@ func AllocateManyOmega(cfg machine.Config, specs []OpSpec, p int, omega float64,
 			return
 		}
 		for i := range specs {
-			e := FinishEstimateOmega(cfg, specs[i], alloc[i], omega)
+			e := FinishEstimate(cfg, specs[i], alloc[i], omega)
 			rec.Alloc(obs.AllocEstimate{Op: name(i), Round: emitRound, Procs: alloc[i],
 				Setup: e.Setup, Compute: e.Compute, Lag: e.Lag, Comm: e.Comm,
 				Sched: e.Sched, Chosen: chosen})
@@ -177,7 +171,7 @@ func AllocateManyOmega(cfg machine.Config, specs []OpSpec, p int, omega float64,
 	for round := 0; round < DefaultMaxCount; round++ {
 		est := make([]float64, k)
 		for i := range specs {
-			est[i] = FinishEstimateOmega(cfg, specs[i], alloc[i], omega).Total()
+			est[i] = FinishEstimate(cfg, specs[i], alloc[i], omega).Total()
 		}
 		slow, fast := 0, 0
 		for i := 1; i < k; i++ {
@@ -193,26 +187,12 @@ func AllocateManyOmega(cfg machine.Config, specs []OpSpec, p int, omega float64,
 		}
 		pool := alloc[slow] + alloc[fast]
 		p1, p2 := Allocate(
-			func(q int) float64 { return FinishEstimateOmega(cfg, specs[slow], q, omega).Total() },
-			func(q int) float64 { return FinishEstimateOmega(cfg, specs[fast], q, omega).Total() },
+			func(q int) float64 { return FinishEstimate(cfg, specs[slow], q, omega).Total() },
+			func(q int) float64 { return FinishEstimate(cfg, specs[fast], q, omega).Total() },
 			pool, DefaultMaxCount, DefaultEpsilon)
 		alloc[slow], alloc[fast] = p1, p2
 		emit(false)
 	}
 	emit(true)
 	return alloc
-}
-
-// ReallocateOnLossOmega re-runs the allocation algorithm over the
-// surviving processor set after a worker loss, so finishing-time
-// estimates track the machine that is actually left instead of
-// silently lying (§5's re-estimation under changing conditions,
-// applied to failures). The specs should carry the statistics measured
-// so far; the fresh AllocEstimate rows land next to a KindRealloc
-// event emitted by the caller.
-func ReallocateOnLossOmega(cfg machine.Config, specs []OpSpec, live int, omega float64, rec *obs.Recorder, names ...string) []int {
-	if live < 1 {
-		live = 1
-	}
-	return AllocateManyOmega(cfg, specs, live, omega, rec, names...)
 }

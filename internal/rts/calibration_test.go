@@ -39,9 +39,9 @@ func logNormalSpec(n int, cv float64, seed uint64) OpSpec {
 	return s
 }
 
-// TestCalibrationContract is the contract the profile-guided split
-// search relies on (internal/search): the terms of equation (1) must
-// agree with what a traced execution actually measures, across the
+// TestCalibrationContract is the contract every allocation decision
+// relies on: the terms of equation (1) must agree with what a traced
+// execution actually measures, across the
 // (cv, p) grid the workloads occupy. Specifically, against the obs
 // trace of a seeded single-operator run:
 //
@@ -52,8 +52,8 @@ func logNormalSpec(n int, cv float64, seed uint64) OpSpec {
 //   - the Compute term (N·μ/p, the per-processor compute share) tracks
 //     the measured per-processor busy time within 30%.
 //
-// If this test starts failing, the search's calibrated ranking is
-// modelling a different runtime than the one that executes — fix the
+// If this test starts failing, the allocator is modelling a
+// different runtime than the one that executes — fix the
 // estimator (or the executor), not the tolerances.
 func TestCalibrationContract(t *testing.T) {
 	const n = 4096
@@ -92,7 +92,7 @@ func TestCalibrationContract(t *testing.T) {
 				if spec.Mu > 0 {
 					cvMeasured = spec.Sigma / spec.Mu
 				}
-				predicted := PredictChunksOmega(n, p, cvMeasured, 0)
+				predicted := PredictChunks(n, p, cvMeasured, 0)
 				if r := float64(predicted) / float64(chunks); r < 1.0/3 || r > 3 {
 					t.Errorf("predicted %d chunks, measured %d (ratio %.2f outside [1/3, 3])",
 						predicted, chunks, r)
@@ -101,7 +101,7 @@ func TestCalibrationContract(t *testing.T) {
 				// Compute-share calibration: the trace's total busy time
 				// divided by p is the measured share of equation (1)'s
 				// Compute term.
-				est := FinishEstimate(cfg, spec, p)
+				est := FinishEstimate(cfg, spec, p, 0)
 				share := busy / float64(p)
 				if d := math.Abs(est.Compute-share) / share; d > 0.30 {
 					t.Errorf("Compute term %v vs measured share %v (%.0f%% off)",

@@ -140,7 +140,7 @@ func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind 
 	}
 	r.nextFn, r.chunkDoneFn, r.drainFn = r.next, r.chunkDone, r.drain
 	f, err := NewFrontier(g, bind, true, func(prod OpSpec) int {
-		return ChoosePairGranularityOmega(cfg, prod, p, prod.Op.Bytes, omega)
+		return ChoosePairGranularity(cfg, prod, p, prod.Op.Bytes, omega)
 	}, Limits{})
 	if err != nil {
 		return nil, err
@@ -217,7 +217,7 @@ func (r *dagRun) place(g2 *delirium.Graph) error {
 			lspecs[i] = r.ops[idxs[i]].spec
 			lnames[i] = n.Name
 		}
-		shares := AllocateManyOmega(r.cfg, lspecs, r.p, r.omega, r.rec, lnames...)
+		shares := AllocateMany(r.cfg, lspecs, r.p, r.omega, r.rec, lnames...)
 		base := 0
 		for i, o := range idxs {
 			r.ops[o].alloc = shares[i]
@@ -540,7 +540,7 @@ func (r *dagRun) reallocSurvivors(gp int) {
 		rnames = append(rnames, r.f.Name(o))
 	}
 	if len(rspecs) > 0 {
-		ReallocateOnLossOmega(r.cfg, rspecs, r.live, r.omega, r.rec, rnames...)
+		AllocateMany(r.cfg, rspecs, max(r.live, 1), r.omega, r.rec, rnames...)
 	}
 }
 

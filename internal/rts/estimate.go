@@ -140,13 +140,7 @@ func EffectiveOmega(p int, omega float64) float64 {
 	return math.Sqrt(2 * math.Log(float64(p)+1))
 }
 
-// FinishEstimate implements equation (1) with the default TAPER
-// confidence width; see FinishEstimateOmega.
-func FinishEstimate(cfg machine.Config, spec OpSpec, p int) Estimate {
-	return FinishEstimateOmega(cfg, spec, p, 0)
-}
-
-// FinishEstimateOmega implements equation (1):
+// FinishEstimate implements equation (1):
 //
 //	finish = setup + compute + lag + comm + sched
 //
@@ -158,7 +152,7 @@ func FinishEstimate(cfg machine.Config, spec OpSpec, p int) Estimate {
 // scheduling events per processor times the per-event overhead, with
 // the chunk count predicted from the TAPER recurrence under the
 // effective confidence width omega (0 = the policy default).
-func FinishEstimateOmega(cfg machine.Config, spec OpSpec, p int, omega float64) Estimate {
+func FinishEstimate(cfg machine.Config, spec OpSpec, p int, omega float64) Estimate {
 	if p < 1 {
 		p = 1
 	}
@@ -193,7 +187,7 @@ func FinishEstimateOmega(cfg machine.Config, spec OpSpec, p int, omega float64) 
 		e.Comm = float64(spec.CommBytes(n, p)) / float64(p) * cfg.ByteCost
 	}
 
-	e.Sched = float64(PredictChunksOmega(n, p, cv(spec), omega)) / float64(p) * cfg.SchedOverhead
+	e.Sched = float64(PredictChunks(n, p, cv(spec), omega)) / float64(p) * cfg.SchedOverhead
 	return e
 }
 
@@ -204,7 +198,7 @@ func cv(spec OpSpec) float64 {
 	return sanitize(spec.Sigma/spec.Mu, 0)
 }
 
-// PredictChunksOmega predicts how many chunks TAPER will schedule for
+// PredictChunks predicts how many chunks TAPER will schedule for
 // n tasks on p processors given the coefficient of variation of task
 // times, by iterating the chunk-size recurrence (§4.1.2: "we need to
 // predict, at runtime, the number of chunks that will be scheduled").
@@ -212,7 +206,7 @@ func cv(spec OpSpec) float64 {
 // overrides the executed policy's (0 = the policy default), so the
 // prediction tracks the scheduler that actually runs during -omega
 // sweeps.
-func PredictChunksOmega(n, p int, cv, omega float64) int {
+func PredictChunks(n, p int, cv, omega float64) int {
 	if n <= 0 || p < 1 {
 		return 0
 	}

@@ -26,8 +26,8 @@ func TestSampleStatsExactBudget(t *testing.T) {
 		{7, 7, 7},
 		{7, 3, 3},
 		{5, 2, 2},
-		{3, 5, 3},  // budget larger than the space: every task once
-		{1, 8, 1},  // single task
+		{3, 5, 3}, // budget larger than the space: every task once
+		{1, 8, 1}, // single task
 		{64, 64, 64},
 		{65, 64, 64},
 		{1 << 20, 128, 128},
@@ -80,8 +80,8 @@ func TestEffectiveOmegaMirrorsPolicy(t *testing.T) {
 		}
 	}
 	// An explicit default-valued override and the zero value agree.
-	if a, b := PredictChunksOmega(4096, 16, 1.2, 0), PredictChunksOmega(4096, 16, 1.2, EffectiveOmega(16, 0)); a != b {
-		t.Errorf("PredictChunksOmega(ω=0) %d != explicit-default PredictChunksOmega %d", a, b)
+	if a, b := PredictChunks(4096, 16, 1.2, 0), PredictChunks(4096, 16, 1.2, EffectiveOmega(16, 0)); a != b {
+		t.Errorf("PredictChunks(ω=0) %d != explicit-default PredictChunks %d", a, b)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestPredictChunksTracksOverriddenOmega(t *testing.T) {
 		func() sched.Policy { return &sched.Taper{UseCostFunction: true, Omega: omega} },
 		obs.OpObs{}).Chunks
 
-	aware := PredictChunksOmega(spec.Op.N, p, cvm, omega)
-	stale := PredictChunksOmega(spec.Op.N, p, cvm, 0)
+	aware := PredictChunks(spec.Op.N, p, cvm, omega)
+	stale := PredictChunks(spec.Op.N, p, cvm, 0)
 
 	if stale >= aware {
 		t.Fatalf("override ω=%v should predict more chunks than the default: aware %d, stale %d", omega, aware, stale)
@@ -122,8 +122,8 @@ func TestPredictChunksTracksOverriddenOmega(t *testing.T) {
 
 	// The drift propagated into equation (1)'s Sched term and from
 	// there into allocation; the ω-aware estimate must differ.
-	eAware := FinishEstimateOmega(cfg, spec, p, omega)
-	eStale := FinishEstimate(cfg, spec, p)
+	eAware := FinishEstimate(cfg, spec, p, omega)
+	eStale := FinishEstimate(cfg, spec, p, 0)
 	if eAware.Sched <= eStale.Sched {
 		t.Errorf("Sched term should grow under ω=%v: aware %v, stale %v", omega, eAware.Sched, eStale.Sched)
 	}

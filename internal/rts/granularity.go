@@ -28,7 +28,7 @@ func PipeBatchCost(cfg machine.Config, n int, itemBytes int64, m int) float64 {
 		float64(n)*float64(itemBytes)*cfg.ByteCost
 }
 
-// ChoosePairGranularityOmega combines the communication-cost model
+// ChoosePairGranularity combines the communication-cost model
 // with finishing-time estimates, as §4.1 describes ("combined
 // finishing time estimates with runtime communication cost estimates
 // to choose communication granularity"): the batch chosen by the cost
@@ -38,14 +38,14 @@ func PipeBatchCost(cfg machine.Config, n int, itemBytes int64, m int) float64 {
 // omega is the run's TAPER confidence-width override (0 = default), so
 // the producer finishing-time estimate models the scheduler actually
 // running.
-func ChoosePairGranularityOmega(cfg machine.Config, prod OpSpec, pProd int, itemBytes int64, omega float64) int {
+func ChoosePairGranularity(cfg machine.Config, prod OpSpec, pProd int, itemBytes int64, omega float64) int {
 	n := prod.Op.N
 	m := ChooseGranularity(cfg, n, itemBytes)
 	// The pipeline fill — the time to produce the first batch — must be
 	// a small fraction of the producer's estimated finishing time, so
 	// the consumer ramps up early: m·μ/p ≤ finish/16.
 	if prod.Mu > 0 && pProd > 0 {
-		finish := FinishEstimateOmega(cfg, prod, pProd, omega).Total()
+		finish := FinishEstimate(cfg, prod, pProd, omega).Total()
 		if cap := int(finish * float64(pProd) / (16 * prod.Mu)); cap >= 1 && m > cap {
 			m = cap
 		}

@@ -41,9 +41,10 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// postJob submits a request and decodes the response body regardless
-// of status code.
-func postJob(t *testing.T, ts *httptest.Server, req SubmitRequest) (int, JobStatus) {
+// postJob submits a request (a SubmitRequest, or a map for the JSON
+// forms the struct cannot express) and decodes the response body
+// regardless of status code.
+func postJob(t *testing.T, ts *httptest.Server, req any) (int, JobStatus) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -233,7 +234,7 @@ func TestHTTPTimeoutBecomes499(t *testing.T) {
 
 // TestHTTPBadRequests pins the 4xx surface.
 func TestHTTPBadRequests(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	cases := []struct {
 		name string
 		body string
@@ -247,6 +248,11 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad fault plan", `{"program": "program p\nend\n", "fault": "meteor:9"}`},
 		{"compile error", `{"program": "this is not fortran"}`},
 		{"bad graph text", `{"graph": "this is not delirium"}`},
+		{"autosplit", `{"program": "program p\nend\n", "autosplit": true}`},
+		{"timeout past a Duration", `{"program": "program p\nend\n", "timeout_ms": 4611686018427387904}`},
+		{"negative timeout", `{"program": "program p\nend\n", "timeout_ms": -1}`},
+		{"negative omega", `{"program": "program p\nend\n", "omega": -0.5}`},
+		{"negative processors", `{"program": "program p\nend\n", "processors": -3}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -262,6 +268,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		if body["error"] == "" {
 			t.Errorf("%s: no error message in response", tc.name)
 		}
+	}
+	if jc := s.Stats().Jobs; jc.Total != 0 {
+		t.Errorf("refused requests registered jobs: %+v", jc)
 	}
 
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/job-999")
@@ -381,50 +390,46 @@ func TestConcurrentSubmissionsShareOnePool(t *testing.T) {
 	}
 }
 
-// TestAutosplitPlanCache pins the autosplit hook: the first autosplit
-// submission of a graph is the profiling run and caches the searched
-// plan under the graph fingerprint; repeats at the same grant reuse it;
-// and the searched schedule never moves the kernel digest.
-func TestAutosplitPlanCache(t *testing.T) {
+// TestCompileOptionsKeepDefaults pins the options object's partial
+// form: a field it leaves out keeps compile.DefaultOptions()'s value, so
+// {"depth": 1} names the default compile and hits the graph a default
+// submission cached, while {"split": false} still compiles without the
+// split transformation.
+func TestCompileOptionsKeepDefaults(t *testing.T) {
 	s, ts := newTestServer(t)
 	src := figure1(t)
-	req := SubmitRequest{Program: src, N: 128, Processors: 2, Autosplit: true}
-
-	code, first := postJob(t, ts, req)
-	if code != http.StatusOK || first.State != StateDone {
-		t.Fatalf("first submit: %d %s (%s)", code, first.State, first.Error)
-	}
-	if !strings.HasPrefix(first.Plan, "profiled:") {
-		t.Fatalf("first submit plan = %q, want profiled:<id>", first.Plan)
+	code, def := postJob(t, ts, map[string]any{"program": src, "n": 64})
+	if code != http.StatusOK || def.State != StateDone {
+		t.Fatalf("default submit: %d %s (%s)", code, def.State, def.Error)
 	}
 
-	code, second := postJob(t, ts, req)
-	if code != http.StatusOK || second.State != StateDone {
-		t.Fatalf("second submit: %d %s (%s)", code, second.State, second.Error)
+	code, depth := postJob(t, ts, map[string]any{"program": src, "n": 64, "options": map[string]any{"depth": 1}})
+	if code != http.StatusOK || depth.State != StateDone {
+		t.Fatalf(`{"depth": 1} submit: %d %s (%s)`, code, depth.State, depth.Error)
 	}
-	wantPlan := "cached:" + strings.TrimPrefix(first.Plan, "profiled:")
-	if second.Plan != wantPlan {
-		t.Errorf("second submit plan = %q, want %q", second.Plan, wantPlan)
-	}
-	if second.Digest != first.Digest || first.Digest == "" {
-		t.Errorf("digests: profiled %.12s, cached %.12s — searched plan must not change values",
-			first.Digest, second.Digest)
+	if depth.Cache != "hit" || depth.Digest != def.Digest {
+		t.Errorf(`{"depth": 1}: cache %s, digest %.12s; want the default's hit, %.12s`, depth.Cache, depth.Digest, def.Digest)
 	}
 
-	// A plain submission of the same program is untouched by the cache.
-	code, plain := postJob(t, ts, SubmitRequest{Program: src, N: 128, Processors: 2})
-	if code != http.StatusOK || plain.State != StateDone {
-		t.Fatalf("plain submit: %d %s (%s)", code, plain.State, plain.Error)
+	code, flat := postJob(t, ts, map[string]any{"program": src, "n": 64, "options": map[string]any{"split": false}})
+	if code != http.StatusOK || flat.State != StateDone {
+		t.Fatalf(`{"split": false} submit: %d %s (%s)`, code, flat.State, flat.Error)
 	}
-	if plain.Plan != "" {
-		t.Errorf("plain submit plan = %q, want empty", plain.Plan)
+	if flat.Cache != "miss" {
+		t.Errorf(`{"split": false}: cache %s, want miss`, flat.Cache)
 	}
-	if plain.Digest != first.Digest {
-		t.Errorf("plain digest %.12s != autosplit digest %.12s", plain.Digest, first.Digest)
+	opts := core.DefaultOptions()
+	opts.EnableSplit = false
+	want, err := core.CompileSource(src, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if st := s.Stats(); st.Plans.Entries != 1 || st.Plans.Misses != 1 || st.Plans.Hits != 1 {
-		t.Errorf("plan cache stats = %+v, want 1 entry, 1 miss, 1 hit", st.Plans)
+	j, ok := s.Job(flat.ID)
+	if !ok {
+		t.Fatalf("job %s not in the registry", flat.ID)
+	}
+	if got := j.graph.Encode(); got != want.Graph.Encode() {
+		t.Errorf("{\"split\": false} ran:\n%s\nwant the unsplit compile:\n%s", got, want.Graph.Encode())
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -35,7 +36,6 @@ import (
 	"orchestra/internal/native"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
-	"orchestra/internal/search"
 	"orchestra/internal/trace"
 )
 
@@ -62,7 +62,6 @@ type Server struct {
 	cfg   Config
 	pool  *native.Pool
 	cache *graphCache
-	plans *planCache
 	alloc allocLog
 
 	mu sync.Mutex
@@ -98,7 +97,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    native.NewPool(cfg.PoolSize),
 		cache:   newGraphCache(),
-		plans:   newPlanCache(),
 		jobs:    map[string]*Job{},
 		running: map[*Job]struct{}{},
 		started: time.Now(),
@@ -161,36 +159,37 @@ type SubmitRequest struct {
 	// Fault injects a per-job fault plan (internal/fault syntax).
 	Fault string `json:"fault,omitempty"`
 	// TimeoutMS bounds the job's total time (queue + run); 0 = none.
+	// A negative value, or one no time.Duration holds, is refused.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Trace captures the job's execution trace and returns it as a
 	// Chrome trace-event JSON string in the job status.
 	Trace bool `json:"trace,omitempty"`
-	// Autosplit runs the job through the profile-guided split search:
-	// the first submission of a graph profiles it and caches the
-	// searched plan under the graph's fingerprint; repeats at the same
-	// grant and ω execute the searched graph directly (see autosplit.go).
-	Autosplit bool `json:"autosplit,omitempty"`
 	// Async returns the job id immediately instead of waiting for the
 	// result; poll or wait on the status endpoint.
 	Async bool `json:"async,omitempty"`
 }
 
-// CompileOptions is the submission view of compile.Options.
+// CompileOptions is the submission view of compile.Options. A field
+// the submission leaves out keeps compile.DefaultOptions()'s value.
 type CompileOptions struct {
-	Fuse     bool `json:"fuse,omitempty"`
-	Split    bool `json:"split"`
-	Pipeline bool `json:"pipeline"`
-	Depth    int  `json:"depth,omitempty"`
+	Fuse     bool  `json:"fuse,omitempty"`
+	Split    *bool `json:"split,omitempty"`
+	Pipeline *bool `json:"pipeline,omitempty"`
+	Depth    int   `json:"depth,omitempty"`
 }
 
 func (o *CompileOptions) resolve() compile.Options {
-	if o == nil {
-		return compile.DefaultOptions()
-	}
 	c := compile.DefaultOptions()
+	if o == nil {
+		return c
+	}
 	c.EnableFusion = o.Fuse
-	c.EnableSplit = o.Split
-	c.EnablePipeline = o.Pipeline
+	if o.Split != nil {
+		c.EnableSplit = *o.Split
+	}
+	if o.Pipeline != nil {
+		c.EnablePipeline = *o.Pipeline
+	}
 	if o.Depth > 0 {
 		c.PipelineDepth = o.Depth
 	}
@@ -212,7 +211,6 @@ type Job struct {
 	id       string
 	server   *Server
 	graph    *delirium.Graph
-	fp       string
 	cacheHit bool
 	req      SubmitRequest
 	mode     rts.Mode
@@ -229,7 +227,6 @@ type Job struct {
 	result    *trace.Result
 	digest    string
 	traceJSON string
-	planInfo  string
 	errMsg    string
 	submitted time.Time
 	startedAt time.Time
@@ -258,11 +255,7 @@ type JobStatus struct {
 	Digest string `json:"digest,omitempty"`
 	// TraceJSON is the Chrome trace-event export when Trace was set.
 	TraceJSON string `json:"trace_json,omitempty"`
-	// Plan reports the autosplit outcome: "profiled:<id>" when this job
-	// was the profiling run that cached the searched plan, "cached:<id>"
-	// when it reused one.
-	Plan  string `json:"plan,omitempty"`
-	Error string `json:"error,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
 // Status snapshots the job.
@@ -280,7 +273,6 @@ func (j *Job) Status() JobStatus {
 		Result:    j.result,
 		Digest:    j.digest,
 		TraceJSON: j.traceJSON,
-		Plan:      j.planInfo,
 		Error:     j.errMsg,
 	}
 	if j.cacheHit {
@@ -364,19 +356,22 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	if req.UnitWork <= 0 {
 		req.UnitWork = 4000
 	}
+	if err := (rts.RunOpts{Mode: mode, Processors: req.Processors, Omega: req.Omega}).Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if req.TimeoutMS < 0 || int64(req.TimeoutMS) > int64(math.MaxInt64/time.Millisecond) {
+		return nil, fmt.Errorf("serve: timeout_ms %d is negative or longer than a time.Duration holds", req.TimeoutMS)
+	}
 	if req.Processors > s.pool.Size() {
 		req.Processors = s.pool.Size()
 	}
 
 	var g *delirium.Graph
-	var fp string
 	var hit bool
 	var err error
 	if req.Program != "" {
-		fp = compile.Fingerprint(req.Program, req.Options.resolve())
 		g, hit, err = s.cache.compileKeyed(req.Program, req.Options.resolve())
 	} else {
-		fp = compile.GraphFingerprint(req.Graph)
 		g, hit, err = s.cache.decodeKeyed(req.Graph)
 	}
 	if err != nil {
@@ -411,7 +406,6 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	j := &Job{
 		server:    s,
 		graph:     g,
-		fp:        fp,
 		cacheHit:  hit,
 		req:       req,
 		mode:      mode,
@@ -489,44 +483,10 @@ func (s *Server) execute(j *Job, grant int) {
 		opts.Sink = &col
 	}
 
-	// Autosplit: reuse a cached searched plan when one exists for this
-	// graph at this grant and ω; otherwise this run doubles as the
-	// profiling run, so force the event sink on. The binder stays keyed
-	// to the submitted graph — the searched graph shares its nodes and
-	// only weakens edge attributes, so kernel read patterns (and hence
-	// the digest) are unchanged.
-	runGraph := j.graph
-	key := planKey(j.fp, grant, omega)
-	profiling := false
-	if j.req.Autosplit {
-		if p, ok := s.plans.get(key); ok {
-			runGraph = p.Best.Graph
-			j.mu.Lock()
-			j.planInfo = "cached:" + p.Best.ID
-			j.mu.Unlock()
-		} else {
-			profiling = true
-			opts.Sink = &col
-		}
-	}
-
-	res, err := s.pool.Run(runGraph, bound, opts)
+	res, err := s.pool.Run(j.graph, bound, opts)
 	if err != nil {
 		s.finishJob(j, nil, "", "", err)
 		return
-	}
-
-	if profiling && col.Trace != nil {
-		if prof, perr := search.FromTrace(col.Trace, omega); perr == nil {
-			plan, serr := search.Run(prof, search.GraphCandidates(j.graph),
-				search.Options{P: grant, Omega: omega})
-			if serr == nil {
-				s.plans.put(key, plan)
-				j.mu.Lock()
-				j.planInfo = "profiled:" + plan.Best.ID
-				j.mu.Unlock()
-			}
-		}
 	}
 	digest := ""
 	if d, ok := bound.Digest(); ok {
@@ -642,7 +602,6 @@ type Stats struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
 	Pool          native.PoolStats `json:"pool"`
 	Cache         CacheStats       `json:"cache"`
-	Plans         PlanCacheStats   `json:"plans"`
 	Jobs          JobCounts        `json:"jobs"`
 	Pipeline      PipelineStats    `json:"pipeline"`
 	Allocations   []AllocDecision  `json:"allocations"`
@@ -684,7 +643,6 @@ func (s *Server) Stats() Stats {
 		UptimeSeconds: uptime,
 		Pool:          s.pool.Stats(),
 		Cache:         s.cache.stats(),
-		Plans:         s.plans.stats(),
 		Jobs:          jc,
 		Pipeline:      ps,
 		Allocations:   s.alloc.snapshot(),
