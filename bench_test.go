@@ -188,7 +188,7 @@ end
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := split.Split(r, []source.Stmt{h}, dg, nil, split.DefaultOptions())
+		res := split.Split(r, []source.Stmt{h}, dg, nil)
 		if !res.Applied() {
 			b.Fatal("split not applied")
 		}

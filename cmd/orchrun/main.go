@@ -60,6 +60,9 @@
 // perturb the simulator's message cost model (the measured backends
 // have no modelled messages and ignore them).
 //
+// TAPER's confidence width is ω = √(2·ln(p+1)) on every backend, fixed
+// by the worker count; no flag sets it.
+//
 // Usage:
 //
 //	orchrun [-p procs] [-backend sim|native|dist] [-mode static|taper|split|all]
@@ -99,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("orchrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	p := fs.Int("p", 64, "number of processors (sim), worker goroutines (native; 0 = GOMAXPROCS), or worker processes (dist)")
-	backend := cliflag.Backend(fs, "backend", "sim", "execution backend (sim, native, dist), with optional options: name[:k=v,...]")
+	backend := cliflag.Backend(fs, "backend", "sim", "execution backend: sim, native or dist")
 	mode := cliflag.Modes(fs, "mode", "split", "execution mode: static, taper, split, or all")
 	tasks := fs.Int("tasks", 2048, "tasks per operator without a tasks= annotation")
 	nParam := fs.Int("n", 2048, "value of the symbolic problem size n in tasks= annotations")
@@ -110,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kernelWork := fs.Int("kernelwork", 1, "with -kernel: function-evaluation rounds per task")
 	traceOut := fs.String("trace", "", "write an execution trace to this file (Chrome trace-event JSON; CSV if the name ends in .csv)")
 	gantt := fs.Bool("gantt", false, "print a per-operator Gantt/summary of the execution trace")
-	omega := fs.Float64("omega", 0, "override TAPER's confidence width ω (0 = scheduler default)")
 	noChain := fs.Bool("nochain", false, "native split mode: disable cache chaining (annotated edges fall back to the prefix gate)")
 	faultFlag := cliflag.Fault(fs, "fault", "inject a fault plan, e.g. 'crash:0@1,stall:2@0:0.01,delay:0.5' (see internal/fault)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -208,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "orchrun:", err)
 			return 2
 		}
-		opts := rts.RunOpts{Processors: *p, Mode: m, Omega: *omega, Fault: plan}
+		opts := rts.RunOpts{Processors: *p, Mode: m, Fault: plan}
 		if *noChain {
 			opts.Chain = rts.ChainOff
 		}

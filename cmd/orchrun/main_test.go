@@ -49,14 +49,33 @@ func TestRunUnknownBackend(t *testing.T) {
 	}
 }
 
-// TestRunUnknownFlag includes -autosplit: every run executes the graph
-// it is given, so no flag asks for a searched one.
+// TestRunUnknownFlag includes -autosplit and -omega: every run executes
+// the graph it is given, so no flag asks for a searched one, and TAPER's
+// confidence width is fixed by the worker count.
 func TestRunUnknownFlag(t *testing.T) {
-	for _, flag := range []string{"-no-such-flag", "-autosplit"} {
+	for _, flags := range [][]string{{"-no-such-flag"}, {"-autosplit"}, {"-omega", "2"}} {
 		var out, errw strings.Builder
-		if code := run([]string{flag, writeGraph(t)}, &out, &errw); code != 2 {
-			t.Errorf("%s: exit code = %d, want 2", flag, code)
+		if code := run(append(flags, writeGraph(t)), &out, &errw); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2", flags, code)
 		}
+	}
+}
+
+// TestRunHelpNamesBackends checks -h lists the three backends by their
+// bare names: no backend takes options.
+func TestRunHelpNamesBackends(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run([]string{"-h"}, &out, &errw); code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	help := errw.String()
+	for _, name := range []string{"sim", "native", "dist"} {
+		if !strings.Contains(help, name) {
+			t.Errorf("-h does not name backend %q:\n%s", name, help)
+		}
+	}
+	if strings.Contains(help, "k=v") {
+		t.Errorf("-h still describes backend options:\n%s", help)
 	}
 }
 

@@ -23,6 +23,10 @@
 //	  "mode": "split", "n": 4096
 //	}'
 //
+// Every job's TAPER confidence width is ω = √(2·ln(p+1)) for its
+// worker grant p; neither a flag nor a submission field sets it (an
+// "omega" field is an unknown field, refused with 400).
+//
 // The daemon shuts down cleanly on SIGINT/SIGTERM: running jobs are
 // canceled at their next chunk boundaries, the pool drains, and the
 // listener closes.
@@ -59,7 +63,6 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 	addr := fs.String("addr", "127.0.0.1:8021", "listen address")
 	pool := fs.Int("pool", 0, "warm pool size in worker goroutines (0 = GOMAXPROCS)")
 	mode := cliflag.Modes(fs, "default-mode", "split", "execution mode for submissions that omit one")
-	omega := fs.Float64("omega", 0, "default TAPER confidence width ω (0 = scheduler default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -74,7 +77,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 		return 1
 	}
 
-	s := serve.New(serve.Config{PoolSize: *pool, DefaultMode: m, Omega: *omega})
+	s := serve.New(serve.Config{PoolSize: *pool, DefaultMode: m})
 	srv := &http.Server{Handler: s.Handler()}
 	fmt.Fprintf(stderr, "orchserve: listening on %s (pool %d workers, default mode %s)\n",
 		ln.Addr(), s.Stats().Pool.Size, m)

@@ -18,6 +18,15 @@ func TestRunBadDefaultMode(t *testing.T) {
 	}
 }
 
+// TestRunOmegaIsUnknown: TAPER's confidence width is fixed by each
+// job's worker grant, so -omega is an unknown flag.
+func TestRunOmegaIsUnknown(t *testing.T) {
+	var stderr strings.Builder
+	if code := run([]string{"-omega", "2"}, &stderr, nil); code != 2 {
+		t.Fatalf("exit code = %d, want 2; stderr %q", code, stderr.String())
+	}
+}
+
 func TestRunAddressInUse(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  m=%5d  cost=%8.1f\n", m, rts.PipeBatchCost(cfg, *n, itemBytes, m))
 	}
 	fmt.Fprintf(stdout, "\ngate batch on the graph path (m* capped so the producer delivers many\nbatches within its estimated finishing time): %d items\n",
-		rts.ChoosePairGranularity(cfg, prod, *p, itemBytes, 0))
+		rts.ChoosePairGranularity(cfg, prod, *p, itemBytes))
 
 	// The same pair three ways. Batch and processor allocation are the
 	// graph path's own: RunGraph takes neither as an input.

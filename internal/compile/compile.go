@@ -35,8 +35,6 @@ type Options struct {
 	EnablePipeline bool
 	// PipelineDepth is the pipelining depth (default 1).
 	PipelineDepth int
-	// Split tunes the split transformation itself.
-	Split split.Options
 }
 
 // DefaultOptions enables everything.
@@ -45,7 +43,6 @@ func DefaultOptions() Options {
 		EnableSplit:    true,
 		EnablePipeline: true,
 		PipelineDepth:  1,
-		Split:          split.DefaultOptions(),
 	}
 }
 
@@ -155,7 +152,7 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 				result = append(result, u)
 				continue
 			}
-			res := split.Split(r, u.Stmts, prev.Desc, r.SSA.Ctx[u.Stmts[0]], opts.Split)
+			res := split.Split(r, u.Stmts, prev.Desc, r.SSA.Ctx[u.Stmts[0]])
 			if !res.Applied() {
 				result = append(result, u)
 				continue
@@ -186,7 +183,7 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 				result = append(result, u)
 				continue
 			}
-			pres, ok := split.Pipeline(r, loop, opts.PipelineDepth, opts.Split)
+			pres, ok := split.Pipeline(r, loop, opts.PipelineDepth)
 			if !ok {
 				result = append(result, u)
 				continue

@@ -153,7 +153,7 @@ program fig4
     end do
   end do
 end
-`, Options{EnableSplit: true, Split: DefaultOptions().Split})
+`, Options{EnableSplit: true})
 	text := source.Format(out.Program)
 	// Reduction replication and merge appear.
 	if !strings.Contains(text, "sum = sum + sum_") && !strings.Contains(text, "sum = (sum + sum_") {

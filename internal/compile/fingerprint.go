@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 )
 
 // Fingerprint is the content address of one compilation: SHA-256 over
@@ -15,11 +14,6 @@ import (
 // graph cache sound: the serve daemon keys its cache on this, so
 // resubmitting a program (even under a different job name) reuses the
 // compiled graph, while flipping any transformation knob misses.
-//
-// One caveat is deliberate: a custom Split.Weight function contributes
-// only its presence (it is code, not data). Callers installing custom
-// weight functions must not share a cache across different ones; the
-// serve daemon never sets one.
 func Fingerprint(src string, opts Options) string {
 	h := sha256.New()
 	writeStr := func(s string) {
@@ -32,17 +26,6 @@ func Fingerprint(src string, opts Options) string {
 	writeStr(src)
 	writeStr(fmt.Sprintf("fusion=%t split=%t pipeline=%t depth=%d",
 		opts.EnableFusion, opts.EnableSplit, opts.EnablePipeline, opts.PipelineDepth))
-	writeStr(fmt.Sprintf("mrl=%t rt=%d wt=%g weightfn=%t",
-		opts.Split.MoveReadLinked, opts.Split.ReplicationThreshold,
-		opts.Split.WeightThreshold, opts.Split.Weight != nil))
-	renames := make([]string, 0, len(opts.Split.BlockRenames))
-	for k, v := range opts.Split.BlockRenames {
-		renames = append(renames, k+"\x00"+v)
-	}
-	sort.Strings(renames)
-	for _, r := range renames {
-		writeStr(r)
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -44,31 +44,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	o = DefaultOptions()
 	o.EnableFusion = true
 	add("fusion on", Fingerprint(src, o))
-
-	o = DefaultOptions()
-	o.Split.ReplicationThreshold++
-	add("replication threshold", Fingerprint(src, o))
-
-	o = DefaultOptions()
-	o.Split.BlockRenames = map[string]string{"a": "b"}
-	add("renames", Fingerprint(src, o))
-}
-
-func TestFingerprintRenameOrderIndependent(t *testing.T) {
-	src := "x"
-	a := DefaultOptions()
-	a.Split.BlockRenames = map[string]string{"a": "1", "b": "2", "c": "3"}
-	b := DefaultOptions()
-	b.Split.BlockRenames = map[string]string{"c": "3", "b": "2", "a": "1"}
-	if Fingerprint(src, a) != Fingerprint(src, b) {
-		t.Fatal("map iteration order leaked into the fingerprint")
-	}
-	// Key/value boundary must matter: {"ab":"c"} vs {"a":"bc"}.
-	a.Split.BlockRenames = map[string]string{"ab": "c"}
-	b.Split.BlockRenames = map[string]string{"a": "bc"}
-	if Fingerprint(src, a) == Fingerprint(src, b) {
-		t.Fatal("rename key/value boundary is ambiguous")
-	}
 }
 
 func TestGraphFingerprintDistinctSpace(t *testing.T) {

@@ -164,7 +164,7 @@ func newSched(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*sch
 	s := &sched{
 		g: g, opts: opts, mode: opts.Mode, f: f,
 		ops:     make([]opState, f.Len()),
-		taper:   taskop.Taper{UseCostFunction: true, Omega: opts.Omega},
+		taper:   taskop.Taper{UseCostFunction: true},
 		workers: make([]*wstate, p),
 		msgCh:   make(chan wmsg, 4*p+16),
 		stop:    make(chan struct{}),
@@ -240,8 +240,6 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res
 	job := jobMsg{
 		Graph:   g.Encode(),
 		Binding: bound.Binding,
-		Mode:    int(opts.Mode),
-		Omega:   opts.Omega,
 		Workers: p,
 		Ops:     names,
 	}

@@ -32,9 +32,9 @@
 //	hello     worker → coord   JSON {worker, pid}; sent once on connect.
 //	                           worker only names the connection among
 //	                           the processes one Run forked
-//	job       coord → worker   JSON {worker, graph, binding, mode, omega,
-//	                           workers, fault, ops, heartbeat}; worker is
-//	                           the id the process has for this job
+//	job       coord → worker   JSON {worker, graph, binding, workers,
+//	                           fault, ops}; worker is the id the
+//	                           process has for this job
 //	job-ok    worker → coord   JSON {err}; binding resolved (or not)
 //	grant     coord → worker   op u32, lo u32, hi u32, seq u32:
 //	                           execute tasks [lo,hi) of ops[op]
@@ -119,8 +119,6 @@ type jobMsg struct {
 	Worker  int         `json:"worker"`
 	Graph   string      `json:"graph"`
 	Binding rts.Binding `json:"binding"`
-	Mode    int         `json:"mode"`
-	Omega   float64     `json:"omega,omitempty"`
 	// Workers is the total worker count (fault plans validate against
 	// it; kernels may size communication estimates with it).
 	Workers int `json:"workers"`

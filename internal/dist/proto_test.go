@@ -62,17 +62,16 @@ func TestFrameRejectsOversize(t *testing.T) {
 }
 
 // TestJobMessageRoundTrip checks that the JSON job payload carries the
-// binding (kernel name, table, params) losslessly.
+// binding (kernel name, params) losslessly.
 func TestJobMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := jobMsg{
-		Graph: "graph g\n",
-		Mode:  2, Omega: 1.5, Workers: 3,
-		Ops:   []string{"a", "b"},
-		Fault: "crash:0@1",
+		Graph:   "graph g\n",
+		Workers: 3,
+		Ops:     []string{"a", "b"},
+		Fault:   "crash:0@1",
 	}
 	in.Binding.Kernel = "array"
-	in.Binding.Table = map[string]string{"b": "spin"}
 	in.Binding.Params = map[string]string{"n": "128", "cv": "1.5"}
 	if err := writeJSON(&buf, mJob, in); err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestJobMessageRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(payload, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Binding.Kernel != "array" || out.Binding.Table["b"] != "spin" ||
+	if out.Binding.Kernel != "array" ||
 		out.Binding.Params["n"] != "128" || out.Fault != "crash:0@1" ||
 		len(out.Ops) != 2 || out.Workers != 3 {
 		t.Fatalf("job did not survive the wire: %+v", out)

@@ -135,7 +135,7 @@ func AblationAllocation(n, p int, seed uint64) (iterative, naive trace.Result) {
 	app := workload.Climate(workload.Config{N: n, Seed: seed})
 	a, b := app.Bind("cloud"), app.Bind("radI")
 	cfg := machine.DefaultConfig(p)
-	alloc := rts.AllocateMany(cfg, []rts.OpSpec{a, b}, p, 0, nil)
+	alloc := rts.AllocateMany(cfg, []rts.OpSpec{a, b}, p, nil)
 	return dedicated(cfg, a, b, alloc[0], alloc[1]), dedicated(cfg, a, b, p/2, p-p/2)
 }
 
@@ -184,8 +184,8 @@ func AblationMaxCount(n, p int, seed uint64, counts []int) []trace.Result {
 		p1, p2 := p/2, p-p/2
 		if mc > 0 {
 			p1, p2 = rts.Allocate(
-				func(q int) float64 { return rts.FinishEstimate(cfg, a, q, 0).Total() },
-				func(q int) float64 { return rts.FinishEstimate(cfg, b, q, 0).Total() },
+				func(q int) float64 { return rts.FinishEstimate(cfg, a, q).Total() },
+				func(q int) float64 { return rts.FinishEstimate(cfg, b, q).Total() },
 				p, mc, rts.DefaultEpsilon)
 		}
 		r := dedicated(cfg, a, b, p1, p2)

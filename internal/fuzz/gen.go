@@ -33,11 +33,6 @@ type GenConfig struct {
 	// MaxTopLoops is the number of top-level constructs beyond the
 	// leading producer/consumer pair.
 	MaxTopLoops int
-	// Wild, when set, widens the grammar to constructs the lowering
-	// handles only serially (scalar temporaries, constant-subscript
-	// writes in loops) — useful for hunting compile bugs rather than
-	// backend bugs.
-	Wild bool
 }
 
 // DefaultGenConfig matches the fuzz campaign's default shape.
@@ -132,10 +127,6 @@ func (g *Gen) Program() *source.Program {
 		case 3:
 			p.Body = append(p.Body, g.topIf())
 		case 4:
-			if g.cfg.Wild {
-				p.Body = append(p.Body, g.wildStmt())
-				break
-			}
 			p.Body = append(p.Body, g.vectorLoop())
 		default:
 			if g.rng.Bernoulli(0.5) {
@@ -322,23 +313,6 @@ func (g *Gen) topIf() source.Stmt {
 		st.Else = mk(1)
 	}
 	return st
-}
-
-// wildStmt yields constructs outside the parallel-safe core: the
-// lowering executes the enclosing unit serially, so these hunt compile
-// bugs rather than backend scheduling bugs.
-func (g *Gen) wildStmt() source.Stmt {
-	iv := g.freshVar()
-	dst := g.vecs[g.rng.Intn(len(g.vecs))]
-	// A carried recurrence: u(i) = u(i - 1) + e.
-	return &source.Do{
-		Var:    iv,
-		Ranges: []source.DoRange{{Lo: num(2), Hi: bin("-", ident("n"), num(1))}},
-		Body: []source.Stmt{&source.Assign{
-			LHS: &source.ArrayRef{Name: dst, Index: []source.Expr{ident(iv)}},
-			RHS: bin("+", &source.ArrayRef{Name: dst, Index: []source.Expr{ivExpr(iv, -1)}}, g.valueExpr(iv, 1)),
-		}},
-	}
 }
 
 // phasePair yields the shape the split transformation targets: a

@@ -415,11 +415,8 @@ func Rows(rung string, plan *fault.Plan) []Config {
 	var rows []Config
 	// add names a row after what it runs. The order ledger is exact only
 	// on the simulator's undisturbed split runs.
-	add := func(be rts.Backend, p int, m rts.Mode, omega float64) {
+	add := func(be rts.Backend, p int, m rts.Mode) {
 		name := fmt.Sprintf("%s/p=%d/%s", be.Name(), p, m)
-		if omega != 0 {
-			name += fmt.Sprintf("/omega=%g", omega)
-		}
 		if plan != nil {
 			name += fmt.Sprintf("/fault=%s", plan)
 		}
@@ -427,7 +424,7 @@ func Rows(rung string, plan *fault.Plan) []Config {
 		rows = append(rows, Config{
 			Name:     name,
 			Backend:  be,
-			Opts:     rts.RunOpts{Processors: p, Mode: m, Omega: omega, Fault: plan},
+			Opts:     rts.RunOpts{Processors: p, Mode: m, Fault: plan},
 			CheckSim: isSim && m == split && plan == nil,
 		})
 	}
@@ -435,29 +432,27 @@ func Rows(rung string, plan *fault.Plan) []Config {
 	case Base:
 		for _, p := range []int{1, 3, 8} {
 			for _, m := range modes {
-				add(sim(p), p, m, 0)
+				add(sim(p), p, m)
 			}
 		}
 		for _, p := range []int{1, 2, 4} {
 			for _, m := range modes {
-				add(nat, p, m, 0)
+				add(nat, p, m)
 			}
 		}
-		add(nat, 4, split, 0.5) // a tight and a loose TAPER ω
-		add(nat, 4, split, 3)
 	case Dist:
 		// Every row forks its worker set — orders of magnitude costlier
 		// than an in-process run, hence a rung of its own.
 		for _, m := range modes {
-			add(dist.Backend{}, 3, m, 0)
+			add(dist.Backend{}, 3, m)
 			rows[len(rows)-1].ByName = true
 		}
 	case Faults:
 		// No static rows: the simulator rejects worker faults it has no
 		// scheduling events to survive through.
 		for _, be := range []rts.Backend{sim(faultWorkers), nat} {
-			add(be, faultWorkers, taper, 0)
-			add(be, faultWorkers, split, 0)
+			add(be, faultWorkers, taper)
+			add(be, faultWorkers, split)
 		}
 	case Nested:
 		opts := func(p int, m rts.Mode) rts.RunOpts { return rts.RunOpts{Processors: p, Mode: m} }

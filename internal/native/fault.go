@@ -122,6 +122,6 @@ func (e *engine) emitRealloc(live int) {
 		names = append(names, o.name)
 	}
 	if len(specs) > 0 {
-		rts.AllocateMany(machine.Config{}, specs, max(live, 1), e.omega, e.rec, names...)
+		rts.AllocateMany(machine.Config{}, specs, max(live, 1), e.rec, names...)
 	}
 }

@@ -152,7 +152,7 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		// actions take effect here.
 		fx = fault.NewExec(opts.Fault, p)
 	}
-	e := &engine{p: p, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode, omega: opts.Omega}
+	e := &engine{p: p, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode}
 	e.live.Store(int32(p))
 	switch opts.Mode {
 	case rts.ModeStatic:
@@ -199,7 +199,7 @@ func (e *engine) addOps(first int) {
 		spec := e.f.Spec(i)
 		o := &opState{idx: i, name: e.f.Name(i), n: spec.Op.N, body: spec.Op.Time, bodyRange: spec.Op.TimeRange,
 			split: spec.Split, bytes: spec.Op.Bytes}
-		o.taper = sched.Taper{UseCostFunction: true, Omega: e.omega}
+		o.taper = sched.Taper{UseCostFunction: true}
 		o.stats = sched.NewTaskStats(maxInt(o.n, 1))
 		o.unsched.Store(int64(o.n))
 		grown = append(grown, o)
@@ -404,9 +404,6 @@ type engine struct {
 	// workers read a consistent snapshot through op/opsSnap while addOps
 	// swaps in a grown copy under mu.
 	opsA atomic.Pointer[[]*opState]
-	// omega is the run's TAPER ω override, kept for sub-operator
-	// construction at expansion time.
-	omega float64
 
 	// failMu guards failErr, the first mid-run failure (expansion
 	// errors: depth bound, size limits, bad sub-graphs). fail()

@@ -134,17 +134,14 @@ func TestExecuteRunsEveryTaskOnce(t *testing.T) {
 }
 
 // TestEmitReallocRows: the reallocation a loss triggers runs the
-// estimator on the statistics measured so far, at the run's TAPER ω as
-// the simulator's does. Fixed task statistics go through emitRealloc at
-// a non-default ω, and the recorded AllocEstimate rows must be
-// rts.AllocateMany's over the survivors. (Under native's zero cost model ω only
-// scales the sched term, which is zero, so no row shows ω today; the
-// test pins the call for when the model gains a sched cost.)
+// estimator on the statistics measured so far, as the simulator's does.
+// Fixed task statistics go through emitRealloc, and the recorded
+// AllocEstimate rows must be rts.AllocateMany's over the survivors.
 func TestEmitReallocRows(t *testing.T) {
-	const omega, live = 3.5, 2
+	const live = 2
 	counts := map[string]*atomic.Int64{"a": {}, "b": {}}
 	e, err := newEngine(chainGraph(t, true), countBinder(100, counts),
-		rts.RunOpts{Processors: 4, Mode: rts.ModeTaper, Omega: omega, Sink: &obs.Collector{}}, 4)
+		rts.RunOpts{Processors: 4, Mode: rts.ModeTaper, Sink: &obs.Collector{}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +159,10 @@ func TestEmitReallocRows(t *testing.T) {
 	e.emitRealloc(live)
 	got := e.rec.Finish(trace.Result{}).Allocs
 	rec := obs.NewRecorder("native", "s", nil, 1)
-	rts.AllocateMany(machine.Config{}, specs, live, omega, rec, names...)
+	rts.AllocateMany(machine.Config{}, specs, live, rec, names...)
 	want := rec.Finish(trace.Result{}).Allocs
 	if len(got) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("emitRealloc rows at ω=%g:\n got %+v\nwant %+v", omega, got, want)
+		t.Fatalf("emitRealloc rows:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -92,16 +92,13 @@ func imbalance(a, b float64) float64 {
 // AllocateMany divides p processors among k > 0 concurrent
 // operations: an initial share proportional to estimated total work,
 // refined by pairwise application of the iterative algorithm between
-// the currently slowest and fastest operations. omega is the run's
-// TAPER confidence-width override (0 = default), threaded into every
-// finishing-time estimate so the allocation models the scheduler the
-// run will actually use.
+// the currently slowest and fastest operations.
 //
 // A non-nil rec receives one obs.AllocEstimate row per operation per
 // iteration — the five finishing-time terms the decision was based on
 // — with the final allocation re-emitted as Chosen rows. names, when
 // supplied, label the rows; otherwise operations appear as op0, op1, …
-func AllocateMany(cfg machine.Config, specs []OpSpec, p int, omega float64, rec *obs.Recorder, names ...string) []int {
+func AllocateMany(cfg machine.Config, specs []OpSpec, p int, rec *obs.Recorder, names ...string) []int {
 	k := len(specs)
 	name := func(i int) string {
 		if i < len(names) {
@@ -114,7 +111,7 @@ func AllocateMany(cfg machine.Config, specs []OpSpec, p int, omega float64, rec 
 	}
 	if k == 1 {
 		if rec != nil {
-			e := FinishEstimate(cfg, specs[0], p, omega)
+			e := FinishEstimate(cfg, specs[0], p)
 			rec.Alloc(obs.AllocEstimate{Op: name(0), Procs: p, Setup: e.Setup,
 				Compute: e.Compute, Lag: e.Lag, Comm: e.Comm, Sched: e.Sched, Chosen: true})
 		}
@@ -158,7 +155,7 @@ func AllocateMany(cfg machine.Config, specs []OpSpec, p int, omega float64, rec 
 			return
 		}
 		for i := range specs {
-			e := FinishEstimate(cfg, specs[i], alloc[i], omega)
+			e := FinishEstimate(cfg, specs[i], alloc[i])
 			rec.Alloc(obs.AllocEstimate{Op: name(i), Round: emitRound, Procs: alloc[i],
 				Setup: e.Setup, Compute: e.Compute, Lag: e.Lag, Comm: e.Comm,
 				Sched: e.Sched, Chosen: chosen})
@@ -171,7 +168,7 @@ func AllocateMany(cfg machine.Config, specs []OpSpec, p int, omega float64, rec 
 	for round := 0; round < DefaultMaxCount; round++ {
 		est := make([]float64, k)
 		for i := range specs {
-			est[i] = FinishEstimate(cfg, specs[i], alloc[i], omega).Total()
+			est[i] = FinishEstimate(cfg, specs[i], alloc[i]).Total()
 		}
 		slow, fast := 0, 0
 		for i := 1; i < k; i++ {
@@ -187,8 +184,8 @@ func AllocateMany(cfg machine.Config, specs []OpSpec, p int, omega float64, rec 
 		}
 		pool := alloc[slow] + alloc[fast]
 		p1, p2 := Allocate(
-			func(q int) float64 { return FinishEstimate(cfg, specs[slow], q, omega).Total() },
-			func(q int) float64 { return FinishEstimate(cfg, specs[fast], q, omega).Total() },
+			func(q int) float64 { return FinishEstimate(cfg, specs[slow], q).Total() },
+			func(q int) float64 { return FinishEstimate(cfg, specs[fast], q).Total() },
 			pool, DefaultMaxCount, DefaultEpsilon)
 		alloc[slow], alloc[fast] = p1, p2
 		emit(false)

@@ -92,7 +92,7 @@ func TestCalibrationContract(t *testing.T) {
 				if spec.Mu > 0 {
 					cvMeasured = spec.Sigma / spec.Mu
 				}
-				predicted := PredictChunks(n, p, cvMeasured, 0)
+				predicted := PredictChunks(n, p, cvMeasured)
 				if r := float64(predicted) / float64(chunks); r < 1.0/3 || r > 3 {
 					t.Errorf("predicted %d chunks, measured %d (ratio %.2f outside [1/3, 3])",
 						predicted, chunks, r)
@@ -101,7 +101,7 @@ func TestCalibrationContract(t *testing.T) {
 				// Compute-share calibration: the trace's total busy time
 				// divided by p is the measured share of equation (1)'s
 				// Compute term.
-				est := FinishEstimate(cfg, spec, p, 0)
+				est := FinishEstimate(cfg, spec, p)
 				share := busy / float64(p)
 				if d := math.Abs(est.Compute-share) / share; d > 0.30 {
 					t.Errorf("Compute term %v vs measured share %v (%.0f%% off)",

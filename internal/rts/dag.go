@@ -42,12 +42,11 @@ func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 // operator may be dispatched. Every task body is called exactly once,
 // by the chunk that holds it (execChunk).
 type dagRun struct {
-	ctx   context.Context
-	cfg   machine.Config
-	p     int
-	omega float64
-	rec   *obs.Recorder
-	fx    *fault.Exec
+	ctx context.Context
+	cfg machine.Config
+	p   int
+	rec *obs.Recorder
+	fx  *fault.Exec
 
 	sim *machine.Sim
 	f   *Frontier
@@ -116,8 +115,8 @@ type pendChunk struct {
 // processor stop taking chunks at its next scheduling decision;
 // in-flight simulated chunks drain and the run returns a CancelError
 // instead of a result.
-func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, omega float64, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
-	r, err := newDagRun(ctx, cfg, g, bind, p, omega, rec, fx)
+func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
+	r, err := newDagRun(ctx, cfg, g, bind, p, rec, fx)
 	if err != nil {
 		return trace.Result{}, err
 	}
@@ -129,8 +128,8 @@ func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind
 // operators' placement and queues, the expansions of expandable
 // sources, and every processor woken at time zero. The caller runs
 // r.sim to exhaustion and reads r.result.
-func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, omega float64, rec *obs.Recorder, fx *fault.Exec) (*dagRun, error) {
-	r := &dagRun{ctx: ctx, cfg: cfg, p: p, omega: omega, rec: rec, fx: fx,
+func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, rec *obs.Recorder, fx *fault.Exec) (*dagRun, error) {
+	r := &dagRun{ctx: ctx, cfg: cfg, p: p, rec: rec, fx: fx,
 		sim:  machine.NewSim(cfg),
 		res:  trace.Result{Processors: p, Busy: make([]float64, p)},
 		live: p, slowF: 1,
@@ -140,7 +139,7 @@ func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind 
 	}
 	r.nextFn, r.chunkDoneFn, r.drainFn = r.next, r.chunkDone, r.drain
 	f, err := NewFrontier(g, bind, true, func(prod OpSpec) int {
-		return ChoosePairGranularity(cfg, prod, p, prod.Op.Bytes, omega)
+		return ChoosePairGranularity(cfg, prod, p, prod.Op.Bytes)
 	}, Limits{})
 	if err != nil {
 		return nil, err
@@ -188,7 +187,7 @@ func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 		r.ops = append(r.ops, dagOp{
 			spec:    spec,
 			tstats:  sched.NewTaskStats(spec.Op.N),
-			taper:   sched.Taper{UseCostFunction: true, Omega: r.omega},
+			taper:   sched.Taper{UseCostFunction: true},
 			unsched: spec.Op.N,
 			cost:    make([]float64, spec.Op.N),
 		})
@@ -217,7 +216,7 @@ func (r *dagRun) place(g2 *delirium.Graph) error {
 			lspecs[i] = r.ops[idxs[i]].spec
 			lnames[i] = n.Name
 		}
-		shares := AllocateMany(r.cfg, lspecs, r.p, r.omega, r.rec, lnames...)
+		shares := AllocateMany(r.cfg, lspecs, r.p, r.rec, lnames...)
 		base := 0
 		for i, o := range idxs {
 			r.ops[o].alloc = shares[i]
@@ -540,7 +539,7 @@ func (r *dagRun) reallocSurvivors(gp int) {
 		rnames = append(rnames, r.f.Name(o))
 	}
 	if len(rspecs) > 0 {
-		AllocateMany(r.cfg, rspecs, max(r.live, 1), r.omega, r.rec, rnames...)
+		AllocateMany(r.cfg, rspecs, max(r.live, 1), r.rec, rnames...)
 	}
 }
 

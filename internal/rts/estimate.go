@@ -123,23 +123,6 @@ func (e Estimate) Total() float64 {
 	return e.Setup + e.Compute + e.Lag + e.Comm + e.Sched
 }
 
-// EffectiveOmega resolves a TAPER confidence-width override the same
-// way the executed policy does (sched.Taper.NextChunk): a positive
-// omega is used as-is, anything else falls back to the paper's
-// √(2·ln(p+1)). Every estimator that predicts scheduling behaviour
-// must resolve ω through this function — predicting with the default
-// while the executor honours an override would model a different
-// scheduler than the one that runs.
-func EffectiveOmega(p int, omega float64) float64 {
-	if omega > 0 {
-		return omega
-	}
-	if p < 1 {
-		p = 1
-	}
-	return math.Sqrt(2 * math.Log(float64(p)+1))
-}
-
 // FinishEstimate implements equation (1):
 //
 //	finish = setup + compute + lag + comm + sched
@@ -150,9 +133,8 @@ func EffectiveOmega(p int, omega float64) float64 {
 // with variance σ², approximately σ·√(N/p)·√(2·ln p). comm: the
 // runtime communication estimate. sched: the predicted number of
 // scheduling events per processor times the per-event overhead, with
-// the chunk count predicted from the TAPER recurrence under the
-// effective confidence width omega (0 = the policy default).
-func FinishEstimate(cfg machine.Config, spec OpSpec, p int, omega float64) Estimate {
+// the chunk count predicted from the TAPER recurrence.
+func FinishEstimate(cfg machine.Config, spec OpSpec, p int) Estimate {
 	if p < 1 {
 		p = 1
 	}
@@ -187,7 +169,7 @@ func FinishEstimate(cfg machine.Config, spec OpSpec, p int, omega float64) Estim
 		e.Comm = float64(spec.CommBytes(n, p)) / float64(p) * cfg.ByteCost
 	}
 
-	e.Sched = float64(PredictChunks(n, p, cv(spec), omega)) / float64(p) * cfg.SchedOverhead
+	e.Sched = float64(PredictChunks(n, p, cv(spec))) / float64(p) * cfg.SchedOverhead
 	return e
 }
 
@@ -202,23 +184,18 @@ func cv(spec OpSpec) float64 {
 // n tasks on p processors given the coefficient of variation of task
 // times, by iterating the chunk-size recurrence (§4.1.2: "we need to
 // predict, at runtime, the number of chunks that will be scheduled").
-// omega overrides the confidence width exactly as RunOpts.Omega
-// overrides the executed policy's (0 = the policy default), so the
-// prediction tracks the scheduler that actually runs during -omega
-// sweeps.
-func PredictChunks(n, p int, cv, omega float64) int {
+// Each round is solved with the executed policy's own sched.TaperWidth
+// and sched.TaperChunk, so it models the scheduler that runs.
+func PredictChunks(n, p int, cv float64) int {
 	if n <= 0 || p < 1 {
 		return 0
 	}
 	cv = sanitize(cv, 0)
-	omega = EffectiveOmega(p, omega)
+	w := sched.TaperWidth(p)
 	chunks := 0
 	r := n
 	for r > 0 {
-		share := float64(r) / float64(p)
-		disc := omega*omega*cv*cv + 4*share
-		sqrtK := (-omega*cv + math.Sqrt(disc)) / 2
-		k := int(sqrtK * sqrtK)
+		k := sched.TaperChunk(float64(r)/float64(p), cv, w)
 		if k < 1 {
 			k = 1
 		}

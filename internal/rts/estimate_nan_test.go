@@ -75,14 +75,14 @@ func TestEstimatorNeverEmitsNaN(t *testing.T) {
 					CommBytes:  func(n, p int) int64 { return int64(n) },
 				}
 				label := "estimate"
-				checkEstimate(t, label, FinishEstimate(cfg, spec, p, 0))
-				if c := PredictChunks(n, p, cv(spec), 0); c < 0 || (n > 0 && p >= 1 && c == 0) {
-					t.Errorf("PredictChunks(%d, %d, cv(%v,%v), 0) = %d", n, p, ms[0], ms[1], c)
+				checkEstimate(t, label, FinishEstimate(cfg, spec, p))
+				if c := PredictChunks(n, p, cv(spec)); c < 0 || (n > 0 && p >= 1 && c == 0) {
+					t.Errorf("PredictChunks(%d, %d, cv(%v,%v)) = %d", n, p, ms[0], ms[1], c)
 				}
 			}
 		}
 	}
-	if c := PredictChunks(100, 4, nan, 0); c <= 0 {
+	if c := PredictChunks(100, 4, nan); c <= 0 {
 		t.Errorf("PredictChunks with NaN cv = %d", c)
 	}
 
@@ -93,7 +93,7 @@ func TestEstimatorNeverEmitsNaN(t *testing.T) {
 	if p1+p2 != 8 || p1 < 1 || p2 < 1 {
 		t.Fatalf("Allocate with poisoned spec: %d + %d", p1, p2)
 	}
-	alloc := AllocateMany(cfg, []OpSpec{bad, good, uniformSpec(10, 1)}, 8, 0, nil)
+	alloc := AllocateMany(cfg, []OpSpec{bad, good, uniformSpec(10, 1)}, 8, nil)
 	sum := 0
 	for i, a := range alloc {
 		if a < 1 {

@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -109,8 +110,11 @@ func TestFrontierOutOfOrderMemory(t *testing.T) {
 		}
 		f.Complete(0, 900*pageTasks, 901*pageTasks, nil)
 	}
-	const runs = 10
-	fs := make([]*Frontier, runs+2)
+	// TotalAlloc is process-wide, so any other goroutine's allocation
+	// lands in a measured window: the byte bound holds for the smallest
+	// of several fresh frontiers.
+	const runs, tries = 10, 5
+	fs := make([]*Frontier, runs+1+tries)
 	for i := range fs {
 		fs[i] = oneOpFrontier(t, n)
 	}
@@ -122,16 +126,21 @@ func TestFrontierOutOfOrderMemory(t *testing.T) {
 	if allocs > 8 {
 		t.Errorf("eight out-of-order chunks: %v allocations, want ≤ 8", allocs)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	complete8(fs[next])
-	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - before.TotalAlloc; b > 16<<10 {
-		t.Errorf("eight out-of-order chunks allocated %d bytes, want ≤ 16 KiB", b)
+	least := uint64(math.MaxUint64)
+	for range tries {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		complete8(fs[next])
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if got := fs[next].Prefix(0); got != 0 {
+			t.Errorf("prefix %d with task 0 incomplete", got)
+		}
+		next++
 	}
-	if got := fs[next].Prefix(0); got != 0 {
-		t.Errorf("prefix %d with task 0 incomplete", got)
+	if least > 16<<10 {
+		t.Errorf("eight out-of-order chunks allocated at least %d bytes, want ≤ 16 KiB", least)
 	}
 }
 

@@ -35,17 +35,14 @@ func PipeBatchCost(cfg machine.Config, n int, itemBytes int64, m int) float64 {
 // model is additionally capped so the producer delivers many batches
 // within its estimated finishing time — otherwise the consumer idles
 // through the fill and the pipeline degenerates toward a barrier.
-// omega is the run's TAPER confidence-width override (0 = default), so
-// the producer finishing-time estimate models the scheduler actually
-// running.
-func ChoosePairGranularity(cfg machine.Config, prod OpSpec, pProd int, itemBytes int64, omega float64) int {
+func ChoosePairGranularity(cfg machine.Config, prod OpSpec, pProd int, itemBytes int64) int {
 	n := prod.Op.N
 	m := ChooseGranularity(cfg, n, itemBytes)
 	// The pipeline fill — the time to produce the first batch — must be
 	// a small fraction of the producer's estimated finishing time, so
 	// the consumer ramps up early: m·μ/p ≤ finish/16.
 	if prod.Mu > 0 && pProd > 0 {
-		finish := FinishEstimate(cfg, prod, pProd, omega).Total()
+		finish := FinishEstimate(cfg, prod, pProd).Total()
 		if cap := int(finish * float64(pProd) / (16 * prod.Mu)); cap >= 1 && m > cap {
 			m = cap
 		}

@@ -86,14 +86,11 @@ func (p KernelParams) SetFloat(key string, v float64) {
 }
 
 // Binding names a run's kernels in serializable form: every graph op
-// resolves through Table (falling back to Kernel) to a registered
-// kernel name, instantiated with Params. The zero Binding is invalid;
-// a Binding with only Kernel set binds every operator to that kernel.
+// binds to the registered kernel Kernel, instantiated with Params. The
+// zero Binding is invalid.
 type Binding struct {
-	// Kernel is the default kernel name for every operator.
+	// Kernel is the kernel name for every operator.
 	Kernel string `json:"kernel"`
-	// Table overrides the kernel per graph op (op name → kernel name).
-	Table map[string]string `json:"table,omitempty"`
 	// Params parameterizes the kernels (problem size, seed, work).
 	Params KernelParams `json:"params,omitempty"`
 }
@@ -101,14 +98,6 @@ type Binding struct {
 // NamedBinding builds a Binding of one kernel for every operator.
 func NamedBinding(kernel string, params KernelParams) Binding {
 	return Binding{Kernel: kernel, Params: params}
-}
-
-// kernelFor resolves the kernel name for one op.
-func (b Binding) kernelFor(op string) string {
-	if k, ok := b.Table[op]; ok {
-		return k
-	}
-	return b.Kernel
 }
 
 // BindEnv is the instantiation context a run's kernels share: the
@@ -299,27 +288,23 @@ func (b *Bound) Digest() (string, bool) {
 // graph node's kernel is resolved and constructed eagerly, so unknown
 // names and invalid parameters fail here rather than mid-execution.
 func BindWith(r *KernelRegistry, g *delirium.Graph, binding Binding) (*Bound, error) {
-	if binding.Kernel == "" && len(binding.Table) == 0 {
+	if binding.Kernel == "" {
 		return nil, fmt.Errorf("rts: empty binding (no kernel name)")
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	fn, err := r.Resolve(binding.Kernel)
+	if err != nil {
+		return nil, err
+	}
 	env := &BindEnv{Graph: g, Params: binding.Params}
 	specs := make(map[string]OpSpec, len(order))
 	for _, nd := range order {
-		kname := binding.kernelFor(nd.Name)
-		if kname == "" {
-			return nil, fmt.Errorf("rts: binding names no kernel for op %q", nd.Name)
-		}
-		fn, err := r.Resolve(kname)
-		if err != nil {
-			return nil, err
-		}
 		spec, err := fn(env, nd.Name)
 		if err != nil {
-			return nil, fmt.Errorf("rts: kernel %q for op %q: %w", kname, nd.Name, err)
+			return nil, fmt.Errorf("rts: kernel %q for op %q: %w", binding.Kernel, nd.Name, err)
 		}
 		specs[nd.Name] = spec
 	}

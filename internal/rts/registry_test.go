@@ -59,29 +59,9 @@ func TestBindUnknownKernel(t *testing.T) {
 	if _, err := BindWith(r, g, Binding{}); err == nil {
 		t.Fatal("empty binding accepted")
 	}
-}
-
-// TestBindTableOverride checks per-operator kernel overrides resolve
-// through Table with Kernel as the fallback.
-func TestBindTableOverride(t *testing.T) {
-	r := NewKernelRegistry()
-	mk := func(tag string) KernelFunc {
-		return func(_ *BindEnv, op string) (OpSpec, error) {
-			return OpSpec{Mu: float64(len(tag))}, nil
-		}
-	}
-	r.MustRegister("base", mk("x"))
-	r.MustRegister("override", mk("xxx"))
-	g := twoNodeGraph(t)
-	b, err := BindWith(r, g, Binding{Kernel: "base", Table: map[string]string{"b": "override"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Spec("a").Mu != 1 || b.Spec("b").Mu != 3 {
-		t.Fatalf("override not applied: a=%g b=%g", b.Spec("a").Mu, b.Spec("b").Mu)
-	}
-	if !b.Shippable() {
-		t.Fatal("registry binding should be shippable")
+	// A registry binding, unlike a closure, can cross a socket.
+	if b, err := BindWith(r, g, NamedBinding("real", nil)); err != nil || !b.Shippable() {
+		t.Fatalf("registry binding: err %v, shippable %v", err, err == nil && b.Shippable())
 	}
 }
 

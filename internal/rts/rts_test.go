@@ -67,7 +67,7 @@ func TestFinishEstimateTerms(t *testing.T) {
 	s.SetupBytes = 1 << 20
 	s.CommBytes = func(n, p int) int64 { return int64(n) * 8 }
 
-	e := FinishEstimate(cfg, s, 64, 0)
+	e := FinishEstimate(cfg, s, 64)
 	if e.Setup <= 0 || e.Compute <= 0 || e.Lag <= 0 || e.Comm <= 0 || e.Sched <= 0 {
 		t.Fatalf("all terms should be positive: %+v", e)
 	}
@@ -75,7 +75,7 @@ func TestFinishEstimateTerms(t *testing.T) {
 		t.Fatal("Total mismatch")
 	}
 	// One processor: no setup, no lag, no comm.
-	e1 := FinishEstimate(cfg, s, 1, 0)
+	e1 := FinishEstimate(cfg, s, 1)
 	if e1.Setup != 0 || e1.Lag != 0 || e1.Comm != 0 {
 		t.Fatalf("single-processor overheads: %+v", e1)
 	}
@@ -93,7 +93,7 @@ func TestFinishEstimateMonotonicity(t *testing.T) {
 	// processors useless, so total is not monotone. But up to modest p,
 	// total should decrease.
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		tot := FinishEstimate(cfg, s, p, 0).Total()
+		tot := FinishEstimate(cfg, s, p).Total()
 		if tot >= prev {
 			t.Fatalf("estimate not improving at p=%d: %v >= %v", p, tot, prev)
 		}
@@ -103,16 +103,16 @@ func TestFinishEstimateMonotonicity(t *testing.T) {
 
 func TestPredictChunks(t *testing.T) {
 	// Zero variance: behaves like GSS; chunk count ~ p·log(N/p).
-	c := PredictChunks(1024, 8, 0, 0)
+	c := PredictChunks(1024, 8, 0)
 	if c < 8 || c > 200 {
 		t.Fatalf("chunks = %d", c)
 	}
 	// Variance increases the chunk count.
-	cv := PredictChunks(1024, 8, 2.0, 0)
+	cv := PredictChunks(1024, 8, 2.0)
 	if cv <= c {
 		t.Fatalf("variance should add chunks: %d <= %d", cv, c)
 	}
-	if PredictChunks(0, 8, 1, 0) != 0 {
+	if PredictChunks(0, 8, 1) != 0 {
 		t.Fatal("no tasks, no chunks")
 	}
 }
@@ -179,8 +179,8 @@ func TestAllocateEdgeCases(t *testing.T) {
 // finishing-time estimate as Allocate's estimator.
 func allocatePair(cfg machine.Config, a, b OpSpec, p int) (p1, p2 int) {
 	return Allocate(
-		func(q int) float64 { return FinishEstimate(cfg, a, q, 0).Total() },
-		func(q int) float64 { return FinishEstimate(cfg, b, q, 0).Total() },
+		func(q int) float64 { return FinishEstimate(cfg, a, q).Total() },
+		func(q int) float64 { return FinishEstimate(cfg, b, q).Total() },
 		p, DefaultMaxCount, DefaultEpsilon)
 }
 
@@ -205,7 +205,7 @@ func TestAllocateMany(t *testing.T) {
 		uniformSpec(1024, 1),
 		irregularSpec(2048, 7),
 	}
-	alloc := AllocateMany(cfg, specs, 256, 0, nil)
+	alloc := AllocateMany(cfg, specs, 256, nil)
 	total := 0
 	for i, a := range alloc {
 		if a < 1 {
@@ -220,7 +220,7 @@ func TestAllocateMany(t *testing.T) {
 	if alloc[0] <= alloc[1] {
 		t.Fatalf("allocation not proportional: %v", alloc)
 	}
-	if len(AllocateMany(cfg, specs[:1], 64, 0, nil)) != 1 {
+	if len(AllocateMany(cfg, specs[:1], 64, nil)) != 1 {
 		t.Fatal("single op allocation")
 	}
 }
@@ -267,7 +267,7 @@ func TestFinishEstimateTracksReality(t *testing.T) {
 	} {
 		for _, p := range []int{32, 128, 512} {
 			cfg := machine.DefaultConfig(p)
-			est := FinishEstimate(cfg, tc.spec, p, 0).Total()
+			est := FinishEstimate(cfg, tc.spec, p).Total()
 			procs := make([]int, p)
 			for i := range procs {
 				procs[i] = i
@@ -315,13 +315,13 @@ func TestEstimateRanksAllocations(t *testing.T) {
 func TestChoosePairGranularity(t *testing.T) {
 	cfg := machine.DefaultConfig(64)
 	prod := uniformSpec(4096, 2)
-	m := ChoosePairGranularity(cfg, prod, 32, 64, 0)
+	m := ChoosePairGranularity(cfg, prod, 32, 64)
 	if m < 1 || m > 4096/16 {
 		t.Fatalf("m = %d, want within [1, 256]", m)
 	}
 	// Small operations still get at least one item per batch.
 	tiny := uniformSpec(4, 1)
-	if ChoosePairGranularity(cfg, tiny, 2, 64, 0) < 1 {
+	if ChoosePairGranularity(cfg, tiny, 2, 64) < 1 {
 		t.Fatal("degenerate granularity")
 	}
 }

@@ -124,7 +124,7 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 		// barriers; operators enable as predecessors complete, pipelined
 		// edges enable consumers incrementally, and processors migrate
 		// to whatever is executable.
-		r, err = executeDAG(opts.Ctx, cfg, g, bind, p, opts.Omega, rec, fx)
+		r, err = executeDAG(opts.Ctx, cfg, g, bind, p, rec, fx)
 	} else {
 		r, err = executeBarriered(cfg, g, bind, opts, p, order, rec, fx)
 	}
@@ -147,7 +147,7 @@ func executeBarriered(cfg machine.Config, g *delirium.Graph, bind Binder, opts R
 	for i := range procs {
 		procs[i] = i
 	}
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true, Omega: opts.Omega} }
+	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
 
 	runOp := func(op sched.Op, oi int) error {
 		ob := obs.OpObs{R: rec, Op: oi, Base: agg.Makespan}

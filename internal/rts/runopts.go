@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"orchestra/internal/fault"
@@ -48,11 +47,6 @@ type RunOpts struct {
 	// Mode selects the execution strategy. The zero value is
 	// ModeStatic.
 	Mode Mode
-	// Omega, when positive, overrides TAPER's confidence-width
-	// parameter ω for every operator (the paper's default is
-	// ω ≈ √(2·ln p)). Parity and fuzz harnesses sweep it to vary
-	// scheduling decisions without touching the policy package.
-	Omega float64
 	// Sink, when non-nil, enables event tracing: the backend records
 	// per-chunk spans, steals, TAPER decisions, allocation iterations
 	// and gate advances into per-worker ring buffers and delivers the
@@ -157,9 +151,6 @@ func (o RunOpts) Validate() error {
 	}
 	if o.Processors < 0 {
 		return fmt.Errorf("rts: negative processor count %d", o.Processors)
-	}
-	if o.Omega < 0 || math.IsNaN(o.Omega) || math.IsInf(o.Omega, 0) {
-		return fmt.Errorf("rts: omega %g is negative or not finite", o.Omega)
 	}
 	switch o.Chain {
 	case ChainAuto, ChainOff:

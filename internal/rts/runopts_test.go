@@ -2,7 +2,6 @@ package rts
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 func TestRunOptsValidate(t *testing.T) {
 	good := []RunOpts{
 		{},
-		{Processors: 64, Mode: ModeSplit, Omega: 2.5},
-		{Processors: 8, Mode: ModeTaper, Omega: 1, Sink: &obs.Collector{}, Labels: true},
+		{Processors: 64, Mode: ModeSplit},
+		{Processors: 8, Mode: ModeTaper, Sink: &obs.Collector{}, Labels: true},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -25,11 +24,7 @@ func TestRunOptsValidate(t *testing.T) {
 	bad := []RunOpts{
 		{Mode: Mode(42)},
 		{Processors: -1},
-		{Omega: -0.5},
-		// A NaN ω would override TAPER in the executor but not in the
-		// estimator (EffectiveOmega), so the two would drift.
-		{Omega: math.NaN()},
-		{Omega: math.Inf(1)},
+		{Chain: ChainPolicy(7)},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {

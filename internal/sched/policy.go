@@ -196,24 +196,38 @@ func (f *Factoring) NextChunk(remaining, p int, _ *TaskStats) int {
 //
 //	k·μ + ω·σ·√k = (R/p)·μ,
 //
-// solved for k. With σ = 0 this reduces to GSS's R/p; as the sampled
-// variance grows, chunks shrink, trading scheduling overhead for
-// balance. Omega controls the confidence level (the paper's runtime
+// solved for k by TaperChunk. With σ = 0 this reduces to GSS's R/p; as
+// the sampled variance grows, chunks shrink, trading scheduling
+// overhead for balance. ω is TaperWidth(p) (the paper's runtime
 // samples task times to compute μ and σ²; ω ≈ √(2·ln p) bounds the
-// probability that any of ~p outstanding chunks straggles).
+// probability that any of ~p outstanding chunks straggles). Until
+// min(2p, 32) times have been sampled the policy behaves like
+// factoring's first batch.
 type Taper struct {
-	// Omega overrides the confidence width when > 0.
-	Omega float64
-	// MinSamples gates the variance-aware rule; before this many
-	// observations the policy behaves like factoring's first batch.
-	MinSamples int
 	// UseCostFunction enables the s = μg/μc chunk scaling. The scale
 	// is applied by the executor via ScaleChunk since it depends on
 	// which region of the iteration space the chunk would cover.
 	UseCostFunction bool
-	// memoP and memoOmega cache the default ω for the last p seen.
+	// memoP and memoWidth cache TaperWidth(p) for the last p seen.
 	memoP     int
-	memoOmega float64
+	memoWidth float64
+}
+
+// TaperWidth is TAPER's confidence width on p processors,
+// ω = √(2·ln(p+1)) (§4.1.2): the one definition the executed policy
+// and the estimator that predicts it (rts.PredictChunks) share.
+func TaperWidth(p int) float64 { return math.Sqrt(2 * math.Log(float64(p)+1)) }
+
+// TaperChunk solves k·μ + ω·σ·√k = share·μ for k, with cv = σ/μ and
+// w = ω = TaperWidth(p):
+//
+//	√k = (-ω·cv + √(ω²·cv² + 4·share)) / 2
+//
+// The result is not clamped; callers bound it to the work they have.
+func TaperChunk(share, cv, w float64) int {
+	disc := w*w*cv*cv + 4*share
+	sqrtK := (-w*cv + math.Sqrt(disc)) / 2
+	return int(sqrtK * sqrtK)
 }
 
 // Name implements Policy.
@@ -221,30 +235,15 @@ func (t *Taper) Name() string { return "TAPER" }
 
 // NextChunk implements Policy.
 func (t *Taper) NextChunk(remaining, p int, ts *TaskStats) int {
-	min := t.MinSamples
-	if min == 0 {
-		min = 2 * p
-		if min > 32 {
-			min = 32
-		}
-	}
-	if ts == nil || ts.Global.N() < min || ts.Global.Mean() <= 0 {
+	if ts == nil || ts.Global.N() < min(2*p, 32) || ts.Global.Mean() <= 0 {
 		return clamp((remaining+2*p-1)/(2*p), remaining)
 	}
-	omega := t.Omega
-	if omega <= 0 {
-		if t.memoP != p {
-			t.memoP, t.memoOmega = p, math.Sqrt(2*math.Log(float64(p)+1))
-		}
-		omega = t.memoOmega
+	if t.memoP != p {
+		t.memoP, t.memoWidth = p, TaperWidth(p)
 	}
 	cv := ts.Global.StdDev() / ts.Global.Mean()
 	share := float64(remaining) / float64(p)
-	// √k = (-ω·cv + √(ω²·cv² + 4·share)) / 2
-	disc := omega*omega*cv*cv + 4*share
-	sqrtK := (-omega*cv + math.Sqrt(disc)) / 2
-	k := int(sqrtK * sqrtK)
-	return clamp(k, remaining)
+	return clamp(TaperChunk(share, cv, t.memoWidth), remaining)
 }
 
 // ScaleChunk applies the cost-function scaling to a proposed chunk

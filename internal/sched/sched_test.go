@@ -130,6 +130,19 @@ func TestTaperShrinksWithVariance(t *testing.T) {
 	}
 }
 
+// TestTaperWidth pins TAPER's confidence width ω(p) = √(2·ln(p+1)), the one
+// definition the policy and rts.PredictChunks share.
+func TestTaperWidth(t *testing.T) {
+	for _, tc := range []struct {
+		p    int
+		want float64
+	}{{1, 1.1774100225154747}, {2, 1.4823038073675112}, {512, 3.5327824289561818}} {
+		if got := TaperWidth(tc.p); math.Abs(got-tc.want) > 1e-15 {
+			t.Errorf("TaperWidth(%d) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+}
+
 func TestTaperFallbackBeforeSamples(t *testing.T) {
 	tp := &Taper{}
 	ts := NewTaskStats(1000)

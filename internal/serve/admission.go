@@ -97,7 +97,7 @@ func admit(newJob jobLoad, running []jobLoad, p, requested int) AllocDecision {
 		specs[i] = rts.OpSpec{Op: sched.Op{Name: l.id, N: n}, Mu: 1}
 		names[i] = l.id
 	}
-	targets := rts.AllocateMany(machine.DefaultConfig(p), specs, p, 0, nil, names...)
+	targets := rts.AllocateMany(machine.DefaultConfig(p), specs, p, nil, names...)
 	d := AllocDecision{
 		Job:       newJob.id,
 		Targets:   map[string]int{},

@@ -251,8 +251,13 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"autosplit", `{"program": "program p\nend\n", "autosplit": true}`},
 		{"timeout past a Duration", `{"program": "program p\nend\n", "timeout_ms": 4611686018427387904}`},
 		{"negative timeout", `{"program": "program p\nend\n", "timeout_ms": -1}`},
-		{"negative omega", `{"program": "program p\nend\n", "omega": -0.5}`},
+		{"omega", `{"program": "program p\nend\n", "omega": 1}`},
 		{"negative processors", `{"program": "program p\nend\n", "processors": -3}`},
+		{"negative n", `{"program": "program p\nend\n", "n": -1}`},
+		{"negative work", `{"program": "program p\nend\n", "work": -1}`},
+		{"negative cv", `{"program": "program p\nend\n", "binder": "spin", "cv": -0.5}`},
+		{"negative unitwork", `{"program": "program p\nend\n", "binder": "spin", "unitwork": -1}`},
+		{"negative depth", `{"program": "program p\nend\n", "options": {"depth": -2}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(tc.body))

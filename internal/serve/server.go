@@ -45,9 +45,6 @@ type Config struct {
 	PoolSize int
 	// DefaultMode applies when a submission omits "mode".
 	DefaultMode rts.Mode
-	// Omega is the default TAPER confidence width (0 = scheduler
-	// default); submissions may override per job.
-	Omega float64
 }
 
 // retainTerminal is how many finished jobs the registry keeps for status
@@ -143,9 +140,12 @@ type SubmitRequest struct {
 	// N is the per-operator task count (default 2048). The job's tasks
 	// summed over its nodes must stay below native.MaxTasks.
 	N int `json:"n,omitempty"`
-	// Work is the kernel binder's function-evaluation rounds per task.
+	// Work is the kernel binder's function-evaluation rounds per task
+	// (default 1).
 	Work int `json:"work,omitempty"`
-	// CV, Seed, UnitWork parameterize the spin binder.
+	// CV (default 1), Seed and UnitWork (default 4000) parameterize the
+	// spin binder. N, Work, CV, UnitWork and Options.Depth take their
+	// default at zero; a negative value is refused.
 	CV       float64 `json:"cv,omitempty"`
 	Seed     uint64  `json:"seed,omitempty"`
 	UnitWork int     `json:"unitwork,omitempty"`
@@ -154,8 +154,6 @@ type SubmitRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// Processors caps the job's worker grant (0 = allocator's choice).
 	Processors int `json:"processors,omitempty"`
-	// Omega overrides TAPER's confidence width for this job.
-	Omega float64 `json:"omega,omitempty"`
 	// Fault injects a per-job fault plan (internal/fault syntax).
 	Fault string `json:"fault,omitempty"`
 	// TimeoutMS bounds the job's total time (queue + run); 0 = none.
@@ -344,19 +342,35 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown binder %q (valid: kernel, spin)", req.Binder)
 	}
-	if req.N <= 0 {
+	negative := ""
+	switch {
+	case req.N < 0:
+		negative = "n"
+	case req.Work < 0:
+		negative = "work"
+	case req.CV < 0:
+		negative = "cv"
+	case req.UnitWork < 0:
+		negative = "unitwork"
+	case req.Options != nil && req.Options.Depth < 0:
+		negative = "options.depth"
+	}
+	if negative != "" {
+		return nil, fmt.Errorf("serve: %s is negative (0 or absent takes the default)", negative)
+	}
+	if req.N == 0 {
 		req.N = 2048
 	}
-	if req.Work <= 0 {
+	if req.Work == 0 {
 		req.Work = 1
 	}
-	if req.CV <= 0 {
+	if req.CV == 0 {
 		req.CV = 1
 	}
-	if req.UnitWork <= 0 {
+	if req.UnitWork == 0 {
 		req.UnitWork = 4000
 	}
-	if err := (rts.RunOpts{Mode: mode, Processors: req.Processors, Omega: req.Omega}).Validate(); err != nil {
+	if err := (rts.RunOpts{Mode: mode, Processors: req.Processors}).Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if req.TimeoutMS < 0 || int64(req.TimeoutMS) > int64(math.MaxInt64/time.Millisecond) {
@@ -467,14 +481,9 @@ func (s *Server) execute(j *Job, grant int) {
 		return
 	}
 
-	omega := j.req.Omega
-	if omega == 0 {
-		omega = s.cfg.Omega
-	}
 	opts := rts.RunOpts{
 		Processors: grant,
 		Mode:       j.mode,
-		Omega:      omega,
 		Fault:      j.plan,
 		Ctx:        j.ctx,
 	}

@@ -45,7 +45,7 @@ func (p *PipelineResult) Applied() bool {
 // larger depths compute the descriptor for iteration i-depth (§3.3.2:
 // "if deeper pipelining is desired, the descriptor for iteration i-2
 // can be computed, etc.").
-func Pipeline(r *analysis.Result, loop *source.Do, depth int, opts Options) (*PipelineResult, bool) {
+func Pipeline(r *analysis.Result, loop *source.Do, depth int) (*PipelineResult, bool) {
 	if depth < 1 {
 		depth = 1
 	}
@@ -98,8 +98,7 @@ func Pipeline(r *analysis.Result, loop *source.Do, depth int, opts Options) (*Pi
 		}
 	}
 	ctx := r.SSA.BodyCtx[loop]
-	opts.BlockRenames = res.Privatized
-	inner := splitPrims(r, prims, dPrev, ctx, opts)
+	inner := splitPrims(r, prims, dPrev, ctx, res.Privatized)
 	res.LoopSplits = inner.LoopSplits
 	res.NewDecls = append(res.NewDecls, inner.NewDecls...)
 

@@ -7,35 +7,15 @@ import (
 	"orchestra/internal/symbolic"
 )
 
-// Options tunes the transformation.
-type Options struct {
-	// MoveReadLinked enables the ReadLinked heuristic (§3.3.1): a
-	// ReadLinked computation moves to the independent set when the
-	// operations that must be replicated fall below
-	// ReplicationThreshold and the computation is expensive enough
-	// (Weight above WeightThreshold).
-	MoveReadLinked       bool
-	ReplicationThreshold int
-	// Weight estimates the execution cost of a primitive (a stand-in
-	// for the paper's profile data). Nil means count arithmetic
-	// operations syntactically.
-	Weight          func(Prim) float64
-	WeightThreshold float64
-	// BlockRenames maps array names to replacements already applied to
-	// the primitives' descriptors by the caller (the pipeline
-	// transformation's privatization); loop-split descriptors are
-	// renamed consistently.
-	BlockRenames map[string]string
-}
-
-// DefaultOptions mirror the implementation the paper describes.
-func DefaultOptions() Options {
-	return Options{
-		MoveReadLinked:       true,
-		ReplicationThreshold: 64,
-		WeightThreshold:      8,
-	}
-}
+// The ReadLinked heuristic (§3.3.1): a ReadLinked computation moves to
+// the independent set when the operations that must be replicated with
+// it number at most replicationThreshold and the computation itself
+// counts at least weightThreshold arithmetic operations (a syntactic
+// stand-in for the paper's profile data).
+const (
+	replicationThreshold = 64
+	weightThreshold      = 8
+)
 
 // Result is the outcome of splitting a computation C against a
 // descriptor D: the three output computations CI, CD, CM.
@@ -78,14 +58,16 @@ func (res *Result) Applied() bool {
 // Split divides computation C (a statement list already analyzed as
 // part of r's program) against descriptor d. ctx holds predicates known
 // to hold where C executes.
-func Split(r *analysis.Result, c []source.Stmt, d descriptor.Descriptor, ctx symbolic.Conj, opts Options) *Result {
-	prims := Decompose(r, c)
-	return splitPrims(r, prims, d, ctx, opts)
+func Split(r *analysis.Result, c []source.Stmt, d descriptor.Descriptor, ctx symbolic.Conj) *Result {
+	return splitPrims(r, Decompose(r, c), d, ctx, nil)
 }
 
 // splitPrims runs the categorize → loop-split → recategorize → assign
-// pipeline over an explicit primitive list.
-func splitPrims(r *analysis.Result, prims []Prim, d descriptor.Descriptor, ctx symbolic.Conj, opts Options) *Result {
+// pipeline over an explicit primitive list. blockRenames maps array
+// names to replacements the caller already applied to the primitives'
+// descriptors (the pipeline transformation's privatization); loop-split
+// descriptors are renamed consistently.
+func splitPrims(r *analysis.Result, prims []Prim, d descriptor.Descriptor, ctx symbolic.Conj, blockRenames map[string]string) *Result {
 	res := &Result{}
 	uniq := 0
 
@@ -102,7 +84,7 @@ func splitPrims(r *analysis.Result, prims []Prim, d descriptor.Descriptor, ctx s
 		if cats[i] == Bound && p.IsLoop {
 			if ls, ok := trySplitLoopIterations(r, p.Loop(), d, ctx, &uniq); ok {
 				indDesc, depDesc := ls.IndependentDesc, ls.DependentDesc
-				for from, to := range opts.BlockRenames {
+				for from, to := range blockRenames {
 					indDesc = renameDescBlock(indDesc, from, to)
 					depDesc = renameDescBlock(depDesc, from, to)
 				}
@@ -131,27 +113,21 @@ func splitPrims(r *analysis.Result, prims []Prim, d descriptor.Descriptor, ctx s
 	// expensive enough to justify it.
 	moveToCI := map[int]bool{}
 	replicate := map[int]bool{}
-	if opts.MoveReadLinked {
-		weight := opts.Weight
-		if weight == nil {
-			weight = func(p Prim) float64 { return float64(opCount(p.Stmts)) }
+	for i, cat := range cats {
+		if cat != ReadLinked {
+			continue
 		}
-		for i, cat := range cats {
-			if cat != ReadLinked {
-				continue
-			}
-			gens := generatorClosure(work, i, ctx)
-			cost := 0
+		gens := generatorClosure(work, i, ctx)
+		cost := 0
+		for _, g := range gens {
+			cost += opCount(work[g].Stmts)
+		}
+		if cost <= replicationThreshold && opCount(work[i].Stmts) >= weightThreshold {
+			moveToCI[i] = true
 			for _, g := range gens {
-				cost += opCount(work[g].Stmts)
+				replicate[g] = true
 			}
-			if cost <= opts.ReplicationThreshold && weight(work[i]) >= opts.WeightThreshold {
-				moveToCI[i] = true
-				for _, g := range gens {
-					replicate[g] = true
-				}
-				res.MovedReadLinked++
-			}
+			res.MovedReadLinked++
 		}
 	}
 

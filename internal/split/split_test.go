@@ -213,7 +213,7 @@ func TestFigure4SplitWithReduction(t *testing.T) {
 	h := r.Program.Body[1].(*source.Do)
 	dg := r.DescribeLoop(g)
 
-	res := Split(r, []source.Stmt{h}, dg, nil, DefaultOptions())
+	res := Split(r, []source.Stmt{h}, dg, nil)
 	if !res.Applied() {
 		t.Fatalf("split not applied; cats=%v", res.Categories)
 	}
@@ -255,7 +255,7 @@ func TestFigure2MaskSplit(t *testing.T) {
 	loopB := r.Program.Body[1].(*source.Do)
 	dA := r.DescribeLoop(loopA)
 
-	res := Split(r, []source.Stmt{loopB}, dA, nil, DefaultOptions())
+	res := Split(r, []source.Stmt{loopB}, dA, nil)
 	if !res.Applied() {
 		t.Fatalf("split not applied; cats=%v\ndA:\n%s", res.Categories, dA)
 	}
@@ -278,7 +278,7 @@ func TestFigure3Pipeline(t *testing.T) {
 	r := analyze(t, figure1)
 	loopA := r.Program.Body[0].(*source.Do)
 
-	res, ok := Pipeline(r, loopA, 1, DefaultOptions())
+	res, ok := Pipeline(r, loopA, 1)
 	if !ok {
 		t.Fatal("pipeline not applied")
 	}
@@ -315,7 +315,7 @@ func TestFigure3Pipeline(t *testing.T) {
 func TestPipelineDepth2(t *testing.T) {
 	r := analyze(t, figure1)
 	loopA := r.Program.Body[0].(*source.Do)
-	res, ok := Pipeline(r, loopA, 2, DefaultOptions())
+	res, ok := Pipeline(r, loopA, 2)
 	if !ok {
 		t.Fatal("depth-2 pipeline not applied")
 	}
@@ -342,7 +342,7 @@ program p
 end
 `)
 	loop := r.Program.Body[0].(*source.Do)
-	if _, ok := Pipeline(r, loop, 1, DefaultOptions()); ok {
+	if _, ok := Pipeline(r, loop, 1); ok {
 		t.Fatal("pipeline applied to an independent loop")
 	}
 }
@@ -360,7 +360,7 @@ end
 `)
 	var d descriptor.Descriptor
 	d.AddWrite(descriptor.ScalarTriple("x"))
-	res := Split(r, r.Program.Body, d, nil, DefaultOptions())
+	res := Split(r, r.Program.Body, d, nil)
 	if res.Applied() {
 		t.Fatal("split applied with nothing independent")
 	}
@@ -374,7 +374,7 @@ func TestSplitPreservesOriginal(t *testing.T) {
 	before := source.Format(r.Program)
 	g := r.Program.Body[0].(*source.Do)
 	h := r.Program.Body[1].(*source.Do)
-	_ = Split(r, []source.Stmt{h}, r.DescribeLoop(g), nil, DefaultOptions())
+	_ = Split(r, []source.Stmt{h}, r.DescribeLoop(g), nil)
 	if source.Format(r.Program) != before {
 		t.Fatal("split mutated the original program")
 	}
@@ -404,7 +404,7 @@ end
 	// that also writes sum... k=n-1 and sum=0 are one basic block, and
 	// sum's loop is Bound, so the block is GenerateLinked, making the
 	// c loop ReadLinked.
-	res := Split(r, r.Program.Body, d, nil, DefaultOptions())
+	res := Split(r, r.Program.Body, d, nil)
 	if res.MovedReadLinked == 0 {
 		t.Fatalf("ReadLinked not moved; cats=%v", res.Categories)
 	}
@@ -415,18 +415,6 @@ end
 	// The generator (k = n-1) must be replicated into CI.
 	if !strings.Contains(ci, "k = n - 1") {
 		t.Fatalf("generator not replicated:\n%s", ci)
-	}
-
-	// With the heuristic disabled, the consumer stays dependent.
-	off := DefaultOptions()
-	off.MoveReadLinked = false
-	res2 := Split(r, r.Program.Body, d, nil, off)
-	if res2.MovedReadLinked != 0 {
-		t.Fatal("heuristic ran while disabled")
-	}
-	ci2 := source.FormatStmts(res2.Independent, 0)
-	if strings.Contains(ci2, "c(i)") {
-		t.Fatalf("c loop moved with heuristic off:\n%s", ci2)
 	}
 }
 
@@ -516,7 +504,7 @@ end
 `)
 	g := r.Program.Body[0].(*source.Do)
 	h := r.Program.Body[1].(*source.Do)
-	res := Split(r, []source.Stmt{h}, r.DescribeLoop(g), nil, DefaultOptions())
+	res := Split(r, []source.Stmt{h}, r.DescribeLoop(g), nil)
 	if res.LoopSplits != 0 {
 		t.Fatal("split accepted a non-associative carried update")
 	}
