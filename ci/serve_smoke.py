@@ -6,13 +6,21 @@ Usage: serve_smoke.py BASE_URL GRAPH_FILE WANT_DIGEST
 Submits the graph twice (the second submission must be a cache hit),
 asserts both results carry WANT_DIGEST — the digest a one-shot orchrun
 produced for the same graph — then exercises async submission and
-cancellation, and checks /api/v1/stats reflects it all. Exits non-zero
-on the first violated expectation, so CI fails loudly.
+cancellation, and checks /api/v1/stats reflects it all. Last it floods
+the daemon with FLOOD concurrent submissions of the graph, each of
+which must carry WANT_DIGEST: past the daemon's retention cap of 1024
+finished jobs, so the caller can check that the first job's record is
+gone. Exits non-zero on the first violated expectation, so CI fails
+loudly.
 """
+import concurrent.futures
 import json
 import sys
 import time
 import urllib.request
+
+FLOOD = 1200
+FLOOD_CLIENTS = 8
 
 
 def call(base, path, body=None):
@@ -95,6 +103,16 @@ def main():
           f"pipeline counters saw the chained job ({pipe})")
     check(pipe["chain_fallbacks"] == 0,
           f"no crash-recovery fallbacks without fault injection ({pipe})")
+
+    # The flood: every job of it digests like the one-shot run.
+    def submit(_):
+        code, st = call(base, "/api/v1/jobs", {"graph": graph, "n": 256, "mode": "split"})
+        return code, st.get("state"), st.get("digest")
+
+    with concurrent.futures.ThreadPoolExecutor(FLOOD_CLIENTS) as pool:
+        results = list(pool.map(submit, range(FLOOD)))
+    bad = [r for r in results if r != (200, "done", want)]
+    check(not bad, f"{FLOOD} flooded jobs done with the one-shot digest ({len(bad)} not; first {bad[:1]})")
     print("serve_smoke: all checks passed")
 
 

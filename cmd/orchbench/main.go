@@ -2,13 +2,13 @@
 // simulated machine: the Figure 6 processor sweep for Psirrfan, the
 // in-text climate-model measurements (Table 1), the processor-doubling
 // claim (Table 2), the design-choice ablations DESIGN.md lists, and
-// two extensions (loop-scheduler policies, K-timestep unrolling). The
-// simulator is deterministic, so the same flags print the same bytes.
+// one extension (loop-scheduler policies). The simulator is
+// deterministic, so the same flags print the same bytes.
 // Wall-clock numbers come from `go run ./bench` (bench/README.md).
 //
 // Usage:
 //
-//	orchbench [-exp fig6|table1|table2|ablations|iterated|policies|all] [-n size] [-seed s]
+//	orchbench [-exp fig6|table1|table2|ablations|policies|all] [-n size] [-seed s]
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"orchestra/internal/experiment"
 	"orchestra/internal/trace"
-	"orchestra/internal/workload"
 )
 
 func main() {
@@ -29,16 +28,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("orchbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: fig6, table1, table2, ablations, iterated, policies, or all")
+	exp := fs.String("exp", "all", "experiment: fig6, table1, table2, ablations, policies, or all")
 	n := fs.Int("n", 0, "problem size override (0 = per-experiment default)")
 	seed := fs.Uint64("seed", 7, "workload seed")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	switch *exp {
-	case "all", "fig6", "table1", "table2", "ablations", "iterated", "policies":
+	case "all", "fig6", "table1", "table2", "ablations", "policies":
 	default:
-		fmt.Fprintf(stderr, "orchbench: unknown experiment %q (want fig6, table1, table2, ablations, iterated, policies or all)\n", *exp)
+		fmt.Fprintf(stderr, "orchbench: unknown experiment %q (want fig6, table1, table2, ablations, policies or all)\n", *exp)
 		return 2
 	}
 	on := func(e string) bool { return *exp == "all" || *exp == e }
@@ -79,16 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if on("policies") {
 		fmt.Fprintln(stdout, "=== Loop schedulers on one irregular operation (psirrfan update, cold, p=512) ===")
 		fmt.Fprint(stdout, experiment.FormatPolicies(experiment.Policies(size(4096), 512, *seed)))
-		fmt.Fprintln(stdout)
-	}
-
-	if on("iterated") {
-		fmt.Fprintln(stdout, "=== Extension: K-timestep unrolled dataflow (climate, K=8, p=1024) ===")
-		app := workload.Climate(workload.Config{N: size(3200), Seed: *seed})
-		taperSteps, splitSteps, unrolled := experiment.Iterated(app, 8, 1024)
-		fmt.Fprintf(stdout, "  per-step TAPER (barriers):  makespan %8.1f  eff %5.1f%%\n", taperSteps.Makespan, 100*taperSteps.Efficiency())
-		fmt.Fprintf(stdout, "  per-step split (barriers):  makespan %8.1f  eff %5.1f%%\n", splitSteps.Makespan, 100*splitSteps.Efficiency())
-		fmt.Fprintf(stdout, "  unrolled dataflow:          makespan %8.1f  eff %5.1f%%\n", unrolled.Makespan, 100*unrolled.Efficiency())
 		fmt.Fprintln(stdout)
 	}
 

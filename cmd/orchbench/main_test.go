@@ -22,7 +22,7 @@ func TestRunAllPrintsEverySection(t *testing.T) {
 	}
 	for _, banner := range []string{
 		"=== Figure 6:", "=== Table 1:", "=== Table 2:",
-		"=== Loop schedulers", "=== Extension: K-timestep", "=== Ablations ===",
+		"=== Loop schedulers", "=== Ablations ===",
 	} {
 		if !strings.Contains(out.String(), banner) {
 			t.Errorf("-exp all output lacks the %q section", banner)
@@ -31,11 +31,13 @@ func TestRunAllPrintsEverySection(t *testing.T) {
 }
 
 // The wall-clock sweeps and their flags are gone (bench/ measures wall
-// clock); asking for one is a usage error, not a silent no-op.
+// clock), and so is the K-timestep unroll; asking for one is a usage
+// error, not a silent no-op.
 func TestRunRejectsUnknownExperimentsAndFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "native"},
 		{"-exp", "nope"},
+		{"-exp", "iterated"},
 		{"-modes", "all"},
 	} {
 		var out, errw strings.Builder

@@ -35,9 +35,8 @@
 // sub-graphs to worker processes).
 //
 // Profiling: -cpuprofile and -memprofile write runtime/pprof profiles
-// of the run. With the native backend, profiling also enables pprof
-// goroutine labels on the workers (worker=<id>, op=<name>), so
-// `go tool pprof -tagfocus` can slice samples by operator.
+// of the run. Per-operator time is in the trace (-gantt, -trace) on
+// every backend.
 //
 // Tracing: -trace out.json records the run's per-chunk spans, steals,
 // TAPER decisions, allocation estimates and pipeline-gate advances, and
@@ -101,7 +100,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("orchrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	p := fs.Int("p", 64, "number of processors (sim), worker goroutines (native; 0 = GOMAXPROCS), or worker processes (dist)")
+	p := fs.Int("p", 64, "number of processors (sim), worker goroutines (native; 0 = GOMAXPROCS), or worker processes (dist; 0 = min(GOMAXPROCS, 4))")
 	backend := cliflag.Backend(fs, "backend", "sim", "execution backend: sim, native or dist")
 	mode := cliflag.Modes(fs, "mode", "split", "execution mode: static, taper, split, or all")
 	tasks := fs.Int("tasks", 2048, "tasks per operator without a tasks= annotation")
@@ -125,6 +124,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: orchrun [flags] file.graph")
 		return 2
 	}
+	// Zero asks a measured backend for its default worker count; the
+	// simulator has no default machine size to fall back on.
+	if *p < 0 || *p == 0 && !backend.Measured() {
+		fmt.Fprintf(stderr, "orchrun: -p %d: want a positive count (0 only on native and dist)\n", *p)
+		return 2
+	}
 	modes := mode.Modes()
 	tracing := *traceOut != "" || *gantt
 	if tracing && len(modes) != 1 {
@@ -136,7 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "orchrun:", err)
 		return 2
 	}
-	profiling := *cpuprofile != "" || *memprofile != ""
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -213,10 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts := rts.RunOpts{Processors: *p, Mode: m, Fault: plan}
 		if *noChain {
 			opts.Chain = rts.ChainOff
-		}
-		if backend.Measured() && !backend.Distributed() && profiling {
-			// Label worker goroutines so profiles can be sliced by operator.
-			opts.Labels = true
 		}
 		var col obs.Collector
 		if tracing {

@@ -61,6 +61,34 @@ func TestRunUnknownFlag(t *testing.T) {
 	}
 }
 
+// TestRunBadProcessors: a negative -p is a usage error on every
+// backend, and so is -p 0 on the simulator, which has no default
+// machine size (native and dist take theirs).
+func TestRunBadProcessors(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-p", "-1"},
+		{"-p", "0"},
+		{"-backend", "sim", "-p", "0"},
+		{"-backend", "native", "-p", "-2"},
+		{"-backend", "dist", "-p", "-1"},
+	} {
+		var out, errw strings.Builder
+		if code := run(append(flags, writeGraph(t)), &out, &errw); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2", flags, code)
+		}
+		if !strings.Contains(errw.String(), "-p") {
+			t.Errorf("%v: stderr %q does not name -p", flags, errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", flags, out.String())
+		}
+	}
+	var out, errw strings.Builder
+	if code := run([]string{"-backend", "native", "-p", "0", "-tasks", "16", "-unitwork", "1", writeGraph(t)}, &out, &errw); code != 0 {
+		t.Errorf("native -p 0: exit code = %d, want 0 (GOMAXPROCS workers); stderr %q", code, errw.String())
+	}
+}
+
 // TestRunHelpNamesBackends checks -h lists the three backends by their
 // bare names: no backend takes options.
 func TestRunHelpNamesBackends(t *testing.T) {

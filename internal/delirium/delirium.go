@@ -196,17 +196,6 @@ func (g *Graph) InEdges(name string) []*Edge {
 	return out
 }
 
-// OutEdges returns the non-carried edges out of name.
-func (g *Graph) OutEdges(name string) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.From == name && !e.Carried {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // TopoOrder returns the nodes in a topological order of the
 // non-carried edges; it fails on cycles.
 func (g *Graph) TopoOrder() ([]*Node, error) {

@@ -42,13 +42,6 @@ const (
 // Name implements rts.Backend.
 func (Backend) Name() string { return "dist" }
 
-// distSupported: Labels would have to act inside the worker processes
-// and is not implemented, and runtime expansion is not either. Fault
-// plans (crash is a real SIGKILL) and the chain policy (trivially
-// satisfied: segments are delivered by message, nothing is
-// cache-chained) need no declaration.
-var distSupported = rts.Supported{}
-
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "dist", Measured: true, Distributed: true},
 		func(cfg rts.BackendConfig) (rts.Backend, error) {
@@ -186,14 +179,13 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res
 	if err := opts.Validate(); err != nil {
 		return trace.Result{}, err
 	}
-	if err := opts.CheckSupported("dist", distSupported); err != nil {
-		return trace.Result{}, err
-	}
 	// Runtime expansion would require shipping not-yet-materialized
 	// sub-graphs to workers mid-run; refuse structurally rather than
 	// executing Exp nodes as if they were ordinary operators.
-	if err := rts.CheckGraphSupported("dist", g, distSupported); err != nil {
-		return trace.Result{}, err
+	for _, n := range g.Nodes {
+		if n.Kind == delirium.Exp {
+			return trace.Result{}, fmt.Errorf("dist: node %q is expandable, and dist runs no runtime expansion", n.Name)
+		}
 	}
 	if bound == nil || !bound.Shippable() {
 		return trace.Result{}, fmt.Errorf("dist: binding is not shippable — dist workers rebuild kernels by name from the registry, so bind with rts.Bind (a registry Binding), not rts.BindClosure")

@@ -5,7 +5,6 @@
 package dist_test
 
 import (
-	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -217,27 +216,6 @@ func TestDistRejectsClosureBinding(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "shippable") {
 		t.Fatalf("error %q does not explain shippability", err)
-	}
-}
-
-// TestDistUnsupportedRunOpts checks the structured option rejection:
-// the dist backend has no shared-memory worker pool, so Labels must
-// come back as an *OptionError naming it.
-func TestDistUnsupportedRunOpts(t *testing.T) {
-	out := compileSample(t)
-	bound, err := rts.Bind(out.Graph, arrayBinding(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = (dist.Backend{Workers: 2}).Run(out.Graph, bound, rts.RunOpts{
-		Processors: 2, Labels: true,
-	})
-	var oe *rts.OptionError
-	if !errors.As(err, &oe) {
-		t.Fatalf("error %v is not an *OptionError", err)
-	}
-	if len(oe.Fields) != 1 || oe.Fields[0] != "Labels" {
-		t.Fatalf("fields %v, want [Labels]", oe.Fields)
 	}
 }
 

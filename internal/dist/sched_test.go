@@ -194,13 +194,7 @@ func TestCreditDeathReissuesBoth(t *testing.T) {
 	if at != [2]int{n, n} {
 		t.Fatalf("survivor covered %v tasks, want %d of each", at, n)
 	}
-	for k := range im.applied {
-		for i, c := range im.applied[k] {
-			if c != 1 {
-				t.Fatalf("cell [%d][%d] applied %d times", k, i, c)
-			}
-		}
-	}
+	appliedOnce(t, im)
 	if res.Chunks != len(served) {
 		t.Errorf("Chunks = %d, want the %d segments that completed", res.Chunks, len(served))
 	}
@@ -317,4 +311,178 @@ func TestHandshake(t *testing.T) {
 			}
 		})
 	}
+}
+
+// slowWorker serves one end of a pipe like playWorker, but holds its
+// first grant for hold before answering it. With beat set it sends a
+// heartbeat every heartbeatPeriod for as long as the pipe is open, as a
+// real worker does; without, it never writes anything but its answers,
+// so with hold longer than the run it is alive but frozen. It keeps
+// reading either way: the pipe is synchronous, and a worker that
+// stopped reading would fail the coordinator's block writes, not its
+// watchdog.
+func slowWorker(conn net.Conn, hold time.Duration, beat bool, mu *sync.Mutex, granted *[]seg) {
+	var wmu sync.Mutex
+	send := func(typ byte, payload ...[]byte) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		return writeFrame(conn, typ, payload...)
+	}
+	if beat {
+		go func() {
+			tick := time.NewTicker(heartbeatPeriod)
+			defer tick.Stop()
+			for range tick.C {
+				if send(mHeartbeat) != nil {
+					return
+				}
+			}
+		}()
+	}
+	// A worker holds at most credit unanswered grants, so the reader
+	// never waits on the answering loop.
+	grants, gone := make(chan seg, credit), make(chan struct{})
+	go func() {
+		defer close(gone)
+		br := bufio.NewReader(conn)
+		for {
+			typ, payload, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			if typ != mGrant {
+				continue
+			}
+			op, lo, hi, seq := getSegHeader(payload)
+			sg := seg{op, lo, hi, seq}
+			mu.Lock()
+			*granted = append(*granted, sg)
+			mu.Unlock()
+			grants <- sg
+		}
+	}()
+	for {
+		var sg seg
+		select {
+		case sg = <-grants:
+		case <-gone:
+			return
+		}
+		if hold > 0 {
+			select {
+			case <-time.After(hold):
+			case <-gone:
+				return
+			}
+			hold = 0
+		}
+		if send(mDone, doneFrame(sg)) != nil {
+			return
+		}
+	}
+}
+
+// executeWithin runs s.execute and fails the test if it takes longer
+// than limit, instead of hanging the test binary.
+func executeWithin(t *testing.T, s *sched, limit time.Duration) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.execute()
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(limit):
+		t.Fatalf("execute still running after %v", limit)
+	}
+}
+
+// appliedOnce fails the test unless every cell of im was applied
+// exactly once.
+func appliedOnce(t *testing.T, im *image) {
+	t.Helper()
+	for k := range im.applied {
+		for i, c := range im.applied[k] {
+			if c != 1 {
+				t.Fatalf("cell [%d][%d] applied %d times", k, i, c)
+			}
+		}
+	}
+}
+
+// TestSilentWorkerDeclaredDead: a worker that takes its grants and goes
+// silent without hanging up is declared dead by the watchdog once it has
+// said nothing for silenceTimeout; what it held is re-granted to the
+// survivor, and every cell is applied exactly once.
+func TestSilentWorkerDeclaredDead(t *testing.T) {
+	const n = 4096
+	im := newImage(n)
+	s, peers := pipeSched(t, im, 2)
+	var mu sync.Mutex
+	var frozen, served []seg
+	go slowWorker(peers[0], time.Hour, false, &mu, &frozen)
+	go slowWorker(peers[1], 0, true, &mu, &served)
+
+	t0 := time.Now()
+	executeWithin(t, s, 4*silenceTimeout)
+	if took := time.Since(t0); took < silenceTimeout {
+		t.Errorf("run finished in %v, before the %v silence timeout", took, silenceTimeout)
+	}
+	if s.workers[0].alive || !s.workers[1].alive {
+		t.Fatalf("alive = %v, %v; want the silent worker dead and the survivor alive", s.workers[0].alive, s.workers[1].alive)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frozen) == 0 {
+		t.Fatal("the silent worker was never granted anything")
+	}
+	for _, f := range frozen {
+		again := 0
+		for _, sg := range served {
+			if sg.op == f.op && sg.lo == f.lo && sg.hi == f.hi {
+				again++
+			}
+		}
+		if again != 1 {
+			t.Errorf("frozen segment op %d [%d,%d) re-granted %d times, want 1", f.op, f.lo, f.hi, again)
+		}
+	}
+	appliedOnce(t, im)
+}
+
+// TestHeartbeatKeepsWorkerAlive: a stall is a delay. A worker that sends
+// heartbeats through a segment longer than silenceTimeout is not
+// declared dead; the run waits for it and nothing is re-granted.
+func TestHeartbeatKeepsWorkerAlive(t *testing.T) {
+	const n = 4096
+	im := newImage(n)
+	s, peers := pipeSched(t, im, 2)
+	var mu sync.Mutex
+	var slow, served []seg
+	hold := silenceTimeout + silenceTimeout/2
+	go slowWorker(peers[0], hold, true, &mu, &slow)
+	go slowWorker(peers[1], 0, true, &mu, &served)
+
+	t0 := time.Now()
+	executeWithin(t, s, 4*silenceTimeout)
+	if took := time.Since(t0); took < hold {
+		t.Errorf("run finished in %v, before the slow worker's %v segment", took, hold)
+	}
+	if !s.workers[0].alive || !s.workers[1].alive {
+		t.Fatalf("alive = %v, %v; a heartbeating worker must not be declared dead", s.workers[0].alive, s.workers[1].alive)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range slow {
+		for _, b := range served {
+			if a.op == b.op && a.lo < b.hi && b.lo < a.hi {
+				t.Fatalf("op %d: segment [%d,%d) granted to both workers ([%d,%d))", a.op, a.lo, a.hi, b.lo, b.hi)
+			}
+		}
+	}
+	appliedOnce(t, im)
 }

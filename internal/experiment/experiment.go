@@ -195,39 +195,6 @@ func AblationMaxCount(n, p int, seed uint64, counts []int) []trace.Result {
 	return out
 }
 
-// Iterated compares K timesteps of an application executed three ways:
-// per-step barriers with TAPER, per-step split (barrier between steps),
-// and the fully unrolled K-step dataflow graph with no barriers at all
-// — the cross-timestep extension of the paper's pipelining, natural for
-// its iterative applications.
-func Iterated(app *workload.App, k, p int) (perStepTaper, perStepSplit, unrolled trace.Result) {
-	cfg := machine.DefaultConfig(p)
-	seq := app.SeqTime() * float64(k)
-
-	stepTaper := RunApp(app, p, rts.ModeTaper)
-	perStepTaper = trace.Result{
-		Name: "taper-steps", Processors: p,
-		Makespan: stepTaper.Makespan * float64(k), SeqTime: seq,
-	}
-	stepSplit := RunApp(app, p, rts.ModeSplit)
-	perStepSplit = trace.Result{
-		Name: "split-steps", Processors: p,
-		Makespan: stepSplit.Makespan * float64(k), SeqTime: seq,
-	}
-
-	g, bind, err := app.Unrolled(k)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: unroll: %v", err))
-	}
-	unrolled, err = rts.RunGraph(cfg, g, bind, rts.RunOpts{Processors: p, Mode: rts.ModeSplit})
-	if err != nil {
-		panic(fmt.Sprintf("experiment: unrolled run: %v", err))
-	}
-	unrolled.Name = "unrolled"
-	unrolled.SeqTime = seq
-	return perStepTaper, perStepSplit, unrolled
-}
-
 // PolicyRow is one line of the scheduler-policy comparison.
 type PolicyRow struct {
 	Policy string

@@ -195,26 +195,3 @@ func TestPoliciesOrdering(t *testing.T) {
 		t.Fatal("factoring lost to static")
 	}
 }
-
-func TestIteratedSmoke(t *testing.T) {
-	app := workload.Climate(workload.Config{N: 800, Seed: 5})
-	taperSteps, splitSteps, unrolled := Iterated(app, 3, 128)
-	if taperSteps.Makespan <= 0 || splitSteps.Makespan <= 0 || unrolled.Makespan <= 0 {
-		t.Fatal("empty results")
-	}
-	// All three must account for the same sequential work.
-	if taperSteps.SeqTime != splitSteps.SeqTime || splitSteps.SeqTime != unrolled.SeqTime {
-		t.Fatal("sequential-work accounting differs")
-	}
-	// Barrier-free unrolled execution must be at least competitive with
-	// the per-step split execution.
-	if unrolled.Makespan > 1.15*splitSteps.Makespan {
-		t.Fatalf("unrolled (%v) much worse than per-step split (%v)",
-			unrolled.Makespan, splitSteps.Makespan)
-	}
-	// Both split forms beat per-step TAPER.
-	if splitSteps.Makespan >= taperSteps.Makespan {
-		t.Fatalf("split steps (%v) lost to taper steps (%v)",
-			splitSteps.Makespan, taperSteps.Makespan)
-	}
-}

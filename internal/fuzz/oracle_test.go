@@ -84,7 +84,7 @@ func TestRows(t *testing.T) {
 			if sim, ok := c.Backend.(*rts.SimBackend); ok && sim.Cfg.Processors != c.Opts.Processors {
 				t.Errorf("%s: simulated machine has %d processors", c.Name, sim.Cfg.Processors)
 			}
-			if c.Opts.Sink != nil || c.Opts.Labels || c.Opts.Ctx != nil || c.Opts.Chain != rts.ChainAuto {
+			if c.Opts.Sink != nil || c.Opts.Ctx != nil || c.Opts.Chain != rts.ChainAuto {
 				t.Errorf("%s: RunOpts %+v sets more than p, mode and fault", c.Name, c.Opts)
 			}
 		}

@@ -101,7 +101,8 @@ func (e *engine) markDead(w *worker) {
 }
 
 // emitRealloc re-runs the paper's allocation estimator over the
-// surviving worker count at the run's ω, using the statistics measured
+// surviving worker count at TAPER's ω for that count
+// (sched.TaperWidth), using the statistics measured
 // so far, emitting fresh AllocEstimate rows next to the KindRealloc
 // event. Setup/comm/sched terms use a zero cost model (the native
 // backend has no modelled machine); compute and lag come from real

@@ -190,7 +190,7 @@ func ArrayKernels(g *delirium.Graph, n, work int) (rts.Binder, *interp.State, er
 // SHA-256 over every array (sorted by name) — name, length, and the
 // IEEE-754 bit pattern of each element. Two runs produced bitwise-
 // identical results if and only if their digests match, which is how
-// the serve daemon's clients (and orchload -verify) compare a job
+// the serve daemon's clients (and bench's serve-hot) compare a job
 // executed on the shared pool against a local one-shot run without
 // shipping whole arrays around.
 //

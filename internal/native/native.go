@@ -37,8 +37,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +52,8 @@ import (
 )
 
 // Backend runs Delirium graphs on goroutine workers. It is a stateless
-// value: every per-run knob (worker count, mode, TAPER ω, trace sink,
-// pprof labels) arrives in rts.RunOpts, so two concurrent Run
+// value: every per-run knob (worker count, mode, trace sink, fault
+// plan, context) arrives in rts.RunOpts, so two concurrent Run
 // calls on the same Backend cannot interfere. Each Run spawns its own
 // worker goroutines and tears them down when the graph completes; a
 // long-lived process serving many runs should execute them on a Pool
@@ -65,10 +63,6 @@ type Backend struct{}
 
 // Name implements rts.Backend.
 func (Backend) Name() string { return "native" }
-
-// nativeSupported declares the optional capabilities of the native
-// backend: all of them.
-var nativeSupported = rts.Supported{Labels: true, Expand: true}
 
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "native", Measured: true},
@@ -89,9 +83,6 @@ func init() {
 // run's event trace, timestamped from the wall clock. A non-nil
 // opts.Ctx cancels the run cooperatively at chunk boundaries.
 func (Backend) Run(g *delirium.Graph, b *rts.Bound, opts rts.RunOpts) (trace.Result, error) {
-	if err := opts.CheckSupported("native", nativeSupported); err != nil {
-		return trace.Result{}, err
-	}
 	e, err := newEngine(g, b.Binder(), opts, defaultProcs(opts.Processors))
 	if err != nil {
 		return trace.Result{}, err
@@ -152,7 +143,7 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		// actions take effect here.
 		fx = fault.NewExec(opts.Fault, p)
 	}
-	e := &engine{p: p, labels: opts.Labels, fx: fx, graphName: g.Name, mode: opts.Mode}
+	e := &engine{p: p, fx: fx, graphName: g.Name, mode: opts.Mode}
 	e.live.Store(int32(p))
 	switch opts.Mode {
 	case rts.ModeStatic:
@@ -233,7 +224,6 @@ func (w *worker) reset(i int) {
 	w.deadA.Store(false)
 	w.slowF = 0
 	w.pr.Reset()
-	w.labelOp = -1
 	w.chainQ = w.chainQ[:0]
 }
 
@@ -325,7 +315,7 @@ type opState struct {
 	// body executes task i; the returned simulated cost is ignored.
 	body func(i int) float64
 	// bodyRange, when non-nil, executes tasks [lo, hi) in one fused
-	// call, saving a closure invocation per task on chunk-timed chunks.
+	// call, saving a closure invocation per task.
 	bodyRange func(lo, hi int) float64
 	// split is the kernel's data-access annotation (nil = undeclared).
 	split *split.Annotation
@@ -370,9 +360,6 @@ type worker struct {
 	slowF float64
 	// pr is completion-path scratch for what the Frontier reports.
 	pr rts.Progress
-	// labelOp is the operator currently named in this goroutine's
-	// pprof labels, or -1.
-	labelOp int
 	// chainQ holds consumer blocks this worker enabled and will run
 	// depth-first while their inputs are cache-resident. Owner-only.
 	chainQ []chainItem
@@ -387,7 +374,6 @@ func (w *worker) holding() bool { return w.dq.size() > 0 }
 type engine struct {
 	p                          int
 	adaptive, steal, pipelined bool
-	labels                     bool
 	graphName                  string
 	mode                       rts.Mode
 	workers                    []*worker
@@ -450,11 +436,6 @@ type engine struct {
 
 	wg sync.WaitGroup
 }
-
-// sampleEach is the chunk size below which tasks are timed one by one
-// (true per-task variance); larger chunks are timed as a whole — two
-// clock reads per chunk — and folded in via TaskStats.ObserveChunk.
-const sampleEach = 16
 
 // batchSize picks the pipelined delivery granularity: a handful of
 // batches per worker, so consumers ramp up early without paying a
@@ -731,9 +712,6 @@ func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 // done is the run context's Done channel (nil without a context).
 func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 	defer e.wg.Done()
-	if e.labels {
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
 	for {
 		if e.canceled.Load() {
 			// Cooperative cancellation: whatever this worker still holds
@@ -769,16 +747,6 @@ func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 		}
 		e.runSegment(w, seg, stolen)
 	}
-}
-
-// setLabels tags the goroutine with its worker id and current
-// operator, so CPU/heap profiles attribute samples per operator.
-// Only called when profiling labels are enabled.
-func (e *engine) setLabels(w *worker, op int) {
-	w.labelOp = op
-	ctx := pprof.WithLabels(context.Background(),
-		pprof.Labels("worker", strconv.Itoa(w.id), "op", e.op(op).name))
-	pprof.SetGoroutineLabels(ctx)
 }
 
 // runSegment executes one chunk off the segment's front and returns
@@ -823,48 +791,25 @@ func (e *engine) runSegment(w *worker, seg segment, stolen bool) {
 // it at chain depth depth (0 for a chunk carved off a segment). It
 // returns the chunk's start in run seconds.
 //
-// Clock discipline: a segment chunk of k ≤ sampleEach tasks is
-// boundary-timed (k+1 clock reads give exact per-task durations while
-// chunks are small and variance information matters most); a larger
-// chunk, and every chained block, costs two clock reads total, and its
+// Clock discipline: every chunk costs two clock reads, and its
 // aggregate time is folded into the statistics as k observations of
-// the chunk mean via ObserveChunk.
+// the chunk mean via ObserveChunk — the sampling dist does per grant.
 func (e *engine) runChunk(w *worker, o *opState, lo, hi int, stolen bool, depth int32) float64 {
 	k := hi - lo
 	o.unsched.Add(-int64(k))
-	if e.labels && w.labelOp != o.idx {
-		e.setLabels(w, o.idx)
-	}
 
-	var begin time.Time
-	var elapsed float64
-	if k <= sampleEach && depth == 0 {
-		var marks [sampleEach + 1]time.Time
-		marks[0] = time.Now()
+	begin := time.Now()
+	if o.bodyRange != nil {
+		o.bodyRange(lo, hi)
+	} else {
 		for i := lo; i < hi; i++ {
 			o.body(i)
-			marks[i-lo+1] = time.Now()
 		}
-		begin, elapsed = marks[0], marks[k].Sub(marks[0]).Seconds()
-		o.statsMu.Lock()
-		for i := 0; i < k; i++ {
-			o.stats.Observe(lo+i, marks[i+1].Sub(marks[i]).Seconds())
-		}
-		o.statsMu.Unlock()
-	} else {
-		begin = time.Now()
-		if o.bodyRange != nil {
-			o.bodyRange(lo, hi)
-		} else {
-			for i := lo; i < hi; i++ {
-				o.body(i)
-			}
-		}
-		elapsed = time.Since(begin).Seconds()
-		o.statsMu.Lock()
-		o.stats.ObserveChunk(lo, k, elapsed)
-		o.statsMu.Unlock()
 	}
+	elapsed := time.Since(begin).Seconds()
+	o.statsMu.Lock()
+	o.stats.ObserveChunk(lo, k, elapsed)
+	o.statsMu.Unlock()
 	w.busy += elapsed
 	var b float64
 	if e.rec != nil {

@@ -119,9 +119,6 @@ func (p *Pool) Stats() PoolStats {
 // wrapping rts.ErrCanceled either way. Run is safe to call from any
 // number of goroutines; jobs acquire workers FIFO.
 func (p *Pool) Run(g *delirium.Graph, b *rts.Bound, opts rts.RunOpts) (trace.Result, error) {
-	if err := opts.CheckSupported("native", nativeSupported); err != nil {
-		return trace.Result{}, err
-	}
 	want := opts.Processors
 	if want <= 0 || want > p.size {
 		want = p.size

@@ -213,16 +213,6 @@ func NewRecorder(backend, unit string, ops []string, workers int) *Recorder {
 	return &Recorder{backend: backend, unit: unit, ops: ops, rings: make([]ring, workers)}
 }
 
-// OpNames returns the recorder's operator-name table (index = Event.Op).
-func (r *Recorder) OpNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ops
-}
-
 // AddOp appends an operator name mid-run and returns its index,
 // for operators that only come into existence at execution time
 // (runtime-expanded sub-graphs). Safe to call concurrently with

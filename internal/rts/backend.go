@@ -18,8 +18,8 @@ import (
 // backends run it for real and record wall-clock time instead.
 //
 // Run is the only execution entry point: every per-run knob
-// (processor count, mode, TAPER ω, trace sink, worker pinning) lives
-// in RunOpts, so backends are stateless values and a run's
+// (processor count, mode, trace sink, fault plan, context, chain
+// policy) lives in RunOpts, so backends are stateless values and a run's
 // configuration is visible at the call site. The kernels arrive as a
 // *Bound — a Binding resolved through the kernel registry — rather
 // than a raw Binder closure, because the dist backend must ship the
@@ -31,8 +31,8 @@ type Backend interface {
 	// Name identifies the backend ("sim", "native", "dist").
 	Name() string
 	// Run executes the graph with the bound kernels under the given
-	// options. Implementations validate opts (including
-	// CheckSupported) and apply backend defaults for zero fields.
+	// options. Implementations validate opts and apply backend
+	// defaults for zero fields.
 	Run(g *delirium.Graph, b *Bound, opts RunOpts) (trace.Result, error)
 }
 
@@ -47,16 +47,8 @@ func NewSimBackend(cfg machine.Config) *SimBackend { return &SimBackend{Cfg: cfg
 // Name implements Backend.
 func (*SimBackend) Name() string { return "sim" }
 
-// simSupported declares the optional capabilities of the simulator:
-// runtime expansion. Labels requests an effect on real goroutines the
-// simulator does not have.
-var simSupported = Supported{Expand: true}
-
 // Run implements Backend via RunGraph. A zero opts.Processors
 // defaults to the machine configuration's processor count.
 func (s *SimBackend) Run(g *delirium.Graph, b *Bound, opts RunOpts) (trace.Result, error) {
-	if err := opts.CheckSupported("sim", simSupported); err != nil {
-		return trace.Result{}, err
-	}
 	return RunGraph(s.Cfg, g, b.Binder(), opts)
 }

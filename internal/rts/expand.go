@@ -52,19 +52,6 @@ type Expansion struct {
 // workload decide spatial refinement at runtime.
 type ExpandFunc func(depth int) (*Expansion, error)
 
-// CheckGraphSupported verifies the graph's structural demands against
-// a backend's capability set: a graph containing Exp nodes requires
-// runtime-expansion support. Backends that cannot expand (dist) call
-// this beside CheckSupported and refuse with the same structured
-// *OptionError shape rather than misexecuting the graph as if the Exp
-// nodes were ordinary operators.
-func CheckGraphSupported(backend string, g *delirium.Graph, sup Supported) error {
-	if g.HasExpansions() && !sup.Expand {
-		return &OptionError{Backend: backend, Fields: []string{"Expand"}}
-	}
-	return nil
-}
-
 // JoinSpec normalizes an expandable operator's binding to its join
 // form: exactly one task, with a zero-cost body when the binding
 // supplies none. Both engines apply the same normalization, so an

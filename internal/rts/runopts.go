@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"orchestra/internal/fault"
 	"orchestra/internal/obs"
@@ -53,12 +52,6 @@ type RunOpts struct {
 	// completed obs.Trace to the sink. A nil Sink costs one branch per
 	// would-be event.
 	Sink obs.Sink
-	// Labels annotates native worker goroutines with runtime/pprof
-	// labels (worker id, current operator) so profiles attribute
-	// samples per operator. Labelling costs an allocation per operator
-	// switch, so it is off unless a profile is being taken. The
-	// simulator ignores it.
-	Labels bool
 	// Fault, when non-nil, injects a deterministic fault plan into the
 	// run: worker crashes, stalls and slowdowns on either backend, plus
 	// message delay/loss on the simulator. The backend validates the
@@ -93,47 +86,6 @@ const (
 	// ChainOff forces every pipelined edge through the prefix gate.
 	ChainOff
 )
-
-// Supported declares which optional capabilities a backend implements,
-// for CheckSupported and CheckGraphSupported. Every backend executes
-// fault plans and honours the chain policy (a backend that never
-// chains satisfies ChainOff by construction), so neither is declared.
-type Supported struct {
-	// Labels: the backend can attach pprof worker/operator labels.
-	Labels bool
-	// Expand: the backend can execute runtime expansions (delirium.Exp
-	// nodes). Checked against the graph, not the RunOpts, via
-	// CheckGraphSupported.
-	Expand bool
-}
-
-// OptionError reports RunOpts fields outside a backend's Supported
-// set. It replaces the old behaviour of silently ignoring such options
-// — a run configured with an inapplicable option now fails loudly at
-// Run time, naming every offending field.
-type OptionError struct {
-	// Backend is the rejecting backend's name.
-	Backend string
-	// Fields lists the offending option names, sorted.
-	Fields []string
-}
-
-// Error implements error.
-func (e *OptionError) Error() string {
-	return fmt.Sprintf("rts: backend %q does not support option(s) %s",
-		e.Backend, strings.Join(e.Fields, ", "))
-}
-
-// CheckSupported verifies that o asks for no effect outside the
-// backend's declared capability set — today only Labels can — returning
-// a structured *OptionError naming the offending field otherwise.
-// Backends call it at the top of Run, after Validate.
-func (o RunOpts) CheckSupported(backend string, sup Supported) error {
-	if o.Labels && !sup.Labels {
-		return &OptionError{Backend: backend, Fields: []string{"Labels"}}
-	}
-	return nil
-}
 
 // canceled reports whether the run's context has fired.
 func (o RunOpts) canceled() bool {

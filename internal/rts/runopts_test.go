@@ -1,11 +1,9 @@
 package rts
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
-	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 )
@@ -14,7 +12,7 @@ func TestRunOptsValidate(t *testing.T) {
 	good := []RunOpts{
 		{},
 		{Processors: 64, Mode: ModeSplit},
-		{Processors: 8, Mode: ModeTaper, Sink: &obs.Collector{}, Labels: true},
+		{Processors: 8, Mode: ModeTaper, Sink: &obs.Collector{}},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -79,61 +77,6 @@ func TestParseModes(t *testing.T) {
 	}
 	if _, err := ParseModes("taper,bogus"); err == nil {
 		t.Fatal("ParseModes accepted an invalid entry")
-	}
-}
-
-// TestCheckSupported is the option-validation table: every RunOpts
-// field outside a backend's declared capability set must surface as a
-// structured *OptionError naming exactly the offending fields, and
-// supported (or default) options must pass silently.
-func TestCheckSupported(t *testing.T) {
-	all := Supported{Labels: true}
-	none := Supported{}
-	plan := &fault.Plan{}
-	cases := []struct {
-		name       string
-		opts       RunOpts
-		sup        Supported
-		wantFields []string
-	}{
-		{"defaults pass anywhere", RunOpts{}, none, nil},
-		{"everything supported", RunOpts{Labels: true, Chain: ChainOff, Fault: plan}, all, nil},
-		{"labels unsupported", RunOpts{Labels: true}, none, []string{"Labels"}},
-		{"chain auto is a default", RunOpts{Chain: ChainAuto}, none, nil},
-		{"sim-shaped set", RunOpts{Labels: true, Chain: ChainOff},
-			Supported{Expand: true}, []string{"Labels"}},
-	}
-	for _, c := range cases {
-		err := c.opts.CheckSupported("testbe", c.sup)
-		if c.wantFields == nil {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", c.name, err)
-			}
-			continue
-		}
-		var oe *OptionError
-		if !errors.As(err, &oe) {
-			t.Errorf("%s: error %v is not an *OptionError", c.name, err)
-			continue
-		}
-		if oe.Backend != "testbe" {
-			t.Errorf("%s: backend %q, want %q", c.name, oe.Backend, "testbe")
-		}
-		if len(oe.Fields) != len(c.wantFields) {
-			t.Errorf("%s: fields %v, want %v", c.name, oe.Fields, c.wantFields)
-			continue
-		}
-		for i := range oe.Fields {
-			if oe.Fields[i] != c.wantFields[i] {
-				t.Errorf("%s: fields %v, want %v", c.name, oe.Fields, c.wantFields)
-				break
-			}
-		}
-		for _, f := range c.wantFields {
-			if !strings.Contains(err.Error(), f) {
-				t.Errorf("%s: message %q does not name field %s", c.name, err, f)
-			}
-		}
 	}
 }
 

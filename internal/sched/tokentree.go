@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"math/bits"
 
 	"orchestra/internal/machine"
@@ -91,32 +90,4 @@ func (tt *TokenTree) Token(j int, cfg machine.Config) (latency float64, epochEnd
 		return latency, true
 	}
 	return latency, false
-}
-
-// Behind reports how many epochs processor j lags the fastest
-// processor — the root's re-assignment signal.
-func (tt *TokenTree) Behind(j int) int {
-	max := 0
-	for _, c := range tt.tokens {
-		if c > max {
-			max = c
-		}
-	}
-	return max - tt.tokens[j]
-}
-
-// BroadcastLatency reports the time for one epoch broadcast to reach
-// all leaves.
-func (tt *TokenTree) BroadcastLatency(cfg machine.Config) float64 {
-	return float64(tt.depth) * (cfg.MsgOverhead + cfg.HopLatency)
-}
-
-// ExpectedEpochs estimates how many epochs a parallel operation of n
-// tasks will take given the average chunk size: each epoch consumes p
-// chunks.
-func ExpectedEpochs(n, p int, avgChunk float64) int {
-	if avgChunk <= 0 || p <= 0 {
-		return 0
-	}
-	return int(math.Ceil(float64(n) / (avgChunk * float64(p))))
 }

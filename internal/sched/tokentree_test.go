@@ -51,24 +51,6 @@ func TestFastProcessorTokensCountAgainstLaterEpochs(t *testing.T) {
 	}
 }
 
-func TestBehind(t *testing.T) {
-	cfg := machine.DefaultConfig(8)
-	tt := NewTokenTree(8)
-	for k := 0; k < 3; k++ {
-		tt.Token(0, cfg)
-	}
-	tt.Token(1, cfg)
-	if tt.Behind(0) != 0 {
-		t.Fatalf("leader behind = %d", tt.Behind(0))
-	}
-	if tt.Behind(1) != 2 {
-		t.Fatalf("proc 1 behind = %d, want 2", tt.Behind(1))
-	}
-	if tt.Behind(7) != 3 {
-		t.Fatalf("silent proc behind = %d, want 3", tt.Behind(7))
-	}
-}
-
 func TestTokenLatencyScalesWithDepth(t *testing.T) {
 	cfg := machine.DefaultConfig(1024)
 	small := NewTokenTree(4)
@@ -77,9 +59,6 @@ func TestTokenLatencyScalesWithDepth(t *testing.T) {
 	l2, _ := big.Token(0, cfg)
 	if l2 <= l1 {
 		t.Fatalf("latency should grow with machine size: %v vs %v", l1, l2)
-	}
-	if big.BroadcastLatency(cfg) <= small.BroadcastLatency(cfg) {
-		t.Fatal("broadcast latency should grow with depth")
 	}
 }
 
@@ -92,15 +71,6 @@ func TestMessageAccounting(t *testing.T) {
 	// 4 upward tokens + one broadcast of p-1 messages.
 	if tt.Messages != 4+3 {
 		t.Fatalf("messages = %d, want 7", tt.Messages)
-	}
-}
-
-func TestExpectedEpochs(t *testing.T) {
-	if e := ExpectedEpochs(1000, 10, 10); e != 10 {
-		t.Fatalf("epochs = %d, want 10", e)
-	}
-	if e := ExpectedEpochs(1000, 10, 0); e != 0 {
-		t.Fatalf("degenerate epochs = %d", e)
 	}
 }
 

@@ -84,24 +84,6 @@ func Reduction() *Annotation {
 	return &Annotation{Read: AccessElement, Write: AccessAll}
 }
 
-// ReadSpan reports the clamped predecessor index range [lo, hi)
-// consumer task range [tlo, thi) may read under the annotation, for an
-// n-element predecessor. Only meaningful for chainable reads.
-func (a *Annotation) ReadSpan(tlo, thi, n int) (lo, hi int) {
-	h := 0
-	if a != nil && a.Read == AccessStencil {
-		h = a.Halo
-	}
-	lo, hi = tlo-h, thi+h
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
 // ChainHalo resolves the halo a chain edge between prod and cons must
 // cover: the consumer's stencil width, zero for element reads.
 func ChainHalo(cons *Annotation) int {

@@ -24,20 +24,6 @@ func TestChainable(t *testing.T) {
 	}
 }
 
-func TestReadSpanClamps(t *testing.T) {
-	s := Stencil(2)
-	if lo, hi := s.ReadSpan(0, 8, 100); lo != 0 || hi != 10 {
-		t.Errorf("stencil span at origin = [%d,%d), want [0,10)", lo, hi)
-	}
-	if lo, hi := s.ReadSpan(96, 100, 100); lo != 94 || hi != 100 {
-		t.Errorf("stencil span at end = [%d,%d), want [94,100)", lo, hi)
-	}
-	p := Pointwise()
-	if lo, hi := p.ReadSpan(8, 16, 100); lo != 8 || hi != 16 {
-		t.Errorf("pointwise span = [%d,%d), want [8,16)", lo, hi)
-	}
-}
-
 func TestStencilNegativeHalo(t *testing.T) {
 	if s := Stencil(-3); s.Halo != 0 {
 		t.Errorf("negative halo kept: %d", s.Halo)

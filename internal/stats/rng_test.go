@@ -107,17 +107,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(6)
-	var w Welford
-	for i := 0; i < 200000; i++ {
-		w.Add(r.Exponential(3))
-	}
-	if math.Abs(w.Mean()-3) > 0.05 {
-		t.Fatalf("exponential mean = %v, want ~3", w.Mean())
-	}
-}
-
 func TestBernoulliFrequency(t *testing.T) {
 	r := NewRNG(8)
 	hits := 0

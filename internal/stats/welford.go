@@ -94,11 +94,3 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max reports the largest observation, or 0 with no observations.
 func (w *Welford) Max() float64 { return w.max }
-
-// CoefficientOfVariation reports σ/μ, or 0 when the mean is zero.
-func (w *Welford) CoefficientOfVariation() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.StdDev() / w.mean
-}

@@ -89,20 +89,6 @@ func TestWelfordMergeEmptyCases(t *testing.T) {
 	}
 }
 
-func TestWelfordCoefficientOfVariation(t *testing.T) {
-	var w Welford
-	if w.CoefficientOfVariation() != 0 {
-		t.Fatal("CV of empty must be 0")
-	}
-	for _, x := range []float64{9, 10, 11} {
-		w.Add(x)
-	}
-	want := w.StdDev() / 10
-	if !almostEq(w.CoefficientOfVariation(), want, 1e-12) {
-		t.Fatalf("CV = %v, want %v", w.CoefficientOfVariation(), want)
-	}
-}
-
 func TestWelfordNumericalStability(t *testing.T) {
 	// Large offset with tiny variance: naive sum-of-squares would lose
 	// all precision here.
@@ -237,8 +223,5 @@ func TestAddChunkDegenerate(t *testing.T) {
 	z.AddChunk(4, 0)
 	if z.N() != 4 || z.Mean() != 0 || z.Variance() != 0 || z.Min() != 0 || z.Max() != 0 {
 		t.Fatalf("zero-duration chunk mishandled: %+v", z)
-	}
-	if cv := z.CoefficientOfVariation(); cv != 0 || math.IsNaN(cv) {
-		t.Fatalf("CoefficientOfVariation on zero-mean = %v, want 0", cv)
 	}
 }

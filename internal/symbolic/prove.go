@@ -39,7 +39,7 @@ func ProvesNotEqual(a, b Expr, ctx Conj) bool {
 	}
 	// d == (x - y) + c with a known strict ordering of x and y whose
 	// sign agrees with c: ctx |- x < y and c <= 0 gives d <= -1, and
-	// symmetrically. (This is the loop-interchange legality pattern:
+	// symmetrically. (This is the loop-fusion legality pattern:
 	// subscripts like i-1 vs i' under i < i'.)
 	if x.coef == 1 && y.coef == -1 && signedDifferenceNonzero(x.name, y.name, d.konst, ctx) {
 		return true

@@ -6,10 +6,10 @@ import (
 )
 
 // SchemaVersion is the version tag every serialized Result carries.
-// Trace exports, orchload's -out file and the daemon's job status all
-// embed Results, so the encoding is versioned explicitly: a reader checks the
-// tag instead of guessing from field shapes, and old files fail loudly
-// rather than decoding into zero values.
+// Trace exports and the daemon's job status both embed Results, so the
+// encoding is versioned explicitly: a reader checks the tag instead of
+// guessing from field shapes, and old files fail loudly rather than
+// decoding into zero values.
 const SchemaVersion = 1
 
 // resultJSON is the wire form of Result, schema version 1. Field names

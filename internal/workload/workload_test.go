@@ -144,45 +144,3 @@ func TestBindPanicsOnUnknown(t *testing.T) {
 	}()
 	app.Bind("nonsense")
 }
-
-func TestUnrolled(t *testing.T) {
-	app := Climate(Config{N: 400, Seed: 3})
-	g, bind, err := app.Unrolled(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	wantNodes := 3 * len(app.SplitGraph.Nodes)
-	if len(g.Nodes) != wantNodes {
-		t.Fatalf("nodes = %d, want %d", len(g.Nodes), wantNodes)
-	}
-	// Every node binds, and step instances share operations.
-	for _, n := range g.Nodes {
-		if bind(n.Name).Op.N == 0 {
-			t.Fatalf("node %s unbound", n.Name)
-		}
-	}
-	if bind("cloud@0").Op.N != bind("cloud@2").Op.N {
-		t.Fatal("steps bound to different operations")
-	}
-	// Step 1 sources depend on step 0 sinks.
-	foundCross := false
-	for _, e := range g.Edges {
-		if e.From == "radD@0" && e.To == "dynPre@1" {
-			foundCross = true
-			if !e.Pipelined {
-				t.Fatal("cross-step edge should be pipelined")
-			}
-		}
-	}
-	if !foundCross {
-		t.Fatal("missing cross-step edge")
-	}
-	// k < 1 clamps.
-	g1, _, err := app.Unrolled(0)
-	if err != nil || len(g1.Nodes) != len(app.SplitGraph.Nodes) {
-		t.Fatalf("k=0: %v nodes=%d", err, len(g1.Nodes))
-	}
-}

@@ -1,10 +1,11 @@
-// Package xform implements the classical source-to-source loop
-// transformations the paper's compilation environment combines with
+// Package xform implements loop fusion, the classical source-to-source
+// transformation the paper's compilation environment combines with
 // split (§3: "Our compilation environment combines split with
 // source-to-source transformations like loop fusion [Kuck et al.] and
 // loop interchange [Allen & Kennedy] to expose additional
 // concurrency"). Legality is decided with the same symbolic data
-// descriptors the split transformation uses.
+// descriptors the split transformation uses. The compiler calls
+// FuseAdjacent; loop interchange is not implemented.
 package xform
 
 import (
@@ -63,61 +64,6 @@ func Fuse(a, b *source.Do) *source.Do {
 	}
 	fused.Body = append(fused.Body, bodyB...)
 	return fused
-}
-
-// CanInterchange reports whether a perfectly nested loop pair may
-// legally interchange: the outer loop's body must be exactly the inner
-// loop, neither may carry a where guard, the inner bounds must not use
-// the outer induction variable (a rectangular nest), and no dependence
-// may have direction (<, >) — tested by checking that iteration (i, j)
-// cannot interfere with iteration (i', j') under i < i' and j > j'.
-func CanInterchange(r *analysis.Result, outer *source.Do) bool {
-	inner, ok := innerLoop(outer)
-	if !ok || outer.Where != nil || inner.Where != nil {
-		return false
-	}
-	if len(outer.Ranges) != 1 || len(inner.Ranges) != 1 {
-		return false
-	}
-	_, ivo := r.DescribeIteration(outer)
-	dInner, ivi := r.DescribeIteration(inner)
-	def := r.SSA.Defs[ivi]
-	if def == nil || len(def.Ranges) != 1 {
-		return false
-	}
-	if def.Ranges[0].Uses(ivo) {
-		return false // triangular nest
-	}
-
-	// The (i, j) iteration's descriptor is the inner iteration
-	// descriptor with both induction variables free.
-	op, oj := symbolic.Name(string(ivo)+"'"), symbolic.Name(string(ivi)+"'")
-	other := dInner.Subst(ivo, symbolic.Var(op)).Subst(ivi, symbolic.Var(oj))
-	ctx := symbolic.Conj{
-		symbolic.CmpExpr(symbolic.Var(ivo), symbolic.LT, symbolic.Var(op)),
-		symbolic.CmpExpr(symbolic.Var(ivi), symbolic.GT, symbolic.Var(oj)),
-	}
-	return !descriptor.Interferes(dInner, other, ctx)
-}
-
-// Interchange returns the nest with the two loops swapped. Callers
-// must have established legality with CanInterchange.
-func Interchange(outer *source.Do) *source.Do {
-	inner := outer.Body[0].(*source.Do)
-	newOuter := source.CloneStmt(inner).(*source.Do)
-	newInner := source.CloneStmt(outer).(*source.Do)
-	newInner.Body = source.CloneStmts(inner.Body)
-	newOuter.Body = []source.Stmt{newInner}
-	return newOuter
-}
-
-// innerLoop reports whether the loop body is exactly one nested loop.
-func innerLoop(outer *source.Do) (*source.Do, bool) {
-	if len(outer.Body) != 1 {
-		return nil, false
-	}
-	inner, ok := outer.Body[0].(*source.Do)
-	return inner, ok
 }
 
 // FuseAdjacent fuses runs of legally fusable adjacent loops in a

@@ -2,7 +2,6 @@ package xform
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"orchestra/internal/analysis"
@@ -201,150 +200,5 @@ end
 			math.Abs(st1.Arrays["b"][i]-st2.Arrays["b"][i]) > 1e-12 {
 			t.Fatalf("fusion changed semantics at %d", i)
 		}
-	}
-}
-
-func TestCanInterchangeIndependent(t *testing.T) {
-	r := analyze(t, `
-program p
-  integer n
-  real x(n, n)
-  do i = 1, n
-    do j = 1, n
-      x(j, i) = i + j
-    end do
-  end do
-end
-`)
-	outer := r.Program.Body[0].(*source.Do)
-	if !CanInterchange(r, outer) {
-		t.Fatal("independent nest should interchange")
-	}
-	sw := Interchange(outer)
-	if sw.Var != "j" || sw.Body[0].(*source.Do).Var != "i" {
-		t.Fatalf("interchange produced %s/%s", sw.Var, sw.Body[0].(*source.Do).Var)
-	}
-}
-
-func TestCannotInterchangeAntiDiagonal(t *testing.T) {
-	// x(i, j) = x(i-1, j+1): a (<, >) dependence — the classic
-	// interchange-preventing direction vector.
-	r := analyze(t, `
-program p
-  integer n
-  real x(n, n)
-  do i = 2, n
-    do j = 1, n - 1
-      x(i, j) = x(i - 1, j + 1)
-    end do
-  end do
-end
-`)
-	outer := r.Program.Body[0].(*source.Do)
-	if CanInterchange(r, outer) {
-		t.Fatal("(<,>) dependence accepted for interchange")
-	}
-}
-
-func TestCanInterchangeDiagonalDependence(t *testing.T) {
-	// x(i, j) = x(i-1, j-1): direction (<, <) — interchange legal.
-	r := analyze(t, `
-program p
-  integer n
-  real x(n, n)
-  do i = 2, n
-    do j = 2, n
-      x(i, j) = x(i - 1, j - 1)
-    end do
-  end do
-end
-`)
-	outer := r.Program.Body[0].(*source.Do)
-	if !CanInterchange(r, outer) {
-		t.Fatal("(<,<) dependence should allow interchange")
-	}
-}
-
-func TestCannotInterchangeTriangular(t *testing.T) {
-	r := analyze(t, `
-program p
-  integer n
-  real x(n, n)
-  do i = 1, n
-    do j = i, n
-      x(j, i) = 1
-    end do
-  end do
-end
-`)
-	outer := r.Program.Body[0].(*source.Do)
-	if CanInterchange(r, outer) {
-		t.Fatal("triangular nest accepted")
-	}
-}
-
-func TestCannotInterchangeImperfectNest(t *testing.T) {
-	r := analyze(t, `
-program p
-  integer n, s
-  real x(n, n)
-  do i = 1, n
-    s = i
-    do j = 1, n
-      x(j, i) = s
-    end do
-  end do
-end
-`)
-	outer := r.Program.Body[0].(*source.Do)
-	if CanInterchange(r, outer) {
-		t.Fatal("imperfect nest accepted")
-	}
-}
-
-func TestInterchangeEquivalence(t *testing.T) {
-	srcText := `
-program p
-  integer n
-  real x(n, n)
-  do i = 2, n
-    do j = 2, n
-      x(i, j) = x(i - 1, j - 1) + 1
-    end do
-  end do
-end
-`
-	r := analyze(t, srcText)
-	outer := r.Program.Body[0].(*source.Do)
-	if !CanInterchange(r, outer) {
-		t.Fatal("should interchange")
-	}
-	sw := Interchange(outer)
-
-	run := func(body []source.Stmt) *interp.State {
-		p2 := &source.Program{Name: "p", Decls: r.Program.Decls, Body: body}
-		st := interp.NewState()
-		st.Scalars["n"] = 8
-		st.Alloc("x", 8, 8)
-		rng := stats.NewRNG(9)
-		for i := range st.Arrays["x"] {
-			st.Arrays["x"][i] = rng.Float64()
-		}
-		if err := interp.Run(p2, st); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return st
-	}
-	st1 := run(r.Program.Body)
-	st2 := run([]source.Stmt{sw})
-	for i := range st1.Arrays["x"] {
-		if math.Abs(st1.Arrays["x"][i]-st2.Arrays["x"][i]) > 1e-12 {
-			t.Fatalf("interchange changed semantics at %d", i)
-		}
-	}
-	// The printed form actually swapped the loops.
-	text := source.FormatStmts([]source.Stmt{sw}, 0)
-	if !strings.HasPrefix(strings.TrimSpace(text), "do j") {
-		t.Fatalf("outer loop not j:\n%s", text)
 	}
 }
