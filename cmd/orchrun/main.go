@@ -100,7 +100,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("orchrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	p := fs.Int("p", 64, "number of processors (sim), worker goroutines (native; 0 = GOMAXPROCS), or worker processes (dist; 0 = min(GOMAXPROCS, 4))")
+	p := fs.Int("p", 0, "number of processors (sim; 0 = 64), worker goroutines (native; 0 = GOMAXPROCS), or worker processes (dist; 0 = min(GOMAXPROCS, 4))")
 	backend := cliflag.Backend(fs, "backend", "sim", "execution backend: sim, native or dist")
 	mode := cliflag.Modes(fs, "mode", "split", "execution mode: static, taper, split, or all")
 	tasks := fs.Int("tasks", 2048, "tasks per operator without a tasks= annotation")
@@ -124,11 +124,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: orchrun [flags] file.graph")
 		return 2
 	}
-	// Zero asks a measured backend for its default worker count; the
-	// simulator has no default machine size to fall back on.
-	if *p < 0 || *p == 0 && !backend.Measured() {
-		fmt.Fprintf(stderr, "orchrun: -p %d: want a positive count (0 only on native and dist)\n", *p)
-		return 2
+	// A negative size is a usage error, as the daemon refuses it; -p 0
+	// asks the backend for its default.
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{{"p", float64(*p)}, {"tasks", float64(*tasks)}, {"n", float64(*nParam)}, {"cv", *cv},
+		{"unitwork", float64(*unitWork)}, {"kernelwork", float64(*kernelWork)}} {
+		if !(c.v >= 0) {
+			fmt.Fprintf(stderr, "orchrun: -%s %v: want a non-negative value\n", c.name, c.v)
+			return 2
+		}
 	}
 	modes := mode.Modes()
 	tracing := *traceOut != "" || *gantt

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,30 +63,58 @@ func TestRunUnknownFlag(t *testing.T) {
 }
 
 // TestRunBadProcessors: a negative -p is a usage error on every
-// backend, and so is -p 0 on the simulator, which has no default
-// machine size (native and dist take theirs).
+// backend, and so is each other size the daemon refuses when negative,
+// before anything is bound or run.
 func TestRunBadProcessors(t *testing.T) {
 	for _, flags := range [][]string{
 		{"-p", "-1"},
-		{"-p", "0"},
-		{"-backend", "sim", "-p", "0"},
+		{"-backend", "sim", "-p", "-3"},
 		{"-backend", "native", "-p", "-2"},
 		{"-backend", "dist", "-p", "-1"},
+		{"-tasks", "-5"},
+		{"-n", "-3"},
+		{"-cv", "-1"},
+		{"-backend", "native", "-unitwork", "-5"},
+		{"-kernel", "-kernelwork", "-2"},
 	} {
 		var out, errw strings.Builder
 		if code := run(append(flags, writeGraph(t)), &out, &errw); code != 2 {
 			t.Errorf("%v: exit code = %d, want 2", flags, code)
 		}
-		if !strings.Contains(errw.String(), "-p") {
-			t.Errorf("%v: stderr %q does not name -p", flags, errw.String())
+		if flag := flags[len(flags)-2]; !strings.Contains(errw.String(), flag) {
+			t.Errorf("%v: stderr %q does not name %s", flags, errw.String(), flag)
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v: printed %q before failing", flags, out.String())
 		}
 	}
-	var out, errw strings.Builder
-	if code := run([]string{"-backend", "native", "-p", "0", "-tasks", "16", "-unitwork", "1", writeGraph(t)}, &out, &errw); code != 0 {
-		t.Errorf("native -p 0: exit code = %d, want 0 (GOMAXPROCS workers); stderr %q", code, errw.String())
+}
+
+// TestRunDefaultProcessors: -p 0, the default, takes the backend's own
+// count: GOMAXPROCS workers on native and 64 processors on the
+// simulator, one utilization row each in -gantt.
+func TestRunDefaultProcessors(t *testing.T) {
+	for _, c := range []struct {
+		flags []string
+		want  int
+	}{
+		{[]string{"-backend", "native"}, runtime.GOMAXPROCS(0)},
+		{[]string{"-backend", "sim", "-p", "0"}, 64},
+	} {
+		var out, errw strings.Builder
+		args := append(c.flags, "-mode", "taper", "-tasks", "16", "-unitwork", "1", "-gantt", writeGraph(t))
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("%v: exit code = %d; stderr %q", c.flags, code, errw.String())
+		}
+		rows := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[0] == "worker" && f[2] == "utilization" {
+				rows++
+			}
+		}
+		if rows != c.want {
+			t.Errorf("%v: %d worker rows, want %d:\n%s", c.flags, rows, c.want, out.String())
+		}
 	}
 }
 

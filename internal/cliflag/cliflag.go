@@ -103,10 +103,6 @@ func (v *BackendValue) Name() string { return v.name }
 // measured one wants tasks that actually compute).
 func (v *BackendValue) Measured() bool { return v.info.Measured }
 
-// Distributed reports whether the selected backend runs worker
-// processes rather than goroutines.
-func (v *BackendValue) Distributed() bool { return v.info.Distributed }
-
 // New constructs the selected backend for p processors through the
 // backend registry.
 func (v *BackendValue) New(p int) (rts.Backend, error) {

@@ -79,16 +79,15 @@ func TestBackendFlag(t *testing.T) {
 		args         []string
 		wantName     string
 		wantMeasured bool
-		wantDist     bool
 		wantErr      bool
 	}{
-		{nil, "sim", false, false, false},
-		{[]string{"-backend", "sim"}, "sim", false, false, false},
-		{[]string{"-backend", "native"}, "native", true, false, false},
-		{[]string{"-backend", "dist"}, "dist", true, true, false},
-		{[]string{"-backend", "gpu"}, "", false, false, true},
-		{[]string{"-backend", ""}, "", false, false, true},
-		{[]string{"-backend", "sim:heartbeat"}, "", false, false, true}, // backends take no options
+		{nil, "sim", false, false},
+		{[]string{"-backend", "sim"}, "sim", false, false},
+		{[]string{"-backend", "native"}, "native", true, false},
+		{[]string{"-backend", "dist"}, "dist", true, false},
+		{[]string{"-backend", "gpu"}, "", false, true},
+		{[]string{"-backend", ""}, "", false, true},
+		{[]string{"-backend", "sim:heartbeat"}, "", false, true}, // backends take no options
 	}
 	for _, c := range cases {
 		fs := newFS()
@@ -104,9 +103,9 @@ func TestBackendFlag(t *testing.T) {
 			t.Errorf("%v: %v", c.args, err)
 			continue
 		}
-		if v.Name() != c.wantName || v.Measured() != c.wantMeasured || v.Distributed() != c.wantDist {
-			t.Errorf("%v: name=%q measured=%v distributed=%v, want %q/%v/%v",
-				c.args, v.Name(), v.Measured(), v.Distributed(), c.wantName, c.wantMeasured, c.wantDist)
+		if v.Name() != c.wantName || v.Measured() != c.wantMeasured {
+			t.Errorf("%v: name=%q measured=%v, want %q/%v",
+				c.args, v.Name(), v.Measured(), c.wantName, c.wantMeasured)
 		}
 		be, err := v.New(4)
 		if err != nil {

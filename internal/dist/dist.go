@@ -43,7 +43,7 @@ const (
 func (Backend) Name() string { return "dist" }
 
 func init() {
-	rts.RegisterBackend(rts.BackendInfo{Name: "dist", Measured: true, Distributed: true},
+	rts.RegisterBackend(rts.BackendInfo{Name: "dist", Measured: true},
 		func(cfg rts.BackendConfig) (rts.Backend, error) {
 			return Backend{Workers: cfg.Processors}, nil
 		})

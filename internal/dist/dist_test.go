@@ -231,7 +231,7 @@ func TestDistBackendOptions(t *testing.T) {
 		t.Fatalf("backend %q %+v, want dist with 2 workers", be.Name(), be)
 	}
 	info, ok := rts.LookupBackend("dist")
-	if !ok || !info.Distributed || !info.Measured {
+	if !ok || !info.Measured {
 		t.Fatalf("dist registry info wrong: %+v", info)
 	}
 }

@@ -9,10 +9,11 @@
 //   - TAPER chunk sizing (internal/sched) is driven by wall-clock task
 //     times sampled online into Welford (μ, σ²) accumulators, instead
 //     of the simulator's per-task cost hints;
-//   - barrier-free DAG execution drives the same rts.Frontier the
-//     simulator does: operators enable as their dataflow predecessors
+//   - execution drives the same rts.Frontier the simulator does: in
+//     split mode operators enable as their dataflow predecessors
 //     complete, and pipelined edges deliver producer progress to
-//     consumers in granularity batches;
+//     consumers in granularity batches; in the barriered modes they
+//     run one at a time;
 //   - the trace is captured from real clocks: per-worker busy time,
 //     wall-clock makespan, chunk/steal/batch counts, reported through
 //     the same trace.Result the simulator fills.
@@ -75,10 +76,12 @@ func init() {
 
 // Run implements rts.Backend: it runs the graph on opts.Processors
 // worker goroutines (GOMAXPROCS when zero) under opts.Mode. The modes
-// parallel the simulator's: ModeStatic uses a fixed block decomposition
-// with no stealing and no pipelining, ModeTaper adds measured-time
-// TAPER chunking and work stealing (operators still gate on fully
-// completed predecessors), and ModeSplit additionally overlaps
+// are the simulator's, with readiness from the same rts.Frontier:
+// ModeStatic runs one operator at a time on every worker, in
+// topological order with a barrier after each, as a fixed block
+// decomposition with no stealing; ModeTaper does the same with
+// measured-time TAPER chunking and work stealing; and ModeSplit is
+// dataflow, running independent operators at once and overlapping
 // pipelined producer/consumer pairs. A non-nil opts.Sink receives the
 // run's event trace, timestamped from the wall clock. A non-nil
 // opts.Ctx cancels the run cooperatively at chunk boundaries.
@@ -159,7 +162,7 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 	}
 
 	// Pipelined edges get a delivery granularity; in the barriered modes
-	// the Frontier degrades every edge to completion-gated. Its limits
+	// the Frontier runs the operators one at a time. Its limits
 	// keep the table addOps mirrors inside the engine's size bound.
 	f, err := rts.NewFrontier(g, bind, e.pipelined, func(prod rts.OpSpec) int { return batchSize(prod.Op.N, p) },
 		rts.Limits{Ops: maxOps, Tasks: MaxTasks - 1})

@@ -40,9 +40,6 @@ type BackendInfo struct {
 	// unit labels and for choosing measured-work kernels over modeled
 	// ones.
 	Measured bool
-	// Distributed reports whether workers run in separate OS processes
-	// with no shared memory, which requires a Shippable binding.
-	Distributed bool
 }
 
 type backendEntry struct {
@@ -111,7 +108,7 @@ func init() {
 	RegisterBackend(BackendInfo{Name: "sim"}, func(cfg BackendConfig) (Backend, error) {
 		p := cfg.Processors
 		if p < 1 {
-			p = 1
+			p = 64 // the default simulated machine
 		}
 		return NewSimBackend(machine.DefaultConfig(p)), nil
 	})

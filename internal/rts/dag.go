@@ -179,11 +179,12 @@ func (r *dagRun) result() (trace.Result, error) {
 }
 
 // addOps builds the driver state of the operators the Frontier just
-// appended, [base, Len) — the nodes of g2 — and places them on the
-// machine.
+// appended, [base, Len) — the nodes of g2 — names them to the
+// recorder, and places them on the machine.
 func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 	for o := base; o < r.f.Len(); o++ {
 		spec := r.f.Spec(o)
+		r.rec.AddOp(r.f.Name(o))
 		r.ops = append(r.ops, dagOp{
 			spec:    spec,
 			tstats:  sched.NewTaskStats(spec.Op.N),
@@ -271,11 +272,7 @@ func (r *dagRun) expandOne(x Expandable) error {
 	if err != nil || exp == nil {
 		return err
 	}
-	err = r.addOps(exp.Graph, first)
-	for o := first; o < r.f.Len() && r.rec != nil; o++ {
-		r.rec.AddOp(r.f.Name(o))
-	}
-	return err
+	return r.addOps(exp.Graph, first)
 }
 
 // ownQueue reports the queue index processor gp owns in op o, or -1.

@@ -189,14 +189,10 @@ func TestSimFaultUnsampledOwnerCrash(t *testing.T) {
 // refuses plans without a survivor, so the plan goes in below it.
 func TestSimBarrieredLostWorkIsAnError(t *testing.T) {
 	g := chainGraph(t, "a")
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
 	execs := make([]int, 64)
 	bind := func(string) OpSpec { return countingSpec("a", execs) }
 	fx := fault.NewExec(mustPlan(t, "crash:0@1,crash:1@1"), 2)
-	_, err = executeBarriered(machine.DefaultConfig(2), g, bind, RunOpts{Mode: ModeTaper}, 2, order, nil, fx)
+	_, err := executeBarriered(machine.DefaultConfig(2), g, bind, RunOpts{Mode: ModeTaper}, 2, nil, fx)
 	if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
 		t.Fatalf("error = %v, want a stall naming the outstanding tasks", err)
 	}

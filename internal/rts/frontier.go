@@ -147,9 +147,9 @@ func (p *Progress) Reset() {
 	p.Expand = p.Expand[:0]
 }
 
-// CheckExpandBinding verifies that a node's kind and its binding agree
+// checkExpandBinding verifies that a node's kind and its binding agree
 // on whether the operator expands at run time.
-func CheckExpandBinding(nd *delirium.Node, spec OpSpec) error {
+func checkExpandBinding(nd *delirium.Node, spec OpSpec) error {
 	if nd.Kind == delirium.Exp && spec.Expand == nil {
 		return fmt.Errorf("rts: operator %s is expandable (kind=exp) but its binding has no Expand rule", nd.Name)
 	}
@@ -162,7 +162,10 @@ func CheckExpandBinding(nd *delirium.Node, spec OpSpec) error {
 // NewFrontier builds the frontier of a validated graph. Edges are
 // pipelined only when pipelined is set (ModeSplit) and the graph marks
 // them so; batch picks a pipelined edge's delivery granularity from its
-// producer (nil means 1: every prefix advance is delivered).
+// producer (nil means 1: every prefix advance is delivered). Without
+// pipelining (ModeStatic, ModeTaper) each graph's operators also run
+// one after another in topological order, the paper's barrier after
+// every operator.
 func NewFrontier(g *delirium.Graph, bind Binder, pipelined bool, batch func(producer OpSpec) int, lim Limits) (*Frontier, error) {
 	f := &Frontier{index: make(map[string]int, len(g.Nodes)), pipelined: pipelined, batch: batch, lim: lim}
 	tasks, err := f.add(g, bind, 0, -1)
@@ -189,7 +192,7 @@ func (f *Frontier) add(g *delirium.Graph, bind Binder, depth, parent int) (int, 
 	ops := slices.Grow(f.ops, len(order))
 	for _, nd := range order {
 		spec := bind(nd.Name)
-		if err := CheckExpandBinding(nd, spec); err != nil {
+		if err := checkExpandBinding(nd, spec); err != nil {
 			return 0, err
 		}
 		if spec.Expand != nil {
@@ -204,11 +207,25 @@ func (f *Frontier) add(g *delirium.Graph, bind Binder, depth, parent int) (int, 
 		tasks += spec.Op.N
 	}
 	f.ops = ops
+	prev := -1
 	for op := base; op < len(ops); op++ {
 		if ops[op].spec.Expand != nil {
 			f.pending = append(f.pending, op)
 		}
 		f.index[ops[op].name] = op
+		// Without pipelining every operator runs on the whole machine
+		// with a barrier after it: each waits for the nearest earlier
+		// operator of its graph that has tasks (a zero-task one is full
+		// from the start).
+		if !f.pipelined {
+			if prev >= 0 {
+				ops[op].in = append(ops[op].in, frontierEdge{from: prev})
+				ops[prev].out = append(ops[prev].out, op)
+			}
+			if ops[op].n > 0 {
+				prev = op
+			}
+		}
 	}
 	for _, e := range g.Edges {
 		if e.Carried {

@@ -112,6 +112,20 @@ func (w *propWorld) learn(g *delirium.Graph, first, parent int) {
 		pip := e.Pipelined && w.pipelined && !w.ops[from].expandable && !w.ops[to].expandable
 		w.ops[to].in = append(w.ops[to].in, propEdge{from: from, pipelined: pip})
 	}
+	if w.pipelined {
+		return
+	}
+	// Without pipelining each operator also waits for the nearest earlier
+	// operator of its graph that has tasks.
+	prev := -1
+	for op := first; op < w.f.Len(); op++ {
+		if prev >= 0 {
+			w.ops[op].in = append(w.ops[op].in, propEdge{from: prev})
+		}
+		if w.ops[op].n > 0 {
+			prev = op
+		}
+	}
 }
 
 // drained reports whether every operator in op's sub-graph, at any
@@ -376,5 +390,97 @@ func TestFrontierSpliceRejects(t *testing.T) {
 	}
 	if f.Len() != 2 || f.Outstanding() != 1 {
 		t.Fatalf("after refused splices: Len %d Outstanding %d, want 2 and 1", f.Len(), f.Outstanding())
+	}
+}
+
+// TestFrontierBarrieredSerialises pins the barriered modes' rule:
+// without pipelining a graph's operators run one after another in
+// topological order, each waiting for the nearest earlier operator that
+// has tasks, even where the graph has no edge between them. It covers a
+// zero-task operator in between, the operators of an expansion, and the
+// operator after an expandable one, which waits for its join.
+func TestFrontierBarrieredSerialises(t *testing.T) {
+	body := func(n int) OpSpec { return OpSpec{Op: sched.Op{N: n, Time: func(int) float64 { return 1 }}} }
+	g := delirium.NewGraph("top")
+	for _, nd := range []*delirium.Node{
+		{Name: "a", Kind: delirium.Par}, {Name: "z", Kind: delirium.Par},
+		{Name: "b", Kind: delirium.Par}, {Name: "x", Kind: delirium.Exp, Rule: "r"},
+		{Name: "c", Kind: delirium.Par},
+	} {
+		if err := g.AddNode(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub := delirium.NewGraph("sub")
+	for _, name := range []string{"s0", "s1"} {
+		if err := sub.AddNode(&delirium.Node{Name: name, Kind: delirium.Par}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bind := func(name string) OpSpec {
+		switch name {
+		case "z":
+			return body(0)
+		case "x":
+			return OpSpec{Op: sched.Op{N: 1}, Expand: func(int) (*Expansion, error) {
+				return &Expansion{Graph: sub, Bind: func(string) OpSpec { return body(3) }}, nil
+			}}
+		}
+		return body(2)
+	}
+	// With pipelining allowed, the independent operators all start.
+	pf, err := NewFrontier(g, bind, true, nil, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.Enabled(pf.Index("b")) != 2 || pf.Enabled(pf.Index("c")) != 2 {
+		t.Fatal("pipelined frontier gates independent operators")
+	}
+
+	f, err := NewFrontier(g, bind, false, nil, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pr Progress
+	f.Start(&pr)
+	a, b, x, c := f.Index("a"), f.Index("b"), f.Index("x"), f.Index("c")
+	want := func(step string, op, n int) {
+		t.Helper()
+		if got := f.Enabled(op); got != n {
+			t.Fatalf("%s: Enabled(%s) = %d, want %d", step, f.Name(op), got, n)
+		}
+	}
+	want("start", a, 2)
+	want("start", b, 0) // behind a, across the zero-task z
+	f.Complete(a, 0, 1, &pr)
+	want("a half done", b, 0)
+	f.Complete(a, 1, 2, &pr)
+	want("a full", b, 2)
+	pr.Reset()
+	f.Complete(b, 0, 2, &pr)
+	if len(pr.Expand) != 1 || pr.Expand[0].Op != x {
+		t.Fatalf("b full: Expand = %+v, want x", pr.Expand)
+	}
+	exp, err := pr.Expand[0].Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Splice(x, exp, &pr); err != nil {
+		t.Fatal(err)
+	}
+	s0, s1 := f.Index("s0"), f.Index("s1")
+	want("spliced", s0, 3)
+	want("spliced", s1, 0) // inside the expansion, behind s0
+	want("spliced", c, 0)
+	f.Complete(s0, 0, 3, &pr)
+	want("s0 full", s1, 3)
+	f.Complete(s1, 0, 3, &pr)
+	want("sub-graph drained", x, 1)
+	want("sub-graph drained", c, 0) // behind x's join
+	f.Complete(x, 0, 1, &pr)
+	want("join done", c, 2)
+	f.Complete(c, 0, 2, &pr)
+	if f.Outstanding() != 0 {
+		t.Fatalf("Outstanding = %d after every task", f.Outstanding())
 	}
 }

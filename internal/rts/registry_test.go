@@ -142,7 +142,7 @@ func TestBackendRegistryNames(t *testing.T) {
 		t.Fatalf("sim not registered: %v", names)
 	}
 	info, ok := LookupBackend("sim")
-	if !ok || info.Measured || info.Distributed {
+	if !ok || info.Measured {
 		t.Fatalf("sim info wrong: %+v ok=%v", info, ok)
 	}
 	if _, err := OpenBackend("no-such-backend", BackendConfig{}); err == nil ||

@@ -98,17 +98,11 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 	if p < 1 {
 		p = 1
 	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return trace.Result{}, err
-	}
+	// Recorder indices track Frontier indices: the drivers add each
+	// operator as the Frontier's table grows.
 	var rec *obs.Recorder
 	if opts.Sink != nil {
-		names := make([]string, len(order))
-		for i, n := range order {
-			names[i] = n.Name
-		}
-		rec = obs.NewRecorder("sim", "", names, p)
+		rec = obs.NewRecorder("sim", "", nil, p)
 	}
 	fx, err := simFaults(&cfg, opts, p)
 	if err != nil {
@@ -126,7 +120,7 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 		// to whatever is executable.
 		r, err = executeDAG(opts.Ctx, cfg, g, bind, p, rec, fx)
 	} else {
-		r, err = executeBarriered(cfg, g, bind, opts, p, order, rec, fx)
+		r, err = executeBarriered(cfg, g, bind, opts, p, rec, fx)
 	}
 	if err != nil {
 		return trace.Result{}, err
@@ -139,117 +133,87 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 }
 
 // executeBarriered is the engine behind RunGraph's ModeStatic and
-// ModeTaper paths: one operator at a time on all p processors, in
-// topological order, with a barrier after each. rec and fx may be nil.
-func executeBarriered(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts, p int, order []*delirium.Node, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
+// ModeTaper paths: a driver of the Frontier built without pipelining,
+// which enables one operator at a time, in topological order. Each runs
+// whole on all p processors and then completes, which is the barrier
+// after it. A sub-graph's edges are charged just before its join runs,
+// the top-level graph's at the end. rec and fx may be nil.
+func executeBarriered(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts, p int, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
+	f, err := NewFrontier(g, bind, false, nil, Limits{})
+	if err != nil {
+		return trace.Result{}, err
+	}
 	agg := trace.Result{Processors: p}
 	procs := make([]int, p)
 	for i := range procs {
 		procs[i] = i
 	}
 	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-
-	runOp := func(op sched.Op, oi int) error {
-		ob := obs.OpObs{R: rec, Op: oi, Base: agg.Makespan}
-		var r trace.Result
-		if opts.Mode == ModeStatic {
-			r = sched.ExecuteStatic(cfg, op, procs, ob)
-		} else {
-			// fx persists across the per-operator loop, so a worker's
-			// chunk count — and any crash it triggers — carries from one
-			// operator to the next.
-			var err error
-			if r, err = sched.ExecuteDistributedFault(cfg, op, procs, factory, ob, fx); err != nil {
-				return err
-			}
-		}
-		agg.Makespan += r.Makespan
-		agg.SeqTime += r.SeqTime
-		agg.Chunks += r.Chunks
-		agg.Steals += r.Steals
-		agg.Messages += r.Messages
-		return nil
-	}
-	// taken tracks every operator name scheduled so far; expansions must
-	// not redeclare names (same contract as the dataflow engines).
-	taken := map[string]bool{}
-	for _, n := range g.Nodes {
-		taken[n.Name] = true
-	}
-	topIdx := map[string]int{}
-	for i, n := range order {
-		topIdx[n.Name] = i
-	}
-	// execBarriered runs one (sub-)graph's operators in topological
-	// order with barriers between them. An expandable operator runs its
-	// materialized sub-graph to completion before its own join task —
-	// the barriered modes have no overlap to exploit, so nesting is
-	// plain recursion — then charges the (sub-)graph's edge costs.
-	var execBarriered func(g2 *delirium.Graph, bind2 Binder, depth int, idxOf func(string) int) error
-	execBarriered = func(g2 *delirium.Graph, bind2 Binder, depth int, idxOf func(string) int) error {
-		order2, err := g2.TopoOrder()
-		if err != nil {
-			return err
-		}
-		subIdx := func(nm string) int {
-			if rec != nil {
-				return rec.AddOp(nm)
-			}
-			return 0
-		}
-		for _, n := range order2 {
-			// The barriered modes execute one operator at a time, so an
-			// operator boundary is the natural cancellation point: work
-			// already simulated stays charged, the rest is abandoned.
-			if opts.canceled() {
-				return CancelError("rts", opts.Ctx)
-			}
-			spec := bind2(n.Name)
-			if err := CheckExpandBinding(n, spec); err != nil {
-				return err
-			}
-			oi := idxOf(n.Name)
-			if spec.Expand != nil {
-				exp, err := spec.Expand(depth)
-				if err != nil {
-					return fmt.Errorf("rts: expanding %s: %w", n.Name, err)
-				}
-				if exp != nil {
-					if err := ValidateExpansion(n.Name, depth, exp, func(nm string) bool { return taken[nm] }); err != nil {
-						return err
-					}
-					for _, sn := range exp.Graph.Nodes {
-						taken[sn.Name] = true
-					}
-					if err := execBarriered(exp.Graph, exp.Bind, depth+1, subIdx); err != nil {
-						return err
-					}
-				}
-				spec = JoinSpec(spec)
-			}
-			if err := runOp(spec.Op, oi); err != nil {
-				return err
-			}
-		}
+	charge := func(g2 *delirium.Graph) {
 		for _, e := range g2.Edges {
 			if e.Carried {
 				continue
 			}
 			bytes := e.Bytes
 			if e.PerTask {
-				cons := bind2(e.To)
-				if cons.Expand != nil {
-					cons = JoinSpec(cons)
-				}
-				bytes *= int64(cons.Op.N)
+				bytes *= int64(f.N(f.Index(e.To)))
 			}
 			agg.Makespan += float64(bytes) * cfg.ByteCost / float64(p)
 			agg.Messages += p
 		}
-		return nil
 	}
-	if err := execBarriered(g, bind, 0, func(nm string) int { return topIdx[nm] }); err != nil {
-		return trace.Result{}, err
+	subs := map[int]*delirium.Graph{} // spliced sub-graphs by expandable operator
+	var pr Progress
+	f.Start(&pr)
+	for named := 0; ; {
+		for ; named < f.Len(); named++ {
+			rec.AddOp(f.Name(named))
+		}
+		if len(pr.Expand)+len(pr.Enabled) == 0 {
+			break
+		}
+		// An operator boundary is the natural cancellation point: work
+		// already simulated stays charged, the rest is abandoned.
+		if opts.canceled() {
+			return trace.Result{}, CancelError("rts", opts.Ctx)
+		}
+		if len(pr.Expand) > 0 {
+			x := pr.Expand[0]
+			pr.Expand = pr.Expand[1:]
+			exp, err := x.Expand()
+			if err != nil {
+				return trace.Result{}, err
+			}
+			if _, err := f.Splice(x.Op, exp, &pr); err != nil {
+				return trace.Result{}, err
+			}
+			if exp != nil {
+				subs[x.Op] = exp.Graph
+			}
+			continue
+		}
+		rg := pr.Enabled[0]
+		pr.Enabled = pr.Enabled[1:]
+		if sub := subs[rg.Op]; sub != nil {
+			charge(sub)
+		}
+		op := f.Spec(rg.Op).Op
+		ob := obs.OpObs{R: rec, Op: rg.Op, Base: agg.Makespan}
+		var r trace.Result
+		if opts.Mode == ModeStatic {
+			r = sched.ExecuteStatic(cfg, op, procs, ob)
+		} else if r, err = sched.ExecuteDistributedFault(cfg, op, procs, factory, ob, fx); err != nil {
+			// fx persists from operator to operator, so a worker's chunk
+			// count, and any crash it triggers, carries across them.
+			return trace.Result{}, err
+		}
+		agg.Makespan += r.Makespan
+		agg.SeqTime += r.SeqTime
+		agg.Chunks += r.Chunks
+		agg.Steals += r.Steals
+		agg.Messages += r.Messages
+		f.Complete(rg.Op, rg.Lo, rg.Hi, &pr)
 	}
+	charge(g)
 	return agg, nil
 }
