@@ -179,6 +179,29 @@ func TestRunNativeHappyPath(t *testing.T) {
 	}
 }
 
+// TestRunTaskAnnotations pins what a node's tasks= count does on both
+// kinds of backend: zero runs a zero-task operator, a negative count
+// fails the binding, like a bad flag, with an error naming the node.
+func TestRunTaskAnnotations(t *testing.T) {
+	for _, backend := range []string{"sim", "native"} {
+		for _, c := range []struct {
+			tasks string
+			code  int
+		}{{"n-4", 0}, {"n-5", 2}} {
+			src := "graph z\nnode a kind=par\nnode z kind=par tasks=" + c.tasks + "\nnode b kind=par\nedge a -> z\nedge z -> b\n"
+			path := filepath.Join(t.TempDir(), "z.graph")
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out, errw strings.Builder
+			code := run([]string{"-backend", backend, "-p", "2", "-n", "4", "-tasks", "8", "-unitwork", "1", "-mode", "all", path}, &out, &errw)
+			if code != c.code || (code != 0) != strings.Contains(errw.String(), "node z has -1 tasks") {
+				t.Errorf("%s, tasks=%s: exit %d, want %d (stderr: %s)", backend, c.tasks, code, c.code, errw.String())
+			}
+		}
+	}
+}
+
 func TestRunTraceWritesChromeJSON(t *testing.T) {
 	for _, backend := range []string{"sim", "native"} {
 		out := filepath.Join(t.TempDir(), "out.json")

@@ -82,3 +82,61 @@ func checkSerialised(t *testing.T, run string, tr *obs.Trace) {
 		}
 	}
 }
+
+// TestZeroTaskOperatorGatesOnEveryEngine runs a → z → b, z a node whose
+// tasks= count is zero, on the simulator, native and dist in every mode
+// and reads the trace: no chunk of b may start before a's last chunk
+// ended. A zero-task operator fires once its producers are full, so the
+// dependency of b on a holds through it, pipelined edges or not.
+func TestZeroTaskOperatorGatesOnEveryEngine(t *testing.T) {
+	g, err := delirium.Decode("graph zero\nnode a kind=par\nnode z kind=par tasks=n-64\nnode b kind=par\n" +
+		"edge a -> z pipelined\nedge z -> b pipelined\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := rts.KernelParams{}
+	params.SetInt("n", 64)
+	params.SetInt("tasks", 64)
+	params.SetInt("unitwork", 1000)
+	for _, backend := range []string{"sim", "native", "dist"} {
+		be, err := rts.OpenBackend(backend, rts.BackendConfig{Processors: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
+			run := backend + "/" + mode.String()
+			bound, err := rts.Bind(g, rts.NamedBinding("spin", params))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var col obs.Collector
+			if _, err := be.Run(g, bound, rts.RunOpts{Processors: 2, Mode: mode, Sink: &col}); err != nil {
+				t.Fatalf("%s: %v", run, err)
+			}
+			if col.Trace == nil || col.Trace.Dropped != 0 {
+				t.Fatalf("%s: no complete trace", run)
+			}
+			aEnd, bStart, chunks := 0.0, 0.0, map[string]int{}
+			for _, e := range col.Trace.Events {
+				if e.Kind != obs.KindChunk {
+					continue
+				}
+				switch name := col.Trace.Ops[e.Op]; name {
+				case "a":
+					aEnd = max(aEnd, e.T1)
+				case "b":
+					if chunks[name] == 0 || e.T0 < bStart {
+						bStart = e.T0
+					}
+				}
+				chunks[col.Trace.Ops[e.Op]]++
+			}
+			if chunks["a"] == 0 || chunks["b"] == 0 || chunks["z"] != 0 {
+				t.Fatalf("%s: chunks per operator %v, want some of a and b and none of z", run, chunks)
+			}
+			if bStart < aEnd {
+				t.Errorf("%s: b started at %.6g, before a's last chunk ended at %.6g", run, bStart, aEnd)
+			}
+		}
+	}
+}

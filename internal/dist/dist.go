@@ -121,7 +121,8 @@ type sched struct {
 	opts     rts.RunOpts
 	mode     rts.Mode
 	f        *rts.Frontier
-	ops      []opState // parallel to the Frontier's operator table
+	pr       rts.Progress // scratch: grants read the Frontier's Enabled
+	ops      []opState    // parallel to the Frontier's operator table
 	taper    taskop.Taper
 	workers  []*wstate
 	regrants []seg
@@ -144,11 +145,11 @@ type sched struct {
 	commBytes int64
 }
 
-// newSched builds the scheduling state for p workers from the
-// coordinator's own binding — the same specs the workers reconstruct
-// from the binding's name. Pipelined edges deliver every prefix advance
-// (batch 1): a grant already costs a message, so there is nothing to
-// amortise.
+// newSched builds the scheduling state for p workers, its Frontier
+// started, from the coordinator's own binding — the same specs the
+// workers reconstruct from the binding's name. Pipelined edges deliver
+// every prefix advance (batch 1): a grant already costs a message, so
+// there is nothing to amortise.
 func newSched(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*sched, error) {
 	f, err := rts.NewFrontier(g, bind, opts.Mode == rts.ModeSplit, nil, rts.Limits{})
 	if err != nil {
@@ -165,6 +166,7 @@ func newSched(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*sch
 	for op := range s.ops {
 		s.ops[op].stats = taskop.NewTaskStats(max(f.N(op), 1))
 	}
+	f.Start(&s.pr)
 	return s, nil
 }
 
@@ -610,9 +612,9 @@ func (s *sched) handleDone(w *wstate, payload []byte) error {
 		}
 	}
 
-	// The coordinator grants by polling Enabled: Complete only records.
 	old := s.f.Prefix(op)
-	s.f.Complete(op, lo, hi, nil)
+	s.pr.Reset()
+	s.f.Complete(op, lo, hi, &s.pr)
 	if pfx := s.f.Prefix(op); pfx > old {
 		s.rec.Gate(w.id, op, old, pfx, recvRel)
 	}

@@ -104,18 +104,24 @@ func TestGateOutOfOrderCompletionHolds(t *testing.T) {
 	}
 }
 
-// TestGateZeroTaskShapes pins the degenerate shapes: a zero-task
-// producer has nothing to read, so it must never gate its consumer,
-// and a zero-task consumer has nothing to grant either way.
+// TestGateZeroTaskShapes pins the degenerate shapes under the fire
+// rule: a zero-task producer with no producers of its own fires at
+// Start, so its consumer is grantable whole from the start, and a
+// zero-task consumer has nothing to grant; it fires, and is full, when
+// its producer is.
 func TestGateZeroTaskShapes(t *testing.T) {
-	if got := gateFrontier(t, 9, 0, true, rts.ModeSplit).Enabled(1); got != 9 {
-		t.Fatalf("zero-task producer gates consumer to %d, want 9", got)
+	if f := gateFrontier(t, 9, 0, true, rts.ModeSplit); f.Enabled(1) != 9 || !f.Full(0) {
+		t.Fatalf("zero-task source: consumer grantable %d of 9, source full %v", f.Enabled(1), f.Full(0))
 	}
 	var pr rts.Progress
 	f := gateFrontier(t, 0, 7, true, rts.ModeSplit)
 	f.Complete(0, 0, 3, &pr)
-	if got := f.Enabled(1); got != 0 {
-		t.Fatalf("zero-task consumer Enabled = %d, want 0", got)
+	if got := f.Enabled(1); got != 0 || f.Full(1) {
+		t.Fatalf("zero-task consumer: Enabled = %d, full %v with its producer partial", got, f.Full(1))
+	}
+	f.Complete(0, 3, 7, &pr)
+	if !f.Full(1) || len(pr.Enabled) != 0 {
+		t.Fatalf("zero-task consumer: full %v, ranges %v once its producer is full", f.Full(1), pr.Enabled)
 	}
 }
 

@@ -114,24 +114,26 @@ func chainBlockSize(n int, bytes int64) int {
 // edge: equal non-zero task counts and either the compiler's Chain
 // attribute or compatible kernel annotations (split.Chainable). A
 // consumer is chain-managed only if at least one in-edge is eligible
-// and no pipelined in-edge is left behind on the gate (a consumer
-// cannot be half gate-, half chain-issued); its remaining non-eligible
-// in-edges become barrier edges that deliver every block at the
-// producer's full completion.
+// and no in-edge must stay on the gate: a pipelined one (a consumer
+// cannot be half gate-, half chain-issued), or one from a zero-task
+// producer, which fires in the Frontier and never completes a chunk
+// here. Its remaining non-eligible in-edges become barrier edges that
+// deliver every block at the producer's full completion.
 func (e *engine) setupChains(g *delirium.Graph) {
 	type edge struct {
-		from, to  int
-		halo      int
-		eligible  bool
-		pipelined bool // still on the Frontier's prefix gate
+		from, to int
+		halo     int
+		eligible bool
+		gated    bool // must stay on the Frontier's gate
 	}
 	perCons := map[int][]edge{}
 	for _, ed := range g.Edges {
 		if ed.Carried {
 			continue
 		}
-		ce := edge{from: e.f.Index(ed.From), to: e.f.Index(ed.To), pipelined: e.f.Pipelines(ed)}
+		ce := edge{from: e.f.Index(ed.From), to: e.f.Index(ed.To)}
 		prod, cons := e.op(ce.from), e.op(ce.to)
+		ce.gated = e.f.Pipelines(ed) || prod.n == 0
 		// Never chain across an expandable endpoint: a chained edge would
 		// enqueue blocks against a sub-graph that does not exist yet (the
 		// consumer's real work only materializes at expansion time), and
@@ -154,7 +156,7 @@ func (e *engine) setupChains(g *delirium.Graph) {
 		for _, ce := range edges {
 			if ce.eligible {
 				chained++
-			} else if ce.pipelined {
+			} else if ce.gated {
 				ok = false // would lose the gate's delivery for this edge
 			}
 		}
@@ -173,15 +175,7 @@ func (e *engine) setupChains(g *delirium.Graph) {
 			prod := e.op(ce.from)
 			if !ce.eligible {
 				// Barrier in-edge: full producer completion delivers
-				// every block at once. A zero-task producer never runs
-				// complete, so it delivers here, at setup (no chain edge
-				// has delivered yet, so this can never enable a block).
-				if prod.n == 0 {
-					for b := range cs.left {
-						cs.left[b]--
-					}
-					continue
-				}
+				// every block at once.
 				prod.chains = append(prod.chains, &chainEdge{to: ci, barrier: true})
 				continue
 			}

@@ -241,7 +241,7 @@ func SpinBinder(g *delirium.Graph, count func(node *delirium.Node) int, cv float
 	}
 	specs := map[string]rts.OpSpec{}
 	for _, nd := range g.Nodes {
-		t := LogNormalTimes(seed, nd.Name, max(count(nd), 1), cv)
+		t := LogNormalTimes(seed, nd.Name, count(nd), cv)
 		bodyRange := func(lo, hi int) float64 {
 			sum := 0.0
 			for i := lo; i < hi; i++ {

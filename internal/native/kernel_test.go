@@ -138,6 +138,7 @@ func TestResolveTasks(t *testing.T) {
 		{"n/2", 1024, true},
 		{"n*n*n*n*n", 1 << 55, true},
 		{"-n", -2048, true},
+		{"n-2048", 0, true},
 		{"n/0", 0, false},
 		{"n+", 0, false},
 		{"n*n*n*n*n*n", 0, false},                  // 2^66
@@ -148,6 +149,45 @@ func TestResolveTasks(t *testing.T) {
 		got, ok := native.ResolveTasks(c.expr, 2048)
 		if got != c.want || ok != c.ok {
 			t.Errorf("ResolveTasks(%.40q, 2048) = (%d, %v), want (%d, %v)", c.expr, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestTaskCount pins the synthetic kernels' per-node count: an
+// annotation that resolves to zero is a zero-task operator, one that
+// does not resolve falls back to the tasks parameter, and a negative
+// count is refused with an error naming the node.
+func TestTaskCount(t *testing.T) {
+	params := rts.KernelParams{}
+	params.SetInt("tasks", 7)
+	params.SetInt("n", 4)
+	for _, c := range []struct {
+		tasks string
+		want  int
+		err   bool
+	}{
+		{"", 7, false},
+		{"n", 4, false},
+		{"n-4", 0, false},
+		{"n/0", 7, false},
+		{"n-5", 0, true},
+		{"-n", 0, true},
+	} {
+		g := delirium.NewGraph("g")
+		if err := g.AddNode(&delirium.Node{Name: "z", Kind: delirium.Par, Tasks: c.tasks}); err != nil {
+			t.Fatal(err)
+		}
+		count, err := native.TaskCount(params, g)
+		if c.err {
+			if err == nil || !strings.Contains(err.Error(), "node z") {
+				t.Errorf("tasks=%q: error %v, want a refusal naming node z", c.tasks, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("tasks=%q: %v", c.tasks, err)
+		} else if got := count(g.Nodes[0]); got != c.want {
+			t.Errorf("tasks=%q: %d tasks, want %d", c.tasks, got, c.want)
 		}
 	}
 }

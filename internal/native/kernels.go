@@ -1,6 +1,7 @@
 package native
 
 import (
+	"fmt"
 	"math"
 
 	"orchestra/internal/delirium"
@@ -65,7 +66,11 @@ func arrayKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 // spinKernel resolves one operator of the "spin" family.
 func spinKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 	v, err := env.Memo("native.spin", func() (any, error) {
-		bind := SpinBinder(env.Graph, TaskCount(env.Params),
+		count, err := TaskCount(env.Params, env.Graph)
+		if err != nil {
+			return nil, err
+		}
+		bind := SpinBinder(env.Graph, count,
 			env.Params.Float("cv", 1.0), env.Params.Uint64("seed", 1),
 			env.Params.Int("unitwork", 4000))
 		return bind, nil
@@ -84,7 +89,10 @@ func lognormalKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 	v, err := env.Memo("native.lognormal", func() (any, error) {
 		cv := env.Params.Float("cv", 1.0)
 		seed := env.Params.Uint64("seed", 1)
-		count := TaskCount(env.Params)
+		count, err := TaskCount(env.Params, env.Graph)
+		if err != nil {
+			return nil, err
+		}
 		specs := map[string]rts.OpSpec{}
 		for _, nd := range env.Graph.Nodes {
 			specs[nd.Name] = CostSpec(nd.Name, LogNormalTimes(seed, nd.Name, count(nd), cv))
@@ -99,23 +107,27 @@ func lognormalKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 }
 
 // TaskCount builds the per-node task-count function the synthetic
-// kernels share: a node's tasks= annotation (a symbolic trip count,
-// resolved with params "n") when present, else params "tasks".
-func TaskCount(params rts.KernelParams) func(*delirium.Node) int {
+// kernels share for g's nodes: a node's tasks= annotation (a symbolic
+// trip count, resolved with params "n") when present, else params
+// "tasks". A count of zero makes a zero-task operator; a negative one
+// is refused, naming the node.
+func TaskCount(params rts.KernelParams, g *delirium.Graph) (func(*delirium.Node) int, error) {
 	tasks := params.Int("tasks", 2048)
 	nParam := params.Int("n", 2048)
-	return func(nd *delirium.Node) int {
-		c := tasks
+	count := func(nd *delirium.Node) int {
 		if nd.Tasks != "" {
 			if v, ok := ResolveTasks(nd.Tasks, nParam); ok {
-				c = v
+				return v
 			}
 		}
-		if c < 1 {
-			c = 1
-		}
-		return c
+		return tasks
 	}
+	for _, nd := range g.Nodes {
+		if c := count(nd); c < 0 {
+			return nil, fmt.Errorf("native: node %s has %d tasks", nd.Name, c)
+		}
+	}
+	return count, nil
 }
 
 // ResolveTasks evaluates a symbolic trip-count annotation (such as

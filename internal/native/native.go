@@ -13,7 +13,8 @@
 //     split mode operators enable as their dataflow predecessors
 //     complete, and pipelined edges deliver producer progress to
 //     consumers in granularity batches; in the barriered modes they
-//     run one at a time;
+//     run one at a time; an operator without tasks fires, inside the
+//     Frontier, once its producers are full;
 //   - the trace is captured from real clocks: per-worker busy time,
 //     wall-clock makespan, chunk/steal/batch counts, reported through
 //     the same trace.Result the simulator fills.
@@ -148,14 +149,9 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 	}
 	e := &engine{p: p, fx: fx, graphName: g.Name, mode: opts.Mode}
 	e.live.Store(int32(p))
-	switch opts.Mode {
-	case rts.ModeStatic:
-		// fixed blocks, no adaptation
-	case rts.ModeTaper:
-		e.adaptive, e.steal = true, true
-	case rts.ModeSplit:
-		e.adaptive, e.steal, e.pipelined = true, true, true
-	}
+	// ModeStatic runs fixed blocks, the other modes steal and size
+	// chunks by TAPER; only ModeSplit pipelines.
+	e.steal, e.pipelined = opts.Mode != rts.ModeStatic, opts.Mode == rts.ModeSplit
 	e.finished = make(chan struct{})
 	if opts.Sink != nil {
 		e.rec = obs.NewRecorder("native", "s", nil, p)
@@ -256,9 +252,9 @@ func (e *engine) execute(opts rts.RunOpts, launch func(func())) (trace.Result, e
 	e.start = start
 
 	// Initial releases, still single-threaded (the worker goroutines
-	// start below): sources, operators whose producers are trivially complete
-	// (zero-task operators), and expandable operators with nothing to
-	// wait for, which expand here.
+	// start below): sources, operators behind zero-task operators that
+	// fire at once, and expandable operators with nothing to wait for,
+	// which expand here.
 	var pr rts.Progress
 	e.f.Start(&pr)
 	e.advance(nil, &pr)
@@ -375,11 +371,11 @@ func (w *worker) holding() bool { return w.dq.size() > 0 }
 // lifetime is one job, as opposed to the workers' goroutines, whose
 // lifetime is the pool's when a Pool hosts the job.
 type engine struct {
-	p                          int
-	adaptive, steal, pipelined bool
-	graphName                  string
-	mode                       rts.Mode
-	workers                    []*worker
+	p                int
+	steal, pipelined bool
+	graphName        string
+	mode             rts.Mode
+	workers          []*worker
 
 	// mu serialises the Frontier — every readiness decision of the run
 	// — and the chain ledgers that ride on the same completions. One
@@ -758,7 +754,7 @@ func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 func (e *engine) runSegment(w *worker, seg segment, stolen bool) {
 	o := e.op(seg.op)
 	k := seg.len()
-	if e.adaptive {
+	if e.steal {
 		rem := int(o.unsched.Load())
 		if rem < 1 {
 			rem = k

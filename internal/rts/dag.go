@@ -38,9 +38,9 @@ func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 
 // dagRun is the simulator's driver of a Frontier: it owns the event
 // clock, processor allocation, task queues, TAPER chunk sizing,
-// stealing and fault injection, and asks the Frontier how far each
-// operator may be dispatched. Every task body is called exactly once,
-// by the chunk that holds it (execChunk).
+// stealing and fault injection, and reads from the Frontier how far
+// each operator has been enabled. Every task body is called exactly
+// once, by the chunk that holds it (execChunk).
 type dagRun struct {
 	ctx context.Context
 	cfg machine.Config
@@ -53,7 +53,7 @@ type dagRun struct {
 	ops []dagOp // parallel to the Frontier's operator table
 	res trace.Result
 	err error
-	due Progress // scratch for the expansions Due hands out
+	pr  Progress // scratch for what the Frontier reports
 
 	// Fault state. live is the surviving processor count; chunk sizing
 	// and budget shares are computed against it so scheduling adapts to
@@ -150,8 +150,9 @@ func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind 
 	}
 	// Expandable sources (no predecessors) materialize before the
 	// processors start.
-	if r.expand(); r.err != nil {
-		return nil, r.err
+	f.Start(&r.pr)
+	if err := r.expand(); err != nil {
+		return nil, err
 	}
 	for gp := 0; gp < p; gp++ {
 		r.idle = append(r.idle, gp)
@@ -242,23 +243,18 @@ func (r *dagRun) place(g2 *delirium.Graph) error {
 	return nil
 }
 
-// expand materializes every operator the Frontier reports due, to a
-// fixpoint: an expansion may itself introduce expandable sources that
-// are immediately due (recursion — bounded by MaxExpandDepth). A
-// failure lands in r.err and aborts the run. The driver dispatches by
-// polling Enabled, so it passes the Frontier no Progress for ranges.
-func (r *dagRun) expand() {
-	for r.err == nil {
-		r.due.Reset()
-		if r.f.Due(&r.due); len(r.due.Expand) == 0 {
-			return
-		}
-		for _, x := range r.due.Expand {
-			if r.err = r.expandOne(x); r.err != nil {
-				return
-			}
-		}
+// expand materializes every operator the Frontier reported due, and
+// those their splices report in turn: an expansion may itself introduce
+// expandable sources that are immediately due (recursion — bounded by
+// MaxExpandDepth). A failure lands in r.err, which it returns, and
+// aborts the run. The enabled ranges are dropped: the driver dispatches
+// against Enabled.
+func (r *dagRun) expand() error {
+	for i := 0; i < len(r.pr.Expand) && r.err == nil; i++ {
+		r.err = r.expandOne(r.pr.Expand[i])
 	}
+	r.pr.Reset()
+	return r.err
 }
 
 // expandOne runs x's rule, splices the result and builds the driver
@@ -268,7 +264,7 @@ func (r *dagRun) expandOne(x Expandable) error {
 	if err != nil {
 		return err
 	}
-	first, err := r.f.Splice(x.Op, exp, nil)
+	first, err := r.f.Splice(x.Op, exp, &r.pr)
 	if err != nil || exp == nil {
 		return err
 	}
@@ -382,7 +378,7 @@ func (r *dagRun) chunkDone(gp int) {
 		for j < len(pc.tasks) && pc.tasks[j] == pc.tasks[j-1]+1 {
 			j++
 		}
-		r.f.Complete(pc.o, pc.tasks[i], pc.tasks[j-1]+1, nil)
+		r.f.Complete(pc.o, pc.tasks[i], pc.tasks[j-1]+1, &r.pr)
 		i = j
 	}
 	if pfx := r.f.Prefix(pc.o); r.rec != nil && pfx != oldPfx {
@@ -392,8 +388,8 @@ func (r *dagRun) chunkDone(gp int) {
 		r.ops[pc.o].done[j] += pc.k
 		r.ops[pc.o].spent[j] += pc.total
 	}
-	// Fully-completed predecessors may make expansions ready, and
-	// progress may open successors' gates.
+	// A full operator may make expansions due, and progress may have
+	// opened successors' gates.
 	r.expand()
 	r.wake()
 	r.next(gp)

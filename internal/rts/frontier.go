@@ -26,14 +26,15 @@ import (
 // which worker.
 //
 // Protocol: NewFrontier, then Start once; afterwards Complete for every
-// finished run of tasks. Each call
-// appends to a caller-owned Progress the task ranges it newly enabled
-// and the operators now ready to expand; for the latter the driver
-// calls Expandable.Expand outside any lock and hands the result to
-// Splice. Over a run every task is returned in exactly one Enabled
-// range. A driver that schedules by polling passes a nil Progress
-// everywhere — the calls then only record — skips Start, and reads
-// Enabled(op) at dispatch and Due after completions.
+// finished run of tasks. Each call appends to a caller-owned Progress
+// the task ranges it newly enabled and the operators now ready to
+// expand; for the latter the driver calls Expandable.Expand outside any
+// lock and hands the result to Splice, which reports the same way. Over
+// a run every task is returned in exactly one Enabled range, and
+// Enabled(op) is where the ranges returned for op end. An operator
+// without tasks fires once every producer is full: firing is its
+// completion, and its consumers and due expansions are reported in the
+// call that fired it.
 type Frontier struct {
 	ops         []frontierOp
 	index       map[string]int
@@ -59,6 +60,7 @@ type frontierOp struct {
 	in   []frontierEdge
 	out  []int
 	done int
+	full bool // every task completed; for a zero-task operator, fired
 	// prefix is the contiguous completed prefix. Tasks completed beyond
 	// it are bits in pages of pageTasks tasks: pages[i] covers tasks
 	// [i·pageTasks, (i+1)·pageTasks) and is nil until an out-of-order
@@ -207,24 +209,17 @@ func (f *Frontier) add(g *delirium.Graph, bind Binder, depth, parent int) (int, 
 		tasks += spec.Op.N
 	}
 	f.ops = ops
-	prev := -1
 	for op := base; op < len(ops); op++ {
 		if ops[op].spec.Expand != nil {
 			f.pending = append(f.pending, op)
 		}
 		f.index[ops[op].name] = op
 		// Without pipelining every operator runs on the whole machine
-		// with a barrier after it: each waits for the nearest earlier
-		// operator of its graph that has tasks (a zero-task one is full
-		// from the start).
-		if !f.pipelined {
-			if prev >= 0 {
-				ops[op].in = append(ops[op].in, frontierEdge{from: prev})
-				ops[prev].out = append(ops[prev].out, op)
-			}
-			if ops[op].n > 0 {
-				prev = op
-			}
+		// with a barrier after it: each waits for the previous operator
+		// of its graph.
+		if !f.pipelined && op > base {
+			ops[op].in = append(ops[op].in, frontierEdge{from: op - 1})
+			ops[op-1].out = append(ops[op-1].out, op)
 		}
 	}
 	for _, e := range g.Edges {
@@ -258,26 +253,31 @@ func (f *Frontier) Pipelines(e *delirium.Edge) bool {
 	return e.Pipelined && !e.Carried && f.pipelined && prod.n > 0 && prod.spec.Expand == nil && cons.spec.Expand == nil
 }
 
-// Start opens the run: sources, operators behind zero-task producers
-// and expandable operators with nothing to wait for.
+// Start opens the run: sources, zero-task operators with nothing to
+// wait for, what they open, and expandable operators with nothing to
+// wait for.
 func (f *Frontier) Start(pr *Progress) { f.issueFrom(0, pr) }
 
 // issueFrom evaluates the pending expansions and operators [base, Len).
 func (f *Frontier) issueFrom(base int, pr *Progress) {
-	f.Due(pr)
+	f.due(pr)
 	for op := base; op < len(f.ops); op++ {
 		f.issue(op, pr)
 	}
 }
 
-// Enabled reports how many of op's tasks may run: the minimum over its
-// in-edges of what each producer has made available — everything once
-// the producer is full, the share ⌊⌊prefix/batch⌋·batch·n/pn⌋ of its
+// Enabled is how many of op's tasks have been returned in Enabled
+// ranges, all of them a prefix [0, Enabled(op)).
+func (f *Frontier) Enabled(op int) int { return f.ops[op].issued }
+
+// gate is how many of op's tasks may run: the minimum over its in-edges
+// of what each producer has made available — everything once the
+// producer is full, the share ⌊⌊prefix/batch⌋·batch·n/pn⌋ of its
 // delivered batches over a pipelined edge, nothing otherwise. Consumer
 // task i reads producer task i·pn/n, which the floor keeps inside the
 // completed prefix. An expandable operator's join task is held until
 // its sub-graph has drained.
-func (f *Frontier) Enabled(op int) int {
+func (f *Frontier) gate(op int) int {
 	o := &f.ops[op]
 	if o.spec.Expand != nil && o.subLeft != 0 {
 		return 0
@@ -285,51 +285,60 @@ func (f *Frontier) Enabled(op int) int {
 	en := o.n
 	for _, ie := range o.in {
 		p := &f.ops[ie.from]
-		if p.done >= p.n {
+		if p.full {
 			continue
 		}
 		v := 0
 		if ie.batch > 0 {
 			v = int(int64(p.prefix/ie.batch*ie.batch) * int64(o.n) / int64(p.n))
 		}
-		if v < en {
-			en = v
-		}
+		en = min(en, v)
 	}
 	return en
 }
 
-// issue appends op's newly enabled tasks, if any. A nil pr marks a
-// polling driver, for which nothing is tracked as issued.
-func (f *Frontier) issue(op int, pr *Progress) {
-	if pr == nil {
-		return
+// ready reports whether every producer of o is full.
+func (f *Frontier) ready(o *frontierOp) bool {
+	for _, ie := range o.in {
+		if !f.ops[ie.from].full {
+			return false
+		}
 	}
+	return true
+}
+
+// issue appends op's newly enabled tasks, if any. A zero-task operator
+// has none: it fires instead, once every producer is full.
+func (f *Frontier) issue(op int, pr *Progress) {
 	o := &f.ops[op]
-	if en := f.Enabled(op); en > o.issued {
+	if o.n == 0 {
+		if !o.full && f.ready(o) {
+			o.full = true
+			f.advance(o, pr)
+		}
+	} else if en := f.gate(op); en > o.issued {
 		pr.Enabled = append(pr.Enabled, Range{Op: op, Lo: o.issued, Hi: en})
 		o.issued = en
 	}
 }
 
-// Due hands out, in index order, the pending expandable operators
-// whose producers are all full; each is handed out once. With a nil pr
-// they stay pending, for a polling driver to collect.
-func (f *Frontier) Due(pr *Progress) {
-	if pr == nil {
-		return
+// advance reports what o's progress opened: the due expansions once it
+// is full, and its consumers' newly enabled tasks.
+func (f *Frontier) advance(o *frontierOp, pr *Progress) {
+	if o.full {
+		f.due(pr)
 	}
+	for _, c := range o.out {
+		f.issue(c, pr)
+	}
+}
+
+// due hands out, in index order, the pending expandable operators whose
+// producers are all full; each is handed out once.
+func (f *Frontier) due(pr *Progress) {
 	keep := f.pending[:0]
 	for _, op := range f.pending {
-		o := &f.ops[op]
-		full := true
-		for _, ie := range o.in {
-			if p := &f.ops[ie.from]; p.done < p.n {
-				full = false
-				break
-			}
-		}
-		if full {
+		if o := &f.ops[op]; f.ready(o) {
 			pr.Expand = append(pr.Expand, Expandable{Op: op, name: o.name, depth: o.depth, fn: o.spec.Expand})
 		} else {
 			keep = append(keep, op)
@@ -435,14 +444,8 @@ func (f *Frontier) Complete(op, lo, hi int, pr *Progress) {
 	f.outstanding -= k
 	old := o.prefix
 	f.markDone(o, lo, hi)
-	full := o.done >= o.n
-	if full {
-		f.Due(pr)
-	}
-	if full || o.prefix != old {
-		for _, c := range o.out {
-			f.issue(c, pr)
-		}
+	if o.full = o.done >= o.n; o.full || o.prefix != old {
+		f.advance(o, pr)
 	}
 	if o.parent >= 0 {
 		// The last sub-graph task to finish opens the parent's join,
@@ -503,8 +506,9 @@ func (f *Frontier) Spec(op int) OpSpec { return f.ops[op].spec }
 // N is op's task count.
 func (f *Frontier) N(op int) int { return f.ops[op].n }
 
-// Full reports whether every task of op has completed.
-func (f *Frontier) Full(op int) bool { return f.ops[op].done >= f.ops[op].n }
+// Full reports whether every task of op has completed; a zero-task
+// operator is full once it has fired.
+func (f *Frontier) Full(op int) bool { return f.ops[op].full }
 
 // Prefix is op's contiguous completed prefix.
 func (f *Frontier) Prefix(op int) int { return f.ops[op].prefix }

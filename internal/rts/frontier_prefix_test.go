@@ -16,7 +16,8 @@ import (
 // prefixSizes straddle the word (64) and page (pageTasks) edges.
 var prefixSizes = []int{1, 63, 64, pageTasks - 1, pageTasks, pageTasks + 1, 3*pageTasks + 5}
 
-// oneOpFrontier is the Frontier of a graph with one n-task operator.
+// oneOpFrontier is the Frontier of a graph with one n-task operator,
+// started.
 func oneOpFrontier(tb testing.TB, n int) *Frontier {
 	tb.Helper()
 	g := delirium.NewGraph("prefix")
@@ -28,6 +29,8 @@ func oneOpFrontier(tb testing.TB, n int) *Frontier {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var pr Progress
+	f.Start(&pr)
 	return f
 }
 
@@ -39,8 +42,9 @@ func checkPrefix(t *testing.T, n int, runs [][2]int) {
 	f := oneOpFrontier(t, n)
 	done := make([]bool, n)
 	want := 0
+	var pr Progress
 	for i, r := range runs {
-		f.Complete(0, r[0], r[1], nil)
+		f.Complete(0, r[0], r[1], &pr)
 		for j := r[0]; j < r[1]; j++ {
 			done[j] = true
 		}
@@ -103,12 +107,13 @@ func TestFrontierPrefixMatchesReference(t *testing.T) {
 // millions of tasks.
 func TestFrontierOutOfOrderMemory(t *testing.T) {
 	const n = 1 << 22
+	var pr Progress
 	complete8 := func(f *Frontier) {
 		for k := 1; k <= 7; k++ {
 			lo := k*(n/8) + 7
-			f.Complete(0, lo, lo+1000, nil)
+			f.Complete(0, lo, lo+1000, &pr)
 		}
-		f.Complete(0, 900*pageTasks, 901*pageTasks, nil)
+		f.Complete(0, 900*pageTasks, 901*pageTasks, &pr)
 	}
 	// TotalAlloc is process-wide, so any other goroutine's allocation
 	// lands in a measured window: the byte bound holds for the smallest

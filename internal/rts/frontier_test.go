@@ -36,7 +36,6 @@ type propEdge struct {
 type propWorld struct {
 	t         *testing.T
 	pipelined bool
-	push      bool // drive through Progress ranges; else poll Enabled and Due
 	f         *Frontier
 	ops       []propOp
 	maxDepth  int // deepest expansion spliced so far
@@ -112,27 +111,34 @@ func (w *propWorld) learn(g *delirium.Graph, first, parent int) {
 		pip := e.Pipelined && w.pipelined && !w.ops[from].expandable && !w.ops[to].expandable
 		w.ops[to].in = append(w.ops[to].in, propEdge{from: from, pipelined: pip})
 	}
-	if w.pipelined {
-		return
+	// Without pipelining each operator also waits for the previous
+	// operator of its graph.
+	for op := first + 1; op < w.f.Len() && !w.pipelined; op++ {
+		w.ops[op].in = append(w.ops[op].in, propEdge{from: op - 1})
 	}
-	// Without pipelining each operator also waits for the nearest earlier
-	// operator of its graph that has tasks.
-	prev := -1
-	for op := first; op < w.f.Len(); op++ {
-		if prev >= 0 {
-			w.ops[op].in = append(w.ops[op].in, propEdge{from: prev})
-		}
-		if w.ops[op].n > 0 {
-			prev = op
+}
+
+// full reports whether op has completed: every task done and, for a
+// zero-task operator, which has no task to wait for, every producer
+// full.
+func (w *propWorld) full(op int) bool {
+	o := &w.ops[op]
+	if o.n > 0 {
+		return o.doneCount == o.n
+	}
+	for _, e := range o.in {
+		if !w.full(e.from) {
+			return false
 		}
 	}
+	return true
 }
 
 // drained reports whether every operator in op's sub-graph, at any
 // depth, has completed.
 func (w *propWorld) drained(op int) bool {
 	for c := range w.ops {
-		if w.ops[c].parent == op && (w.ops[c].doneCount < w.ops[c].n || !w.drained(c)) {
+		if w.ops[c].parent == op && (!w.full(c) || !w.drained(c)) {
 			return false
 		}
 	}
@@ -156,14 +162,18 @@ func (w *propWorld) checkRange(r Range) {
 		o.returned[i] = true
 		for _, e := range o.in {
 			p := &w.ops[e.from]
-			need := p.n // plain edge: the producer must be full
-			if e.pipelined && p.n > 0 {
-				need = i*p.n/o.n + 1 // tasks [0, i·pn/n]
+			if !e.pipelined || p.n == 0 {
+				// A plain edge: the producer must be full, and a zero-task
+				// one only once its own producers are.
+				if !w.full(e.from) {
+					w.t.Fatalf("op %s task %d returned before producer %s was full", w.f.Name(r.Op), i, w.f.Name(e.from))
+				}
+				continue
 			}
-			for j := 0; j < need; j++ {
+			for j := 0; j <= i*p.n/o.n; j++ {
 				if !p.done[j] {
-					w.t.Fatalf("op %s task %d returned before task %d of producer %s completed (pipelined=%v)",
-						w.f.Name(r.Op), i, j, w.f.Name(e.from), e.pipelined)
+					w.t.Fatalf("op %s task %d returned before task %d of pipelined producer %s completed",
+						w.f.Name(r.Op), i, j, w.f.Name(e.from))
 				}
 			}
 		}
@@ -171,10 +181,10 @@ func (w *propWorld) checkRange(r Range) {
 }
 
 // splice runs one due expansion and installs it, mirroring the new
-// operators. pr is nil for a polling harness.
+// operators.
 func (w *propWorld) splice(x Expandable, pr *Progress) {
 	for _, e := range w.ops[x.Op].in {
-		if p := &w.ops[e.from]; p.doneCount < p.n {
+		if !w.full(e.from) {
 			w.t.Fatalf("op %s due to expand before producer %s completed", w.f.Name(x.Op), w.f.Name(e.from))
 		}
 	}
@@ -196,37 +206,9 @@ func (w *propWorld) splice(x Expandable, pr *Progress) {
 	}
 }
 
-// poll is absorb for a driver that passes the Frontier no Progress: it
-// splices what Due reports, to a fixpoint, then reads Enabled and treats
-// whatever lies past the tasks already handed out as newly enabled.
-func (w *propWorld) poll(pr *Progress, pool *[]Range) {
-	for {
-		if w.f.Due(pr); len(pr.Expand) == 0 {
-			break
-		}
-		for _, x := range pr.Expand {
-			w.splice(x, nil)
-		}
-		pr.Reset()
-	}
-	for op := range w.ops {
-		handed := 0
-		for handed < w.ops[op].n && w.ops[op].returned[handed] {
-			handed++
-		}
-		if en := w.f.Enabled(op); en > handed {
-			w.checkRange(Range{op, handed, en})
-			*pool = append(*pool, Range{op, handed, en})
-		}
-	}
-}
-
 // absorb acts on one Progress: checks and pools the enabled ranges,
 // runs the due expansions and splices them, to a fixpoint.
 func (w *propWorld) absorb(pr *Progress, pool *[]Range) {
-	if !w.push {
-		w.poll(pr, pool)
-	}
 	for i, j := 0, 0; i < len(pr.Enabled) || j < len(pr.Expand); j++ {
 		for ; i < len(pr.Enabled); i++ {
 			w.checkRange(pr.Enabled[i])
@@ -237,8 +219,9 @@ func (w *propWorld) absorb(pr *Progress, pool *[]Range) {
 		}
 	}
 	pr.Reset()
-	// Push and pull views agree: what Enabled reports is exactly what
-	// has been handed out, and Prefix is the true contiguous prefix.
+	// What Enabled reports is exactly what has been handed out, and what
+	// the gate allows: no change to the gate went unreported. Prefix is
+	// the true contiguous prefix, and Full is the harness's full.
 	for op := range w.ops {
 		o := &w.ops[op]
 		handed, prefix := 0, 0
@@ -248,8 +231,11 @@ func (w *propWorld) absorb(pr *Progress, pool *[]Range) {
 		for prefix < o.n && o.done[prefix] {
 			prefix++
 		}
-		if got := w.f.Enabled(op); got != handed {
-			w.t.Fatalf("op %s: Enabled = %d but %d tasks were handed out", w.f.Name(op), got, handed)
+		if got, gate := w.f.Enabled(op), w.f.gate(op); got != handed || gate != handed {
+			w.t.Fatalf("op %s: Enabled = %d and gate = %d but %d tasks were handed out", w.f.Name(op), got, gate, handed)
+		}
+		if got := w.f.Full(op); got != w.full(op) {
+			w.t.Fatalf("op %s: Full = %v, want %v", w.f.Name(op), got, !got)
 		}
 		if got := w.f.Prefix(op); got != prefix {
 			w.t.Fatalf("op %s: Prefix = %d, want %d", w.f.Name(op), got, prefix)
@@ -257,9 +243,9 @@ func (w *propWorld) absorb(pr *Progress, pool *[]Range) {
 	}
 }
 
-func runFrontierProperty(t *testing.T, seed int64, pipelined, push bool) (maxDepth, nilBases int) {
+func runFrontierProperty(t *testing.T, seed int64, pipelined bool) (maxDepth, nilBases int) {
 	rng := rand.New(rand.NewSource(seed))
-	w := &propWorld{t: t, pipelined: pipelined, push: push}
+	w := &propWorld{t: t, pipelined: pipelined}
 	g, bind := w.genGraph(rng, fmt.Sprintf("g%d", seed), 0)
 	batch := 1 + rng.Intn(4)
 	f, err := NewFrontier(g, bind, pipelined, func(OpSpec) int { return batch }, Limits{})
@@ -271,12 +257,7 @@ func runFrontierProperty(t *testing.T, seed int64, pipelined, push bool) (maxDep
 
 	var pr Progress
 	var pool []Range
-	arg := &pr // what the Frontier is handed
-	if push {
-		f.Start(arg)
-	} else {
-		arg = nil
-	}
+	f.Start(&pr)
 	w.absorb(&pr, &pool)
 	for len(pool) > 0 {
 		// Complete a random piece of a random enabled range; what is left
@@ -298,7 +279,7 @@ func runFrontierProperty(t *testing.T, seed int64, pipelined, push bool) (maxDep
 			o.done[i] = true
 		}
 		o.doneCount += hi - lo
-		f.Complete(r.Op, lo, hi, arg)
+		f.Complete(r.Op, lo, hi, &pr)
 		w.absorb(&pr, &pool)
 	}
 	// Every completion is in: everything must have been returned.
@@ -306,8 +287,8 @@ func runFrontierProperty(t *testing.T, seed int64, pipelined, push bool) (maxDep
 		t.Fatalf("seed %d: %d tasks outstanding with nothing enabled", seed, left)
 	}
 	for op := range w.ops {
-		if o := &w.ops[op]; o.doneCount != o.n {
-			t.Fatalf("seed %d: op %s completed %d of %d tasks", seed, f.Name(op), o.doneCount, o.n)
+		if !f.Full(op) {
+			t.Fatalf("seed %d: op %s completed %d of %d tasks and is not full", seed, f.Name(op), w.ops[op].doneCount, w.ops[op].n)
 		}
 	}
 	return w.maxDepth, w.nilBases
@@ -317,11 +298,9 @@ func TestFrontierProperties(t *testing.T) {
 	maxDepth, nilBases := 0, 0
 	for seed := int64(1); seed <= 150; seed++ {
 		for _, pipelined := range []bool{true, false} {
-			for _, push := range []bool{true, false} {
-				d, nb := runFrontierProperty(t, seed, pipelined, push)
-				maxDepth = max(maxDepth, d)
-				nilBases += nb
-			}
+			d, nb := runFrontierProperty(t, seed, pipelined)
+			maxDepth = max(maxDepth, d)
+			nilBases += nb
 		}
 	}
 	if maxDepth < 3 {
@@ -395,10 +374,11 @@ func TestFrontierSpliceRejects(t *testing.T) {
 
 // TestFrontierBarrieredSerialises pins the barriered modes' rule:
 // without pipelining a graph's operators run one after another in
-// topological order, each waiting for the nearest earlier operator that
-// has tasks, even where the graph has no edge between them. It covers a
-// zero-task operator in between, the operators of an expansion, and the
-// operator after an expandable one, which waits for its join.
+// topological order, each waiting for the previous operator, even where
+// the graph has no edge between them. It covers a zero-task operator in
+// between, which fires when its predecessor is full, the operators of an
+// expansion, and the operator after an expandable one, which waits for
+// its join.
 func TestFrontierBarrieredSerialises(t *testing.T) {
 	body := func(n int) OpSpec { return OpSpec{Op: sched.Op{N: n, Time: func(int) float64 { return 1 }}} }
 	g := delirium.NewGraph("top")
@@ -433,7 +413,8 @@ func TestFrontierBarrieredSerialises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.Enabled(pf.Index("b")) != 2 || pf.Enabled(pf.Index("c")) != 2 {
+	var pr Progress
+	if pf.Start(&pr); pf.Enabled(pf.Index("b")) != 2 || pf.Enabled(pf.Index("c")) != 2 {
 		t.Fatal("pipelined frontier gates independent operators")
 	}
 
@@ -441,9 +422,9 @@ func TestFrontierBarrieredSerialises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pr Progress
+	pr.Reset()
 	f.Start(&pr)
-	a, b, x, c := f.Index("a"), f.Index("b"), f.Index("x"), f.Index("c")
+	a, z, b, x, c := f.Index("a"), f.Index("z"), f.Index("b"), f.Index("x"), f.Index("c")
 	want := func(step string, op, n int) {
 		t.Helper()
 		if got := f.Enabled(op); got != n {
@@ -454,8 +435,14 @@ func TestFrontierBarrieredSerialises(t *testing.T) {
 	want("start", b, 0) // behind a, across the zero-task z
 	f.Complete(a, 0, 1, &pr)
 	want("a half done", b, 0)
+	if f.Full(z) {
+		t.Fatal("z fired before a was full")
+	}
 	f.Complete(a, 1, 2, &pr)
 	want("a full", b, 2)
+	if !f.Full(z) {
+		t.Fatal("z did not fire when a was full")
+	}
 	pr.Reset()
 	f.Complete(b, 0, 2, &pr)
 	if len(pr.Expand) != 1 || pr.Expand[0].Op != x {
@@ -482,5 +469,102 @@ func TestFrontierBarrieredSerialises(t *testing.T) {
 	f.Complete(c, 0, 2, &pr)
 	if f.Outstanding() != 0 {
 		t.Fatalf("Outstanding = %d after every task", f.Outstanding())
+	}
+}
+
+// zeroTaskGraph decodes src and binds it for the zero-task tests: an
+// operator named z… has no tasks, x… expands into sub, every other
+// operator has two tasks.
+func zeroTaskGraph(t *testing.T, src string, sub *delirium.Graph) (*delirium.Graph, Binder) {
+	t.Helper()
+	g, err := delirium.Decode(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bind Binder
+	bind = func(name string) OpSpec {
+		spec := OpSpec{Op: sched.Op{Name: name, N: 2, Time: func(int) float64 { return 1 }}}
+		switch name[0] {
+		case 'z':
+			spec.Op.N = 0
+		case 'x':
+			spec.Expand = func(int) (*Expansion, error) { return &Expansion{Graph: sub, Bind: bind}, nil }
+		}
+		return spec
+	}
+	return g, bind
+}
+
+// TestFrontierZeroTaskFires pins the fire rule: an operator without
+// tasks completes once every producer is full, and only then opens its
+// consumers, in split mode and barriered alike. The cases are the
+// a → z → b probe, a chain of two zero-task operators, a zero-task
+// operator inside an expansion and a zero-task source.
+func TestFrontierZeroTaskFires(t *testing.T) {
+	sub, err := delirium.Decode("graph sub\nnode s0 kind=par\nnode zs kind=par\nnode s1 kind=par\nedge s0 -> zs\nedge zs -> s1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipelined := range []bool{true, false} {
+		for _, c := range []struct {
+			name, src string
+			// steps complete the named operator whole, in order; want[i]
+			// is the operators whose ranges Start (i = 0) or step i
+			// reported.
+			steps []string
+			want  [][]string
+		}{
+			{"probe", "graph g\nnode a kind=par\nnode z kind=par\nnode b kind=par\nedge a -> z pipelined\nedge z -> b pipelined\n",
+				[]string{"a", "b"}, [][]string{{"a"}, {"b"}, nil}},
+			{"chain", "graph g\nnode a kind=par\nnode z1 kind=par\nnode z2 kind=par\nnode b kind=par\nedge a -> z1\nedge z1 -> z2\nedge z2 -> b\n",
+				[]string{"a", "b"}, [][]string{{"a"}, {"b"}, nil}},
+			{"expansion", "graph g\nnode a kind=par\nnode x kind=exp rule=r\nnode b kind=par\nedge a -> x\nedge x -> b\n",
+				[]string{"a", "s0", "s1", "x", "b"}, [][]string{{"a"}, {"s0"}, {"s1"}, {"x"}, {"b"}, nil}},
+			{"source", "graph g\nnode z kind=par\nnode b kind=par\nedge z -> b\n",
+				[]string{"b"}, [][]string{{"b"}, nil}},
+		} {
+			g, bind := zeroTaskGraph(t, c.src, sub)
+			f, err := NewFrontier(g, bind, pipelined, nil, Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pr Progress
+			report := func(i int) {
+				t.Helper()
+				var got []string
+				for _, x := range pr.Expand {
+					exp, err := x.Expand()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.Splice(x.Op, exp, &pr); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, r := range pr.Enabled {
+					got = append(got, f.Name(r.Op))
+				}
+				if fmt.Sprint(got) != fmt.Sprint(c.want[i]) {
+					t.Fatalf("%s (pipelined %v), step %d: ranges of %v, want %v", c.name, pipelined, i, got, c.want[i])
+				}
+				for op := 0; op < f.Len(); op++ {
+					if f.N(op) == 0 && f.Full(op) != f.ready(&f.ops[op]) {
+						t.Fatalf("%s (pipelined %v), step %d: %s full = %v with its producers full = %v",
+							c.name, pipelined, i, f.Name(op), f.Full(op), !f.Full(op))
+					}
+				}
+				pr.Reset()
+			}
+			f.Start(&pr)
+			report(0)
+			for i, name := range c.steps {
+				op := f.Index(name)
+				f.Complete(op, 0, f.N(op), &pr)
+				report(i + 1)
+			}
+			if f.Outstanding() != 0 {
+				t.Fatalf("%s (pipelined %v): %d tasks outstanding", c.name, pipelined, f.Outstanding())
+			}
+		}
 	}
 }

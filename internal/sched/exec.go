@@ -124,7 +124,7 @@ func ExecuteStatic(cfg machine.Config, op Op, procs []int, ob obs.OpObs) trace.R
 		}
 	}
 	res.Makespan = max + cfg.BroadcastTime(p, 8) // completion barrier
-	res.Chunks = p
+	res.Chunks = min(p, op.N)                    // the non-empty blocks
 	return res
 }
 

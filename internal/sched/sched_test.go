@@ -203,6 +203,17 @@ func TestStaticUniformEfficiency(t *testing.T) {
 	}
 }
 
+// TestStaticChunksAreBlocks pins that a static run counts its
+// non-empty blocks: an operator with fewer tasks than processors, or
+// none, leaves some processors without a chunk.
+func TestStaticChunksAreBlocks(t *testing.T) {
+	for _, c := range []struct{ n, p, want int }{{16384, 16, 16}, {5, 16, 5}, {16, 16, 16}, {0, 16, 0}} {
+		if r := ExecuteStatic(machine.DefaultConfig(c.p), uniformOp(c.n, 1.0), procList(c.p), obs.OpObs{}); r.Chunks != c.want {
+			t.Errorf("%d tasks on %d processors: %d chunks, want %d", c.n, c.p, r.Chunks, c.want)
+		}
+	}
+}
+
 func TestStaticIrregularImbalance(t *testing.T) {
 	op := irregularOp(1024, 1)
 	r := ExecuteStatic(machine.DefaultConfig(32), op, procList(32), obs.OpObs{})

@@ -294,7 +294,8 @@ func TestHTTPBadRequests(t *testing.T) {
 // would otherwise ask for terabytes. The bound holds for the job's
 // summed count too: 64 nodes of 1<<23 tasks each would have the array
 // binder allocate 4 GiB. The spin binder's count comes from a node's
-// tasks= annotation when it has one, so that is checked too.
+// tasks= annotation when it has one, so that is checked too, and a
+// negative one is refused; a count of zero runs as a zero-task node.
 func TestSubmitTaskBound(t *testing.T) {
 	s, ts := newTestServer(t)
 	const pair = "graph pair\nnode a kind=par\nnode b kind=par\nedge a -> b bytes=8 pertask\n"
@@ -313,6 +314,7 @@ func TestSubmitTaskBound(t *testing.T) {
 			Binder: "spin", N: 1 << 13}},
 		{"summed over nodes", SubmitRequest{Graph: wide.String(), N: 1 << 23}},
 		{"spin summed over nodes", SubmitRequest{Graph: wide.String(), Binder: "spin", N: 1 << 23}},
+		{"spin tasks= negative", SubmitRequest{Graph: "graph neg\nnode a kind=par tasks=n-65\n", Binder: "spin", N: 64}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -326,6 +328,16 @@ func TestSubmitTaskBound(t *testing.T) {
 	}
 	if code, st := postJob(t, ts, SubmitRequest{Graph: pair, N: 64}); code != http.StatusOK {
 		t.Fatalf("a small job: %d (%s)", code, st.State)
+	}
+	// A tasks= count of zero is a zero-task operator, not a refusal.
+	zero := SubmitRequest{Graph: "graph zero\nnode a kind=par\nnode z kind=par tasks=n-64\nnode b kind=par\nedge a -> z\nedge z -> b\n",
+		Binder: "spin", N: 64, UnitWork: 1}
+	if code, st := postJob(t, ts, zero); code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("a job with a zero-task node: %d %s (%s)", code, st.State, st.Error)
+	}
+	zero.Graph = strings.Replace(zero.Graph, "n-64", "n-65", 1)
+	if _, err := s.Submit(zero); err == nil || !strings.Contains(err.Error(), "node z has -1 tasks") {
+		t.Fatalf("a negative tasks= count: error %v, want one naming node z", err)
 	}
 }
 

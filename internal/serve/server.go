@@ -398,7 +398,9 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 	count := func(*delirium.Node) int { return req.N }
 	if req.Binder == "spin" {
 		_, params := kernelBinding(req)
-		count = native.TaskCount(params)
+		if count, err = native.TaskCount(params, g); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
 	}
 	tasks := 0
 	for _, nd := range g.Nodes {
