@@ -217,8 +217,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// cheap.
 		bound, err := rts.Bind(g, binding)
 		if err != nil {
+			// The graph text, not a flag, is at fault: a runtime error.
 			fmt.Fprintln(stderr, "orchrun:", err)
-			return 2
+			return 1
 		}
 		opts := rts.RunOpts{Processors: *p, Mode: m, Fault: plan}
 		if *noChain {

@@ -181,13 +181,14 @@ func TestRunNativeHappyPath(t *testing.T) {
 
 // TestRunTaskAnnotations pins what a node's tasks= count does on both
 // kinds of backend: zero runs a zero-task operator, a negative count
-// fails the binding, like a bad flag, with an error naming the node.
+// fails the binding with an error naming the node and exit code 1, a
+// bad graph's, not a bad flag's.
 func TestRunTaskAnnotations(t *testing.T) {
 	for _, backend := range []string{"sim", "native"} {
 		for _, c := range []struct {
 			tasks string
 			code  int
-		}{{"n-4", 0}, {"n-5", 2}} {
+		}{{"n-4", 0}, {"n-5", 1}} {
 			src := "graph z\nnode a kind=par\nnode z kind=par tasks=" + c.tasks + "\nnode b kind=par\nedge a -> z\nedge z -> b\n"
 			path := filepath.Join(t.TempDir(), "z.graph")
 			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {

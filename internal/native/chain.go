@@ -35,13 +35,13 @@ import (
 //
 // Fallback keeps results bitwise identical: blocks past the depth
 // limit spill to the worker's deque (stealable, ordinary runSegment
-// path), a worker that crashes mid-chain leaves its enabled blocks on
-// its own deque for the survivors to steal, and ChainOff (or a
-// missing/incompatible annotation) leaves the edge on the prefix-gate
-// path untouched. A chained block runs the same task bodies over the
-// same arrays in a schedule the kernel contract already allows, so
-// every schedule — chained, spilled, stolen, re-issued — produces the
-// same bits.
+// path), a worker that crashes mid-chain, or leaves for another job,
+// leaves its enabled blocks on its own deque for the others to steal,
+// and ChainOff (or a missing/incompatible annotation) leaves the edge
+// on the prefix-gate path untouched. A chained block runs the same
+// task bodies over the same arrays in a schedule the kernel contract
+// already allows, so every schedule — chained, spilled, stolen,
+// re-issued — produces the same bits.
 
 const (
 	// chainTargetBytes sizes a chain block: enough producer output to
@@ -276,10 +276,15 @@ func (e *engine) chainEnable(w *worker, cons *opState, b int, depth int32) {
 // and a block's complete may push its own consumers, so a chain
 // A[b] → B[b] → C[b] runs back-to-back without touching the deques.
 // Blocks past the depth limit spill to the ordinary work-stealing
-// path; a crash mid-chain leaves everything still queued on the dying
-// worker's deque, where the survivors steal it (crash).
+// path; a crash or a departure mid-chain leaves everything still
+// queued on the worker's deque, where the others steal it (shed).
 func (e *engine) drainChain(w *worker) {
 	for len(w.chainQ) > 0 {
+		if e.asked() && e.depart(w) {
+			// Left for a waiting job: the queue is on this worker's deque
+			// for the job's remaining workers.
+			return
+		}
 		it := w.chainQ[len(w.chainQ)-1]
 		w.chainQ = w.chainQ[:len(w.chainQ)-1]
 		if e.canceled.Load() {

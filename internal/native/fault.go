@@ -15,25 +15,30 @@ import (
 // Injected faults are cooperative: the fault plan is consulted at chunk
 // boundaries only (faultPoint), before the popped segment executes, so
 // no chunk is ever lost mid-flight. A crashing worker marks itself
-// dead, leaves what it holds on its own deque and exits; the deque's
+// crashed, leaves what it holds on its own deque and exits; the deque's
 // lock makes each segment leave it exactly once, by one pop or one
 // steal, so every task still runs exactly once and faulted results are
 // bitwise identical to fault-free ones by construction. A thief that
-// takes work from a worker marked dead records the retry (took).
+// takes work from a crashed worker records the retry (took).
 //
 // Only a crash loses a worker, as on the simulator and on dist. A stall
 // is a delay: the stalled worker sleeps holding its popped segment,
 // stays live, and keeps its deque, which peers that may steal take from
 // as from any busy worker. Nothing watches for unresponsive workers, so
-// a dead worker is one that crashed, marked itself dead and recorded the
-// loss on its own ring.
+// a crashed worker is one that marked itself so and recorded the loss
+// on its own ring.
+//
+// A pooled job's worker can also leave it for a job waiting on the pool
+// (depart): the same path without the loss. It goes at a scheduling
+// point, holding no chunk; what it held stays on its deque for the
+// job's remaining workers, in every mode, and liveP counts it out. It
+// records no fault and no retry. A job under a fault plan is never
+// asked (lease.spare): the plan's one crash-free worker could be the one
+// that leaves, so no plan names a worker that has left.
 
 // liveP is the worker count scheduling decisions are computed against:
-// the surviving set under fault injection, the whole pool otherwise.
+// the workers that have neither crashed nor left.
 func (e *engine) liveP() int {
-	if e.fx == nil {
-		return e.p
-	}
 	if l := int(e.live.Load()); l > 0 {
 		return l
 	}
@@ -68,13 +73,50 @@ func (e *engine) faultPoint(w *worker, seg segment) bool {
 }
 
 // crash retires w at a chunk boundary while it holds seg. The worker
-// marks itself dead before it pushes anything, so every thief that takes
-// its work sees a dead victim and records the retry. Then seg, and any
-// chain blocks still queued behind it, go onto its own deque; the
-// survivors are woken, and the caller exits.
+// marks itself crashed before it pushes anything, so every thief that
+// takes its work sees a crashed victim and records the retry. Then seg
+// goes onto its own deque, and shed does the rest.
 func (e *engine) crash(w *worker, seg segment) {
 	e.markDead(w)
 	e.place(w, seg)
+	e.shed(w)
+}
+
+// depart takes w out of the run at a scheduling point, holding no
+// chunk, when the pool has asked the job for a worker (yield) and w is
+// not the job's last live one. It claims the live slot first, so two
+// workers leaving at once never leave the job with none, then the ask;
+// it reports false, leaving w running, when either is gone. A departed
+// worker's lease goes back to the pool before the caller exits.
+func (e *engine) depart(w *worker) bool {
+	for {
+		l := e.live.Load()
+		if l <= 1 {
+			return false
+		}
+		if e.live.CompareAndSwap(l, l-1) {
+			break
+		}
+	}
+	for {
+		y := e.yield.Load()
+		if y <= 0 {
+			e.live.Add(1)
+			return false
+		}
+		if e.yield.CompareAndSwap(y, y-1) {
+			break
+		}
+	}
+	w.state.Store(workerLeft)
+	e.shed(w)
+	e.handBack()
+	return true
+}
+
+// shed leaves the chain blocks still queued behind a retiring worker
+// on its own deque and wakes the others, who take everything it holds.
+func (e *engine) shed(w *worker) {
 	for _, it := range w.chainQ {
 		e.chainFB.Add(1)
 		if e.rec != nil {
@@ -86,11 +128,11 @@ func (e *engine) crash(w *worker, seg segment) {
 	e.signal(e.p)
 }
 
-// markDead marks w dead and shrinks the live set, recording the loss
+// markDead marks w crashed and shrinks the live set, recording the loss
 // and the reallocation over the survivors on w's own ring. Only w's
 // goroutine calls it, once, when it crashes.
 func (e *engine) markDead(w *worker) {
-	w.deadA.Store(true)
+	w.state.Store(workerCrashed)
 	live := int(e.live.Add(-1))
 	if e.rec != nil {
 		t := time.Since(e.start).Seconds()

@@ -49,7 +49,7 @@ func TestStaticRobsOnlyTheDead(t *testing.T) {
 	}
 	dead.dq.push(segment{op: 0, lo: 20, hi: 30})
 	dead.dq.push(segment{op: 0, lo: 30, hi: 40})
-	dead.deadA.Store(true)
+	e.markDead(dead)
 	took := map[int]bool{}
 	for e.reachableWork(thief) {
 		s, ok, stolen := e.findWork(thief)
@@ -72,7 +72,7 @@ func TestStaticRobsOnlyTheDead(t *testing.T) {
 func TestPostToDeadWakesSurvivor(t *testing.T) {
 	e := lossEngine(t, rts.ModeStatic, 3)
 	releaser, dead, parked := e.workers[0], e.workers[1], e.workers[2]
-	dead.deadA.Store(true)
+	e.markDead(dead)
 	parked.pk.prepare()
 	e.idle.Add(1)
 	e.rr.Store(1) // the next round-robin target is the dead worker

@@ -220,7 +220,7 @@ func (w *worker) reset(i int) {
 	w.dq.reset()
 	w.pk.reset()
 	w.busy = 0
-	w.deadA.Store(false)
+	w.state.Store(workerRunning)
 	w.slowF = 0
 	w.pr.Reset()
 	w.chainQ = w.chainQ[:0]
@@ -352,9 +352,10 @@ type worker struct {
 	// busy accumulates measured task-execution seconds; written only
 	// by the owning goroutine, read after the pool joins.
 	busy float64
-	// deadA marks the worker dead: set by the worker itself when it
-	// crashes. A dead worker's deque is every survivor's to take.
-	deadA atomic.Bool
+	// state is workerRunning until the worker itself crashes or leaves
+	// its job; the deque of a worker that is gone is every remaining
+	// worker's to take.
+	state atomic.Int32
 	// slowF is the active slowdown factor (0 or 1 = none). Owner-only.
 	slowF float64
 	// pr is completion-path scratch for what the Frontier reports.
@@ -364,8 +365,20 @@ type worker struct {
 	chainQ []chainItem
 }
 
+// A worker's states: it runs, or it is gone — crashed (its loss
+// recorded, thieves record retries) or left its job for a waiting one
+// (nothing lost, nothing recorded).
+const (
+	workerRunning int32 = iota
+	workerCrashed
+	workerLeft
+)
+
 // holding reports whether segments are queued on w.
 func (w *worker) holding() bool { return w.dq.size() > 0 }
+
+// gone reports whether w has crashed or left.
+func (w *worker) gone() bool { return w.state.Load() != workerRunning }
 
 // engine is the per-execution scheduler state: everything whose
 // lifetime is one job, as opposed to the workers' goroutines, whose
@@ -416,8 +429,8 @@ type engine struct {
 	batches atomic.Int64
 
 	// Cache-chain counters: blocks run in place, blocks spilled to the
-	// deques at the depth limit, blocks a crashing worker left on its
-	// deque.
+	// deques at the depth limit, blocks a crashing or departing worker
+	// left on its deque.
 	chainHits   atomic.Int64
 	chainSpills atomic.Int64
 	chainFB     atomic.Int64
@@ -429,9 +442,15 @@ type engine struct {
 	start time.Time
 
 	// Fault injection (nil fx = disabled, one branch on the hot paths).
-	// live counts the workers not marked dead.
+	// live counts the workers not gone.
 	fx   *fault.Exec
 	live atomic.Int32
+
+	// yield counts the workers a Pool has asked this job to hand to a
+	// waiting job and none has yet agreed to; handBack returns a
+	// departed worker's lease. A one-shot run is never asked.
+	yield    atomic.Int32
+	handBack func()
 
 	wg sync.WaitGroup
 }
@@ -532,9 +551,9 @@ func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
 // the j-th worker owns block j), while a small pipelined delta stays
 // with the releasing worker (cache-warm) when stealing can spread it,
 // else goes to the next worker round-robin. w is the releasing worker,
-// or nil during single-threaded setup. A block that lands on a dead
-// worker is taken by a survivor like any other (findWork), so
-// placement ignores the dead.
+// or nil during single-threaded setup. A block that lands on a worker
+// that is gone is taken by a remaining one like any other (findWork),
+// so placement ignores who is gone.
 func (e *engine) release(w *worker, op, lo, hi int) {
 	n := hi - lo
 	if n <= 0 {
@@ -573,11 +592,12 @@ func (e *engine) place(t *worker, s segment) {
 	e.queued.Add(1)
 }
 
-// wake unparks t after a segment was queued for it. A dead addressee
-// never will take it, so a survivor is woken in its place. A worker
-// that dies after this check wakes the survivors itself (crash).
+// wake unparks t after a segment was queued for it. An addressee that
+// is gone never will take it, so a remaining worker is woken in its
+// place. A worker that goes after this check wakes the others itself
+// (shed).
 func (e *engine) wake(t *worker) {
-	if t.deadA.Load() {
+	if t.gone() {
 		e.signal(1)
 		return
 	}
@@ -603,7 +623,7 @@ func (e *engine) signal(n int) {
 // idle worker spins on work it is not allowed to take instead of
 // parking. With stealing enabled every queued segment, in any deque, is
 // reachable; without it the worker's own deque counts, and those of
-// dead workers (robbable).
+// workers that are gone (robbable) once one is.
 func (e *engine) reachableWork(w *worker) bool {
 	if e.steal {
 		return e.queued.Load() > 0
@@ -611,9 +631,9 @@ func (e *engine) reachableWork(w *worker) bool {
 	if w.holding() {
 		return true
 	}
-	if e.fx != nil {
+	if e.lost() {
 		for _, v := range e.workers {
-			if v.deadA.Load() && v.holding() {
+			if v.gone() && v.holding() {
 				return true
 			}
 		}
@@ -622,23 +642,23 @@ func (e *engine) reachableWork(w *worker) bool {
 }
 
 // idleWait spins briefly and then parks until work this worker could
-// run may be available or the run finishes; it reports whether the
-// worker should exit. The park protocol publishes the parked state
-// before the final work re-check, so a release that lands in the gap
-// is never lost (see parker).
+// run may be available, the pool asks the job for a worker, or the run
+// finishes; it reports whether the worker should exit. The park
+// protocol publishes the parked state before the final re-check, so a
+// release or an ask that lands in the gap is never lost (see parker).
 func (e *engine) idleWait(w *worker) bool {
 	for i := 0; i < parkSpins; i++ {
 		if e.isFinished() {
 			return true
 		}
-		if e.reachableWork(w) {
+		if e.reachableWork(w) || e.asked() {
 			return false
 		}
 		spinWait(i)
 	}
 	w.pk.prepare()
 	e.idle.Add(1)
-	if e.reachableWork(w) || e.isFinished() {
+	if e.reachableWork(w) || e.asked() || e.isFinished() {
 		if !w.pk.cancel() {
 			// A releaser claimed us between prepare and cancel; its
 			// token is in flight and must be absorbed.
@@ -653,19 +673,31 @@ func (e *engine) idleWait(w *worker) bool {
 }
 
 // robbable reports whether a peer may take the segments queued on v:
-// any worker's when stealing is on, else only a dead worker's, whose
+// any worker's when stealing is on, else only a gone worker's, whose
 // owner never will.
-func (e *engine) robbable(v *worker) bool { return e.steal || v.deadA.Load() }
+func (e *engine) robbable(v *worker) bool { return e.steal || v.gone() }
+
+// asked reports whether the pool wants a worker of this job for a
+// waiting one and the job has one to spare: the only check a run pays
+// at a scheduling point for leases that shrink.
+func (e *engine) asked() bool { return e.yield.Load() > 0 && e.live.Load() > 1 }
+
+// lost reports whether a worker of the run has crashed or left. A
+// worker that goes marks itself gone and only then wakes the others
+// (shed), so an idle worker that checked between the count and the
+// mark is woken to check again.
+func (e *engine) lost() bool { return e.live.Load() < int32(e.p) }
 
 // took records that w took s from peer v: a steal, and a retry when v
-// is marked dead — the loss rule's re-issue, recorded by the thief on
-// its own ring as the simulator records it.
+// crashed — the loss rule's re-issue, recorded by the thief on its own
+// ring as the simulator records it. Work a worker left behind when it
+// went to another job is not a retry: nothing was lost.
 func (e *engine) took(w, v *worker, s segment) {
 	e.steals.Add(1)
 	if e.rec != nil {
 		t := time.Since(e.start).Seconds()
 		e.rec.Steal(w.id, v.id, s.op, s.lo, s.len(), t)
-		if v.deadA.Load() {
+		if v.state.Load() == workerCrashed {
 			e.rec.Retry(w.id, v.id, s.op, s.lo, s.len(), t)
 		}
 	}
@@ -693,13 +725,13 @@ func (e *engine) stealFrom(w *worker) (segment, bool) {
 
 // findWork is the worker's acquisition order: pop local work, else
 // steal from a robbable peer's deque. stolen reports whether the
-// segment came from a peer. Without stealing only a fault plan makes
-// peers robbable.
+// segment came from a peer. Without stealing only a worker that is
+// gone makes a peer robbable.
 func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 	if s, ok := w.dq.pop(); ok {
 		return s, true, false
 	}
-	if e.steal || e.fx != nil {
+	if e.steal || e.lost() {
 		if s, ok := e.stealFrom(w); ok {
 			return s, true, true
 		}
@@ -708,10 +740,17 @@ func (e *engine) findWork(w *worker) (seg segment, ok, stolen bool) {
 }
 
 // runWorker is the worker loop: pop local work, else steal, else park.
-// done is the run context's Done channel (nil without a context).
+// done is the run context's Done channel (nil without a context). The
+// loop-top is the worker's scheduling point: a worker the pool wants
+// for a waiting job leaves there, after its last chunk (depart).
 func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 	defer e.wg.Done()
 	for {
+		if w.gone() {
+			// It crashed or left inside a chain drain; what it held is on
+			// its deque for the others.
+			return
+		}
 		if e.canceled.Load() {
 			// Cooperative cancellation: whatever this worker still holds
 			// is abandoned (the engine is discarded wholesale), but the
@@ -726,12 +765,8 @@ func (e *engine) runWorker(w *worker, done <-chan struct{}) {
 			return
 		default:
 		}
-		if e.fx != nil {
-			if e.fx.Crashed(w.id) {
-				// A fault crashed this worker inside a chain drain; what it
-				// held is on its deque for the survivors.
-				return
-			}
+		if e.asked() && e.depart(w) {
+			return
 		}
 		seg, ok, stolen := e.findWork(w)
 		if !ok {

@@ -15,8 +15,11 @@ import (
 // whole jobs, each summarized as one OpSpec whose task count is the
 // job's total remaining work. The allocator hands back per-job targets
 // that roughly equalize job finishing times; the new job's target,
-// clamped to its requested maximum, becomes its worker grant, and the
-// pool's FIFO lease queue provides the waiting.
+// clamped to its requested maximum, becomes its initial worker grant,
+// and the pool's FIFO lease queue provides the waiting. The grant is a
+// starting point, not a reservation: while a job waits, running jobs
+// hand it workers beyond their first (native.Pool), the run-time half
+// of the paper's balancing.
 //
 // This is what makes the daemon multi-tenant rather than time-sliced:
 // a small job arriving while a large one runs is granted a

@@ -729,3 +729,47 @@ func TestAdmissionSeesOnlyRunning(t *testing.T) {
 		t.Errorf("after both finish: %d running, want 0", jc.Running)
 	}
 }
+
+// TestYieldedWorkerInStats runs a long job alone on the daemon's pool,
+// then a one-worker job beside it: the long job hands it a worker, the
+// short job finishes while the long one runs, /stats counts the yield,
+// and each job's Allocated stays the initial grant admission issued.
+func TestYieldedWorkerInStats(t *testing.T) {
+	s, ts := newTestServer(t)
+	src := figure1(t)
+	code, long := postJob(t, ts, SubmitRequest{Program: src, N: 8192, Work: 1000, Async: true})
+	if code != http.StatusAccepted {
+		t.Fatalf("async submit: %d, want 202", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pool.Stats().Free != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the long job never leased the whole pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	code, short := postJob(t, ts, SubmitRequest{Program: src, N: 64, Processors: 1})
+	if code != http.StatusOK || short.State != StateDone {
+		t.Fatalf("short job: %d %s (%s)", code, short.State, short.Error)
+	}
+	if short.Allocated != 1 {
+		t.Errorf("short job allocated %d, want its initial grant 1", short.Allocated)
+	}
+	var stats Stats
+	if code := getJSON(t, ts.URL+"/api/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	if stats.Pool.Yields != 1 {
+		t.Errorf("stats pool.yields = %d, want 1", stats.Pool.Yields)
+	}
+	// The long job has done its part; cancel it rather than wait.
+	j, ok := s.Job(long.ID)
+	if !ok {
+		t.Fatalf("job %s not found", long.ID)
+	}
+	j.Cancel()
+	<-j.Done()
+	if final := j.Status(); final.Allocated != 4 {
+		t.Errorf("long job allocated %d after yielding a worker, want its initial grant 4", final.Allocated)
+	}
+}

@@ -11,8 +11,12 @@
 // The lifecycle of a submission:
 //
 //	submit → resolve graph (cache hit or compile) → job registered
-//	       → admission (worker grant) → pool leases workers (FIFO)
+//	       → admission (initial worker grant) → pool leases workers (FIFO)
 //	       → engine executes on persistent goroutines → result + digest
+//
+// A running job's lease shrinks toward a job waiting on the pool: a
+// worker beyond its first leaves at its next chunk boundary when that
+// lets the waiter start (Stats.Pool.Yields counts them).
 //
 // Each job runs under its own context (cancel endpoint, optional
 // deadline) and its own RunOpts — fault plans and trace sinks are
@@ -241,7 +245,9 @@ type JobStatus struct {
 	Cache string `json:"cache"`
 	Mode  string `json:"mode"`
 	// Requested is the submission's processor cap, Allocated the
-	// admission grant actually used (0 until running).
+	// initial worker grant admission issued (0 until running). A running
+	// job may hand workers beyond its first to a job waiting on the pool
+	// (native.Pool), so it can finish on fewer than Allocated.
 	Requested int `json:"requested"`
 	Allocated int `json:"allocated"`
 	// QueueSeconds is submit→start, RunSeconds start→finish.
