@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"orchestra/internal/delirium"
+	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 	taskop "orchestra/internal/sched"
@@ -145,13 +146,20 @@ type sched struct {
 	commBytes int64
 }
 
+// costModel is the coordinator's cost model for the Frontier's batch
+// rule. The gate sends no message of its own, so the message terms are
+// zero; a completed block crosses a socket once per grant whatever the
+// batch, so any positive per-byte cost stands for it. Zero message cost
+// against a positive byte cost makes the batch of every producer that
+// declares its item bytes (every registered kernel does) one task: each
+// prefix advance is delivered.
+var costModel = machine.Config{ByteCost: 1}
+
 // newSched builds the scheduling state for p workers, its Frontier
 // started, from the coordinator's own binding — the same specs the
-// workers reconstruct from the binding's name. Pipelined edges deliver
-// every prefix advance (batch 1): a grant already costs a message, so
-// there is nothing to amortise.
+// workers reconstruct from the binding's name.
 func newSched(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*sched, error) {
-	f, err := rts.NewFrontier(g, bind, opts.Mode == rts.ModeSplit, nil, rts.Limits{})
+	f, err := rts.NewFrontier(g, bind, opts.Mode == rts.ModeSplit, costModel, p, rts.Limits{})
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,11 @@ import (
 	"orchestra/internal/delirium"
 	"orchestra/internal/rts"
 	taskop "orchestra/internal/sched"
+	"orchestra/internal/workload"
 )
 
-// The coordinator grants through the shared rts.Frontier with batch 1.
+// The coordinator grants through the shared rts.Frontier, whose batch
+// under the coordinator's cost model is 1.
 // The gate must stay inside the kernel contract it encodes: consumer
 // task i of an n-task operator reads its pn-task pipelined producer at
 // j = i·pn/n (integer division), so i is grantable only when the
@@ -50,7 +52,7 @@ func gateFrontier(t *testing.T, n, pn int, pipelined bool, mode rts.Mode) *rts.F
 		}
 		return rts.OpSpec{Op: taskop.Op{Name: name, N: tasks, Time: func(int) float64 { return 1 }}}
 	}
-	f, err := rts.NewFrontier(g, bind, mode == rts.ModeSplit, nil, rts.Limits{})
+	f, err := rts.NewFrontier(g, bind, mode == rts.ModeSplit, costModel, 1, rts.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +147,33 @@ func TestGateBarriers(t *testing.T) {
 		if got := f.Enabled(1); got != 8 {
 			t.Fatalf("mode %v pipelined=%v: complete producer allows %d tasks, want 8", c.mode, c.pipelined, got)
 		}
+	}
+}
+
+// TestGateBatchOnPsirrfan pins the coordinator's batch at P = 2 on
+// Psirrfan's split graph bound as the dist-coarse benchmark binds it
+// (the array kernels, 16 384 tasks an operator): one task, so every
+// prefix advance of update is granted to outD at once.
+func TestGateBatchOnPsirrfan(t *testing.T) {
+	g := workload.Psirrfan(workload.Config{N: 16, Seed: 1}).SplitGraph
+	params := rts.KernelParams{}
+	params.SetInt("n", 16384)
+	bound, err := rts.Bind(g, rts.NamedBinding("array", params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSched(g, bound.Spec, rts.RunOpts{Mode: rts.ModeSplit}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pr rts.Progress
+	up, outD := s.f.Index("update"), s.f.Index("outD")
+	for op := 0; op < up; op++ {
+		s.f.Complete(op, 0, s.f.N(op), &pr)
+	}
+	s.f.Complete(up, 0, 1, &pr)
+	if got := s.f.Enabled(outD); got != 1 {
+		t.Fatalf("one task of update enables %d of outD, want 1", got)
 	}
 }
 

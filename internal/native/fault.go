@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"orchestra/internal/fault"
-	"orchestra/internal/machine"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
 )
@@ -146,9 +145,8 @@ func (e *engine) markDead(w *worker) {
 // surviving worker count at TAPER's ω for that count
 // (sched.TaperWidth), using the statistics measured
 // so far, emitting fresh AllocEstimate rows next to the KindRealloc
-// event. Setup/comm/sched terms use a zero cost model (the native
-// backend has no modelled machine); compute and lag come from real
-// measurements.
+// event. Setup/comm/sched terms are CostModel's zeros; compute and lag
+// come from real measurements.
 func (e *engine) emitRealloc(live int) {
 	var specs []rts.OpSpec
 	var names []string
@@ -165,6 +163,6 @@ func (e *engine) emitRealloc(live int) {
 		names = append(names, o.name)
 	}
 	if len(specs) > 0 {
-		rts.AllocateMany(machine.Config{}, specs, max(live, 1), e.rec, names...)
+		rts.AllocateMany(CostModel, specs, max(live, 1), e.rec, names...)
 	}
 }

@@ -45,6 +45,7 @@ import (
 
 	"orchestra/internal/delirium"
 	"orchestra/internal/fault"
+	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
@@ -157,11 +158,10 @@ func newEngine(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*en
 		e.rec = obs.NewRecorder("native", "s", nil, p)
 	}
 
-	// Pipelined edges get a delivery granularity; in the barriered modes
-	// the Frontier runs the operators one at a time. Its limits
+	// The Frontier sizes pipelined batches from CostModel; in the
+	// barriered modes it runs the operators one at a time. Its limits
 	// keep the table addOps mirrors inside the engine's size bound.
-	f, err := rts.NewFrontier(g, bind, e.pipelined, func(prod rts.OpSpec) int { return batchSize(prod.Op.N, p) },
-		rts.Limits{Ops: maxOps, Tasks: MaxTasks - 1})
+	f, err := rts.NewFrontier(g, bind, e.pipelined, CostModel, p, rts.Limits{Ops: maxOps, Tasks: MaxTasks - 1})
 	if err != nil {
 		return nil, err
 	}
@@ -455,19 +455,12 @@ type engine struct {
 	wg sync.WaitGroup
 }
 
-// batchSize picks the pipelined delivery granularity: a handful of
-// batches per worker, so consumers ramp up early without paying a
-// release per task. (The simulator derives its granularity from
-// modelled message costs — rts.ChoosePairGranularity; natively a
-// release costs nanoseconds, so only the pipeline-fill consideration
-// survives.)
-func batchSize(n, p int) int {
-	b := n / (8 * p)
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
+// CostModel is the engine's cost model for the estimators the
+// simulator also runs (rts.ChoosePairGranularity, rts.AllocateMany):
+// zero everywhere, because releasing a batch moves no data and sends
+// no message. Only the pipeline fill then limits a batch, to ⌊n/16⌋ of
+// its producer's tasks and at least one.
+var CostModel = machine.Config{}
 
 // opsSnap returns the current operator table. The snapshot is
 // immutable: expansion publishes a grown copy, never mutates a

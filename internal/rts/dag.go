@@ -138,9 +138,7 @@ func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind 
 		pend:      make([]pendChunk, p),
 	}
 	r.nextFn, r.chunkDoneFn, r.drainFn = r.next, r.chunkDone, r.drain
-	f, err := NewFrontier(g, bind, true, func(prod OpSpec) int {
-		return ChoosePairGranularity(cfg, prod, p, prod.Op.Bytes)
-	}, Limits{})
+	f, err := NewFrontier(g, bind, true, cfg, p, Limits{})
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"orchestra/internal/delirium"
+	"orchestra/internal/machine"
 )
 
 // Frontier is the dataflow state machine every engine drives: the one
@@ -21,9 +22,9 @@ import (
 // graph in topological order, then each expansion's sub-graph in
 // topological order, so an index stays valid for the whole run), the
 // in-edges, per-operator completion counts and contiguous prefixes, the
-// gate, and expansion accounting. Drivers own everything else: queues,
-// chunk sizing, clocks, transport, and which in-flight work belongs to
-// which worker.
+// gate, its batch sizes, and expansion accounting. Drivers own
+// everything else: queues, chunk sizing, clocks, transport, and which
+// in-flight work belongs to which worker.
 //
 // Protocol: NewFrontier, then Start once; afterwards Complete for every
 // finished run of tasks. Each call appends to a caller-owned Progress
@@ -39,7 +40,8 @@ type Frontier struct {
 	ops         []frontierOp
 	index       map[string]int
 	pipelined   bool
-	batch       func(producer OpSpec) int
+	cfg         machine.Config // the engine's cost model, for batch sizes
+	p           int            // the engine's processors, for batch sizes
 	lim         Limits
 	pending     []int // expandable operators not yet handed out, ascending
 	outstanding int
@@ -161,15 +163,16 @@ func checkExpandBinding(nd *delirium.Node, spec OpSpec) error {
 	return nil
 }
 
-// NewFrontier builds the frontier of a validated graph. Edges are
-// pipelined only when pipelined is set (ModeSplit) and the graph marks
-// them so; batch picks a pipelined edge's delivery granularity from its
-// producer (nil means 1: every prefix advance is delivered). Without
-// pipelining (ModeStatic, ModeTaper) each graph's operators also run
-// one after another in topological order, the paper's barrier after
-// every operator.
-func NewFrontier(g *delirium.Graph, bind Binder, pipelined bool, batch func(producer OpSpec) int, lim Limits) (*Frontier, error) {
-	f := &Frontier{index: make(map[string]int, len(g.Nodes)), pipelined: pipelined, batch: batch, lim: lim}
+// NewFrontier builds the frontier of a validated graph for an engine of
+// p processors whose costs cfg models. Edges are pipelined only when
+// pipelined is set (ModeSplit) and the graph marks them so; a pipelined
+// edge delivers its producer's prefix in batches of
+// ChoosePairGranularity(cfg, producer, p, producer's item bytes) tasks.
+// Without pipelining (ModeStatic, ModeTaper) each graph's operators
+// also run one after another in topological order, the paper's barrier
+// after every operator.
+func NewFrontier(g *delirium.Graph, bind Binder, pipelined bool, cfg machine.Config, p int, lim Limits) (*Frontier, error) {
+	f := &Frontier{index: make(map[string]int, len(g.Nodes)), pipelined: pipelined, cfg: cfg, p: p, lim: lim}
 	tasks, err := f.add(g, bind, 0, -1)
 	if err != nil {
 		return nil, err
@@ -229,13 +232,8 @@ func (f *Frontier) add(g *delirium.Graph, bind Binder, depth, parent int) (int, 
 		from, to := f.index[e.From], f.index[e.To]
 		ie := frontierEdge{from: from}
 		if f.Pipelines(e) {
-			ie.batch = 1
-			if f.batch != nil {
-				ie.batch = f.batch(f.ops[from].spec)
-			}
-			if ie.batch < 1 {
-				ie.batch = 1
-			}
+			prod := f.ops[from].spec
+			ie.batch = ChoosePairGranularity(f.cfg, prod, f.p, prod.Op.Bytes)
 		}
 		f.ops[to].in = append(f.ops[to].in, ie)
 		f.ops[from].out = append(f.ops[from].out, to)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"orchestra/internal/delirium"
+	"orchestra/internal/machine"
 	"orchestra/internal/sched"
 )
 
@@ -25,7 +26,7 @@ func oneOpFrontier(tb testing.TB, n int) *Frontier {
 		tb.Fatal(err)
 	}
 	spec := OpSpec{Op: sched.Op{Name: "a", N: n, Time: func(int) float64 { return 1 }}}
-	f, err := NewFrontier(g, func(string) OpSpec { return spec }, false, nil, Limits{})
+	f, err := NewFrontier(g, func(string) OpSpec { return spec }, false, machine.Config{}, 1, Limits{})
 	if err != nil {
 		tb.Fatal(err)
 	}

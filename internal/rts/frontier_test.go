@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"orchestra/internal/delirium"
+	"orchestra/internal/machine"
 	"orchestra/internal/sched"
 )
 
@@ -43,8 +44,10 @@ type propWorld struct {
 }
 
 // taskCounts mixes zero-task operators, single tasks and coprime sizes,
-// where i·pn/n lands on every residue.
-var taskCounts = []int{0, 0, 1, 2, 3, 5, 7, 8, 9, 13, 16, 24}
+// where i·pn/n lands on every residue. Under the zero cost model a
+// pipelined producer's batch is ⌊n/16⌋, at least 1, so the sizes from
+// 33 up draw batches 2, 3 and 4.
+var taskCounts = []int{0, 0, 1, 2, 3, 5, 7, 8, 9, 13, 16, 24, 33, 50, 64}
 
 // genGraph builds a random DAG whose node names extend path. The first
 // node of every graph above depth 3 is expandable, so each top-level
@@ -243,12 +246,11 @@ func (w *propWorld) absorb(pr *Progress, pool *[]Range) {
 	}
 }
 
-func runFrontierProperty(t *testing.T, seed int64, pipelined bool) (maxDepth, nilBases int) {
+func runFrontierProperty(t *testing.T, seed int64, pipelined bool, batches map[int]bool) (maxDepth, nilBases int) {
 	rng := rand.New(rand.NewSource(seed))
 	w := &propWorld{t: t, pipelined: pipelined}
 	g, bind := w.genGraph(rng, fmt.Sprintf("g%d", seed), 0)
-	batch := 1 + rng.Intn(4)
-	f, err := NewFrontier(g, bind, pipelined, func(OpSpec) int { return batch }, Limits{})
+	f, err := NewFrontier(g, bind, pipelined, machine.Config{}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,15 +292,21 @@ func runFrontierProperty(t *testing.T, seed int64, pipelined bool) (maxDepth, ni
 		if !f.Full(op) {
 			t.Fatalf("seed %d: op %s completed %d of %d tasks and is not full", seed, f.Name(op), w.ops[op].doneCount, w.ops[op].n)
 		}
+		for _, ie := range f.ops[op].in {
+			if ie.batch > 0 {
+				batches[ie.batch] = true
+			}
+		}
 	}
 	return w.maxDepth, w.nilBases
 }
 
 func TestFrontierProperties(t *testing.T) {
 	maxDepth, nilBases := 0, 0
+	batches := map[int]bool{}
 	for seed := int64(1); seed <= 150; seed++ {
 		for _, pipelined := range []bool{true, false} {
-			d, nb := runFrontierProperty(t, seed, pipelined)
+			d, nb := runFrontierProperty(t, seed, pipelined, batches)
 			maxDepth = max(maxDepth, d)
 			nilBases += nb
 		}
@@ -308,6 +316,11 @@ func TestFrontierProperties(t *testing.T) {
 	}
 	if nilBases == 0 {
 		t.Fatal("no base-case (nil) expansion was exercised")
+	}
+	for b := 1; b <= 4; b++ {
+		if !batches[b] {
+			t.Fatalf("no pipelined edge had batch %d (seen %v)", b, batches)
+		}
 	}
 }
 
@@ -328,10 +341,10 @@ func TestFrontierSpliceRejects(t *testing.T) {
 		}
 		return OpSpec{Op: body}
 	}
-	if _, err := NewFrontier(g, bind, true, nil, Limits{Tasks: 1}); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := NewFrontier(g, bind, true, machine.Config{}, 1, Limits{Tasks: 1}); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("2-task operators under a 1-task limit: error = %v", err)
 	}
-	f, err := NewFrontier(g, bind, true, nil, Limits{Ops: 3, Tasks: 2})
+	f, err := NewFrontier(g, bind, true, machine.Config{}, 1, Limits{Ops: 3, Tasks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +422,7 @@ func TestFrontierBarrieredSerialises(t *testing.T) {
 		return body(2)
 	}
 	// With pipelining allowed, the independent operators all start.
-	pf, err := NewFrontier(g, bind, true, nil, Limits{})
+	pf, err := NewFrontier(g, bind, true, machine.Config{}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +431,7 @@ func TestFrontierBarrieredSerialises(t *testing.T) {
 		t.Fatal("pipelined frontier gates independent operators")
 	}
 
-	f, err := NewFrontier(g, bind, false, nil, Limits{})
+	f, err := NewFrontier(g, bind, false, machine.Config{}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +537,7 @@ func TestFrontierZeroTaskFires(t *testing.T) {
 				[]string{"b"}, [][]string{{"b"}, nil}},
 		} {
 			g, bind := zeroTaskGraph(t, c.src, sub)
-			f, err := NewFrontier(g, bind, pipelined, nil, Limits{})
+			f, err := NewFrontier(g, bind, pipelined, machine.Config{}, 1, Limits{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,21 +34,23 @@ func PipeBatchCost(cfg machine.Config, n int, itemBytes int64, m int) float64 {
 // to choose communication granularity"): the batch chosen by the cost
 // model is additionally capped so the producer delivers many batches
 // within its estimated finishing time — otherwise the consumer idles
-// through the fill and the pipeline degenerates toward a barrier.
+// through the fill and the pipeline degenerates toward a barrier. It
+// is the one batch rule: the Frontier calls it for every pipelined
+// edge, with the engine's cost model.
 func ChoosePairGranularity(cfg machine.Config, prod OpSpec, pProd int, itemBytes int64) int {
 	n := prod.Op.N
 	m := ChooseGranularity(cfg, n, itemBytes)
 	// The pipeline fill — the time to produce the first batch — must be
 	// a small fraction of the producer's estimated finishing time, so
-	// the consumer ramps up early: m·μ/p ≤ finish/16.
+	// the consumer ramps up early: m·μ/p ≤ finish/16. Without a task
+	// time the limit is the same share of the tasks, n/16. The cap is
+	// at least one task, so the edge stays pipelined.
+	fill := float64(n) / 16
 	if prod.Mu > 0 && pProd > 0 {
-		finish := FinishEstimate(cfg, prod, pProd).Total()
-		if cap := int(finish * float64(pProd) / (16 * prod.Mu)); cap >= 1 && m > cap {
-			m = cap
-		}
+		fill = FinishEstimate(cfg, prod, pProd).Total() * float64(pProd) / (16 * prod.Mu)
 	}
-	if m < 1 {
-		m = 1
+	if fill < float64(m) {
+		m = max(int(fill), 1)
 	}
 	return m
 }

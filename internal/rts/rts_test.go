@@ -324,4 +324,28 @@ func TestChoosePairGranularity(t *testing.T) {
 	if ChoosePairGranularity(cfg, tiny, 2, 64) < 1 {
 		t.Fatal("degenerate granularity")
 	}
+	// Under a zero cost model only the fill limits a batch: n/16 of the
+	// producer's tasks, at least one, with or without a task time. A
+	// cap below one task, or a producer without μ, must not leave the
+	// cost model's batch of n, which would turn the edge into a barrier.
+	for _, c := range []struct {
+		name string
+		prod OpSpec
+		p    int
+		want int
+	}{
+		{"zero cost", uniformSpec(1024, 1), 2, 64},
+		{"zero cost, one worker", uniformSpec(2048, 1), 1, 128},
+		{"zero cost, n < 16", uniformSpec(8, 1), 2, 1},
+		{"mu = 0", OpSpec{Op: sched.Op{N: 1024, Bytes: 64}}, 2, 64},
+		{"mu = 0, n < 16", OpSpec{Op: sched.Op{N: 15, Bytes: 64}}, 2, 1},
+	} {
+		if got := ChoosePairGranularity(machine.Config{}, c.prod, c.p, 64); got != c.want {
+			t.Errorf("%s: batch %d, want %d", c.name, got, c.want)
+		}
+	}
+	// The simulator's model caps a producer without μ at n/16 too.
+	if got := ChoosePairGranularity(cfg, OpSpec{Op: sched.Op{N: 4096, Bytes: 64}}, 32, 0); got != 256 {
+		t.Errorf("mu = 0 on the simulator's model: batch %d, want 256", got)
+	}
 }

@@ -139,7 +139,7 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 // after it. A sub-graph's edges are charged just before its join runs,
 // the top-level graph's at the end. rec and fx may be nil.
 func executeBarriered(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts, p int, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
-	f, err := NewFrontier(g, bind, false, nil, Limits{})
+	f, err := NewFrontier(g, bind, false, cfg, p, Limits{})
 	if err != nil {
 		return trace.Result{}, err
 	}

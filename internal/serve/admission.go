@@ -3,7 +3,7 @@ package serve
 import (
 	"sync"
 
-	"orchestra/internal/machine"
+	"orchestra/internal/native"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
 )
@@ -13,10 +13,12 @@ import (
 // processor allocator (rts.AllocateMany, §4.1.2) one level up from
 // where the paper applies it — the "operations" being balanced are
 // whole jobs, each summarized as one OpSpec whose task count is the
-// job's total remaining work. The allocator hands back per-job targets
-// that roughly equalize job finishing times; the new job's target,
-// clamped to its requested maximum, becomes its initial worker grant,
-// and the pool's FIFO lease queue provides the waiting. The grant is a
+// job's task total, fixed when it was submitted (not what it has left).
+// The allocator runs on native.CostModel, the pool's own zero-cost
+// model, and hands back per-job targets that roughly equalize job
+// finishing times; the new job's target, clamped to its requested
+// maximum, becomes its initial worker grant, and the pool's FIFO lease
+// queue provides the waiting. The grant is a
 // starting point, not a reservation: while a job waits, running jobs
 // hand it workers beyond their first (native.Pool), the run-time half
 // of the paper's balancing.
@@ -42,7 +44,7 @@ type AllocDecision struct {
 // jobLoad summarizes one job for the allocator.
 type jobLoad struct {
 	id    string
-	tasks int // total tasks across operators
+	tasks int // total tasks across operators, fixed at submission
 }
 
 // allocLog keeps the most recent admission decisions in a ring.
@@ -94,13 +96,13 @@ func admit(newJob jobLoad, running []jobLoad, p, requested int) AllocDecision {
 		if n < 1 {
 			n = 1
 		}
-		// Mu 1, Bytes 0: the pool has no modelled communication, so the
-		// finishing-time estimate reduces to compute balance — remaining
-		// work over granted workers.
+		// Mu 1, Bytes 0 under a zero cost model: the finishing-time
+		// estimate reduces to compute balance, the job's tasks over
+		// granted workers.
 		specs[i] = rts.OpSpec{Op: sched.Op{Name: l.id, N: n}, Mu: 1}
 		names[i] = l.id
 	}
-	targets := rts.AllocateMany(machine.DefaultConfig(p), specs, p, nil, names...)
+	targets := rts.AllocateMany(native.CostModel, specs, p, nil, names...)
 	d := AllocDecision{
 		Job:       newJob.id,
 		Targets:   map[string]int{},
