@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
@@ -50,5 +52,34 @@ func TestRunRejectsUnknownExperimentsAndFlags(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%v: printed %q before failing", args, out.String())
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+const expAllGolden = "testdata/exp_all.golden"
+
+// TestExpAllGolden pins every table orchbench prints at its default
+// sizes and seed, byte for byte: the simulator is deterministic, so a
+// moved cell is a changed schedule or cost rule, and this file's diff
+// lists it. Regenerate with `go test ./cmd/orchbench -run
+// ExpAllGolden -update` only after an intentional change.
+func TestExpAllGolden(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run([]string{"-exp", "all"}, &out, &errw); code != 0 {
+		t.Fatalf("exit code = %d, stderr %q", code, errw.String())
+	}
+	if *update {
+		if err := os.WriteFile(expAllGolden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(expAllGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("orchbench -exp all moved:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
