@@ -42,12 +42,15 @@ func ChoosePairGranularity(cfg machine.Config, prod OpSpec, pProd int, itemBytes
 	m := ChooseGranularity(cfg, n, itemBytes)
 	// The pipeline fill — the time to produce the first batch — must be
 	// a small fraction of the producer's estimated finishing time, so
-	// the consumer ramps up early: m·μ/p ≤ finish/16. Without a task
-	// time the limit is the same share of the tasks, n/16. The cap is
-	// at least one task, so the edge stays pipelined.
+	// the consumer ramps up early: m·μ/p ≤ finish/16. The compute term
+	// of finish is n·μ/p, which contributes exactly n/16 tasks; only the
+	// other terms are converted through μ, so n·μ/p·p never rounds
+	// below n. Without a task time the limit is n/16. The cap is at
+	// least one task, so the edge stays pipelined.
 	fill := float64(n) / 16
 	if prod.Mu > 0 && pProd > 0 {
-		fill = FinishEstimate(cfg, prod, pProd).Total() * float64(pProd) / (16 * prod.Mu)
+		e := FinishEstimate(cfg, prod, pProd)
+		fill += (e.Total() - e.Compute) * float64(pProd) / (16 * prod.Mu)
 	}
 	if fill < float64(m) {
 		m = max(int(fill), 1)

@@ -344,6 +344,16 @@ func TestChoosePairGranularity(t *testing.T) {
 			t.Errorf("%s: batch %d, want %d", c.name, got, c.want)
 		}
 	}
+	// Under a zero cost model finish is n·μ/p, so the batch is exactly
+	// ⌊n/16⌋ at every p: the compute term is never converted through μ
+	// and back, where n·μ/p·p can round below n.
+	for n := 16; n <= 4096; n *= 2 {
+		for p := 1; p <= 64; p++ {
+			if got := ChoosePairGranularity(machine.Config{}, uniformSpec(n, 1), p, 64); got != n/16 {
+				t.Errorf("zero cost, n=%d p=%d: batch %d, want %d", n, p, got, n/16)
+			}
+		}
+	}
 	// The simulator's model caps a producer without μ at n/16 too.
 	if got := ChoosePairGranularity(cfg, OpSpec{Op: sched.Op{N: 4096, Bytes: 64}}, 32, 0); got != 256 {
 		t.Errorf("mu = 0 on the simulator's model: batch %d, want 256", got)
