@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if on("policies") {
-		fmt.Fprintln(stdout, "=== Loop schedulers on one irregular operation (psirrfan update, cold, p=512) ===")
+		fmt.Fprintln(stdout, "=== Loop schedulers on the central queue, one irregular operation (psirrfan update, cold, p=512) ===")
 		fmt.Fprint(stdout, experiment.FormatPolicies(experiment.Policies(size(4096), 512, *seed)))
 		fmt.Fprintln(stdout)
 	}
@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if on("ablations") {
 		fmt.Fprintln(stdout, "=== Ablations ===")
 		w, wo := experiment.AblationCostFunction(size(4096), 256, *seed)
-		fmt.Fprintf(stdout, "cost function (vortex velocity, p=256): with=%.1f without=%.1f (%.1f%% better)\n",
+		fmt.Fprintf(stdout, "cost function, warm vs cold hints (vortex velocity, p=256): warm=%.1f cold=%.1f (%.1f%% better)\n",
 			w.Makespan, wo.Makespan, 100*(wo.Makespan-w.Makespan)/wo.Makespan)
 		it, na := experiment.AblationAllocation(size(3200), 512, *seed)
 		fmt.Fprintf(stdout, "allocation (climate cloud+radI, p=512): iterative=%.1f naive-half=%.1f (%.1f%% better)\n",

@@ -109,22 +109,28 @@ func Table2(n int, seed uint64, p int) []Table2Row {
 // ModeSplit run it.
 func taperCost() sched.Policy { return &sched.Taper{UseCostFunction: true} }
 
+// runOp runs spec alone on p processors through rts.RunGraph.
+func runOp(cfg machine.Config, spec rts.OpSpec, p int, mode rts.Mode) trace.Result {
+	r, err := rts.RunOp(cfg, spec, rts.RunOpts{Processors: p, Mode: mode})
+	if err != nil {
+		panic(fmt.Sprintf("experiment: %s/%v: %v", spec.Op.Name, mode, err))
+	}
+	return r
+}
+
 // AblationCostFunction compares TAPER with and without the learned
 // cost function (§4.1.1: the runtime "does additional sampling of task
-// costs to build a cost function") on one irregular operation: with it,
-// the decomposition is cost-balanced, chunks are budgeted in time, and
-// stragglers start early; without it the runtime sees only task counts.
+// costs to build a cost function") on one irregular operation: with
+// warm hints the decomposition is cost-balanced, chunks are budgeted in
+// time, and stragglers start early; cold, the runtime starts from task
+// counts and has only the samples it takes as it runs.
 func AblationCostFunction(n, p int, seed uint64) (with, without trace.Result) {
 	app := workload.Vortex(workload.Config{N: n, Seed: seed})
-	spec := app.Bind("vel")
-	cold := spec.Op
-	cold.Hint = nil
+	warm := app.Bind("vel")
+	cold := warm
+	cold.Op.Hint = nil
 	cfg := machine.DefaultConfig(p)
-	procs := idents(p)
-	with = sched.ExecuteDistributed(cfg, spec.Op, procs, taperCost, obs.OpObs{})
-	without = sched.ExecuteDistributed(cfg, cold, procs,
-		func() sched.Policy { return &sched.Taper{UseCostFunction: false} }, obs.OpObs{})
-	return with, without
+	return runOp(cfg, warm, p, rts.ModeTaper), runOp(cfg, cold, p, rts.ModeTaper)
 }
 
 // AblationAllocation compares the iterative processor-allocation
@@ -140,13 +146,12 @@ func AblationAllocation(n, p int, seed uint64) (iterative, naive trace.Result) {
 }
 
 // dedicated measures an allocation the way §4.1.2 defines one: a runs
-// on its own p1 processors and b on the next p2, TAPER within each
+// on its own p1 processors and b on its own p2, TAPER within each
 // subset and nothing crossing between them. The pair finishes when the
 // slower side does.
 func dedicated(cfg machine.Config, a, b rts.OpSpec, p1, p2 int) trace.Result {
-	procs := idents(p1 + p2)
-	ra := sched.ExecuteDistributed(cfg, a.Op, procs[:p1], taperCost, obs.OpObs{})
-	rb := sched.ExecuteDistributed(cfg, b.Op, procs[p1:], taperCost, obs.OpObs{})
+	ra := runOp(cfg, a, p1, rts.ModeTaper)
+	rb := runOp(cfg, b, p2, rts.ModeTaper)
 	return trace.Result{
 		Processors: p1 + p2,
 		Makespan:   max(ra.Makespan, rb.Makespan),
@@ -158,13 +163,13 @@ func dedicated(cfg machine.Config, a, b rts.OpSpec, p1, p2 int) trace.Result {
 }
 
 // AblationDistributed compares the distributed (owner-computes +
-// re-assignment) execution against the centralized queue for the same
-// TAPER policy.
+// re-assignment) execution, the simulator's TAPER run of the operation,
+// against the centralized queue for the same TAPER policy.
 func AblationDistributed(n, p int, seed uint64) (distributed, central trace.Result) {
 	app := workload.Psirrfan(workload.Config{N: n, Seed: seed})
 	spec := app.Bind("update")
 	cfg := machine.DefaultConfig(p)
-	distributed = sched.ExecuteDistributed(cfg, spec.Op, idents(p), taperCost, obs.OpObs{})
+	distributed = runOp(cfg, spec, p, rts.ModeTaper)
 	central = sched.ExecuteCentral(cfg, spec.Op, idents(p), taperCost, obs.OpObs{})
 	return distributed, central
 }
@@ -205,33 +210,26 @@ type PolicyRow struct {
 // self-scheduling, guided self-scheduling [Polychronopoulos & Kuck],
 // factoring [Hummel et al.], and TAPER [Lucco] with and without the
 // cost function — on the psirrfan update operation, cold (no learned
-// hints), where the policies differ most.
+// hints), where the policies differ most. Each runs on the central
+// queue, the setting these chunk rules were designed for; the static
+// row is the simulator's ModeStatic run of the operation.
 func Policies(n, p int, seed uint64) []PolicyRow {
 	app := workload.Psirrfan(workload.Config{N: n, Seed: seed})
 	spec := app.Bind("update")
 	spec.Op.Hint = nil
 	cfg := machine.DefaultConfig(p)
-	procs := idents(p)
-	rows := []struct {
+	out := []PolicyRow{{Policy: "static", Result: runOp(cfg, spec, p, rts.ModeStatic)}}
+	for _, r := range []struct {
 		name    string
 		factory sched.Factory
 	}{
-		{"static", nil},
 		{"SS", func() sched.Policy { return sched.SelfSched{} }},
 		{"GSS", func() sched.Policy { return sched.GSS{} }},
 		{"factoring", func() sched.Policy { return &sched.Factoring{} }},
 		{"TAPER", func() sched.Policy { return &sched.Taper{} }},
 		{"TAPER+costfn", taperCost},
-	}
-	var out []PolicyRow
-	for _, r := range rows {
-		var res trace.Result
-		if r.factory == nil {
-			res = sched.ExecuteStatic(cfg, spec.Op, procs, obs.OpObs{})
-		} else {
-			res = sched.ExecuteDistributed(cfg, spec.Op, procs, r.factory, obs.OpObs{})
-		}
-		out = append(out, PolicyRow{Policy: r.name, Result: res})
+	} {
+		out = append(out, PolicyRow{Policy: r.name, Result: sched.ExecuteCentral(cfg, spec.Op, idents(p), r.factory, obs.OpObs{})})
 	}
 	return out
 }
@@ -239,11 +237,11 @@ func Policies(n, p int, seed uint64) []PolicyRow {
 // FormatPolicies renders the policy comparison.
 func FormatPolicies(rows []PolicyRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %10s %10s %8s %8s\n", "policy", "makespan", "eff", "chunks", "steals")
+	fmt.Fprintf(&b, "%-14s %10s %10s %8s %8s\n", "policy", "makespan", "eff", "chunks", "messages")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %10.1f %9.1f%% %8d %8d\n",
 			r.Policy, r.Result.Makespan, 100*r.Result.Efficiency(),
-			r.Result.Chunks, r.Result.Steals)
+			r.Result.Chunks, r.Result.Messages)
 	}
 	return b.String()
 }

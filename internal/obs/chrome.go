@@ -17,7 +17,7 @@ import (
 //     to the thief's;
 //   - TAPER grain decisions are per-operator counter tracks ("C"
 //     events) showing the chosen chunk size over time;
-//   - gate and epoch advances are instant events on the observing
+//   - gate advances are instant events on the observing
 //     worker's track;
 //   - allocation estimates appear on a dedicated "allocator" track at
 //     time zero, with the five estimate terms as args.
@@ -95,12 +95,6 @@ func WriteChromeTrace(w io.Writer, t *Trace) error {
 				"ph": "i", "s": "t", "pid": 1, "tid": e.Worker,
 				"name": "gate " + name, "cat": "gate", "ts": e.T0 * scale,
 				"args": map[string]any{"prefix": e.Lo + e.N, "advanced": e.N},
-			})
-		case KindEpoch:
-			events = append(events, ev{
-				"ph": "i", "s": "t", "pid": 1, "tid": e.Worker,
-				"name": "epoch " + name, "cat": "epoch", "ts": e.T0 * scale,
-				"args": map[string]any{"epoch": e.Arg},
 			})
 		case KindFault:
 			events = append(events, ev{

@@ -12,7 +12,10 @@
 //     chosen grain, sample count, sampled μ and σ);
 //   - KindGate: a producer's contiguous completed prefix advanced,
 //     enabling pipelined consumer tasks;
-//   - KindEpoch: the token tree completed an epoch and broadcast.
+//   - KindFault, KindRetry, KindRealloc: a fault, the re-issue of a
+//     lost worker's tasks, and reallocation over the survivors;
+//   - KindChain, KindSpill: native's cache-chain hits and fallbacks;
+//   - KindMsg: one measured message round on the dist backend.
 //
 // Processor-allocation iterations (the per-operator finishing-time
 // estimates setup+compute+lag+comm+sched of §4.1.2) are recorded
@@ -60,10 +63,9 @@ const (
 	// contiguous completed prefix grew from Lo to Lo+N, enabling
 	// pipelined consumers up to the mapped index.
 	KindGate
-	// KindEpoch is a token-tree epoch advance at T0: the root received
-	// a token from every processor of Op's pool and broadcast epoch
-	// Arg (§4.1.1's epoch/token protocol).
-	KindEpoch
+	// The retired token-tree epoch kind; the blank keeps the numbers of
+	// the kinds after it.
+	_
 	// KindFault is a fault at T0: worker Lo crashed, stalled or slowed,
 	// observed by Worker — the faulted worker itself on the simulator
 	// and on native, the coordinator's ring when dist loses a process.
@@ -108,8 +110,6 @@ func (k Kind) String() string {
 		return "taper"
 	case KindGate:
 		return "gate"
-	case KindEpoch:
-		return "epoch"
 	case KindFault:
 		return "fault"
 	case KindRetry:
@@ -136,7 +136,7 @@ type Event struct {
 	Op     int32 // operator index into Trace.Ops, -1 if none
 	Lo     int32 // first task index (chunk/steal), old prefix (gate), remaining (taper)
 	N      int32 // task count (chunk/steal/gate), chosen grain (taper)
-	Arg    int32 // kind-specific (steal victim, taper samples, epoch number)
+	Arg    int32 // kind-specific (steal victim, taper samples, fault action)
 	T0     float64
 	T1     float64 // chunk end time; unused otherwise
 	V0     float64 // taper: sampled mean task time
@@ -279,15 +279,6 @@ func (r *Recorder) Gate(w, op, oldPfx, newPfx int, t float64) {
 	}
 	r.ring(w).emit(Event{Kind: KindGate, Worker: int32(w), Op: int32(op),
 		Lo: int32(oldPfx), N: int32(newPfx - oldPfx), T0: t})
-}
-
-// Epoch records a token-tree epoch broadcast for operator op at time t.
-func (r *Recorder) Epoch(w, op, epoch int, t float64) {
-	if r == nil {
-		return
-	}
-	r.ring(w).emit(Event{Kind: KindEpoch, Worker: int32(w), Op: int32(op),
-		Arg: int32(epoch), T0: t})
 }
 
 // Fault records a fault observation at time t: worker target crashed,

@@ -15,7 +15,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Steal(1, 0, 0, 0, 4, 2)
 	r.Taper(0, 0, 100, 10, 5, 1, 0.5, 3)
 	r.Gate(0, 0, 0, 16, 4)
-	r.Epoch(0, 0, 1, 5)
 	r.Alloc(AllocEstimate{Op: "a"})
 	if r.Finish(trace.Result{}) != nil {
 		t.Fatal("nil recorder must Finish to a nil trace")

@@ -14,10 +14,10 @@ import (
 
 // simFaults validates a run's fault plan against the resolved
 // processor count and builds the injection state: a fault.Exec for the
-// executor's chunk boundaries, plus a MsgPerturb hook on the machine
-// config for message delay/loss. Static execution is closed-form (no
-// scheduling events to survive through), so worker faults under
-// ModeStatic are rejected rather than silently ignored.
+// driver's scheduling points, plus a MsgPerturb hook on the machine
+// config for message delay/loss. Every mode runs through the one
+// driver, so every mode survives worker faults: under ModeStatic a
+// survivor takes a crashed owner's block.
 func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 	plan := opts.Fault
 	if plan == nil {
@@ -26,9 +26,6 @@ func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 	if err := plan.Validate(p); err != nil {
 		return nil, err
 	}
-	if plan.HasWorkerFaults() && opts.Mode == ModeStatic {
-		return nil, fmt.Errorf("rts: static execution cannot survive worker faults (plan %q)", plan)
-	}
 	fx := fault.NewExec(plan, p)
 	if plan.HasMsgFaults() {
 		cfg.MsgPerturb = fx.MsgCost
@@ -36,17 +33,30 @@ func simFaults(cfg *machine.Config, opts RunOpts, p int) (*fault.Exec, error) {
 	return fx, nil
 }
 
-// dagRun is the simulator's driver of a Frontier: it owns the event
-// clock, processor allocation, task queues, TAPER chunk sizing,
-// stealing and fault injection, and reads from the Frontier how far
-// each operator has been enabled. Every task body is called exactly
+// dagRun is the simulator's driver of a Frontier, in every mode: it
+// owns the event clock, processor allocation, task queues, TAPER chunk
+// sizing, stealing and fault injection, and reads from the Frontier how
+// far each operator has been enabled. Every task body is called exactly
 // once, by the chunk that holds it (execChunk).
+//
+// Three rules follow from the mode. ModeSplit builds the pipelined
+// Frontier and places each dataflow level with AllocateMany. The
+// barriered modes build the Frontier without pipelining, which enables
+// one operator at a time, so each operator owns all p processors and
+// its completion holds dispatch for the barrier (hold). ModeStatic
+// decomposes by count blocks, each owner takes its whole block as one
+// chunk, and a survivor takes only a crashed owner's block.
 type dagRun struct {
 	ctx context.Context
 	cfg machine.Config
 	p   int
 	rec *obs.Recorder
 	fx  *fault.Exec
+
+	barriered, static bool
+	// held is set while a barrier holds dispatch: processors park, and
+	// the event ending the hold (releaseFn) wakes them.
+	held bool
 
 	sim *machine.Sim
 	f   *Frontier
@@ -77,6 +87,7 @@ type dagRun struct {
 	nextFn      func(int)
 	chunkDoneFn func(int)
 	drainFn     func(int)
+	releaseFn   func(int)
 }
 
 // dagOp is the driver's state for one operator.
@@ -90,6 +101,10 @@ type dagOp struct {
 	cost            []float64 // per task, recorded as its chunk runs
 	done            []int     // per own-queue completed tasks
 	spent           []float64 // per own-queue time spent on them
+	// Barriered modes: the transfer time of the edges this operator
+	// feeds, and how many there are; the barrier after it charges both.
+	feed  float64
+	feeds int
 }
 
 type pendChunk struct {
@@ -98,25 +113,27 @@ type pendChunk struct {
 	tasks []int
 }
 
-// executeDAG is the barrier-free engine behind RunGraph's ModeSplit
-// path. It executes an entire Delirium graph adaptively on p
-// processors: every operator is decomposed onto the processor subset
-// the allocation algorithm assigned it, operators become executable as
-// their dataflow predecessors complete (incrementally, in batches of
-// the chosen communication granularity, for pipelined edges), and a
-// processor with no work left in its own operator is re-assigned
-// chunks from any executable operator. There are no barriers anywhere:
-// this is the orchestration the paper's title refers to — the runtime
-// "uses the additional parallelism of one sub-computation to
+// executeDAG is the engine behind RunGraph, for every mode. It executes
+// an entire Delirium graph adaptively on p processors: every operator
+// is decomposed onto the processors it owns, operators become
+// executable as the Frontier enables them, and a processor with no work
+// left in its own operator is re-assigned chunks from any executable
+// operator. Under ModeSplit there are no barriers anywhere: operators
+// become executable as their dataflow predecessors complete
+// (incrementally, in batches of the chosen communication granularity,
+// for pipelined edges) on the subsets the allocation algorithm assigned
+// them — the orchestration the paper's title refers to, where the
+// runtime "uses the additional parallelism of one sub-computation to
 // compensate for communication constraints or load imbalance in the
-// other".
+// other". ModeStatic and ModeTaper are its fork-join special case: one
+// operator at a time on the whole machine, a barrier after each.
 //
 // ctx, rec and fx may be nil. A canceled context makes every
 // processor stop taking chunks at its next scheduling decision;
 // in-flight simulated chunks drain and the run returns a CancelError
 // instead of a result.
-func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
-	r, err := newDagRun(ctx, cfg, g, bind, p, rec, fx)
+func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, mode Mode, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
+	r, err := newDagRun(ctx, cfg, g, bind, p, mode, rec, fx)
 	if err != nil {
 		return trace.Result{}, err
 	}
@@ -128,8 +145,9 @@ func executeDAG(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind
 // operators' placement and queues, the expansions of expandable
 // sources, and every processor woken at time zero. The caller runs
 // r.sim to exhaustion and reads r.result.
-func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, rec *obs.Recorder, fx *fault.Exec) (*dagRun, error) {
+func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind Binder, p int, mode Mode, rec *obs.Recorder, fx *fault.Exec) (*dagRun, error) {
 	r := &dagRun{ctx: ctx, cfg: cfg, p: p, rec: rec, fx: fx,
+		barriered: mode != ModeSplit, static: mode == ModeStatic,
 		sim:  machine.NewSim(cfg),
 		res:  trace.Result{Processors: p, Busy: make([]float64, p)},
 		live: p, slowF: 1,
@@ -137,8 +155,8 @@ func newDagRun(ctx context.Context, cfg machine.Config, g *delirium.Graph, bind 
 		tokenCost: 0.2 * cfg.MsgOverhead,
 		pend:      make([]pendChunk, p),
 	}
-	r.nextFn, r.chunkDoneFn, r.drainFn = r.next, r.chunkDone, r.drain
-	f, err := NewFrontier(g, bind, true, cfg, p, Limits{})
+	r.nextFn, r.chunkDoneFn, r.drainFn, r.releaseFn = r.next, r.chunkDone, r.drain, r.release
+	f, err := NewFrontier(g, bind, !r.barriered, cfg, p, Limits{})
 	if err != nil {
 		return nil, err
 	}
@@ -179,10 +197,14 @@ func (r *dagRun) result() (trace.Result, error) {
 
 // addOps builds the driver state of the operators the Frontier just
 // appended, [base, Len) — the nodes of g2 — names them to the
-// recorder, and places them on the machine.
+// recorder, and places them on the machine. Static decomposes without
+// hints, by count blocks.
 func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 	for o := base; o < r.f.Len(); o++ {
 		spec := r.f.Spec(o)
+		if r.static {
+			spec.Op.Hint = nil
+		}
 		r.rec.AddOp(r.f.Name(o))
 		r.ops = append(r.ops, dagOp{
 			spec:    spec,
@@ -192,6 +214,22 @@ func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 			cost:    make([]float64, spec.Op.N),
 		})
 	}
+	if r.barriered {
+		// The barrier after an operator moves the data of every edge it
+		// feeds, spread over the machine.
+		for _, e := range g2.Edges {
+			if e.Carried {
+				continue
+			}
+			bytes := e.Bytes
+			if e.PerTask {
+				bytes *= int64(r.f.N(r.f.Index(e.To)))
+			}
+			op := &r.ops[r.f.Index(e.From)]
+			op.feed += float64(bytes) * r.cfg.ByteCost / float64(r.p)
+			op.feeds++
+		}
+	}
 	return r.place(g2)
 }
 
@@ -199,10 +237,17 @@ func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 // task queues: operators that can execute concurrently (the same
 // dataflow level) divide the machine among themselves; operators in
 // different levels execute at different times and therefore own
-// overlapping processor ranges. Each operator's data is decomposed
-// once onto its owners (owner-computes); idle processors migrate at
-// runtime.
+// overlapping processor ranges. Under the barriered modes the Frontier
+// runs one operator at a time, so each owns all p processors. Each
+// operator's data is decomposed once onto its owners (owner-computes);
+// idle processors migrate at runtime.
 func (r *dagRun) place(g2 *delirium.Graph) error {
+	if r.barriered {
+		for _, nd := range g2.Nodes {
+			r.ops[r.f.Index(nd.Name)].alloc = r.p
+		}
+		return r.decompose(g2)
+	}
 	levels, err := g2.Levels()
 	if err != nil {
 		return err
@@ -224,6 +269,11 @@ func (r *dagRun) place(g2 *delirium.Graph) error {
 			base += shares[i]
 		}
 	}
+	return r.decompose(g2)
+}
+
+// decompose builds the task queues of g2's placed operators.
+func (r *dagRun) decompose(g2 *delirium.Graph) error {
 	for _, nd := range g2.Nodes {
 		// The allocator can hand an operator a zero share when a level
 		// has more operators than processors; its tasks must still live
@@ -358,6 +408,9 @@ func (r *dagRun) drain(n int) {
 // could take now: the condition every successful path of schedule
 // requires.
 func (r *dagRun) dispatchable() bool {
+	if r.held {
+		return false
+	}
 	for o := range r.ops {
 		if r.ops[o].unsched > 0 && r.open(o) > 0 {
 			return true
@@ -389,8 +442,31 @@ func (r *dagRun) chunkDone(gp int) {
 	// A full operator may make expansions due, and progress may have
 	// opened successors' gates.
 	r.expand()
+	if r.barriered && r.f.Full(pc.o) && r.f.Outstanding() > 0 {
+		r.hold(pc.o)
+		r.idle = append(r.idle, gp)
+		return
+	}
 	r.wake()
 	r.next(gp)
+}
+
+// hold is the barrier after operator o under the barriered modes:
+// dispatch waits for the completion broadcast and for the data of the
+// edges o feeds, spread over the machine, each edge a message per
+// processor. The last operator's barrier is the run's own, which
+// result charges in every mode.
+func (r *dagRun) hold(o int) {
+	op := &r.ops[o]
+	r.held = true
+	r.res.Messages += op.feeds * r.p
+	r.sim.AfterFn(r.cfg.BroadcastTime(r.p, 8)+op.feed, r.releaseFn, 0)
+}
+
+// release ends a barrier's hold and wakes the parked processors.
+func (r *dagRun) release(int) {
+	r.held = false
+	r.wake()
 }
 
 func (r *dagRun) execChunk(gp, o int, tasks []int, transferCost float64, stolen bool) {
@@ -450,6 +526,11 @@ func (r *dagRun) tryDispatch(gp, o int) bool {
 	if j := r.ownQueue(gp, o); j >= 0 {
 		q := &op.queues[j]
 		if en := q.EnabledPrefix(limit); en > 0 {
+			if r.static {
+				// A static owner takes its whole enabled block at once.
+				r.execChunk(gp, o, q.Take(en, nil), 0, false)
+				return true
+			}
 			k := min(r.taperChunk(gp, o, q.NextTask()), open, en)
 			// The chunk is budgeted in time, not tasks — the
 			// per-task-grained form of the paper's s = μg/μc chunk
@@ -467,27 +548,42 @@ func (r *dagRun) tryDispatch(gp, o int) bool {
 	return r.steal(gp, o, limit, open)
 }
 
-// steal takes a chunk of op o for gp from o's most loaded owner.
+// steal takes a chunk of op o for gp from o's most loaded owner; under
+// ModeStatic it takes a crashed owner's whole block, and nothing from a
+// live one.
 func (r *dagRun) steal(gp, o, limit, open int) bool {
 	op := &r.ops[o]
 	globalMean := op.tstats.Global.Mean()
-	victim := sched.Victim(op.queues, op.done, op.spent, globalMean, limit)
+	var tasks []int
+	victim := -1
+	if r.static {
+		for v := range op.queues {
+			if !r.fx.Crashed(op.procBase + v) {
+				continue
+			}
+			if q := &op.queues[v]; q.EnabledPrefix(limit) > 0 {
+				victim, tasks = v, q.Take(q.EnabledPrefix(limit), nil)
+				break
+			}
+		}
+	} else if victim = sched.Victim(op.queues, op.done, op.spent, globalMean, limit); victim >= 0 {
+		vq := &op.queues[victim]
+		k := min(r.taperChunk(gp, o, -1), open, vq.EnabledPrefix(limit))
+		// A thief takes at most a fair per-processor share of the
+		// operator's remaining work, and never more than half the
+		// victim's queue.
+		budget := 0.0
+		if sched.NeedsBudget(k, op.spec.Op.Hint) {
+			budget = sched.EstTotal(op.queues, op.done, op.spent, globalMean) / float64(r.live)
+			if half := vq.EstRemaining(globalMean) / 2; half < budget {
+				budget = half
+			}
+		}
+		tasks = vq.TakeBudget(k, budget, op.spec.Op.Hint)
+	}
 	if victim < 0 {
 		return false
 	}
-	vq := &op.queues[victim]
-	k := min(r.taperChunk(gp, o, -1), open, vq.EnabledPrefix(limit))
-	// A thief takes at most a fair per-processor share of the
-	// operator's remaining work, and never more than half the
-	// victim's queue.
-	budget := 0.0
-	if sched.NeedsBudget(k, op.spec.Op.Hint) {
-		budget = sched.EstTotal(op.queues, op.done, op.spent, globalMean) / float64(r.live)
-		if half := vq.EstRemaining(globalMean) / 2; half < budget {
-			budget = half
-		}
-	}
-	tasks := vq.TakeBudget(k, budget, op.spec.Op.Hint)
 	gv := op.procBase + victim
 	if r.rec != nil {
 		r.rec.Steal(gp, gv, o, tasks[0], len(tasks), r.sim.Now())
@@ -588,6 +684,10 @@ func (r *dagRun) next(gp int) {
 func (r *dagRun) schedule(gp int) {
 	r.slowF = 1.0
 	if r.fx != nil && r.faulted(gp) {
+		return
+	}
+	if r.held {
+		r.idle = append(r.idle, gp)
 		return
 	}
 	// Own operators first (locality): in topological order, the

@@ -38,10 +38,11 @@ type dagGolden struct {
 	Events string `json:"events_fnv1a,omitempty"`
 }
 
-// dagCase is one pinned run of the barrier-free simulator executor.
+// dagCase is one pinned run of the simulator's driver.
 type dagCase struct {
 	name  string
 	p     int
+	mode  rts.Mode
 	fault string // fault plan; such a case is traced and its events pinned
 	build func(t *testing.T) (*delirium.Graph, rts.Binder)
 }
@@ -53,10 +54,10 @@ var fig6Apps = map[string]func() *workload.App{
 	"climate":  func() *workload.App { return workload.Climate(workload.Config{N: 3200, Seed: 7}) },
 }
 
-func appCase(name string, p int, app func() *workload.App) dagCase {
-	return dagCase{name: name, p: p, build: func(*testing.T) (*delirium.Graph, rts.Binder) {
+func appCase(name string, p int, mode rts.Mode, app func() *workload.App) dagCase {
+	return dagCase{name: name, p: p, mode: mode, build: func(*testing.T) (*delirium.Graph, rts.Binder) {
 		a := app()
-		return a.GraphFor(rts.ModeSplit, p), a.Bind
+		return a.GraphFor(mode, p), a.Bind
 	}}
 }
 
@@ -64,23 +65,34 @@ func appCase(name string, p int, app func() *workload.App) dagCase {
 // eight-processor hinted chain. Worker 5's crash trigger is reached by
 // an idle re-scan, not by a chunk of its own — see
 // TestSimFaultCrashOnIdleRescan.
-var faultCase = dagCase{name: "hinted-chain-faults@8", p: 8,
+var faultCase = dagCase{name: "hinted-chain-faults@8", p: 8, mode: rts.ModeSplit,
 	fault: "crash:5@20,stall:1@2:40,slow:2@1:4", build: hintedChain}
+
+// barrieredCase is c under a barriered mode, named after it.
+func barrieredCase(c dagCase, mode rts.Mode) dagCase {
+	c.name += "/" + mode.String()
+	c.mode = mode
+	return c
+}
 
 func dagCases() []dagCase {
 	return []dagCase{
-		appCase("psirrfan4096@512", 512, fig6Apps["psirrfan"]),
-		appCase("climate3200@512", 512, fig6Apps["climate"]),
-		{name: "nested-dc@64", p: 64, build: func(t *testing.T) (*delirium.Graph, rts.Binder) {
+		appCase("psirrfan4096@512", 512, rts.ModeSplit, fig6Apps["psirrfan"]),
+		appCase("climate3200@512", 512, rts.ModeSplit, fig6Apps["climate"]),
+		{name: "nested-dc@64", p: 64, mode: rts.ModeSplit, build: func(t *testing.T) (*delirium.Graph, rts.Binder) {
 			in, err := workload.NewDC(workload.NestedConfig{N: 4096, Branch: 3, Leaf: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return in.Graph, in.Binder()
 		}},
-		{name: "hinted-chain@1", p: 1, build: hintedChain},
-		{name: "hinted-chain@7", p: 7, build: hintedChain},
+		{name: "hinted-chain@1", p: 1, mode: rts.ModeSplit, build: hintedChain},
+		{name: "hinted-chain@7", p: 7, mode: rts.ModeSplit, build: hintedChain},
 		faultCase,
+		appCase("psirrfan4096@512/static", 512, rts.ModeStatic, fig6Apps["psirrfan"]),
+		appCase("psirrfan4096@512/TAPER", 512, rts.ModeTaper, fig6Apps["psirrfan"]),
+		barrieredCase(faultCase, rts.ModeStatic),
+		barrieredCase(faultCase, rts.ModeTaper),
 	}
 }
 
@@ -116,12 +128,11 @@ func hintedChain(t *testing.T) (*delirium.Graph, rts.Binder) {
 	}
 }
 
-// run executes the case under split; a fault case also returns its
-// trace.
+// run executes the case; a fault case also returns its trace.
 func (c dagCase) run(t *testing.T) (trace.Result, *obs.Trace) {
 	t.Helper()
 	g, bind := c.build(t)
-	opts := rts.RunOpts{Processors: c.p, Mode: rts.ModeSplit}
+	opts := rts.RunOpts{Processors: c.p, Mode: c.mode}
 	var col obs.Collector
 	if c.fault != "" {
 		plan, err := fault.Parse(c.fault)

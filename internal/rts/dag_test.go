@@ -6,7 +6,6 @@ import (
 	"orchestra/internal/delirium"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
-	"orchestra/internal/sched"
 )
 
 func dagGraph(t *testing.T, edges [][2]string, pipelined map[[2]string]bool, nodes ...string) *delirium.Graph {
@@ -227,14 +226,12 @@ func TestExecuteDAGAbsorbsIrregularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := make([]int, 512)
-	for i := range procs {
-		procs[i] = i
+	// The same graph barriered: each operator alone on all 512.
+	phases, err := RunGraph(cfg, conc, bindBoth, RunOpts{Processors: 512, Mode: ModeTaper})
+	if err != nil {
+		t.Fatal(err)
 	}
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	sep := sched.ExecuteDistributed(cfg, irr.Op, procs, factory, obs.OpObs{}).Makespan +
-		sched.ExecuteDistributed(cfg, reg.Op, procs, factory, obs.OpObs{}).Makespan
-	if r.Makespan >= sep {
+	if sep := phases.Makespan; r.Makespan >= sep {
 		t.Fatalf("co-scheduling (%v) should beat separate phases (%v)", r.Makespan, sep)
 	}
 }

@@ -16,7 +16,7 @@ type DAGProbe struct{ r *dagRun }
 // NewDAGProbe builds a fault-free, untraced split run of g on p
 // processors, stopped before its first event.
 func NewDAGProbe(ctx context.Context, g *delirium.Graph, bind Binder, p int) (*DAGProbe, error) {
-	r, err := newDagRun(ctx, machine.DefaultConfig(p), g, bind, p, nil, nil)
+	r, err := newDagRun(ctx, machine.DefaultConfig(p), g, bind, p, ModeSplit, nil, nil)
 	return &DAGProbe{r}, err
 }
 

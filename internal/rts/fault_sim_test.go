@@ -98,9 +98,9 @@ func (w *onceWorld) nestedBind(name string) OpSpec {
 }
 
 // TestSimExactlyOnce drives fault-free runs and crash/stall/slow/
-// message plans through every simulator engine — closed-form static,
-// the per-operator TAPER loop and the barrier-free DAG — and checks
-// each run completes with every task body called exactly once.
+// message plans through the simulator's driver in every mode — static
+// blocks, barriered TAPER and barrier-free dataflow — and checks each
+// run completes with every task body called exactly once.
 func TestSimExactlyOnce(t *testing.T) {
 	testExactlyOnce(t, chainGraph(t, "a", "r", "b"), false)
 }
@@ -133,9 +133,6 @@ func testExactlyOnce(t *testing.T, g *delirium.Graph, nested bool) {
 	for _, mode := range []Mode{ModeStatic, ModeTaper, ModeSplit} {
 		for _, spec := range plans {
 			plan := mustPlan(t, spec)
-			if mode == ModeStatic && plan.HasWorkerFaults() {
-				continue // rejected: see TestSimFaultRejections
-			}
 			t.Run(mode.String()+"/"+spec, func(t *testing.T) {
 				w := newOnceWorld()
 				bind := w.bind
@@ -183,18 +180,63 @@ func TestSimFaultUnsampledOwnerCrash(t *testing.T) {
 	}
 }
 
+// TestSimStaticRobsOnlyTheDead: under ModeStatic a survivor takes a
+// crashed owner's block, whole, as one re-issued chunk, and nothing
+// from a live owner: a fault-free run has no steals at all.
+func TestSimStaticRobsOnlyTheDead(t *testing.T) {
+	for _, tc := range []struct {
+		plan                    string
+		steals, retries, chunks int
+	}{
+		{"", 0, 0, 8},
+		// Worker 1 crashes at its second scheduling point, after its
+		// block of a: its block of b is the one re-issued.
+		{"crash:1@1", 1, 1, 8},
+	} {
+		execs := map[string][]int{"a": make([]int, 64), "b": make([]int, 64)}
+		bind := func(name string) OpSpec { return countingSpec(name, execs[name]) }
+		var col obs.Collector
+		r, err := RunGraph(machine.DefaultConfig(4), chainGraph(t, "a", "b"), bind, RunOpts{
+			Processors: 4, Mode: ModeStatic, Sink: &col, Fault: mustPlan(t, tc.plan),
+		})
+		if err != nil {
+			t.Fatalf("%q: %v", tc.plan, err)
+		}
+		retries := 0
+		for _, e := range col.Trace.Events {
+			if e.Kind == obs.KindRetry {
+				retries++
+				if e.Arg != 1 || e.N != 16 {
+					t.Errorf("%q: re-issued %d tasks of worker %d, want worker 1's block of 16", tc.plan, e.N, e.Arg)
+				}
+			}
+		}
+		if r.Steals != tc.steals || retries != tc.retries || r.Chunks != tc.chunks {
+			t.Errorf("%q: %d steals, %d retries, %d chunks; want %d, %d, %d",
+				tc.plan, r.Steals, retries, r.Chunks, tc.steals, tc.retries, tc.chunks)
+		}
+		for name, n := range execs {
+			checkAllExecuted(t, tc.plan+"/"+name, n)
+		}
+	}
+}
+
 // TestSimBarrieredLostWorkIsAnError: when no processor is left to take
-// an operator's remaining tasks the barriered engine must fail the run
-// like the barrier-free one does, not return a shorter one. RunGraph
-// refuses plans without a survivor, so the plan goes in below it.
+// an operator's remaining tasks a barriered run must fail, not return a
+// shorter one, in both barriered modes. RunGraph refuses plans without
+// a survivor, so the plan goes in below it.
 func TestSimBarrieredLostWorkIsAnError(t *testing.T) {
 	g := chainGraph(t, "a")
 	execs := make([]int, 64)
 	bind := func(string) OpSpec { return countingSpec("a", execs) }
-	fx := fault.NewExec(mustPlan(t, "crash:0@1,crash:1@1"), 2)
-	_, err := executeBarriered(machine.DefaultConfig(2), g, bind, RunOpts{Mode: ModeTaper}, 2, nil, fx)
-	if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
-		t.Fatalf("error = %v, want a stall naming the outstanding tasks", err)
+	// A static owner takes its whole block at its first scheduling
+	// point, so only a crash there strands it.
+	for mode, plan := range map[Mode]string{ModeStatic: "crash:0@0,crash:1@0", ModeTaper: "crash:0@1,crash:1@1"} {
+		fx := fault.NewExec(mustPlan(t, plan), 2)
+		_, err := executeDAG(nil, machine.DefaultConfig(2), g, bind, 2, mode, nil, fx)
+		if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
+			t.Fatalf("%v: error = %v, want a stall naming the outstanding tasks", mode, err)
+		}
 	}
 }
 
@@ -243,27 +285,20 @@ func TestSimFaultEvents(t *testing.T) {
 	}
 }
 
-// TestSimFaultRejections: static execution has no scheduling events to
-// survive through, and a plan must leave at least one worker standing.
+// TestSimFaultRejections: a plan must leave at least one worker
+// standing. Static takes worker faults like every mode (see
+// TestSimExactlyOnce); message-only plans only perturb its cost model.
 func TestSimFaultRejections(t *testing.T) {
 	g := chainGraph(t, "a")
 	bind := func(string) OpSpec { return uniformSpec(64, 1) }
 	cfg := machine.DefaultConfig(4)
-	_, err := RunGraph(cfg, g, bind, RunOpts{
-		Processors: 4, Mode: ModeStatic, Fault: mustPlan(t, "crash:0@0"),
-	})
-	if err == nil || !strings.Contains(err.Error(), "static") {
-		t.Fatalf("static + crash accepted: %v", err)
-	}
-	// Message-only plans are fine under static (they only perturb the
-	// cost model).
 	if _, err := RunGraph(cfg, g, bind, RunOpts{
 		Processors: 4, Mode: ModeStatic, Fault: mustPlan(t, "delay:0.5"),
 	}); err != nil {
 		t.Fatalf("static + delay rejected: %v", err)
 	}
 	// No survivor.
-	_, err = RunGraph(cfg, g, bind, RunOpts{
+	_, err := RunGraph(cfg, g, bind, RunOpts{
 		Processors: 2, Mode: ModeTaper,
 		Fault: mustPlan(t, "crash:0@0,crash:1@0"),
 	})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"orchestra/internal/machine"
-	"orchestra/internal/obs"
 	"orchestra/internal/sched"
 	"orchestra/internal/stats"
 )
@@ -268,12 +267,11 @@ func TestFinishEstimateTracksReality(t *testing.T) {
 		for _, p := range []int{32, 128, 512} {
 			cfg := machine.DefaultConfig(p)
 			est := FinishEstimate(cfg, tc.spec, p).Total()
-			procs := make([]int, p)
-			for i := range procs {
-				procs[i] = i
+			r, err := RunOp(cfg, tc.spec, RunOpts{Processors: p, Mode: ModeTaper})
+			if err != nil {
+				t.Fatal(err)
 			}
-			actual := sched.ExecuteDistributed(cfg, tc.spec.Op, procs,
-				func() sched.Policy { return &sched.Taper{UseCostFunction: true} }, obs.OpObs{}).Makespan
+			actual := r.Makespan
 			ratio := est / actual
 			if ratio < 0.4 || ratio > 2.5 {
 				t.Errorf("%s p=%d: estimate %v vs actual %v (ratio %.2f)",
@@ -291,16 +289,14 @@ func TestEstimateRanksAllocations(t *testing.T) {
 	cfg := machine.DefaultConfig(256)
 	a := irregularSpec(4096, 23)
 	b := uniformSpec(2048, 1)
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	procs := make([]int, 256)
-	for i := range procs {
-		procs[i] = i
+	run := func(spec OpSpec, p int) float64 {
+		r, err := RunOp(cfg, spec, RunOpts{Processors: p, Mode: ModeTaper})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Makespan
 	}
-	dedicated := func(p1, p2 int) float64 {
-		return max(
-			sched.ExecuteDistributed(cfg, a.Op, procs[:p1], factory, obs.OpObs{}).Makespan,
-			sched.ExecuteDistributed(cfg, b.Op, procs[p1:p1+p2], factory, obs.OpObs{}).Makespan)
-	}
+	dedicated := func(p1, p2 int) float64 { return max(run(a, p1), run(b, p2)) }
 
 	p1, p2 := allocatePair(cfg, a, b, 256)
 	chosen := dedicated(p1, p2)

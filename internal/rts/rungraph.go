@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"orchestra/internal/delirium"
-	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
-	"orchestra/internal/sched"
 	"orchestra/internal/trace"
 )
 
@@ -82,11 +80,12 @@ type Binder func(name string) OpSpec
 
 // RunGraph executes a Delirium graph on the simulated machine under
 // the given options and returns the aggregate result. A zero
-// opts.Processors defaults to cfg.Processors. Non-pipelined edges
-// charge a data-transfer cost between operators; under ModeSplit, the
-// whole graph executes as barrier-free dataflow (executeDAG). With a
-// Sink set, the simulated clock provides every event timestamp, so
-// exported spans are exact.
+// opts.Processors defaults to cfg.Processors. Every mode runs through
+// the one driver, executeDAG: under ModeSplit the whole graph executes
+// as barrier-free dataflow; under ModeStatic and ModeTaper one operator
+// at a time runs on all processors, and the barrier after it charges
+// the transfer of the edges it feeds. With a Sink set, the simulated
+// clock provides every event timestamp, so exported spans are exact.
 func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) (trace.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return trace.Result{}, err
@@ -112,16 +111,7 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 		return trace.Result{}, CancelError("rts", opts.Ctx)
 	}
 
-	var r trace.Result
-	if opts.Mode == ModeSplit {
-		// Fully adaptive dataflow execution of the whole graph — no
-		// barriers; operators enable as predecessors complete, pipelined
-		// edges enable consumers incrementally, and processors migrate
-		// to whatever is executable.
-		r, err = executeDAG(opts.Ctx, cfg, g, bind, p, rec, fx)
-	} else {
-		r, err = executeBarriered(cfg, g, bind, opts, p, rec, fx)
-	}
+	r, err := executeDAG(opts.Ctx, cfg, g, bind, p, opts.Mode, rec, fx)
 	if err != nil {
 		return trace.Result{}, err
 	}
@@ -132,88 +122,12 @@ func RunGraph(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts) 
 	return r, opts.Sink.Consume(rec.Finish(r))
 }
 
-// executeBarriered is the engine behind RunGraph's ModeStatic and
-// ModeTaper paths: a driver of the Frontier built without pipelining,
-// which enables one operator at a time, in topological order. Each runs
-// whole on all p processors and then completes, which is the barrier
-// after it. A sub-graph's edges are charged just before its join runs,
-// the top-level graph's at the end. rec and fx may be nil.
-func executeBarriered(cfg machine.Config, g *delirium.Graph, bind Binder, opts RunOpts, p int, rec *obs.Recorder, fx *fault.Exec) (trace.Result, error) {
-	f, err := NewFrontier(g, bind, false, cfg, p, Limits{})
-	if err != nil {
+// RunOp runs one operation alone, as a one-operator graph through
+// RunGraph: the simulator's single-operation experiments.
+func RunOp(cfg machine.Config, spec OpSpec, opts RunOpts) (trace.Result, error) {
+	g := delirium.NewGraph(spec.Op.Name)
+	if err := g.AddNode(&delirium.Node{Name: "op", Kind: delirium.Par}); err != nil {
 		return trace.Result{}, err
 	}
-	agg := trace.Result{Processors: p}
-	procs := make([]int, p)
-	for i := range procs {
-		procs[i] = i
-	}
-	factory := func() sched.Policy { return &sched.Taper{UseCostFunction: true} }
-	charge := func(g2 *delirium.Graph) {
-		for _, e := range g2.Edges {
-			if e.Carried {
-				continue
-			}
-			bytes := e.Bytes
-			if e.PerTask {
-				bytes *= int64(f.N(f.Index(e.To)))
-			}
-			agg.Makespan += float64(bytes) * cfg.ByteCost / float64(p)
-			agg.Messages += p
-		}
-	}
-	subs := map[int]*delirium.Graph{} // spliced sub-graphs by expandable operator
-	var pr Progress
-	f.Start(&pr)
-	for named := 0; ; {
-		for ; named < f.Len(); named++ {
-			rec.AddOp(f.Name(named))
-		}
-		if len(pr.Expand)+len(pr.Enabled) == 0 {
-			break
-		}
-		// An operator boundary is the natural cancellation point: work
-		// already simulated stays charged, the rest is abandoned.
-		if opts.canceled() {
-			return trace.Result{}, CancelError("rts", opts.Ctx)
-		}
-		if len(pr.Expand) > 0 {
-			x := pr.Expand[0]
-			pr.Expand = pr.Expand[1:]
-			exp, err := x.Expand()
-			if err != nil {
-				return trace.Result{}, err
-			}
-			if _, err := f.Splice(x.Op, exp, &pr); err != nil {
-				return trace.Result{}, err
-			}
-			if exp != nil {
-				subs[x.Op] = exp.Graph
-			}
-			continue
-		}
-		rg := pr.Enabled[0]
-		pr.Enabled = pr.Enabled[1:]
-		if sub := subs[rg.Op]; sub != nil {
-			charge(sub)
-		}
-		op := f.Spec(rg.Op).Op
-		ob := obs.OpObs{R: rec, Op: rg.Op, Base: agg.Makespan}
-		var r trace.Result
-		if opts.Mode == ModeStatic {
-			r = sched.ExecuteStatic(cfg, op, procs, ob)
-		} else if r, err = sched.ExecuteDistributedFault(cfg, op, procs, factory, ob, fx); err != nil {
-			// fx persists from operator to operator, so a worker's chunk
-			// count, and any crash it triggers, carries across them.
-			return trace.Result{}, err
-		}
-		agg.Makespan += r.Makespan
-		agg.SeqTime += r.SeqTime
-		agg.Chunks += r.Chunks
-		agg.Steals += r.Steals
-		agg.Messages += r.Messages
-		f.Complete(rg.Op, rg.Lo, rg.Hi, &pr)
-	}
-	charge(g)
-	return agg, nil
+	return RunGraph(cfg, g, func(string) OpSpec { return spec }, opts)
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"orchestra/internal/machine"
-	"orchestra/internal/obs"
 	"orchestra/internal/stats"
 )
 
@@ -153,23 +151,6 @@ func TestTaskQueueRemHintConsistency(t *testing.T) {
 	}
 }
 
-func TestHintedExecutionBeatsUnhinted(t *testing.T) {
-	// With a warm cost function the runtime balances by cost and starts
-	// stragglers early; it must beat the cold execution on irregular
-	// work at high processor counts.
-	n, p := 4096, 512
-	hinted := hintedOp(n, 9)
-	cold := hinted
-	cold.Hint = nil
-	cfg := machine.DefaultConfig(p)
-	factory := func() Policy { return &Taper{UseCostFunction: true} }
-	rh := ExecuteDistributed(cfg, hinted, procList(p), factory, obs.OpObs{})
-	rc := ExecuteDistributed(cfg, cold, procList(p), factory, obs.OpObs{})
-	if rh.Makespan >= rc.Makespan {
-		t.Fatalf("hints did not help: %v vs %v", rh.Makespan, rc.Makespan)
-	}
-}
-
 func TestDecomposeSmallN(t *testing.T) {
 	// Fewer tasks than processors must not panic and must cover all
 	// tasks.
@@ -184,10 +165,9 @@ func TestDecomposeSmallN(t *testing.T) {
 	}
 }
 
-// victimCase is one row of the re-assignment scan both simulated
-// drivers share: dagRun.steal calls Victim with the Frontier's gate
-// limit, ExecuteDistributedFault with the operation's task count, and
-// dagRun.steal budgets a thief against EstTotal.
+// victimCase is one row of the re-assignment scan: the simulator's
+// dagRun.steal calls Victim with the Frontier's gate limit (an ungated
+// operation's is its task count) and budgets a thief against EstTotal.
 type victimCase struct {
 	name        string
 	queues      []TaskQueue

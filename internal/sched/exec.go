@@ -1,9 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
-	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/trace"
@@ -94,38 +91,6 @@ func owner(i, n, p int) int {
 		return p - 1
 	}
 	return rem + (i-boundary)/base
-}
-
-// ExecuteStatic runs op with a static block decomposition: processor j
-// executes its owned block with no scheduling events and no data
-// movement, then all processors synchronize. With tracing enabled, each
-// processor's block appears as a single span — static execution has no
-// scheduling events to record, so the span is the whole story.
-func ExecuteStatic(cfg machine.Config, op Op, procs []int, ob obs.OpObs) trace.Result {
-	p := len(procs)
-	res := trace.Result{Name: "static/" + op.Name, Processors: p, Busy: make([]float64, p)}
-	for i := 0; i < op.N; i++ {
-		t := op.Time(i)
-		res.Busy[owner(i, op.N, p)] += t
-		res.SeqTime += t
-	}
-	if ob.On() {
-		for j := 0; j < p; j++ {
-			lo, hi := BlockBounds(j, op.N, p)
-			if hi > lo {
-				ob.R.Chunk(j, ob.Op, lo, hi-lo, ob.Base, ob.Base+res.Busy[j], false)
-			}
-		}
-	}
-	max := 0.0
-	for _, b := range res.Busy {
-		if b > max {
-			max = b
-		}
-	}
-	res.Makespan = max + cfg.BroadcastTime(p, 8) // completion barrier
-	res.Chunks = min(p, op.N)                    // the non-empty blocks
-	return res
 }
 
 // ExecuteCentral runs op with a central task queue owned by procs[0]:
@@ -401,205 +366,4 @@ func ownerEst(q *TaskQueue, done int, spent, mean float64) float64 {
 		rate = spent / float64(done)
 	}
 	return float64(q.Remaining()) * rate
-}
-
-// ExecuteDistributed runs op with the paper's distributed scheme
-// (§4.1.1): tasks start on their owners (owner-computes), each
-// processor self-schedules chunks from its local queue using the
-// policy's chunk rule, completion tokens flow up a binary tree, and a
-// processor that exhausts its local work is re-assigned a chunk from
-// the most loaded processor (by estimated remaining time), paying the
-// task-transfer message cost. "If task costs are independent then we
-// expect most tasks to remain on the processor owning them; thus, the
-// algorithm reduces task transfer costs and maintains communication
-// locality."
-func ExecuteDistributed(cfg machine.Config, op Op, procs []int, factory Factory, ob obs.OpObs) trace.Result {
-	// Only a crashed processor can strand work, and without a fault plan
-	// none crashes.
-	res, _ := ExecuteDistributedFault(cfg, op, procs, factory, ob, nil)
-	return res
-}
-
-// ExecuteDistributedFault is ExecuteDistributed with a fault plan
-// injected at every dispatch commitment: before a processor takes a
-// chunk (from its own queue or a victim's), fx decides whether it
-// crashes (stops dispatching forever; its queued tasks are recovered by
-// the existing re-assignment scan), stalls (re-enters the dispatch loop
-// after the stall), or runs slow (observed task times scale by the
-// factor; computed values are untouched). Injection happens only at
-// chunk boundaries, so every task still executes exactly once and
-// results stay bitwise identical to a fault-free run. A nil fx is the
-// fault-free fast path. A plan that leaves no processor to take the
-// remaining tasks (fault.Plan.Validate rejects those) is an error, not
-// a shorter run.
-func ExecuteDistributedFault(cfg machine.Config, op Op, procs []int, factory Factory, ob obs.OpObs, fx *fault.Exec) (trace.Result, error) {
-	p := len(procs)
-	sim := machine.NewSim(cfg)
-	policy := factory()
-	ts := NewTaskStats(op.N)
-	res := trace.Result{
-		Name:       policy.Name() + "/" + op.Name,
-		Processors: p,
-		Busy:       make([]float64, p),
-	}
-
-	local := Decompose(op, p)
-	remainingGlobal := op.N
-	cost := make([]float64, op.N)
-	finish := make([]float64, p)
-	tree := NewTokenTree(p)
-	// Observed per-processor progress (the token protocol's signal).
-	done := make([]int, p)
-	spent := make([]float64, p)
-
-	// tokenCost is the CPU time a processor spends emitting its
-	// completion token toward the tree root.
-	tokenCost := 0.2 * cfg.MsgOverhead
-
-	var next func(j int)
-	// Per-processor pending-chunk context (one chunk in flight per
-	// processor) for the allocation-free AfterFn scheduling path.
-	pendK := make([]int, p)
-	pendTotal := make([]float64, p)
-	chunkDone := func(j int) {
-		done[j] += pendK[j]
-		spent[j] += pendTotal[j]
-		next(j)
-	}
-	stolen := false
-	slowF := 1.0
-	execChunk := func(j int, tasks []int, transferCost float64) {
-		total := transferCost
-		for _, i := range tasks {
-			// A slow fault scales only the observed cost: the kernel
-			// (op.Time's side effect on real bindings) runs normally, so
-			// computed values are untouched.
-			cost[i] = op.Time(i)
-			t := cost[i] * slowF
-			ts.Observe(i, t)
-			total += t
-		}
-		total += cfg.SchedOverhead + tokenCost
-		_, epochEnd := tree.Token(j, cfg)
-		res.Busy[j] += total
-		remainingGlobal -= len(tasks)
-		res.Chunks++
-		if ob.On() {
-			ob.R.Chunk(j, ob.Op, tasks[0], len(tasks), ob.Base+sim.Now(), ob.Base+sim.Now()+total, stolen)
-			if epochEnd {
-				ob.R.Epoch(j, ob.Op, tree.Epoch(), ob.Base+sim.Now())
-			}
-		}
-		pendK[j], pendTotal[j] = len(tasks), total
-		sim.AfterFn(total, chunkDone, j)
-	}
-	next = func(j int) {
-		if remainingGlobal <= 0 {
-			finish[j] = sim.Now()
-			return
-		}
-		slowF = 1.0
-		if fx != nil {
-			d := fx.Begin(j)
-			if d.Crash {
-				if ob.On() {
-					ob.R.Fault(j, j, int(fault.Crash), ob.Base+sim.Now())
-				}
-				finish[j] = sim.Now()
-				return
-			}
-			if d.Stall > 0 {
-				if ob.On() {
-					ob.R.Fault(j, j, int(fault.Stall), ob.Base+sim.Now())
-				}
-				sim.AfterFn(d.Stall, next, j)
-				return
-			}
-			if d.Slow > 0 {
-				slowF = d.Slow
-				if d.Fresh && ob.On() {
-					ob.R.Fault(j, j, int(fault.Slow), ob.Base+sim.Now())
-				}
-			}
-		}
-		q := &local[j]
-		if q.Remaining() > 0 {
-			k := policy.NextChunk(remainingGlobal, p, ts)
-			if t, ok := policy.(*Taper); ok {
-				k = clamp(t.ScaleChunk(k, q.NextTask(), ts), remainingGlobal)
-			}
-			if ob.On() {
-				ob.R.Taper(j, ob.Op, remainingGlobal, k, int(ts.Global.N()),
-					ts.Global.Mean(), ts.Global.StdDev(), ob.Base+sim.Now())
-			}
-			// Budget the chunk in time — the per-task-grained form of
-			// the cost-function scaling s = μg/μc — so one chunk never
-			// collects several expensive tasks. The budget is the
-			// hint-estimated remaining work per processor.
-			budget := 0.0
-			if NeedsBudget(k, op.Hint) {
-				for v := 0; v < p; v++ {
-					budget += local[v].EstRemaining(0)
-				}
-				budget /= float64(p)
-			}
-			stolen = false
-			execChunk(j, q.TakeBudget(k, budget, op.Hint), 0)
-			return
-		}
-		// Local queue empty: ask the root to re-assign a chunk from the
-		// most loaded processor (the epoch mechanism's chunk
-		// re-assignment). Load is the estimated remaining time, from
-		// hints when present, else the observed per-processor rate the
-		// token protocol reports.
-		globalMean := ts.Global.Mean()
-		victim := Victim(local, done, spent, globalMean, op.N)
-		if victim < 0 {
-			// Nothing left anywhere; wait for stragglers to finish
-			// their running chunks.
-			finish[j] = sim.Now()
-			return
-		}
-		k := policy.NextChunk(remainingGlobal, p, ts)
-		if ob.On() {
-			ob.R.Taper(j, ob.Op, remainingGlobal, k, int(ts.Global.N()),
-				ts.Global.Mean(), ts.Global.StdDev(), ob.Base+sim.Now())
-		}
-		budget := local[victim].EstRemaining(globalMean) / 2
-		tasks := local[victim].TakeBudget(k, budget, op.Hint)
-		res.Steals++
-		res.Messages += 3
-		if ob.On() {
-			ob.R.Steal(j, victim, ob.Op, tasks[0], len(tasks), ob.Base+sim.Now())
-			if fx.Crashed(victim) {
-				// Re-assignment from a crashed owner is the recovery path:
-				// its queued tasks are re-issued to a survivor.
-				ob.R.Retry(j, victim, ob.Op, tasks[0], len(tasks), ob.Base+sim.Now())
-			}
-		}
-		// Round trip to the root plus the task+data transfer.
-		cost := 2*cfg.MsgTime(procs[j], procs[0], 16) +
-			cfg.MsgTime(procs[victim], procs[j], int64(len(tasks))*op.Bytes+32)
-		stolen = true
-		execChunk(j, tasks, cost)
-	}
-	for j := 0; j < p; j++ {
-		sim.AfterFn(0, next, j)
-	}
-	sim.Run()
-	max := 0.0
-	for _, f := range finish {
-		if f > max {
-			max = f
-		}
-	}
-	// Each completed epoch's broadcast adds root latency; the final
-	// barrier synchronizes completion.
-	res.Messages += tree.Messages
-	res.Makespan = max + float64(tree.Broadcasts)*0.1*cfg.HopLatency + cfg.BroadcastTime(p, 8)
-	if remainingGlobal > 0 {
-		return res, fmt.Errorf("sched: %s stalled with %d tasks outstanding", op.Name, remainingGlobal)
-	}
-	res.SeqTime = SeqTime(cost)
-	return res, nil
 }

@@ -2,14 +2,11 @@ package sched
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"orchestra/internal/fault"
 	"orchestra/internal/machine"
 	"orchestra/internal/obs"
 	"orchestra/internal/stats"
-	"orchestra/internal/trace"
 )
 
 func uniformOp(n int, t float64) Op {
@@ -192,64 +189,6 @@ func TestCostScale(t *testing.T) {
 	}
 }
 
-func TestStaticUniformEfficiency(t *testing.T) {
-	op := uniformOp(16384, 1.0)
-	r := ExecuteStatic(machine.DefaultConfig(16), op, procList(16), obs.OpObs{})
-	if eff := r.Efficiency(); eff < 0.95 {
-		t.Fatalf("static on uniform work: eff = %v", eff)
-	}
-	if r.Steals != 0 || r.Messages != 0 {
-		t.Fatal("static must not steal or message")
-	}
-}
-
-// TestStaticChunksAreBlocks pins that a static run counts its
-// non-empty blocks: an operator with fewer tasks than processors, or
-// none, leaves some processors without a chunk.
-func TestStaticChunksAreBlocks(t *testing.T) {
-	for _, c := range []struct{ n, p, want int }{{16384, 16, 16}, {5, 16, 5}, {16, 16, 16}, {0, 16, 0}} {
-		if r := ExecuteStatic(machine.DefaultConfig(c.p), uniformOp(c.n, 1.0), procList(c.p), obs.OpObs{}); r.Chunks != c.want {
-			t.Errorf("%d tasks on %d processors: %d chunks, want %d", c.n, c.p, r.Chunks, c.want)
-		}
-	}
-}
-
-func TestStaticIrregularImbalance(t *testing.T) {
-	op := irregularOp(1024, 1)
-	r := ExecuteStatic(machine.DefaultConfig(32), op, procList(32), obs.OpObs{})
-	if r.LoadImbalance() < 1.2 {
-		t.Fatalf("irregular static load should be imbalanced: %v", r.LoadImbalance())
-	}
-}
-
-func TestDistributedBeatsStaticOnIrregular(t *testing.T) {
-	op := irregularOp(2048, 3)
-	p := 64
-	st := ExecuteStatic(machine.DefaultConfig(p), op, procList(p), obs.OpObs{})
-	tp := ExecuteDistributed(machine.DefaultConfig(p), op, procList(p),
-		func() Policy { return &Taper{UseCostFunction: true} }, obs.OpObs{})
-	if tp.Makespan >= st.Makespan {
-		t.Fatalf("TAPER (%v) should beat static (%v) on irregular work", tp.Makespan, st.Makespan)
-	}
-	if tp.Speedup() <= st.Speedup() {
-		t.Fatalf("TAPER speedup %v <= static %v", tp.Speedup(), st.Speedup())
-	}
-}
-
-func TestDistributedLocalityOnUniform(t *testing.T) {
-	// With uniform tasks, almost nothing should be stolen.
-	op := uniformOp(32768, 1.0)
-	p := 32
-	r := ExecuteDistributed(machine.DefaultConfig(p), op, procList(p),
-		func() Policy { return &Taper{} }, obs.OpObs{})
-	if r.Steals > p {
-		t.Fatalf("uniform work stole %d chunks", r.Steals)
-	}
-	if eff := r.Efficiency(); eff < 0.9 {
-		t.Fatalf("uniform distributed eff = %v", eff)
-	}
-}
-
 func TestCentralExecutesAllWork(t *testing.T) {
 	op := irregularOp(512, 9)
 	p := 8
@@ -265,35 +204,6 @@ func TestCentralExecutesAllWork(t *testing.T) {
 	}
 	if r.Chunks == 0 {
 		t.Fatal("no chunks dispatched")
-	}
-}
-
-func TestDistributedExecutesAllWork(t *testing.T) {
-	for _, p := range []int{1, 3, 16} {
-		op := irregularOp(333, 11)
-		r := ExecuteDistributed(machine.DefaultConfig(p), op, procList(p),
-			func() Policy { return &Taper{} }, obs.OpObs{})
-		var busy float64
-		for _, b := range r.Busy {
-			busy += b
-		}
-		if busy < r.SeqTime-1e-9 {
-			t.Fatalf("p=%d: busy %v < seq %v", p, busy, r.SeqTime)
-		}
-		if r.Makespan < r.SeqTime/float64(p)-1e-9 {
-			t.Fatalf("p=%d: makespan %v below ideal %v", p, r.Makespan, r.SeqTime/float64(p))
-		}
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	op := irregularOp(512, 21)
-	run := func() float64 {
-		return ExecuteDistributed(machine.DefaultConfig(16), op, procList(16),
-			func() Policy { return &Taper{UseCostFunction: true} }, obs.OpObs{}).Makespan
-	}
-	if run() != run() {
-		t.Fatal("distributed execution not deterministic")
 	}
 }
 
@@ -394,51 +304,5 @@ func TestObserveChunkSingleTask(t *testing.T) {
 	b.Observe(7, 2.5)
 	if a.Global != b.Global || a.bins[0] != b.bins[0] {
 		t.Fatalf("ObserveChunk(7,1,2.5) != Observe(7,2.5): %+v vs %+v", a.Global, b.Global)
-	}
-}
-
-// TestExecutorsCallEachBodyOnce: every executor calls each task body
-// exactly once — inside a chunk, never in an accounting pass — and
-// still reports the sequential time TotalTime would.
-func TestExecutorsCallEachBodyOnce(t *testing.T) {
-	const n, p = 300, 8
-	cfg := machine.DefaultConfig(p)
-	taper := func() Policy { return &Taper{UseCostFunction: true} }
-	cost := func(i int) float64 { return 1 + float64(i%5)/3 }
-	want := Op{N: n, Time: cost}.TotalTime()
-	runs := map[string]func(Op) trace.Result{
-		"static":      func(op Op) trace.Result { return ExecuteStatic(cfg, op, procList(p), obs.OpObs{}) },
-		"central":     func(op Op) trace.Result { return ExecuteCentral(cfg, op, procList(p), taper, obs.OpObs{}) },
-		"distributed": func(op Op) trace.Result { return ExecuteDistributed(cfg, op, procList(p), taper, obs.OpObs{}) },
-	}
-	for name, run := range runs {
-		calls := make([]int, n)
-		r := run(Op{Name: name, N: n, Bytes: 64, Time: func(i int) float64 {
-			calls[i]++
-			return cost(i)
-		}})
-		for i, c := range calls {
-			if c != 1 {
-				t.Fatalf("%s: task %d body called %d times, want 1", name, i, c)
-			}
-		}
-		if r.SeqTime != want {
-			t.Fatalf("%s: SeqTime %v, want %v", name, r.SeqTime, want)
-		}
-	}
-}
-
-// TestDistributedFaultLostWorkIsAnError: a plan that kills every
-// processor (fault.Plan.Validate refuses those; this one goes in below
-// it) strands tasks, and the executor must say so.
-func TestDistributedFaultLostWorkIsAnError(t *testing.T) {
-	plan, err := fault.Parse("crash:0@1,crash:1@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ExecuteDistributedFault(machine.DefaultConfig(2), uniformOp(64, 1), procList(2),
-		func() Policy { return &Taper{} }, obs.OpObs{}, fault.NewExec(plan, 2))
-	if err == nil || !strings.Contains(err.Error(), "tasks outstanding") {
-		t.Fatalf("error = %v, want a stall naming the outstanding tasks", err)
 	}
 }
