@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"orchestra/internal/machine"
-	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
 	"orchestra/internal/trace"
@@ -170,7 +169,7 @@ func AblationDistributed(n, p int, seed uint64) (distributed, central trace.Resu
 	spec := app.Bind("update")
 	cfg := machine.DefaultConfig(p)
 	distributed = runOp(cfg, spec, p, rts.ModeTaper)
-	central = sched.ExecuteCentral(cfg, spec.Op, idents(p), taperCost, obs.OpObs{})
+	central = sched.ExecuteCentral(cfg, spec.Op, idents(p), taperCost)
 	return distributed, central
 }
 
@@ -229,7 +228,7 @@ func Policies(n, p int, seed uint64) []PolicyRow {
 		{"TAPER", func() sched.Policy { return &sched.Taper{} }},
 		{"TAPER+costfn", taperCost},
 	} {
-		out = append(out, PolicyRow{Policy: r.name, Result: sched.ExecuteCentral(cfg, spec.Op, idents(p), r.factory, obs.OpObs{})})
+		out = append(out, PolicyRow{Policy: r.name, Result: sched.ExecuteCentral(cfg, spec.Op, idents(p), r.factory)})
 	}
 	return out
 }

@@ -425,17 +425,3 @@ func (c *Collector) Consume(t *Trace) error {
 	c.Trace = t
 	return nil
 }
-
-// OpObs binds a Recorder to one operator index and a time base, for
-// executors that run a single operator on their own clock (the
-// barriered sched executors): events are emitted at Base + the
-// executor's local time, so a graph run's operators land on one shared
-// timeline. The zero value records nothing.
-type OpObs struct {
-	R    *Recorder
-	Op   int
-	Base float64
-}
-
-// On reports whether emission is enabled.
-func (o OpObs) On() bool { return o.R != nil }

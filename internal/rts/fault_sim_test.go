@@ -189,6 +189,8 @@ func TestSimStaticRobsOnlyTheDead(t *testing.T) {
 		steals, retries, chunks int
 	}{
 		{"", 0, 0, 8},
+		// A stalled owner is alive: its block waits for it.
+		{"stall:1@0:500", 0, 0, 8},
 		// Worker 1 crashes at its second scheduling point, after its
 		// block of a: its block of b is the one re-issued.
 		{"crash:1@1", 1, 1, 8},
@@ -231,11 +233,14 @@ func TestSimBarrieredLostWorkIsAnError(t *testing.T) {
 	bind := func(string) OpSpec { return countingSpec("a", execs) }
 	// A static owner takes its whole block at its first scheduling
 	// point, so only a crash there strands it.
-	for mode, plan := range map[Mode]string{ModeStatic: "crash:0@0,crash:1@0", ModeTaper: "crash:0@1,crash:1@1"} {
-		fx := fault.NewExec(mustPlan(t, plan), 2)
-		_, err := executeDAG(nil, machine.DefaultConfig(2), g, bind, 2, mode, nil, fx)
+	for _, tc := range []struct {
+		mode Mode
+		plan string
+	}{{ModeStatic, "crash:0@0,crash:1@0"}, {ModeTaper, "crash:0@1,crash:1@1"}} {
+		fx := fault.NewExec(mustPlan(t, tc.plan), 2)
+		_, err := executeDAG(nil, machine.DefaultConfig(2), g, bind, 2, tc.mode, nil, fx)
 		if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
-			t.Fatalf("%v: error = %v, want a stall naming the outstanding tasks", mode, err)
+			t.Fatalf("%v: error = %v, want a stall naming the outstanding tasks", tc.mode, err)
 		}
 	}
 }

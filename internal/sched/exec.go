@@ -2,7 +2,6 @@ package sched
 
 import (
 	"orchestra/internal/machine"
-	"orchestra/internal/obs"
 	"orchestra/internal/trace"
 )
 
@@ -97,8 +96,8 @@ func owner(i, n, p int) int {
 // each processor repeatedly requests a chunk (round-trip message plus
 // dispatch overhead), fetches non-local data, and executes. This is
 // the centralized degenerate case of the distributed algorithm, used
-// as an ablation baseline.
-func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory, ob obs.OpObs) trace.Result {
+// as an ablation baseline and as the setting of the policy comparison.
+func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory) trace.Result {
 	p := len(procs)
 	sim := machine.NewSim(cfg)
 	policy := factory()
@@ -128,9 +127,6 @@ func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory, ob 
 			}
 		}
 		res.Busy[j] += total
-		if ob.On() {
-			ob.R.Chunk(j, ob.Op, lo, k, ob.Base+sim.Now(), ob.Base+sim.Now()+total, false)
-		}
 		sim.AfterFn(total, request, j)
 	}
 	// grant runs at the queue owner once processor j's request round
@@ -144,10 +140,6 @@ func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory, ob 
 		k := policy.NextChunk(remaining, p, ts)
 		if t, ok := policy.(*Taper); ok {
 			k = clamp(t.ScaleChunk(k, next, ts), remaining)
-		}
-		if ob.On() {
-			ob.R.Taper(j, ob.Op, remaining, k, int(ts.Global.N()),
-				ts.Global.Mean(), ts.Global.StdDev(), ob.Base+sim.Now())
 		}
 		lo := next
 		next += k

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"orchestra/internal/machine"
-	"orchestra/internal/obs"
 	"orchestra/internal/rts"
 	"orchestra/internal/sched"
 	"orchestra/internal/trace"
@@ -127,7 +126,7 @@ func TestExecutorsCallEachBodyOnce(t *testing.T) {
 	runs := map[string]func(sched.Op) trace.Result{
 		"static": func(op sched.Op) trace.Result { return runOp(t, op, p, rts.ModeStatic) },
 		"central": func(op sched.Op) trace.Result {
-			return sched.ExecuteCentral(machine.DefaultConfig(p), op, sched.ProcList(p), taper, obs.OpObs{})
+			return sched.ExecuteCentral(machine.DefaultConfig(p), op, sched.ProcList(p), taper)
 		},
 		"distributed": func(op sched.Op) trace.Result { return runOp(t, op, p, rts.ModeTaper) },
 	}

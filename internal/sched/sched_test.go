@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"orchestra/internal/machine"
-	"orchestra/internal/obs"
 	"orchestra/internal/stats"
 )
 
@@ -193,7 +192,7 @@ func TestCentralExecutesAllWork(t *testing.T) {
 	op := irregularOp(512, 9)
 	p := 8
 	r := ExecuteCentral(machine.DefaultConfig(p), op, procList(p),
-		func() Policy { return &GSS{} }, obs.OpObs{})
+		func() Policy { return &GSS{} })
 	var busy float64
 	for _, b := range r.Busy {
 		busy += b
@@ -212,9 +211,9 @@ func TestSelfSchedulingOverheadHurts(t *testing.T) {
 	op := uniformOp(4096, 0.5)
 	p := 16
 	ss := ExecuteCentral(machine.DefaultConfig(p), op, procList(p),
-		func() Policy { return SelfSched{} }, obs.OpObs{})
+		func() Policy { return SelfSched{} })
 	tp := ExecuteCentral(machine.DefaultConfig(p), op, procList(p),
-		func() Policy { return &Taper{} }, obs.OpObs{})
+		func() Policy { return &Taper{} })
 	if ss.Makespan <= tp.Makespan {
 		t.Fatalf("SS (%v) should lose to TAPER (%v) on tiny tasks", ss.Makespan, tp.Makespan)
 	}
