@@ -237,11 +237,13 @@ func TestSimBarrieredLostWorkIsAnError(t *testing.T) {
 		mode Mode
 		plan string
 	}{{ModeStatic, "crash:0@0,crash:1@0"}, {ModeTaper, "crash:0@1,crash:1@1"}} {
-		fx := fault.NewExec(mustPlan(t, tc.plan), 2)
-		_, err := executeDAG(nil, machine.DefaultConfig(2), g, bind, 2, tc.mode, nil, fx)
-		if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
-			t.Fatalf("%v: error = %v, want a stall naming the outstanding tasks", tc.mode, err)
-		}
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			fx := fault.NewExec(mustPlan(t, tc.plan), 2)
+			_, err := executeDAG(nil, machine.DefaultConfig(2), g, bind, 2, tc.mode, nil, fx)
+			if err == nil || !strings.Contains(err.Error(), "stalled with") || !strings.Contains(err.Error(), "tasks outstanding") {
+				t.Fatalf("error = %v, want a stall naming the outstanding tasks", err)
+			}
+		})
 	}
 }
 

@@ -583,7 +583,11 @@ func TestRegistryBounded(t *testing.T) {
 	src := figure1(t)
 	jobURL := ts.URL + "/api/v1/jobs/"
 
-	flood(t, s, src, retainTerminal+50)
+	// Eviction follows completion order, and flood's four submitters
+	// may finish job-1 after later ids; finishing it alone first makes
+	// it the oldest terminal job.
+	flood(t, s, src, 1)
+	flood(t, s, src, retainTerminal+49)
 	if jc := s.Stats().Jobs; jc.Total != retainTerminal || jc.Done != retainTerminal+50 || jc.Queued != 0 || jc.Running != 0 {
 		t.Fatalf("after %d jobs: counts %+v, want total %d (the cap), done %d, none live",
 			retainTerminal+50, jc, retainTerminal, retainTerminal+50)
