@@ -448,11 +448,10 @@ func Rows(rung string, plan *fault.Plan) []Config {
 			rows[len(rows)-1].ByName = true
 		}
 	case Faults:
-		// No static rows: the simulator rejects worker faults it has no
-		// scheduling events to survive through.
 		for _, be := range []rts.Backend{sim(faultWorkers), nat} {
-			add(be, faultWorkers, taper)
-			add(be, faultWorkers, split)
+			for _, m := range modes {
+				add(be, faultWorkers, m)
+			}
 		}
 	case Nested:
 		opts := func(p int, m rts.Mode) rts.RunOpts { return rts.RunOpts{Processors: p, Mode: m} }

@@ -18,7 +18,9 @@ import (
 // TestRows pins the oracle's strength: the rows of every rung, with
 // their RunOpts and flags, are exactly the cells the five hand-written
 // matrices held before they became one table (recorded at f976e88),
-// less the two native rows that overrode TAPER's ω, which is now fixed.
+// less the two native rows that overrode TAPER's ω, which is now fixed,
+// plus the faults rung's static rows, added once the simulator took
+// worker faults under ModeStatic.
 func TestRows(t *testing.T) {
 	plan, err := fault.Parse("crash:1@0")
 	if err != nil {
@@ -52,8 +54,10 @@ func TestRows(t *testing.T) {
 			"dist/p=3/TAPER+split|dist|3|TAPER+split||false true false",
 		},
 		Faults: {
+			"sim/p=4/static/fault=crash:1@0|sim|4|static|crash:1@0|false false false",
 			"sim/p=4/TAPER/fault=crash:1@0|sim|4|TAPER|crash:1@0|false false false",
 			"sim/p=4/TAPER+split/fault=crash:1@0|sim|4|TAPER+split|crash:1@0|false false false",
+			"native/p=4/static/fault=crash:1@0|native|4|static|crash:1@0|false false false",
 			"native/p=4/TAPER/fault=crash:1@0|native|4|TAPER|crash:1@0|false false false",
 			"native/p=4/TAPER+split/fault=crash:1@0|native|4|TAPER+split|crash:1@0|false false false",
 		},
@@ -93,8 +97,8 @@ func TestRows(t *testing.T) {
 			t.Errorf("rung %s rows:\n%s\nwant:\n%s", rung, g, w)
 		}
 	}
-	if total != 32 {
-		t.Errorf("%d rows over all rungs, want 32", total)
+	if total != 34 {
+		t.Errorf("%d rows over all rungs, want 34", total)
 	}
 	if rows := Rows("nope", nil); rows != nil {
 		t.Errorf("unknown rung has rows: %v", rows)

@@ -29,12 +29,13 @@ func firstRelease(t *testing.T, f *rts.Frontier, prod, cons string) int {
 	return 0
 }
 
-// TestPipelinedBatchAtTwoWorkers pins native's batch at P = 2 on
-// Psirrfan's split graph, bound as the native-coarse benchmark binds it
-// (the workload's own specs) and as the array kernels bind it: ⌊n/16⌋
-// of the producer's tasks, which at P = 2 is n/(8p), the batch the
-// benchmark's native schedules are measured with.
-func TestPipelinedBatchAtTwoWorkers(t *testing.T) {
+// TestPipelinedBatch pins native's batch on Psirrfan's split graph at
+// P = 1, 2 and 4, bound as the native-coarse benchmark binds it (the
+// workload's own specs) and as the array kernels bind it: ⌊n/16⌋ of the
+// producer's tasks at every P. At P = 2 that is n/(8p), the batch the
+// benchmark's native schedules are measured with; no benchmark row runs
+// a pipelined edge on native at another P.
+func TestPipelinedBatch(t *testing.T) {
 	app := workload.Psirrfan(workload.Config{N: 1024, Seed: 1})
 	params := rts.KernelParams{}
 	params.SetInt("n", 16384)
@@ -42,22 +43,24 @@ func TestPipelinedBatchAtTwoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		bind rts.Binder
-		want int
-	}{
-		{"workload", app.Bind, 1024 / 16},
-		{"array", arr.Binder(), 16384 / 16},
-	} {
-		f, err := native.EngineFrontier(app.SplitGraph, c.bind, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pr rts.Progress
-		f.Start(&pr)
-		if got := firstRelease(t, f, "update", "outD"); got != c.want {
-			t.Errorf("%s: update → outD batch %d, want %d", c.name, got, c.want)
+	for _, p := range []int{1, 2, 4} {
+		for _, c := range []struct {
+			name string
+			bind rts.Binder
+			want int
+		}{
+			{"workload", app.Bind, 1024 / 16},
+			{"array", arr.Binder(), 16384 / 16},
+		} {
+			f, err := native.EngineFrontier(app.SplitGraph, c.bind, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pr rts.Progress
+			f.Start(&pr)
+			if got := firstRelease(t, f, "update", "outD"); got != c.want {
+				t.Errorf("p=%d %s: update → outD batch %d, want %d", p, c.name, got, c.want)
+			}
 		}
 	}
 }

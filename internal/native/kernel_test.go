@@ -124,6 +124,60 @@ func TestKernelRangeMatchesTasks(t *testing.T) {
 	})
 }
 
+// TestKernelResets pins each family's reset (rts.BindEnv.SetReset):
+// "array" returns a run's memory image to the zeroed one a fresh
+// binding digests, and a reset binding runs to the fresh run's digest;
+// "spin" registers a no-op; "lognormal" registers nothing and so is
+// never reused.
+func TestKernelResets(t *testing.T) {
+	out, err := core.CompileSource(quickstartProgram, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := rts.KernelParams{}
+	params.SetInt("n", 64)
+	params.SetInt("tasks", 64)
+	params.SetInt("unitwork", 1)
+	bind := func(kernel string) *rts.Bound {
+		b, err := rts.Bind(out.Graph, rts.NamedBinding(kernel, params))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	run := func(b *rts.Bound) string {
+		if _, err := (native.Backend{}).Run(out.Graph, b, rts.RunOpts{Processors: 2, Mode: rts.ModeSplit}); err != nil {
+			t.Fatal(err)
+		}
+		d, _ := b.Digest()
+		return d
+	}
+
+	arr := bind("array")
+	zero, _ := arr.Digest()
+	want := run(arr)
+	if want == zero {
+		t.Fatal("an array run left the zeroed image")
+	}
+	for round := 0; round < 2; round++ {
+		if !arr.Reset() {
+			t.Fatal("array: no reset registered")
+		}
+		if d, _ := arr.Digest(); d != zero {
+			t.Fatalf("round %d: reset image digests %.12s, a fresh binding %.12s", round, d, zero)
+		}
+		if got := run(arr); got != want {
+			t.Fatalf("round %d: reset binding runs to %.12s, a fresh one to %.12s", round, got, want)
+		}
+	}
+	if !bind("spin").Reset() {
+		t.Error("spin: no reset registered")
+	}
+	if bind("lognormal").Reset() {
+		t.Error("lognormal: a reset is registered")
+	}
+}
+
 // TestResolveTasks pins trip-count resolution, including annotations
 // whose value no int holds: those must resolve to !ok rather than to
 // whatever the float conversion yields.

@@ -37,7 +37,8 @@ func init() {
 }
 
 // arrayState is the per-run product of the "array" kernel family:
-// every operator shares one memory image and one binder.
+// every operator shares one memory image and one binder. Its reset
+// zeroes the image.
 type arrayState struct {
 	bind rts.Binder
 	st   *interp.State
@@ -55,6 +56,12 @@ func arrayKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 			return nil, err
 		}
 		env.SetDigest(func() string { return StateDigest(st) })
+		// ArrayKernels' executions start from zeroed arrays.
+		env.SetReset(func() {
+			for _, arr := range st.Arrays {
+				clear(arr)
+			}
+		})
 		return &arrayState{bind: bind, st: st}, nil
 	})
 	if err != nil {
@@ -63,7 +70,8 @@ func arrayKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 	return v.(*arrayState).bind(op), nil
 }
 
-// spinKernel resolves one operator of the "spin" family.
+// spinKernel resolves one operator of the "spin" family. Its reset is a
+// no-op.
 func spinKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 	v, err := env.Memo("native.spin", func() (any, error) {
 		count, err := TaskCount(env.Params, env.Graph)
@@ -73,6 +81,8 @@ func spinKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 		bind := SpinBinder(env.Graph, count,
 			env.Params.Float("cv", 1.0), env.Params.Uint64("seed", 1),
 			env.Params.Int("unitwork", 4000))
+		// A run only reads the drawn task times.
+		env.SetReset(func() {})
 		return bind, nil
 	})
 	if err != nil {
@@ -84,7 +94,8 @@ func spinKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 // lognormalKernel resolves one operator of the "lognormal" family:
 // the same per-node log-normal draws as "spin", but returned as
 // modeled costs without burning CPU — the simulator's synthetic
-// workload, bit-compatible with what cmd/orchrun historically drew.
+// workload, bit-compatible with what cmd/orchrun historically drew. It
+// registers no reset: nothing reuses its bindings.
 func lognormalKernel(env *rts.BindEnv, op string) (rts.OpSpec, error) {
 	v, err := env.Memo("native.lognormal", func() (any, error) {
 		cv := env.Params.Float("cv", 1.0)

@@ -104,9 +104,9 @@ func NamedBinding(kernel string, params KernelParams) Binding {
 // graph, the binding parameters, and a memo space for state that spans
 // operators (a kernel family that exchanges data through a common
 // memory image builds that image once under a memo key). One BindEnv
-// belongs to exactly one Bound and hence one run — re-binding starts
-// from fresh state, which is what lets every execution begin from
-// zeroed arrays.
+// belongs to exactly one Bound, and a Bound runs one execution at a
+// time: every execution begins from the state Bind leaves, in a fresh
+// binding or in one whose registered reset restored it (SetReset).
 type BindEnv struct {
 	Graph  *delirium.Graph
 	Params KernelParams
@@ -114,6 +114,7 @@ type BindEnv struct {
 	mu     sync.Mutex
 	memo   map[string]any
 	digest func() string
+	reset  func()
 }
 
 // Memo returns the value under key, building it on first use. Kernel
@@ -167,6 +168,16 @@ func (e *BindEnv) Digest() (d string, ok bool) {
 		return "", false
 	}
 	return fn(), true
+}
+
+// SetReset registers how the kernels' state returns to what Bind left,
+// so that one Bound can serve execution after execution. Kernels whose
+// state a run only reads register a no-op; kernels that register
+// nothing are never reused, and every execution binds them afresh.
+func (e *BindEnv) SetReset(fn func()) {
+	e.mu.Lock()
+	e.reset = fn
+	e.mu.Unlock()
 }
 
 // KernelFunc constructs the executable OpSpec of one graph operator.
@@ -282,6 +293,25 @@ func (b *Bound) Digest() (string, bool) {
 		return "", false
 	}
 	return b.Env.Digest()
+}
+
+// Reset restores the bound kernels' state to what Bind left, through
+// the reset their constructors registered (BindEnv.SetReset). It
+// reports false, touching nothing, when none is registered: the caller
+// then binds afresh. The caller must own the Bound: no execution may
+// be running on it.
+func (b *Bound) Reset() bool {
+	if b.Env == nil {
+		return false
+	}
+	b.Env.mu.Lock()
+	fn := b.Env.reset
+	b.Env.mu.Unlock()
+	if fn == nil {
+		return false
+	}
+	fn()
+	return true
 }
 
 // BindWith instantiates binding against g using registry r: every

@@ -104,6 +104,37 @@ func TestBindEnvMemoAndDigest(t *testing.T) {
 	}
 }
 
+// TestBoundReset pins the reset contract: Reset runs what the kernels
+// registered and reports true, and reports false when they registered
+// nothing or the Bound wraps a closure.
+func TestBoundReset(t *testing.T) {
+	r := NewKernelRegistry()
+	resets := 0
+	r.MustRegister("resettable", func(env *BindEnv, op string) (OpSpec, error) {
+		env.SetReset(func() { resets++ })
+		return OpSpec{}, nil
+	})
+	r.MustRegister("plain", func(env *BindEnv, op string) (OpSpec, error) { return OpSpec{}, nil })
+	g := twoNodeGraph(t)
+	b, err := BindWith(r, g, NamedBinding("resettable", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Reset() || resets != 1 {
+		t.Errorf("registered reset: Reset ran it %d times", resets)
+	}
+	plain, err := BindWith(r, g, NamedBinding("plain", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Reset() {
+		t.Error("Reset reports true with no reset registered")
+	}
+	if BindClosure(func(string) OpSpec { return OpSpec{} }).Reset() {
+		t.Error("Reset reports true on a closure binding")
+	}
+}
+
 // TestKernelParamsRoundTrip checks the typed accessors and setters
 // agree, and defaults apply on absent or malformed values.
 func TestKernelParamsRoundTrip(t *testing.T) {

@@ -14,8 +14,10 @@ import (
 // digest — from GOMAXPROCS callers on a pool of the same size, which is
 // what bench's serve-hot drives with HTTP taken away. The sub-benchmarks
 // differ only in how many jobs the daemon served before the timer
-// started; ns/op and allocs/op must agree between them within noise,
-// because a job costs what the job costs, not what the history does.
+// started; ns/op, B/op and allocs/op must agree between them within
+// noise, because a job costs what the job costs, not what the history
+// does. B/op excludes the kernels' memory image, which a warm job
+// takes from its graph's idle Bounds.
 func BenchmarkSubmitHot(b *testing.B) {
 	req := SubmitRequest{Program: figure1(b), Binder: "kernel", Mode: "split"}
 	for _, history := range []int{0, 5000} {

@@ -32,15 +32,37 @@ type cacheEntry struct {
 	once  sync.Once
 	graph *delirium.Graph
 	err   error
+
+	// idle holds the graph's Bounds that no job is running, one
+	// sync.Pool per binding: a job takes one and resets it rather than
+	// bind the graph afresh (Server.execute). The GC empties the pools
+	// once the daemon goes quiet, so no capacity is chosen here.
+	mu   sync.Mutex
+	idle map[bindingKey]*sync.Pool
+}
+
+// idlePool returns the pool of idle Bounds of e's graph under binding k.
+func (e *cacheEntry) idlePool(k bindingKey) *sync.Pool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, ok := e.idle[k]
+	if !ok {
+		if e.idle == nil {
+			e.idle = map[bindingKey]*sync.Pool{}
+		}
+		p = &sync.Pool{}
+		e.idle[k] = p
+	}
+	return p
 }
 
 func newGraphCache() *graphCache {
 	return &graphCache{entries: map[string]*cacheEntry{}}
 }
 
-// get returns the graph for key, building it at most once across all
-// callers. hit reports whether this caller avoided the build.
-func (c *graphCache) get(key string, build func() (*delirium.Graph, error)) (g *delirium.Graph, hit bool, err error) {
+// get returns the entry for key, building its graph at most once across
+// all callers. hit reports whether this caller avoided the build.
+func (c *graphCache) get(key string, build func() (*delirium.Graph, error)) (entry *cacheEntry, hit bool, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -60,11 +82,11 @@ func (c *graphCache) get(key string, build func() (*delirium.Graph, error)) (g *
 	} else {
 		c.misses.Add(1)
 	}
-	return e.graph, hit, e.err
+	return e, hit, e.err
 }
 
 // compileKeyed resolves a program source through the cache.
-func (c *graphCache) compileKeyed(src string, opts compile.Options) (*delirium.Graph, bool, error) {
+func (c *graphCache) compileKeyed(src string, opts compile.Options) (*cacheEntry, bool, error) {
 	return c.get(compile.Fingerprint(src, opts), func() (*delirium.Graph, error) {
 		out, err := core.CompileSource(src, opts)
 		if err != nil {
@@ -75,7 +97,7 @@ func (c *graphCache) compileKeyed(src string, opts compile.Options) (*delirium.G
 }
 
 // decodeKeyed resolves a raw Delirium graph text through the cache.
-func (c *graphCache) decodeKeyed(text string) (*delirium.Graph, bool, error) {
+func (c *graphCache) decodeKeyed(text string) (*cacheEntry, bool, error) {
 	return c.get(compile.GraphFingerprint(text), func() (*delirium.Graph, error) {
 		g, err := delirium.Decode(text)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -445,7 +446,7 @@ func TestCompileOptionsKeepDefaults(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s not in the registry", flat.ID)
 	}
-	if got := j.graph.Encode(); got != want.Graph.Encode() {
+	if got := j.entry.graph.Encode(); got != want.Graph.Encode() {
 		t.Errorf("{\"split\": false} ran:\n%s\nwant the unsplit compile:\n%s", got, want.Graph.Encode())
 	}
 }
@@ -775,5 +776,169 @@ func TestYieldedWorkerInStats(t *testing.T) {
 	<-j.Done()
 	if final := j.Status(); final.Allocated != 4 {
 		t.Errorf("long job allocated %d after yielding a worker, want its initial grant 4", final.Allocated)
+	}
+}
+
+// TestReusedBoundDigest runs, in every mode, a successful job, a job
+// its fault plan fails, a job canceled mid-run and a successful job
+// again, on one daemon where all of them share one graph and binding
+// and hence one pool of idle Bounds. Each successful job digests as a
+// local one-shot run does, whichever Bound it took; after every job the
+// only idle Bounds are ones a successful job left; and the take path
+// resets the Bound it takes.
+func TestReusedBoundDigest(t *testing.T) {
+	s := New(Config{PoolSize: 2, DefaultMode: rts.ModeSplit})
+	defer s.Close()
+	src := figure1(t)
+	const n = 256
+	out, err := core.CompileSource(src, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(req SubmitRequest) *Job {
+		t.Helper()
+		req.Program, req.N, req.Processors = src, n, 2
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	first := submit(SubmitRequest{})
+	<-first.Done()
+	key := kernelBinding(first.req)
+	idle := first.entry.idlePool(key)
+
+	fresh := func() *rts.Bound {
+		t.Helper()
+		b, err := rts.Bind(out.Graph, key.binding())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	zero, _ := fresh().Digest()
+	// The take path resets what it takes: offered a Bound that ran, it
+	// returns that Bound with the image a fresh binding has.
+	ran := fresh()
+	if _, err := (native.Backend{}).Run(out.Graph, ran, rts.RunOpts{Mode: rts.ModeSplit}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := take(&sync.Pool{New: func() any { return ran }}, out.Graph, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := got.Digest(); got != ran || d != zero {
+		t.Errorf("take: reused %v, image %.12s, want the offered Bound with a fresh image %.12s", got == ran, d, zero)
+	}
+
+	for _, mode := range []rts.Mode{rts.ModeStatic, rts.ModeTaper, rts.ModeSplit} {
+		b := fresh()
+		if _, err := (native.Backend{}).Run(out.Graph, b, rts.RunOpts{Mode: mode}); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := b.Digest()
+		// probe looks at what is idle without disturbing it. A Bound
+		// another P holds privately is out of its sight, never wrong.
+		probe := func(after string) {
+			t.Helper()
+			if b, ok := idle.Get().(*rts.Bound); ok {
+				if d, _ := b.Digest(); d != want {
+					t.Errorf("%v, after the %s job: an idle Bound digests %.12s, not a successful job's %.12s", mode, after, d, want)
+				}
+				idle.Put(b)
+			}
+		}
+		succeed := func(which string) {
+			t.Helper()
+			st := submit(SubmitRequest{Mode: mode.String()}).Status()
+			if st.State != StateDone || st.Digest != want {
+				t.Errorf("%v, %s job: %s (%s), digest %.12s, one-shot %.12s", mode, which, st.State, st.Error, st.Digest, want)
+			}
+			probe(which)
+		}
+
+		succeed("first")
+		// Every worker of the grant crashes: the plan fails the job.
+		if st := submit(SubmitRequest{Mode: mode.String(), Fault: "crash:0@0,crash:1@0"}).Status(); st.State != StateFailed {
+			t.Errorf("%v: the failing job ends %s (%s)", mode, st.State, st.Error)
+		}
+		probe("failed")
+		// Worker 0 stalls before its first chunk, which the job cannot
+		// finish without, so a cancel sent once the job holds its
+		// workers lands in a live run. A run that never handed worker 0
+		// a chunk finishes instead and is tried again.
+		canceled := false
+		for try := 0; try < 20 && !canceled; try++ {
+			j := submit(SubmitRequest{Mode: mode.String(), Fault: "stall:0@0:0.05", Async: true})
+			deadline := time.Now().Add(10 * time.Second)
+			for s.pool.Stats().Free == 2 && !finished(j) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%v: the stalled job never leased workers", mode)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			j.Cancel()
+			<-j.Done()
+			st := j.Status()
+			canceled = st.State == StateCanceled
+			if !canceled && (st.State != StateDone || st.Digest != want) {
+				t.Fatalf("%v: the stalled job ends %s (%s), digest %.12s", mode, st.State, st.Error, st.Digest)
+			}
+		}
+		if !canceled {
+			t.Fatalf("%v: no stalled job was canceled mid-run", mode)
+		}
+		probe("canceled")
+		succeed("last")
+	}
+}
+
+// finished reports whether j is terminal.
+func finished(j *Job) bool {
+	select {
+	case <-j.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+// TestSubmitBytesPerJob bounds what a warm figure-1 job allocates,
+// daemon-wide: its kernels' memory image (about 80 KiB at the default
+// n) comes from the graph's idle Bounds, not from a fresh binding. The
+// bound is on the median job: under the race detector sync.Pool drops
+// a quarter of what it is given, on purpose, and those jobs bind
+// afresh.
+func TestSubmitBytesPerJob(t *testing.T) {
+	s := New(Config{PoolSize: 2, DefaultMode: rts.ModeSplit})
+	defer s.Close()
+	req := SubmitRequest{Program: figure1(t), Binder: "kernel", Mode: "split"}
+	submit := func() {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", st.ID, st.State, st.Error)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		submit()
+	}
+	const jobs = 200
+	bytes := make([]uint64, jobs)
+	var before, after runtime.MemStats
+	for i := range bytes {
+		runtime.ReadMemStats(&before)
+		submit()
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(bytes)
+	med := bytes[jobs/2]
+	t.Logf("the median warm job allocates %d B", med)
+	if med > 32<<10 {
+		t.Errorf("the median warm job allocates %d B, want at most %d", med, 32<<10)
 	}
 }

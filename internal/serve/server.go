@@ -212,7 +212,7 @@ const (
 type Job struct {
 	id       string
 	server   *Server
-	graph    *delirium.Graph
+	entry    *cacheEntry
 	cacheHit bool
 	req      SubmitRequest
 	mode     rts.Mode
@@ -269,7 +269,7 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		State:     j.state,
-		Graph:     j.graph.Name,
+		Graph:     j.entry.graph.Name,
 		Cache:     "miss",
 		Mode:      j.mode.String(),
 		Requested: j.req.Processors,
@@ -386,25 +386,25 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 		req.Processors = s.pool.Size()
 	}
 
-	var g *delirium.Graph
+	var entry *cacheEntry
 	var hit bool
 	var err error
 	if req.Program != "" {
-		g, hit, err = s.cache.compileKeyed(req.Program, req.Options.resolve())
+		entry, hit, err = s.cache.compileKeyed(req.Program, req.Options.resolve())
 	} else {
-		g, hit, err = s.cache.decodeKeyed(req.Graph)
+		entry, hit, err = s.cache.decodeKeyed(req.Graph)
 	}
 	if err != nil {
 		return nil, err
 	}
+	g := entry.graph
 	// Binders allocate per task before the engine sees the graph — the
 	// array binder n values for every node, the spin binder a duration
 	// per task — so the engine's task bound is enforced here, on the
 	// job's summed count, before any of it.
 	count := func(*delirium.Node) int { return req.N }
 	if req.Binder == "spin" {
-		_, params := kernelBinding(req)
-		if count, err = native.TaskCount(params, g); err != nil {
+		if count, err = native.TaskCount(kernelBinding(req).binding().Params, g); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
@@ -427,7 +427,7 @@ func (s *Server) prepare(req SubmitRequest) (*Job, error) {
 
 	j := &Job{
 		server:    s,
-		graph:     g,
+		entry:     entry,
 		cacheHit:  hit,
 		req:       req,
 		mode:      mode,
@@ -461,29 +461,62 @@ func (s *Server) runJob(j *Job) {
 	s.execute(j, s.admitJob(j))
 }
 
+// bindingKey is a request's kernel binding in comparable form: the
+// registered family it names and the parameters that family reads.
+// Equal keys bind a graph to equal kernels, so a key also names the
+// idle Bounds a job may take (cacheEntry.idle).
+type bindingKey struct {
+	kernel  string
+	n, work int
+	// cv is the float's bits: a map key must equal itself, and NaN
+	// does not.
+	cv       uint64
+	seed     uint64
+	unitwork int
+}
+
 // kernelBinding names the registered kernel family a request binds and
 // its parameters. The request's binder names map onto the families
 // ("kernel" predates the registry and aliases "array").
-func kernelBinding(req SubmitRequest) (string, rts.KernelParams) {
-	params := rts.KernelParams{}
+func kernelBinding(req SubmitRequest) bindingKey {
 	if req.Binder == "spin" {
-		params.SetInt("tasks", req.N)
-		params.SetInt("n", req.N)
-		params.SetFloat("cv", req.CV)
-		params.SetUint64("seed", req.Seed)
-		params.SetInt("unitwork", req.UnitWork)
-		return "spin", params
+		return bindingKey{kernel: "spin", n: req.N, cv: math.Float64bits(req.CV), seed: req.Seed, unitwork: req.UnitWork}
 	}
-	params.SetInt("n", req.N)
-	params.SetInt("work", req.Work)
-	return "array", params
+	return bindingKey{kernel: "array", n: req.N, work: req.Work}
+}
+
+// binding is k in the registry's form.
+func (k bindingKey) binding() rts.Binding {
+	params := rts.KernelParams{}
+	params.SetInt("n", k.n)
+	if k.kernel == "spin" {
+		params.SetInt("tasks", k.n)
+		params.SetFloat("cv", math.Float64frombits(k.cv))
+		params.SetUint64("seed", k.seed)
+		params.SetInt("unitwork", k.unitwork)
+	} else {
+		params.SetInt("work", k.work)
+	}
+	return rts.NamedBinding(k.kernel, params)
+}
+
+// take returns an idle Bound of g under binding k, reset, or binds g
+// afresh when none is idle or the one taken registered no reset.
+func take(idle *sync.Pool, g *delirium.Graph, k bindingKey) (*rts.Bound, error) {
+	if b, ok := idle.Get().(*rts.Bound); ok && b.Reset() {
+		return b, nil
+	}
+	return rts.Bind(g, k.binding())
 }
 
 // execute runs an admitted job on the pool with its grant and finishes
-// it.
+// it. The job's kernels come from its graph's idle Bounds, and go back
+// there only from a run that succeeded and was digested: a failed or
+// canceled run's state is dropped with its Bound.
 func (s *Server) execute(j *Job, grant int) {
-	kernelName, params := kernelBinding(j.req)
-	bound, err := rts.Bind(j.graph, rts.NamedBinding(kernelName, params))
+	key := kernelBinding(j.req)
+	idle := j.entry.idlePool(key)
+	bound, err := take(idle, j.entry.graph, key)
 	if err != nil {
 		s.finishJob(j, nil, "", "", err)
 		return
@@ -500,7 +533,7 @@ func (s *Server) execute(j *Job, grant int) {
 		opts.Sink = &col
 	}
 
-	res, err := s.pool.Run(j.graph, bound, opts)
+	res, err := s.pool.Run(j.entry.graph, bound, opts)
 	if err != nil {
 		s.finishJob(j, nil, "", "", err)
 		return
@@ -509,6 +542,7 @@ func (s *Server) execute(j *Job, grant int) {
 	if d, ok := bound.Digest(); ok {
 		digest = d
 	}
+	idle.Put(bound)
 	traceJSON := ""
 	if j.req.Trace && col.Trace != nil {
 		var buf bytes.Buffer
