@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "orchrun: -trace/-gantt need a single -mode, not a list")
 		return 2
 	}
-	be, err := backend.New(*p)
+	be, err := backend.New()
 	if err != nil {
 		fmt.Fprintln(stderr, "orchrun:", err)
 		return 2

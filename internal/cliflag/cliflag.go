@@ -103,10 +103,10 @@ func (v *BackendValue) Name() string { return v.name }
 // measured one wants tasks that actually compute).
 func (v *BackendValue) Measured() bool { return v.info.Measured }
 
-// New constructs the selected backend for p processors through the
-// backend registry.
-func (v *BackendValue) New(p int) (rts.Backend, error) {
-	return rts.OpenBackend(v.name, rts.BackendConfig{Processors: p})
+// New constructs the selected backend through the backend registry;
+// a run's processor count is its RunOpts.Processors.
+func (v *BackendValue) New() (rts.Backend, error) {
+	return rts.OpenBackend(v.name)
 }
 
 // FaultValue is a -fault flag: a fault plan in internal/fault syntax,

@@ -107,7 +107,7 @@ func TestBackendFlag(t *testing.T) {
 			t.Errorf("%v: name=%q measured=%v, want %q/%v",
 				c.args, v.Name(), v.Measured(), c.wantName, c.wantMeasured)
 		}
-		be, err := v.New(4)
+		be, err := v.New()
 		if err != nil {
 			t.Errorf("%v: New: %v", c.args, err)
 			continue

@@ -32,7 +32,7 @@ func TestBarrieredModesSerialiseOnEveryEngine(t *testing.T) {
 		if backend == "sim" {
 			kernel = "lognormal"
 		}
-		be, err := rts.OpenBackend(backend, rts.BackendConfig{Processors: 2})
+		be, err := rts.OpenBackend(backend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestZeroTaskOperatorGatesOnEveryEngine(t *testing.T) {
 	params.SetInt("tasks", 64)
 	params.SetInt("unitwork", 1000)
 	for _, backend := range []string{"sim", "native", "dist"} {
-		be, err := rts.OpenBackend(backend, rts.BackendConfig{Processors: 2})
+		be, err := rts.OpenBackend(backend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,6 +136,55 @@ func TestZeroTaskOperatorGatesOnEveryEngine(t *testing.T) {
 			}
 			if bStart < aEnd {
 				t.Errorf("%s: b started at %.6g, before a's last chunk ended at %.6g", run, bStart, aEnd)
+			}
+		}
+	}
+}
+
+// TestStaticBlocksOnEveryEngine runs a → b under ModeStatic on the
+// simulator, native and dist and counts each operator's chunks in the
+// trace: block j of an n-task operator on p workers is
+// sched.BlockBounds(j, n, p), run as one chunk, so every operator runs
+// as min(n, p) chunks on every engine, small n included.
+func TestStaticBlocksOnEveryEngine(t *testing.T) {
+	g, err := delirium.Decode("graph blocks\nnode a kind=par\nnode b kind=par\nedge a -> b\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"sim", "native", "dist"} {
+		be, err := rts.OpenBackend(backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 3, 5, 7, 64} {
+			for _, p := range []int{2, 4} {
+				params := rts.KernelParams{}
+				params.SetInt("n", n)
+				params.SetInt("tasks", n)
+				params.SetInt("unitwork", 100)
+				bound, err := rts.Bind(g, rts.NamedBinding("spin", params))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var col obs.Collector
+				if _, err := be.Run(g, bound, rts.RunOpts{Processors: p, Mode: rts.ModeStatic, Sink: &col}); err != nil {
+					t.Fatalf("%s n=%d p=%d: %v", backend, n, p, err)
+				}
+				if col.Trace == nil || col.Trace.Dropped != 0 {
+					t.Fatalf("%s n=%d p=%d: no complete trace", backend, n, p)
+				}
+				chunks := make([]int, len(col.Trace.Ops))
+				for _, e := range col.Trace.Events {
+					if e.Kind == obs.KindChunk {
+						chunks[e.Op]++
+					}
+				}
+				for op, c := range chunks {
+					if c != min(n, p) {
+						t.Errorf("%s n=%d p=%d: %s ran as %d chunks, want %d",
+							backend, n, p, col.Trace.Ops[op], c, min(n, p))
+					}
+				}
 			}
 		}
 	}

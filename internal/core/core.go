@@ -6,7 +6,7 @@
 // The typical flow mirrors the paper's toolchain:
 //
 //	out, err := core.CompileSource(text, core.DefaultOptions())          // §3: analysis + split
-//	be, err := rts.OpenBackend("sim", rts.BackendConfig{Processors: 512})
+//	be, err := rts.OpenBackend("sim")
 //	bound, err := rts.Bind(out.Graph, rts.NamedBinding("lognormal", params))
 //	res, err := be.Run(out.Graph, bound, rts.RunOpts{Processors: 512, Mode: rts.ModeSplit}) // §4
 //

@@ -78,7 +78,7 @@ func lognormal(n int, cv float64, seed uint64) rts.Binding {
 // run binds a compiled graph and runs it on the named backend.
 func run(t *testing.T, out *Output, backend string, binding rts.Binding, opts rts.RunOpts) trace.Result {
 	t.Helper()
-	be, err := rts.OpenBackend(backend, rts.BackendConfig{Processors: opts.Processors})
+	be, err := rts.OpenBackend(backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestLogNormalDrawsPinned(t *testing.T) {
 // registry, which importing this package fills.
 func TestNewBackend(t *testing.T) {
 	for _, name := range rts.BackendNames() {
-		be, err := rts.OpenBackend(name, rts.BackendConfig{Processors: 4})
+		be, err := rts.OpenBackend(name)
 		if err != nil {
 			t.Fatalf("OpenBackend(%q): %v", name, err)
 		}
@@ -183,7 +183,7 @@ func TestNewBackend(t *testing.T) {
 			t.Errorf("OpenBackend(%q).Name() = %q", name, be.Name())
 		}
 	}
-	if _, err := rts.OpenBackend("tpu", rts.BackendConfig{Processors: 4}); err == nil {
+	if _, err := rts.OpenBackend("tpu"); err == nil {
 		t.Fatal("OpenBackend accepted an unknown name")
 	}
 }

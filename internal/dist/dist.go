@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"time"
@@ -19,14 +18,9 @@ import (
 )
 
 // Backend is the distributed coordinator. Like the other backends it
-// is a value whose Run calls are independent; the per-instance fields
-// only set defaults a RunOpts cannot express.
-type Backend struct {
-	// Workers is the default worker-process count when
-	// RunOpts.Processors is zero. Zero means min(GOMAXPROCS, 4) —
-	// forking is expensive, so the default stays modest.
-	Workers int
-}
+// is a stateless value whose Run calls are independent: every per-run
+// knob arrives in rts.RunOpts.
+type Backend struct{}
 
 // The liveness watchdog, shared by coordinator and worker. Heartbeats
 // prove liveness while a long segment computes; a SIGKILLed worker is
@@ -45,11 +39,12 @@ func (Backend) Name() string { return "dist" }
 
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "dist", Measured: true},
-		func(cfg rts.BackendConfig) (rts.Backend, error) {
-			return Backend{Workers: cfg.Processors}, nil
-		})
+		func() (rts.Backend, error) { return Backend{}, nil })
 }
 
+// distDefaultProcs is the worker-process count of a run whose
+// RunOpts.Processors is zero: min(GOMAXPROCS, 4) — forking is
+// expensive, so the default stays modest.
 func distDefaultProcs() int {
 	p := runtime.GOMAXPROCS(0)
 	if p > 4 {
@@ -77,17 +72,11 @@ type held struct {
 // coordinator to hear of the first.
 const credit = 2
 
-// grainOverheads is the floor under an adaptive grant: no segment is
-// carved smaller than the task count whose measured execution time is
-// this many times the run's measured mean cost of a grant (the sched
-// term of the finishing-time estimate, amortised).
-const grainOverheads = 8
-
 // opState is the coordinator's grant state for one operator; readiness
 // lives in the Frontier.
 type opState struct {
 	next  int               // lowest never-granted task index
-	block int               // static mode: fixed block size, set at first grant
+	block int               // static mode: the block granted next
 	stats *taskop.TaskStats // task times, from the exec-ns of every done
 }
 
@@ -135,7 +124,7 @@ type sched struct {
 	seq  int
 	live int
 	// overhead is the measured cost of a grant beyond its execution:
-	// what chunkSize amortises.
+	// its mean is costModel's SchedOverhead.
 	overhead stats.Welford
 
 	// result accumulators
@@ -146,31 +135,36 @@ type sched struct {
 	commBytes int64
 }
 
-// costModel is the coordinator's cost model for the Frontier's batch
-// rule. The gate sends no message of its own, so the message terms are
-// zero; a completed block crosses a socket once per grant whatever the
-// batch, so any positive per-byte cost stands for it. Zero message cost
+// costModel is the coordinator's cost model so far in the run. The
+// gate sends no message of its own, so the message terms are zero; a
+// completed block crosses a socket once per grant whatever the batch,
+// so any positive per-byte cost stands for it. Zero message cost
 // against a positive byte cost makes the batch of every producer that
 // declares its item bytes (every registered kernel does) one task: each
-// prefix advance is delivered.
-var costModel = machine.Config{ByteCost: 1}
+// prefix advance is delivered. SchedOverhead is the run's measured mean
+// cost of a grant, zero until one is measured — as it is when the
+// Frontier takes the model — and the per-chunk cost of every grant
+// after.
+func (s *sched) costModel() machine.Config {
+	return machine.Config{ByteCost: 1, SchedOverhead: s.overhead.Mean()}
+}
 
 // newSched builds the scheduling state for p workers, its Frontier
 // started, from the coordinator's own binding — the same specs the
 // workers reconstruct from the binding's name.
 func newSched(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*sched, error) {
-	f, err := rts.NewFrontier(g, bind, opts.Mode == rts.ModeSplit, costModel, p, rts.Limits{})
-	if err != nil {
-		return nil, err
-	}
 	s := &sched{
-		g: g, opts: opts, mode: opts.Mode, f: f,
-		ops:     make([]opState, f.Len()),
+		g: g, opts: opts, mode: opts.Mode,
 		taper:   taskop.Taper{UseCostFunction: true},
 		workers: make([]*wstate, p),
 		msgCh:   make(chan wmsg, 4*p+16),
 		stop:    make(chan struct{}),
 	}
+	f, err := rts.NewFrontier(g, bind, opts.Mode == rts.ModeSplit, s.costModel(), p, rts.Limits{})
+	if err != nil {
+		return nil, err
+	}
+	s.f, s.ops = f, make([]opState, f.Len())
 	for op := range s.ops {
 		s.ops[op].stats = taskop.NewTaskStats(max(f.N(op), 1))
 	}
@@ -185,7 +179,7 @@ func newSched(g *delirium.Graph, bind rts.Binder, opts rts.RunOpts, p int) (*sch
 // segments of any worker that dies mid-run to the survivors. Workers
 // that signed off with the coordinator's digest go back to the idle set
 // if the run returns no error; every other process is killed.
-func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res trace.Result, err error) {
+func (Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res trace.Result, err error) {
 	if err := opts.Validate(); err != nil {
 		return trace.Result{}, err
 	}
@@ -204,9 +198,6 @@ func (b Backend) Run(g *delirium.Graph, bound *rts.Bound, opts rts.RunOpts) (res
 		return trace.Result{}, err
 	}
 	p := opts.Processors
-	if p <= 0 {
-		p = b.Workers
-	}
 	if p <= 0 {
 		p = distDefaultProcs()
 	}
@@ -689,7 +680,9 @@ func (s *sched) grant(w *wstate, sg seg) {
 
 // nextSegment carves the next grantable segment: re-issues first (a
 // dead worker's segments were already dataflow-legal), then a fresh
-// chunk of the first enabled operator in topological order.
+// chunk of the first enabled operator in topological order — under
+// ModeStatic the operator's next block over the run's workers, in the
+// adaptive modes TAPER's grain at the run's measured cost of a grant.
 func (s *sched) nextSegment() (seg, bool) {
 	if len(s.regrants) > 0 {
 		sg := s.regrants[0]
@@ -703,7 +696,16 @@ func (s *sched) nextSegment() (seg, bool) {
 		if st.next >= hiLimit {
 			continue
 		}
-		hi := min(st.next+s.chunkSize(st, s.f.N(op)), hiLimit)
+		n := s.f.N(op)
+		var hi int
+		if s.mode == rts.ModeStatic {
+			// The barriered Frontier enables the operator whole.
+			_, hi = taskop.BlockBounds(st.block, n, len(s.workers))
+			st.block++
+		} else {
+			k := s.taper.NextChunk(n-st.next, max(s.live, 1), st.next, s.costModel().SchedOverhead, st.stats)
+			hi = min(st.next+k, hiLimit)
+		}
 		sg := seg{op: op, lo: st.next, hi: hi, seq: s.nextSeq()}
 		st.next = hi
 		return sg, true
@@ -714,31 +716,4 @@ func (s *sched) nextSegment() (seg, bool) {
 func (s *sched) nextSeq() int {
 	s.seq++
 	return s.seq
-}
-
-// chunkSize picks the grant granularity. ModeStatic mirrors the other
-// backends' fixed block decomposition (one block per live worker,
-// sized when the operator first becomes grantable). The adaptive modes
-// size a grant by TAPER from the operator's measured task times — the
-// same NextChunk/ScaleChunk pair native.runSegment calls, which before
-// there are samples is TAPER's first-batch rule — and never below the
-// grain that amortises a grant: grainOverheads times the run's mean
-// measured per-grant overhead, in tasks of this operator's measured
-// mean time. What is left of an operator below that grain goes out as
-// one grant.
-func (s *sched) chunkSize(st *opState, n int) int {
-	live := max(s.live, 1)
-	if s.mode == rts.ModeStatic {
-		if st.block == 0 {
-			st.block = (n + live - 1) / live
-		}
-		return st.block
-	}
-	chunk := s.taper.NextChunk(n-st.next, live, st.stats)
-	chunk = s.taper.ScaleChunk(chunk, st.next, st.stats)
-	if mu := st.stats.Global.Mean(); mu > 0 && s.overhead.N() > 0 {
-		floor := grainOverheads * s.overhead.Mean() / mu
-		chunk = max(chunk, int(math.Ceil(floor)))
-	}
-	return max(chunk, 1)
 }

@@ -106,7 +106,7 @@ func distRun(t *testing.T, g *delirium.Graph, n, p int, opts rts.RunOpts) (trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := (dist.Backend{Workers: p}).Run(g, bound, opts)
+	r, err := (dist.Backend{}).Run(g, bound, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDistKillRecovery(t *testing.T) {
 func TestDistRejectsClosureBinding(t *testing.T) {
 	out := compileSample(t)
 	bound := rts.BindClosure(func(string) rts.OpSpec { return rts.OpSpec{} })
-	_, err := (dist.Backend{Workers: 2}).Run(out.Graph, bound, rts.RunOpts{Processors: 2})
+	_, err := (dist.Backend{}).Run(out.Graph, bound, rts.RunOpts{Processors: 2})
 	if err == nil {
 		t.Fatal("dist accepted a closure binding")
 	}
@@ -220,15 +220,15 @@ func TestDistRejectsClosureBinding(t *testing.T) {
 }
 
 // TestDistBackendOptions drives the registry factory: dist takes no
-// configuration beyond its worker count, and registers as a measured,
-// distributed backend.
+// configuration (its worker count is the run's RunOpts.Processors), and
+// registers as a measured, distributed backend.
 func TestDistBackendOptions(t *testing.T) {
-	be, err := rts.OpenBackend("dist", rts.BackendConfig{Processors: 2})
+	be, err := rts.OpenBackend("dist")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Name() != "dist" || be.(dist.Backend).Workers != 2 {
-		t.Fatalf("backend %q %+v, want dist with 2 workers", be.Name(), be)
+	if be.Name() != "dist" || be.(dist.Backend) != (dist.Backend{}) {
+		t.Fatalf("backend %q %+v, want the stateless dist backend", be.Name(), be)
 	}
 	info, ok := rts.LookupBackend("dist")
 	if !ok || !info.Measured {

@@ -52,7 +52,7 @@ func gateFrontier(t *testing.T, n, pn int, pipelined bool, mode rts.Mode) *rts.F
 		}
 		return rts.OpSpec{Op: taskop.Op{Name: name, N: tasks, Time: func(int) float64 { return 1 }}}
 	}
-	f, err := rts.NewFrontier(g, bind, mode == rts.ModeSplit, costModel, 1, rts.Limits{})
+	f, err := rts.NewFrontier(g, bind, mode == rts.ModeSplit, (&sched{}).costModel(), 1, rts.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

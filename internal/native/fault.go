@@ -21,9 +21,10 @@ import (
 // takes work from a crashed worker records the retry (took).
 //
 // Only a crash loses a worker, as on the simulator and on dist. A stall
-// is a delay: the stalled worker sleeps holding its popped segment,
+// is a delay: the stalled worker waits holding its popped segment,
 // stays live, and keeps its deque, which peers that may steal take from
-// as from any busy worker. Nothing watches for unresponsive workers, so
+// as from any busy worker; a run that is canceled or fails ends the
+// wait at once. Nothing watches for unresponsive workers, so
 // a crashed worker is one that marked itself so and recorded the loss
 // on its own ring.
 //
@@ -45,10 +46,11 @@ func (e *engine) liveP() int {
 }
 
 // faultPoint consults the fault plan at a chunk boundary, holding the
-// popped segment. It reports false when the worker crashes — the
-// segment is then back on the worker's deque and the caller must exit.
-// A stall sleeps in place and re-consults the plan; a slowdown records
-// the factor for runSegment to pad wall time with.
+// popped segment. It reports false when the caller must exit: when the
+// worker crashes, with the segment back on its deque, and when the run
+// finishes (is canceled or fails) during a stall, without running the
+// segment. A stall waits in place and re-consults the plan; a slowdown
+// records the factor for runSegment to pad wall time with.
 func (e *engine) faultPoint(w *worker, seg segment) bool {
 	for {
 		d := e.fx.Begin(w.id)
@@ -56,7 +58,13 @@ func (e *engine) faultPoint(w *worker, seg segment) bool {
 			if e.rec != nil {
 				e.rec.Fault(w.id, w.id, int(fault.Stall), time.Since(e.start).Seconds())
 			}
-			time.Sleep(time.Duration(d.Stall * float64(time.Second)))
+			t := time.NewTimer(time.Duration(d.Stall * float64(time.Second)))
+			select {
+			case <-t.C:
+			case <-e.finished:
+				t.Stop()
+				return false
+			}
 			continue
 		}
 		if d.Crash {

@@ -1,13 +1,16 @@
 package native
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"orchestra/internal/delirium"
 	"orchestra/internal/fault"
 	"orchestra/internal/obs"
 	"orchestra/internal/rts"
+	"orchestra/internal/sched"
 )
 
 // lossEngine builds an engine of p unlaunched workers under a fault
@@ -68,17 +71,18 @@ func TestStaticRobsOnlyTheDead(t *testing.T) {
 
 // TestPostToDeadWakesSurvivor pins the other seam: a segment released
 // to a dead worker lands on its deque and must wake a parked survivor,
-// because the addressee never will take it.
+// because the addressee never will take it. A two-task static release
+// on three workers gives blocks to workers 0 and 1 only, so nothing
+// but the dead addressee wakes worker 2.
 func TestPostToDeadWakesSurvivor(t *testing.T) {
 	e := lossEngine(t, rts.ModeStatic, 3)
 	releaser, dead, parked := e.workers[0], e.workers[1], e.workers[2]
 	e.markDead(dead)
 	parked.pk.prepare()
 	e.idle.Add(1)
-	e.rr.Store(1) // the next round-robin target is the dead worker
-	e.release(releaser, 0, 0, 1)
-	if dead.dq.size() != 1 {
-		t.Fatal("the released segment did not go to the dead addressee's deque")
+	e.release(releaser, 0, 0, 2)
+	if dead.dq.size() != 1 || parked.dq.size() != 0 {
+		t.Fatal("the released blocks did not go to workers 0 and 1")
 	}
 	if parked.pk.state.Load() != pActive || len(parked.pk.wake) != 1 {
 		t.Fatal("a release to a dead addressee left the parked survivor asleep")
@@ -137,5 +141,47 @@ func TestNativeStallIsDelay(t *testing.T) {
 	if r.Steals != 0 || crashes != 0 || reallocs != 0 || stalls != 1 {
 		t.Fatalf("steals=%d crashes=%d reallocs=%d stalls=%d, want 0 0 0 1: a stall is a delay",
 			r.Steals, crashes, reallocs, stalls)
+	}
+}
+
+// TestStallHonoursCancel: a stalled worker waits on its stall or on the
+// run's end, whichever comes first, so canceling a run 20 ms into a 2 s
+// stall returns at once in every mode instead of holding the workers
+// for the rest of the stall. Every task blocks until the cancel, so the
+// run cannot finish around the stalled worker.
+func TestStallHonoursCancel(t *testing.T) {
+	const p, n = 2, 64
+	g := delirium.NewGraph("sources")
+	for _, name := range []string{"a", "b"} {
+		if err := g.AddNode(&delirium.Node{Name: name, Kind: delirium.Par}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := fault.Parse("stall:0@0:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range allModes() {
+		ctx, cancel := context.WithCancel(context.Background())
+		bind := func(name string) rts.OpSpec {
+			return rts.OpSpec{Op: sched.Op{Name: name, N: n, Time: func(int) float64 {
+				<-ctx.Done()
+				return 1
+			}}, Mu: 1}
+		}
+		canceled := make(chan time.Time, 1)
+		time.AfterFunc(20*time.Millisecond, func() {
+			canceled <- time.Now()
+			cancel()
+		})
+		_, err := (Backend{}).Run(g, rts.BindClosure(bind),
+			rts.RunOpts{Processors: p, Mode: mode, Fault: plan, Ctx: ctx})
+		returned := time.Now()
+		if !rts.IsCanceled(err) {
+			t.Fatalf("%v: Run = %v, want a cancel error", mode, err)
+		}
+		if d := returned.Sub(<-canceled); d > 250*time.Millisecond {
+			t.Errorf("%v: Run returned %v after Cancel, want under 250ms", mode, d)
+		}
 	}
 }

@@ -69,11 +69,7 @@ func (Backend) Name() string { return "native" }
 
 func init() {
 	rts.RegisterBackend(rts.BackendInfo{Name: "native", Measured: true},
-		func(cfg rts.BackendConfig) (rts.Backend, error) {
-			// The worker count is a per-run knob (RunOpts.Processors);
-			// cfg.Processors has nothing to size on a stateless backend.
-			return Backend{}, nil
-		})
+		func() (rts.Backend, error) { return Backend{}, nil })
 }
 
 // Run implements rts.Backend: it runs the graph on opts.Processors
@@ -539,32 +535,33 @@ func (e *engine) expand(x rts.Expandable, pr *rts.Progress) {
 	}
 }
 
-// release hands tasks [lo, hi) of op to the workers: a large range is
-// block-split across all of them (the owner-computes decomposition —
-// the j-th worker owns block j), while a small pipelined delta stays
-// with the releasing worker (cache-warm) when stealing can spread it,
-// else goes to the next worker round-robin. w is the releasing worker,
-// or nil during single-threaded setup. A block that lands on a worker
-// that is gone is taken by a remaining one like any other (findWork),
-// so placement ignores who is gone.
+// release hands tasks [lo, hi) of op to the workers. ModeStatic's
+// release, always a whole operator, and a large range in the other
+// modes are block-split across all of them (the owner-computes
+// decomposition — the j-th worker owns block j, sched.BlockBounds);
+// a small pipelined delta stays with the releasing worker (cache-warm)
+// when stealing can spread it, else goes to the next worker
+// round-robin. w is the releasing worker, or nil during
+// single-threaded setup. A block that lands on a worker that is gone
+// is taken by a remaining one like any other (findWork), so placement
+// ignores who is gone.
 func (e *engine) release(w *worker, op, lo, hi int) {
 	n := hi - lo
 	if n <= 0 {
 		return
 	}
 	m := e.p
-	if n >= 2*m && m > 1 {
+	if m > 1 && (!e.steal || n >= 2*m) {
 		for j, t := range e.workers {
 			if a, b := sched.BlockBounds(j, n, m); b > a {
 				e.place(t, segment{op: op, lo: lo + a, hi: lo + b})
+				if !e.steal {
+					e.wake(t)
+				}
 			}
 		}
 		if e.steal {
 			e.signal(m)
-		} else {
-			for _, t := range e.workers {
-				e.wake(t)
-			}
 		}
 		return
 	}
@@ -788,8 +785,7 @@ func (e *engine) runSegment(w *worker, seg segment, stolen bool) {
 			rem = k
 		}
 		o.statsMu.Lock()
-		c := o.taper.NextChunk(rem, e.liveP(), o.stats)
-		c = o.taper.ScaleChunk(c, seg.lo, o.stats)
+		c := o.taper.NextChunk(rem, e.liveP(), seg.lo, CostModel.SchedOverhead, o.stats)
 		if o.chainOut > 0 && c > o.chainOut {
 			// Cache-aware producer chunking: one chunk enables about one
 			// consumer block, which then runs on this worker while the

@@ -49,7 +49,7 @@ func runKernels(t *testing.T, out *core.Output, backend string, p int, mode rts.
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := rts.OpenBackend(backend, rts.BackendConfig{Processors: p})
+	be, err := rts.OpenBackend(backend)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,11 @@ import (
 // {"sim","native"}` blocks this replaces were exactly the seam that
 // made a third backend a cross-cutting change.
 
-// BackendConfig parameterizes the construction of one Backend
-// instance: the default worker count the instance is sized for
-// (individual runs may still override via RunOpts).
-type BackendConfig struct {
-	// Processors sizes the backend (simulated machine processors,
-	// forked worker processes). Zero lets the backend choose.
-	Processors int
-}
-
-// BackendFactory constructs a Backend instance from a configuration.
-type BackendFactory func(cfg BackendConfig) (Backend, error)
+// BackendFactory constructs a Backend instance. It takes no
+// configuration: every per-run knob, the processor count included,
+// arrives in RunOpts, and a zero RunOpts.Processors takes the backend's
+// own default.
+type BackendFactory func() (Backend, error)
 
 // BackendInfo describes a registered backend to generic consumers
 // (flag help, unit labels, harness matrices) without hard-coding
@@ -72,14 +66,14 @@ func RegisterBackend(info BackendInfo, factory BackendFactory) {
 
 // OpenBackend constructs an instance of the named backend. Unknown
 // names report the registered alternatives.
-func OpenBackend(name string, cfg BackendConfig) (Backend, error) {
+func OpenBackend(name string) (Backend, error) {
 	backendMu.RLock()
 	e, ok := backendReg[name]
 	backendMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("rts: unknown backend %q (registered: %v)", name, BackendNames())
 	}
-	return e.factory(cfg)
+	return e.factory()
 }
 
 // LookupBackend returns the registration metadata for name.
@@ -105,11 +99,9 @@ func BackendNames() []string {
 }
 
 func init() {
-	RegisterBackend(BackendInfo{Name: "sim"}, func(cfg BackendConfig) (Backend, error) {
-		p := cfg.Processors
-		if p < 1 {
-			p = 64 // the default simulated machine
-		}
-		return NewSimBackend(machine.DefaultConfig(p)), nil
+	RegisterBackend(BackendInfo{Name: "sim"}, func() (Backend, error) {
+		// The default simulated machine has 64 processors; a run's
+		// RunOpts.Processors sizes it otherwise.
+		return NewSimBackend(machine.DefaultConfig(64)), nil
 	})
 }

@@ -494,16 +494,15 @@ func (r *dagRun) execChunk(gp, o int, tasks []int, transferCost float64, stolen 
 	r.sim.AfterFn(total, r.chunkDoneFn, gp)
 }
 
-// taperChunk asks op's TAPER policy for the next chunk size and traces
-// the decision. Chunk sizes are computed against the whole surviving
-// machine: any processor may execute any executable operator, so the
-// effective worker pool of a hot operator is p, not its allocation.
-func (r *dagRun) taperChunk(gp, o int, scaleAt int) int {
+// taperChunk asks op's TAPER policy for the next chunk size, at the
+// machine's SchedOverhead per chunk, and traces the decision. lo is the
+// chunk's first task, -1 on the steal path, which does not know it yet.
+// Chunk sizes are computed against the whole surviving machine: any
+// processor may execute any executable operator, so the effective
+// worker pool of a hot operator is p, not its allocation.
+func (r *dagRun) taperChunk(gp, o, lo int) int {
 	op := &r.ops[o]
-	k := op.taper.NextChunk(op.unsched, r.live, op.tstats)
-	if scaleAt >= 0 {
-		k = max(1, min(op.taper.ScaleChunk(k, scaleAt, op.tstats), op.unsched))
-	}
+	k := op.taper.NextChunk(op.unsched, r.live, lo, r.cfg.SchedOverhead, op.tstats)
 	if r.rec != nil {
 		r.rec.Taper(gp, o, op.unsched, k, int(op.tstats.Global.N()),
 			op.tstats.Global.Mean(), op.tstats.Global.StdDev(), r.sim.Now())

@@ -176,11 +176,11 @@ func TestBackendRegistryNames(t *testing.T) {
 	if !ok || info.Measured {
 		t.Fatalf("sim info wrong: %+v ok=%v", info, ok)
 	}
-	if _, err := OpenBackend("no-such-backend", BackendConfig{}); err == nil ||
+	if _, err := OpenBackend("no-such-backend"); err == nil ||
 		!strings.Contains(err.Error(), "no-such-backend") {
 		t.Fatalf("unknown backend error should name it, got %v", err)
 	}
-	be, err := OpenBackend("sim", BackendConfig{Processors: 8})
+	be, err := OpenBackend("sim")
 	if err != nil || be.Name() != "sim" {
 		t.Fatalf("open sim: %v, %v", be, err)
 	}

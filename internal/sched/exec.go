@@ -58,7 +58,9 @@ func SeqTime(cost []float64) float64 {
 
 // BlockBounds returns the [lo, hi) range of tasks owned by processor j
 // in a balanced block decomposition of n tasks over p processors:
-// every block has ⌊n/p⌋ or ⌈n/p⌉ tasks.
+// every block has ⌊n/p⌋ or ⌈n/p⌉ tasks. It is ModeStatic's chunk rule
+// on every engine: block j runs as one chunk, so an operator runs as
+// min(n, p) chunks.
 func BlockBounds(j, n, p int) (lo, hi int) {
 	if p < 1 {
 		return 0, n
@@ -137,10 +139,7 @@ func ExecuteCentral(cfg machine.Config, op Op, procs []int, factory Factory) tra
 			finish[j] = sim.Now()
 			return
 		}
-		k := policy.NextChunk(remaining, p, ts)
-		if t, ok := policy.(*Taper); ok {
-			k = clamp(t.ScaleChunk(k, next, ts), remaining)
-		}
+		k := policy.NextChunk(remaining, p, next, cfg.SchedOverhead, ts)
 		lo := next
 		next += k
 		res.Chunks++

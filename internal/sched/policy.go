@@ -3,7 +3,8 @@
 // self-scheduling, guided self-scheduling, factoring, and TAPER — the
 // probabilistic, variance-aware rule of Lucco's PLDI '92 paper that
 // this paper's runtime uses (§4.1.1), including the cost-function
-// chunk scaling s = μg/μc.
+// chunk scaling s = μg/μc. BlockBounds (static) and Taper.NextChunk
+// (adaptive) are the one chunk rule per mode every engine asks.
 package sched
 
 import (
@@ -130,10 +131,14 @@ func (ts *TaskStats) CostScale(lo, hi int) float64 {
 type Policy interface {
 	Name() string
 	// NextChunk returns how many tasks the requesting processor should
-	// take, given the number of unscheduled tasks remaining and the
-	// number of cooperating processors. Implementations must return a
-	// value in [1, remaining] when remaining > 0.
-	NextChunk(remaining, p int, ts *TaskStats) int
+	// take, given the number of unscheduled tasks remaining, the number
+	// of cooperating processors p, the chunk's first task index lo (-1
+	// when the caller does not know it yet) and c, the cost of one
+	// scheduling event in the unit of the observed task times (the
+	// SchedOverhead term of the caller's cost model). Implementations
+	// must return a value in [1, remaining] when remaining > 0. Only
+	// TAPER reads lo and c.
+	NextChunk(remaining, p, lo int, c float64, ts *TaskStats) int
 }
 
 // Factory builds a fresh policy instance for one parallel operation.
@@ -157,7 +162,9 @@ type SelfSched struct{}
 func (SelfSched) Name() string { return "SS" }
 
 // NextChunk implements Policy.
-func (SelfSched) NextChunk(remaining, p int, _ *TaskStats) int { return clamp(1, remaining) }
+func (SelfSched) NextChunk(remaining, _, _ int, _ float64, _ *TaskStats) int {
+	return clamp(1, remaining)
+}
 
 // GSS is guided self-scheduling (Polychronopoulos & Kuck): ⌈R/p⌉.
 type GSS struct{}
@@ -166,7 +173,7 @@ type GSS struct{}
 func (GSS) Name() string { return "GSS" }
 
 // NextChunk implements Policy.
-func (GSS) NextChunk(remaining, p int, _ *TaskStats) int {
+func (GSS) NextChunk(remaining, p, _ int, _ float64, _ *TaskStats) int {
 	return clamp((remaining+p-1)/p, remaining)
 }
 
@@ -181,7 +188,7 @@ type Factoring struct {
 func (*Factoring) Name() string { return "factoring" }
 
 // NextChunk implements Policy.
-func (f *Factoring) NextChunk(remaining, p int, _ *TaskStats) int {
+func (f *Factoring) NextChunk(remaining, p, _ int, _ float64, _ *TaskStats) int {
 	if f.batchLeft == 0 {
 		f.chunk = clamp((remaining+2*p-1)/(2*p), remaining)
 		f.batchLeft = p
@@ -203,15 +210,24 @@ func (f *Factoring) NextChunk(remaining, p int, _ *TaskStats) int {
 // probability that any of ~p outstanding chunks straggles). Until
 // min(2p, 32) times have been sampled the policy behaves like
 // factoring's first batch.
+//
+// NextChunk is the whole adaptive grain decision of every engine: the
+// rule above, the cost-function scaling, the floor that amortises a
+// scheduling event, and the clamp to the work left.
 type Taper struct {
-	// UseCostFunction enables the s = μg/μc chunk scaling. The scale
-	// is applied by the executor via ScaleChunk since it depends on
-	// which region of the iteration space the chunk would cover.
+	// UseCostFunction enables the s = μg/μc chunk scaling of a chunk
+	// whose first index the caller passes.
 	UseCostFunction bool
 	// memoP and memoWidth cache TaperWidth(p) for the last p seen.
 	memoP     int
 	memoWidth float64
 }
+
+// grainOverheads is TAPER's floor: no chunk is smaller than the task
+// count whose mean execution time is this many scheduling events, so a
+// chunk is split off only where the balance it buys beats the measured
+// cost of dispatching it.
+const grainOverheads = 8
 
 // TaperWidth is TAPER's confidence width on p processors,
 // ω = √(2·ln(p+1)) (§4.1.2): the one definition the executed policy
@@ -233,8 +249,28 @@ func TaperChunk(share, cv, w float64) int {
 // Name implements Policy.
 func (t *Taper) Name() string { return "TAPER" }
 
-// NextChunk implements Policy.
-func (t *Taper) NextChunk(remaining, p int, ts *TaskStats) int {
+// NextChunk implements Policy. The chunk is, in order: the first-batch
+// rule or the variance rule; scaled by s = μg/μc over [lo, lo+k) when
+// UseCostFunction is set and lo ≥ 0; raised to the floor
+// ⌈grainOverheads·c/μ⌉ when c and the sampled mean μ are positive; and
+// clamped to [1, remaining].
+func (t *Taper) NextChunk(remaining, p, lo int, c float64, ts *TaskStats) int {
+	k := t.rule(remaining, p, ts)
+	if ts == nil {
+		return k
+	}
+	if t.UseCostFunction && lo >= 0 {
+		k = int(float64(k) * ts.CostScale(lo, lo+k))
+	}
+	if mu := ts.Global.Mean(); c > 0 && mu > 0 {
+		k = max(k, int(min(math.Ceil(grainOverheads*c/mu), float64(remaining))))
+	}
+	return clamp(k, remaining)
+}
+
+// rule is TAPER's unscaled chunk: factoring's first batch until enough
+// times are sampled, then the variance rule.
+func (t *Taper) rule(remaining, p int, ts *TaskStats) int {
 	if ts == nil || ts.Global.N() < min(2*p, 32) || ts.Global.Mean() <= 0 {
 		return clamp((remaining+2*p-1)/(2*p), remaining)
 	}
@@ -244,18 +280,4 @@ func (t *Taper) NextChunk(remaining, p int, ts *TaskStats) int {
 	cv := ts.Global.StdDev() / ts.Global.Mean()
 	share := float64(remaining) / float64(p)
 	return clamp(TaperChunk(share, cv, t.memoWidth), remaining)
-}
-
-// ScaleChunk applies the cost-function scaling to a proposed chunk
-// covering tasks [lo, lo+k).
-func (t *Taper) ScaleChunk(k, lo int, ts *TaskStats) int {
-	if !t.UseCostFunction || ts == nil {
-		return k
-	}
-	s := ts.CostScale(lo, lo+k)
-	nk := int(float64(k) * s)
-	if nk < 1 {
-		nk = 1
-	}
-	return nk
 }

@@ -39,9 +39,9 @@ func TestPolicyChunkBounds(t *testing.T) {
 	for _, pol := range policies {
 		for _, rem := range []int{1, 2, 5, 100, 1000} {
 			for _, p := range []int{1, 4, 64} {
-				k := pol.NextChunk(rem, p, ts)
+				k := pol.NextChunk(rem, p, -1, 0, ts)
 				if k < 1 || k > rem {
-					t.Errorf("%s: NextChunk(%d, %d) = %d out of bounds", pol.Name(), rem, p, k)
+					t.Errorf("%s: NextChunk(%d, %d, ...) = %d out of bounds", pol.Name(), rem, p, k)
 				}
 			}
 		}
@@ -75,10 +75,10 @@ func TestObserveChunk(t *testing.T) {
 }
 
 func TestGSSChunks(t *testing.T) {
-	if k := (GSS{}).NextChunk(100, 4, nil); k != 25 {
+	if k := (GSS{}).NextChunk(100, 4, -1, 0, nil); k != 25 {
 		t.Fatalf("GSS chunk = %d, want 25", k)
 	}
-	if k := (GSS{}).NextChunk(3, 4, nil); k != 1 {
+	if k := (GSS{}).NextChunk(3, 4, -1, 0, nil); k != 1 {
 		t.Fatalf("GSS small chunk = %d, want 1", k)
 	}
 }
@@ -87,12 +87,12 @@ func TestFactoringBatches(t *testing.T) {
 	f := &Factoring{}
 	// First batch with R=100, p=4: chunk = ceil(100/8) = 13 for 4 calls.
 	for i := 0; i < 4; i++ {
-		if k := f.NextChunk(100-13*i, 4, nil); k != 13 {
+		if k := f.NextChunk(100-13*i, 4, -1, 0, nil); k != 13 {
 			t.Fatalf("factoring call %d = %d, want 13", i, k)
 		}
 	}
 	// Next batch recomputes from the new remaining (48): ceil(48/8)=6.
-	if k := f.NextChunk(48, 4, nil); k != 6 {
+	if k := f.NextChunk(48, 4, -1, 0, nil); k != 6 {
 		t.Fatalf("second batch chunk = %d, want 6", k)
 	}
 }
@@ -103,7 +103,7 @@ func TestTaperReducesToGSSWithoutVariance(t *testing.T) {
 		ts.Observe(i, 2.0) // zero variance
 	}
 	tp := &Taper{}
-	k := tp.NextChunk(1000, 10, ts)
+	k := tp.NextChunk(1000, 10, -1, 0, ts)
 	// With cv = 0 the rule gives exactly R/p.
 	if k != 100 {
 		t.Fatalf("TAPER with zero variance = %d, want 100", k)
@@ -119,8 +119,8 @@ func TestTaperShrinksWithVariance(t *testing.T) {
 		high.Observe(i, rng.LogNormal(0.5, 1.2))
 	}
 	tp := &Taper{}
-	kLow := tp.NextChunk(1000, 10, low)
-	kHigh := tp.NextChunk(1000, 10, high)
+	kLow := tp.NextChunk(1000, 10, -1, 0, low)
+	kHigh := tp.NextChunk(1000, 10, -1, 0, high)
 	if kHigh >= kLow {
 		t.Fatalf("variance should shrink chunks: low=%d high=%d", kLow, kHigh)
 	}
@@ -142,7 +142,7 @@ func TestTaperWidth(t *testing.T) {
 func TestTaperFallbackBeforeSamples(t *testing.T) {
 	tp := &Taper{}
 	ts := NewTaskStats(1000)
-	k := tp.NextChunk(1000, 10, ts)
+	k := tp.NextChunk(1000, 10, -1, 0, ts)
 	if k != 50 { // factoring-like R/(2p)
 		t.Fatalf("fallback chunk = %d, want 50", k)
 	}
@@ -157,7 +157,7 @@ func TestTaperChunksDecrease(t *testing.T) {
 	tp := &Taper{}
 	prev := math.MaxInt32
 	for _, rem := range []int{10000, 5000, 1000, 200, 50} {
-		k := tp.NextChunk(rem, 16, ts)
+		k := tp.NextChunk(rem, 16, -1, 0, ts)
 		if k > prev {
 			t.Fatalf("chunks should not grow as work shrinks: rem=%d k=%d prev=%d", rem, k, prev)
 		}
