@@ -203,6 +203,31 @@ func TestRunTaskAnnotations(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBadEdgeVolumes runs the two graphs whose edge volume
+// once reached the simulator's barrier hold negative and panicked with
+// "scheduling into the past": a negative bytes= count at -n 64, and a
+// per-task count that wrapped int64 when multiplied by -n 2 tasks. Both
+// are refused at decode time, naming the line, with exit code 1.
+func TestRunRefusesBadEdgeVolumes(t *testing.T) {
+	const head = "graph r\nnode a kind=par tasks=n\nnode b kind=par tasks=n\n"
+	for _, c := range []struct{ edge, n string }{
+		{"edge a -> b bytes=-100000000\n", "64"},
+		{"edge a -> b bytes=6917529027641081856 pertask\n", "2"},
+	} {
+		path := filepath.Join(t.TempDir(), "r.graph")
+		if err := os.WriteFile(path, []byte(head+c.edge), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"taper", "static"} {
+			var out, errw strings.Builder
+			code := run([]string{"-p", "8", "-n", c.n, "-mode", mode, path}, &out, &errw)
+			if code != 1 || !strings.Contains(errw.String(), "line 4:") {
+				t.Errorf("%q -mode %s: exit %d, want 1 with an error naming line 4 (stderr: %s)", c.edge, mode, code, errw.String())
+			}
+		}
+	}
+}
+
 func TestRunTraceWritesChromeJSON(t *testing.T) {
 	for _, backend := range []string{"sim", "native"} {
 		out := filepath.Join(t.TempDir(), "out.json")

@@ -42,6 +42,9 @@ type Result struct {
 	// would invalidate it (a rewritten loop) needs a new Analyze for
 	// the SSA records too.
 	iterations map[*source.Do]iteration
+	// loops remembers DescribeLoop per loop statement, on the same
+	// terms.
+	loops map[*source.Do]descriptor.Descriptor
 }
 
 // iteration is one remembered DescribeIteration result.
@@ -52,7 +55,8 @@ type iteration struct {
 
 // Analyze runs the full pipeline.
 func Analyze(p *source.Program) *Result {
-	r := &Result{Program: p, SSA: ssa.Convert(p), iterations: map[*source.Do]iteration{}}
+	r := &Result{Program: p, SSA: ssa.Convert(p),
+		iterations: map[*source.Do]iteration{}, loops: map[*source.Do]descriptor.Descriptor{}}
 	r.Calls = collectCallSites(p, r.SSA)
 	return r
 }
@@ -94,8 +98,18 @@ func (r *Result) DescribeStmts(ss []source.Stmt) descriptor.Descriptor {
 }
 
 // DescribeLoop promotes the iteration descriptor of a loop over its
-// whole induction range.
+// whole induction range. The triple slices returned are the caller's
+// own.
 func (r *Result) DescribeLoop(s *source.Do) descriptor.Descriptor {
+	d, ok := r.loops[s]
+	if !ok {
+		d = r.describeLoop(s)
+		r.loops[s] = d
+	}
+	return copyDesc(d)
+}
+
+func (r *Result) describeLoop(s *source.Do) descriptor.Descriptor {
 	iter, iv := r.DescribeIteration(s)
 	ind := r.SSA.Defs[iv]
 	if ind == nil || len(ind.Ranges) == 0 {
@@ -116,15 +130,21 @@ func (r *Result) DescribeIteration(s *source.Do) (descriptor.Descriptor, symboli
 		it.desc, it.iv = r.describeIteration(s)
 		r.iterations[s] = it
 	}
+	return copyDesc(it.desc), it.iv
+}
+
+// copyDesc gives a remembered descriptor's triples new slices, so the
+// caller may filter or append to them.
+func copyDesc(d descriptor.Descriptor) descriptor.Descriptor {
 	return descriptor.Descriptor{
-		Reads:  append([]descriptor.Triple(nil), it.desc.Reads...),
-		Writes: append([]descriptor.Triple(nil), it.desc.Writes...),
-	}, it.iv
+		Reads:  append([]descriptor.Triple(nil), d.Reads...),
+		Writes: append([]descriptor.Triple(nil), d.Writes...),
+	}
 }
 
 func (r *Result) describeIteration(s *source.Do) (descriptor.Descriptor, symbolic.Name) {
 	env := r.SSA.InsideLoop[s]
-	iv := env[s.Var]
+	iv := env.Name(s.Var)
 
 	body := r.DescribeStmts(s.Body)
 
@@ -145,8 +165,8 @@ func (r *Result) describeIteration(s *source.Do) (descriptor.Descriptor, symboli
 	}
 
 	// Bound expressions are evaluated on loop entry.
-	outerEnv := r.envOf(s)
-	if outerEnv == nil {
+	outerEnv, ok := r.SSA.AtStmt[s]
+	if !ok {
 		outerEnv = env
 	}
 	for _, rg := range s.Ranges {
@@ -249,7 +269,7 @@ func (r *Result) addExprReads(d *descriptor.Descriptor, e source.Expr, env ssa.E
 	source.WalkExpr(e, func(x source.Expr) {
 		switch x := x.(type) {
 		case *source.Ident:
-			if name, ok := env[x.Name]; ok {
+			if name, ok := env.Lookup(x.Name); ok {
 				if def := r.SSA.Defs[name]; def != nil && def.Kind == ssa.DefInduction {
 					return
 				}

@@ -121,11 +121,11 @@ func aggregateName(p *source.Program, a source.Expr) string {
 // constPattern encodes which arguments are compile-time constants and
 // their values.
 func constPattern(in *ssa.Info, s source.Stmt, args []source.Expr) string {
-	env := in.AtStmt[s]
+	env, recorded := in.AtStmt[s]
 	parts := make([]string, len(args))
 	for i, a := range args {
 		parts[i] = "?"
-		if env == nil {
+		if !recorded {
 			continue
 		}
 		if x, ok := in.TranslateExpr(a, env); ok {

@@ -138,7 +138,9 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 		var result []Unit
 		for i := 0; i < len(units); i++ {
 			u := units[i]
-			if len(result) == 0 {
+			// Only a loop can be divided: a primitive of any other kind
+			// lands whole in CI or whole in CD, so Split cannot apply.
+			if _, loop := singleLoop(u); !loop || len(result) == 0 {
 				result = append(result, u)
 				continue
 			}
@@ -227,8 +229,9 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 	out.Program = tp
 
 	// Dataflow graph: one node per unit; an edge wherever an earlier
-	// unit's writes may reach a later unit (flow interference), which
-	// both orders them and annotates the communication.
+	// unit interferes with a later one (a flow, anti or output
+	// dependence, decided by one Interferes per pair), which both
+	// orders them and annotates the communication.
 	g := delirium.NewGraph(p.Name)
 	for _, u := range units {
 		node := &delirium.Node{Name: u.Name, Kind: delirium.Par, Tasks: u.Tasks, Comment: u.Role}
@@ -236,9 +239,19 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 			return nil, err
 		}
 	}
+	// Each unit's base name and blocks, worked out once.
+	base := make([]string, len(units))
+	blocks := make([]map[symbolic.Name]bool, len(units))
+	for i, u := range units {
+		base[i], blocks[i] = baseName(u.Name), u.Desc.Blocks()
+	}
+	acc := newAccessSets(units)
 	for i := range units {
 		for j := i + 1; j < len(units); j++ {
-			if sameSplitGroup(units[i], units[j]) &&
+			// Both came from splitting the same computation (cN_i /
+			// cN_d / cN_m or _ai/_ad/_am).
+			sameGroup := base[i] == base[j] && base[i] != units[i].Name
+			if sameGroup &&
 				((units[i].Role == "CI" && units[j].Role == "CD") ||
 					(units[i].Role == "AI" && units[j].Role == "AD")) {
 				// The independent and dependent halves of a split run
@@ -246,10 +259,8 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 				// resolved through the merge part.
 				continue
 			}
-			flow := descriptor.FlowInterferes(units[i].Desc, units[j].Desc, nil)
-			anti := !flow && descriptor.Interferes(units[i].Desc, units[j].Desc, nil)
-			if flow || anti {
-				pipelined := units[j].Pipelined && sameSplitGroup(units[i], units[j])
+			if acc.meet(i, j) && descriptor.Interferes(units[i].Desc, units[j].Desc, nil) {
+				pipelined := units[j].Pipelined && sameGroup
 				// The third transformation: a CD unit consumes its
 				// producer's per-iteration output incrementally. The
 				// split records only that the units interfere; the edge
@@ -258,7 +269,7 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 				// e.g. a consumer that reads the producer's whole output
 				// vector in every iteration must wait for all of it.
 				chain := false
-				if units[j].pipelineFrom != "" && units[j].pipelineFrom == baseName(units[i].Name) &&
+				if units[j].pipelineFrom != "" && units[j].pipelineFrom == base[i] &&
 					pointwisePipelined(units[i], units[j]) {
 					pipelined = true
 					// The stronger proof — every consumer access at exactly
@@ -269,7 +280,7 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 				}
 				g.AddEdge(&delirium.Edge{
 					From: units[i].Name, To: units[j].Name,
-					Bytes: int64(sharedBytes(units[i].Desc, units[j].Desc)), PerTask: true,
+					Bytes: int64(sharedBytes(units[i].Desc, blocks[j])), PerTask: true,
 					Pipelined: pipelined, Chain: chain,
 				})
 			}
@@ -283,6 +294,55 @@ func Compile(p *source.Program, opts Options) (*Output, error) {
 	}
 	out.Graph = g
 	return out, nil
+}
+
+// accessSets holds each unit's written and read blocks as bit sets
+// over every block the units touch, so a pair that shares no block is
+// found to be independent without comparing a triple.
+type accessSets struct {
+	words         int
+	writes, reads []uint64 // unit u's set is words [u*words, (u+1)*words)
+}
+
+func newAccessSets(units []Unit) accessSets {
+	index := map[symbolic.Name]int{}
+	for _, u := range units {
+		for _, ts := range [][]descriptor.Triple{u.Desc.Writes, u.Desc.Reads} {
+			for _, t := range ts {
+				if _, ok := index[t.Block]; !ok {
+					index[t.Block] = len(index)
+				}
+			}
+		}
+	}
+	s := accessSets{words: (len(index) + 63) / 64}
+	s.writes = make([]uint64, len(units)*s.words)
+	s.reads = make([]uint64, len(units)*s.words)
+	for u, unit := range units {
+		for _, t := range unit.Desc.Writes {
+			b := index[t.Block]
+			s.writes[u*s.words+b/64] |= 1 << (b % 64)
+		}
+		for _, t := range unit.Desc.Reads {
+			b := index[t.Block]
+			s.reads[u*s.words+b/64] |= 1 << (b % 64)
+		}
+	}
+	return s
+}
+
+// meet reports whether unit a writes a block unit b reads or writes, or
+// reads one b writes: the block-level precondition of
+// descriptor.Interferes(a, b).
+func (s accessSets) meet(a, b int) bool {
+	for k := 0; k < s.words; k++ {
+		wa, ra := s.writes[a*s.words+k], s.reads[a*s.words+k]
+		wb, rb := s.writes[b*s.words+k], s.reads[b*s.words+k]
+		if wa&(wb|rb) != 0 || ra&wb != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // pointwisePipelined verifies the claim a pipelined edge makes: that
@@ -505,18 +565,13 @@ func baseName(n string) string {
 	return n
 }
 
-// sameSplitGroup reports whether two units came from splitting the same
-// original computation (cN_i / cN_d / cN_m or _ai/_ad/_am).
-func sameSplitGroup(a, b Unit) bool {
-	return baseName(a.Name) == baseName(b.Name) && baseName(a.Name) != a.Name
-}
-
 // sharedBytes estimates the per-task data volume flowing between two
-// units: 8 bytes per shared block (a coarse annotation; the Delirium
-// compiler's runtime code refines it with runtime parameters).
-func sharedBytes(a, b descriptor.Descriptor) int {
+// units: 8 bytes per block a writes that the other unit touches
+// (bBlocks, its descriptor's Blocks), and at least 8 — a coarse
+// annotation; the Delirium compiler's runtime code refines it with
+// runtime parameters.
+func sharedBytes(a descriptor.Descriptor, bBlocks map[symbolic.Name]bool) int {
 	shared := 0
-	bBlocks := b.Blocks()
 	for _, w := range a.Writes {
 		if bBlocks[w.Block] {
 			shared++
@@ -532,7 +587,7 @@ func sharedBytes(a, b descriptor.Descriptor) int {
 // "" when it involves synthetic names or strides.
 func tripCount(r *analysis.Result, loop *source.Do) string {
 	env := r.SSA.InsideLoop[loop]
-	def := r.SSA.Defs[env[loop.Var]]
+	def := r.SSA.Defs[env.Name(loop.Var)]
 	if def == nil || len(def.Ranges) == 0 {
 		return ""
 	}

@@ -15,6 +15,7 @@ package delirium
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -65,6 +66,11 @@ type Node struct {
 	// node).
 	Comment string
 }
+
+// MaxEdgeBytes bounds an edge's Bytes annotation. Times the 2^24 tasks
+// of the largest operator an engine accepts it stays inside int64, and
+// at 512 GiB per task it is far beyond any volume a program annotates.
+const MaxEdgeBytes = 1 << 39
 
 // Edge is a dataflow dependence with a data-volume annotation.
 type Edge struct {
@@ -146,21 +152,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("delirium: node %q has rule=%s but kind=%s (rules belong to exp nodes)", n.Name, n.Rule, n.Kind)
 		}
 	}
-	for _, e := range g.Edges {
-		if g.byName[e.From] == nil {
-			return fmt.Errorf("delirium: edge from undeclared node %q", e.From)
-		}
-		if g.byName[e.To] == nil {
-			return fmt.Errorf("delirium: edge to undeclared node %q", e.To)
-		}
-		if e.From == e.To && !e.Carried {
-			return fmt.Errorf("delirium: self edge on %q must be carried", e.From)
-		}
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.order()
+	return err
 }
 
 // Preds returns the names of nodes with a non-carried edge into name.
@@ -197,43 +190,66 @@ func (g *Graph) InEdges(name string) []*Edge {
 }
 
 // TopoOrder returns the nodes in a topological order of the
-// non-carried edges; it fails on cycles.
+// non-carried edges; it fails on cycles and on edges Validate refuses.
+// Ties go to declaration order: the queue starts with the sources in
+// declaration order and a node's successors join it in edge order.
 func (g *Graph) TopoOrder() ([]*Node, error) {
-	indeg := map[string]int{}
-	for _, n := range g.Nodes {
-		indeg[n.Name] = 0
+	order, err := g.order()
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range g.Edges {
-		if !e.Carried {
-			indeg[e.To]++
-		}
-	}
-	// Stable queue: nodes in declaration order.
-	var queue []*Node
-	for _, n := range g.Nodes {
-		if indeg[n.Name] == 0 {
-			queue = append(queue, n)
-		}
-	}
-	var out []*Node
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, n)
-		for _, e := range g.Edges {
-			if e.Carried || e.From != n.Name {
-				continue
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, g.byName[e.To])
-			}
-		}
-	}
-	if len(out) != len(g.Nodes) {
-		return nil, fmt.Errorf("delirium: graph has a cycle")
+	out := make([]*Node, len(order))
+	for k, i := range order {
+		out[k] = g.Nodes[i]
 	}
 	return out, nil
+}
+
+// order checks every edge (declared ends, no plain self edge) and
+// returns TopoOrder's order as node indices, in O(V+E) over a name
+// index and out-edge lists.
+func (g *Graph) order() ([]int, error) {
+	index := make(map[string]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		index[n.Name] = i
+	}
+	indeg := make([]int, len(g.Nodes))
+	succ := make([][]int, len(g.Nodes))
+	for _, e := range g.Edges {
+		from, ok := index[e.From]
+		if !ok {
+			return nil, fmt.Errorf("delirium: edge from undeclared node %q", e.From)
+		}
+		to, ok := index[e.To]
+		if !ok {
+			return nil, fmt.Errorf("delirium: edge to undeclared node %q", e.To)
+		}
+		if e.Carried {
+			continue
+		}
+		if from == to {
+			return nil, fmt.Errorf("delirium: self edge on %q must be carried", e.From)
+		}
+		indeg[to]++
+		succ[from] = append(succ[from], to)
+	}
+	queue := make([]int, 0, len(g.Nodes))
+	for i := range g.Nodes {
+		if indeg[i] == 0 {
+			queue = append(queue, i)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, j := range succ[queue[head]] {
+			if indeg[j]--; indeg[j] == 0 {
+				queue = append(queue, j)
+			}
+		}
+	}
+	if len(queue) != len(g.Nodes) {
+		return nil, fmt.Errorf("delirium: graph has a cycle")
+	}
+	return queue, nil
 }
 
 // Levels groups the topological order into concurrency levels: nodes
@@ -270,17 +286,26 @@ func (g *Graph) Levels() ([][]*Node, error) {
 // Encode renders the graph in its textual form.
 func (g *Graph) Encode() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s\n", g.Name)
+	b.Grow(32 * (1 + len(g.Nodes) + len(g.Edges)))
+	b.WriteString("graph ")
+	b.WriteString(g.Name)
+	b.WriteByte('\n')
 	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "node %s kind=%s", n.Name, n.Kind)
+		b.WriteString("node ")
+		b.WriteString(n.Name)
+		b.WriteString(" kind=")
+		b.WriteString(n.Kind.String())
 		if n.Tasks != "" {
-			fmt.Fprintf(&b, " tasks=%s", n.Tasks)
+			b.WriteString(" tasks=")
+			b.WriteString(n.Tasks)
 		}
 		if n.Rule != "" {
-			fmt.Fprintf(&b, " rule=%s", n.Rule)
+			b.WriteString(" rule=")
+			b.WriteString(n.Rule)
 		}
 		if n.Comment != "" {
-			fmt.Fprintf(&b, " # %s", n.Comment)
+			b.WriteString(" # ")
+			b.WriteString(n.Comment)
 		}
 		b.WriteByte('\n')
 	}
@@ -291,10 +316,15 @@ func (g *Graph) Encode() string {
 		}
 		return edges[i].To < edges[j].To
 	})
+	var num [20]byte
 	for _, e := range edges {
-		fmt.Fprintf(&b, "edge %s -> %s", e.From, e.To)
+		b.WriteString("edge ")
+		b.WriteString(e.From)
+		b.WriteString(" -> ")
+		b.WriteString(e.To)
 		if e.Bytes > 0 {
-			fmt.Fprintf(&b, " bytes=%d", e.Bytes)
+			b.WriteString(" bytes=")
+			b.Write(strconv.AppendInt(num[:0], e.Bytes, 10))
 		}
 		if e.PerTask {
 			b.WriteString(" pertask")
@@ -329,6 +359,9 @@ func Decode(text string) (*Graph, error) {
 		case "graph":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("line %d: graph needs a name", lineNo+1)
+			}
+			if g != nil {
+				return nil, fmt.Errorf("line %d: second graph header (the text declares %q already)", lineNo+1, g.Name)
 			}
 			g = NewGraph(fields[1])
 		case "node":
@@ -369,9 +402,11 @@ func Decode(text string) (*Graph, error) {
 			for _, f := range fields[4:] {
 				switch {
 				case strings.HasPrefix(f, "bytes="):
-					if _, err := fmt.Sscanf(f, "bytes=%d", &e.Bytes); err != nil {
-						return nil, fmt.Errorf("line %d: bad bytes: %v", lineNo+1, err)
+					v, err := strconv.ParseInt(strings.TrimPrefix(f, "bytes="), 10, 64)
+					if err != nil || v < 0 || v > MaxEdgeBytes {
+						return nil, fmt.Errorf("line %d: bad %s: want a decimal byte count in [0, %d]", lineNo+1, f, int64(MaxEdgeBytes))
 					}
+					e.Bytes = v
 				case f == "pertask":
 					e.PerTask = true
 				case f == "pipelined":

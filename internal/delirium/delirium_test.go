@@ -201,6 +201,75 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesBadValues reads each refused value whole: a byte
+// count with trailing text, in hex, negative or past MaxEdgeBytes, and
+// a second graph header, which would drop the nodes declared before
+// it. Each error names the offending line.
+func TestDecodeRefusesBadValues(t *testing.T) {
+	const head = "graph g\nnode a\nnode b\n"
+	for _, c := range []struct{ src, line string }{
+		{head + "edge a -> b bytes=12abc\n", "line 4:"},
+		{head + "edge a -> b bytes=0x10\n", "line 4:"},
+		{head + "edge a -> b bytes=-100000000\n", "line 4:"},
+		{head + "edge a -> b bytes=-1 pertask\n", "line 4:"},
+		{head + "edge a -> b bytes=549755813889\n", "line 4:"},
+		{head + "edge a -> b bytes=6917529027641081856 pertask\n", "line 4:"},
+		{head + "edge a -> b bytes=99999999999999999999\n", "line 4:"},
+		{head + "edge a -> b bytes=\n", "line 4:"},
+		{head + "graph h\nnode c\n", "line 4:"},
+	} {
+		_, err := Decode(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("Decode(%q) = %v, want an error naming %q", c.src, err, c.line)
+		}
+	}
+	for _, c := range []struct {
+		field string
+		want  int64
+	}{{"bytes=0", 0}, {"bytes=12", 12}, {"bytes=549755813888", MaxEdgeBytes}} {
+		g, err := Decode("graph g\nnode a\nnode b\nedge a -> b " + c.field + "\n")
+		if err != nil {
+			t.Fatalf("%s: %v", c.field, err)
+		}
+		if got := g.Edges[0].Bytes; got != c.want {
+			t.Errorf("%s decoded as %d, want %d", c.field, got, c.want)
+		}
+	}
+}
+
+// TestTopoOrderTies pins TopoOrder's tie-breaking: sources in
+// declaration order, then each node's successors in edge order, with
+// carried edges ignored and duplicate edges counted once per copy.
+func TestTopoOrderTies(t *testing.T) {
+	g := NewGraph("g")
+	for _, n := range []string{"e", "d", "c", "b", "a"} {
+		if err := g.AddNode(&Node{Name: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []*Edge{
+		{From: "d", To: "a"}, {From: "d", To: "b"}, {From: "e", To: "c"},
+		{From: "c", To: "a"}, {From: "d", To: "a"}, {From: "b", To: "b", Carried: true},
+	} {
+		g.AddEdge(e)
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, n := range order {
+		names = append(names, n.Name)
+	}
+	if got, want := strings.Join(names, ","), "e,d,c,b,a"; got != want {
+		t.Errorf("order %s, want %s", got, want)
+	}
+	g.AddEdge(&Edge{From: "a", To: "ghost"})
+	if _, err := g.TopoOrder(); err == nil {
+		t.Error("an edge to an undeclared node was ordered")
+	}
+}
+
 func TestDecodeComments(t *testing.T) {
 	g, err := Decode("graph g # hello\nnode a kind=par tasks=10 # a node\nnode b\nedge a -> b # dep\n")
 	if err != nil {

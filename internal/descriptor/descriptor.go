@@ -141,8 +141,12 @@ func (t Triple) WithGuard(g symbolic.Conj) Triple {
 	return t
 }
 
-// Subst replaces name n with expression v throughout the triple.
+// Subst replaces name n with expression v throughout the triple. A
+// triple that does not use n is returned as it is.
 func (t Triple) Subst(n symbolic.Name, v symbolic.Expr) Triple {
+	if !t.Uses(n) {
+		return t
+	}
 	out := Triple{Block: t.Block, Guard: t.Guard.Subst(n, v)}
 	for _, d := range t.Dims {
 		out.Dims = append(out.Dims, d.Subst(n, v))

@@ -2,21 +2,23 @@ package descriptor
 
 import "orchestra/internal/symbolic"
 
-// MayIntersect conservatively reports whether two triples can reference
-// a common memory location, given a context of predicates known to
-// hold. It returns false only when disjointness is provable.
-func MayIntersect(a, b Triple, ctx symbolic.Conj) bool {
-	if a.Block != b.Block {
-		return false
-	}
-	// If either access provably cannot occur, no intersection.
-	if ctx.Merge(a.Guard).ProvesFalse() || ctx.Merge(b.Guard).ProvesFalse() {
-		return false
-	}
-	// If the two guards cannot hold in the same execution, the accesses
-	// never coexist, hence no dependence between them.
-	if ctx.Merge(a.Guard).Merge(b.Guard).ProvesFalse() {
-		return false
+// mayIntersect conservatively reports whether two triples of one block
+// can reference a common memory location, given a context ctx of
+// predicates known to hold and ctxA = ctx ∧ a.Guard, which does not
+// prove false (a's access can occur). It returns false only when
+// disjointness is provable.
+func mayIntersect(a, b *Triple, ctx, ctxA symbolic.Conj) bool {
+	ctxB := ctx
+	if len(b.Guard) > 0 {
+		// If b's access provably cannot occur, or the two guards cannot
+		// hold in the same execution, the accesses never coexist, hence
+		// no dependence between them. ctxA holds every predicate of
+		// ctx, so an unguarded b adds nothing ctxA has not survived,
+		// and under an unguarded a the second question is the first.
+		ctxB = ctx.Merge(b.Guard)
+		if ctxB.ProvesFalse() || len(a.Guard) > 0 && ctxA.Merge(b.Guard).ProvesFalse() {
+			return false
+		}
 	}
 	if a.Whole() || b.Whole() {
 		return true
@@ -28,7 +30,7 @@ func MayIntersect(a, b Triple, ctx symbolic.Conj) bool {
 	}
 	// Disjoint if ANY dimension is provably disjoint.
 	for i := range a.Dims {
-		if dimsDisjoint(a.Dims[i], b.Dims[i], a.Guard, b.Guard, ctx) {
+		if dimsDisjoint(&a.Dims[i], &b.Dims[i], ctxA, ctxB, ctx) {
 			return false
 		}
 	}
@@ -36,8 +38,8 @@ func MayIntersect(a, b Triple, ctx symbolic.Conj) bool {
 }
 
 // dimsDisjoint reports whether the index sets of one dimension are
-// provably disjoint.
-func dimsDisjoint(da, db Dim, ga, gb, ctx symbolic.Conj) bool {
+// provably disjoint. ctxA and ctxB are ctx with each access's guard.
+func dimsDisjoint(da, db *Dim, ctxA, ctxB, ctx symbolic.Conj) bool {
 	// Complementary masks: the element sets {x : Pa(x)} and {x : Pb(x)}
 	// cannot share an element when the instantiated predicates
 	// contradict for the generic element.
@@ -50,13 +52,13 @@ func dimsDisjoint(da, db Dim, ga, gb, ctx symbolic.Conj) bool {
 	// the point's guard and the context.
 	if p, ok := da.IsPoint(); ok && db.Mask != nil {
 		inst := db.Mask.Instantiate(p)
-		if ctx.Merge(ga).Merge(symbolic.Conj{inst}).ProvesFalse() {
+		if ctxA.And(inst).ProvesFalse() {
 			return true
 		}
 	}
 	if p, ok := db.IsPoint(); ok && da.Mask != nil {
 		inst := da.Mask.Instantiate(p)
-		if ctx.Merge(gb).Merge(symbolic.Conj{inst}).ProvesFalse() {
+		if ctxB.And(inst).ProvesFalse() {
 			return true
 		}
 	}
@@ -72,11 +74,25 @@ func dimsDisjoint(da, db Dim, ga, gb, ctx symbolic.Conj) bool {
 }
 
 // setsIntersect reports whether any triple of as may intersect any of
-// bs.
+// bs. Blocks are compared before anything is proved, and an outer
+// triple's context ctx ∧ Guard is built and refuted once per scan.
 func setsIntersect(as, bs []Triple, ctx symbolic.Conj) bool {
-	for _, a := range as {
-		for _, b := range bs {
-			if MayIntersect(a, b, ctx) {
+	for i := range as {
+		a := &as[i]
+		var ctxA symbolic.Conj
+		live := false
+		for j := range bs {
+			b := &bs[j]
+			if a.Block != b.Block {
+				continue
+			}
+			if !live {
+				if ctxA = ctx.Merge(a.Guard); ctxA.ProvesFalse() {
+					break // a's access cannot occur
+				}
+				live = true
+			}
+			if mayIntersect(a, b, ctx, ctxA) {
 				return true
 			}
 		}
@@ -91,9 +107,11 @@ func setsIntersect(as, bs []Triple, ctx symbolic.Conj) bool {
 //
 // covering output-, flow-, and anti-dependencies. When two descriptors
 // do not interfere, the computations they summarize are independent.
+// The flow term is tried first: between program-ordered computations it
+// is the one that usually holds.
 func Interferes(a, b Descriptor, ctx symbolic.Conj) bool {
-	return setsIntersect(a.Writes, b.Writes, ctx) ||
-		setsIntersect(a.Writes, b.Reads, ctx) ||
+	return setsIntersect(a.Writes, b.Reads, ctx) ||
+		setsIntersect(a.Writes, b.Writes, ctx) ||
 		setsIntersect(a.Reads, b.Writes, ctx)
 }
 

@@ -221,12 +221,14 @@ func (r *dagRun) addOps(g2 *delirium.Graph, base int) error {
 			if e.Carried {
 				continue
 			}
-			bytes := e.Bytes
+			// In float64: a per-task volume times the task count may not
+			// fit an int64.
+			bytes := float64(e.Bytes)
 			if e.PerTask {
-				bytes *= int64(r.f.N(r.f.Index(e.To)))
+				bytes *= float64(r.f.N(r.f.Index(e.To)))
 			}
 			op := &r.ops[r.f.Index(e.From)]
-			op.feed += float64(bytes) * r.cfg.ByteCost / float64(r.p)
+			op.feed += bytes * r.cfg.ByteCost / float64(r.p)
 			op.feeds++
 		}
 	}

@@ -46,7 +46,7 @@ type reduction struct {
 func trySplitLoopIterations(r *analysis.Result, loop *source.Do, d descriptor.Descriptor, ctx symbolic.Conj, uniq *int) (*LoopSplit, bool) {
 	iter, iv := r.DescribeIteration(loop)
 	ind := r.SSA.Defs[iv]
-	if ind == nil || len(ind.Ranges) == 0 {
+	if ind == nil || len(ind.Ranges) == 0 || !anyCandidate(d, loop, iv, ind.Ranges) {
 		return nil, false
 	}
 
@@ -70,6 +70,28 @@ func trySplitLoopIterations(r *analysis.Result, loop *source.Do, d descriptor.De
 		return ls, true
 	}
 	return nil, false
+}
+
+// anyCandidate reports whether d offers a restriction for the loop's
+// iterations: a masked dimension for tryMaskComplement or, when the
+// loop runs over one unit-stride range, a point index free of iv for
+// tryPointExclusion. Without one both fail whatever the legality
+// proof says, so it is not attempted.
+func anyCandidate(d descriptor.Descriptor, loop *source.Do, iv symbolic.Name, ranges []symbolic.Range) bool {
+	points := len(loop.Ranges) == 1 && len(ranges) == 1 && ranges[0].Skip == 1
+	for _, ts := range [][]descriptor.Triple{d.Writes, d.Reads} {
+		for _, t := range ts {
+			for _, dim := range t.Dims {
+				if dim.Mask != nil {
+					return true
+				}
+				if p, ok := dim.IsPoint(); ok && points && !p.Uses(iv) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // splittableIterations reports whether the loop's iterations can be
@@ -104,7 +126,7 @@ func detectReductions(r *analysis.Result, loop *source.Do) ([]reduction, bool) {
 	env := r.SSA.InsideLoop[loop]
 	var reds []reduction
 	for _, v := range assignedScalars(loop.Body) {
-		name, ok := env[v]
+		name, ok := env.Lookup(v)
 		if !ok || v == loop.Var {
 			continue
 		}
@@ -281,11 +303,13 @@ func guardIter(d descriptor.Descriptor, p symbolic.Pred) descriptor.Descriptor {
 // an extra where-guard on the loop, removes all interference (the
 // Figure 2 split of B into BI and BD).
 func tryMaskComplement(r *analysis.Result, loop *source.Do, d descriptor.Descriptor, iter descriptor.Descriptor, iv symbolic.Name, ranges []symbolic.Range, ctx symbolic.Conj, reds []reduction, uniq *int) (*LoopSplit, bool) {
+	var seen []symbolic.Pred
 	for _, t := range append(append([]descriptor.Triple{}, d.Writes...), d.Reads...) {
 		for _, dim := range t.Dims {
-			if dim.Mask == nil {
-				continue
+			if dim.Mask == nil || containsPred(seen, dim.Mask.Pred) {
+				continue // a mask tried once gives the same answer again
 			}
+			seen = append(seen, dim.Mask.Pred)
 			// Candidate restriction: the mask's complement at iv.
 			pos := dim.Mask.Instantiate(symbolic.Var(iv))
 			neg := pos.Negate()
@@ -389,6 +413,15 @@ func tryPointExclusion(r *analysis.Result, loop *source.Do, d descriptor.Descrip
 		}
 	}
 	return nil, false
+}
+
+func containsPred(ps []symbolic.Pred, p symbolic.Pred) bool {
+	for _, x := range ps {
+		if x.Equal(p) {
+			return true
+		}
+	}
+	return false
 }
 
 func containsExpr(es []symbolic.Expr, e symbolic.Expr) bool {

@@ -45,9 +45,18 @@ func (p *PipelineResult) Applied() bool {
 // larger depths compute the descriptor for iteration i-depth (§3.3.2:
 // "if deeper pipelining is desired, the descriptor for iteration i-2
 // can be computed, etc.").
+//
+// Two answers are known before the split runs, and Pipeline returns
+// (nil, false) on them without building anything: a body of
+// assignments alone is one primitive, which lands whole in AI or whole
+// in AD; and a body none of whose primitives interferes with the
+// previous iteration lands whole in AI. Neither can be Applied.
 func Pipeline(r *analysis.Result, loop *source.Do, depth int) (*PipelineResult, bool) {
 	if depth < 1 {
 		depth = 1
+	}
+	if assignsOnly(loop.Body) {
+		return nil, false
 	}
 	iter, iv := r.DescribeIteration(loop)
 	ind := r.SSA.Defs[iv]
@@ -82,12 +91,13 @@ func Pipeline(r *analysis.Result, loop *source.Do, depth int) (*PipelineResult, 
 
 	// The previous iteration's descriptor: privatized blocks are
 	// iteration-local, so they disappear from the cross-iteration
-	// interference target.
+	// interference target. Shifting renames no block, so the shifted
+	// iteration serves both steps.
 	var privNames []symbolic.Name
 	for b := range res.Privatized {
 		privNames = append(privNames, symbolic.Name(b))
 	}
-	dPrev := descriptor.ShiftIteration(removeBlocks(iter, privNames), iv, int64(depth))
+	dPrev := removeBlocks(shifted, privNames)
 
 	// Split the body primitives against the previous iteration, with
 	// privatized blocks renamed in their descriptors.
@@ -98,7 +108,11 @@ func Pipeline(r *analysis.Result, loop *source.Do, depth int) (*PipelineResult, 
 		}
 	}
 	ctx := r.SSA.BodyCtx[loop]
-	inner := splitPrims(r, prims, dPrev, ctx, res.Privatized)
+	cats := Categorize(prims, dPrev, ctx)
+	if !anyBound(cats) {
+		return nil, false // every primitive is Free: all of it is AI
+	}
+	inner := splitPrims(r, prims, cats, dPrev, ctx, res.Privatized)
 	res.LoopSplits = inner.LoopSplits
 	res.NewDecls = append(res.NewDecls, inner.NewDecls...)
 
@@ -119,6 +133,28 @@ func Pipeline(r *analysis.Result, loop *source.Do, depth int) (*PipelineResult, 
 		return nil, false
 	}
 	return res, true
+}
+
+// assignsOnly reports whether a statement list is assignments alone,
+// which Decompose makes one primitive.
+func assignsOnly(body []source.Stmt) bool {
+	for _, s := range body {
+		if _, ok := s.(*source.Assign); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// anyBound reports whether any primitive interferes with the target
+// directly; without one, Categorize finds nothing Linked either.
+func anyBound(cats []Category) bool {
+	for _, c := range cats {
+		if c == Bound {
+			return true
+		}
+	}
+	return false
 }
 
 // keepBlock retains only the triples of one block.

@@ -59,19 +59,19 @@ func (res *Result) Applied() bool {
 // part of r's program) against descriptor d. ctx holds predicates known
 // to hold where C executes.
 func Split(r *analysis.Result, c []source.Stmt, d descriptor.Descriptor, ctx symbolic.Conj) *Result {
-	return splitPrims(r, Decompose(r, c), d, ctx, nil)
+	prims := Decompose(r, c)
+	return splitPrims(r, prims, Categorize(prims, d, ctx), d, ctx, nil)
 }
 
-// splitPrims runs the categorize → loop-split → recategorize → assign
-// pipeline over an explicit primitive list. blockRenames maps array
-// names to replacements the caller already applied to the primitives'
-// descriptors (the pipeline transformation's privatization); loop-split
-// descriptors are renamed consistently.
-func splitPrims(r *analysis.Result, prims []Prim, d descriptor.Descriptor, ctx symbolic.Conj, blockRenames map[string]string) *Result {
+// splitPrims runs the loop-split → recategorize → assign pipeline over
+// an explicit primitive list and its categories against d.
+// blockRenames maps array names to replacements the caller already
+// applied to the primitives' descriptors (the pipeline
+// transformation's privatization); loop-split descriptors are renamed
+// consistently.
+func splitPrims(r *analysis.Result, prims []Prim, cats []Category, d descriptor.Descriptor, ctx symbolic.Conj, blockRenames map[string]string) *Result {
 	res := &Result{}
 	uniq := 0
-
-	cats := Categorize(prims, d, ctx)
 
 	// Attempt to split the iterations of each Bound loop; replace a
 	// split loop by its two halves and recategorize. The independent
@@ -145,15 +145,19 @@ func splitPrims(r *analysis.Result, prims []Prim, d descriptor.Descriptor, ctx s
 	// sub-computations that rely on values now computed in CI; the
 	// remaining sub-computations ... are put into CM"). Values may flow
 	// through other CM members, so iterate to a fixpoint.
+	// tried[i] counts the sources already tested against i, so each
+	// round tests only the sources added since.
 	inCM := map[int]bool{}
 	sources := append([]int{}, indicesOf(inCI)...)
+	tried := make([]int, len(work))
 	for changed := true; changed; {
 		changed = false
 		for i := range work {
 			if inCI[i] || inCM[i] {
 				continue
 			}
-			for _, s := range sources {
+			for _, s := range sources[tried[i]:] {
+				tried[i]++
 				// The work list is in program order (loop halves sit at
 				// the original loop's position), so s < i gates flow.
 				if s < i && descriptor.FlowInterferes(work[s].Desc, work[i].Desc, ctx) {

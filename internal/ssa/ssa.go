@@ -14,7 +14,7 @@
 package ssa
 
 import (
-	"fmt"
+	"strconv"
 
 	"orchestra/internal/source"
 	"orchestra/internal/symbolic"
@@ -72,17 +72,59 @@ type Def struct {
 
 	// Args are the incoming names for DefPhi.
 	Args []symbolic.Name
+
+	num int32 // the definition's number in the program's envTable
 }
 
-// Env maps scalar variable names to their reaching SSA names.
-type Env map[string]symbolic.Name
+// Env maps scalar variable names to their reaching SSA names at one
+// program point. It is a dense vector over the program's table of
+// names that can receive a definition (its scalars, then the other
+// identifiers passed to calls), holding each one's reaching definition
+// by number, so a snapshot is one small slice copy. The zero Env binds
+// nothing.
+type Env struct {
+	tab *envTable
+	ids []int32 // per slot: an index into tab.defs, 0 where none reaches
+}
 
-func cloneEnv(e Env) Env {
-	c := make(Env, len(e))
-	for k, v := range e {
-		c[k] = v
+// envTable is what every Env of one program shares: the slot of each
+// name, and the SSA name of every definition by number (0 is none).
+type envTable struct {
+	slots map[string]int
+	defs  []symbolic.Name
+}
+
+// Lookup returns the SSA name reaching scalar v, if any.
+func (e Env) Lookup(v string) (symbolic.Name, bool) {
+	if e.tab == nil {
+		return "", false
 	}
-	return c
+	i, ok := e.tab.slots[v]
+	if !ok || e.ids[i] == 0 {
+		return "", false
+	}
+	return e.tab.defs[e.ids[i]], true
+}
+
+// Name returns the SSA name reaching scalar v, or "" when none does.
+func (e Env) Name(v string) symbolic.Name {
+	n, _ := e.Lookup(v)
+	return n
+}
+
+// get is Name for a v the table holds.
+func (e Env) get(v string) symbolic.Name { return e.tab.defs[e.ids[e.slot(v)]] }
+
+func (e Env) slot(v string) int {
+	i, ok := e.tab.slots[v]
+	if !ok {
+		panic("ssa: " + v + " has no slot in the scalar table")
+	}
+	return i
+}
+
+func (e Env) clone() Env {
+	return Env{tab: e.tab, ids: append(make([]int32, 0, len(e.ids)), e.ids...)}
 }
 
 // Info is the result of SSA conversion.
@@ -110,7 +152,11 @@ type Info struct {
 	// loop's own bound and guard predicates.
 	BodyCtx map[*source.Do]symbolic.Conj
 
-	scalars  map[string]bool
+	// env is the table every Env indexes: the scalars occupy slots
+	// [0, nScalars), then come identifiers that only calls define.
+	env      envTable
+	table    []string // the name in each slot
+	nScalars int
 	counters map[string]int
 
 	// elemCache implements the paper's aggregate propagation (step 4):
@@ -139,37 +185,54 @@ func Convert(p *source.Program) *Info {
 		InsideLoop: map[*source.Do]Env{},
 		Ctx:        map[source.Stmt]symbolic.Conj{},
 		BodyCtx:    map[*source.Do]symbolic.Conj{},
-		scalars:    map[string]bool{},
+		env:        envTable{slots: map[string]int{}, defs: []symbolic.Name{""}},
 		counters:   map[string]int{},
 	}
 	in.collectScalars(p)
 
 	// Entry definitions: version 0 of every scalar.
-	env := Env{}
-	for v := range in.scalars {
-		d := in.newDef(v, DefEntry)
-		env[v] = d.Name
+	env := Env{tab: &in.env, ids: make([]int32, len(in.table))}
+	for i, v := range in.table[:in.nScalars] {
+		env.ids[i] = in.newDef(v, DefEntry).num
 	}
 
-	in.walkStmts(p.Body, env, nil, nil)
+	in.walkStmts(p.Body, env, Env{}, nil)
 	return in
 }
 
-// collectScalars gathers every scalar variable: declared scalars, loop
-// induction variables, and assigned identifiers.
+// collectScalars builds the scalar table: every scalar variable
+// (declared scalars, loop induction variables, and assigned
+// identifiers), then every other identifier passed to a call, which
+// the call defines.
 func (in *Info) collectScalars(p *source.Program) {
+	add := func(v string) {
+		if _, ok := in.env.slots[v]; !ok {
+			in.env.slots[v] = len(in.table)
+			in.table = append(in.table, v)
+		}
+	}
 	for _, d := range p.Decls {
 		if !d.IsArray() {
-			in.scalars[d.Name] = true
+			add(d.Name)
 		}
 	}
 	source.WalkStmts(p.Body, func(s source.Stmt) {
 		switch s := s.(type) {
 		case *source.Do:
-			in.scalars[s.Var] = true
+			add(s.Var)
 		case *source.Assign:
 			if id, ok := s.LHS.(*source.Ident); ok {
-				in.scalars[id.Name] = true
+				add(id.Name)
+			}
+		}
+	})
+	in.nScalars = len(in.table)
+	source.WalkStmts(p.Body, func(s source.Stmt) {
+		if c, ok := s.(*source.CallStmt); ok {
+			for _, a := range c.Args {
+				if id, ok := a.(*source.Ident); ok {
+					add(id.Name)
+				}
 			}
 		}
 	})
@@ -178,11 +241,13 @@ func (in *Info) collectScalars(p *source.Program) {
 func (in *Info) newDef(v string, kind DefKind) *Def {
 	in.counters[v]++
 	d := &Def{
-		Name: symbolic.Name(fmt.Sprintf("%s.%d", v, in.counters[v])),
+		Name: symbolic.Name(v + "." + strconv.Itoa(in.counters[v])),
 		Var:  v,
 		Kind: kind,
+		num:  int32(len(in.env.defs)),
 	}
 	in.Defs[d.Name] = d
+	in.env.defs = append(in.env.defs, d.Name)
 	return d
 }
 
@@ -192,7 +257,7 @@ func (in *Info) newDef(v string, kind DefKind) *Def {
 // environments of its constituent paths with phi definitions. env is
 // mutated in place to reflect the effect of the statements; ctx is the
 // assertion context in force. snap, when non-nil, is a read-only copy
-// of env the caller already holds.
+// of env the caller already holds; the zero Env when it holds none.
 func (in *Info) walkStmts(body []source.Stmt, env, snap Env, ctx symbolic.Conj) {
 	// An environment only ever changes by receiving a new definition,
 	// so the snapshot recorded for one statement serves the following
@@ -200,8 +265,8 @@ func (in *Info) walkStmts(body []source.Stmt, env, snap Env, ctx symbolic.Conj) 
 	// a loop body, define nothing).
 	defs := len(in.Defs)
 	for _, s := range body {
-		if snap == nil || len(in.Defs) != defs {
-			snap, defs = cloneEnv(env), len(in.Defs)
+		if snap.ids == nil || len(in.Defs) != defs {
+			snap, defs = env.clone(), len(in.Defs)
 		}
 		in.AtStmt[s] = snap
 		in.Ctx[s] = ctx
@@ -232,7 +297,7 @@ func (in *Info) walkStmts(body []source.Stmt, env, snap Env, ctx symbolic.Conj) 
 
 func (in *Info) newDefInto(v string, kind DefKind, env Env) *Def {
 	d := in.newDef(v, kind)
-	env[v] = d.Name
+	env.ids[env.slot(v)] = d.num
 	return d
 }
 
@@ -315,12 +380,12 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 	// pre-loop value. The induction variable gets its range definition.
 	assigned := scalarsAssigned(s.Body)
 
-	headerEnv := cloneEnv(env)
+	headerEnv := env.clone()
 	for v := range assigned {
 		if v == s.Var {
 			continue
 		}
-		pre := headerEnv[v]
+		pre := headerEnv.get(v)
 		phi := in.newDefInto(v, DefPhi, headerEnv)
 		phi.Loop = s
 		phi.Args = []symbolic.Name{pre} // body arg appended after walk
@@ -371,9 +436,10 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 	// the two differ only in the assigned scalars, and those are reset
 	// below whatever the body leaves in them. headerEnv stays as the
 	// read-only record.
-	env[s.Var] = headerEnv[s.Var]
+	env.ids[env.slot(s.Var)] = headerEnv.ids[env.slot(s.Var)]
 	for v := range assigned {
-		env[v] = headerEnv[v]
+		i := env.slot(v)
+		env.ids[i] = headerEnv.ids[i]
 	}
 	in.walkStmts(s.Body, env, headerEnv, bodyCtx)
 
@@ -382,8 +448,8 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 		if v == s.Var {
 			continue
 		}
-		phi := in.Defs[headerEnv[v]]
-		phi.Args = append(phi.Args, env[v])
+		phi := in.Defs[headerEnv.get(v)]
+		phi.Args = append(phi.Args, env.get(v))
 		in.resolvePhi(phi)
 	}
 
@@ -393,7 +459,8 @@ func (in *Info) walkDo(s *source.Do, env Env, ctx symbolic.Conj) {
 	// would be unsound for code after the loop).
 	for v := range assigned {
 		if v != s.Var {
-			env[v] = headerEnv[v]
+			i := env.slot(v)
+			env.ids[i] = headerEnv.ids[i]
 		}
 	}
 	post := in.newDefInto(s.Var, DefPostLoop, env)
@@ -410,20 +477,20 @@ func (in *Info) walkIf(s *source.If, env, snap Env, ctx symbolic.Conj) {
 			elseCtx = elseCtx.And(preds[0].Negate())
 		}
 	}
-	thenEnv := cloneEnv(env)
+	thenEnv := env.clone()
 	in.walkStmts(s.Then, thenEnv, snap, thenCtx)
-	elseEnv := cloneEnv(env)
+	elseEnv := env.clone()
 	in.walkStmts(s.Else, elseEnv, snap, elseCtx)
 
-	// Merge: variables redefined on either arm get phis.
-	for v := range in.scalars {
-		tn, en := thenEnv[v], elseEnv[v]
+	// Merge: scalars redefined on either arm get phis.
+	for i, v := range in.table[:in.nScalars] {
+		tn, en := thenEnv.ids[i], elseEnv.ids[i]
 		if tn == en {
-			env[v] = tn
+			env.ids[i] = tn
 			continue
 		}
 		phi := in.newDefInto(v, DefPhi, env)
-		phi.Args = []symbolic.Name{tn, en}
+		phi.Args = []symbolic.Name{in.env.defs[tn], in.env.defs[en]}
 		in.resolvePhi(phi)
 	}
 }

@@ -54,18 +54,18 @@ end
 
 	// Before the first assignment, a is the entry version.
 	envBefore := in.AtStmt[s0]
-	d0 := in.Defs[envBefore["a"]]
+	d0 := in.Defs[envBefore.Name("a")]
 	if d0.Kind != DefEntry {
 		t.Fatalf("pre-version of a is %v", d0.Kind)
 	}
 	// b = a + 2 sees a's assigned version with value 1, so b's value is 3.
 	env1 := in.AtStmt[s1]
-	da := in.Defs[env1["a"]]
+	da := in.Defs[env1.Name("a")]
 	if !da.HasValue || !da.Value.Equal(symbolic.Const(1)) {
 		t.Fatalf("a's value = %v (has=%v)", da.Value, da.HasValue)
 	}
 	env2 := in.AtStmt[s2]
-	db := in.Defs[env2["b"]]
+	db := in.Defs[env2.Name("b")]
 	if !db.HasValue || !db.Value.Equal(symbolic.Const(3)) {
 		t.Fatalf("b's value = %v (has=%v)", db.Value, db.HasValue)
 	}
@@ -98,7 +98,7 @@ end
 		t.Fatal("subscript not translatable")
 	}
 	// j inlines to col.<entry> - 1.
-	colName := env["col"]
+	colName := env.Name("col")
 	want := symbolic.Var(colName).AddConst(-1)
 	if !sub.Equal(want) {
 		t.Fatalf("subscript = %v, want %v", sub, want)
@@ -117,7 +117,7 @@ end
 `)
 	loop := p.Body[0].(*source.Do)
 	env := in.InsideLoop[loop]
-	d := in.Defs[env["i"]]
+	d := in.Defs[env.Name("i")]
 	if d.Kind != DefInduction {
 		t.Fatalf("i's def = %v", d.Kind)
 	}
@@ -129,7 +129,7 @@ end
 		t.Fatalf("start = %v", r.Start)
 	}
 	// End is n.1 - 1 for entry version of n.
-	nName := in.AtStmt[loop]["n"]
+	nName := in.AtStmt[loop].Name("n")
 	if !r.End.Equal(symbolic.Var(nName).AddConst(-1)) {
 		t.Fatalf("end = %v", r.End)
 	}
@@ -146,7 +146,7 @@ program p
 end
 `)
 	loop := p.Body[0].(*source.Do)
-	d := in.Defs[in.InsideLoop[loop]["i"]]
+	d := in.Defs[in.InsideLoop[loop].Name("i")]
 	if len(d.Ranges) != 2 {
 		t.Fatalf("ranges = %d, want 2", len(d.Ranges))
 	}
@@ -165,7 +165,7 @@ end
 `)
 	after := p.Body[1].(*source.Assign)
 	env := in.AtStmt[after]
-	d := in.Defs[env["i"]]
+	d := in.Defs[env.Name("i")]
 	if d.Kind != DefPostLoop {
 		t.Fatalf("post-loop i = %v", d.Kind)
 	}
@@ -174,7 +174,7 @@ end
 	}
 	// It must differ from the in-loop version.
 	loop := p.Body[0].(*source.Do)
-	if in.InsideLoop[loop]["i"] == env["i"] {
+	if in.InsideLoop[loop].Name("i") == env.Name("i") {
 		t.Fatal("post-loop version equals in-loop version")
 	}
 }
@@ -192,7 +192,7 @@ end
 `)
 	loop := p.Body[1].(*source.Do)
 	env := in.InsideLoop[loop]
-	d := in.Defs[env["s"]]
+	d := in.Defs[env.Name("s")]
 	if d.Kind != DefPhi {
 		t.Fatalf("loop-carried s = %v", d.Kind)
 	}
@@ -220,7 +220,7 @@ program p
 end
 `)
 	after := p.Body[1].(*source.Assign)
-	d := in.Defs[in.AtStmt[after]["b"]]
+	d := in.Defs[in.AtStmt[after].Name("b")]
 	if d.Kind != DefPhi || len(d.Args) != 2 {
 		t.Fatalf("b after if = %+v", d)
 	}
@@ -245,7 +245,7 @@ program p
 end
 `)
 	after := p.Body[1].(*source.Assign)
-	d := in.Defs[in.AtStmt[after]["b"]]
+	d := in.Defs[in.AtStmt[after].Name("b")]
 	if !d.HasValue || !d.Value.Equal(symbolic.Const(5)) {
 		t.Fatalf("agreeing phi not resolved: %+v", d)
 	}
@@ -265,7 +265,7 @@ end
 	ifStmt := p.Body[0].(*source.If)
 	thenStmt := ifStmt.Then[0]
 	elseStmt := ifStmt.Else[0]
-	aName := in.AtStmt[ifStmt]["a"]
+	aName := in.AtStmt[ifStmt].Name("a")
 	thenCtx := in.Ctx[thenStmt]
 	if !thenCtx.Implies(symbolic.CmpExpr(symbolic.Var(aName), symbolic.GT, symbolic.Const(3))) {
 		t.Fatalf("then ctx = %v", thenCtx)
@@ -289,7 +289,7 @@ end
 `)
 	loop := p.Body[0].(*source.Do)
 	ctx := in.BodyCtx[loop]
-	iName := in.InsideLoop[loop]["i"]
+	iName := in.InsideLoop[loop].Name("i")
 	iv := symbolic.Var(iName)
 	if !ctx.Implies(symbolic.CmpExpr(iv, symbolic.GE, symbolic.Const(1))) {
 		t.Fatalf("ctx missing lower bound: %v", ctx)
@@ -312,7 +312,7 @@ program p
 end
 `)
 	last := p.Body[2].(*source.Assign)
-	d := in.Defs[in.AtStmt[last]["a"]]
+	d := in.Defs[in.AtStmt[last].Name("a")]
 	if d.Kind != DefCall || d.HasValue {
 		t.Fatalf("a after call = %+v", d)
 	}
@@ -332,9 +332,9 @@ end
 `)
 	outer := p.Body[0].(*source.Do)
 	inner := outer.Body[0].(*source.Do)
-	dj := in.Defs[in.InsideLoop[inner]["j"]]
+	dj := in.Defs[in.InsideLoop[inner].Name("j")]
 	// j's lower bound is the induction name of i.
-	iName := in.InsideLoop[outer]["i"]
+	iName := in.InsideLoop[outer].Name("i")
 	if !dj.Ranges[0].Start.Equal(symbolic.Var(iName)) {
 		t.Fatalf("j start = %v, want %v", dj.Ranges[0].Start, iName)
 	}
@@ -408,7 +408,7 @@ program p
 end
 `)
 	loop := p.Body[0].(*source.Do)
-	d := in.Defs[in.InsideLoop[loop]["i"]]
+	d := in.Defs[in.InsideLoop[loop].Name("i")]
 	if d.Ranges[0].Skip != 2 {
 		t.Fatalf("skip = %d", d.Ranges[0].Skip)
 	}
@@ -438,7 +438,7 @@ end
 	if kDef == nil || !kDef.HasValue {
 		t.Fatalf("k did not receive the propagated value: %+v", kDef)
 	}
-	nName := in.AtStmt[p.Body[0].(*source.Assign)]["n"]
+	nName := in.AtStmt[p.Body[0].(*source.Assign)].Name("n")
 	if !kDef.Value.Equal(symbolic.Var(nName).AddConst(2)) {
 		t.Fatalf("k = %v, want n+2", kDef.Value)
 	}

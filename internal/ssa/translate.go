@@ -20,7 +20,7 @@ func (in *Info) TranslateExpr(e source.Expr, env Env) (symbolic.Expr, bool) {
 		}
 		return symbolic.Const(e.Int), true
 	case *source.Ident:
-		name, ok := env[e.Name]
+		name, ok := env.Lookup(e.Name)
 		if !ok {
 			// Unknown identifier (e.g. never assigned): treat the bare
 			// variable name as an opaque symbol.

@@ -20,13 +20,44 @@ func (c Conj) And(p Pred) Conj {
 	return append(out, p)
 }
 
-// Merge returns the conjunction of c and o.
+// Merge returns the conjunction of c and o: c followed by each
+// predicate of o not equivalent to one already there. When o adds
+// nothing the result is c itself, when c is empty and o holds no two
+// equivalent predicates it is o itself, and otherwise it is one new
+// slice.
 func (c Conj) Merge(o Conj) Conj {
-	out := c
-	for _, p := range o {
-		out = out.And(p)
+	if len(c) == 0 && o.distinct() {
+		return o[:len(o):len(o)]
 	}
-	return out
+	out := c
+	fresh := false
+next:
+	for _, p := range o {
+		for _, q := range out {
+			if q.Equivalent(p) {
+				continue next
+			}
+		}
+		if !fresh {
+			out = make(Conj, len(c), len(c)+len(o))
+			copy(out, c)
+			fresh = true
+		}
+		out = append(out, p)
+	}
+	return out[:len(out):len(out)]
+}
+
+// distinct reports whether no two predicates of c are equivalent.
+func (c Conj) distinct() bool {
+	for i, p := range c {
+		for _, q := range c[:i] {
+			if q.Equivalent(p) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ProvesFalse reports whether the conjunction is provably unsatisfiable:
